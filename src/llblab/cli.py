@@ -111,6 +111,14 @@ def _parse_str(text):
     return text.strip()
 
 
+def _finite_positive(value):
+    return math.isfinite(value) and value > 0
+
+
+def _finite_nonnegative(value):
+    return math.isfinite(value) and value >= 0
+
+
 KINDS = (
     "validate",
     "deterministic",
@@ -127,16 +135,16 @@ KEY_TABLE = {
     "output.dir": (_parse_str, "out", None, "non-empty", lambda v: bool(v)),
     "seed": (_parse_int, 20240808, None, "integer >= 0", lambda v: v >= 0),
     "grid.n": (_parse_int, 127, None, "integer >= 3", lambda v: v >= 3),
-    "time.horizon": (_parse_float, 0.25, None, "> 0", lambda v: v > 0),
+    "time.horizon": (_parse_float, 0.25, None, "finite, > 0", _finite_positive),
     "time.steps": (_parse_int, 2500, None, "integer >= 1", lambda v: v >= 1),
-    "model.nu1": (_parse_float, 1.0, None, "> 0", lambda v: v > 0),
-    "model.nu2": (_parse_float, 1.0, None, ">= 0", lambda v: v >= 0),
+    "model.nu1": (_parse_float, 1.0, None, "finite, > 0", _finite_positive),
+    "model.nu2": (_parse_float, 1.0, None, "finite, >= 0", _finite_nonnegative),
     "model.gamma": (_parse_float, 1.0, None, "finite", math.isfinite),
-    "model.mu": (_parse_float, 1.0, None, ">= 0", lambda v: v >= 0),
+    "model.mu": (_parse_float, 1.0, None, "finite, >= 0", _finite_nonnegative),
     "init.a": (_parse_float, 1.0, None, "finite", math.isfinite),
     "init.b": (_parse_float, 0.5, None, "finite", math.isfinite),
     "noise.modes": (_parse_int, 8, None, "integer >= 1", lambda v: v >= 1),
-    "noise.alpha": (_parse_float, 4.0, None, "> 3", lambda v: v > 3),
+    "noise.alpha": (_parse_float, 4.0, None, "finite, > 3", lambda v: math.isfinite(v) and v > 3),
     "validate.samples": (_parse_int, 1000, "validate", "integer >= 1", lambda v: v >= 1),
     "validate.grids": (
         _parse_ints, (31, 127, 255), "validate", "grid sizes >= 3",
@@ -165,13 +173,12 @@ KEY_TABLE = {
     "weak.component": (_parse_int, 3, "weak-convergence", "1, 2 or 3", lambda v: v in (1, 2, 3)),
     "weak.coefficient": (_parse_float, 0.5, "weak-convergence", "finite", math.isfinite),
     "rate.target": (_parse_path, None, "rate", "existing file", lambda v: True),
-    "rate.penalty": (_parse_float, 1.0e3, "rate", "> 0", lambda v: v > 0),
+    "rate.penalty": (_parse_float, 1.0e3, "rate", "finite, > 0", _finite_positive),
     "rate.modes": (_parse_int, 1, "rate", "integer >= 1", lambda v: v >= 1),
     "rate.slabs": (_parse_int, 5, "rate", "integer >= 1", lambda v: v >= 1),
     "rate.max_iters": (_parse_int, 60, "rate", "integer >= 1", lambda v: v >= 1),
-    "rate.step_size": (_parse_float, 1.0, "rate", "> 0", lambda v: v > 0),
-    "rate.fd_bump": (_parse_float, 1.0e-3, "rate", "> 0", lambda v: v > 0),
-    "rate.tolerance": (_parse_float, 1.0e-4, "rate", "> 0", lambda v: v > 0),
+    "rate.step_size": (_parse_float, 1.0, "rate", "finite, > 0", _finite_positive),
+    "rate.tolerance": (_parse_float, 1.0e-4, "rate", "finite, > 0", _finite_positive),
     "rate.continuation": (_parse_int, 1, "rate", "integer >= 0", lambda v: v >= 0),
     "compact.modes": (
         _parse_ints, (2, 4, 8), "compactness", "mode indices >= 1",
@@ -314,28 +321,40 @@ def _sha256(path) -> str:
 
 
 def _read_target_field(path, grid: Grid1D) -> VectorField:
+    """Read a target CSV (node_index,ux,uy,uz); malformed content raises ValueError."""
     values = np.zeros((grid.n_interior, 3))
     seen = np.zeros(grid.n_interior, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:4]] != ["node_index", "ux", "uy", "uz"]:
-            raise ConfigError([f"{path}: expected header 'node_index,ux,uy,uz'"])
+            raise ValueError(f"{path}: expected header 'node_index,ux,uy,uz'")
         for row in reader:
             if not row:
                 continue
-            idx = int(row[0])
+            try:
+                idx, node = int(row[0]), [float(row[1]), float(row[2]), float(row[3])]
+                if not all(math.isfinite(v) for v in node):
+                    raise ValueError
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected node_index and three finite "
+                    f"values, got {row}"
+                ) from None
             if not 0 <= idx < grid.n_interior:
-                raise ConfigError([f"{path}: node index {idx} outside grid of {grid.n_interior}"])
-            values[idx] = [float(row[1]), float(row[2]), float(row[3])]
+                raise ValueError(f"{path}: node index {idx} outside grid of {grid.n_interior}")
+            values[idx] = node
             seen[idx] = True
     if not seen.all():
-        raise ConfigError([f"{path}: {int((~seen).sum())} node values missing"])
+        raise ValueError(f"{path}: {int((~seen).sum())} node values missing")
     return VectorField(grid, values)
 
 
 def _load_control(path, tgrid: TimeGrid, mode_count: int) -> ControlPath:
-    coeffs = read_control_coefficients(path)
+    try:
+        coeffs = read_control_coefficients(path)
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError([str(exc)]) from None
     if coeffs.shape[0] != tgrid.steps:
         raise ConfigError(
             [f"{path}: control has {coeffs.shape[0]} steps, time grid has {tgrid.steps}"]
@@ -517,13 +536,16 @@ def _run_weak(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int,
     return EXIT_OK, [path, summary]
 
 
-def _run_rate(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, list]:
+def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     tgrid = config.time_grid()
     spec = config.covariance()
     params = config.model_params()
     init = config.initial()
     if config["rate.target"] is not None:
-        target = _read_target_field(config["rate.target"], config.grid())
+        try:
+            target = _read_target_field(config["rate.target"], config.grid())
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError([str(exc)]) from None
     else:
         det = integrate(SystemKind.DETERMINISTIC, init, params, tgrid, stride=tgrid.steps)
         target = det.final_field()
@@ -534,11 +556,10 @@ def _run_rate(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int,
         control_steps=config["rate.slabs"],
         max_iters=config["rate.max_iters"],
         step_size=config["rate.step_size"],
-        fd_bump=config["rate.fd_bump"],
         tolerance=config["rate.tolerance"],
         continuation_rounds=config["rate.continuation"],
     )
-    estimate = estimate_rate(problem, params, tgrid, spec, init, threads=threads)
+    estimate = estimate_rate(problem, params, tgrid, spec, init)
     target_rep = norms(target)
     est_path = os.path.join(outdir, "rate_estimate.json")
     _write_json(
@@ -549,6 +570,7 @@ def _run_rate(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int,
             "target_h1": math.hypot(target_rep.l2, target_rep.h1_semi),
             "iterations": estimate.iterations,
             "converged": estimate.converged,
+            "gradient_norm": estimate.gradient_norm,
         },
     )
     ctrl_path = os.path.join(outdir, "control.csv")
@@ -604,7 +626,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None, threads: int = 1) 
         elif config.kind == "weak-convergence":
             code, files = _run_weak(config, outdir, threads)
         elif config.kind == "rate":
-            code, files = _run_rate(config, outdir, threads)
+            code, files = _run_rate(config, outdir)
         elif config.kind == "compactness":
             code, files = _run_compactness(config, outdir)
         else:  # unreachable after validation

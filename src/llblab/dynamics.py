@@ -10,7 +10,9 @@ The same machinery drives the deterministic flow, the small-noise and
 controlled stochastic flows, the deterministic skeleton, and the linear
 deviation system obtained by differentiating the step map at eps = 0. The
 linear system is exactly that derivative, so coupled runs on a shared noise
-path converge to each other at first order in eps by construction.
+path converge to each other at first order in eps by construction. Its
+transpose, swept backward over a dense skeleton record, is the discrete
+adjoint that gives exact control gradients of terminal functionals.
 
 Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
 in the worst case; the integrator tracks the observed ratio and reports it on
@@ -50,6 +52,7 @@ __all__ = [
     "explicit_rhs",
     "step",
     "integrate",
+    "skeleton_adjoint",
     "write_report_csv",
     "write_fields_csv",
 ]
@@ -204,6 +207,36 @@ def _step_values(
     if g is not None and g.any():
         out = out + cross_values(v, g)
     return helm_values(out, h, c)
+
+
+def _step_transpose_values(
+    lam: np.ndarray,
+    v: np.ndarray,
+    lap_v: np.ndarray,
+    params: ModelParams,
+    dt: float,
+    c: float,
+    g: np.ndarray | None,
+    h: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transpose of the tangent of ``_step_values`` at ``v``, applied to ``lam``.
+
+    Returns ``(lam_prev, mu)`` with ``mu = (I - c*Lap)^{-1} lam``; the Helmholtz
+    matrix is symmetric, so the same banded solve is its own transpose.
+    """
+    mu = helm_values(lam, h, c)
+    out = mu
+    if params.gamma != 0.0:
+        precession = cross_values(lap_v, mu) + lap_values(cross_values(mu, v), h)
+        out = out + (dt * params.gamma) * precession
+    if params.nu2 != 0.0:
+        out = out - (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(v)))[:, None] * mu
+        if params.mu != 0.0:
+            dot = np.einsum("ij,ij->i", v, mu)
+            out = out - (2.0 * dt * params.nu2 * params.mu) * dot[:, None] * v
+    if g is not None and g.any():
+        out = out + cross_values(g, mu)
+    return out, mu
 
 
 def _report_values(v: np.ndarray, lap_v: np.ndarray, h: float, time: float) -> EnergyReport:
@@ -419,6 +452,43 @@ def integrate(
         noise_digest=digest.hexdigest() if digest is not None else None,
         explicit_cfl=cfl,
     )
+
+
+def skeleton_adjoint(
+    record: TrajectoryRecord,
+    tgrid: TimeGrid,
+    spec: CovarianceSpec,
+    ctrl: ControlPath,
+    terminal: np.ndarray,
+) -> np.ndarray:
+    """Exact control sensitivities of a terminal functional of the skeleton.
+
+    ``record`` is the dense skeleton run under ``ctrl`` and ``terminal`` the
+    derivative of a functional Phi(u_N) with respect to the final state. One
+    backward sweep of the transposed step map (the discrete adjoint) returns
+    the (steps, K, 3) array of dPhi/dc_n, the derivative with respect to the
+    control coefficients of every step, exact to rounding for the discrete
+    scheme.
+    """
+    if record.kind != SystemKind.SKELETON.value:
+        raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
+    if record.steps != tgrid.steps or not record.dense:
+        raise ValueError("adjoint sweep needs a record storing every step of the time grid")
+    if ctrl.coefficients.shape != (tgrid.steps, spec.mode_count, 3):
+        raise ValueError(f"control shape {ctrl.coefficients.shape} does not match the run")
+    params = record.params
+    h = record.grid.spacing
+    dt = tgrid.dt
+    c = dt * params.nu1
+    mode_mat = mode_matrix(spec, record.grid)
+    sens = np.empty_like(ctrl.coefficients)
+    lam = np.asarray(terminal, dtype=float)
+    for n in range(tgrid.steps - 1, -1, -1):
+        u = record.snapshots[n]
+        g = dt * (mode_mat @ ctrl.coefficients[n])
+        lam, mu = _step_transpose_values(lam, u, lap_values(u, h), params, dt, c, g, h)
+        sens[n] = dt * (mode_mat.T @ cross_values(mu, u))
+    return sens
 
 
 def write_report_csv(record: TrajectoryRecord, path) -> None:

@@ -6,13 +6,15 @@ The rate problem is solved as a penalized minimization
     min_h  0.5 * int ||h||_H0^2 dt  +  rho * ||u_h(T) - target||_H1^2
 
 over a deliberately coarse control parameterization (a few modes, a few time
-slabs), with central finite-difference gradients: every objective evaluation
-is one skeleton solve, so the machinery stays correctness-first and the
-gradient of the cross-term never has to be derived by hand. The optimizer is
-plain steepest descent with a backtracking line search, which keeps the
-penalized objective nonincreasing across accepted iterations. Only the
-terminal state is matched (a quasipotential-style endpoint rate); matching a
-whole path is overdetermined at desk scale.
+slabs). Its gradient is the exact gradient of this discrete objective
+(discretize-then-optimize): one dense skeleton solve forward and one sweep of
+the transposed step map backward (``dynamics.skeleton_adjoint``), whatever the
+number of unknowns. The optimizer is plain steepest descent with a
+backtracking line search, which keeps the penalized objective nonincreasing
+across accepted iterations; the dense record of each accepted point is kept,
+so the next gradient costs only the backward sweep. Only the terminal state is
+matched (a quasipotential-style endpoint rate); matching a whole path is
+overdetermined at desk scale.
 """
 
 from __future__ import annotations
@@ -30,14 +32,18 @@ from .dynamics import (
     ModelParams,
     SystemKind,
     TimeGrid,
+    TrajectoryRecord,
     integrate,
+    skeleton_adjoint,
 )
-from .field import VectorField, norms
+from .field import VectorField, lap_values, norms
 from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
     "RateProblem",
     "RateEstimate",
+    "RateObjective",
+    "RatePoint",
     "WeakRow",
     "rate_cost",
     "estimate_rate",
@@ -66,7 +72,6 @@ class RateProblem:
     control_steps: int = 5
     max_iters: int = 60
     step_size: float = 1.0
-    fd_bump: float = 1.0e-3
     tolerance: float = 1.0e-4
     continuation_rounds: int = 1
 
@@ -77,8 +82,8 @@ class RateProblem:
             raise ValueError("control_modes and control_steps must be >= 1")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.fd_bump <= 0.0 or self.tolerance <= 0.0 or self.step_size <= 0.0:
-            raise ValueError("fd_bump, tolerance and step_size must be positive")
+        if self.tolerance <= 0.0 or self.step_size <= 0.0:
+            raise ValueError("tolerance and step_size must be positive")
         if self.continuation_rounds < 0:
             raise ValueError(f"continuation_rounds must be >= 0, got {self.continuation_rounds}")
 
@@ -86,7 +91,9 @@ class RateProblem:
 @dataclass(frozen=True, eq=False)
 class RateEstimate:
     """Optimizer output; ``objective_history`` holds one tuple of accepted
-    objective values per continuation round (each nonincreasing)."""
+    objective values per continuation round (each nonincreasing), and
+    ``gradient_norm`` is the exact gradient norm at the returned control under
+    the final penalty, so an unconverged run shows how far it stopped short."""
 
     cost: float
     misfit: float
@@ -94,6 +101,7 @@ class RateEstimate:
     iterations: int
     converged: bool
     objective_history: tuple
+    gradient_norm: float
 
 
 @dataclass(frozen=True)
@@ -110,11 +118,101 @@ def rate_cost(ctrl: ControlPath) -> float:
     return ctrl.h0_cost()
 
 
-def _expand_coarse(x: np.ndarray, steps: int, mode_count: int, coarse_steps: int, coarse_modes: int) -> np.ndarray:
-    coarse = x.reshape(coarse_steps, coarse_modes, 3)
-    full = np.zeros((steps, mode_count, 3))
-    full[:, :coarse_modes, :] = np.repeat(coarse, steps // coarse_steps, axis=0)
-    return full
+@dataclass(frozen=True, eq=False)
+class RatePoint:
+    """One evaluated coarse control ``x``: its cost, its H1 misfit and the dense
+    skeleton record behind them (None when the forward solve blew up)."""
+
+    x: np.ndarray
+    control: ControlPath
+    cost: float
+    misfit: float
+    record: TrajectoryRecord | None
+
+    def objective(self, rho: float) -> float:
+        return self.cost + rho * self.misfit**2
+
+
+class RateObjective:
+    """The penalized rate objective over the coarse control ``x`` of a problem.
+
+    ``evaluate`` makes one dense skeleton solve; ``gradient`` makes none: it
+    sweeps the transposed step map back over the point's stored record.
+    """
+
+    def __init__(
+        self,
+        problem: RateProblem,
+        params: ModelParams,
+        tgrid: TimeGrid,
+        spec: CovarianceSpec,
+        u0_field: VectorField,
+    ):
+        if problem.target.grid != u0_field.grid:
+            raise ValueError("target and initial state live on different grids")
+        if tgrid.steps % problem.control_steps != 0:
+            raise ValueError(
+                f"control_steps {problem.control_steps} must divide time steps {tgrid.steps}"
+            )
+        if problem.control_modes > spec.mode_count:
+            raise ValueError(
+                f"control_modes {problem.control_modes} exceeds covariance modes {spec.mode_count}"
+            )
+        self.problem = problem
+        self.params = params.with_epsilon(0.0)
+        self.tgrid = tgrid
+        self.spec = spec
+        self.u0_field = u0_field
+        self.dim = problem.control_steps * problem.control_modes * 3
+
+    def _coarse_shape(self) -> tuple[int, int, int]:
+        """(slabs, steps per slab, controlled modes)."""
+        slabs = self.problem.control_steps
+        return slabs, self.tgrid.steps // slabs, self.problem.control_modes
+
+    def control(self, x: np.ndarray) -> ControlPath:
+        """The full (steps, K, 3) control path that the coarse ``x`` stands for."""
+        slabs, per_slab, modes = self._coarse_shape()
+        full = np.zeros((self.tgrid.steps, self.spec.mode_count, 3))
+        full[:, :modes, :] = np.repeat(x.reshape(slabs, modes, 3), per_slab, axis=0)
+        return ControlPath(full, self.tgrid.dt)
+
+    def evaluate(self, x: np.ndarray) -> RatePoint:
+        """One dense skeleton solve under the control of ``x``."""
+        ctrl = self.control(x)
+        cost = ctrl.h0_cost()
+        try:
+            rec = integrate(
+                SystemKind.SKELETON,
+                self.u0_field,
+                self.params,
+                self.tgrid,
+                spec=self.spec,
+                ctrl=ctrl,
+                stride=1,
+            )
+        except BlowUpError:
+            return RatePoint(x, ctrl, cost, math.inf, None)
+        diff = rec.final_values() - self.problem.target.values
+        rep = norms(VectorField(self.u0_field.grid, diff))
+        return RatePoint(x, ctrl, cost, math.hypot(rep.l2, rep.h1_semi), rec)
+
+    def gradient(self, point: RatePoint, rho: float) -> np.ndarray:
+        """Exact gradient of ``point.objective(rho)`` with respect to ``x``.
+
+        The misfit is h (d.d - d.Lap d) for d = u_N - target (summation by
+        parts), so the terminal adjoint is 2 rho h (d - Lap d); the H0 cost
+        adds dt * c_n at every step. Each slab sums the steps it covers.
+        """
+        if point.record is None:
+            return np.full(self.dim, math.inf)
+        h = self.u0_field.grid.spacing
+        d = point.record.final_values() - self.problem.target.values
+        terminal = (2.0 * rho * h) * (d - lap_values(d, h))
+        sens = skeleton_adjoint(point.record, self.tgrid, self.spec, point.control, terminal)
+        full = self.tgrid.dt * point.control.coefficients + sens
+        slabs, per_slab, modes = self._coarse_shape()
+        return full[:, :modes, :].reshape(slabs, per_slab, modes, 3).sum(axis=1).ravel()
 
 
 def estimate_rate(
@@ -123,133 +221,72 @@ def estimate_rate(
     tgrid: TimeGrid,
     spec: CovarianceSpec,
     u0_field: VectorField,
-    threads: int = 1,
 ) -> RateEstimate:
     """Penalized gradient descent from the zero control; fully deterministic.
 
-    Convergence means the finite-difference gradient norm fell below the
-    tolerance in the final continuation round; hitting the iteration cap or
-    stalling in the line search leaves ``converged`` False, which is the
-    signal that the infimum may be infinite for unreachable targets.
+    Convergence means the exact gradient norm fell below the tolerance in the
+    final continuation round; hitting the iteration cap or stalling in the
+    line search leaves ``converged`` False, which is the signal that the
+    infimum may be infinite for unreachable targets.
     """
-    if problem.target.grid != u0_field.grid:
-        raise ValueError("target and initial state live on different grids")
-    if tgrid.steps % problem.control_steps != 0:
-        raise ValueError(
-            f"control_steps {problem.control_steps} must divide time steps {tgrid.steps}"
-        )
-    if problem.control_modes > spec.mode_count:
-        raise ValueError(
-            f"control_modes {problem.control_modes} exceeds covariance modes {spec.mode_count}"
-        )
-
-    params = params.with_epsilon(0.0)
-    steps = tgrid.steps
-    dt = tgrid.dt
-    dim = problem.control_steps * problem.control_modes * 3
-    target = problem.target
-
-    def control_of(x: np.ndarray) -> ControlPath:
-        return ControlPath(
-            _expand_coarse(x, steps, spec.mode_count, problem.control_steps, problem.control_modes),
-            dt,
-        )
-
-    def objective(x: np.ndarray, rho: float) -> tuple[float, float, float]:
-        ctrl = control_of(x)
-        cost = ctrl.h0_cost()
-        try:
-            rec = integrate(
-                SystemKind.SKELETON,
-                u0_field,
-                params,
-                tgrid,
-                spec=spec,
-                ctrl=ctrl,
-                stride=steps,
-            )
-        except BlowUpError:
-            return math.inf, cost, math.inf
-        diff = VectorField(u0_field.grid, rec.final_values() - target.values)
-        rep = norms(diff)
-        misfit = math.hypot(rep.l2, rep.h1_semi)
-        return cost + rho * misfit**2, cost, misfit
-
-    def objective_value(x: np.ndarray, rho: float) -> float:
-        return objective(x, rho)[0]
-
-    def fd_gradient(x: np.ndarray, rho: float, pool) -> np.ndarray:
-        probes = []
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                xp = x.copy()
-                xp[i] += sign * problem.fd_bump
-                probes.append(xp)
-        if pool is not None:
-            vals = list(pool.map(lambda xp: objective_value(xp, rho), probes))
-        else:
-            vals = [objective_value(xp, rho) for xp in probes]
-        grad = np.empty(dim)
-        for i in range(dim):
-            grad[i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * problem.fd_bump)
-        return grad
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    x = np.zeros(dim)
+    objective = RateObjective(problem, params, tgrid, spec, u0_field)
+    point = objective.evaluate(np.zeros(objective.dim))
     history: list[tuple] = []
     total_iters = 0
     converged = False
     rho = problem.penalty
-    try:
-        for round_idx in range(problem.continuation_rounds + 1):
-            step = problem.step_size
-            current, _, _ = objective(x, rho)
-            round_history = [current]
-            converged = False
-            for _ in range(problem.max_iters):
-                grad = fd_gradient(x, rho, pool)
-                gnorm = float(np.linalg.norm(grad))
-                if not math.isfinite(gnorm):
+    gnorm, grad_point = math.inf, None
+    for round_idx in range(problem.continuation_rounds + 1):
+        step = problem.step_size
+        current = point.objective(rho)
+        round_history = [current]
+        converged = False
+        for _ in range(problem.max_iters):
+            grad = objective.gradient(point, rho)
+            gnorm, grad_point = float(np.linalg.norm(grad)), point
+            if not math.isfinite(gnorm):
+                break
+            if gnorm <= problem.tolerance:
+                converged = True
+                break
+            total_iters += 1
+            accepted = False
+            while step >= MIN_LINE_SEARCH_STEP:
+                trial = objective.evaluate(point.x - step * grad)
+                j_try = trial.objective(rho)
+                if j_try <= current - ARMIJO_SLOPE * step * gnorm**2:
+                    point = trial
+                    current = j_try
+                    round_history.append(current)
+                    step = min(step * 2.0, 1.0e6)
+                    accepted = True
                     break
-                if gnorm <= problem.tolerance:
-                    converged = True
-                    break
-                total_iters += 1
-                accepted = False
-                while step >= MIN_LINE_SEARCH_STEP:
-                    x_try = x - step * grad
-                    j_try = objective_value(x_try, rho)
-                    if j_try <= current - ARMIJO_SLOPE * step * gnorm**2:
-                        x = x_try
-                        current = j_try
-                        round_history.append(current)
-                        step = min(step * 2.0, 1.0e6)
-                        accepted = True
-                        break
-                    step *= 0.5
-                if not accepted:
-                    logger.debug("line search stalled in round %d", round_idx)
-                    break
-            history.append(tuple(round_history))
-            rho *= 10.0
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                step *= 0.5
+            if not accepted:
+                logger.debug("line search stalled in round %d", round_idx)
+                break
+        history.append(tuple(round_history))
+        rho *= 10.0
 
     final_rho = rho / 10.0
-    _, cost, misfit = objective(x, final_rho)
-    if not converged and misfit > 0.0:
+    if grad_point is not point:
+        # the iteration cap ended the last round after an accepted step
+        gnorm = float(np.linalg.norm(objective.gradient(point, final_rho)))
+    if not converged and point.misfit > 0.0:
         logger.warning(
-            "rate optimizer did not converge (misfit %.3g); the infimum may be infinite",
-            misfit,
+            "rate optimizer did not converge (misfit %.3g, gradient norm %.3g); "
+            "the infimum may be infinite",
+            point.misfit,
+            gnorm,
         )
     return RateEstimate(
-        cost=cost,
-        misfit=misfit,
-        control=control_of(x),
+        cost=point.cost,
+        misfit=point.misfit,
+        control=point.control,
         iterations=total_iters,
         converged=converged,
         objective_history=tuple(history),
+        gradient_norm=gnorm,
     )
 
 

@@ -203,6 +203,7 @@ def read_control_coefficients(path) -> np.ndarray:
 
     Missing (step, k, j) combinations are zero. The time step is not stored in
     the file; pair the coefficients with a dt from the run configuration.
+    Malformed content raises ValueError naming the file and line.
     """
     entries = []
     with open(path, newline="") as fh:
@@ -213,10 +214,18 @@ def read_control_coefficients(path) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
-            n, k, j = int(row[0]), int(row[1]), int(row[2])
+            try:
+                n, k, j, value = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+                if not math.isfinite(value):
+                    raise ValueError
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected integer step,k,j and a finite "
+                    f"coefficient, got {row}"
+                ) from None
             if n < 0 or k < 1 or j not in (1, 2, 3):
                 raise ValueError(f"{path}: bad index row {row}")
-            entries.append((n, k, j, float(row[3])))
+            entries.append((n, k, j, value))
     if not entries:
         raise ValueError(f"{path}: no coefficient rows")
     steps = max(e[0] for e in entries) + 1

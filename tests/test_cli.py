@@ -211,6 +211,7 @@ def test_run_rate_trivial_target(tmp_path):
     estimate = json.loads((tmp_path / "rate_estimate.json").read_text())
     assert estimate["cost"] <= 1e-6
     assert estimate["converged"] is True
+    assert 0.0 <= estimate["gradient_norm"] <= 1e-4
     control = (tmp_path / "control.csv").read_text().splitlines()
     assert control[0] == "step,k,j,coefficient"
 
@@ -302,6 +303,62 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert main(["--config", str(config_path)]) == EXIT_CONFIG
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["error"]["code"] == EXIT_CONFIG
+
+
+def _main_config_error(tmp_path, capsys, text):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["error"]["code"] == EXIT_CONFIG
+    assert payload["error"]["kind"] == "config"
+    return "\n".join(payload["error"]["messages"])
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "time.horizon", "model.nu1", "model.nu2", "model.mu", "noise.alpha",
+        "rate.penalty", "rate.step_size", "rate.tolerance",
+    ],
+)
+def test_main_non_finite_value_is_config_error(tmp_path, capsys, key):
+    messages = _main_config_error(tmp_path, capsys, f"kind = rate\n{key} = inf\n")
+    assert key in messages and "finite" in messages
+
+
+def test_main_fd_bump_is_unknown_key(tmp_path, capsys):
+    messages = _main_config_error(tmp_path, capsys, "kind = rate\nrate.fd_bump = 1e-3\n")
+    assert "unknown key 'rate.fd_bump'" in messages
+
+
+@pytest.mark.parametrize(
+    "key, content",
+    [
+        ("weak.control", "step,k,x,coefficient\n0,1,3,0.5\n"),
+        ("rate.target", "node_index,ux,uy,uz\n0,0.1,0.2\n"),
+        ("rate.target", "node_index,ux,uy,uz\n0,0.1,0.2,zero\n"),
+        ("rate.target", "node_index,ux,uy,uz\n0,0.1,0.2,nan\n"),
+        (
+            "weak.control",
+            "step,k,j,coefficient\n" + "".join(f"{n},1,3,0.5\n" for n in range(9)) + "9,1,3,inf\n",
+        ),
+    ],
+    ids=[
+        "control-bad-header", "target-short-row", "target-non-numeric", "target-non-finite",
+        "control-non-finite",
+    ],
+)
+def test_main_malformed_input_csv_is_config_error(tmp_path, capsys, key, content):
+    data = tmp_path / "input.csv"
+    data.write_text(content)
+    kind = "weak-convergence" if key == "weak.control" else "rate"
+    messages = _main_config_error(
+        tmp_path, capsys,
+        f"kind = {kind}\ngrid.n = 7\ntime.horizon = 0.05\ntime.steps = 10\n"
+        f"noise.modes = 2\n{key} = {data}\n",
+    )
+    assert str(data) in messages
 
 
 def test_main_missing_config_file(tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
 from llblab.field import VectorField, h1_norm, make_grid
 from llblab.ldp import (
+    RateObjective,
     RateProblem,
     compactness_probe,
     estimate_rate,
@@ -62,8 +65,6 @@ def test_rate_problem_validation():
     with pytest.raises(ValueError):
         RateProblem(target=target, control_modes=0)
     with pytest.raises(ValueError):
-        RateProblem(target=target, fd_bump=0.0)
-    with pytest.raises(ValueError):
         RateProblem(target=target, continuation_rounds=-1)
 
 
@@ -77,6 +78,63 @@ def test_estimate_rate_rejects_too_many_modes():
     problem = RateProblem(target=initial_profile(GRID), control_modes=9, control_steps=5)
     with pytest.raises(ValueError, match="modes"):
         estimate_rate(problem, PARAMS, tgrid(125), SPEC, initial_profile(GRID))
+
+
+# --- exact gradient ----------------------------------------------------------------
+
+TAYLOR_GRID = make_grid(7)
+TAYLOR_TGRID = TimeGrid(0.25, 24)
+TAYLOR_SPEC = make_covariance(3, 4.0)
+# a target near the reachable set keeps the objective O(1), so rounding in
+# the central differences stays below their O(bump^2) error at every bump
+TAYLOR_PROBLEM = RateProblem(
+    target=integrate(
+        SystemKind.DETERMINISTIC, initial_profile(TAYLOR_GRID), PARAMS, TAYLOR_TGRID,
+        stride=TAYLOR_TGRID.steps,
+    ).final_field(),
+    penalty=50.0, control_modes=2, control_steps=4,
+)
+TAYLOR_DIM = 2 * 4 * 3
+TAYLOR_BUMPS = (1e-1, 1e-2, 1e-3)
+coordinates = st.lists(
+    st.floats(-1.0, 1.0, allow_subnormal=False), min_size=TAYLOR_DIM, max_size=TAYLOR_DIM
+)
+coefficient = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    x=coordinates,
+    direction=coordinates.filter(lambda d: np.linalg.norm(d) > 0.1),
+    gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    nu2=coefficient,
+    mu=coefficient,
+)
+@example(x=[0.5] * TAYLOR_DIM, direction=[1.0] * TAYLOR_DIM, gamma=0.0, nu2=0.0, mu=0.0)
+@example(x=[-0.3] * TAYLOR_DIM, direction=[1.0, -1.0] * 12, gamma=1.0, nu2=1.0, mu=0.0)
+def test_rate_gradient_taylor(x, direction, gamma, nu2, mu):
+    # central differences of the objective approach the adjoint directional
+    # derivative as O(bump^2): at least 30x closer per decade of bump, until
+    # the gap reaches the rounding floor of the difference quotient (a nearly
+    # quadratic objective, e.g. gamma = nu2 = 0, gets there at large bumps)
+    params = ModelParams(nu1=1.0, nu2=nu2, gamma=gamma, mu=mu)
+    objective = RateObjective(
+        TAYLOR_PROBLEM, params, TAYLOR_TGRID, TAYLOR_SPEC, initial_profile(TAYLOR_GRID)
+    )
+    x = np.asarray(x)
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    rho = TAYLOR_PROBLEM.penalty
+    point = objective.evaluate(x)
+    assert point.control.coefficients.any()
+    slope = float(objective.gradient(point, rho) @ d)
+    scale = 100.0 * np.finfo(float).eps * (1.0 + abs(point.objective(rho)))
+    gaps = []
+    for bump in TAYLOR_BUMPS:
+        upper = objective.evaluate(x + bump * d).objective(rho)
+        lower = objective.evaluate(x - bump * d).objective(rho)
+        gaps.append(abs((upper - lower) / (2.0 * bump) - slope))
+    for bump, wide, narrow in zip(TAYLOR_BUMPS[1:], gaps, gaps[1:]):
+        assert narrow <= max(wide / 30.0, scale / bump), gaps
 
 
 # --- rate estimation -----------------------------------------------------------------
