@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .dynamics import ModelParams, TrajectoryRecord
 __all__ = [
     "IdentityReport",
     "SlopeFit",
+    "SampleStats",
+    "sample_stats",
     "check_identities",
     "check_cubic_identity",
     "cubic_identity_residuals",
@@ -68,6 +71,29 @@ class SlopeFit:
     residual: float
 
 
+class SampleStats(NamedTuple):
+    """Mean and standard error over the samples that ran, and the two counts."""
+
+    mean: float
+    std_error: float
+    n_ok: int
+    n_failed: int
+
+
+def sample_stats(values) -> SampleStats:
+    """Aggregate per-sample values, ``None`` marking a sample that blew up.
+
+    Failed samples are counted, never averaged; with no sample left the mean
+    and standard error are NaN, with one the standard error is 0.
+    """
+    ok = np.array([v for v in values if v is not None])
+    n_failed = len(values) - len(ok)
+    if len(ok) == 0:
+        return SampleStats(math.nan, math.nan, 0, n_failed)
+    se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else 0.0
+    return SampleStats(float(np.mean(ok)), se, len(ok), n_failed)
+
+
 def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
     """Residuals of the exact cross-product identities and the mixed bound.
 
@@ -102,6 +128,23 @@ def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
     ]
 
 
+def _edge_average(v: np.ndarray) -> np.ndarray:
+    """Midpoint averages of node values on the n_interior+1 edges, zero ghost nodes."""
+    out = np.empty((v.shape[0] + 1,) + v.shape[1:])
+    out[0] = 0.5 * v[0]
+    out[1:-1] = 0.5 * (v[1:] + v[:-1])
+    out[-1] = 0.5 * v[-1]
+    return out
+
+
+def _cubic_term(v: np.ndarray, h: float) -> float:
+    """Edge quadrature of |u|^2 |du|^2 + 2 (u.du)^2 with edge-averaged |u|^2 and u."""
+    grad = grad_values(v, h)
+    grad_sq = np.einsum("ij,ij->i", grad, grad)
+    dot = np.einsum("ij,ij->i", _edge_average(v), grad)
+    return h * float(np.sum(_edge_average(sq_norm_values(v)) * grad_sq + 2.0 * dot**2))
+
+
 def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, float]:
     """Residuals of the cubic damping identity, vector form and colinear form.
 
@@ -126,20 +169,8 @@ def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, fl
     grad_sq = np.einsum("ij,ij->i", grad, grad)
     h1_sq = h * float(np.sum(grad_sq))
 
-    # edge averages with zero ghost nodes
-    n = v.shape[0]
-    r_edge = np.empty(n + 1)
-    r_edge[0] = 0.5 * r[0]
-    r_edge[1:-1] = 0.5 * (r[1:] + r[:-1])
-    r_edge[-1] = 0.5 * r[-1]
-    u_edge = np.zeros((n + 1, 3))
-    u_edge[0] = 0.5 * v[0]
-    u_edge[1:-1] = 0.5 * (v[1:] + v[:-1])
-    u_edge[-1] = 0.5 * v[-1]
-    dot = np.einsum("ij,ij->i", u_edge, grad)
-    cubic_vec = h * float(np.sum(r_edge * grad_sq + 2.0 * dot**2))
-
-    cubic_colinear = 3.0 * h * float(np.sum(r_edge * grad_sq))
+    cubic_vec = _cubic_term(v, h)
+    cubic_colinear = 3.0 * h * float(np.sum(_edge_average(r) * grad_sq))
 
     vector_residual = lhs + h1_sq + mu * cubic_vec
     colinear_residual = lhs + h1_sq + mu * cubic_colinear
@@ -186,24 +217,6 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(points=log_pts, slope=float(slope), intercept=float(intercept), residual=rms)
 
 
-def _cubic_term(v: np.ndarray, h: float) -> float:
-    """Edge quadrature of |u|^2 |du|^2 + 2 (u.du)^2 with edge-averaged u."""
-    n = v.shape[0]
-    r = sq_norm_values(v)
-    grad = grad_values(v, h)
-    grad_sq = np.einsum("ij,ij->i", grad, grad)
-    r_edge = np.empty(n + 1)
-    r_edge[0] = 0.5 * r[0]
-    r_edge[1:-1] = 0.5 * (r[1:] + r[:-1])
-    r_edge[-1] = 0.5 * r[-1]
-    u_edge = np.zeros((n + 1, 3))
-    u_edge[0] = 0.5 * v[0]
-    u_edge[1:-1] = 0.5 * (v[1:] + v[:-1])
-    u_edge[-1] = 0.5 * v[-1]
-    dot = np.einsum("ij,ij->i", u_edge, grad)
-    return h * float(np.sum(r_edge * grad_sq + 2.0 * dot**2))
-
-
 def energy_drift(traj: TrajectoryRecord, params: ModelParams) -> float:
     """Deviation of the dissipation balance along a deterministic trajectory.
 
@@ -247,20 +260,12 @@ def path_gap(
     """
     if snaps_a.shape != snaps_b.shape:
         raise ValueError(f"trajectory shapes differ: {snaps_a.shape} vs {snaps_b.shape}")
-    d = snaps_a - snaps_b
-    s, n, _ = d.shape
-    grad = np.empty((s, n + 1, 3))
-    grad[:, 0] = d[:, 0] / spacing
-    grad[:, 1:-1] = (d[:, 1:] - d[:, :-1]) / spacing
-    grad[:, -1] = -d[:, -1] / spacing
-    grad_sq = spacing * np.einsum("sij,sij->s", grad, grad)
-
-    inv_h2 = 1.0 / (spacing * spacing)
-    lap = np.empty_like(d)
-    lap[:, 1:-1] = (d[:, 2:] - 2.0 * d[:, 1:-1] + d[:, :-2]) * inv_h2
-    lap[:, 0] = (d[:, 1] - 2.0 * d[:, 0]) * inv_h2
-    lap[:, -1] = (d[:, -2] - 2.0 * d[:, -1]) * inv_h2
-    lap_sq = spacing * np.einsum("sij,sij->s", lap, lap)
+    # node-major view (n, steps, 3); the kernels keep the snapshot-major memory
+    d = (snaps_a - snaps_b).transpose(1, 0, 2)
+    grad = grad_values(d, spacing)
+    grad_sq = spacing * np.einsum("isj,isj->s", grad, grad)
+    lap = lap_values(d, spacing)
+    lap_sq = spacing * np.einsum("isj,isj->s", lap, lap)
 
     return float(np.max(grad_sq)) + nu1 * dt * float(np.sum(lap_sq[:-1]))
 

@@ -2,9 +2,10 @@
 
 Experiments are described by a flat key = value config file (grammar below)
 and produce plain CSV/JSON outputs plus a run manifest with a digest of every
-emitted file. Reruns with the same config and seed are byte-identical in the
-CSV outputs regardless of the thread count; the manifest additionally carries
-the wall clock and so differs between runs by design.
+emitted file. Samples run serially, each on its own counter-based stream, so
+reruns with the same config and seed are byte-identical in the CSV outputs;
+the manifest additionally carries the wall clock and so differs between runs
+by design.
 
 Config grammar: one ``key = value`` pair per line, ``#`` starts a comment,
 blank lines are ignored. Keys are dot-namespaced and validated against the
@@ -14,7 +15,8 @@ comma-separated. Paths are resolved relative to the working directory and
 must exist at parse time.
 
 Exit codes: 0 success, 1 validation suite failed, 2 config error,
-3 numerical blow-up, 4 I/O error.
+3 numerical blow-up, 4 I/O error. Every nonzero code but 1 comes with one JSON
+error object on stdout.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analysis import energy_drift, identity_suite
+from .analysis import energy_drift, identity_suite, sample_stats
 from .clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
 from .dynamics import (
     BlowUpError,
@@ -44,7 +46,7 @@ from .dynamics import (
     write_fields_csv,
     write_report_csv,
 )
-from .field import Grid1D, VectorField, make_grid, norms
+from .field import Grid1D, VectorField, h1_norm, make_grid
 from .ldp import RateProblem, compactness_probe, estimate_rate, weak_convergence_experiment
 from .noise import (
     ControlPath,
@@ -57,8 +59,6 @@ from .noise import (
 )
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "main"]
-
-THREADS_ENV_VAR = "LLBLAB_THREADS"
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -312,6 +312,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _error(code: int, kind: str, **detail) -> int:
+    """Print the JSON error object of a failed run on stdout; returns ``code``."""
+    print(json.dumps({"error": {"code": code, "kind": kind, **detail}}))
+    return code
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -417,7 +423,7 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
     return EXIT_OK, files
 
 
-def _run_ensemble(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, list]:
+def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     params = config.model_params()
     tgrid = config.time_grid()
     spec = config.covariance()
@@ -429,7 +435,6 @@ def _run_ensemble(config: ExperimentConfig, outdir: str, threads: int) -> tuple[
     summary_rows = []
     for i, eps in enumerate(config["ensemble.epsilons"]):
         sups = []
-        failed = 0
         for m in range(config["ensemble.samples"]):
             rng = stream_rng(config["seed"], i, m)
             try:
@@ -444,20 +449,20 @@ def _run_ensemble(config: ExperimentConfig, outdir: str, threads: int) -> tuple[
                     stride=tgrid.steps,
                 )
             except BlowUpError:
-                failed += 1
+                sups.append(None)
                 rows.append((eps, m, math.nan, "blow-up"))
                 continue
             sup = max(r.h1_semi for r in rec.reports) ** 2
             sups.append(sup)
             rows.append((eps, m, sup, "ok"))
-        mean = float(np.mean(sups)) if sups else math.nan
+        stats = sample_stats(sups)
         summary_rows.append(
             {
                 "epsilon": eps,
-                "mean_sup_grad_sq": mean,
-                "ratio_vs_deterministic": mean / det_sup if sups else math.nan,
-                "n_ok": len(sups),
-                "n_failed": failed,
+                "mean_sup_grad_sq": stats.mean,
+                "ratio_vs_deterministic": stats.mean / det_sup,
+                "n_ok": stats.n_ok,
+                "n_failed": stats.n_failed,
             }
         )
     path = os.path.join(outdir, "ensemble_report.csv")
@@ -467,7 +472,7 @@ def _run_ensemble(config: ExperimentConfig, outdir: str, threads: int) -> tuple[
     return EXIT_OK, [path, summary]
 
 
-def _run_clt(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, list]:
+def _run_clt(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     clt_config = CltConfig(
         epsilons=config["clt.epsilons"],
         samples=config["clt.samples"],
@@ -477,7 +482,7 @@ def _run_clt(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, 
         initial=config.initial(),
         base_seed=config["seed"],
     )
-    report = run_clt(clt_config, threads=threads)
+    report = run_clt(clt_config)
     csv_path = os.path.join(outdir, "clt_report.csv")
     write_clt_csv(report, csv_path)
     summary_path = os.path.join(outdir, "summary.json")
@@ -485,7 +490,7 @@ def _run_clt(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, 
     return EXIT_OK, [csv_path, summary_path]
 
 
-def _run_weak(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int, list]:
+def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     tgrid = config.time_grid()
     spec = config.covariance()
     if config["weak.control"] is not None:
@@ -508,7 +513,6 @@ def _run_weak(config: ExperimentConfig, outdir: str, threads: int) -> tuple[int,
         spec,
         config.initial(),
         config["seed"],
-        threads=threads,
     )
     path = os.path.join(outdir, "weak_report.csv")
     _write_csv(
@@ -560,14 +564,13 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         continuation_rounds=config["rate.continuation"],
     )
     estimate = estimate_rate(problem, params, tgrid, spec, init)
-    target_rep = norms(target)
     est_path = os.path.join(outdir, "rate_estimate.json")
     _write_json(
         est_path,
         {
             "cost": estimate.cost,
             "misfit": estimate.misfit,
-            "target_h1": math.hypot(target_rep.l2, target_rep.h1_semi),
+            "target_h1": h1_norm(target),
             "iterations": estimate.iterations,
             "converged": estimate.converged,
             "gradient_norm": estimate.gradient_norm,
@@ -609,54 +612,35 @@ def _run_compactness(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     return EXIT_OK, [path, summary]
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
+DRIVERS = {
+    "validate": _run_validate,
+    "deterministic": _run_deterministic,
+    "stochastic-ensemble": _run_ensemble,
+    "clt": _run_clt,
+    "weak-convergence": _run_weak,
+    "rate": _run_rate,
+    "compactness": _run_compactness,
+}
+
+
+def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Dispatch the experiment, persist outputs and the manifest, return exit code."""
     outdir = out_dir if out_dir is not None else config["output.dir"]
     started = time.perf_counter()
     try:
         os.makedirs(outdir, exist_ok=True)
-        if config.kind == "validate":
-            code, files = _run_validate(config, outdir)
-        elif config.kind == "deterministic":
-            code, files = _run_deterministic(config, outdir)
-        elif config.kind == "stochastic-ensemble":
-            code, files = _run_ensemble(config, outdir, threads)
-        elif config.kind == "clt":
-            code, files = _run_clt(config, outdir, threads)
-        elif config.kind == "weak-convergence":
-            code, files = _run_weak(config, outdir, threads)
-        elif config.kind == "rate":
-            code, files = _run_rate(config, outdir)
-        elif config.kind == "compactness":
-            code, files = _run_compactness(config, outdir)
-        else:  # unreachable after validation
-            raise ConfigError([f"unknown kind {config.kind!r}"])
+        code, files = DRIVERS[config.kind](config, outdir)
     except ConfigError as exc:
-        print(json.dumps({"error": {"code": EXIT_CONFIG, "kind": "config", "messages": exc.errors}}))
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, "config", messages=exc.errors)
     except BlowUpError as exc:
-        print(
-            json.dumps(
-                {
-                    "error": {
-                        "code": EXIT_BLOWUP,
-                        "kind": "blow-up",
-                        "message": str(exc),
-                        "step": exc.step,
-                    }
-                }
-            )
-        )
-        return EXIT_BLOWUP
+        return _error(EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step)
     except OSError as exc:
-        print(json.dumps({"error": {"code": EXIT_IO, "kind": "io", "message": str(exc)}}))
-        return EXIT_IO
+        return _error(EXIT_IO, "io", message=str(exc))
 
     manifest = {
         "version": __version__,
         "kind": config.kind,
         "config": config.raw,
-        "threads": threads,
         "wall_clock_seconds": time.perf_counter() - started,
         "outputs": {os.path.basename(p): _sha256(p) for p in files},
     }
@@ -671,61 +655,20 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the config document")
     parser.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker threads; defaults to ${THREADS_ENV_VAR} or 1",
-    )
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        env = os.environ.get(THREADS_ENV_VAR, "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            print(
-                json.dumps(
-                    {
-                        "error": {
-                            "code": EXIT_CONFIG,
-                            "kind": "config",
-                            "messages": [f"{THREADS_ENV_VAR} must be an integer, got {env!r}"],
-                        }
-                    }
-                )
-            )
-            return EXIT_CONFIG
-    if threads < 1:
-        print(
-            json.dumps(
-                {
-                    "error": {
-                        "code": EXIT_CONFIG,
-                        "kind": "config",
-                        "messages": ["threads must be >= 1"],
-                    }
-                }
-            )
-        )
-        return EXIT_CONFIG
 
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
-        print(json.dumps({"error": {"code": EXIT_IO, "kind": "io", "message": str(exc)}}))
-        return EXIT_IO
+        return _error(EXIT_IO, "io", message=str(exc))
 
     try:
         config = parse_config(text)
     except ConfigError as exc:
-        print(json.dumps({"error": {"code": EXIT_CONFIG, "kind": "config", "messages": exc.errors}}))
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, "config", messages=exc.errors)
 
-    return run(config, out_dir=args.out, threads=threads)
+    return run(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

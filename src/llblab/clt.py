@@ -6,8 +6,10 @@ For each epsilon and sample, one Gaussian increment path drives both the
 stochastic run u_eps and the linear deviation run V0; the runs assert they
 consumed bitwise identical increments. The per-sample error is the proof
 metric sup_t ||grad(V_eps - V0)||^2 + nu1 * int ||Lap(V_eps - V0)||^2 with
-V_eps = (u_eps - u0)/sqrt(eps). Failed (blown-up) samples are excluded from
-the means and counted, never averaged.
+V_eps = (u_eps - u0)/sqrt(eps). Samples run one after another in
+(epsilon index, sample) order, each on its own counter-based stream, so the
+results do not depend on anything but the config. Failed (blown-up) samples
+are excluded from the means and counted, never averaged.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analysis import SlopeFit, fit_slope, path_gap
+from .analysis import SlopeFit, fit_slope, path_gap, sample_stats
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -30,13 +29,12 @@ from .dynamics import (
     integrate,
 )
 from .field import VectorField, zero_field
-from .noise import CovarianceSpec, stream_rng
+from .noise import CovarianceSpec, increment_path, stream_rng
 
 __all__ = [
     "CltConfig",
     "CltRow",
     "CltReport",
-    "deviation_process",
     "run_clt",
     "write_clt_csv",
     "write_clt_summary",
@@ -82,39 +80,6 @@ class CltReport:
     failures: tuple
 
 
-def deviation_process(
-    u_eps: TrajectoryRecord, u0: TrajectoryRecord, epsilon: float
-) -> TrajectoryRecord:
-    """Rescaled deviation (u_eps - u0)/sqrt(eps) as a trajectory record."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if u_eps.grid != u0.grid:
-        raise ValueError("trajectories live on different grids")
-    if len(u_eps.times) != len(u0.times) or not np.array_equal(
-        u_eps.snapshot_steps, u0.snapshot_steps
-    ):
-        raise ValueError("trajectories store different time grids")
-    from .field import norms
-
-    snaps = (u_eps.snapshots - u0.snapshots) / math.sqrt(epsilon)
-    grid = u_eps.grid
-    reports = tuple(
-        norms(VectorField(grid, snaps[i]), time=float(u_eps.times[s]))
-        for i, s in enumerate(u_eps.snapshot_steps)
-    )
-    return TrajectoryRecord(
-        kind="deviation",
-        params=u_eps.params,
-        grid=u_eps.grid,
-        times=u_eps.times,
-        reports=reports,
-        snapshots=snaps,
-        snapshot_steps=u_eps.snapshot_steps.copy(),
-        seed_info=u_eps.seed_info,
-        noise_digest=u_eps.noise_digest,
-    )
-
-
 def _sample_error(
     config: CltConfig,
     u0_rec: TrajectoryRecord,
@@ -124,9 +89,7 @@ def _sample_error(
     tgrid = config.tgrid
     eps = config.epsilons[eps_index]
     rng = stream_rng(config.base_seed, eps_index, sample)
-    path = rng.normal(
-        0.0, math.sqrt(tgrid.dt), size=(tgrid.steps, config.spec.mode_count, 3)
-    )
+    path = increment_path(rng, tgrid.steps, config.spec.mode_count, tgrid.dt)
     seed_info = (config.base_seed, eps_index, sample)
     u_eps = integrate(
         SystemKind.STOCHASTIC,
@@ -159,7 +122,7 @@ def _sample_error(
     )
 
 
-def run_clt(config: CltConfig, threads: int = 1) -> CltReport:
+def run_clt(config: CltConfig) -> CltReport:
     """Run the full experiment; deterministic for fixed (config, base_seed)."""
     u0_rec = integrate(
         SystemKind.DETERMINISTIC,
@@ -169,34 +132,17 @@ def run_clt(config: CltConfig, threads: int = 1) -> CltReport:
         stride=1,
     )
 
-    tasks = [(i, m) for i in range(len(config.epsilons)) for m in range(config.samples)]
-
-    def work(task):
-        i, m = task
-        try:
-            return (i, m, _sample_error(config, u0_rec, i, m), None)
-        except BlowUpError as exc:
-            return (i, m, None, str(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-
     rows = []
     failures = []
     for i, eps in enumerate(config.epsilons):
-        errs = [r[2] for r in results if r[0] == i and r[2] is not None]
-        fails = [(eps, r[1], r[3]) for r in results if r[0] == i and r[2] is None]
-        failures.extend(fails)
-        arr = np.array(errs)
-        if len(arr) > 0:
-            mean = float(np.mean(arr))
-            se = float(np.std(arr, ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        else:
-            mean, se = math.nan, math.nan
-        rows.append(CltRow(eps, mean, se, len(arr), len(fails)))
+        errors = []
+        for m in range(config.samples):
+            try:
+                errors.append(_sample_error(config, u0_rec, i, m))
+            except BlowUpError as exc:
+                errors.append(None)
+                failures.append((eps, m, str(exc)))
+        rows.append(CltRow(eps, *sample_stats(errors)))
 
     fit = None
     pts = [(r.epsilon, r.mean_error) for r in rows if r.n_ok > 0 and r.mean_error > 0.0]

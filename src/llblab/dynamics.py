@@ -31,16 +31,15 @@ from enum import Enum
 import numpy as np
 
 from .field import (
-    EnergyReport,
     Grid1D,
     VectorField,
     cross_values,
-    grad_values,
     helm_values,
     lap_values,
+    report_values,
     sq_norm_values,
 )
-from .noise import ControlPath, CovarianceSpec, mode_matrix
+from .noise import ControlPath, CovarianceSpec, increment_path, mode_matrix
 
 __all__ = [
     "ModelParams",
@@ -49,8 +48,6 @@ __all__ = [
     "TrajectoryRecord",
     "BlowUpError",
     "initial_profile",
-    "explicit_rhs",
-    "step",
     "integrate",
     "skeleton_adjoint",
     "write_report_csv",
@@ -202,6 +199,8 @@ def _step_values(
     g: np.ndarray | None,
     h: float,
 ) -> np.ndarray:
+    """One semi-implicit step of the nonlinear systems (module docstring), with the
+    forcing field ``g`` = sqrt(eps) dB + dt h and ``c`` = dt * nu1 (0 skips the solve)."""
     rhs = _drift_values(v, lap_v, params)
     out = v + dt * rhs if rhs is not None else v
     if g is not None and g.any():
@@ -239,54 +238,6 @@ def _step_transpose_values(
     return out, mu
 
 
-def _report_values(v: np.ndarray, lap_v: np.ndarray, h: float, time: float) -> EnergyReport:
-    l2 = math.sqrt(h * float(np.vdot(v, v)))
-    grad = grad_values(v, h)
-    h1 = math.sqrt(h * float(np.vdot(grad, grad)))
-    h2 = math.sqrt(h * float(np.vdot(lap_v, lap_v)))
-    linf = math.sqrt(float(np.max(sq_norm_values(v))))
-    return EnergyReport(l2=l2, h1_semi=h1, h2_semi=h2, linf=linf, time=time)
-
-
-def explicit_rhs(u: VectorField, params: ModelParams) -> VectorField:
-    """Drift without the implicitly handled nu1*Lap term."""
-    v = u.values
-    rhs = _drift_values(v, lap_values(v, u.grid.spacing), params)
-    if rhs is None:
-        rhs = np.zeros_like(v)
-    return VectorField(u.grid, rhs)
-
-
-def step(
-    u: VectorField,
-    params: ModelParams,
-    dt: float,
-    noise: VectorField | None = None,
-    control: VectorField | None = None,
-    diffusion_off: bool = False,
-) -> VectorField:
-    """One semi-implicit step; ``noise`` is the synthesized Wiener increment field.
-
-    ``diffusion_off`` is a test hook that skips the implicit solve so the
-    remaining terms can be checked against pointwise ODE/precession oracles.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    v = u.values
-    h = u.grid.spacing
-    g = None
-    if noise is not None and params.epsilon > 0.0:
-        g = math.sqrt(params.epsilon) * noise.values
-    if control is not None:
-        cf = dt * control.values
-        g = cf if g is None else g + cf
-    c = 0.0 if diffusion_off else dt * params.nu1
-    out = _step_values(v, lap_values(v, h), params, dt, c, g, h)
-    if not np.isfinite(out).all():
-        raise BlowUpError("step produced non-finite values")
-    return VectorField(u.grid, out)
-
-
 def _default_stride(steps: int) -> int:
     if steps <= MAX_DENSE_SNAPSHOTS:
         return 1
@@ -309,7 +260,7 @@ def _prepare_path(
         return path
     if rng is None:
         raise ValueError("stochastic integration needs either rng or shared_path")
-    return rng.normal(0.0, math.sqrt(dt), size=(steps, spec.mode_count, 3))
+    return increment_path(rng, steps, spec.mode_count, dt)
 
 
 def integrate(
@@ -333,7 +284,9 @@ def integrate(
     draw the full increment path up front (or replay ``shared_path``) and
     record a digest of every consumed increment so coupled runs can assert
     they saw identical noise. Raises BlowUpError with the offending step when
-    the state leaves the finite/bounded regime.
+    the state leaves the finite/bounded regime. ``diffusion_off`` is a test
+    hook that skips the implicit solve, so the remaining terms can be checked
+    against pointwise ODE/precession oracles.
     """
     grid = u0_field.grid
     n_steps = tgrid.steps
@@ -390,7 +343,7 @@ def integrate(
 
     for n in range(n_steps + 1):
         lap_u = lap_values(u, h)
-        rep = _report_values(u, lap_u, h, n * dt)
+        rep = report_values(u, lap_u, h, n * dt)
         if not math.isfinite(rep.linf) or rep.linf > linf_ceiling:
             raise BlowUpError(
                 f"|u|_inf = {rep.linf:.3g} exceeded ceiling {linf_ceiling:.3g} "

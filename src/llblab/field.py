@@ -31,7 +31,6 @@ __all__ = [
     "edge_inner",
     "norms",
     "h1_norm",
-    "helmholtz_solve",
 ]
 
 
@@ -108,7 +107,8 @@ def _same_grid(f: VectorField, g: VectorField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shared with the time steppers; inputs are (n, 3) arrays)
+# array kernels (shared with the time steppers; inputs are (n, 3) arrays, and
+# lap_values/grad_values also take node-major stacks (n, ...) of many fields)
 
 def lap_values(v: np.ndarray, h: float) -> np.ndarray:
     """3-point Laplacian with zero ghost nodes at both boundaries."""
@@ -121,9 +121,18 @@ def lap_values(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def grad_values(v: np.ndarray, h: float) -> np.ndarray:
-    """Forward differences on the n_interior+1 edges, zero ghost nodes."""
+    """Forward differences on the n_interior+1 edges, zero ghost nodes.
+
+    An input of three or more dimensions, such as a node-major view of a
+    snapshot stack, gives an output with its memory layout, so each snapshot's
+    edge values stay contiguous.
+    """
     n = v.shape[0]
-    out = np.empty((n + 1, v.shape[1]))
+    if v.ndim == 2:
+        # the per-step case: empty_like's layout matching would add ~0.8 us a step
+        out = np.empty((n + 1, v.shape[1]))
+    else:
+        out = np.empty_like(v, shape=(n + 1,) + v.shape[1:])
     out[0] = v[0] / h
     out[1:-1] = (v[1:] - v[:-1]) / h
     out[-1] = -v[-1] / h
@@ -192,16 +201,19 @@ def edge_inner(grid: Grid1D, ea: np.ndarray, eb: np.ndarray) -> float:
     return grid.spacing * float(np.vdot(ea, eb))
 
 
-def norms(f: VectorField, time: float = 0.0) -> EnergyReport:
-    h = f.grid.spacing
-    v = f.values
+def report_values(v: np.ndarray, lap_v: np.ndarray, h: float, time: float) -> EnergyReport:
+    """Norms of the (n, 3) array ``v`` whose Laplacian ``lap_v`` is already at hand."""
     l2 = math.sqrt(h * float(np.vdot(v, v)))
     grad = grad_values(v, h)
     h1_semi = math.sqrt(h * float(np.vdot(grad, grad)))
-    lap = lap_values(v, h)
-    h2_semi = math.sqrt(h * float(np.vdot(lap, lap)))
+    h2_semi = math.sqrt(h * float(np.vdot(lap_v, lap_v)))
     linf = math.sqrt(float(np.max(sq_norm_values(v))))
     return EnergyReport(l2=l2, h1_semi=h1_semi, h2_semi=h2_semi, linf=linf, time=time)
+
+
+def norms(f: VectorField, time: float = 0.0) -> EnergyReport:
+    h = f.grid.spacing
+    return report_values(f.values, lap_values(f.values, h), h, time)
 
 
 def h1_norm(f: VectorField) -> float:
@@ -209,12 +221,3 @@ def h1_norm(f: VectorField) -> float:
     rep = norms(f)
     return math.hypot(rep.l2, rep.h1_semi)
 
-
-def helmholtz_solve(rhs: VectorField, c: float) -> VectorField:
-    """Solve (I - c*Lap_h) w = rhs componentwise, c >= 0."""
-    if c < 0.0:
-        raise ValueError(f"Helmholtz coefficient must be nonnegative, got {c}")
-    w = helm_values(rhs.values, rhs.grid.spacing, float(c))
-    if not np.isfinite(w).all():
-        raise ValueError("Helmholtz solve produced non-finite values")
-    return VectorField(rhs.grid, w)

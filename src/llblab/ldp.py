@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import path_gap
+from .analysis import path_gap, sample_stats
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -36,8 +35,8 @@ from .dynamics import (
     integrate,
     skeleton_adjoint,
 )
-from .field import VectorField, lap_values, norms
-from .noise import ControlPath, CovarianceSpec, stream_rng
+from .field import VectorField, grad_values, h1_norm, lap_values
+from .noise import ControlPath, CovarianceSpec, increment_path, stream_rng
 
 __all__ = [
     "RateProblem",
@@ -45,7 +44,6 @@ __all__ = [
     "RateObjective",
     "RatePoint",
     "WeakRow",
-    "rate_cost",
     "estimate_rate",
     "weak_convergence_experiment",
     "compactness_probe",
@@ -113,21 +111,16 @@ class WeakRow:
     n_failed: int
 
 
-def rate_cost(ctrl: ControlPath) -> float:
-    """Half the squared H0 path norm of the control."""
-    return ctrl.h0_cost()
-
-
 @dataclass(frozen=True, eq=False)
 class RatePoint:
     """One evaluated coarse control ``x``: its cost, its H1 misfit and the dense
-    skeleton record behind them (None when the forward solve blew up)."""
+    skeleton record behind them."""
 
     x: np.ndarray
     control: ControlPath
     cost: float
     misfit: float
-    record: TrajectoryRecord | None
+    record: TrajectoryRecord
 
     def objective(self, rho: float) -> float:
         return self.cost + rho * self.misfit**2
@@ -178,24 +171,20 @@ class RateObjective:
         return ControlPath(full, self.tgrid.dt)
 
     def evaluate(self, x: np.ndarray) -> RatePoint:
-        """One dense skeleton solve under the control of ``x``."""
+        """One dense skeleton solve under the control of ``x``; raises BlowUpError."""
         ctrl = self.control(x)
-        cost = ctrl.h0_cost()
-        try:
-            rec = integrate(
-                SystemKind.SKELETON,
-                self.u0_field,
-                self.params,
-                self.tgrid,
-                spec=self.spec,
-                ctrl=ctrl,
-                stride=1,
-            )
-        except BlowUpError:
-            return RatePoint(x, ctrl, cost, math.inf, None)
+        rec = integrate(
+            SystemKind.SKELETON,
+            self.u0_field,
+            self.params,
+            self.tgrid,
+            spec=self.spec,
+            ctrl=ctrl,
+            stride=1,
+        )
         diff = rec.final_values() - self.problem.target.values
-        rep = norms(VectorField(self.u0_field.grid, diff))
-        return RatePoint(x, ctrl, cost, math.hypot(rep.l2, rep.h1_semi), rec)
+        misfit = h1_norm(VectorField(self.u0_field.grid, diff))
+        return RatePoint(x, ctrl, ctrl.h0_cost(), misfit, rec)
 
     def gradient(self, point: RatePoint, rho: float) -> np.ndarray:
         """Exact gradient of ``point.objective(rho)`` with respect to ``x``.
@@ -204,8 +193,6 @@ class RateObjective:
         parts), so the terminal adjoint is 2 rho h (d - Lap d); the H0 cost
         adds dt * c_n at every step. Each slab sums the steps it covers.
         """
-        if point.record is None:
-            return np.full(self.dim, math.inf)
         h = self.u0_field.grid.spacing
         d = point.record.final_values() - self.problem.target.values
         terminal = (2.0 * rho * h) * (d - lap_values(d, h))
@@ -227,7 +214,9 @@ def estimate_rate(
     Convergence means the exact gradient norm fell below the tolerance in the
     final continuation round; hitting the iteration cap or stalling in the
     line search leaves ``converged`` False, which is the signal that the
-    infimum may be infinite for unreachable targets.
+    infimum may be infinite for unreachable targets. A blow-up of the skeleton
+    under the zero control raises BlowUpError; a trial point of the line
+    search that blows up is rejected like any point that does not descend.
     """
     objective = RateObjective(problem, params, tgrid, spec, u0_field)
     point = objective.evaluate(np.zeros(objective.dim))
@@ -252,8 +241,11 @@ def estimate_rate(
             total_iters += 1
             accepted = False
             while step >= MIN_LINE_SEARCH_STEP:
-                trial = objective.evaluate(point.x - step * grad)
-                j_try = trial.objective(rho)
+                try:
+                    trial = objective.evaluate(point.x - step * grad)
+                except BlowUpError:
+                    trial = None
+                j_try = trial.objective(rho) if trial is not None else math.inf
                 if j_try <= current - ARMIJO_SLOPE * step * gnorm**2:
                     point = trial
                     current = j_try
@@ -299,59 +291,43 @@ def weak_convergence_experiment(
     spec: CovarianceSpec,
     u0_field: VectorField,
     base_seed: int,
-    threads: int = 1,
 ) -> list[WeakRow]:
     """Distance between the controlled stochastic flow and the skeleton.
 
     For each epsilon, ``samples`` paths of the controlled system (same fixed
     deterministic control) are compared against the skeleton solution in the
-    proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2.
+    proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Samples run in
+    (epsilon index, sample) order on their own counter-based streams; blown-up
+    samples are counted, never averaged.
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
         spec=spec, ctrl=ctrl, stride=1,
     )
     h = u0_field.grid.spacing
-    eps_list = [float(e) for e in epsilons]
-
-    def work(task):
-        i, m = task
-        rng = stream_rng(base_seed, i, m)
-        path = rng.normal(0.0, math.sqrt(tgrid.dt), size=(tgrid.steps, spec.mode_count, 3))
-        try:
-            rec = integrate(
-                SystemKind.CONTROLLED_STOCHASTIC,
-                u0_field,
-                params.with_epsilon(eps_list[i]),
-                tgrid,
-                spec=spec,
-                ctrl=ctrl,
-                shared_path=path,
-                seed_info=(base_seed, i, m),
-                stride=1,
-            )
-        except BlowUpError as exc:
-            return (i, m, None, str(exc))
-        return (i, m, path_gap(rec.snapshots, skeleton.snapshots, h, tgrid.dt, params.nu1), None)
-
-    tasks = [(i, m) for i in range(len(eps_list)) for m in range(samples)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-
     rows = []
-    for i, eps in enumerate(eps_list):
-        vals = [r[2] for r in results if r[0] == i and r[2] is not None]
-        n_fail = sum(1 for r in results if r[0] == i and r[2] is None)
-        arr = np.array(vals)
-        if len(arr) > 0:
-            mean = float(np.mean(arr))
-            se = float(np.std(arr, ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        else:
-            mean, se = math.nan, math.nan
-        rows.append(WeakRow(eps, mean, se, len(arr), n_fail))
+    for i, eps in enumerate(float(e) for e in epsilons):
+        metrics = []
+        for m in range(samples):
+            rng = stream_rng(base_seed, i, m)
+            path = increment_path(rng, tgrid.steps, spec.mode_count, tgrid.dt)
+            try:
+                rec = integrate(
+                    SystemKind.CONTROLLED_STOCHASTIC,
+                    u0_field,
+                    params.with_epsilon(eps),
+                    tgrid,
+                    spec=spec,
+                    ctrl=ctrl,
+                    shared_path=path,
+                    seed_info=(base_seed, i, m),
+                    stride=1,
+                )
+            except BlowUpError:
+                metrics.append(None)
+                continue
+            metrics.append(path_gap(rec.snapshots, skeleton.snapshots, h, tgrid.dt, params.nu1))
+        rows.append(WeakRow(eps, *sample_stats(metrics)))
     return rows
 
 
@@ -396,13 +372,8 @@ def compactness_probe(
             ctrl=ControlPath(coeffs, ctrl.dt),
             stride=1,
         )
-        diff = perturbed.snapshots - base.snapshots
-        grad_sup = 0.0
-        for n in range(diff.shape[0]):
-            grad = np.empty((diff.shape[1] + 1, 3))
-            grad[0] = diff[n, 0] / h
-            grad[1:-1] = (diff[n, 1:] - diff[n, :-1]) / h
-            grad[-1] = -diff[n, -1] / h
-            grad_sup = max(grad_sup, h * float(np.vdot(grad, grad)))
+        # node-major view (n, steps, 3); each snapshot's edge values stay contiguous
+        grad = grad_values((perturbed.snapshots - base.snapshots).transpose(1, 0, 2), h)
+        grad_sup = max(h * float(np.vdot(g, g)) for g in grad.transpose(1, 0, 2))
         out.append((mode, grad_sup))
     return out

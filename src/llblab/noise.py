@@ -17,17 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid1D, VectorField
+from .field import Grid1D
 
 __all__ = [
     "CovarianceSpec",
-    "WienerIncrement",
     "ControlPath",
     "make_covariance",
-    "sample_increment",
-    "noise_field",
-    "control_field",
-    "project_to_ball",
+    "mode_matrix",
+    "increment_path",
     "zero_control",
     "single_mode_control",
     "write_control_csv",
@@ -70,14 +67,6 @@ def make_covariance(mode_count: int, decay_exponent: float = 4.0) -> CovarianceS
             f"stays finite as modes are added, got {decay_exponent}"
         )
     return CovarianceSpec(int(mode_count), float(decay_exponent))
-
-
-@dataclass(frozen=True, eq=False)
-class WienerIncrement:
-    """Raw Gaussian mode coefficients over one step, entry (k, j) ~ N(0, dt)."""
-
-    coefficients: np.ndarray
-    dt: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,42 +137,14 @@ def mode_matrix(spec: CovarianceSpec, grid: Grid1D) -> np.ndarray:
     return mat
 
 
-def sample_increment(spec: CovarianceSpec, dt: float, rng: np.random.Generator) -> WienerIncrement:
+def increment_path(rng: np.random.Generator, steps: int, mode_count: int, dt: float) -> np.ndarray:
+    """Raw Gaussian mode coefficients of a whole path, shape (steps, K, 3), each ~ N(0, dt).
+
+    ``mode_matrix(spec, grid) @ path[n]`` is the increment field of step n.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    coeffs = rng.normal(0.0, math.sqrt(dt), size=(spec.mode_count, 3))
-    return WienerIncrement(coeffs, float(dt))
-
-
-def noise_field(spec: CovarianceSpec, incr: WienerIncrement, grid: Grid1D) -> VectorField:
-    """Synthesize the increment field sum_{k,j} sqrt(lambda_k) dW_{k,j} e_k e_j."""
-    if incr.coefficients.shape != (spec.mode_count, 3):
-        raise ValueError(
-            f"increment shape {incr.coefficients.shape} does not match "
-            f"mode count {spec.mode_count}"
-        )
-    return VectorField(grid, mode_matrix(spec, grid) @ incr.coefficients)
-
-
-def control_field(spec: CovarianceSpec, ctrl: ControlPath, step: int, grid: Grid1D) -> VectorField:
-    """Synthesize h(t_step) as a field in H (coordinates scaled by sqrt(lambda_k))."""
-    if ctrl.mode_count != spec.mode_count:
-        raise ValueError(
-            f"control has {ctrl.mode_count} modes, covariance has {spec.mode_count}"
-        )
-    if not 0 <= step < ctrl.steps:
-        raise IndexError(f"step {step} out of range 0..{ctrl.steps - 1}")
-    return VectorField(grid, mode_matrix(spec, grid) @ ctrl.coefficients[step])
-
-
-def project_to_ball(ctrl: ControlPath, radius: float) -> ControlPath:
-    """Scale the control so the H0 path integral sum dt * ||h||^2 is <= radius."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    integral = 2.0 * ctrl.h0_cost()
-    if integral <= radius:
-        return ctrl
-    return ControlPath(ctrl.coefficients * math.sqrt(radius / integral), ctrl.dt)
+    return rng.normal(0.0, math.sqrt(dt), size=(steps, mode_count, 3))
 
 
 def write_control_csv(ctrl: ControlPath, path) -> None:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llblab.analysis import (
+    SampleStats,
     check_cubic_identity,
     check_identities,
     cubic_identity_residuals,
@@ -12,6 +15,7 @@ from llblab.analysis import (
     identity_suite,
     path_gap,
     random_smooth_field,
+    sample_stats,
 )
 from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
 from llblab.field import VectorField, make_grid, zero_field
@@ -204,6 +208,69 @@ def test_path_gap_matches_pointwise_formula(rng):
             integ += dt * inner_l2(lap, lap)
     expected = sup + nu1 * integ
     assert path_gap(a, b, g.spacing, dt, nu1) == pytest.approx(expected, rel=1e-12)
+
+
+def hand_written_path_gap(snaps_a, snaps_b, spacing, dt, nu1):
+    """The proof metric with its grad/Laplacian stencils written out per snapshot
+    stack; test oracle only."""
+    d = snaps_a - snaps_b
+    s, n, _ = d.shape
+    grad = np.empty((s, n + 1, 3))
+    grad[:, 0] = d[:, 0] / spacing
+    grad[:, 1:-1] = (d[:, 1:] - d[:, :-1]) / spacing
+    grad[:, -1] = -d[:, -1] / spacing
+    grad_sq = spacing * np.einsum("sij,sij->s", grad, grad)
+
+    inv_h2 = 1.0 / (spacing * spacing)
+    lap = np.empty_like(d)
+    lap[:, 1:-1] = (d[:, 2:] - 2.0 * d[:, 1:-1] + d[:, :-2]) * inv_h2
+    lap[:, 0] = (d[:, 1] - 2.0 * d[:, 0]) * inv_h2
+    lap[:, -1] = (d[:, -2] - 2.0 * d[:, -1]) * inv_h2
+    lap_sq = spacing * np.einsum("sij,sij->s", lap, lap)
+
+    return float(np.max(grad_sq)) + nu1 * dt * float(np.sum(lap_sq[:-1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.integers(2, 300),
+    nodes=st.sampled_from([3, 7, 31, 127]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+)
+def test_path_gap_equals_hand_written_stencils_bitwise(steps, nodes, seed, scale):
+    gen = np.random.default_rng(seed)
+    a = scale * gen.normal(size=(steps, nodes, 3))
+    b = scale * gen.normal(size=(steps, nodes, 3))
+    spacing = 1.0 / (nodes + 1)
+    assert path_gap(a, b, spacing, 1e-4, 0.7) == hand_written_path_gap(a, b, spacing, 1e-4, 0.7)
+
+
+def test_path_gap_equals_hand_written_stencils_at_acceptance_size(rng):
+    a = rng.normal(size=(2501, 127, 3))
+    b = rng.normal(size=(2501, 127, 3))
+    assert path_gap(a, b, 1 / 128, 1e-4, 1.0) == hand_written_path_gap(a, b, 1 / 128, 1e-4, 1.0)
+
+
+# --- sample aggregation ------------------------------------------------------------------
+
+def test_sample_stats_mean_and_standard_error():
+    values = [1.0, 2.0, 4.0]
+    se = float(np.std(values, ddof=1)) / math.sqrt(3)
+    assert sample_stats(values) == SampleStats(7.0 / 3.0, se, 3, 0)
+
+
+def test_sample_stats_counts_failures_without_averaging_them():
+    stats = sample_stats([None, 2.0, None, 4.0])
+    assert (stats.mean, stats.n_ok, stats.n_failed) == (3.0, 2, 2)
+    assert stats.std_error == pytest.approx(1.0)
+
+
+def test_sample_stats_single_and_no_survivor():
+    assert sample_stats([5.0]) == SampleStats(5.0, 0.0, 1, 0)
+    empty = sample_stats([None, None])
+    assert math.isnan(empty.mean) and math.isnan(empty.std_error)
+    assert (empty.n_ok, empty.n_failed) == (0, 2)
 
 
 # --- suite and helpers ----------------------------------------------------------------

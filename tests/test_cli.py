@@ -4,12 +4,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llblab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    KEY_TABLE,
+    KINDS,
     ConfigError,
     main,
     parse_config,
@@ -100,6 +104,32 @@ def test_parse_rate_slab_divisibility():
         parse_config("kind = rate\ntime.steps = 100\nrate.slabs = 7\n")
 
 
+values = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10, 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(-2.0, 300.0).map(repr), min_size=1, max_size=4).map(", ".join),
+    st.sampled_from(KINDS + ("true", "no", ".", "inf", "nan", "-0", "1e999")),
+)
+config_documents = st.builds(
+    lambda kind, pairs: (f"kind = {kind}\n" if kind else "")
+    + "".join(f"{key} = {value}\n" for key, value in pairs),
+    st.one_of(st.none(), st.sampled_from(KINDS)),
+    st.lists(st.tuples(st.sampled_from(sorted(KEY_TABLE) + ["bogus.key"]), values), max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), config_documents))
+def test_parse_config_raises_only_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.errors
+        return
+    assert cfg.kind in KINDS
+
+
 # --- running ------------------------------------------------------------------------
 
 def _manifest(outdir):
@@ -146,15 +176,6 @@ def test_run_rerun_byte_identical(tmp_path):
     assert run(cfg, out_dir=str(out_b)) == EXIT_OK
     assert (out_a / "clt_report.csv").read_bytes() == (out_b / "clt_report.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-
-
-def test_run_thread_count_does_not_change_csv(tmp_path):
-    cfg = parse_config(TINY_CLT)
-    out_a = tmp_path / "t1"
-    out_b = tmp_path / "t2"
-    assert run(cfg, out_dir=str(out_a), threads=1) == EXIT_OK
-    assert run(cfg, out_dir=str(out_b), threads=2) == EXIT_OK
-    assert (out_a / "clt_report.csv").read_bytes() == (out_b / "clt_report.csv").read_bytes()
 
 
 def test_run_clt_summary_has_slope(tmp_path):
@@ -250,6 +271,25 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     payload = json.loads(captured.out.strip().splitlines()[-1])
     assert payload["error"]["code"] == EXIT_BLOWUP
     assert payload["error"]["step"] is not None
+
+
+def test_main_rate_blow_up_exits_three(tmp_path, capsys):
+    # the skeleton under the zero control blows up: no estimate is written
+    target = tmp_path / "target.csv"
+    target.write_text("node_index,ux,uy,uz\n" + "".join(f"{i},0.0,0.0,0.0\n" for i in range(63)))
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "kind = rate\ngrid.n = 63\ntime.horizon = 1.0\ntime.steps = 100\n"
+        f"model.gamma = 500\nrate.target = {target}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out)]) == EXIT_BLOWUP
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["error"]["code"] == EXIT_BLOWUP
+    assert payload["error"]["kind"] == "blow-up"
+    assert payload["error"]["step"] > 0
+    assert not (out / "rate_estimate.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
@@ -363,30 +403,6 @@ def test_main_malformed_input_csv_is_config_error(tmp_path, capsys, key, content
 
 def test_main_missing_config_file(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == EXIT_IO
-
-
-def test_main_env_threads_ignored_when_flag_given(tmp_path, monkeypatch):
-    monkeypatch.setenv("LLBLAB_THREADS", "bogus")
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text("kind = validate\nvalidate.samples = 5\nvalidate.grids = 31\n")
-    assert main(["--config", str(config_path), "--out", str(tmp_path / "o"), "--threads", "1"]) == EXIT_OK
-
-
-def test_main_env_threads_used_when_flag_absent(tmp_path, monkeypatch):
-    monkeypatch.setenv("LLBLAB_THREADS", "2")
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text(TINY_WEAK)
-    assert main(["--config", str(config_path), "--out", str(tmp_path / "o")]) == EXIT_OK
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["threads"] == 2
-
-
-def test_main_env_threads_invalid_without_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LLBLAB_THREADS", "bogus")
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text("kind = validate\n")
-    assert main(["--config", str(config_path)]) == EXIT_CONFIG
-    assert "LLBLAB_THREADS" in capsys.readouterr().out
 
 
 def test_main_usage_error_exits_two():

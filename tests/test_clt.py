@@ -1,19 +1,12 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from llblab.clt import (
-    CltConfig,
-    deviation_process,
-    run_clt,
-    write_clt_csv,
-    write_clt_summary,
-)
-from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
+from llblab.clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
+from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import make_grid
-from llblab.noise import CovarianceSpec, make_covariance, stream_rng
+from llblab.noise import CovarianceSpec, make_covariance
 
 
 def small_config(**overrides):
@@ -49,63 +42,6 @@ def test_config_rejects_few_samples():
         small_config(samples=1)
 
 
-# --- deviation process -----------------------------------------------------------
-
-def _two_trajectories():
-    g = make_grid(31)
-    p = ModelParams()
-    tg = TimeGrid(0.05, 100)
-    spec = make_covariance(4, 4.0)
-    u0 = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
-    path = stream_rng(5).normal(0.0, math.sqrt(tg.dt), size=(tg.steps, 4, 3))
-    u_eps = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.25), tg,
-        spec=spec, shared_path=path,
-    )
-    return u_eps, u0
-
-
-def test_deviation_identical_trajectories_zero():
-    _, u0 = _two_trajectories()
-    dev = deviation_process(u0, u0, 0.5)
-    assert np.all(dev.snapshots == 0.0)
-    assert all(r.l2 == 0.0 for r in dev.reports)
-
-
-def test_deviation_eps_one_plain_difference():
-    u_eps, u0 = _two_trajectories()
-    dev = deviation_process(u_eps, u0, 1.0)
-    assert np.array_equal(dev.snapshots, u_eps.snapshots - u0.snapshots)
-
-
-def test_deviation_quarter_eps_doubles():
-    u_eps, u0 = _two_trajectories()
-    eps = 0.25
-    dev = deviation_process(u_eps, u0, eps)
-    dev_quarter = deviation_process(u_eps, u0, eps / 4.0)
-    assert np.array_equal(dev_quarter.snapshots, 2.0 * dev.snapshots)
-
-
-def test_deviation_grid_mismatch():
-    u_eps, _ = _two_trajectories()
-    other = integrate(
-        SystemKind.DETERMINISTIC, initial_profile(make_grid(15)), ModelParams(), TimeGrid(0.05, 100)
-    )
-    with pytest.raises(ValueError, match="grid"):
-        deviation_process(u_eps, other, 0.5)
-    shorter = integrate(
-        SystemKind.DETERMINISTIC, initial_profile(make_grid(31)), ModelParams(), TimeGrid(0.05, 50)
-    )
-    with pytest.raises(ValueError, match="time grids"):
-        deviation_process(u_eps, shorter, 0.5)
-
-
-def test_deviation_rejects_nonpositive_eps():
-    u_eps, u0 = _two_trajectories()
-    with pytest.raises(ValueError):
-        deviation_process(u_eps, u0, 0.0)
-
-
 # --- the experiment ---------------------------------------------------------------
 
 def test_run_clt_zero_noise_amplitude_gives_zero_error():
@@ -123,13 +59,6 @@ def test_run_clt_reproducible_bitwise():
     b = run_clt(cfg)
     assert [r.mean_error for r in a.rows] == [r.mean_error for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
-
-
-def test_run_clt_thread_count_invariance():
-    cfg = small_config(samples=4, epsilons=(1e-1, 1e-2))
-    serial = run_clt(cfg, threads=1)
-    threaded = run_clt(cfg, threads=3)
-    assert [r.mean_error for r in serial.rows] == [r.mean_error for r in threaded.rows]
 
 
 def test_run_clt_small_nonlinear_decay_and_slope():

@@ -9,13 +9,13 @@ from llblab.dynamics import (
     ModelParams,
     SystemKind,
     TimeGrid,
-    explicit_rhs,
+    _drift_values,
+    _step_values,
     initial_profile,
     integrate,
-    step,
 )
-from llblab.field import VectorField, inner_l2, laplacian, make_grid, norms, zero_field
-from llblab.noise import make_covariance, noise_field, sample_increment, stream_rng, zero_control
+from llblab.field import VectorField, inner_l2, lap_values, make_grid, norms, zero_field
+from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
 
 HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0, epsilon=0.0)
@@ -45,12 +45,15 @@ def test_time_grid():
         TimeGrid(1.0, 0)
 
 
-# --- explicit drift -------------------------------------------------------------
+# --- explicit drift and the step kernel --------------------------------------------
+
+def _drift(u, params):
+    return _drift_values(u.values, lap_values(u.values, u.grid.spacing), params)
+
 
 def test_explicit_rhs_vanishes_without_terms(rng, grid63):
     u = random_field(grid63, rng)
-    out = explicit_rhs(u, ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0))
-    assert np.all(out.values == 0.0)
+    assert _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)) is None
 
 
 def test_explicit_rhs_single_direction(rng):
@@ -60,10 +63,10 @@ def test_explicit_rhs_single_direction(rng):
     f = np.sin(math.pi * x) + 0.3 * np.sin(2 * math.pi * x)
     u = VectorField(g, np.stack([f, 0 * x, 0 * x], axis=1))
     p = ModelParams(nu1=1.0, nu2=0.7, gamma=2.0, mu=1.3)
-    out = explicit_rhs(u, p)
+    out = _drift(u, p)
     expected = -p.nu2 * (1.0 + p.mu * f**2) * f
-    assert np.max(np.abs(out.values[:, 0] - expected)) <= 1e-13
-    assert np.all(out.values[:, 1:] == 0.0)
+    assert np.max(np.abs(out[:, 0] - expected)) <= 1e-13
+    assert np.all(out[:, 1:] == 0.0)
 
 
 def test_precession_energy_orthogonality(rng):
@@ -71,15 +74,10 @@ def test_precession_energy_orthogonality(rng):
     for n in (31, 127):
         g = make_grid(n)
         u = random_field(g, rng)
-        term = explicit_rhs(u, ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0))
-        resid = abs(inner_l2(term, u))
+        term = _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0))
+        resid = abs(inner_l2(VectorField(g, term), u))
         rep = norms(u)
         assert resid <= 1e-12 * (1.0 + rep.linf**2 * rep.h2_semi)
-
-
-def test_step_rejects_bad_dt(rng, grid63):
-    with pytest.raises(ValueError):
-        step(random_field(grid63, rng), ModelParams(), 0.0)
 
 
 def test_step_matches_integrate_single_step(rng):
@@ -88,8 +86,9 @@ def test_step_matches_integrate_single_step(rng):
     p = ModelParams()
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    manual = step(u0, p, tg.dt)
-    assert np.array_equal(rec.final_values(), manual.values)
+    v, h = u0.values, g.spacing
+    manual = _step_values(v, lap_values(v, h), p, tg.dt, tg.dt * p.nu1, None, h)
+    assert np.array_equal(rec.final_values(), manual)
 
 
 # --- oracles ---------------------------------------------------------------------

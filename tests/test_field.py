@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from llblab.field import (
     EnergyReport,
     VectorField,
     cross,
     edge_inner,
+    grad_values,
     gradient,
     h1_norm,
-    helmholtz_solve,
+    helm_values,
     inner_l2,
+    lap_values,
     laplacian,
     make_grid,
     norms,
@@ -237,17 +242,43 @@ def test_h1_norm_combines(rng, grid63):
     assert abs(h1_norm(f) - math.hypot(rep.l2, rep.h1_semi)) <= 1e-15
 
 
+# --- stencils on snapshot stacks --------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 7), st.integers(3, 17), st.just(3)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    st.floats(1e-3, 0.5),
+)
+def test_stencils_on_node_major_stack_equal_per_snapshot_calls(stack, h):
+    # stack is snapshot-major (S, n, 3); the kernels see its node-major view
+    node_major = stack.transpose(1, 0, 2)
+    lap = lap_values(node_major, h)
+    grad = grad_values(node_major, h)
+    assert grad.shape == (stack.shape[1] + 1, stack.shape[0], 3)
+    for s, snap in enumerate(stack):
+        assert lap[:, s].tobytes() == lap_values(snap, h).tobytes()
+        assert grad[:, s].tobytes() == grad_values(snap, h).tobytes()
+    # the results keep the snapshot-major memory layout of the input
+    assert lap.transpose(1, 0, 2).flags.c_contiguous
+    assert grad.transpose(1, 0, 2).flags.c_contiguous
+
+
 # --- helmholtz solve --------------------------------------------------------
 
 def test_helmholtz_c_zero_identity(rng, grid63):
     f = random_field(grid63, rng)
-    w = helmholtz_solve(f, 0.0)
-    assert np.array_equal(w.values, f.values)
+    w = helm_values(f.values, grid63.spacing, 0.0)
+    assert np.array_equal(w, f.values)
 
 
 def test_helmholtz_negative_c(rng, grid63):
+    # c = -0.1 makes I - c*Lap indefinite on this grid; the Cholesky factorization refuses it
     with pytest.raises(ValueError):
-        helmholtz_solve(random_field(grid63, rng), -0.1)
+        helm_values(random_field(grid63, rng).values, grid63.spacing, -0.1)
 
 
 def test_helmholtz_discrete_eigenvector():
@@ -257,16 +288,16 @@ def test_helmholtz_discrete_eigenvector():
     c = 0.37
     pi2_h = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2
     rhs = VectorField(g, np.stack([(1.0 + c * pi2_h) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    w = helmholtz_solve(rhs, c)
-    assert np.max(np.abs(w.values[:, 0] - np.sin(np.pi * x))) <= 1e-10
+    w = helm_values(rhs.values, h, c)
+    assert np.max(np.abs(w[:, 0] - np.sin(np.pi * x))) <= 1e-10
 
 
 @pytest.mark.parametrize("c", [1e-4, 0.1, 5.0])
 def test_helmholtz_residual(c, rng):
     g = make_grid(255)
     rhs = random_field(g, rng)
-    w = helmholtz_solve(rhs, c)
-    resid = w.values - c * laplacian(w).values - rhs.values
+    w = helm_values(rhs.values, g.spacing, c)
+    resid = w - c * lap_values(w, g.spacing) - rhs.values
     rel = math.sqrt(float(np.vdot(resid, resid)) / float(np.vdot(rhs.values, rhs.values)))
     assert rel <= 1e-10
 
@@ -275,8 +306,8 @@ def test_helmholtz_round_trip(rng, grid63):
     c = 0.2
     f = random_field(grid63, rng)
     image = VectorField(grid63, f.values - c * laplacian(f).values)
-    back = helmholtz_solve(image, c)
-    rel = np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values)
+    back = helm_values(image.values, grid63.spacing, c)
+    rel = np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
     assert rel <= 1e-10
 
 
@@ -284,6 +315,6 @@ def test_helmholtz_matches_thomas_reference(rng):
     g = make_grid(97)
     c = 0.85
     rhs = random_field(g, rng)
-    w = helmholtz_solve(rhs, c)
+    w = helm_values(rhs.values, g.spacing, c)
     ref = thomas_reference(c, g.spacing, rhs.values)
-    assert np.max(np.abs(w.values - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    assert np.max(np.abs(w - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))

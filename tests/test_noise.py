@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
 from llblab.field import make_grid
 from llblab.noise import (
     ControlPath,
     CovarianceSpec,
-    WienerIncrement,
-    control_field,
+    increment_path,
     make_covariance,
-    noise_field,
-    project_to_ball,
+    mode_matrix,
     read_control_coefficients,
-    sample_increment,
     single_mode_control,
     stream_rng,
     write_control_csv,
@@ -55,46 +53,39 @@ def test_make_covariance_rejects_no_modes():
 # --- increments --------------------------------------------------------------
 
 def test_sample_increment_rejects_bad_dt():
-    spec = make_covariance(4, 4.0)
     with pytest.raises(ValueError):
-        sample_increment(spec, 0.0, stream_rng(1))
+        increment_path(stream_rng(1), 10, 4, 0.0)
     with pytest.raises(ValueError):
-        sample_increment(spec, -1.0, stream_rng(1))
+        increment_path(stream_rng(1), 10, 4, -1.0)
 
 
 def test_sample_increment_replay_bit_identical():
-    spec = make_covariance(6, 4.0)
-    a = sample_increment(spec, 1e-3, stream_rng(5, 1, 2))
-    b = sample_increment(spec, 1e-3, stream_rng(5, 1, 2))
-    assert a.coefficients.tobytes() == b.coefficients.tobytes()
-    c = sample_increment(spec, 1e-3, stream_rng(5, 1, 3))
-    assert a.coefficients.tobytes() != c.coefficients.tobytes()
+    a = increment_path(stream_rng(5, 1, 2), 20, 6, 1e-3)
+    b = increment_path(stream_rng(5, 1, 2), 20, 6, 1e-3)
+    assert a.shape == (20, 6, 3)
+    assert a.tobytes() == b.tobytes()
+    c = increment_path(stream_rng(5, 1, 3), 20, 6, 1e-3)
+    assert a.tobytes() != c.tobytes()
 
 
 def test_sample_increment_variance_small_dt():
-    spec = make_covariance(1, 4.0)
-    rng = stream_rng(123)
     dt = 1e-6
-    draws = np.array([sample_increment(spec, dt, rng).coefficients for _ in range(100_000)])
+    draws = increment_path(stream_rng(123), 100_000, 1, dt)
     assert abs(draws.var() / dt - 1.0) <= 0.05
 
 
 def test_increment_independence_across_steps():
-    spec = make_covariance(1, 4.0)
-    rng = stream_rng(321)
     steps = 10_000
-    series = np.array([sample_increment(spec, 1e-3, rng).coefficients[0, 0] for _ in range(steps)])
+    series = increment_path(stream_rng(321), steps, 1, 1e-3)[:, 0, 0]
     lag1 = np.corrcoef(series[:-1], series[1:])[0, 1]
     assert abs(lag1) <= 3.0 / math.sqrt(steps)
 
 
-# --- field synthesis ----------------------------------------------------------
+# --- field synthesis: mode_matrix @ coefficients ------------------------------
 
 def test_noise_field_zero_increments():
     spec = make_covariance(4, 4.0)
-    grid = make_grid(31)
-    incr = WienerIncrement(np.zeros((4, 3)), 1e-3)
-    assert np.all(noise_field(spec, incr, grid).values == 0.0)
+    assert np.all(mode_matrix(spec, make_grid(31)) @ np.zeros((4, 3)) == 0.0)
 
 
 def test_noise_field_single_unit_increment():
@@ -102,38 +93,35 @@ def test_noise_field_single_unit_increment():
     grid = make_grid(63)
     coeffs = np.zeros((4, 3))
     coeffs[0, 0] = 1.0
-    f = noise_field(spec, WienerIncrement(coeffs, 1.0), grid)
+    f = mode_matrix(spec, grid) @ coeffs
     expected = math.sqrt(2.0) * np.sin(math.pi * grid.nodes)  # lambda_1 = 1
-    assert np.max(np.abs(f.values[:, 0] - expected)) <= 1e-14
-    assert np.all(f.values[:, 1:] == 0.0)
+    assert np.max(np.abs(f[:, 0] - expected)) <= 1e-14
+    assert np.all(f[:, 1:] == 0.0)
 
 
 def test_noise_field_linearity(rng):
-    spec = make_covariance(5, 4.0)
-    grid = make_grid(31)
+    mat = mode_matrix(make_covariance(5, 4.0), make_grid(31))
     a = rng.normal(size=(5, 3))
     b = rng.normal(size=(5, 3))
-    fa = noise_field(spec, WienerIncrement(a, 1.0), grid).values
-    fb = noise_field(spec, WienerIncrement(b, 1.0), grid).values
-    fab = noise_field(spec, WienerIncrement(2.0 * a + b, 1.0), grid).values
-    assert np.max(np.abs(fab - (2.0 * fa + fb))) <= 1e-14
+    assert np.max(np.abs(mat @ (2.0 * a + b) - (2.0 * (mat @ a) + mat @ b))) <= 1e-14
 
 
 def test_noise_field_dimension_mismatch():
+    # a shared increment path must match the covariance's mode count
     spec = make_covariance(4, 4.0)
-    grid = make_grid(31)
-    with pytest.raises(ValueError):
-        noise_field(spec, WienerIncrement(np.zeros((3, 3)), 1e-3), grid)
+    tg = TimeGrid(0.01, 10)
+    with pytest.raises(ValueError, match="shared path"):
+        integrate(
+            SystemKind.STOCHASTIC, initial_profile(make_grid(31)), ModelParams(epsilon=0.1), tg,
+            spec=spec, shared_path=np.zeros((10, 3, 3)),
+        )
 
 
 def test_noise_field_node_variance_matches_covariance():
     spec = make_covariance(4, 4.0)
     grid = make_grid(31)
-    rng = stream_rng(55)
     dt = 1e-3
-    draws = np.array(
-        [noise_field(spec, sample_increment(spec, dt, rng), grid).values for _ in range(20_000)]
-    )
+    draws = mode_matrix(spec, grid) @ increment_path(stream_rng(55), 20_000, 4, dt)
     node = 10
     var_emp = float(draws[:, node, :].var(axis=0).mean())
     lam = spec.amplitudes**2
@@ -148,9 +136,7 @@ def test_noise_field_boundary_decay_linear_in_h():
     coeffs = np.ones((4, 3))
     vals = {}
     for n in (31, 63, 127):
-        grid = make_grid(n)
-        f = noise_field(spec, WienerIncrement(coeffs, 1.0), grid)
-        vals[n] = abs(f.values[0, 0])
+        vals[n] = abs((mode_matrix(spec, make_grid(n)) @ coeffs)[0, 0])
     assert abs(vals[63] / vals[31] - make_grid(63).spacing / make_grid(31).spacing) <= 0.05
     assert abs(vals[127] / vals[31] - make_grid(127).spacing / make_grid(31).spacing) <= 0.05
 
@@ -166,9 +152,8 @@ def test_control_path_validation():
 
 def test_control_field_zero():
     spec = make_covariance(4, 4.0)
-    grid = make_grid(31)
     ctrl = zero_control(10, 4, 0.01)
-    assert np.all(control_field(spec, ctrl, 3, grid).values == 0.0)
+    assert np.all(mode_matrix(spec, make_grid(31)) @ ctrl.coefficients[3] == 0.0)
 
 
 def test_control_field_unit_coordinate_and_cost():
@@ -176,18 +161,20 @@ def test_control_field_unit_coordinate_and_cost():
     grid = make_grid(63)
     steps, horizon = 50, 0.5
     ctrl = single_mode_control(steps, 4, horizon / steps, mode=1, component=1, coefficient=1.0)
-    f = control_field(spec, ctrl, 0, grid)
+    f = mode_matrix(spec, grid) @ ctrl.coefficients[0]
     expected = math.sqrt(2.0) * np.sin(math.pi * grid.nodes)  # sqrt(lambda_1) = 1
-    assert np.max(np.abs(f.values[:, 0] - expected)) <= 1e-14
+    assert np.max(np.abs(f[:, 0] - expected)) <= 1e-14
     assert abs(ctrl.h0_cost() - horizon / 2.0) <= 1e-12
 
 
 def test_control_field_index_range():
+    # a control is synthesized only over the run's own modes and time grid
     spec = make_covariance(4, 4.0)
-    grid = make_grid(31)
-    ctrl = zero_control(10, 4, 0.01)
-    with pytest.raises(IndexError):
-        control_field(spec, ctrl, 10, grid)
+    tg = TimeGrid(0.1, 10)
+    u0 = initial_profile(make_grid(31))
+    for ctrl, problem in ((zero_control(10, 3, tg.dt), "modes"), (zero_control(10, 4, 0.02), "dt")):
+        with pytest.raises(ValueError, match=problem):
+            integrate(SystemKind.SKELETON, u0, ModelParams(), tg, spec=spec, ctrl=ctrl)
 
 
 def test_control_cost_mode_additivity():
@@ -198,26 +185,6 @@ def test_control_cost_mode_additivity():
     assert abs(both.h0_cost() - (a.h0_cost() + b.h0_cost())) <= 1e-14
 
 
-def test_project_to_ball_inside_is_identity():
-    ctrl = single_mode_control(10, 2, 0.01, mode=1, component=1, coefficient=0.5)
-    assert project_to_ball(ctrl, 10.0) is ctrl
-    zero = zero_control(10, 2, 0.01)
-    assert project_to_ball(zero, 1.0) is zero
-
-
-def test_project_to_ball_binds_exactly():
-    radius = 0.03
-    ctrl = single_mode_control(40, 2, 0.01, mode=1, component=2, coefficient=1.2)
-    assert 2.0 * ctrl.h0_cost() > radius
-    scaled = project_to_ball(ctrl, radius)
-    assert abs(2.0 * scaled.h0_cost() - radius) <= 1e-12 * radius
-
-
-def test_project_to_ball_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        project_to_ball(zero_control(4, 2, 0.1), 0.0)
-
-
 def test_parseval_coordinates_vs_synthesis(rng):
     # cost in coordinates == cost of the synthesized path projected back on a
     # fine grid (discrete sine orthogonality keeps this exact to quadrature)
@@ -225,14 +192,13 @@ def test_parseval_coordinates_vs_synthesis(rng):
     fine = make_grid(2047)
     steps, dt = 16, 0.02 / 16
     ctrl = ControlPath(rng.normal(size=(steps, 6, 3)), dt)
-    from llblab.noise import mode_matrix
-
-    basis = mode_matrix(spec, fine) / spec.amplitudes
+    mat = mode_matrix(spec, fine)
+    basis = mat / spec.amplitudes
     h = fine.spacing
     cost = 0.0
     for n in range(steps):
-        f = control_field(spec, ctrl, n, fine)
-        coords = (h * basis.T @ f.values) / spec.amplitudes[:, None]
+        f = mat @ ctrl.coefficients[n]
+        coords = (h * basis.T @ f) / spec.amplitudes[:, None]
         cost += 0.5 * dt * float(np.vdot(coords, coords))
     assert abs(cost - ctrl.h0_cost()) <= 1e-6 * ctrl.h0_cost()
 
@@ -258,7 +224,5 @@ def test_control_csv_requires_header(tmp_path):
 
 def test_amplitude_scale_zero_silences_noise():
     spec = CovarianceSpec(4, 4.0, amplitude_scale=0.0)
-    grid = make_grid(31)
-    f = noise_field(spec, WienerIncrement(np.ones((4, 3)), 1.0), grid)
-    assert np.all(f.values == 0.0)
+    assert np.all(mode_matrix(spec, make_grid(31)) @ np.ones((4, 3)) == 0.0)
     assert spec.h1_trace == 0.0
