@@ -21,6 +21,7 @@ from .field import (
     VectorField,
     cross,
     cross_values,
+    dot_values,
     grad_values,
     inner_l2,
     lap_values,
@@ -41,6 +42,7 @@ __all__ = [
     "fit_slope",
     "energy_drift",
     "path_gap",
+    "StreamedPathGap",
     "random_smooth_field",
     "identity_suite",
 ]
@@ -268,6 +270,46 @@ def path_gap(
     lap_sq = spacing * np.einsum("isj,isj->s", lap, lap)
 
     return float(np.max(grad_sq)) + nu1 * dt * float(np.sum(lap_sq[:-1]))
+
+
+def _column_sq_sums(v: np.ndarray) -> np.ndarray:
+    """Sum of squares of each column of an (m, 3, M) batch, shape (M,).
+
+    Each column is summed from its own contiguous row, so the bits do not
+    depend on the batch width or layout (an einsum picks its order from both).
+    """
+    return np.ascontiguousarray(dot_values(v, v).T).sum(axis=1)
+
+
+class StreamedPathGap:
+    """The proof metric of ``path_gap`` for a batch of M columns, fed one step at a time.
+
+    ``add(n, d, live)`` takes the (n, 3, M') differences of step n for the
+    columns ``live`` (indices into the batch); ``values`` is the metric of
+    every column over the steps it was given. Only two numbers per column are
+    kept, never the trajectories. A column's value does not depend on the
+    batch it runs in; its sums run in step order, so it equals ``path_gap`` of
+    the stored differences to rounding, not bitwise.
+    """
+
+    def __init__(self, width: int, spacing: float, dt: float, nu1: float, steps: int):
+        self.spacing = spacing
+        self.dt = dt
+        self.nu1 = nu1
+        self.steps = steps
+        self._sup_grad_sq = np.zeros(width)
+        self._lap_sq_sum = np.zeros(width)
+
+    def add(self, n: int, d: np.ndarray, live: np.ndarray) -> None:
+        h = self.spacing
+        grad_sq = h * _column_sq_sums(grad_values(d, h))
+        self._sup_grad_sq[live] = np.maximum(self._sup_grad_sq[live], grad_sq)
+        if n < self.steps:
+            self._lap_sq_sum[live] += h * _column_sq_sums(lap_values(d, h))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._sup_grad_sq + self.nu1 * self.dt * self._lap_sq_sum
 
 
 def random_smooth_field(

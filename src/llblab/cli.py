@@ -14,9 +14,9 @@ are errors, and all validation errors are reported together. Lists are
 comma-separated. Paths are resolved relative to the working directory and
 must exist at parse time.
 
-Exit codes: 0 success, 1 validation suite failed, 2 config error,
-3 numerical blow-up, 4 I/O error. Every nonzero code but 1 comes with one JSON
-error object on stdout.
+Exit codes: 0 success, 1 validation suite failed, 2 config or command-line
+usage error, 3 numerical blow-up, 4 I/O error. Every nonzero code but 1 comes
+with one JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -460,7 +460,8 @@ def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
             {
                 "epsilon": eps,
                 "mean_sup_grad_sq": stats.mean,
-                "ratio_vs_deterministic": stats.mean / det_sup,
+                # a zero initial state leaves the deterministic run at zero: no ratio
+                "ratio_vs_deterministic": stats.mean / det_sup if det_sup > 0.0 else None,
                 "n_ok": stats.n_ok,
                 "n_failed": stats.n_failed,
             }
@@ -648,8 +649,16 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON error object of exit code 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.exit(_error(EXIT_CONFIG, "usage", message=message))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="llblab",
         description="Run one experiment described by a config file.",
     )

@@ -2,38 +2,46 @@
 and the linear deviation system on shared noise paths, then measure how the
 rescaled deviation error decays in the noise strength.
 
-For each epsilon and sample, one Gaussian increment path drives both the
-stochastic run u_eps and the linear deviation run V0; the runs assert they
-consumed bitwise identical increments. The per-sample error is the proof
+Every (epsilon index, sample) pair is one column of a batch. The stochastic
+runs u_eps and the linear deviation runs V0 of all columns march together in
+lockstep over the dense deterministic base u0, each column driven by its own
+counter-based stream ``stream_rng(seed, epsilon index, sample)``, and both
+systems of a step read the same increments. The per-sample error is the proof
 metric sup_t ||grad(V_eps - V0)||^2 + nu1 * int ||Lap(V_eps - V0)||^2 with
-V_eps = (u_eps - u0)/sqrt(eps). Samples run one after another in
-(epsilon index, sample) order, each on its own counter-based stream, so the
-results do not depend on anything but the config. Failed (blown-up) samples
-are excluded from the means and counted, never averaged.
+V_eps = (u_eps - u0)/sqrt(eps), accumulated step by step instead of from
+stored trajectories, so memory grows with the batch width (at most
+``BATCH_COLUMNS`` columns at a time), never with the number of samples. A
+sample whose run blows up is retired at that step, counted and listed with
+its stream key and step, never averaged; the other columns go on. The
+results depend on nothing but the config.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .analysis import SlopeFit, fit_slope, path_gap, sample_stats
+import numpy as np
+
+# path_gap stays bound here, unused: perfbench/tracer.py patches clt.path_gap by name
+from .analysis import SlopeFit, StreamedPathGap, fit_slope, path_gap, sample_stats
 from .dynamics import (
-    BlowUpError,
+    BATCH_COLUMNS,
     ModelParams,
     SystemKind,
     TimeGrid,
-    TrajectoryRecord,
     integrate,
+    integrate_batch,
 )
-from .field import VectorField, zero_field
-from .noise import CovarianceSpec, increment_path, stream_rng
+from .field import VectorField
+from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
     "CltConfig",
     "CltRow",
+    "CltFailure",
     "CltReport",
     "run_clt",
     "write_clt_csv",
@@ -73,6 +81,14 @@ class CltRow:
     n_failed: int
 
 
+class CltFailure(NamedTuple):
+    """A retired sample: replay it with ``stream_rng(base_seed, eps_index, sample)``."""
+
+    eps_index: int
+    sample: int
+    step: int
+
+
 @dataclass(frozen=True, eq=False)
 class CltReport:
     rows: tuple
@@ -80,46 +96,46 @@ class CltReport:
     failures: tuple
 
 
-def _sample_error(
-    config: CltConfig,
-    u0_rec: TrajectoryRecord,
-    eps_index: int,
-    sample: int,
-) -> float:
+def _batch_errors(config: CltConfig, u0_rec, columns) -> tuple[list, list]:
+    """March the (epsilon index, sample) ``columns`` as one batch; returns each
+    column's error (None when it blew up) and its CltFailures."""
+    grid = config.initial.grid
     tgrid = config.tgrid
-    eps = config.epsilons[eps_index]
-    rng = stream_rng(config.base_seed, eps_index, sample)
-    path = increment_path(rng, tgrid.steps, config.spec.mode_count, tgrid.dt)
-    seed_info = (config.base_seed, eps_index, sample)
-    u_eps = integrate(
-        SystemKind.STOCHASTIC,
-        config.initial,
-        config.params.with_epsilon(eps),
-        tgrid,
-        spec=config.spec,
-        shared_path=path,
-        seed_info=seed_info,
-        stride=1,
+    width = len(columns)
+    epsilons = np.array([config.epsilons[i] for i, _ in columns])
+    sqrt_eps = np.sqrt(epsilons)
+    base = u0_rec.snapshots
+    gap = StreamedPathGap(width, grid.spacing, tgrid.dt, config.params.nu1, tgrid.steps)
+
+    def observe(n, states, live):
+        u_eps, v0 = states
+        gap.add(n, (u_eps - base[n][..., None]) / sqrt_eps[live] - v0, live)
+
+    noise = IncrementStreams(
+        [stream_rng(config.base_seed, i, m) for i, m in columns],
+        tgrid.steps, config.spec.mode_count, tgrid.dt,
     )
-    v0 = integrate(
-        SystemKind.LINEARIZED_CLT,
-        zero_field(config.initial.grid),
-        config.params.with_epsilon(0.0),
+    start = np.repeat(config.initial.values[..., None], width, axis=2)
+    failed = integrate_batch(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
+        grid,
+        (start, np.zeros_like(start)),
+        config.params,
         tgrid,
+        observe,
         spec=config.spec,
-        shared_path=path,
         base=u0_rec,
-        seed_info=seed_info,
-        stride=1,
+        noise=noise,
+        epsilons=epsilons,
+        keys=[(config.base_seed, i, m) for i, m in columns],
     )
-    if u_eps.noise_digest != v0.noise_digest:
-        raise RuntimeError(
-            f"coupled runs consumed different noise: {u_eps.noise_digest} vs {v0.noise_digest}"
-        )
-    v_eps = (u_eps.snapshots - u0_rec.snapshots) / math.sqrt(eps)
-    return path_gap(
-        v_eps, v0.snapshots, config.initial.grid.spacing, tgrid.dt, config.params.nu1
-    )
+    errors = [float(e) for e in gap.values]
+    failures = []
+    for exc in failed:
+        _, i, m = exc.key
+        errors[columns.index((i, m))] = None
+        failures.append(CltFailure(i, m, exc.step))
+    return errors, failures
 
 
 def run_clt(config: CltConfig) -> CltReport:
@@ -131,24 +147,25 @@ def run_clt(config: CltConfig) -> CltReport:
         config.tgrid,
         stride=1,
     )
-
-    rows = []
+    columns = [(i, m) for i in range(len(config.epsilons)) for m in range(config.samples)]
+    errors = []
     failures = []
-    for i, eps in enumerate(config.epsilons):
-        errors = []
-        for m in range(config.samples):
-            try:
-                errors.append(_sample_error(config, u0_rec, i, m))
-            except BlowUpError as exc:
-                errors.append(None)
-                failures.append((eps, m, str(exc)))
-        rows.append(CltRow(eps, *sample_stats(errors)))
+    for first in range(0, len(columns), BATCH_COLUMNS):
+        batch_errors, batch_failures = _batch_errors(
+            config, u0_rec, columns[first:first + BATCH_COLUMNS]
+        )
+        errors.extend(batch_errors)
+        failures.extend(batch_failures)
 
+    rows = [
+        CltRow(eps, *sample_stats(errors[i * config.samples:(i + 1) * config.samples]))
+        for i, eps in enumerate(config.epsilons)
+    ]
     fit = None
     pts = [(r.epsilon, r.mean_error) for r in rows if r.n_ok > 0 and r.mean_error > 0.0]
     if len(pts) >= 3:
         fit = fit_slope(pts)
-    return CltReport(rows=tuple(rows), fit=fit, failures=tuple(failures))
+    return CltReport(rows=tuple(rows), fit=fit, failures=tuple(sorted(failures)))
 
 
 def write_clt_csv(report: CltReport, path) -> None:
@@ -175,6 +192,7 @@ def write_clt_summary(report: CltReport, path) -> None:
         "intercept": report.fit.intercept if report.fit is not None else None,
         "fit_residual": report.fit.residual if report.fit is not None else None,
         "n_failures": len(report.failures),
+        "failures": [f._asdict() for f in report.failures],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

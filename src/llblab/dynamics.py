@@ -18,6 +18,15 @@ Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
 in the worst case; the integrator tracks the observed ratio and reports it on
 the trajectory record rather than failing eagerly (diffusion stabilizes the
 default parameter regime well past the naive bound).
+
+Every run goes through one step loop (``_march``). ``integrate`` marches one
+(n, 3) trajectory and records it; ``integrate_batch`` marches a node-major
+batch (n, 3, M) of M sample columns, of one system or of several systems in
+lockstep, and hands each step to an observer instead of storing it. The step
+kernels treat every column of a batch as they treat that column alone, so a
+column's states are bitwise those of its own ``integrate`` run, and a column
+that blows up is retired at the step where that run would raise while the
+others go on.
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from .field import (
     Grid1D,
     VectorField,
     cross_values,
+    dot_values,
     helm_values,
     lap_values,
     report_values,
     sq_norm_values,
 )
-from .noise import ControlPath, CovarianceSpec, increment_path, mode_matrix
+from .noise import ControlPath, CovarianceSpec, IncrementStreams, increment_path, mode_matrix
 
 __all__ = [
     "ModelParams",
@@ -49,6 +59,7 @@ __all__ = [
     "BlowUpError",
     "initial_profile",
     "integrate",
+    "integrate_batch",
     "skeleton_adjoint",
     "write_report_csv",
     "write_fields_csv",
@@ -56,6 +67,10 @@ __all__ = [
 
 DEFAULT_LINF_CEILING = 1.0e3
 MAX_DENSE_SNAPSHOTS = 10_000
+# Sample columns the ensemble experiments march at a time: wider batches stop
+# paying once a step's arrays outgrow the cache, and the cap bounds memory
+# whatever the sample count.
+BATCH_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -119,11 +134,23 @@ _CONTROLLED_KINDS = (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the state leaves the finite / bounded regime."""
+    """Raised when the state leaves the finite / bounded regime.
 
-    def __init__(self, message: str, step: int | None = None, time: float | None = None):
+    ``key`` is the counter-based stream key (seed, epsilon index, sample) of a
+    noisy sample, so the failure can be replayed on its own; None for a run
+    without one.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        time: float | None = None,
+        key: tuple | None = None,
+    ):
         self.step = step
         self.time = time
+        self.key = key
         where = f" at step {step}" if step is not None else ""
         when = f", t = {time:.6g}" if time is not None else ""
         super().__init__(f"{message}{where}{when}")
@@ -208,6 +235,64 @@ def _step_values(
     return helm_values(out, h, c)
 
 
+def _linear_step_values(
+    v: np.ndarray,
+    lap_v: np.ndarray,
+    base: np.ndarray,
+    lap_base: np.ndarray,
+    params: ModelParams,
+    dt: float,
+    c: float,
+    forcing: np.ndarray | None,
+    h: float,
+) -> np.ndarray:
+    """One step of the linear deviation system: the derivative of ``_step_values``
+    at eps = 0 along the base state ``base``, driven by the noise field ``forcing``.
+
+    ``base`` has the dimensions of ``v``: (n, 3) for one run, (n, 3, 1) for a batch.
+    """
+    rhs = params.gamma * (cross_values(v, lap_base) + cross_values(base, lap_v))
+    if params.nu2 != 0.0:
+        rhs -= params.nu2 * v
+        if params.mu != 0.0:
+            dot = dot_values(base, v)
+            rhs -= (params.nu2 * params.mu) * (
+                2.0 * dot[:, None] * base + sq_norm_values(base)[:, None] * v
+            )
+    out = v + dt * rhs
+    if forcing is not None and forcing.any():
+        out = out + cross_values(base, forcing)
+    return helm_values(out, h, c)
+
+
+def _stepper(kind, params, dt, c, h, mode_mat, ctrl_coeffs, base_snaps):
+    """The step map of ``kind`` as ``step(n, u, lap_u, forcing, sqrt_eps)``.
+
+    ``u`` is one (n, 3) state or an (n, 3, M) batch; ``forcing`` is the noise
+    field of step n in the same layout (None for the noiseless kinds) and
+    ``sqrt_eps`` a scalar or the (M,) noise strengths of the columns.
+    """
+
+    def step(n, u, lap_u, forcing, sqrt_eps):
+        batch = u.ndim == 3
+        if kind is SystemKind.LINEARIZED_CLT:
+            base = base_snaps[n][..., None] if batch else base_snaps[n]
+            return _linear_step_values(
+                u, lap_u, base, lap_values(base, h), params, dt, c, forcing, h
+            )
+        g = None
+        if forcing is not None and np.any(sqrt_eps):
+            g = sqrt_eps * forcing
+        if ctrl_coeffs is not None:
+            cf = dt * (mode_mat @ ctrl_coeffs[n])
+            if batch:
+                cf = cf[..., None]
+            g = cf if g is None else g + cf
+        return _step_values(u, lap_u, params, dt, c, g, h)
+
+    return step
+
+
 def _step_transpose_values(
     lam: np.ndarray,
     v: np.ndarray,
@@ -263,6 +348,94 @@ def _prepare_path(
     return increment_path(rng, steps, spec.mode_count, dt)
 
 
+def _check_inputs(
+    kind: SystemKind,
+    grid: Grid1D,
+    tgrid: TimeGrid,
+    spec: CovarianceSpec | None,
+    ctrl: ControlPath | None,
+    base: TrajectoryRecord | None,
+) -> None:
+    """Raise ValueError when ``kind`` lacks an input it needs or one does not fit the run."""
+    n_steps = tgrid.steps
+    if kind in _NOISY_KINDS and spec is None:
+        raise ValueError(f"{kind.value} integration requires a covariance spec")
+    if kind in _CONTROLLED_KINDS:
+        if ctrl is None:
+            raise ValueError(f"{kind.value} integration requires a control path")
+        if spec is None:
+            raise ValueError(f"{kind.value} integration requires a covariance spec")
+        if ctrl.steps != n_steps:
+            raise ValueError(f"control has {ctrl.steps} steps, time grid has {n_steps}")
+        if ctrl.mode_count != spec.mode_count:
+            raise ValueError(
+                f"control has {ctrl.mode_count} modes, covariance has {spec.mode_count}"
+            )
+        if not math.isclose(ctrl.dt, tgrid.dt, rel_tol=1e-12):
+            raise ValueError(f"control dt {ctrl.dt} does not match time grid dt {tgrid.dt}")
+    if kind is SystemKind.LINEARIZED_CLT:
+        if base is None:
+            raise ValueError("linearized deviation system requires a base trajectory")
+        if base.grid != grid:
+            raise ValueError("base trajectory grid does not match")
+        if base.steps != n_steps or not base.dense or not np.array_equal(base.times, tgrid.times):
+            raise ValueError(
+                "base trajectory must store every step of the same time grid"
+            )
+
+
+def _march(states, advance, observe, retire, n_steps, dt, h, cfl_scale, linf_ceiling):
+    """The step loop of every run: one trajectory, or a batch of sample columns.
+
+    ``states`` holds one array per system marching in lockstep: an (n, 3)
+    state, or an (n, 3, M) batch whose column j is sample j in every system.
+    At each step n = 0..n_steps every column is checked first: a column whose
+    |u|_inf in any system is not finite or exceeds ``linf_ceiling`` fails at n
+    and is dropped from all systems, and ``retire(keep)`` learns which columns
+    stay. Then ``observe(n, states, laps, linf, live)`` sees the step, and
+    unless it was the last, ``advance(n, states, laps)`` returns the states of
+    step n + 1.
+
+    Returns ``(failures, cfl)``: ``(column, step, message)`` for every failed
+    column by its index in the initial batch, and the largest explicit-term
+    ratio of each column that ran to the end (None when none did).
+    """
+    cfl = np.zeros(states[0].shape[2:])
+    live = np.arange(cfl.size)
+    failures = []
+    for n in range(n_steps + 1):
+        laps = tuple(lap_values(u, h) for u in states)
+        sq = sq_norm_values(states[0]).max(axis=0)
+        for u in states[1:]:
+            sq = np.maximum(sq, sq_norm_values(u).max(axis=0))
+        linf = np.sqrt(sq)
+        bad = ~(linf <= linf_ceiling)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                columns = [u[..., j] if u.ndim == 3 else u for u in states]
+                if all(np.isfinite(col).all() for col in columns):
+                    what = (
+                        f"|u|_inf = {np.ravel(linf)[j]:.3g} exceeded ceiling {linf_ceiling:.3g}"
+                    )
+                else:
+                    what = "non-finite state"
+                ratio = np.ravel(cfl)[j]
+                failures.append((int(live[j]), n, f"{what} (explicit-term ratio {ratio:.3g})"))
+            if bad.all():
+                return failures, None
+            keep = ~bad
+            states = tuple(u[..., keep] for u in states)
+            laps = tuple(lap[..., keep] for lap in laps)
+            linf, cfl, live = linf[keep], cfl[keep], live[keep]
+            retire(keep)
+        cfl = np.maximum(cfl, cfl_scale * linf)
+        observe(n, states, laps, linf, live)
+        if n == n_steps:
+            break
+        states = advance(n, states, laps)
+    return failures, cfl
+
+
 def integrate(
     kind: SystemKind,
     u0_field: VectorField,
@@ -283,10 +456,11 @@ def integrate(
     Deterministic and skeleton runs consume no randomness. Stochastic kinds
     draw the full increment path up front (or replay ``shared_path``) and
     record a digest of every consumed increment so coupled runs can assert
-    they saw identical noise. Raises BlowUpError with the offending step when
-    the state leaves the finite/bounded regime. ``diffusion_off`` is a test
-    hook that skips the implicit solve, so the remaining terms can be checked
-    against pointwise ODE/precession oracles.
+    they saw identical noise. Raises BlowUpError with the offending step (and
+    ``seed_info`` as its stream key) when the state leaves the finite/bounded
+    regime. ``diffusion_off`` is a test hook that skips the implicit solve, so
+    the remaining terms can be checked against pointwise ODE/precession
+    oracles.
     """
     grid = u0_field.grid
     n_steps = tgrid.steps
@@ -294,104 +468,51 @@ def integrate(
     h = grid.spacing
     c = 0.0 if diffusion_off else dt * params.nu1
 
+    _check_inputs(kind, grid, tgrid, spec, ctrl, base)
+    if kind is SystemKind.LINEARIZED_CLT and np.any(u0_field.values):
+        raise ValueError("linearized deviation system starts from zero initial data")
     noisy = kind in _NOISY_KINDS
-    if noisy and spec is None:
-        raise ValueError(f"{kind.value} integration requires a covariance spec")
-    if kind in _CONTROLLED_KINDS:
-        if ctrl is None:
-            raise ValueError(f"{kind.value} integration requires a control path")
-        if spec is None:
-            raise ValueError(f"{kind.value} integration requires a covariance spec")
-        if ctrl.steps != n_steps:
-            raise ValueError(f"control has {ctrl.steps} steps, time grid has {n_steps}")
-        if ctrl.mode_count != spec.mode_count:
-            raise ValueError(
-                f"control has {ctrl.mode_count} modes, covariance has {spec.mode_count}"
-            )
-        if not math.isclose(ctrl.dt, dt, rel_tol=1e-12):
-            raise ValueError(f"control dt {ctrl.dt} does not match time grid dt {dt}")
-    if kind is SystemKind.LINEARIZED_CLT:
-        if base is None:
-            raise ValueError("linearized deviation system requires a base trajectory")
-        if base.grid != grid:
-            raise ValueError("base trajectory grid does not match")
-        if base.steps != n_steps or not base.dense or not np.array_equal(base.times, tgrid.times):
-            raise ValueError(
-                "base trajectory must store every step of the same time grid"
-            )
-        if np.any(u0_field.values):
-            raise ValueError("linearized deviation system starts from zero initial data")
-
     path = _prepare_path(shared_path, rng, n_steps, spec, dt) if noisy else None
     mode_mat = mode_matrix(spec, grid) if (noisy or ctrl is not None) else None
-    ctrl_coeffs = ctrl.coefficients if ctrl is not None else None
-    sqrt_eps = math.sqrt(params.epsilon)
     digest = hashlib.sha256() if noisy else None
-
-    base_snaps = base.snapshots if kind is SystemKind.LINEARIZED_CLT else None
+    step = _stepper(
+        kind, params, dt, c, h, mode_mat,
+        ctrl.coefficients if ctrl is not None else None,
+        base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
+    )
+    sqrt_eps = math.sqrt(params.epsilon)
 
     stride = _default_stride(n_steps) if stride is None else int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
 
-    u = np.array(u0_field.values, dtype=float)
     reports = []
     snaps = []
     snap_steps = []
-    cfl = 0.0
-    cfl_scale = dt * abs(params.gamma) / (h * h)
 
-    for n in range(n_steps + 1):
-        lap_u = lap_values(u, h)
-        rep = report_values(u, lap_u, h, n * dt)
-        if not math.isfinite(rep.linf) or rep.linf > linf_ceiling:
-            raise BlowUpError(
-                f"|u|_inf = {rep.linf:.3g} exceeded ceiling {linf_ceiling:.3g} "
-                f"(explicit-term ratio {cfl:.3g})",
-                step=n,
-                time=n * dt,
-            )
-        reports.append(rep)
-        cfl = max(cfl, cfl_scale * rep.linf)
+    def observe(n, states, laps, linf, live):
+        u = states[0]
+        reports.append(report_values(u, laps[0], h, n * dt, linf=float(linf)))
         if n % stride == 0 or n == n_steps:
             snaps.append(u.copy())
             snap_steps.append(n)
-        if n == n_steps:
-            break
 
-        g = None
+    def advance(n, states, laps):
+        forcing = None
         if noisy:
             incr = path[n]
             digest.update(incr.tobytes())
-        if kind is SystemKind.LINEARIZED_CLT:
-            u0n = base_snaps[n]
-            lap_u0 = lap_values(u0n, h)
-            rhs = params.gamma * (cross_values(u, lap_u0) + cross_values(u0n, lap_u))
-            if params.nu2 != 0.0:
-                rhs -= params.nu2 * u
-                if params.mu != 0.0:
-                    dot = np.einsum("ij,ij->i", u0n, u)
-                    rhs -= (params.nu2 * params.mu) * (
-                        2.0 * dot[:, None] * u0n + sq_norm_values(u0n)[:, None] * u
-                    )
-            out = u + dt * rhs
             forcing = mode_mat @ incr
-            if forcing.any():
-                out = out + cross_values(u0n, forcing)
-            u = helm_values(out, h, c)
-        else:
-            if noisy and sqrt_eps != 0.0:
-                g = sqrt_eps * (mode_mat @ incr)
-            if ctrl_coeffs is not None:
-                cf = dt * (mode_mat @ ctrl_coeffs[n])
-                g = cf if g is None else g + cf
-            u = _step_values(u, lap_u, params, dt, c, g, h)
-        if not np.isfinite(u).all():
-            raise BlowUpError(
-                f"non-finite state (explicit-term ratio {cfl:.3g})",
-                step=n + 1,
-                time=(n + 1) * dt,
-            )
+        return (step(n, states[0], laps[0], forcing, sqrt_eps),)
+
+    u = np.array(u0_field.values, dtype=float)
+    failures, cfl = _march(
+        (u,), advance, observe, None, n_steps, dt, h, dt * abs(params.gamma) / (h * h),
+        linf_ceiling,
+    )
+    if failures:
+        _, at, message = failures[0]
+        raise BlowUpError(message, step=at, time=at * dt, key=seed_info)
 
     return TrajectoryRecord(
         kind=kind.value,
@@ -403,8 +524,102 @@ def integrate(
         snapshot_steps=np.array(snap_steps),
         seed_info=seed_info,
         noise_digest=digest.hexdigest() if digest is not None else None,
-        explicit_cfl=cfl,
+        explicit_cfl=float(cfl),
     )
+
+
+def integrate_batch(
+    kinds,
+    grid: Grid1D,
+    initial,
+    params: ModelParams,
+    tgrid: TimeGrid,
+    observe,
+    spec: CovarianceSpec | None = None,
+    ctrl: ControlPath | None = None,
+    base: TrajectoryRecord | None = None,
+    noise: IncrementStreams | None = None,
+    epsilons=None,
+    keys=None,
+) -> list[BlowUpError]:
+    """March M sample columns of one or more systems in lockstep, storing nothing.
+
+    ``kinds`` names the systems and ``initial`` gives each its (n, 3, M)
+    initial batch, in the same order; column j of every system is sample j.
+    The systems share ``params`` except the noise strength: column j of a
+    noisy nonlinear kind runs at ``epsilons[j]`` (``params.epsilon`` is not
+    used). Noisy kinds read step n's increments from ``noise``, one stream per
+    column, and every system of a step sees the same ones, so coupled systems
+    share their noise by construction. ``observe(n, states, live)`` sees every
+    step n = 0..steps: one (n, 3, M') array per kind, holding the columns
+    ``live`` (indices into the initial batch) that are still running. Memory
+    grows with the batch width, not with the number of steps.
+
+    Every column's states are bitwise those of its own ``integrate`` run. A
+    column that blows up in any system is retired at that step and the others
+    go on; the result lists one BlowUpError per retired column, with its
+    step and ``keys[j]``, in the order of retirement.
+    """
+    kinds = tuple(kinds)
+    states = tuple(np.asarray(u, dtype=float) for u in initial)
+    width = states[0].shape[2] if states[0].ndim == 3 else 0
+    shapes = [u.shape for u in states]
+    if width < 1 or len(states) != len(kinds) or any(
+        shape != (grid.n_interior, 3, width) for shape in shapes
+    ):
+        raise ValueError(
+            f"need one initial batch of shape (n_interior, 3, M), M >= 1, per kind, "
+            f"got {shapes} for {len(kinds)} kinds"
+        )
+    n_steps = tgrid.steps
+    dt = tgrid.dt
+    h = grid.spacing
+    c = dt * params.nu1
+    for kind, u in zip(kinds, states):
+        _check_inputs(kind, grid, tgrid, spec, ctrl, base)
+        if kind is SystemKind.LINEARIZED_CLT and np.any(u):
+            raise ValueError("linearized deviation system starts from zero initial data")
+    noisy = [kind in _NOISY_KINDS for kind in kinds]
+    if any(noisy) and (noise is None or noise.width != width):
+        raise ValueError(f"noisy kinds need increment streams for all {width} columns")
+    eps = np.zeros(width) if epsilons is None else np.asarray(epsilons, dtype=float)
+    if eps.shape != (width,) or not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
+    sqrt_eps = np.sqrt(eps)
+    keys = list(keys) if keys is not None else [None] * width
+    mode_mat = mode_matrix(spec, grid) if spec is not None else None
+    steps = [
+        _stepper(
+            kind, params, dt, c, h, mode_mat,
+            ctrl.coefficients if ctrl is not None else None,
+            base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
+        )
+        for kind in kinds
+    ]
+
+    def advance(n, states, laps):
+        forcing = None
+        if any(noisy):
+            forcing = np.matmul(mode_mat, noise.at(n)).transpose(1, 2, 0)
+        return tuple(
+            step(n, u, lap, forcing if is_noisy else None, sqrt_eps)
+            for step, u, lap, is_noisy in zip(steps, states, laps, noisy)
+        )
+
+    def retire(keep):
+        nonlocal sqrt_eps
+        sqrt_eps = sqrt_eps[keep]
+        if noise is not None:
+            noise.keep(keep)
+
+    failures, _ = _march(
+        states, advance, lambda n, states, laps, linf, live: observe(n, states, live), retire,
+        n_steps, dt, h, dt * abs(params.gamma) / (h * h), DEFAULT_LINF_CEILING,
+    )
+    return [
+        BlowUpError(message, step=at, time=at * dt, key=keys[column])
+        for column, at, message in failures
+    ]
 
 
 def skeleton_adjoint(

@@ -7,6 +7,13 @@ rounding rather than only asymptotically. The implicit Helmholtz step
 (I - c*Lap) is solved with a banded Cholesky factorization; the matrix is
 strictly diagonally dominant and positive definite for c >= 0, so no
 pivoting is needed.
+
+The array kernels take one (n, 3) field or a node-major batch (n, 3, M) of M
+fields, and treat every column of a batch exactly as they treat that column
+alone: pointwise kernels use the same floating-point operations in the same
+order whatever the layout, and the banded solve runs LAPACK on each
+right-hand side separately. A batch therefore reproduces its single-field
+runs bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 __all__ = [
     "Grid1D",
@@ -107,8 +114,12 @@ def _same_grid(f: VectorField, g: VectorField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shared with the time steppers; inputs are (n, 3) arrays, and
-# lap_values/grad_values also take node-major stacks (n, ...) of many fields)
+# array kernels (shared with the time steppers; inputs are (n, 3) fields or
+# node-major batches (n, 3, ...), and lap_values/grad_values/helm_values take
+# any node-major stack (n, ...))
+
+_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+
 
 def lap_values(v: np.ndarray, h: float) -> np.ndarray:
     """3-point Laplacian with zero ghost nodes at both boundaries."""
@@ -140,17 +151,33 @@ def grad_values(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def cross_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise cross product of two (n, 3) arrays."""
-    out = np.empty_like(a)
+    """Pointwise cross product over axis 1; (n, 3, ...) shapes broadcast, so an
+    (n, 3, 1) field crosses every column of an (n, 3, M) batch."""
+    if a.shape == b.shape:
+        out = np.empty_like(a)
+    else:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        # keep the memory layout of the full-shape operand
+        out = np.empty_like(a if a.shape == shape else b, shape=shape)
     out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
     out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
     out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
 
 
+def dot_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise dot product over axis 1: shape (n,) for (n, 3) inputs, (n, M) for batches.
+
+    The three products are summed in a fixed order; an einsum would pick its
+    order from the memory layout, which differs between a field and a batch.
+    """
+    p = a * b
+    return p[:, 0] + p[:, 1] + p[:, 2]
+
+
 def sq_norm_values(v: np.ndarray) -> np.ndarray:
-    """Pointwise squared Euclidean norm, shape (n,)."""
-    return np.einsum("ij,ij->i", v, v)
+    """Pointwise squared Euclidean norm, shape (n,) for a field, (n, M) for a batch."""
+    return dot_values(v, v)
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +191,19 @@ def _helmholtz_factor(n: int, h: float, c: float):
 
 
 def helm_values(v: np.ndarray, h: float, c: float) -> np.ndarray:
-    """Solve (I - c*Lap) w = v componentwise; exact identity for c = 0."""
+    """Solve (I - c*Lap) w = v for every column of a node-major stack (n, ...);
+    exact identity for c = 0.
+
+    One LAPACK pbtrs call takes all right-hand sides and solves each on its
+    own, so a batch gives each column the bits of solving it alone.
+    """
     if c == 0.0:
         return v.copy()
     factor = _helmholtz_factor(v.shape[0], h, c)
-    return cho_solve_banded((factor, False), v, check_finite=False)
+    x, info = _pbtrs(factor, v.reshape(v.shape[0], -1))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+    return x.reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +236,17 @@ def edge_inner(grid: Grid1D, ea: np.ndarray, eb: np.ndarray) -> float:
     return grid.spacing * float(np.vdot(ea, eb))
 
 
-def report_values(v: np.ndarray, lap_v: np.ndarray, h: float, time: float) -> EnergyReport:
-    """Norms of the (n, 3) array ``v`` whose Laplacian ``lap_v`` is already at hand."""
+def report_values(
+    v: np.ndarray, lap_v: np.ndarray, h: float, time: float, linf: float | None = None
+) -> EnergyReport:
+    """Norms of the (n, 3) array ``v`` whose Laplacian ``lap_v`` (and possibly
+    max node norm ``linf``) is already at hand."""
     l2 = math.sqrt(h * float(np.vdot(v, v)))
     grad = grad_values(v, h)
     h1_semi = math.sqrt(h * float(np.vdot(grad, grad)))
     h2_semi = math.sqrt(h * float(np.vdot(lap_v, lap_v)))
-    linf = math.sqrt(float(np.max(sq_norm_values(v))))
+    if linf is None:
+        linf = math.sqrt(float(np.max(sq_norm_values(v))))
     return EnergyReport(l2=l2, h1_semi=h1_semi, h2_semi=h2_semi, linf=linf, time=time)
 
 

@@ -15,6 +15,10 @@ across accepted iterations; the dense record of each accepted point is kept,
 so the next gradient costs only the backward sweep. Only the terminal state is
 matched (a quasipotential-style endpoint rate); matching a whole path is
 overdetermined at desk scale.
+
+The weak-convergence experiment marches its samples as batch columns against
+the dense skeleton (``dynamics.integrate_batch``) and accumulates the proof
+metric step by step, so it stores no sample trajectory.
 """
 
 from __future__ import annotations
@@ -25,18 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import path_gap, sample_stats
+# path_gap stays bound here, unused: perfbench/tracer.py patches ldp.path_gap by name
+from .analysis import StreamedPathGap, path_gap, sample_stats
 from .dynamics import (
+    BATCH_COLUMNS,
     BlowUpError,
     ModelParams,
     SystemKind,
     TimeGrid,
     TrajectoryRecord,
     integrate,
+    integrate_batch,
     skeleton_adjoint,
 )
 from .field import VectorField, grad_values, h1_norm, lap_values
-from .noise import ControlPath, CovarianceSpec, increment_path, stream_rng
+from .noise import ControlPath, CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
     "RateProblem",
@@ -296,39 +303,52 @@ def weak_convergence_experiment(
 
     For each epsilon, ``samples`` paths of the controlled system (same fixed
     deterministic control) are compared against the skeleton solution in the
-    proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Samples run in
-    (epsilon index, sample) order on their own counter-based streams; blown-up
-    samples are counted, never averaged.
+    proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
+    (epsilon index, sample) pair is one column of a batch marched against the
+    dense skeleton on its own counter-based stream, at most
+    ``BATCH_COLUMNS`` columns at a time, with the metric accumulated step by
+    step; blown-up samples are retired, counted and never averaged.
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
         spec=spec, ctrl=ctrl, stride=1,
     )
-    h = u0_field.grid.spacing
-    rows = []
-    for i, eps in enumerate(float(e) for e in epsilons):
-        metrics = []
-        for m in range(samples):
-            rng = stream_rng(base_seed, i, m)
-            path = increment_path(rng, tgrid.steps, spec.mode_count, tgrid.dt)
-            try:
-                rec = integrate(
-                    SystemKind.CONTROLLED_STOCHASTIC,
-                    u0_field,
-                    params.with_epsilon(eps),
-                    tgrid,
-                    spec=spec,
-                    ctrl=ctrl,
-                    shared_path=path,
-                    seed_info=(base_seed, i, m),
-                    stride=1,
-                )
-            except BlowUpError:
-                metrics.append(None)
-                continue
-            metrics.append(path_gap(rec.snapshots, skeleton.snapshots, h, tgrid.dt, params.nu1))
-        rows.append(WeakRow(eps, *sample_stats(metrics)))
-    return rows
+    eps_values = [float(e) for e in epsilons]
+    columns = [(i, m) for i in range(len(eps_values)) for m in range(samples)]
+    metrics = []
+    for first in range(0, len(columns), BATCH_COLUMNS):
+        batch = columns[first:first + BATCH_COLUMNS]
+        gap = StreamedPathGap(
+            len(batch), u0_field.grid.spacing, tgrid.dt, params.nu1, tgrid.steps
+        )
+
+        def observe(n, states, live):
+            gap.add(n, states[0] - skeleton.snapshots[n][..., None], live)
+
+        failed = integrate_batch(
+            (SystemKind.CONTROLLED_STOCHASTIC,),
+            u0_field.grid,
+            (np.repeat(u0_field.values[..., None], len(batch), axis=2),),
+            params,
+            tgrid,
+            observe,
+            spec=spec,
+            ctrl=ctrl,
+            noise=IncrementStreams(
+                [stream_rng(base_seed, i, m) for i, m in batch],
+                tgrid.steps, spec.mode_count, tgrid.dt,
+            ),
+            epsilons=[eps_values[i] for i, _ in batch],
+            keys=[(base_seed, i, m) for i, m in batch],
+        )
+        values = [float(v) for v in gap.values]
+        for exc in failed:
+            values[batch.index(exc.key[1:])] = None
+        metrics.extend(values)
+    return [
+        WeakRow(eps, *sample_stats(metrics[i * samples:(i + 1) * samples]))
+        for i, eps in enumerate(eps_values)
+    ]
 
 
 def compactness_probe(

@@ -19,12 +19,16 @@ import numpy as np
 
 from .field import Grid1D
 
+# Steps of increments drawn at a time per stream by IncrementStreams.
+INCREMENT_BLOCK = 256
+
 __all__ = [
     "CovarianceSpec",
     "ControlPath",
     "make_covariance",
     "mode_matrix",
     "increment_path",
+    "IncrementStreams",
     "zero_control",
     "single_mode_control",
     "write_control_csv",
@@ -145,6 +149,45 @@ def increment_path(rng: np.random.Generator, steps: int, mode_count: int, dt: fl
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     return rng.normal(0.0, math.sqrt(dt), size=(steps, mode_count, 3))
+
+
+class IncrementStreams:
+    """The increment paths of M streams, drawn in blocks of steps.
+
+    ``at(n)`` returns the (M, K, 3) raw increments of step n, one row per
+    stream, for n = 0, 1, ... in increasing order. Drawing a stream block by
+    block continues its generator, so it yields the values of one
+    ``increment_path`` draw of all steps, while memory grows with the number
+    of streams times the block length, never with the number of steps.
+    """
+
+    def __init__(self, rngs, steps: int, mode_count: int, dt: float):
+        self._rngs = list(rngs)
+        self._steps = steps
+        self._mode_count = mode_count
+        self._dt = dt
+        self._start = 0
+        self._block = np.empty((0, len(self._rngs), mode_count, 3))
+
+    @property
+    def width(self) -> int:
+        return len(self._rngs)
+
+    def at(self, n: int) -> np.ndarray:
+        offset = n - self._start
+        if offset >= len(self._block):
+            count = min(INCREMENT_BLOCK, self._steps - n)
+            self._block = np.stack(
+                [increment_path(rng, count, self._mode_count, self._dt) for rng in self._rngs],
+                axis=1,
+            )
+            self._start, offset = n, 0
+        return self._block[offset]
+
+    def keep(self, mask) -> None:
+        """Drop the streams whose entry in the boolean ``mask`` is False."""
+        self._rngs = [rng for rng, kept in zip(self._rngs, mask) if kept]
+        self._block = self._block[:, mask]
 
 
 def write_control_csv(ctrl: ControlPath, path) -> None:

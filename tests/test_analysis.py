@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from llblab.analysis import (
     SampleStats,
+    StreamedPathGap,
     check_cubic_identity,
     check_identities,
     cubic_identity_residuals,
@@ -250,6 +251,29 @@ def test_path_gap_equals_hand_written_stencils_at_acceptance_size(rng):
     a = rng.normal(size=(2501, 127, 3))
     b = rng.normal(size=(2501, 127, 3))
     assert path_gap(a, b, 1 / 128, 1e-4, 1.0) == hand_written_path_gap(a, b, 1 / 128, 1e-4, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.integers(1, 300),
+    nodes=st.sampled_from([3, 7, 31, 127]),
+    width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+)
+def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
+    # fed one step of an (n, 3, M) batch at a time, its columns in a shuffled order
+    gen = np.random.default_rng(seed)
+    a = scale * gen.normal(size=(width, steps + 1, nodes, 3))
+    b = scale * gen.normal(size=(width, steps + 1, nodes, 3))
+    spacing = 1.0 / (nodes + 1)
+    gap = StreamedPathGap(width, spacing, 1e-4, 0.7, steps)
+    live = gen.permutation(width)
+    for n in range(steps + 1):
+        gap.add(n, (a[live, n] - b[live, n]).transpose(1, 2, 0), live)
+    for j in range(width):
+        expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
+        assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # --- sample aggregation ------------------------------------------------------------------

@@ -409,3 +409,35 @@ def test_main_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [([], "--config"), (["--config", "exp.cfg", "--threads", "2"], "--threads")],
+    ids=["missing-config", "unknown-flag"],
+)
+def test_main_usage_error_prints_json_error(capsys, argv, needle):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip())
+    assert payload["error"]["code"] == EXIT_CONFIG
+    assert payload["error"]["kind"] == "usage"
+    assert needle in payload["error"]["message"]
+    assert "usage:" in captured.err
+
+
+def test_run_ensemble_zero_initial_state_has_no_ratio(tmp_path):
+    # the noise enters as u x dB, so every run stays at zero: nothing to divide by
+    cfg = parse_config(
+        "kind = stochastic-ensemble\ngrid.n = 15\ntime.horizon = 0.02\ntime.steps = 10\n"
+        "noise.modes = 2\nensemble.epsilons = 0.1\nensemble.samples = 2\n"
+        "init.a = 0\ninit.b = 0\n"
+    )
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["deterministic_sup_grad_sq"] == 0.0
+    row = summary["rows"][0]
+    assert row["ratio_vs_deterministic"] is None
+    assert row["n_ok"] == 2 and row["mean_sup_grad_sq"] == 0.0

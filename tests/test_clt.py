@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from llblab.clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
@@ -88,27 +89,100 @@ def test_run_clt_epsilon_scaling_of_deviation():
     assert report.rows[0].mean_error / report.rows[1].mean_error > 10.0
 
 
-def test_run_clt_excludes_and_counts_failed_samples(monkeypatch):
+def _path_gap_errors(config):
+    """Per-sample errors computed the long way: two stored runs per sample on the
+    same increment path, then path_gap; test oracle only."""
+    from llblab.analysis import path_gap
+    from llblab.dynamics import SystemKind, integrate
+    from llblab.field import zero_field
+    from llblab.noise import increment_path, stream_rng
+
+    tg = config.tgrid
+    u0 = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, tg, stride=1)
+    errors = []
+    for i, eps in enumerate(config.epsilons):
+        row = []
+        for m in range(config.samples):
+            path = increment_path(
+                stream_rng(config.base_seed, i, m), tg.steps, config.spec.mode_count, tg.dt
+            )
+            u_eps = integrate(
+                SystemKind.STOCHASTIC, config.initial, config.params.with_epsilon(eps), tg,
+                spec=config.spec, shared_path=path, stride=1,
+            )
+            v0 = integrate(
+                SystemKind.LINEARIZED_CLT, zero_field(config.initial.grid), config.params, tg,
+                spec=config.spec, shared_path=path, base=u0, stride=1,
+            )
+            v_eps = (u_eps.snapshots - u0.snapshots) / math.sqrt(eps)
+            row.append(
+                path_gap(v_eps, v0.snapshots, config.initial.grid.spacing, tg.dt,
+                         config.params.nu1)
+            )
+        errors.append(row)
+    return errors
+
+
+def test_run_clt_streamed_metric_equals_stored_path_gap(monkeypatch):
     import llblab.clt as clt_module
-    from llblab.dynamics import BlowUpError
 
-    real = clt_module._sample_error
+    config = small_config(samples=3, epsilons=(1e-1, 1e-2, 1e-3))
+    report = run_clt(config)
+    for row, errors in zip(report.rows, _path_gap_errors(config)):
+        assert row.mean_error == pytest.approx(float(np.mean(errors)), rel=1e-12, abs=0.0)
+        assert row.n_ok == 3
+    # batches of any width give the same bits
+    monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 4)
+    narrow = run_clt(config)
+    assert [(r.mean_error, r.std_error) for r in narrow.rows] == [
+        (r.mean_error, r.std_error) for r in report.rows
+    ]
 
-    def flaky(config, u0_rec, eps_index, sample):
-        if eps_index == 0 and sample == 1:
-            raise BlowUpError("forced failure", step=5, time=0.0)
-        return real(config, u0_rec, eps_index, sample)
 
-    monkeypatch.setattr(clt_module, "_sample_error", flaky)
-    report = run_clt(small_config(samples=3, epsilons=(1e-1, 1e-2)))
+class _LoudRng:
+    """Generator whose normal draws are scaled up, to make one stream blow up."""
+
+    def __init__(self, rng, gain):
+        self._rng = rng
+        self._gain = gain
+
+    def normal(self, *args, **kwargs):
+        return self._gain * self._rng.normal(*args, **kwargs)
+
+
+def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
+    import llblab.clt as clt_module
+    from llblab.dynamics import BlowUpError, SystemKind, integrate
+    from llblab.noise import stream_rng
+
+    def loud_stream(base_seed, *key):
+        rng = stream_rng(base_seed, *key)
+        return _LoudRng(rng, 1.0e4) if key == (0, 1) else rng
+
+    monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
+    config = small_config(samples=3, epsilons=(1e-1, 1e-2))
+    report = run_clt(config)
     assert report.rows[0].n_failed == 1
     assert report.rows[0].n_ok == 2
     assert report.rows[1].n_failed == 0
     assert len(report.failures) == 1
-    eps, sample, message = report.failures[0]
-    assert (eps, sample) == (1e-1, 1) and "forced failure" in message
+    eps_index, sample, step = report.failures[0]
+    assert (eps_index, sample) == (0, 1) and step > 0
     # the failed sample is excluded from the mean, not averaged as NaN
     assert math.isfinite(report.rows[0].mean_error)
+    # the stream key and step replay the failure on its own
+    with pytest.raises(BlowUpError) as info:
+        integrate(
+            SystemKind.STOCHASTIC, config.initial, config.params.with_epsilon(1e-1),
+            config.tgrid, spec=config.spec, rng=loud_stream(config.base_seed, 0, 1),
+            seed_info=(config.base_seed, 0, 1),
+        )
+    assert info.value.step == step
+    assert info.value.key == (config.base_seed, 0, 1)
+    write_clt_summary(report, tmp_path / "summary.json")
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["n_failures"] == 1
+    assert payload["failures"] == [{"eps_index": 0, "sample": 1, "step": step}]
 
 
 # --- persistence -------------------------------------------------------------------
@@ -126,3 +200,4 @@ def test_clt_csv_and_summary(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["slope"] == pytest.approx(report.fit.slope)
     assert len(payload["rows"]) == len(report.rows)
+    assert payload["failures"] == [] and payload["n_failures"] == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from llblab.dynamics import (
@@ -13,9 +15,16 @@ from llblab.dynamics import (
     _step_values,
     initial_profile,
     integrate,
+    integrate_batch,
 )
 from llblab.field import VectorField, inner_l2, lap_values, make_grid, norms, zero_field
-from llblab.noise import make_covariance, stream_rng, zero_control
+from llblab.noise import (
+    ControlPath,
+    IncrementStreams,
+    make_covariance,
+    stream_rng,
+    zero_control,
+)
 from conftest import random_field
 
 HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0, epsilon=0.0)
@@ -351,3 +360,126 @@ def test_stochastic_energy_stays_bounded_smoke():
         )
         sups.append(max(r.h1_semi for r in rec.reports) ** 2)
     assert det_sup / 3.0 <= float(np.mean(sups)) <= 3.0 * det_sup
+
+
+# --- batches of sample columns ----------------------------------------------------
+
+BATCH_GRID = make_grid(9)
+BATCH_TIME = TimeGrid(0.02, 24)
+BATCH_SPEC = make_covariance(16, 4.0)
+
+
+def _batch_setup(kind, seed, width):
+    """Initial states, epsilons, control and base of a ``width``-column run of ``kind``."""
+    rng = np.random.default_rng(seed)
+    if kind is SystemKind.LINEARIZED_CLT:
+        initial = np.zeros((BATCH_GRID.n_interior, 3, width))
+    else:
+        initial = rng.normal(size=(BATCH_GRID.n_interior, 3, width))
+    epsilons = rng.choice([0.0, 1e-3, 0.1, 1.0], size=width)
+    ctrl = ControlPath(rng.normal(size=(BATCH_TIME.steps, BATCH_SPEC.mode_count, 3)), BATCH_TIME.dt)
+    base = integrate(SystemKind.DETERMINISTIC, initial_profile(BATCH_GRID), ModelParams(), BATCH_TIME)
+    return initial, epsilons, ctrl, base
+
+
+def _control_for(kinds, ctrl):
+    controlled = (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
+    return ctrl if any(k in controlled for k in kinds) else None
+
+
+def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
+    """March ``columns`` of the setup as one batch; returns each column's (steps+1, n, 3)
+    states per kind (or the states it reached) and the failures."""
+    seen = {j: [[] for _ in kinds] for j in columns}
+
+    def observe(n, states, live):
+        for k, u in enumerate(states):
+            for pos, j in enumerate(live):
+                seen[columns[j]][k].append(u[..., pos].copy())
+
+    failed = integrate_batch(
+        kinds, BATCH_GRID, [u[..., columns] for u in initial], ModelParams(), BATCH_TIME, observe,
+        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl), base=base,
+        noise=IncrementStreams(
+            [stream_rng(seed, j) for j in columns],
+            BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
+        ),
+        epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
+    )
+    return {j: [np.array(s) for s in per_kind] for j, per_kind in seen.items()}, failed
+
+
+def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
+    return integrate(
+        kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(epsilon=epsilons[j]),
+        BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl), base=base,
+        rng=stream_rng(seed, j), seed_info=(seed, j),
+    )
+
+
+BATCH_CASES = [(kind,) for kind in SystemKind] + [
+    (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT)
+]
+
+
+@pytest.mark.parametrize("kinds", BATCH_CASES, ids=lambda ks: "+".join(k.value for k in ks))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batch_columns_equal_their_single_runs_bitwise(kinds, data):
+    width = data.draw(st.integers(1, 8), label="width")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    cuts = []
+    if width > 1:
+        cuts = sorted(data.draw(st.sets(st.integers(1, width - 1), max_size=3), label="cuts"))
+    setups = [_batch_setup(kind, seed, width) for kind in kinds]
+    initial = [s[0] for s in setups]
+    _, epsilons, ctrl, base = setups[0]
+    bounds = [0, *cuts, width]
+    for lo, hi in zip(bounds, bounds[1:]):
+        columns = list(range(lo, hi))
+        seen, failed = _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns)
+        assert failed == []
+        for j in columns:
+            for k, kind in enumerate(kinds):
+                rec = _single_run(kind, initial[k], epsilons, ctrl, base, seed, j)
+                assert seen[j][k].tobytes() == rec.snapshots.tobytes(), (kind, j)
+
+
+def test_batch_retires_a_blown_up_column_at_its_single_run_step():
+    # explicit cubic damping at |u| = 30 overshoots: u -> (1 - dt (1 + |u|^2)) u grows
+    kind = SystemKind.STOCHASTIC
+    initial, epsilons, ctrl, base = _batch_setup(kind, 5, 4)
+    initial = 0.3 * initial
+    initial[..., 2] *= 100.0
+    seen, failed = _run_batch((kind,), [initial], epsilons, ctrl, base, 5, [0, 1, 2, 3])
+    with pytest.raises(BlowUpError) as info:
+        _single_run(kind, initial, epsilons, ctrl, base, 5, 2)
+    assert len(failed) == 1
+    assert failed[0].key == (5, 2)
+    assert failed[0].step == info.value.step > 0
+    assert str(failed[0]) == str(info.value)
+    assert len(seen[2][0]) == info.value.step
+    for j in (0, 1, 3):
+        rec = _single_run(kind, initial, epsilons, ctrl, base, 5, j)
+        assert seen[j][0].tobytes() == rec.snapshots.tobytes()
+
+
+def test_integrate_batch_checks_its_inputs():
+    initial, epsilons, ctrl, base = _batch_setup(SystemKind.STOCHASTIC, 1, 2)
+    kw = dict(spec=BATCH_SPEC)
+    with pytest.raises(ValueError, match="initial batch"):
+        integrate_batch(
+            (SystemKind.STOCHASTIC,), BATCH_GRID, (initial[..., 0],), ModelParams(),
+            BATCH_TIME, lambda *a: None, **kw,
+        )
+    with pytest.raises(ValueError, match="increment streams"):
+        integrate_batch(
+            (SystemKind.STOCHASTIC,), BATCH_GRID, (initial,), ModelParams(),
+            BATCH_TIME, lambda *a: None, epsilons=epsilons, **kw,
+        )
+    with pytest.raises(ValueError, match="zero initial"):
+        integrate_batch(
+            (SystemKind.LINEARIZED_CLT,), BATCH_GRID, (initial,), ModelParams(),
+            BATCH_TIME, lambda *a: None, base=base,
+            noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt), **kw,
+        )

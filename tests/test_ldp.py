@@ -234,6 +234,37 @@ def test_weak_convergence_zero_control_reduces_to_small_noise():
     assert rows[0].mean_metric > rows[1].mean_metric > 0.0
 
 
+def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
+    import llblab.ldp as ldp_module
+    from llblab.analysis import path_gap
+    from llblab.noise import stream_rng
+
+    tg = tgrid(100)
+    ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    args = (ctrl, [1e-1, 0.0, 1e-3], 3, PARAMS, tg, SPEC, initial_profile(GRID), 9)
+    rows = weak_convergence_experiment(*args)
+    skeleton = integrate(
+        SystemKind.SKELETON, initial_profile(GRID), PARAMS, tg, spec=SPEC, ctrl=ctrl, stride=1
+    )
+    for i, row in enumerate(rows):
+        metrics = [
+            path_gap(
+                integrate(
+                    SystemKind.CONTROLLED_STOCHASTIC, initial_profile(GRID),
+                    PARAMS.with_epsilon(row.epsilon), tg, spec=SPEC, ctrl=ctrl,
+                    rng=stream_rng(9, i, m), stride=1,
+                ).snapshots,
+                skeleton.snapshots, GRID.spacing, tg.dt, PARAMS.nu1,
+            )
+            for m in range(3)
+        ]
+        assert row.mean_metric == pytest.approx(float(np.mean(metrics)), rel=1e-12, abs=0.0)
+    assert rows[1].mean_metric == 0.0
+    # batches of any width give the same bits
+    monkeypatch.setattr(ldp_module, "BATCH_COLUMNS", 2)
+    assert weak_convergence_experiment(*args) == rows
+
+
 # --- compactness probe --------------------------------------------------------------------
 
 def test_compactness_zero_perturbation():

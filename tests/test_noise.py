@@ -8,6 +8,7 @@ from llblab.field import make_grid
 from llblab.noise import (
     ControlPath,
     CovarianceSpec,
+    IncrementStreams,
     increment_path,
     make_covariance,
     mode_matrix,
@@ -226,3 +227,25 @@ def test_amplitude_scale_zero_silences_noise():
     spec = CovarianceSpec(4, 4.0, amplitude_scale=0.0)
     assert np.all(mode_matrix(spec, make_grid(31)) @ np.ones((4, 3)) == 0.0)
     assert spec.h1_trace == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 500])
+def test_increment_streams_replay_whole_paths(monkeypatch, block):
+    # block by block, each stream yields the bits of its one-draw path, also
+    # after another stream is dropped part way
+    import llblab.noise as noise_module
+
+    monkeypatch.setattr(noise_module, "INCREMENT_BLOCK", block)
+    steps, dt = 100, 1e-3
+    whole = [increment_path(stream_rng(4, j), steps, 3, dt) for j in range(3)]
+    streams = IncrementStreams([stream_rng(4, j) for j in range(3)], steps, 3, dt)
+    rows = [0, 1, 2]
+    for n in range(steps):
+        if n == 40:
+            streams.keep([True, False, True])
+            rows = [0, 2]
+        step = streams.at(n)
+        assert step.shape == (len(rows), 3, 3)
+        for pos, j in enumerate(rows):
+            assert step[pos].tobytes() == whole[j][n].tobytes()
+    assert streams.width == 2
