@@ -19,6 +19,7 @@ import numpy as np
 from .field import (
     Grid1D,
     VectorField,
+    column_sq_sums,
     cross,
     cross_values,
     dot_values,
@@ -26,8 +27,10 @@ from .field import (
     inner_l2,
     lap_values,
     laplacian,
+    map_stack,
     norms,
     sq_norm_values,
+    stack_norms,
 )
 from .dynamics import ModelParams, TrajectoryRecord
 
@@ -139,12 +142,13 @@ def _edge_average(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cubic_term(v: np.ndarray, h: float) -> float:
-    """Edge quadrature of |u|^2 |du|^2 + 2 (u.du)^2 with edge-averaged |u|^2 and u."""
+def _cubic_term(v: np.ndarray, h: float) -> np.ndarray:
+    """Edge quadrature of |u|^2 |du|^2 + 2 (u.du)^2 with edge-averaged |u|^2 and u,
+    for one (n, 3) field or each column of a node-major batch (n, 3, M)."""
     grad = grad_values(v, h)
-    grad_sq = np.einsum("ij,ij->i", grad, grad)
-    dot = np.einsum("ij,ij->i", _edge_average(v), grad)
-    return h * float(np.sum(_edge_average(sq_norm_values(v)) * grad_sq + 2.0 * dot**2))
+    dot = dot_values(_edge_average(v), grad)
+    density = _edge_average(sq_norm_values(v)) * sq_norm_values(grad) + 2.0 * dot**2
+    return h * np.sum(density, axis=0)
 
 
 def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, float]:
@@ -171,7 +175,7 @@ def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, fl
     grad_sq = np.einsum("ij,ij->i", grad, grad)
     h1_sq = h * float(np.sum(grad_sq))
 
-    cubic_vec = _cubic_term(v, h)
+    cubic_vec = float(_cubic_term(v, h))
     cubic_colinear = 3.0 * h * float(np.sum(_edge_average(r) * grad_sq))
 
     vector_residual = lhs + h1_sq + mu * cubic_vec
@@ -232,21 +236,13 @@ def energy_drift(traj: TrajectoryRecord, params: ModelParams) -> float:
         raise ValueError("energy drift needs snapshots at every step")
     h = traj.grid.spacing
     dt = float(traj.times[1] - traj.times[0])
-    reports = traj.reports
-    h1_sq0 = reports[0].h1_semi ** 2
-    acc = 0.0
-    worst = 0.0
-    for n in range(len(reports)):
-        drift = reports[n].h1_semi ** 2 + acc - h1_sq0
-        worst = max(worst, abs(drift))
-        if n == len(reports) - 1:
-            break
-        diss = 2.0 * params.nu1 * reports[n].h2_semi ** 2
-        diss += 2.0 * params.nu2 * (
-            reports[n].h1_semi ** 2 + params.mu * _cubic_term(traj.snapshots[n], h)
-        )
-        acc += dt * diss
-    return worst
+    rows = stack_norms(traj.snapshots, h)
+    h1_sq = rows[:, 1] ** 2
+    cubic = map_stack(lambda v: _cubic_term(v, h), traj.snapshots[:-1])
+    diss = 2.0 * params.nu1 * rows[:-1, 2] ** 2
+    diss += 2.0 * params.nu2 * (h1_sq[:-1] + params.mu * cubic)
+    acc = np.concatenate([[0.0], np.cumsum(dt * diss)])
+    return float(np.max(np.abs(h1_sq + acc - h1_sq[0])))
 
 
 def path_gap(
@@ -272,15 +268,6 @@ def path_gap(
     return float(np.max(grad_sq)) + nu1 * dt * float(np.sum(lap_sq[:-1]))
 
 
-def _column_sq_sums(v: np.ndarray) -> np.ndarray:
-    """Sum of squares of each column of an (m, 3, M) batch, shape (M,).
-
-    Each column is summed from its own contiguous row, so the bits do not
-    depend on the batch width or layout (an einsum picks its order from both).
-    """
-    return np.ascontiguousarray(dot_values(v, v).T).sum(axis=1)
-
-
 class StreamedPathGap:
     """The proof metric of ``path_gap`` for a batch of M columns, fed one step at a time.
 
@@ -289,7 +276,8 @@ class StreamedPathGap:
     every column over the steps it was given. Only two numbers per column are
     kept, never the trajectories. A column's value does not depend on the
     batch it runs in; its sums run in step order, so it equals ``path_gap`` of
-    the stored differences to rounding, not bitwise.
+    the stored differences to rounding, not bitwise. With ``nu1 = 0`` it is
+    sup_n ||grad d_n||^2 alone, and no Laplacian is taken.
     """
 
     def __init__(self, width: int, spacing: float, dt: float, nu1: float, steps: int):
@@ -302,10 +290,10 @@ class StreamedPathGap:
 
     def add(self, n: int, d: np.ndarray, live: np.ndarray) -> None:
         h = self.spacing
-        grad_sq = h * _column_sq_sums(grad_values(d, h))
+        grad_sq = h * column_sq_sums(grad_values(d, h))
         self._sup_grad_sq[live] = np.maximum(self._sup_grad_sq[live], grad_sq)
-        if n < self.steps:
-            self._lap_sq_sum[live] += h * _column_sq_sums(lap_values(d, h))
+        if n < self.steps and self.nu1 != 0.0:
+            self._lap_sq_sum[live] += h * column_sq_sums(lap_values(d, h))
 
     @property
     def values(self) -> np.ndarray:

@@ -1,19 +1,23 @@
-"""Central limit experiment: couple the noisy flow, its deterministic limit,
-and the linear deviation system on shared noise paths, then measure how the
-rescaled deviation error decays in the noise strength.
+"""Stochastic ensembles on counter-based streams, and the central limit
+experiment built on them.
 
-Every (epsilon index, sample) pair is one column of a batch. The stochastic
-runs u_eps and the linear deviation runs V0 of all columns march together in
-lockstep over the dense deterministic base u0, each column driven by its own
-counter-based stream ``stream_rng(seed, epsilon index, sample)``, and both
-systems of a step read the same increments. The per-sample error is the proof
-metric sup_t ||grad(V_eps - V0)||^2 + nu1 * int ||Lap(V_eps - V0)||^2 with
-V_eps = (u_eps - u0)/sqrt(eps), accumulated step by step instead of from
-stored trajectories, so memory grows with the batch width (at most
-``BATCH_COLUMNS`` columns at a time), never with the number of samples. A
+An ensemble runs ``samples`` paths at each noise strength epsilon. Every
+(epsilon index, sample) pair is one column of a batch, driven by its own
+counter-based stream ``stream_rng(seed, epsilon index, sample)``; at most
+``BATCH_COLUMNS`` columns march together, so memory grows with the batch
+width, never with the number of samples. Each column's proof metric
+sup_t ||grad d||^2 + nu1 * int ||Lap d||^2 of a field d derived from its
+states is accumulated step by step instead of from stored trajectories. A
 sample whose run blows up is retired at that step, counted and listed with
 its stream key and step, never averaged; the other columns go on. The
 results depend on nothing but the config.
+
+The central limit experiment couples the noisy flow u_eps, its deterministic
+limit u0 and the linear deviation system V0: the runs u_eps and V0 of a
+column march in lockstep over the dense base u0 and read the same
+increments, and the per-sample error is the proof metric of
+V_eps - V0 with V_eps = (u_eps - u0)/sqrt(eps). ``sup_grad_ensemble`` gives
+sup_t ||grad u_eps||^2 of the noisy flow alone, the a priori bound.
 """
 
 from __future__ import annotations
@@ -35,15 +39,18 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import VectorField
+from .field import VectorField, column_sq_sums, grad_values, map_stack, zero_field
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
     "CltConfig",
     "CltRow",
-    "CltFailure",
+    "SampleFailure",
     "CltReport",
+    "SupGradEnsemble",
+    "run_columns",
     "run_clt",
+    "sup_grad_ensemble",
     "write_clt_csv",
     "write_clt_summary",
 ]
@@ -81,7 +88,7 @@ class CltRow:
     n_failed: int
 
 
-class CltFailure(NamedTuple):
+class SampleFailure(NamedTuple):
     """A retired sample: replay it with ``stream_rng(base_seed, eps_index, sample)``."""
 
     eps_index: int
@@ -96,46 +103,69 @@ class CltReport:
     failures: tuple
 
 
-def _batch_errors(config: CltConfig, u0_rec, columns) -> tuple[list, list]:
-    """March the (epsilon index, sample) ``columns`` as one batch; returns each
-    column's error (None when it blew up) and its CltFailures."""
-    grid = config.initial.grid
-    tgrid = config.tgrid
-    width = len(columns)
-    epsilons = np.array([config.epsilons[i] for i, _ in columns])
-    sqrt_eps = np.sqrt(epsilons)
-    base = u0_rec.snapshots
-    gap = StreamedPathGap(width, grid.spacing, tgrid.dt, config.params.nu1, tgrid.steps)
+class SupGradEnsemble(NamedTuple):
+    """sup_n ||grad u_n||^2 of the noiseless run and of every sample.
 
-    def observe(n, states, live):
-        u_eps, v0 = states
-        gap.add(n, (u_eps - base[n][..., None]) / sqrt_eps[live] - v0, live)
+    ``sups[i][m]`` belongs to epsilon index i and sample m, None where the
+    sample blew up; ``failures`` lists those samples.
+    """
 
-    noise = IncrementStreams(
-        [stream_rng(config.base_seed, i, m) for i, m in columns],
-        tgrid.steps, config.spec.mode_count, tgrid.dt,
-    )
-    start = np.repeat(config.initial.values[..., None], width, axis=2)
-    failed = integrate_batch(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
-        grid,
-        (start, np.zeros_like(start)),
-        config.params,
-        tgrid,
-        observe,
-        spec=config.spec,
-        base=u0_rec,
-        noise=noise,
-        epsilons=epsilons,
-        keys=[(config.base_seed, i, m) for i, m in columns],
-    )
-    errors = [float(e) for e in gap.values]
+    deterministic: float
+    sups: list
+    failures: tuple
+
+
+def run_columns(
+    kinds,
+    initial,
+    epsilons,
+    samples: int,
+    base_seed: int,
+    difference,
+    nu1: float,
+    params: ModelParams,
+    tgrid: TimeGrid,
+    spec: CovarianceSpec,
+    ctrl=None,
+    base=None,
+) -> tuple[list, tuple]:
+    """The proof metric of every (epsilon index, sample) column of an ensemble.
+
+    Column (i, m) starts every system of ``kinds`` from its field in
+    ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
+    (``dynamics.integrate_batch`` with ``ctrl`` and ``base``).
+    ``difference(n, states, eps)`` maps step n's states of the live columns
+    (one (n, 3, M') array per kind) and their (M',) epsilons to the field d
+    whose metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated.
+    Returns ``(values, failures)``: ``values[i][m]`` is the metric of column
+    (i, m), None where it blew up, and ``failures`` its SampleFailures, sorted.
+    """
+    grid = initial[0].grid
+    columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
+    values = []
     failures = []
-    for exc in failed:
-        _, i, m = exc.key
-        errors[columns.index((i, m))] = None
-        failures.append(CltFailure(i, m, exc.step))
-    return errors, failures
+    for first in range(0, len(columns), BATCH_COLUMNS):
+        batch = columns[first:first + BATCH_COLUMNS]
+        eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
+        gap = StreamedPathGap(len(batch), grid.spacing, tgrid.dt, nu1, tgrid.steps)
+        noise = IncrementStreams(
+            [stream_rng(base_seed, i, m) for i, m in batch], tgrid.steps, spec.mode_count, tgrid.dt
+        )
+        failed, _ = integrate_batch(
+            kinds, grid, [np.repeat(f.values[..., None], len(batch), axis=2) for f in initial],
+            params, tgrid,
+            lambda n, states, live: gap.add(n, difference(n, states, eps[live]), live),
+            spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=eps,
+            keys=[(base_seed, i, m) for i, m in batch],
+        )
+        batch_values = [float(v) for v in gap.values]
+        for exc in failed:
+            _, i, m = exc.key
+            batch_values[batch.index((i, m))] = None
+            failures.append(SampleFailure(i, m, exc.step))
+        values.extend(batch_values)
+    per_epsilon = [values[i * samples:(i + 1) * samples] for i in range(len(epsilons))]
+    return per_epsilon, tuple(sorted(failures))
 
 
 def run_clt(config: CltConfig) -> CltReport:
@@ -147,25 +177,48 @@ def run_clt(config: CltConfig) -> CltReport:
         config.tgrid,
         stride=1,
     )
-    columns = [(i, m) for i in range(len(config.epsilons)) for m in range(config.samples)]
-    errors = []
-    failures = []
-    for first in range(0, len(columns), BATCH_COLUMNS):
-        batch_errors, batch_failures = _batch_errors(
-            config, u0_rec, columns[first:first + BATCH_COLUMNS]
-        )
-        errors.extend(batch_errors)
-        failures.extend(batch_failures)
+    base = u0_rec.snapshots
 
-    rows = [
-        CltRow(eps, *sample_stats(errors[i * config.samples:(i + 1) * config.samples]))
-        for i, eps in enumerate(config.epsilons)
-    ]
+    def deviation_gap(n, states, eps):
+        u_eps, v0 = states
+        return (u_eps - base[n][..., None]) / np.sqrt(eps) - v0
+
+    errors, failures = run_columns(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
+        (config.initial, zero_field(config.initial.grid)),
+        config.epsilons, config.samples, config.base_seed, deviation_gap, config.params.nu1,
+        config.params, config.tgrid, config.spec, base=u0_rec,
+    )
+    rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(config.epsilons, errors)]
     fit = None
     pts = [(r.epsilon, r.mean_error) for r in rows if r.n_ok > 0 and r.mean_error > 0.0]
     if len(pts) >= 3:
         fit = fit_slope(pts)
-    return CltReport(rows=tuple(rows), fit=fit, failures=tuple(sorted(failures)))
+    return CltReport(rows=tuple(rows), fit=fit, failures=failures)
+
+
+def sup_grad_ensemble(
+    epsilons,
+    samples: int,
+    params: ModelParams,
+    tgrid: TimeGrid,
+    spec: CovarianceSpec,
+    initial: VectorField,
+    base_seed: int,
+) -> SupGradEnsemble:
+    """sup_n ||grad u_n||^2 of the deterministic run from ``initial`` and of
+    ``samples`` stochastic runs per epsilon, sample m of epsilon index i on
+    ``stream_rng(base_seed, i, m)``. Both use the same sums, so a sample at
+    epsilon 0 gives the deterministic value bitwise. Raises BlowUpError when
+    the deterministic run blows up."""
+    det = integrate(SystemKind.DETERMINISTIC, initial, params.with_epsilon(0.0), tgrid, stride=1)
+    h = initial.grid.spacing
+    det_grad_sq = map_stack(lambda v: h * column_sq_sums(grad_values(v, h)), det.snapshots)
+    sups, failures = run_columns(
+        (SystemKind.STOCHASTIC,), (initial,), epsilons, samples, base_seed,
+        lambda n, states, eps: states[0], 0.0, params, tgrid, spec,
+    )
+    return SupGradEnsemble(float(np.max(det_grad_sq)), sups, failures)
 
 
 def write_clt_csv(report: CltReport, path) -> None:

@@ -19,20 +19,19 @@ in the worst case; the integrator tracks the observed ratio and reports it on
 the trajectory record rather than failing eagerly (diffusion stabilizes the
 default parameter regime well past the naive bound).
 
-Every run goes through one step loop (``_march``). ``integrate`` marches one
-(n, 3) trajectory and records it; ``integrate_batch`` marches a node-major
-batch (n, 3, M) of M sample columns, of one system or of several systems in
-lockstep, and hands each step to an observer instead of storing it. The step
-kernels treat every column of a batch as they treat that column alone, so a
-column's states are bitwise those of its own ``integrate`` run, and a column
-that blows up is retired at the step where that run would raise while the
-others go on.
+Every run goes through one step loop (``_march``), and every run is a batch:
+``integrate_batch`` marches a node-major batch (n, 3, M) of M sample columns,
+of one system or of several systems in lockstep, and hands each step to an
+observer instead of storing it; ``integrate`` is its width-1 case and stores
+the snapshots it is asked for. The step kernels treat every column of a batch
+as they treat that column alone, so a column's states have the same bits at
+any batch width, and a column that blows up is retired at the step where it
+would blow up alone while the others go on.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,10 +45,10 @@ from .field import (
     dot_values,
     helm_values,
     lap_values,
-    report_values,
     sq_norm_values,
+    stack_norms,
 )
-from .noise import ControlPath, CovarianceSpec, IncrementStreams, increment_path, mode_matrix
+from .noise import ControlPath, CovarianceSpec, IncrementStreams, mode_matrix
 
 __all__ = [
     "ModelParams",
@@ -160,20 +159,18 @@ class BlowUpError(RuntimeError):
 class TrajectoryRecord:
     """Immutable result of one integration.
 
-    ``reports`` holds an EnergyReport for every step (length steps + 1);
     ``snapshots`` holds the state at the steps listed in ``snapshot_steps``
-    (every step by default at desk scale, strided for very long runs).
+    (every step by default at desk scale, strided for very long runs);
+    ``field.stack_norms`` gives their norms.
     """
 
     kind: str
     params: ModelParams
     grid: Grid1D
     times: np.ndarray
-    reports: tuple
     snapshots: np.ndarray
     snapshot_steps: np.ndarray
     seed_info: tuple | None = None
-    noise_digest: str | None = None
     explicit_cfl: float = 0.0
 
     @property
@@ -206,13 +203,16 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> VectorField
     return VectorField(grid, vals)
 
 
-def _drift_values(v: np.ndarray, lap_v: np.ndarray, params: ModelParams) -> np.ndarray | None:
-    """Explicit drift gamma u x Lap u - nu2 (1+mu|u|^2) u; None when identically zero."""
+def _drift_values(
+    v: np.ndarray, lap_v: np.ndarray, sq_v: np.ndarray, params: ModelParams
+) -> np.ndarray | None:
+    """Explicit drift gamma u x Lap u - nu2 (1+mu|u|^2) u, given the pointwise
+    squared norms ``sq_v`` of ``v``; None when identically zero."""
     rhs = None
     if params.gamma != 0.0:
         rhs = params.gamma * cross_values(v, lap_v)
     if params.nu2 != 0.0:
-        damp = (params.nu2 * (1.0 + params.mu * sq_norm_values(v)))[:, None] * v
+        damp = (params.nu2 * (1.0 + params.mu * sq_v))[:, None] * v
         rhs = -damp if rhs is None else rhs - damp
     return rhs
 
@@ -220,6 +220,7 @@ def _drift_values(v: np.ndarray, lap_v: np.ndarray, params: ModelParams) -> np.n
 def _step_values(
     v: np.ndarray,
     lap_v: np.ndarray,
+    sq_v: np.ndarray,
     params: ModelParams,
     dt: float,
     c: float,
@@ -228,7 +229,7 @@ def _step_values(
 ) -> np.ndarray:
     """One semi-implicit step of the nonlinear systems (module docstring), with the
     forcing field ``g`` = sqrt(eps) dB + dt h and ``c`` = dt * nu1 (0 skips the solve)."""
-    rhs = _drift_values(v, lap_v, params)
+    rhs = _drift_values(v, lap_v, sq_v, params)
     out = v + dt * rhs if rhs is not None else v
     if g is not None and g.any():
         out = out + cross_values(v, g)
@@ -247,10 +248,8 @@ def _linear_step_values(
     h: float,
 ) -> np.ndarray:
     """One step of the linear deviation system: the derivative of ``_step_values``
-    at eps = 0 along the base state ``base``, driven by the noise field ``forcing``.
-
-    ``base`` has the dimensions of ``v``: (n, 3) for one run, (n, 3, 1) for a batch.
-    """
+    at eps = 0 along the base state ``base`` (n, 3, 1), driven by the noise field
+    ``forcing``."""
     rhs = params.gamma * (cross_values(v, lap_base) + cross_values(base, lap_v))
     if params.nu2 != 0.0:
         rhs -= params.nu2 * v
@@ -266,29 +265,27 @@ def _linear_step_values(
 
 
 def _stepper(kind, params, dt, c, h, mode_mat, ctrl_coeffs, base_snaps):
-    """The step map of ``kind`` as ``step(n, u, lap_u, forcing, sqrt_eps)``.
+    """The step map of ``kind`` as ``step(n, u, lap_u, sq_u, forcing, sqrt_eps)``.
 
-    ``u`` is one (n, 3) state or an (n, 3, M) batch; ``forcing`` is the noise
-    field of step n in the same layout (None for the noiseless kinds) and
-    ``sqrt_eps`` a scalar or the (M,) noise strengths of the columns.
+    ``u`` is an (n, 3, M) batch, ``lap_u`` its Laplacian and ``sq_u`` its
+    pointwise squared norms, ``forcing`` the noise field of step n in the
+    same layout (None for the noiseless kinds) and ``sqrt_eps`` the (M,)
+    noise strengths of the columns, or None when they are all zero.
     """
 
-    def step(n, u, lap_u, forcing, sqrt_eps):
-        batch = u.ndim == 3
+    def step(n, u, lap_u, sq_u, forcing, sqrt_eps):
         if kind is SystemKind.LINEARIZED_CLT:
-            base = base_snaps[n][..., None] if batch else base_snaps[n]
+            base = base_snaps[n][..., None]
             return _linear_step_values(
                 u, lap_u, base, lap_values(base, h), params, dt, c, forcing, h
             )
         g = None
-        if forcing is not None and np.any(sqrt_eps):
+        if forcing is not None and sqrt_eps is not None:
             g = sqrt_eps * forcing
         if ctrl_coeffs is not None:
-            cf = dt * (mode_mat @ ctrl_coeffs[n])
-            if batch:
-                cf = cf[..., None]
+            cf = dt * (mode_mat @ ctrl_coeffs[n])[..., None]
             g = cf if g is None else g + cf
-        return _step_values(u, lap_u, params, dt, c, g, h)
+        return _step_values(u, lap_u, sq_u, params, dt, c, g, h)
 
     return step
 
@@ -329,42 +326,31 @@ def _default_stride(steps: int) -> int:
     return math.ceil(steps / MAX_DENSE_SNAPSHOTS)
 
 
-def _prepare_path(
-    shared_path,
-    rng: np.random.Generator | None,
-    steps: int,
-    spec: CovarianceSpec,
-    dt: float,
-) -> np.ndarray:
-    if shared_path is not None:
-        path = np.asarray(shared_path, dtype=float)
-        if path.shape != (steps, spec.mode_count, 3):
-            raise ValueError(
-                f"shared path must have shape {(steps, spec.mode_count, 3)}, got {path.shape}"
-            )
-        return path
-    if rng is None:
-        raise ValueError("stochastic integration needs either rng or shared_path")
-    return increment_path(rng, steps, spec.mode_count, dt)
-
-
 def _check_inputs(
-    kind: SystemKind,
+    kinds,
     grid: Grid1D,
     tgrid: TimeGrid,
     spec: CovarianceSpec | None,
     ctrl: ControlPath | None,
     base: TrajectoryRecord | None,
 ) -> None:
-    """Raise ValueError when ``kind`` lacks an input it needs or one does not fit the run."""
+    """Raise ValueError when one of ``kinds`` lacks an input it needs, an input
+    does not fit the run, or no kind uses it: a control drives only the
+    controlled kinds and a base only the linearized one."""
     n_steps = tgrid.steps
-    if kind in _NOISY_KINDS and spec is None:
-        raise ValueError(f"{kind.value} integration requires a covariance spec")
-    if kind in _CONTROLLED_KINDS:
-        if ctrl is None:
-            raise ValueError(f"{kind.value} integration requires a control path")
-        if spec is None:
+    names = ", ".join(kind.value for kind in kinds)
+    if ctrl is not None and not any(kind in _CONTROLLED_KINDS for kind in kinds):
+        raise ValueError(f"{names} integration takes no control path")
+    if base is not None and SystemKind.LINEARIZED_CLT not in kinds:
+        raise ValueError(f"{names} integration takes no base trajectory")
+    for kind in kinds:
+        if kind in _NOISY_KINDS + _CONTROLLED_KINDS and spec is None:
             raise ValueError(f"{kind.value} integration requires a covariance spec")
+        if kind in _CONTROLLED_KINDS and ctrl is None:
+            raise ValueError(f"{kind.value} integration requires a control path")
+        if kind is SystemKind.LINEARIZED_CLT and base is None:
+            raise ValueError("linearized deviation system requires a base trajectory")
+    if ctrl is not None:
         if ctrl.steps != n_steps:
             raise ValueError(f"control has {ctrl.steps} steps, time grid has {n_steps}")
         if ctrl.mode_count != spec.mode_count:
@@ -373,67 +359,63 @@ def _check_inputs(
             )
         if not math.isclose(ctrl.dt, tgrid.dt, rel_tol=1e-12):
             raise ValueError(f"control dt {ctrl.dt} does not match time grid dt {tgrid.dt}")
-    if kind is SystemKind.LINEARIZED_CLT:
-        if base is None:
-            raise ValueError("linearized deviation system requires a base trajectory")
+    if base is not None:
         if base.grid != grid:
             raise ValueError("base trajectory grid does not match")
         if base.steps != n_steps or not base.dense or not np.array_equal(base.times, tgrid.times):
-            raise ValueError(
-                "base trajectory must store every step of the same time grid"
-            )
+            raise ValueError("base trajectory must store every step of the same time grid")
 
 
-def _march(states, advance, observe, retire, n_steps, dt, h, cfl_scale, linf_ceiling):
-    """The step loop of every run: one trajectory, or a batch of sample columns.
+def _march(states, advance, observe, retire, n_steps, cfl_scale, h, linf_ceiling):
+    """The step loop of every run.
 
-    ``states`` holds one array per system marching in lockstep: an (n, 3)
-    state, or an (n, 3, M) batch whose column j is sample j in every system.
-    At each step n = 0..n_steps every column is checked first: a column whose
-    |u|_inf in any system is not finite or exceeds ``linf_ceiling`` fails at n
-    and is dropped from all systems, and ``retire(keep)`` learns which columns
-    stay. Then ``observe(n, states, laps, linf, live)`` sees the step, and
-    unless it was the last, ``advance(n, states, laps)`` returns the states of
-    step n + 1.
+    ``states`` holds one (n, 3, M) batch per system marching in lockstep;
+    column j is sample j in every system. At each step n = 0..n_steps every
+    column is checked first: a column whose |u|_inf in any system is not
+    finite or exceeds ``linf_ceiling`` fails at n and is dropped from all
+    systems, and ``retire(keep)`` learns which columns stay. Then
+    ``observe(n, states, live)`` sees the step, ``live`` holding the indices in
+    the initial batch of the columns still running, and unless it was the
+    last, ``advance(n, states, laps, sqs)`` returns the states of step n + 1
+    from those of step n, their Laplacians and pointwise squared norms.
 
     Returns ``(failures, cfl)``: ``(column, step, message)`` for every failed
     column by its index in the initial batch, and the largest explicit-term
-    ratio of each column that ran to the end (None when none did).
+    ratio of each column that ran to the end.
     """
-    cfl = np.zeros(states[0].shape[2:])
-    live = np.arange(cfl.size)
+    peak = np.zeros(states[0].shape[2])
+    live = np.arange(peak.size)
     failures = []
     for n in range(n_steps + 1):
-        laps = tuple(lap_values(u, h) for u in states)
-        sq = sq_norm_values(states[0]).max(axis=0)
-        for u in states[1:]:
-            sq = np.maximum(sq, sq_norm_values(u).max(axis=0))
+        laps = [lap_values(u, h) for u in states]
+        sqs = [sq_norm_values(u) for u in states]
+        sq = sqs[0].max(axis=0)
+        for node_sq in sqs[1:]:
+            sq = np.maximum(sq, node_sq.max(axis=0))
         linf = np.sqrt(sq)
-        bad = ~(linf <= linf_ceiling)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                columns = [u[..., j] if u.ndim == 3 else u for u in states]
-                if all(np.isfinite(col).all() for col in columns):
-                    what = (
-                        f"|u|_inf = {np.ravel(linf)[j]:.3g} exceeded ceiling {linf_ceiling:.3g}"
-                    )
+        ok = linf <= linf_ceiling
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                if all(np.isfinite(u[..., j]).all() for u in states):
+                    what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {linf_ceiling:.3g}"
                 else:
                     what = "non-finite state"
-                ratio = np.ravel(cfl)[j]
+                ratio = cfl_scale * peak[j]
                 failures.append((int(live[j]), n, f"{what} (explicit-term ratio {ratio:.3g})"))
-            if bad.all():
-                return failures, None
-            keep = ~bad
-            states = tuple(u[..., keep] for u in states)
-            laps = tuple(lap[..., keep] for lap in laps)
-            linf, cfl, live = linf[keep], cfl[keep], live[keep]
-            retire(keep)
-        cfl = np.maximum(cfl, cfl_scale * linf)
-        observe(n, states, laps, linf, live)
+            states = [u[..., ok] for u in states]
+            laps = [lap[..., ok] for lap in laps]
+            sqs = [node_sq[:, ok] for node_sq in sqs]
+            linf, peak, live = linf[ok], peak[ok], live[ok]
+            if not ok.any():
+                break
+            retire(ok)
+        # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
+        peak = np.maximum(peak, linf)
+        observe(n, states, live)
         if n == n_steps:
             break
-        states = advance(n, states, laps)
-    return failures, cfl
+        states = advance(n, states, laps, sqs)
+    return failures, cfl_scale * peak
 
 
 def integrate(
@@ -443,7 +425,6 @@ def integrate(
     tgrid: TimeGrid,
     spec: CovarianceSpec | None = None,
     ctrl: ControlPath | None = None,
-    shared_path=None,
     base: TrajectoryRecord | None = None,
     rng: np.random.Generator | None = None,
     seed_info: tuple | None = None,
@@ -451,80 +432,49 @@ def integrate(
     linf_ceiling: float = DEFAULT_LINF_CEILING,
     diffusion_off: bool = False,
 ) -> TrajectoryRecord:
-    """Integrate one of the five systems and record the trajectory.
+    """Integrate one of the five systems and record its snapshots.
 
-    Deterministic and skeleton runs consume no randomness. Stochastic kinds
-    draw the full increment path up front (or replay ``shared_path``) and
-    record a digest of every consumed increment so coupled runs can assert
-    they saw identical noise. Raises BlowUpError with the offending step (and
+    The width-1 case of ``integrate_batch``: a noisy kind draws its increments
+    from ``rng`` and runs at ``params.epsilon``; deterministic and skeleton
+    runs consume no randomness. The state is stored every ``stride`` steps
+    and at the last step. Raises BlowUpError with the offending step (and
     ``seed_info`` as its stream key) when the state leaves the finite/bounded
     regime. ``diffusion_off`` is a test hook that skips the implicit solve, so
     the remaining terms can be checked against pointwise ODE/precession
     oracles.
     """
-    grid = u0_field.grid
     n_steps = tgrid.steps
-    dt = tgrid.dt
-    h = grid.spacing
-    c = 0.0 if diffusion_off else dt * params.nu1
-
-    _check_inputs(kind, grid, tgrid, spec, ctrl, base)
-    if kind is SystemKind.LINEARIZED_CLT and np.any(u0_field.values):
-        raise ValueError("linearized deviation system starts from zero initial data")
-    noisy = kind in _NOISY_KINDS
-    path = _prepare_path(shared_path, rng, n_steps, spec, dt) if noisy else None
-    mode_mat = mode_matrix(spec, grid) if (noisy or ctrl is not None) else None
-    digest = hashlib.sha256() if noisy else None
-    step = _stepper(
-        kind, params, dt, c, h, mode_mat,
-        ctrl.coefficients if ctrl is not None else None,
-        base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
-    )
-    sqrt_eps = math.sqrt(params.epsilon)
-
     stride = _default_stride(n_steps) if stride is None else int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if kind in _NOISY_KINDS and rng is None:
+        raise ValueError(f"{kind.value} integration needs an rng")
+    noise = None
+    if kind in _NOISY_KINDS and spec is not None:
+        noise = IncrementStreams([rng], n_steps, spec.mode_count, tgrid.dt)
+    snap_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
+    snaps = np.empty((len(snap_steps),) + u0_field.values.shape)
 
-    reports = []
-    snaps = []
-    snap_steps = []
-
-    def observe(n, states, laps, linf, live):
-        u = states[0]
-        reports.append(report_values(u, laps[0], h, n * dt, linf=float(linf)))
+    def observe(n, states, live):
         if n % stride == 0 or n == n_steps:
-            snaps.append(u.copy())
-            snap_steps.append(n)
+            snaps[-(-n // stride)] = states[0][..., 0]
 
-    def advance(n, states, laps):
-        forcing = None
-        if noisy:
-            incr = path[n]
-            digest.update(incr.tobytes())
-            forcing = mode_mat @ incr
-        return (step(n, states[0], laps[0], forcing, sqrt_eps),)
-
-    u = np.array(u0_field.values, dtype=float)
-    failures, cfl = _march(
-        (u,), advance, observe, None, n_steps, dt, h, dt * abs(params.gamma) / (h * h),
-        linf_ceiling,
+    failures, cfl = integrate_batch(
+        (kind,), u0_field.grid, (u0_field.values[..., None],), params, tgrid, observe,
+        spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=(params.epsilon,),
+        keys=(seed_info,), linf_ceiling=linf_ceiling, diffusion_off=diffusion_off,
     )
     if failures:
-        _, at, message = failures[0]
-        raise BlowUpError(message, step=at, time=at * dt, key=seed_info)
-
+        raise failures[0]
     return TrajectoryRecord(
         kind=kind.value,
         params=params,
-        grid=grid,
+        grid=u0_field.grid,
         times=tgrid.times,
-        reports=tuple(reports),
-        snapshots=np.array(snaps),
-        snapshot_steps=np.array(snap_steps),
+        snapshots=snaps,
+        snapshot_steps=snap_steps,
         seed_info=seed_info,
-        noise_digest=digest.hexdigest() if digest is not None else None,
-        explicit_cfl=float(cfl),
+        explicit_cfl=cfl,
     )
 
 
@@ -541,7 +491,9 @@ def integrate_batch(
     noise: IncrementStreams | None = None,
     epsilons=None,
     keys=None,
-) -> list[BlowUpError]:
+    linf_ceiling: float = DEFAULT_LINF_CEILING,
+    diffusion_off: bool = False,
+) -> tuple[list[BlowUpError], float]:
     """March M sample columns of one or more systems in lockstep, storing nothing.
 
     ``kinds`` names the systems and ``initial`` gives each its (n, 3, M)
@@ -550,15 +502,19 @@ def integrate_batch(
     noisy nonlinear kind runs at ``epsilons[j]`` (``params.epsilon`` is not
     used). Noisy kinds read step n's increments from ``noise``, one stream per
     column, and every system of a step sees the same ones, so coupled systems
-    share their noise by construction. ``observe(n, states, live)`` sees every
-    step n = 0..steps: one (n, 3, M') array per kind, holding the columns
-    ``live`` (indices into the initial batch) that are still running. Memory
-    grows with the batch width, not with the number of steps.
+    share their noise by construction. ``ctrl`` drives only the controlled
+    kinds and ``base`` only the linearized one. ``observe(n, states, live)``
+    sees every step n = 0..steps: one (n, 3, M') array per kind, holding the
+    columns ``live`` (indices into the initial batch) that are still running.
+    Memory grows with the batch width, not with the number of steps.
 
-    Every column's states are bitwise those of its own ``integrate`` run. A
-    column that blows up in any system is retired at that step and the others
-    go on; the result lists one BlowUpError per retired column, with its
-    step and ``keys[j]``, in the order of retirement.
+    Every column's states have the bits of its own width-1 run. A column that
+    blows up in any system (a state that is not finite or whose |u|_inf
+    exceeds ``linf_ceiling``) is retired at that step and the others go on.
+    Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
+    with its step and ``keys[j]``, in the order of retirement, and the largest
+    explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
+    the end (0.0 when none did). ``diffusion_off`` skips the implicit solve.
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
@@ -574,52 +530,61 @@ def integrate_batch(
     n_steps = tgrid.steps
     dt = tgrid.dt
     h = grid.spacing
-    c = dt * params.nu1
+    c = 0.0 if diffusion_off else dt * params.nu1
+    _check_inputs(kinds, grid, tgrid, spec, ctrl, base)
     for kind, u in zip(kinds, states):
-        _check_inputs(kind, grid, tgrid, spec, ctrl, base)
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):
             raise ValueError("linearized deviation system starts from zero initial data")
     noisy = [kind in _NOISY_KINDS for kind in kinds]
-    if any(noisy) and (noise is None or noise.width != width):
-        raise ValueError(f"noisy kinds need increment streams for all {width} columns")
+    if any(noisy) and (
+        noise is None
+        or (noise.width, noise.steps, noise.mode_count) != (width, n_steps, spec.mode_count)
+    ):
+        raise ValueError(
+            f"noisy kinds need increment streams of {n_steps} steps and {spec.mode_count} "
+            f"modes for all {width} columns"
+        )
     eps = np.zeros(width) if epsilons is None else np.asarray(epsilons, dtype=float)
     if eps.shape != (width,) or not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
     sqrt_eps = np.sqrt(eps)
+    strength = sqrt_eps if sqrt_eps.any() else None
     keys = list(keys) if keys is not None else [None] * width
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
     steps = [
         _stepper(
             kind, params, dt, c, h, mode_mat,
-            ctrl.coefficients if ctrl is not None else None,
+            ctrl.coefficients if kind in _CONTROLLED_KINDS else None,
             base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
         )
         for kind in kinds
     ]
 
-    def advance(n, states, laps):
+    def advance(n, states, laps, sqs):
         forcing = None
         if any(noisy):
             forcing = np.matmul(mode_mat, noise.at(n)).transpose(1, 2, 0)
-        return tuple(
-            step(n, u, lap, forcing if is_noisy else None, sqrt_eps)
-            for step, u, lap, is_noisy in zip(steps, states, laps, noisy)
-        )
+        return [
+            step(n, u, lap, sq, forcing if is_noisy else None, strength)
+            for step, u, lap, sq, is_noisy in zip(steps, states, laps, sqs, noisy)
+        ]
 
     def retire(keep):
-        nonlocal sqrt_eps
+        nonlocal sqrt_eps, strength
         sqrt_eps = sqrt_eps[keep]
+        strength = sqrt_eps if sqrt_eps.any() else None
         if noise is not None:
             noise.keep(keep)
 
-    failures, _ = _march(
-        states, advance, lambda n, states, laps, linf, live: observe(n, states, live), retire,
-        n_steps, dt, h, dt * abs(params.gamma) / (h * h), DEFAULT_LINF_CEILING,
+    failures, cfl = _march(
+        states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h,
+        linf_ceiling,
     )
-    return [
+    failures = [
         BlowUpError(message, step=at, time=at * dt, key=keys[column])
         for column, at, message in failures
     ]
+    return failures, float(np.max(cfl, initial=0.0))
 
 
 def skeleton_adjoint(
@@ -660,14 +625,14 @@ def skeleton_adjoint(
 
 
 def write_report_csv(record: TrajectoryRecord, path) -> None:
-    """Per-step energy reports as CSV (step, time, l2, h1_semi, h2_semi, linf)."""
+    """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf)."""
+    rows = stack_norms(record.snapshots, record.grid.spacing).tolist()
+    times = record.times.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "l2", "h1_semi", "h2_semi", "linf"])
-        for n, rep in enumerate(record.reports):
-            writer.writerow(
-                [n, repr(rep.time), repr(rep.l2), repr(rep.h1_semi), repr(rep.h2_semi), repr(rep.linf)]
-            )
+        for n, row in zip(record.snapshot_steps.tolist(), rows):
+            writer.writerow([n, repr(times[n]), *map(repr, row)])
 
 
 def write_fields_csv(record: TrajectoryRecord, path) -> None:

@@ -36,9 +36,14 @@ __all__ = [
     "cross",
     "inner_l2",
     "edge_inner",
+    "stack_norms",
     "norms",
     "h1_norm",
 ]
+
+# Snapshots a stack operation handles at a time: bounds its temporaries to a
+# few MB however long the trajectory.
+STACK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,6 @@ class EnergyReport:
     h1_semi: float
     h2_semi: float
     linf: float
-    time: float = 0.0
 
 
 def zero_field(grid: Grid1D) -> VectorField:
@@ -122,33 +126,37 @@ _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 def lap_values(v: np.ndarray, h: float) -> np.ndarray:
-    """3-point Laplacian with zero ghost nodes at both boundaries."""
-    inv_h2 = 1.0 / (h * h)
+    """3-point Laplacian with zero ghost nodes at both boundaries.
+
+    Node i gets ((v[i+1] - 2 v[i]) + v[i-1]) / h^2, with the missing neighbour
+    of a boundary node left out rather than added as a zero, which would turn
+    a -0.0 into 0.0.
+    """
+    twice = 2.0 * v
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_h2
-    out[0] = (v[1] - 2.0 * v[0]) * inv_h2
-    out[-1] = (v[-2] - 2.0 * v[-1]) * inv_h2
+    np.subtract(v[1:], twice[:-1], out=out[:-1])
+    out[1:-1] += v[:-2]
+    np.subtract(v[-2], twice[-1], out=out[-1])
+    out *= 1.0 / (h * h)
     return out
 
 
 def grad_values(v: np.ndarray, h: float) -> np.ndarray:
     """Forward differences on the n_interior+1 edges, zero ghost nodes.
 
-    An input of three or more dimensions, such as a node-major view of a
-    snapshot stack, gives an output with its memory layout, so each snapshot's
-    edge values stay contiguous.
+    The output keeps the memory layout of the input, so the edge values of
+    each snapshot of a node-major view of a snapshot stack stay contiguous.
     """
-    n = v.shape[0]
-    if v.ndim == 2:
-        # the per-step case: empty_like's layout matching would add ~0.8 us a step
-        out = np.empty((n + 1, v.shape[1]))
-    else:
-        out = np.empty_like(v, shape=(n + 1,) + v.shape[1:])
+    out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
     out[0] = v[0] / h
     out[1:-1] = (v[1:] - v[:-1]) / h
     out[-1] = -v[-1] / h
     return out
 
+
+# The components of a width-1 batch (n, 3, 1) are 2-D (n, 1) arrays, which numpy
+# runs off its fast path; the component kernels take the 1-D components of its
+# (n, 3) view instead, with the same bits, about a microsecond sooner each.
 
 def cross_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise cross product over axis 1; (n, 3, ...) shapes broadcast, so an
@@ -159,9 +167,12 @@ def cross_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(a.shape, b.shape)
         # keep the memory layout of the full-shape operand
         out = np.empty_like(a if a.shape == shape else b, shape=shape)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    o = out
+    if out.shape[2:] == (1,):
+        a, b, o = a[..., 0], b[..., 0], out[..., 0]
+    o[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    o[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    o[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
 
 
@@ -172,12 +183,23 @@ def dot_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order from the memory layout, which differs between a field and a batch.
     """
     p = a * b
+    if p.shape[2:] == (1,):
+        return (p[:, 0, 0] + p[:, 1, 0] + p[:, 2, 0])[:, None]
     return p[:, 0] + p[:, 1] + p[:, 2]
 
 
 def sq_norm_values(v: np.ndarray) -> np.ndarray:
     """Pointwise squared Euclidean norm, shape (n,) for a field, (n, M) for a batch."""
     return dot_values(v, v)
+
+
+def column_sq_sums(v: np.ndarray) -> np.ndarray:
+    """Sum of squares of each column of an (m, 3, M) batch, shape (M,).
+
+    Each column is summed from its own contiguous row, so the bits do not
+    depend on the batch width or layout (an einsum picks its order from both).
+    """
+    return np.ascontiguousarray(dot_values(v, v).T).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -236,23 +258,28 @@ def edge_inner(grid: Grid1D, ea: np.ndarray, eb: np.ndarray) -> float:
     return grid.spacing * float(np.vdot(ea, eb))
 
 
-def report_values(
-    v: np.ndarray, lap_v: np.ndarray, h: float, time: float, linf: float | None = None
-) -> EnergyReport:
-    """Norms of the (n, 3) array ``v`` whose Laplacian ``lap_v`` (and possibly
-    max node norm ``linf``) is already at hand."""
-    l2 = math.sqrt(h * float(np.vdot(v, v)))
-    grad = grad_values(v, h)
-    h1_semi = math.sqrt(h * float(np.vdot(grad, grad)))
-    h2_semi = math.sqrt(h * float(np.vdot(lap_v, lap_v)))
-    if linf is None:
-        linf = math.sqrt(float(np.max(sq_norm_values(v))))
-    return EnergyReport(l2=l2, h1_semi=h1_semi, h2_semi=h2_semi, linf=linf, time=time)
+def map_stack(fn, stack: np.ndarray) -> np.ndarray:
+    """``fn`` of the node-major view (n, 3, S') of each chunk of at most
+    ``STACK_CHUNK`` snapshots of the stack (S, n, 3), joined along the last axis."""
+    chunks = [stack[first:first + STACK_CHUNK] for first in range(0, len(stack), STACK_CHUNK)]
+    return np.concatenate([fn(np.moveaxis(chunk, 0, -1)) for chunk in chunks], axis=-1)
 
 
-def norms(f: VectorField, time: float = 0.0) -> EnergyReport:
-    h = f.grid.spacing
-    return report_values(f.values, lap_values(f.values, h), h, time)
+def stack_norms(stack: np.ndarray, h: float) -> np.ndarray:
+    """Rows (l2, h1_semi, h2_semi, linf) of every field of the stack (S, n, 3), shape (S, 4).
+
+    A row's bits do not depend on the other fields of the stack.
+    """
+
+    def squares(v):
+        sums = [h * column_sq_sums(w) for w in (v, grad_values(v, h), lap_values(v, h))]
+        return np.stack(sums + [sq_norm_values(v).max(axis=0)])
+
+    return np.sqrt(map_stack(squares, stack)).T
+
+
+def norms(f: VectorField) -> EnergyReport:
+    return EnergyReport(*stack_norms(f.values[None], f.grid.spacing)[0].tolist())
 
 
 def h1_norm(f: VectorField) -> float:

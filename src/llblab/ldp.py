@@ -17,8 +17,8 @@ matched (a quasipotential-style endpoint rate); matching a whole path is
 overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns against
-the dense skeleton (``dynamics.integrate_batch``) and accumulates the proof
-metric step by step, so it stores no sample trajectory.
+the dense skeleton (``clt.run_columns``) and accumulates the proof metric step
+by step, so it stores no sample trajectory.
 """
 
 from __future__ import annotations
@@ -29,21 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# path_gap stays bound here, unused: perfbench/tracer.py patches ldp.path_gap by name
-from .analysis import StreamedPathGap, path_gap, sample_stats
+# path_gap and stream_rng stay bound here, unused: perfbench/tracer.py patches
+# ldp.path_gap and ldp.stream_rng by name
+from .analysis import path_gap, sample_stats
+from .clt import run_columns
 from .dynamics import (
-    BATCH_COLUMNS,
     BlowUpError,
     ModelParams,
     SystemKind,
     TimeGrid,
     TrajectoryRecord,
     integrate,
-    integrate_batch,
     skeleton_adjoint,
 )
 from .field import VectorField, grad_values, h1_norm, lap_values
-from .noise import ControlPath, CovarianceSpec, IncrementStreams, stream_rng
+from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
     "RateProblem",
@@ -305,50 +305,21 @@ def weak_convergence_experiment(
     deterministic control) are compared against the skeleton solution in the
     proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
     (epsilon index, sample) pair is one column of a batch marched against the
-    dense skeleton on its own counter-based stream, at most
-    ``BATCH_COLUMNS`` columns at a time, with the metric accumulated step by
-    step; blown-up samples are retired, counted and never averaged.
+    dense skeleton on its own counter-based stream (``clt.run_columns``), with
+    the metric accumulated step by step; blown-up samples are retired,
+    counted and never averaged.
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
         spec=spec, ctrl=ctrl, stride=1,
-    )
+    ).snapshots
     eps_values = [float(e) for e in epsilons]
-    columns = [(i, m) for i in range(len(eps_values)) for m in range(samples)]
-    metrics = []
-    for first in range(0, len(columns), BATCH_COLUMNS):
-        batch = columns[first:first + BATCH_COLUMNS]
-        gap = StreamedPathGap(
-            len(batch), u0_field.grid.spacing, tgrid.dt, params.nu1, tgrid.steps
-        )
-
-        def observe(n, states, live):
-            gap.add(n, states[0] - skeleton.snapshots[n][..., None], live)
-
-        failed = integrate_batch(
-            (SystemKind.CONTROLLED_STOCHASTIC,),
-            u0_field.grid,
-            (np.repeat(u0_field.values[..., None], len(batch), axis=2),),
-            params,
-            tgrid,
-            observe,
-            spec=spec,
-            ctrl=ctrl,
-            noise=IncrementStreams(
-                [stream_rng(base_seed, i, m) for i, m in batch],
-                tgrid.steps, spec.mode_count, tgrid.dt,
-            ),
-            epsilons=[eps_values[i] for i, _ in batch],
-            keys=[(base_seed, i, m) for i, m in batch],
-        )
-        values = [float(v) for v in gap.values]
-        for exc in failed:
-            values[batch.index(exc.key[1:])] = None
-        metrics.extend(values)
-    return [
-        WeakRow(eps, *sample_stats(metrics[i * samples:(i + 1) * samples]))
-        for i, eps in enumerate(eps_values)
-    ]
+    metrics, _ = run_columns(
+        (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), eps_values, samples, base_seed,
+        lambda n, states, eps: states[0] - skeleton[n][..., None], params.nu1,
+        params, tgrid, spec, ctrl=ctrl,
+    )
+    return [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
 
 
 def compactness_probe(

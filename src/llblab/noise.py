@@ -163,8 +163,8 @@ class IncrementStreams:
 
     def __init__(self, rngs, steps: int, mode_count: int, dt: float):
         self._rngs = list(rngs)
-        self._steps = steps
-        self._mode_count = mode_count
+        self.steps = steps
+        self.mode_count = mode_count
         self._dt = dt
         self._start = 0
         self._block = np.empty((0, len(self._rngs), mode_count, 3))
@@ -176,9 +176,9 @@ class IncrementStreams:
     def at(self, n: int) -> np.ndarray:
         offset = n - self._start
         if offset >= len(self._block):
-            count = min(INCREMENT_BLOCK, self._steps - n)
+            count = min(INCREMENT_BLOCK, self.steps - n)
             self._block = np.stack(
-                [increment_path(rng, count, self._mode_count, self._dt) for rng in self._rngs],
+                [increment_path(rng, count, self.mode_count, self._dt) for rng in self._rngs],
                 axis=1,
             )
             self._start, offset = n, 0

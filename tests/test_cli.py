@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from llblab.cli import (
     EXIT_BLOWUP,
@@ -19,6 +20,7 @@ from llblab.cli import (
     parse_config,
     run,
 )
+from conftest import ScaledRng
 
 TINY_CLT = """
 kind = clt
@@ -292,29 +294,60 @@ def test_main_rate_blow_up_exits_three(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(3, 12), st.just(3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_target_csv_round_trip(tmp_path_factory, values, order):
+    # a target written with repr reads back bitwise, in any row order
+    from llblab.cli import _read_target_field
+    from llblab.field import make_grid
+
+    rows = [f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in enumerate(values.tolist())]
+    order.shuffle(rows)
+    path = tmp_path_factory.mktemp("target") / "target.csv"
+    path.write_text("node_index,ux,uy,uz\n" + "".join(rows))
+    field = _read_target_field(path, make_grid(len(values)))
+    assert field.values.tobytes() == values.tobytes()
+
+
 def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
-    # individual sample blow-ups are excluded and counted, never averaged
-    import llblab.cli as cli_module
-    from llblab.dynamics import BlowUpError, SystemKind
+    # a sample that blows up is excluded, counted and listed with its step,
+    # never averaged; its stream key replays the failure on its own
+    import llblab.clt as clt_module
+    from llblab.dynamics import BlowUpError, SystemKind, integrate
+    from llblab.noise import stream_rng
 
-    real_integrate = cli_module.integrate
+    def loud_stream(base_seed, *key):
+        rng = stream_rng(base_seed, *key)
+        return ScaledRng(rng, 1.0e4) if key == (0, 1) else rng
 
-    def flaky(kind, *args, **kwargs):
-        if kind is SystemKind.STOCHASTIC and kwargs.get("seed_info", (0, 0, 0))[2] == 1:
-            raise BlowUpError("forced failure", step=3, time=0.0)
-        return real_integrate(kind, *args, **kwargs)
-
-    monkeypatch.setattr(cli_module, "integrate", flaky)
+    monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
     cfg = parse_config(
         "kind = stochastic-ensemble\ngrid.n = 31\ntime.horizon = 0.02\ntime.steps = 40\n"
-        "noise.modes = 4\nensemble.epsilons = 0.1\nensemble.samples = 3\n"
+        "noise.modes = 4\nensemble.epsilons = 0.1, 0.01\nensemble.samples = 3\nseed = 8\n"
     )
     assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["rows"][0]["n_failed"] == 1
-    assert summary["rows"][0]["n_ok"] == 2
-    report = (tmp_path / "ensemble_report.csv").read_text()
-    assert "blow-up" in report
+    assert [(r["n_ok"], r["n_failed"]) for r in summary["rows"]] == [(2, 1), (3, 0)]
+    assert np.isfinite(summary["rows"][0]["mean_sup_grad_sq"])
+    (failure,) = summary["failures"]
+    assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
+    report = (tmp_path / "ensemble_report.csv").read_text().splitlines()
+    assert report[2] == "0.1,1,nan,blow-up"
+    with pytest.raises(BlowUpError) as info:
+        integrate(
+            SystemKind.STOCHASTIC, cfg.initial(), cfg.model_params().with_epsilon(0.1),
+            cfg.time_grid(), spec=cfg.covariance(), rng=loud_stream(8, 0, 1),
+            seed_info=(8, 0, 1),
+        )
+    assert info.value.step == failure["step"]
+    assert info.value.key == (8, 0, 1)
 
 
 def test_run_io_error_exit_code(tmp_path, capsys):

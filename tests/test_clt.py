@@ -8,6 +8,7 @@ from llblab.clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import make_grid
 from llblab.noise import CovarianceSpec, make_covariance
+from conftest import ScaledRng
 
 
 def small_config(**overrides):
@@ -90,34 +91,40 @@ def test_run_clt_epsilon_scaling_of_deviation():
 
 
 def _path_gap_errors(config):
-    """Per-sample errors computed the long way: two stored runs per sample on the
-    same increment path, then path_gap; test oracle only."""
+    """Per-sample errors computed the long way: the (u_eps, V0) pair of each
+    sample stored step by step from one width-1 coupled batch, then path_gap;
+    test oracle only."""
     from llblab.analysis import path_gap
-    from llblab.dynamics import SystemKind, integrate
+    from llblab.dynamics import SystemKind, integrate, integrate_batch
     from llblab.field import zero_field
-    from llblab.noise import increment_path, stream_rng
+    from llblab.noise import IncrementStreams, stream_rng
 
     tg = config.tgrid
     u0 = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, tg, stride=1)
+    start = (config.initial.values[..., None], zero_field(config.initial.grid).values[..., None])
     errors = []
     for i, eps in enumerate(config.epsilons):
         row = []
         for m in range(config.samples):
-            path = increment_path(
-                stream_rng(config.base_seed, i, m), tg.steps, config.spec.mode_count, tg.dt
+            pair = ([], [])
+
+            def observe(n, states, live):
+                for stored, u in zip(pair, states):
+                    stored.append(u[..., 0].copy())
+
+            failed, _ = integrate_batch(
+                (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), config.initial.grid, start,
+                config.params, tg, observe, spec=config.spec, base=u0,
+                noise=IncrementStreams(
+                    [stream_rng(config.base_seed, i, m)], tg.steps, config.spec.mode_count, tg.dt
+                ),
+                epsilons=[eps],
             )
-            u_eps = integrate(
-                SystemKind.STOCHASTIC, config.initial, config.params.with_epsilon(eps), tg,
-                spec=config.spec, shared_path=path, stride=1,
-            )
-            v0 = integrate(
-                SystemKind.LINEARIZED_CLT, zero_field(config.initial.grid), config.params, tg,
-                spec=config.spec, shared_path=path, base=u0, stride=1,
-            )
-            v_eps = (u_eps.snapshots - u0.snapshots) / math.sqrt(eps)
+            assert failed == []
+            u_eps, v0 = (np.array(stored) for stored in pair)
+            v_eps = (u_eps - u0.snapshots) / math.sqrt(eps)
             row.append(
-                path_gap(v_eps, v0.snapshots, config.initial.grid.spacing, tg.dt,
-                         config.params.nu1)
+                path_gap(v_eps, v0, config.initial.grid.spacing, tg.dt, config.params.nu1)
             )
         errors.append(row)
     return errors
@@ -139,17 +146,6 @@ def test_run_clt_streamed_metric_equals_stored_path_gap(monkeypatch):
     ]
 
 
-class _LoudRng:
-    """Generator whose normal draws are scaled up, to make one stream blow up."""
-
-    def __init__(self, rng, gain):
-        self._rng = rng
-        self._gain = gain
-
-    def normal(self, *args, **kwargs):
-        return self._gain * self._rng.normal(*args, **kwargs)
-
-
 def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     import llblab.clt as clt_module
     from llblab.dynamics import BlowUpError, SystemKind, integrate
@@ -157,7 +153,7 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
-        return _LoudRng(rng, 1.0e4) if key == (0, 1) else rng
+        return ScaledRng(rng, 1.0e4) if key == (0, 1) else rng
 
     monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
     config = small_config(samples=3, epsilons=(1e-1, 1e-2))
@@ -201,3 +197,21 @@ def test_clt_csv_and_summary(tmp_path):
     assert payload["slope"] == pytest.approx(report.fit.slope)
     assert len(payload["rows"]) == len(report.rows)
     assert payload["failures"] == [] and payload["n_failures"] == 0
+
+
+def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup():
+    from llblab.clt import sup_grad_ensemble
+    from llblab.field import stack_norms
+    from llblab.dynamics import SystemKind, integrate
+
+    config = small_config(tgrid=TimeGrid(0.05, 50))
+    det_sup, sups, failures = sup_grad_ensemble(
+        (0.0, 0.1), 3, config.params, config.tgrid, config.spec, config.initial, 4
+    )
+    # the noiseless columns run the deterministic flow: the same sums give the same bits
+    assert sups[0] == [det_sup] * 3
+    assert failures == ()
+    assert all(sup > 0.0 for sup in sups[1])
+    det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
+    h1_semi = stack_norms(det.snapshots, config.initial.grid.spacing)[:, 1]
+    assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)

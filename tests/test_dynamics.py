@@ -17,7 +17,16 @@ from llblab.dynamics import (
     integrate,
     integrate_batch,
 )
-from llblab.field import VectorField, inner_l2, lap_values, make_grid, norms, zero_field
+from llblab.field import (
+    VectorField,
+    inner_l2,
+    lap_values,
+    make_grid,
+    norms,
+    sq_norm_values,
+    stack_norms,
+    zero_field,
+)
 from llblab.noise import (
     ControlPath,
     IncrementStreams,
@@ -25,7 +34,7 @@ from llblab.noise import (
     stream_rng,
     zero_control,
 )
-from conftest import random_field
+from conftest import ScaledRng, random_field
 
 HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0, epsilon=0.0)
 
@@ -57,7 +66,8 @@ def test_time_grid():
 # --- explicit drift and the step kernel --------------------------------------------
 
 def _drift(u, params):
-    return _drift_values(u.values, lap_values(u.values, u.grid.spacing), params)
+    v = u.values
+    return _drift_values(v, lap_values(v, u.grid.spacing), sq_norm_values(v), params)
 
 
 def test_explicit_rhs_vanishes_without_terms(rng, grid63):
@@ -96,7 +106,7 @@ def test_step_matches_integrate_single_step(rng):
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
     v, h = u0.values, g.spacing
-    manual = _step_values(v, lap_values(v, h), p, tg.dt, tg.dt * p.nu1, None, h)
+    manual = _step_values(v, lap_values(v, h), sq_norm_values(v), p, tg.dt, tg.dt * p.nu1, None, h)
     assert np.array_equal(rec.final_values(), manual)
 
 
@@ -168,8 +178,7 @@ def test_stochastic_eps_zero_degenerates_bitwise():
         SystemKind.STOCHASTIC, u0, p.with_epsilon(0.0), tg, spec=spec, rng=stream_rng(7)
     )
     assert det.snapshots.tobytes() == sto.snapshots.tobytes()
-    assert det.reports == sto.reports
-    assert sto.noise_digest is not None
+    assert det.explicit_cfl == sto.explicit_cfl
 
 
 def test_skeleton_zero_control_degenerates_bitwise():
@@ -183,7 +192,25 @@ def test_skeleton_zero_control_degenerates_bitwise():
         SystemKind.SKELETON, u0, p, tg, spec=spec, ctrl=zero_control(200, 8, tg.dt)
     )
     assert det.snapshots.tobytes() == ske.snapshots.tobytes()
-    assert ske.noise_digest is None
+
+
+def _coupled_states(kinds, initial, params, tg, spec, base, rngs, epsilons):
+    """Every step of a batch of ``kinds`` run on increment streams drawn from
+    ``rngs``, as one (steps + 1, n, 3, M) array per kind."""
+    seen = [[] for _ in kinds]
+
+    def observe(n, states, live):
+        for k, u in enumerate(states):
+            seen[k].append(u.copy())
+
+    failed, _ = integrate_batch(
+        kinds, initial[0].grid,
+        [np.repeat(f.values[..., None], len(rngs), axis=2) for f in initial],
+        params, tg, observe, spec=spec, base=base,
+        noise=IncrementStreams(rngs, tg.steps, spec.mode_count, tg.dt), epsilons=epsilons,
+    )
+    assert failed == []
+    return [np.array(states) for states in seen]
 
 
 def test_linearized_zero_path_stays_zero():
@@ -192,35 +219,39 @@ def test_linearized_zero_path_stays_zero():
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
     base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
-    path = np.zeros((tg.steps, 4, 3))
-    rec = integrate(
-        SystemKind.LINEARIZED_CLT, zero_field(g), p, tg,
-        spec=spec, shared_path=path, base=base,
+    (v0,) = _coupled_states(
+        (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, base,
+        [ScaledRng(stream_rng(3), 0.0)], [0.0],
     )
-    assert np.all(rec.snapshots == 0.0)
+    assert np.all(v0 == 0.0)
 
 
-def test_coupled_runs_share_noise_digest():
+def test_coupled_runs_share_noise():
+    # the two systems of a batch column read the same increments: each equals
+    # its own run on that stream, bitwise
     g = make_grid(31)
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
     base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
-    path = stream_rng(3).normal(0.0, math.sqrt(tg.dt), size=(tg.steps, 4, 3))
-    u_eps = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.1), tg,
-        spec=spec, shared_path=path,
+    u_eps, v0 = _coupled_states(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial_profile(g), zero_field(g)),
+        p, tg, spec, base, [stream_rng(3), stream_rng(4)], [0.1, 0.1],
     )
-    v0 = integrate(
-        SystemKind.LINEARIZED_CLT, zero_field(g), p, tg,
-        spec=spec, shared_path=path, base=base,
-    )
-    assert u_eps.noise_digest == v0.noise_digest
-    other = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.1), tg,
-        spec=spec, rng=stream_rng(99),
-    )
-    assert other.noise_digest != u_eps.noise_digest
+    for j, seed in enumerate((3, 4)):
+        alone_u = integrate(
+            SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.1), tg,
+            spec=spec, rng=stream_rng(seed),
+        )
+        alone_v = integrate(
+            SystemKind.LINEARIZED_CLT, zero_field(g), p, tg,
+            spec=spec, rng=stream_rng(seed), base=base,
+        )
+        assert u_eps[..., j].tobytes() == alone_u.snapshots.tobytes()
+        assert v0[..., j].tobytes() == alone_v.snapshots.tobytes()
+    # another stream drives another path
+    assert not np.array_equal(u_eps[..., 0], u_eps[..., 1])
+    assert not np.array_equal(v0[..., 0], v0[..., 1])
 
 
 def test_integrate_determinism_same_seed():
@@ -231,7 +262,16 @@ def test_integrate_determinism_same_seed():
     a = integrate(SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2))
     b = integrate(SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2))
     assert a.snapshots.tobytes() == b.snapshots.tobytes()
-    assert a.noise_digest == b.noise_digest
+    # a batch rerun on the same streams has the same bits
+    runs = [
+        _coupled_states(
+            (SystemKind.STOCHASTIC,), (initial_profile(g),), p, tg, spec, None,
+            [stream_rng(1, 2), stream_rng(1, 3)], [0.05, 0.5],
+        )[0]
+        for _ in range(2)
+    ]
+    assert runs[0].tobytes() == runs[1].tobytes()
+    assert runs[0][..., 0].tobytes() == a.snapshots.tobytes()
 
 
 # --- required inputs and failure modes -------------------------------------------
@@ -242,7 +282,7 @@ def test_integrate_missing_inputs():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    with pytest.raises(ValueError, match="rng or shared_path"):
+    with pytest.raises(ValueError, match="needs an rng"):
         integrate(SystemKind.STOCHASTIC, u0, p, tg, spec=spec)
     with pytest.raises(ValueError, match="covariance"):
         integrate(SystemKind.STOCHASTIC, u0, p, tg, rng=stream_rng(0))
@@ -315,7 +355,7 @@ def test_snapshot_striding():
     )
     assert list(rec.snapshot_steps[:3]) == [0, 7, 14]
     assert rec.snapshot_steps[-1] == 100
-    assert len(rec.reports) == 101
+    assert len(rec.snapshots) == len(rec.snapshot_steps) == 16
     assert not rec.dense
     with pytest.raises(KeyError):
         rec.values_at(1)
@@ -334,8 +374,10 @@ def test_trajectory_csv_writers(tmp_path):
     lines = report_path.read_text().splitlines()
     assert lines[0] == "step,time,l2,h1_semi,h2_semi,linf"
     assert len(lines) == 12
-    first = lines[1].split(",")
-    assert float(first[2]) == rec.reports[0].l2
+    last = lines[-1].split(",")
+    assert (int(last[0]), float(last[1])) == (10, rec.times[10])
+    final = norms(rec.final_field())
+    assert [float(x) for x in last[2:]] == [final.l2, final.h1_semi, final.h2_semi, final.linf]
 
     fields_path = tmp_path / "fields.csv"
     write_fields_csv(rec, fields_path)
@@ -351,14 +393,14 @@ def test_stochastic_energy_stays_bounded_smoke():
     tg = TimeGrid(0.1, 400)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    det_sup = max(r.h1_semi for r in det.reports) ** 2
+    det_sup = np.max(stack_norms(det.snapshots, g.spacing)[:, 1]) ** 2
     sups = []
     for m in range(4):
         rec = integrate(
             SystemKind.STOCHASTIC, u0, p.with_epsilon(0.1), tg,
             spec=spec, rng=stream_rng(17, m),
         )
-        sups.append(max(r.h1_semi for r in rec.reports) ** 2)
+        sups.append(np.max(stack_norms(rec.snapshots, g.spacing)[:, 1]) ** 2)
     assert det_sup / 3.0 <= float(np.mean(sups)) <= 3.0 * det_sup
 
 
@@ -387,6 +429,10 @@ def _control_for(kinds, ctrl):
     return ctrl if any(k in controlled for k in kinds) else None
 
 
+def _base_for(kinds, base):
+    return base if SystemKind.LINEARIZED_CLT in kinds else None
+
+
 def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
     """March ``columns`` of the setup as one batch; returns each column's (steps+1, n, 3)
     states per kind (or the states it reached) and the failures."""
@@ -397,9 +443,9 @@ def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
             for pos, j in enumerate(live):
                 seen[columns[j]][k].append(u[..., pos].copy())
 
-    failed = integrate_batch(
+    failed, _ = integrate_batch(
         kinds, BATCH_GRID, [u[..., columns] for u in initial], ModelParams(), BATCH_TIME, observe,
-        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl), base=base,
+        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl), base=_base_for(kinds, base),
         noise=IncrementStreams(
             [stream_rng(seed, j) for j in columns],
             BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
@@ -412,7 +458,8 @@ def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
 def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
     return integrate(
         kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(epsilon=epsilons[j]),
-        BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl), base=base,
+        BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
+        base=_base_for((kind,), base),
         rng=stream_rng(seed, j), seed_info=(seed, j),
     )
 
@@ -483,3 +530,58 @@ def test_integrate_batch_checks_its_inputs():
             BATCH_TIME, lambda *a: None, base=base,
             noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt), **kw,
         )
+
+
+# --- inputs a kind cannot use ---------------------------------------------------------
+
+BATCH_BASE = integrate(
+    SystemKind.DETERMINISTIC, initial_profile(BATCH_GRID), ModelParams(), BATCH_TIME
+)
+BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(list(SystemKind)),
+    with_spec=st.booleans(),
+    with_ctrl=st.booleans(),
+    with_base=st.booleans(),
+    batch=st.booleans(),
+)
+def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, with_base, batch):
+    # a control drives only the controlled kinds, a base only the linearized
+    # one; both entry points reject every other combination before stepping
+    controlled = kind in (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
+    linearized = kind is SystemKind.LINEARIZED_CLT
+    valid = (
+        (with_spec or kind is SystemKind.DETERMINISTIC)
+        and with_ctrl == controlled
+        and with_base == linearized
+    )
+    initial = zero_field(BATCH_GRID) if linearized else initial_profile(BATCH_GRID)
+    inputs = dict(
+        spec=BATCH_SPEC if with_spec else None,
+        ctrl=BATCH_CONTROL if with_ctrl else None,
+        base=BATCH_BASE if with_base else None,
+    )
+
+    def run():
+        if batch:
+            return integrate_batch(
+                (kind,), BATCH_GRID, (np.repeat(initial.values[..., None], 2, axis=2),),
+                ModelParams(), BATCH_TIME, lambda *a: None,
+                noise=IncrementStreams(
+                    [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
+                    BATCH_TIME.dt,
+                ),
+                epsilons=[0.1, 0.1], **inputs,
+            )
+        return integrate(
+            kind, initial, ModelParams(epsilon=0.1), BATCH_TIME, rng=stream_rng(0), **inputs
+        )
+
+    if valid:
+        run()
+    else:
+        with pytest.raises(ValueError):
+            run()

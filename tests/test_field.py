@@ -20,9 +20,17 @@ from llblab.field import (
     laplacian,
     make_grid,
     norms,
+    stack_norms,
     zero_field,
 )
 from conftest import random_field
+
+# O(1) node values, the scale the exact identities are checked at
+UNIT_VALUES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def fields(n, elements=UNIT_VALUES):
+    return arrays(np.float64, (n, 3), elements=elements)
 
 
 def thomas_reference(c: float, h: float, rhs: np.ndarray) -> np.ndarray:
@@ -120,14 +128,15 @@ def test_gradient_linear_exact_interior():
 
 
 @pytest.mark.parametrize("n", [31, 127, 255])
-def test_summation_by_parts(n, rng):
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_summation_by_parts(n, data):
     g = make_grid(n)
-    for _ in range(50):
-        f = random_field(g, rng)
-        w = random_field(g, rng)
-        lhs = inner_l2(laplacian(f), w)
-        rhs = edge_inner(g, gradient(f), gradient(w))
-        assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(rhs))
+    f = VectorField(g, data.draw(fields(n), label="f"))
+    w = VectorField(g, data.draw(fields(n), label="w"))
+    lhs = inner_l2(laplacian(f), w)
+    rhs = edge_inner(g, gradient(f), gradient(w))
+    assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
 # --- cross product ---------------------------------------------------------
@@ -204,7 +213,7 @@ def test_inner_bilinearity(rng, grid63):
 
 def test_norms_zero(grid63):
     rep = norms(zero_field(grid63))
-    assert rep == EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert rep == EnergyReport(0.0, 0.0, 0.0, 0.0)
 
 
 def test_norms_eigenfunction():
@@ -219,21 +228,26 @@ def test_norms_eigenfunction():
     assert abs(rep.linf - math.sqrt(2)) <= 1e-3  # nearest node to the peak
 
 
-def test_poincare_sweep(rng):
-    for n in (31, 127):
-        g = make_grid(n)
-        for _ in range(500):
-            rep = norms(random_field(g, rng))
-            assert rep.l2 <= rep.h1_semi
+# node values whose squares neither overflow nor underflow
+FIELD_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
 
 
-def test_interpolation_inequality_sweep(rng):
-    for n in (31, 127):
-        g = make_grid(n)
-        for _ in range(500):
-            rep = norms(random_field(g, rng, scale=2.0))
-            rhs = 2.0 * rep.l2 * math.hypot(rep.l2, rep.h1_semi) * (1.0 + 10.0 * g.spacing)
-            assert rep.linf**2 <= rhs
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_poincare_sweep(data):
+    n = data.draw(st.sampled_from([31, 127]), label="n")
+    rep = norms(VectorField(make_grid(n), data.draw(fields(n, FIELD_VALUES), label="u")))
+    assert rep.l2 <= rep.h1_semi
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_interpolation_inequality_sweep(data):
+    n = data.draw(st.sampled_from([31, 127]), label="n")
+    g = make_grid(n)
+    rep = norms(VectorField(g, data.draw(fields(n, FIELD_VALUES), label="u")))
+    rhs = 2.0 * rep.l2 * math.hypot(rep.l2, rep.h1_semi) * (1.0 + 10.0 * g.spacing)
+    assert rep.linf**2 <= rhs
 
 
 def test_h1_norm_combines(rng, grid63):
@@ -265,6 +279,43 @@ def test_stencils_on_node_major_stack_equal_per_snapshot_calls(stack, h):
     # the results keep the snapshot-major memory layout of the input
     assert lap.transpose(1, 0, 2).flags.c_contiguous
     assert grad.transpose(1, 0, 2).flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 9), st.integers(3, 17), st.just(3)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    st.floats(1e-3, 0.5),
+)
+def test_stack_norms_rows_are_the_norms_of_each_field(stack, h):
+    rows = stack_norms(stack, h)
+    assert rows.shape == (len(stack), 4)
+    grad = np.diff(np.pad(stack, ((0, 0), (1, 1), (0, 0))), axis=1) / h
+    lap = np.diff(np.pad(stack, ((0, 0), (1, 1), (0, 0))), n=2, axis=1) / h**2
+    for s, snap in enumerate(stack):
+        # a row does not depend on the other fields of the stack
+        assert rows[s].tobytes() == stack_norms(snap[None], h)[0].tobytes()
+        expected = [
+            math.sqrt(h * np.sum(snap**2)),
+            math.sqrt(h * np.sum(grad[s] ** 2)),
+            math.sqrt(h * np.sum(lap[s] ** 2)),
+            math.sqrt(np.max(np.sum(snap**2, axis=1))),
+        ]
+        # the reference stencils round differently: allow for cancellation
+        scale = np.max(np.abs(snap)) / h**2
+        assert rows[s] == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
+
+
+def test_stack_norms_chunks_a_long_stack(rng):
+    from llblab.field import STACK_CHUNK
+
+    stack = rng.normal(size=(2 * STACK_CHUNK + 3, 7, 3))
+    rows = stack_norms(stack, 0.125)
+    for s in (0, STACK_CHUNK - 1, STACK_CHUNK, len(stack) - 1):
+        assert rows[s].tobytes() == stack_norms(stack[s:s + 1], 0.125)[0].tobytes()
 
 
 # --- helmholtz solve --------------------------------------------------------

@@ -235,7 +235,7 @@ def test_weak_convergence_zero_control_reduces_to_small_noise():
 
 
 def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
-    import llblab.ldp as ldp_module
+    import llblab.clt as clt_module
     from llblab.analysis import path_gap
     from llblab.noise import stream_rng
 
@@ -260,8 +260,8 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
         ]
         assert row.mean_metric == pytest.approx(float(np.mean(metrics)), rel=1e-12, abs=0.0)
     assert rows[1].mean_metric == 0.0
-    # batches of any width give the same bits
-    monkeypatch.setattr(ldp_module, "BATCH_COLUMNS", 2)
+    # batches of any width give the same bits (the ensemble driver is clt.run_columns)
+    monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 2)
     assert weak_convergence_experiment(*args) == rows
 
 

@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
+from llblab.dynamics import (
+    ModelParams,
+    SystemKind,
+    TimeGrid,
+    initial_profile,
+    integrate,
+    integrate_batch,
+)
 from llblab.field import make_grid
 from llblab.noise import (
     ControlPath,
@@ -108,14 +118,17 @@ def test_noise_field_linearity(rng):
 
 
 def test_noise_field_dimension_mismatch():
-    # a shared increment path must match the covariance's mode count
+    # increment streams must match the covariance's mode count and the time grid
     spec = make_covariance(4, 4.0)
     tg = TimeGrid(0.01, 10)
-    with pytest.raises(ValueError, match="shared path"):
-        integrate(
-            SystemKind.STOCHASTIC, initial_profile(make_grid(31)), ModelParams(epsilon=0.1), tg,
-            spec=spec, shared_path=np.zeros((10, 3, 3)),
-        )
+    grid = make_grid(31)
+    for steps, modes in ((10, 3), (9, 4)):
+        with pytest.raises(ValueError, match="increment streams"):
+            integrate_batch(
+                (SystemKind.STOCHASTIC,), grid, (initial_profile(grid).values[..., None],),
+                ModelParams(), tg, lambda *a: None, spec=spec,
+                noise=IncrementStreams([stream_rng(0)], steps, modes, tg.dt), epsilons=[0.1],
+            )
 
 
 def test_noise_field_node_variance_matches_covariance():
@@ -206,14 +219,21 @@ def test_parseval_coordinates_vs_synthesis(rng):
 
 # --- serialization ---------------------------------------------------------------
 
-def test_control_csv_round_trip(tmp_path, rng):
-    ctrl = ControlPath(rng.normal(size=(7, 3, 3)), 0.05)
-    path = tmp_path / "control.csv"
-    write_control_csv(ctrl, path)
+@settings(max_examples=50, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 4), st.just(3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_control_csv_round_trip(tmp_path_factory, coefficients):
+    # repr keeps every bit, signed zeros and subnormals included
+    path = tmp_path_factory.mktemp("control") / "control.csv"
+    write_control_csv(ControlPath(coefficients, 0.05), path)
     header = path.read_text().splitlines()[0]
     assert header == "step,k,j,coefficient"
-    coeffs = read_control_coefficients(path)
-    assert np.array_equal(coeffs, ctrl.coefficients)
+    assert read_control_coefficients(path).tobytes() == coefficients.tobytes()
 
 
 def test_control_csv_requires_header(tmp_path):
