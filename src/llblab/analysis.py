@@ -30,7 +30,6 @@ from .field import (
     map_stack,
     norms,
     sq_norm_values,
-    stack_norms,
 )
 from .dynamics import ModelParams, TrajectoryRecord
 
@@ -236,7 +235,7 @@ def energy_drift(traj: TrajectoryRecord, params: ModelParams) -> float:
         raise ValueError("energy drift needs snapshots at every step")
     h = traj.grid.spacing
     dt = float(traj.times[1] - traj.times[0])
-    rows = stack_norms(traj.snapshots, h)
+    rows = traj.norm_rows
     h1_sq = rows[:, 1] ** 2
     cubic = map_stack(lambda v: _cubic_term(v, h), traj.snapshots[:-1])
     diss = 2.0 * params.nu1 * rows[:-1, 2] ** 2

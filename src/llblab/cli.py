@@ -46,7 +46,7 @@ from .dynamics import (
     write_fields_csv,
     write_report_csv,
 )
-from .field import Grid1D, VectorField, h1_norm, make_grid, norms
+from .field import Grid1D, VectorField, h1_norm, make_grid
 from .ldp import RateProblem, compactness_probe, estimate_rate, weak_convergence_experiment
 # stream_rng stays bound here, unused: perfbench/tracer.py patches cli.stream_rng by name
 from .noise import (
@@ -410,13 +410,14 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
         dump = os.path.join(outdir, "fields.csv")
         write_fields_csv(rec, dump)
         files.append(dump)
-    final = norms(rec.final_field())
+    # the report, the drift and the final norms share the record's norm rows
+    final_l2, final_h1_semi = rec.norm_rows[-1, :2].tolist()
     summary = os.path.join(outdir, "summary.json")
     _write_json(
         summary,
         {
-            "final_l2": final.l2,
-            "final_h1_semi": final.h1_semi,
+            "final_l2": final_l2,
+            "final_h1_semi": final_h1_semi,
             "energy_drift": energy_drift(rec, config.model_params()),
             "explicit_cfl": rec.explicit_cfl,
         },
@@ -493,7 +494,7 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
             component=config["weak.component"],
             coefficient=config["weak.coefficient"],
         )
-    rows = weak_convergence_experiment(
+    rows, failures = weak_convergence_experiment(
         ctrl,
         config["weak.epsilons"],
         config["weak.samples"],
@@ -524,6 +525,7 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
                 for r in rows
             ],
             "control_cost": ctrl.h0_cost(),
+            "failures": [f._asdict() for f in failures],
         },
     )
     return EXIT_OK, [path, summary]
@@ -622,7 +624,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     except ConfigError as exc:
         return _error(EXIT_CONFIG, "config", messages=exc.errors)
     except BlowUpError as exc:
-        return _error(EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step)
+        key = list(exc.key) if exc.key is not None else None
+        return _error(EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=key)
     except OSError as exc:
         return _error(EXIT_IO, "io", message=str(exc))
 

@@ -31,10 +31,10 @@ would blow up alone while the others go on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class TrajectoryRecord:
 
     ``snapshots`` holds the state at the steps listed in ``snapshot_steps``
     (every step by default at desk scale, strided for very long runs);
-    ``field.stack_norms`` gives their norms.
+    ``norm_rows`` gives their norms.
     """
 
     kind: str
@@ -180,6 +180,12 @@ class TrajectoryRecord:
     @property
     def dense(self) -> bool:
         return len(self.snapshot_steps) == len(self.times)
+
+    @cached_property
+    def norm_rows(self) -> np.ndarray:
+        """``field.stack_norms`` of the snapshots, (l2, h1_semi, h2_semi, linf)
+        per row; computed once, on first use."""
+        return stack_norms(self.snapshots, self.grid.spacing)
 
     def values_at(self, step: int) -> np.ndarray:
         idx = np.searchsorted(self.snapshot_steps, step)
@@ -625,24 +631,30 @@ def skeleton_adjoint(
 
 
 def write_report_csv(record: TrajectoryRecord, path) -> None:
-    """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf)."""
-    rows = stack_norms(record.snapshots, record.grid.spacing).tolist()
+    """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf).
+
+    Floats are written as ``repr`` and rows end in CRLF.
+    """
     times = record.times.tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "l2", "h1_semi", "h2_semi", "linf"])
-        for n, row in zip(record.snapshot_steps.tolist(), rows):
-            writer.writerow([n, repr(times[n]), *map(repr, row)])
+        fh.write("step,time,l2,h1_semi,h2_semi,linf\r\n")
+        fh.write("".join(
+            "%d,%r,%r,%r,%r,%r\r\n" % (n, times[n], *row)
+            for n, row in zip(record.snapshot_steps.tolist(), record.norm_rows.tolist())
+        ))
 
 
 def write_fields_csv(record: TrajectoryRecord, path) -> None:
-    """Stored snapshots as CSV (step, node_index, ux, uy, uz)."""
+    """Stored snapshots as CSV (step, node_index, ux, uy, uz).
+
+    Floats are written as ``repr`` and rows end in CRLF. Each snapshot is
+    formatted as one string from a template of all its rows, one snapshot at
+    a time, so no more than one snapshot is ever held as Python floats.
+    """
+    template = "".join(
+        f"{{0}},{node},%r,%r,%r\r\n" for node in range(record.grid.n_interior)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "node_index", "ux", "uy", "uz"])
-        for i, step_idx in enumerate(record.snapshot_steps):
-            for node in range(record.grid.n_interior):
-                v = record.snapshots[i, node]
-                writer.writerow(
-                    [int(step_idx), node, repr(float(v[0])), repr(float(v[1])), repr(float(v[2]))]
-                )
+        fh.write("step,node_index,ux,uy,uz\r\n")
+        for step, snapshot in zip(record.snapshot_steps.tolist(), record.snapshots):
+            fh.write(template.format(step) % tuple(snapshot.ravel().tolist()))

@@ -298,7 +298,7 @@ def weak_convergence_experiment(
     spec: CovarianceSpec,
     u0_field: VectorField,
     base_seed: int,
-) -> list[WeakRow]:
+) -> tuple[list[WeakRow], tuple]:
     """Distance between the controlled stochastic flow and the skeleton.
 
     For each epsilon, ``samples`` paths of the controlled system (same fixed
@@ -307,19 +307,21 @@ def weak_convergence_experiment(
     (epsilon index, sample) pair is one column of a batch marched against the
     dense skeleton on its own counter-based stream (``clt.run_columns``), with
     the metric accumulated step by step; blown-up samples are retired,
-    counted and never averaged.
+    counted and never averaged. Returns ``(rows, failures)``: one WeakRow per
+    epsilon and the ``clt.SampleFailure`` of every retired sample, sorted.
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
         spec=spec, ctrl=ctrl, stride=1,
     ).snapshots
     eps_values = [float(e) for e in epsilons]
-    metrics, _ = run_columns(
+    metrics, failures = run_columns(
         (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), eps_values, samples, base_seed,
         lambda n, states, eps: states[0] - skeleton[n][..., None], params.nu1,
         params, tgrid, spec, ctrl=ctrl,
     )
-    return [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
+    rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
+    return rows, failures
 
 
 def compactness_probe(

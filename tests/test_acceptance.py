@@ -180,7 +180,7 @@ def test_criterion_07_weak_convergence():
     tgrid = TimeGrid(0.25, 2500)
     spec = make_covariance(8, 4.0)
     ctrl = single_mode_control(tgrid.steps, 8, tgrid.dt, mode=1, component=3, coefficient=0.5)
-    rows = weak_convergence_experiment(
+    rows, _ = weak_convergence_experiment(
         ctrl, (1e-1, 1e-2, 1e-3), 32, DEFAULT_PARAMS, tgrid, spec,
         initial_profile(make_grid(127)), base_seed=60321,
     )

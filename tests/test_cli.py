@@ -153,12 +153,24 @@ def test_run_validate_small(tmp_path):
         assert hashlib.sha256(payload).hexdigest() == digest
 
 
-def test_run_deterministic_outputs(tmp_path):
+def test_run_deterministic_outputs(tmp_path, monkeypatch):
+    import llblab.field as field_module
+
+    # the report, the energy drift and the final norms share one norm pass
+    stacks = []
+    map_stack = field_module.map_stack
+
+    def counted_map_stack(fn, stack):
+        stacks.append(len(stack))
+        return map_stack(fn, stack)
+
+    monkeypatch.setattr(field_module, "map_stack", counted_map_stack)
     cfg = parse_config(
         "kind = deterministic\ngrid.n = 31\ntime.horizon = 0.02\ntime.steps = 40\n"
         "deterministic.dump_fields = true\n"
     )
     code = run(cfg, out_dir=str(tmp_path))
+    assert stacks == [41]
     assert code == EXIT_OK
     lines = (tmp_path / "trajectory_report.csv").read_text().splitlines()
     assert lines[0] == "step,time,l2,h1_semi,h2_semi,linf"
@@ -193,6 +205,37 @@ def test_run_weak_outputs(tmp_path):
     lines = (tmp_path / "weak_report.csv").read_text().splitlines()
     assert lines[0] == "epsilon,mean_metric,std_error,n_ok,n_failed"
     assert len(lines) == 3
+    assert json.loads((tmp_path / "summary.json").read_text())["failures"] == []
+
+
+def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
+    # a blown-up weak-convergence sample is listed with its stream key and
+    # step; replaying the key raises at the same step
+    import llblab.clt as clt_module
+    from llblab.dynamics import BlowUpError, SystemKind, integrate
+    from llblab.noise import single_mode_control, stream_rng
+
+    def loud_stream(base_seed, *key):
+        rng = stream_rng(base_seed, *key)
+        return ScaledRng(rng, 1.0e4) if key == (0, 1) else rng
+
+    monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
+    cfg = parse_config(TINY_WEAK)
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(r["n_ok"], r["n_failed"]) for r in summary["rows"]] == [(1, 1), (2, 0)]
+    (failure,) = summary["failures"]
+    assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
+    tgrid = cfg.time_grid()
+    ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
+    with pytest.raises(BlowUpError) as info:
+        integrate(
+            SystemKind.CONTROLLED_STOCHASTIC, cfg.initial(), cfg.model_params().with_epsilon(0.1),
+            tgrid, spec=cfg.covariance(), ctrl=ctrl, rng=loud_stream(99, 0, 1),
+            seed_info=(99, 0, 1),
+        )
+    assert info.value.step == failure["step"]
+    assert info.value.key == (99, 0, 1)
 
 
 def test_run_weak_with_control_file(tmp_path):
@@ -273,6 +316,7 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     payload = json.loads(captured.out.strip().splitlines()[-1])
     assert payload["error"]["code"] == EXIT_BLOWUP
     assert payload["error"]["step"] is not None
+    assert payload["error"]["key"] is None
 
 
 def test_main_rate_blow_up_exits_three(tmp_path, capsys):
@@ -290,8 +334,35 @@ def test_main_rate_blow_up_exits_three(tmp_path, capsys):
     assert payload["error"]["code"] == EXIT_BLOWUP
     assert payload["error"]["kind"] == "blow-up"
     assert payload["error"]["step"] > 0
+    # the skeleton draws no noise: no stream key replays it
+    assert payload["error"]["key"] is None
     assert not (out / "rate_estimate.json").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_run_noisy_blow_up_reports_its_stream_key(tmp_path, monkeypatch, capsys):
+    # a noisy run that fails through integrate names the stream that replays it
+    from llblab import cli
+    from llblab.dynamics import SystemKind, integrate
+    from llblab.noise import stream_rng
+
+    def loud_sample(config, outdir):
+        integrate(
+            SystemKind.STOCHASTIC, config.initial(), config.model_params().with_epsilon(0.1),
+            config.time_grid(), spec=config.covariance(),
+            rng=ScaledRng(stream_rng(8, 0, 1), 1.0e4), seed_info=(8, 0, 1),
+        )
+
+    monkeypatch.setitem(cli.DRIVERS, "deterministic", loud_sample)
+    cfg = parse_config(
+        "kind = deterministic\ngrid.n = 31\ntime.horizon = 0.02\ntime.steps = 40\n"
+        "noise.modes = 4\n"
+    )
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_BLOWUP
+    error = json.loads(capsys.readouterr().out.strip())["error"]
+    assert error["kind"] == "blow-up" and error["step"] > 0
+    assert error["key"] == [8, 0, 1]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @settings(max_examples=50, deadline=None)

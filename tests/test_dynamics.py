@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from llblab.dynamics import (
@@ -11,11 +13,14 @@ from llblab.dynamics import (
     ModelParams,
     SystemKind,
     TimeGrid,
+    TrajectoryRecord,
     _drift_values,
     _step_values,
     initial_profile,
     integrate,
     integrate_batch,
+    write_fields_csv,
+    write_report_csv,
 )
 from llblab.field import (
     VectorField,
@@ -363,8 +368,6 @@ def test_snapshot_striding():
 
 
 def test_trajectory_csv_writers(tmp_path):
-    from llblab.dynamics import write_fields_csv, write_report_csv
-
     g = make_grid(31)
     rec = integrate(
         SystemKind.DETERMINISTIC, initial_profile(g), ModelParams(), TimeGrid(0.01, 10)
@@ -384,6 +387,68 @@ def test_trajectory_csv_writers(tmp_path):
     dump = fields_path.read_text().splitlines()
     assert dump[0] == "step,node_index,ux,uy,uz"
     assert len(dump) == 1 + 11 * 31
+
+
+def _csv_writer_report(record, path):
+    # the csv.writer implementation the template writers replaced: the oracle
+    rows = stack_norms(record.snapshots, record.grid.spacing).tolist()
+    times = record.times.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "time", "l2", "h1_semi", "h2_semi", "linf"])
+        for n, row in zip(record.snapshot_steps.tolist(), rows):
+            writer.writerow([n, repr(times[n]), *map(repr, row)])
+
+
+def _csv_writer_fields(record, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "node_index", "ux", "uy", "uz"])
+        for i, step_idx in enumerate(record.snapshot_steps):
+            for node in range(record.grid.n_interior):
+                v = record.snapshots[i, node]
+                writer.writerow(
+                    [int(step_idx), node, repr(float(v[0])), repr(float(v[1])), repr(float(v[2]))]
+                )
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+         math.inf, -math.inf, math.nan, 1e16, 1e-5]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.one_of(st.integers(3, 6), st.integers(100, 260)))
+    steps = draw(st.integers(1, 12))
+    stride = draw(st.integers(1, steps))
+    snap_steps = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
+    snapshots = draw(arrays(np.float64, (len(snap_steps), n, 3), elements=EDGE_FLOATS))
+    times = draw(arrays(np.float64, steps + 1, elements=EDGE_FLOATS))
+    return TrajectoryRecord(
+        kind="deterministic", params=ModelParams(), grid=make_grid(n), times=times,
+        snapshots=snapshots, snapshot_steps=snap_steps,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_records())
+def test_trajectory_csv_writers_match_csv_writer_bytes(tmp_path_factory, record):
+    # repr floats (signed zeros, subnormals, huge, inf and nan) and CRLF rows,
+    # byte for byte as csv.writer wrote them, at any stride and grid size
+    out = tmp_path_factory.mktemp("writers")
+    write_fields_csv(record, out / "fields.csv")
+    _csv_writer_fields(record, out / "fields_oracle.csv")
+    assert (out / "fields.csv").read_bytes() == (out / "fields_oracle.csv").read_bytes()
+    # norms of huge or non-finite states overflow to inf or nan, as they should
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_report_csv(record, out / "report.csv")
+        _csv_writer_report(record, out / "report_oracle.csv")
+    assert (out / "report.csv").read_bytes() == (out / "report_oracle.csv").read_bytes()
 
 
 def test_stochastic_energy_stays_bounded_smoke():

@@ -207,7 +207,7 @@ def test_estimate_rate_deterministic_rerun():
 def test_weak_convergence_zero_eps_is_exact():
     tg = tgrid()
     ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
-    rows = weak_convergence_experiment(
+    rows, _ = weak_convergence_experiment(
         ctrl, [0.0], 2, PARAMS, tg, SPEC, initial_profile(GRID), base_seed=3
     )
     assert rows[0].mean_metric == 0.0
@@ -217,7 +217,7 @@ def test_weak_convergence_zero_eps_is_exact():
 def test_weak_convergence_metric_decreases():
     tg = tgrid(250)
     ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
-    rows = weak_convergence_experiment(
+    rows, _ = weak_convergence_experiment(
         ctrl, [1e-1, 1e-2, 1e-3], 6, PARAMS, tg, SPEC, initial_profile(GRID), base_seed=11
     )
     metrics = [r.mean_metric for r in rows]
@@ -228,7 +228,7 @@ def test_weak_convergence_metric_decreases():
 def test_weak_convergence_zero_control_reduces_to_small_noise():
     tg = tgrid(250)
     ctrl = zero_control(tg.steps, 8, tg.dt)
-    rows = weak_convergence_experiment(
+    rows, _ = weak_convergence_experiment(
         ctrl, [1e-1, 1e-3], 4, PARAMS, tg, SPEC, initial_profile(GRID), base_seed=5
     )
     assert rows[0].mean_metric > rows[1].mean_metric > 0.0
@@ -242,7 +242,7 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
     tg = tgrid(100)
     ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
     args = (ctrl, [1e-1, 0.0, 1e-3], 3, PARAMS, tg, SPEC, initial_profile(GRID), 9)
-    rows = weak_convergence_experiment(*args)
+    rows, _ = weak_convergence_experiment(*args)
     skeleton = integrate(
         SystemKind.SKELETON, initial_profile(GRID), PARAMS, tg, spec=SPEC, ctrl=ctrl, stride=1
     )
@@ -262,7 +262,7 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
     assert rows[1].mean_metric == 0.0
     # batches of any width give the same bits (the ensemble driver is clt.run_columns)
     monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 2)
-    assert weak_convergence_experiment(*args) == rows
+    assert weak_convergence_experiment(*args)[0] == rows
 
 
 # --- compactness probe --------------------------------------------------------------------
