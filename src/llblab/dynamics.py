@@ -1,10 +1,10 @@
 """Semi-implicit time stepping for the Landau-Lifshitz-Bloch systems.
 
 One Euler-Maruyama step treats the stiff diffusion implicitly (a single
-banded solve per step) and everything else explicitly:
+tridiagonal LDL^T solve per step) and everything else explicitly:
 
-    u+ = (I - dt*nu1*Lap)^{-1} [ u + dt*(gamma u x Lap u - nu2 (1+mu|u|^2) u)
-                                   + u x (sqrt(eps) dB + dt h) ]
+    u+ = (I - dt*nu1*Lap)^{-1} [ u - dt nu2 (1+mu|u|^2) u
+                                   + u x (dt gamma Lap u + sqrt(eps) dB + dt h) ]
 
 The same machinery drives the deterministic flow, the small-noise and
 controlled stochastic flows, the deterministic skeleton, and the linear
@@ -209,18 +209,14 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> VectorField
     return VectorField(grid, vals)
 
 
-def _drift_values(
-    v: np.ndarray, lap_v: np.ndarray, sq_v: np.ndarray, params: ModelParams
-) -> np.ndarray | None:
-    """Explicit drift gamma u x Lap u - nu2 (1+mu|u|^2) u, given the pointwise
-    squared norms ``sq_v`` of ``v``; None when identically zero."""
-    rhs = None
-    if params.gamma != 0.0:
-        rhs = params.gamma * cross_values(v, lap_v)
-    if params.nu2 != 0.0:
-        damp = (params.nu2 * (1.0 + params.mu * sq_v))[:, None] * v
-        rhs = -damp if rhs is None else rhs - damp
-    return rhs
+def _drive(lap_v: np.ndarray, params: ModelParams, dt: float, g: np.ndarray | None):
+    """dt gamma Lap u + g, the field the state is crossed with; None when it is
+    identically zero. A zero ``g`` is skipped, so a run without noise or control
+    takes the noiseless path bit for bit."""
+    drive = (dt * params.gamma) * lap_v if params.gamma != 0.0 else None
+    if g is not None and g.any():
+        drive = g if drive is None else drive + g
+    return drive
 
 
 def _step_values(
@@ -234,11 +230,12 @@ def _step_values(
     h: float,
 ) -> np.ndarray:
     """One semi-implicit step of the nonlinear systems (module docstring), with the
-    forcing field ``g`` = sqrt(eps) dB + dt h and ``c`` = dt * nu1 (0 skips the solve)."""
-    rhs = _drift_values(v, lap_v, sq_v, params)
-    out = v + dt * rhs if rhs is not None else v
-    if g is not None and g.any():
-        out = out + cross_values(v, g)
+    forcing field ``g`` = sqrt(eps) dB + dt h, ``c`` = dt * nu1 (0 skips the solve)
+    and the pointwise squared norms ``sq_v`` of ``v``: one cross product per step."""
+    drive = _drive(lap_v, params, dt, g)
+    out = v.copy() if drive is None else v + cross_values(v, drive)
+    if params.nu2 != 0.0:
+        out -= (dt * params.nu2 * (1.0 + params.mu * sq_v))[:, None] * v
     return helm_values(out, h, c)
 
 
@@ -255,18 +252,15 @@ def _linear_step_values(
 ) -> np.ndarray:
     """One step of the linear deviation system: the derivative of ``_step_values``
     at eps = 0 along the base state ``base`` (n, 3, 1), driven by the noise field
-    ``forcing``."""
-    rhs = params.gamma * (cross_values(v, lap_base) + cross_values(base, lap_v))
+    ``forcing``: v x (dt gamma Lap b) + b x (dt gamma Lap v + forcing)."""
+    drive = _drive(lap_v, params, dt, forcing)
+    out = v + cross_values(v, (dt * params.gamma) * lap_base)
+    if drive is not None:
+        out += cross_values(base, drive)
     if params.nu2 != 0.0:
-        rhs -= params.nu2 * v
+        out -= (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(base)))[:, None] * v
         if params.mu != 0.0:
-            dot = dot_values(base, v)
-            rhs -= (params.nu2 * params.mu) * (
-                2.0 * dot[:, None] * base + sq_norm_values(base)[:, None] * v
-            )
-    out = v + dt * rhs
-    if forcing is not None and forcing.any():
-        out = out + cross_values(base, forcing)
+            out -= (2.0 * dt * params.nu2 * params.mu * dot_values(base, v))[:, None] * base
     return helm_values(out, h, c)
 
 
@@ -309,20 +303,21 @@ def _step_transpose_values(
     """Transpose of the tangent of ``_step_values`` at ``v``, applied to ``lam``.
 
     Returns ``(lam_prev, mu)`` with ``mu = (I - c*Lap)^{-1} lam``; the Helmholtz
-    matrix is symmetric, so the same banded solve is its own transpose.
+    matrix is symmetric, so the same solve is its own transpose. The precession
+    and forcing terms are (dt gamma Lap v + g) x mu + dt gamma Lap(mu x v).
     """
     mu = helm_values(lam, h, c)
     out = mu
+    drive = _drive(lap_v, params, dt, g)
+    if drive is not None:
+        out = out + cross_values(drive, mu)
     if params.gamma != 0.0:
-        precession = cross_values(lap_v, mu) + lap_values(cross_values(mu, v), h)
-        out = out + (dt * params.gamma) * precession
+        out = out + (dt * params.gamma) * lap_values(cross_values(mu, v), h)
     if params.nu2 != 0.0:
         out = out - (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(v)))[:, None] * mu
         if params.mu != 0.0:
             dot = np.einsum("ij,ij->i", v, mu)
             out = out - (2.0 * dt * params.nu2 * params.mu) * dot[:, None] * v
-    if g is not None and g.any():
-        out = out + cross_values(g, mu)
     return out, mu
 
 

@@ -4,14 +4,15 @@ Fields are R^3-valued samples on the interior nodes of a uniform grid. The
 3-point Laplacian and the edge-based forward-difference gradient are exact
 discrete adjoints of each other, so summation-by-parts identities hold to
 rounding rather than only asymptotically. The implicit Helmholtz step
-(I - c*Lap) is solved with a banded Cholesky factorization; the matrix is
-strictly diagonally dominant and positive definite for c >= 0, so no
-pivoting is needed.
+(I - c*Lap) is solved with the LDL^T factorization of a symmetric positive
+definite tridiagonal matrix (LAPACK pttrf/pttrs); the matrix is strictly
+diagonally dominant and positive definite for c >= 0, so no pivoting is
+needed.
 
 The array kernels take one (n, 3) field or a node-major batch (n, 3, M) of M
 fields, and treat every column of a batch exactly as they treat that column
 alone: pointwise kernels use the same floating-point operations in the same
-order whatever the layout, and the banded solve runs LAPACK on each
+order whatever the layout, and the tridiagonal solve runs LAPACK on each
 right-hand side separately. A batch therefore reproduces its single-field
 runs bit for bit.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 __all__ = [
     "Grid1D",
@@ -122,7 +123,7 @@ def _same_grid(f: VectorField, g: VectorField) -> None:
 # node-major batches (n, 3, ...), and lap_values/grad_values/helm_values take
 # any node-major stack (n, ...))
 
-_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
 def lap_values(v: np.ndarray, h: float) -> np.ndarray:
@@ -161,12 +162,8 @@ def grad_values(v: np.ndarray, h: float) -> np.ndarray:
 def cross_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise cross product over axis 1; (n, 3, ...) shapes broadcast, so an
     (n, 3, 1) field crosses every column of an (n, 3, M) batch."""
-    if a.shape == b.shape:
-        out = np.empty_like(a)
-    else:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        # keep the memory layout of the full-shape operand
-        out = np.empty_like(a if a.shape == shape else b, shape=shape)
+    # keep the memory layout of the full-shape operand
+    out = np.empty_like(b if b.size > a.size else a)
     o = out
     if out.shape[2:] == (1,):
         a, b, o = a[..., 0], b[..., 0], out[..., 0]
@@ -204,27 +201,28 @@ def column_sq_sums(v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _helmholtz_factor(n: int, h: float, c: float):
-    # upper banded storage of the SPD tridiagonal matrix I - c*Lap
+    # LDL^T of the tridiagonal matrix I - c*Lap from its diagonal and off-diagonal
     inv_h2 = 1.0 / (h * h)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -c * inv_h2
-    ab[1, :] = 1.0 + 2.0 * c * inv_h2
-    return cholesky_banded(ab)
+    d, e, info = _pttrf(np.full(n, 1.0 + 2.0 * c * inv_h2), np.full(n - 1, -c * inv_h2))
+    if info != 0:
+        raise LinAlgError(f"I - c*Lap is not positive definite for c = {c} (pttrf info {info})")
+    return d, e
 
 
 def helm_values(v: np.ndarray, h: float, c: float) -> np.ndarray:
     """Solve (I - c*Lap) w = v for every column of a node-major stack (n, ...);
     exact identity for c = 0.
 
-    One LAPACK pbtrs call takes all right-hand sides and solves each on its
-    own, so a batch gives each column the bits of solving it alone.
+    One LAPACK pttrs call takes all right-hand sides and solves each on its
+    own, so a batch gives each column the bits of solving it alone. Raises
+    LinAlgError when the matrix is not positive definite (c < 0).
     """
     if c == 0.0:
         return v.copy()
-    factor = _helmholtz_factor(v.shape[0], h, c)
-    x, info = _pbtrs(factor, v.reshape(v.shape[0], -1))
+    d, e = _helmholtz_factor(v.shape[0], h, c)
+    x, info = _pttrs(d, e, v.reshape(v.shape[0], -1))
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
     return x.reshape(v.shape)
 
 

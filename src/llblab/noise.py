@@ -191,15 +191,14 @@ class IncrementStreams:
 
 
 def write_control_csv(ctrl: ControlPath, path) -> None:
-    """Persist as CSV with columns (step, k, j, coefficient); k, j are 1-based."""
+    """Persist as CSV with columns (step, k, j, coefficient); k, j are 1-based.
+    Floats are written as ``repr``, rows end in CRLF, one template string a step."""
+    steps, modes, _ = ctrl.coefficients.shape
+    template = "".join(f"{{0}},{k},{j},%r\r\n" for k in range(1, modes + 1) for j in (1, 2, 3))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "k", "j", "coefficient"])
-        coeffs = ctrl.coefficients
-        for n in range(coeffs.shape[0]):
-            for k in range(coeffs.shape[1]):
-                for j in range(3):
-                    writer.writerow([n, k + 1, j + 1, repr(float(coeffs[n, k, j]))])
+        fh.write("step,k,j,coefficient\r\n")
+        for n, row in enumerate(ctrl.coefficients.reshape(steps, 3 * modes).tolist()):
+            fh.write(template.format(n) % tuple(row))
 
 
 def read_control_coefficients(path) -> np.ndarray:

@@ -1,7 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from llblab.field import VectorField, make_grid
+
+# floats whose repr is easy to get wrong: signed zeros, subnormals, huge, inf and nan
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+         math.inf, -math.inf, math.nan, 1e16, 1e-5]
+    ),
+    st.floats(),
+)
 
 
 @pytest.fixture

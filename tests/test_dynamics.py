@@ -14,7 +14,6 @@ from llblab.dynamics import (
     SystemKind,
     TimeGrid,
     TrajectoryRecord,
-    _drift_values,
     _step_values,
     initial_profile,
     integrate,
@@ -39,7 +38,7 @@ from llblab.noise import (
     stream_rng,
     zero_control,
 )
-from conftest import ScaledRng, random_field
+from conftest import EDGE_FLOATS, ScaledRng, random_field
 
 HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0, epsilon=0.0)
 
@@ -71,13 +70,16 @@ def test_time_grid():
 # --- explicit drift and the step kernel --------------------------------------------
 
 def _drift(u, params):
-    v = u.values
-    return _drift_values(v, lap_values(v, u.grid.spacing), sq_norm_values(v), params)
+    # the explicit drift is (step - v) / dt of a step without the implicit solve
+    # (c = 0); dt = 1 keeps the subtraction from scaling its rounding up
+    v, h, dt = u.values, u.grid.spacing, 1.0
+    step = _step_values(v, lap_values(v, h), sq_norm_values(v), params, dt, 0.0, None, h)
+    return (step - v) / dt
 
 
 def test_explicit_rhs_vanishes_without_terms(rng, grid63):
     u = random_field(grid63, rng)
-    assert _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)) is None
+    assert not _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)).any()
 
 
 def test_explicit_rhs_single_direction(rng):
@@ -410,15 +412,6 @@ def _csv_writer_fields(record, path):
                 writer.writerow(
                     [int(step_idx), node, repr(float(v[0])), repr(float(v[1])), repr(float(v[2]))]
                 )
-
-
-EDGE_FLOATS = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
-         math.inf, -math.inf, math.nan, 1e16, 1e-5]
-    ),
-    st.floats(),
-)
 
 
 @st.composite

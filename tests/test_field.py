@@ -327,8 +327,8 @@ def test_helmholtz_c_zero_identity(rng, grid63):
 
 
 def test_helmholtz_negative_c(rng, grid63):
-    # c = -0.1 makes I - c*Lap indefinite on this grid; the Cholesky factorization refuses it
-    with pytest.raises(ValueError):
+    # c = -0.1 makes I - c*Lap indefinite on this grid; the LDL^T factorization refuses it
+    with pytest.raises(np.linalg.LinAlgError):
         helm_values(random_field(grid63, rng).values, grid63.spacing, -0.1)
 
 
@@ -360,6 +360,36 @@ def test_helmholtz_round_trip(rng, grid63):
     back = helm_values(image.values, grid63.spacing, c)
     rel = np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
     assert rel <= 1e-10
+
+
+@st.composite
+def _helmholtz_stacks(draw):
+    n = draw(st.integers(3, 300))
+    width = draw(st.integers(1, 12))
+    v = draw(arrays(np.float64, (n, 3, width), elements=st.floats(-1e3, 1e3)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        v = np.asfortranarray(v)
+    elif layout == "strided":
+        v = np.repeat(v, 2, axis=2)[..., ::2]
+    return v, draw(st.floats(1e-8, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_helmholtz_stacks())
+def test_helmholtz_stack_equals_column_solves_and_has_rounding_residual(case):
+    # every column of a stack gets the bits of its own solve, whatever the
+    # stack's width or memory layout, and w solves (I - c*Lap) w = v to rounding
+    v, c = case
+    n, _, width = v.shape
+    h = 1.0 / (n + 1)
+    w = helm_values(v, h, c)
+    for j in range(width):
+        assert w[..., j].tobytes() == helm_values(v[..., j].copy(), h, c).tobytes()
+        assert w[..., j:j + 1].tobytes() == helm_values(v[..., j:j + 1].copy(), h, c).tobytes()
+    resid = w - c * lap_values(w, h) - v
+    scale = np.linalg.norm(v) + (1.0 + 4.0 * c / h**2) * np.linalg.norm(w)
+    assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * scale
 
 
 def test_helmholtz_matches_thomas_reference(rng):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from llblab.noise import (
     write_control_csv,
     zero_control,
 )
+from conftest import EDGE_FLOATS
 
 
 # --- covariance -------------------------------------------------------------
@@ -234,6 +236,36 @@ def test_control_csv_round_trip(tmp_path_factory, coefficients):
     header = path.read_text().splitlines()[0]
     assert header == "step,k,j,coefficient"
     assert read_control_coefficients(path).tobytes() == coefficients.tobytes()
+
+
+def _csv_writer_control(ctrl, path):
+    # the csv.writer implementation the template writer replaced: the oracle
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "k", "j", "coefficient"])
+        coeffs = ctrl.coefficients
+        for n in range(coeffs.shape[0]):
+            for k in range(coeffs.shape[1]):
+                for j in range(3):
+                    writer.writerow([n, k + 1, j + 1, repr(float(coeffs[n, k, j]))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 12), st.integers(1, 12), st.just(3)),
+        elements=EDGE_FLOATS,
+    )
+)
+def test_control_csv_matches_csv_writer_bytes(tmp_path_factory, coefficients):
+    # repr floats (signed zeros, subnormals, huge, inf and nan) and CRLF rows,
+    # byte for byte as csv.writer wrote them, two-digit steps and modes included
+    out = tmp_path_factory.mktemp("control")
+    ctrl = ControlPath(coefficients, 0.05)
+    write_control_csv(ctrl, out / "control.csv")
+    _csv_writer_control(ctrl, out / "control_oracle.csv")
+    assert (out / "control.csv").read_bytes() == (out / "control_oracle.csv").read_bytes()
 
 
 def test_control_csv_requires_header(tmp_path):
