@@ -29,6 +29,7 @@ from .field import (
     laplacian,
     map_stack,
     norms,
+    scratch,
     sq_norm_values,
 )
 from .dynamics import ModelParams, TrajectoryRecord
@@ -271,7 +272,8 @@ class StreamedPathGap:
     """The proof metric of ``path_gap`` for a batch of M columns, fed one step at a time.
 
     ``add(n, d, live)`` takes the (n, 3, M') differences of step n for the
-    columns ``live`` (indices into the batch); ``values`` is the metric of
+    columns ``live`` (indices into the batch, or a slice of it, which avoids
+    the gathers while no column has retired); ``values`` is the metric of
     every column over the steps it was given. Only two numbers per column are
     kept, never the trajectories. A column's value does not depend on the
     batch it runs in; its sums run in step order, so it equals ``path_gap`` of
@@ -286,13 +288,16 @@ class StreamedPathGap:
         self.steps = steps
         self._sup_grad_sq = np.zeros(width)
         self._lap_sq_sum = np.zeros(width)
+        self._work = {}
 
     def add(self, n: int, d: np.ndarray, live: np.ndarray) -> None:
         h = self.spacing
-        grad_sq = h * column_sq_sums(grad_values(d, h))
+        grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
+        grad_sq = h * column_sq_sums(grad, work=grad)
         self._sup_grad_sq[live] = np.maximum(self._sup_grad_sq[live], grad_sq)
         if n < self.steps and self.nu1 != 0.0:
-            self._lap_sq_sum[live] += h * column_sq_sums(lap_values(d, h))
+            lap = lap_values(d, h, out=scratch(self._work, "lap", d.shape))
+            self._lap_sq_sum[live] += h * column_sq_sums(lap, work=lap)
 
     @property
     def values(self) -> np.ndarray:

@@ -39,7 +39,7 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import VectorField, column_sq_sums, grad_values, map_stack, zero_field
+from .field import VectorField, column_sq_sums, grad_values, map_stack, scratch, zero_field
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
@@ -151,10 +151,15 @@ def run_columns(
         noise = IncrementStreams(
             [stream_rng(base_seed, i, m) for i, m in batch], tgrid.steps, spec.mode_count, tgrid.dt
         )
+
+        def observe(n, states, live):
+            # slices, not gathers, while no column has retired
+            cols = slice(None) if live.size == eps.size else live
+            gap.add(n, difference(n, states, eps[cols]), cols)
+
         failed, _ = integrate_batch(
             kinds, grid, [np.repeat(f.values[..., None], len(batch), axis=2) for f in initial],
-            params, tgrid,
-            lambda n, states, live: gap.add(n, difference(n, states, eps[live]), live),
+            params, tgrid, observe,
             spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
@@ -178,10 +183,19 @@ def run_clt(config: CltConfig) -> CltReport:
         stride=1,
     )
     base = u0_rec.snapshots
+    work = {}
 
     def deviation_gap(n, states, eps):
+        # (u_eps - u0) / sqrt(eps) - V0 in one reused buffer, which first holds u0
+        # copied across the columns: a product of full arrays is cheaper than one
+        # that broadcasts a column over the batch
         u_eps, v0 = states
-        return (u_eps - base[n][..., None]) / np.sqrt(eps) - v0
+        d = scratch(work, "d", u_eps.shape)
+        np.copyto(d, base[n][..., None])
+        np.subtract(u_eps, d, out=d)
+        d /= np.sqrt(eps)
+        d -= v0
+        return d
 
     errors, failures = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),

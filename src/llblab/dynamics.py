@@ -27,6 +27,16 @@ the snapshots it is asked for. The step kernels treat every column of a batch
 as they treat that column alone, so a column's states have the same bits at
 any batch width, and a column that blows up is retired at the step where it
 would blow up alone while the others go on.
+
+The march holds one workspace per batch in the memory order of the
+tridiagonal solve, (3, S*M, n) for S systems of M columns: every component of
+every column is one contiguous n-vector, while the arrays keep their logical
+node-major (n, 3, M) indexing. The systems share one stacked state, so a step
+takes one Laplacian, one set of squared norms, one ceiling check and one solve
+for all of them; each system writes the right-hand side of its step into its
+slice of a second state buffer, which LAPACK solves in place before the two
+swap. Every array of the batch's shape that a step writes is a workspace
+buffer, and a retirement compacts the buffers in place, keeping their order.
 """
 
 from __future__ import annotations
@@ -39,12 +49,15 @@ from functools import cached_property
 import numpy as np
 
 from .field import (
+    STACK_CHUNK,
     Grid1D,
     VectorField,
     cross_values,
     dot_values,
     helm_values,
     lap_values,
+    scratch,
+    solver_empty,
     sq_norm_values,
     stack_norms,
 )
@@ -210,82 +223,159 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> VectorField
 
 
 def _drive(lap_v: np.ndarray, params: ModelParams, dt: float, g: np.ndarray | None):
-    """dt gamma Lap u + g, the field the state is crossed with; None when it is
-    identically zero. A zero ``g`` is skipped, so a run without noise or control
-    takes the noiseless path bit for bit."""
-    drive = (dt * params.gamma) * lap_v if params.gamma != 0.0 else None
-    if g is not None and g.any():
-        drive = g if drive is None else drive + g
-    return drive
+    """dt gamma Lap u + g, the field the state is crossed with, written over the
+    Laplacian ``lap_v``; None when it is identically zero. A zero ``g`` is
+    skipped, so a run without noise or control takes the noiseless path bit for
+    bit."""
+    if g is not None and not g.any():
+        g = None
+    if params.gamma != 0.0:
+        lap_v *= dt * params.gamma
+        if g is not None:
+            lap_v += g
+    elif g is None:
+        return None
+    else:
+        np.copyto(lap_v, g)
+    return lap_v
 
 
-def _step_values(
+def _rhs_values(
     v: np.ndarray,
     lap_v: np.ndarray,
     sq_v: np.ndarray,
     params: ModelParams,
     dt: float,
-    c: float,
     g: np.ndarray | None,
-    h: float,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """One semi-implicit step of the nonlinear systems (module docstring), with the
-    forcing field ``g`` = sqrt(eps) dB + dt h, ``c`` = dt * nu1 (0 skips the solve)
-    and the pointwise squared norms ``sq_v`` of ``v``: one cross product per step."""
+    """Right-hand side of one semi-implicit step of the nonlinear systems (module
+    docstring), v + v x (dt gamma Lap v + g) - dt nu2 (1 + mu |v|^2) v, written
+    into ``out`` and returned; the step is its solve.
+
+    ``g`` = sqrt(eps) dB + dt h is the forcing, None when absent; it may be
+    ``out`` itself. The Laplacian ``lap_v`` and the pointwise squared norms
+    ``sq_v`` of ``v`` are overwritten, and take the step's intermediate terms.
+    """
     drive = _drive(lap_v, params, dt, g)
-    out = v.copy() if drive is None else v + cross_values(v, drive)
+    if drive is None:
+        np.copyto(out, v)
+    else:
+        np.add(v, cross_values(v, drive, out=out), out=out)
     if params.nu2 != 0.0:
-        out -= (dt * params.nu2 * (1.0 + params.mu * sq_v))[:, None] * v
-    return helm_values(out, h, c)
+        coef = np.multiply(params.mu, sq_v, out=sq_v)
+        coef += 1.0
+        coef *= dt * params.nu2
+        out -= np.multiply(coef[:, None], v, out=lap_v)
+    return out
 
 
-def _linear_step_values(
+def _linear_rhs_values(
     v: np.ndarray,
     lap_v: np.ndarray,
-    base: np.ndarray,
-    lap_base: np.ndarray,
+    sq_v: np.ndarray,
+    base: tuple,
     params: ModelParams,
     dt: float,
-    c: float,
     forcing: np.ndarray | None,
-    h: float,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """One step of the linear deviation system: the derivative of ``_step_values``
-    at eps = 0 along the base state ``base`` (n, 3, 1), driven by the noise field
-    ``forcing``: v x (dt gamma Lap b) + b x (dt gamma Lap v + forcing)."""
-    drive = _drive(lap_v, params, dt, forcing)
-    out = v + cross_values(v, (dt * params.gamma) * lap_base)
-    if drive is not None:
-        out += cross_values(base, drive)
-    if params.nu2 != 0.0:
-        out -= (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(base)))[:, None] * v
-        if params.mu != 0.0:
-            out -= (2.0 * dt * params.nu2 * params.mu * dot_values(base, v))[:, None] * base
-    return helm_values(out, h, c)
+    """Right-hand side of one step of the linear deviation system, written into
+    ``out``: the derivative of the nonlinear step at eps = 0 along the base state
+    b, driven by the noise field ``forcing``,
 
+        v + v x (dt gamma Lap b) + b x (dt gamma Lap v + forcing)
+          - dt nu2 (1 + mu |b|^2) v - 2 dt nu2 mu (b.v) b.
 
-def _stepper(kind, params, dt, c, h, mode_mat, ctrl_coeffs, base_snaps):
-    """The step map of ``kind`` as ``step(n, u, lap_u, sq_u, forcing, sqrt_eps)``.
-
-    ``u`` is an (n, 3, M) batch, ``lap_u`` its Laplacian and ``sq_u`` its
-    pointwise squared norms, ``forcing`` the noise field of step n in the
-    same layout (None for the noiseless kinds) and ``sqrt_eps`` the (M,)
-    noise strengths of the columns, or None when they are all zero.
+    ``base`` is (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)), the first two of
+    the shape of ``v`` or broadcasting to it, the last (n, 1). ``lap_v``,
+    ``sq_v`` and ``work`` (the shape of ``v``) are overwritten.
     """
+    b, base_drive, base_coef = base
+    np.add(v, cross_values(v, base_drive, out=out), out=out)
+    drive = _drive(lap_v, params, dt, forcing)
+    if drive is not None:
+        out += cross_values(b, drive, out=work)
+    if params.nu2 != 0.0:
+        out -= np.multiply(base_coef[:, None], v, out=work)
+        if params.mu != 0.0:
+            dot = dot_values(b, v, out=sq_v, work=work)
+            dot *= 2.0 * dt * params.nu2 * params.mu
+            out -= np.multiply(dot[:, None], b, out=work)
+    return out
 
-    def step(n, u, lap_u, sq_u, forcing, sqrt_eps):
-        if kind is SystemKind.LINEARIZED_CLT:
-            base = base_snaps[n][..., None]
-            return _linear_step_values(
-                u, lap_u, base, lap_values(base, h), params, dt, c, forcing, h
+
+def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float):
+    """``base_terms(n, M)``: the (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)) of base
+    snapshot n for ``_linear_rhs_values``, the first two repeated over M columns.
+    The Laplacians and norms are taken for ``STACK_CHUNK`` snapshots at a time,
+    as node-major stack operations with the bits of the per-snapshot ones, so
+    memory holds one chunk."""
+    store = {}
+    chunk = {}
+    # one pair of chunk buffers for the run; the last chunk may use part of them
+    size = min(STACK_CHUNK, len(snaps))
+    nodes = snaps.shape[1]
+
+    def base_terms(n, width):
+        first = n - n % STACK_CHUNK
+        if chunk.get("first") != first:
+            # in place, with the operations of dt*gamma * Lap b and dt*nu2 * (1 + mu |b|^2)
+            stack = np.moveaxis(snaps[first:first + STACK_CHUNK], 0, -1)
+            count = stack.shape[2]
+            drive = scratch(store, "drive", (nodes, 3, size))[..., :count]
+            coef = scratch(store, "coef", (nodes, size))[:, :count]
+            sq_norm_values(stack, out=coef, work=drive)
+            coef *= params.mu
+            coef += 1.0
+            coef *= dt * params.nu2
+            lap_values(stack, h, out=drive)
+            drive *= dt * params.gamma
+            chunk.update(first=first, drive=drive, coef=coef)
+        k = n - first
+        # b and its drive copied across the batch: products of full arrays are
+        # cheaper than products that broadcast a column over it
+        b = scratch(store, "b", (nodes, 3, width))
+        np.copyto(b, snaps[n][..., None])
+        b_drive = scratch(store, "b_drive", (nodes, 3, width))
+        np.copyto(b_drive, chunk["drive"][..., k:k + 1])
+        return b, b_drive, chunk["coef"][:, k:k + 1]
+
+    return base_terms
+
+
+def _stepper(kind, params, dt, h, mode_mat, ctrl_coeffs, base_snaps):
+    """The step map of ``kind`` as ``step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work)``.
+
+    It writes the right-hand side of the step from the (n, 3, M) batch ``u``
+    into ``out``, to be solved in place by the march. ``lap_u`` is the
+    Laplacian of ``u`` and ``sq_u`` its pointwise squared norms, both
+    overwritten, ``forcing`` the noise field of step n (None for the noiseless
+    kinds), ``sqrt_eps`` the (M,) noise strengths of the columns, or None when
+    they are all zero, and ``work`` a scratch array of the shape of ``u``.
+    """
+    if kind is SystemKind.LINEARIZED_CLT:
+        base_terms = _base_terms(base_snaps, params, dt, h)
+
+        def linear_step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work):
+            return _linear_rhs_values(
+                u, lap_u, sq_u, base_terms(n, u.shape[2]), params, dt, forcing, out, work
             )
+
+        return linear_step
+
+    # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
+    cf = None if ctrl_coeffs is None else solver_empty((mode_mat.shape[0], 3, 1))
+
+    def step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work):
         g = None
         if forcing is not None and sqrt_eps is not None:
-            g = sqrt_eps * forcing
-        if ctrl_coeffs is not None:
-            cf = dt * (mode_mat @ ctrl_coeffs[n])[..., None]
-            g = cf if g is None else g + cf
-        return _step_values(u, lap_u, sq_u, params, dt, c, g, h)
+            g = np.multiply(sqrt_eps, forcing, out=out)
+        if cf is not None:
+            np.multiply(dt, (mode_mat @ ctrl_coeffs[n])[..., None], out=cf)
+            g = cf if g is None else np.add(g, cf, out=g)
+        return _rhs_values(u, lap_u, sq_u, params, dt, g, out)
 
     return step
 
@@ -300,7 +390,8 @@ def _step_transpose_values(
     g: np.ndarray | None,
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose of the tangent of ``_step_values`` at ``v``, applied to ``lam``.
+    """Transpose of the tangent of the nonlinear step (``_rhs_values`` and its
+    solve) at ``v``, applied to ``lam``.
 
     Returns ``(lam_prev, mu)`` with ``mu = (I - c*Lap)^{-1} lam``; the Helmholtz
     matrix is symmetric, so the same solve is its own transpose. The precession
@@ -367,55 +458,88 @@ def _check_inputs(
             raise ValueError("base trajectory must store every step of the same time grid")
 
 
-def _march(states, advance, observe, retire, n_steps, cfl_scale, h, linf_ceiling):
+def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns of the solver-order array ``a`` (n, ..., K) where ``keep`` is
+    True, moved to the front of its own memory: a view of them in the same order."""
+    kept = a[..., keep]
+    flat = np.moveaxis(a, 0, -1).reshape(-1)
+    out = np.moveaxis(flat[:kept.size].reshape(kept.shape[1:] + kept.shape[:1]), -1, 0)
+    out[...] = kept
+    return out
+
+
+def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c, linf_ceiling):
     """The step loop of every run.
 
-    ``states`` holds one (n, 3, M) batch per system marching in lockstep;
-    column j is sample j in every system. At each step n = 0..n_steps every
-    column is checked first: a column whose |u|_inf in any system is not
-    finite or exceeds ``linf_ceiling`` fails at n and is dropped from all
-    systems, and ``retire(keep)`` learns which columns stay. Then
-    ``observe(n, states, live)`` sees the step, ``live`` holding the indices in
-    the initial batch of the columns still running, and unless it was the
-    last, ``advance(n, states, laps, sqs)`` returns the states of step n + 1
-    from those of step n, their Laplacians and pointwise squared norms.
+    ``initial`` holds one (n, 3, M) batch per system marching in lockstep;
+    column j is sample j in every system. The systems share one state of
+    S*M columns in the solver's memory order, system s in columns s*M to
+    (s+1)*M - 1, and a second such buffer that the next state is written
+    into before the two swap. At each step n = 0..n_steps every column is
+    checked first: a column whose |u|_inf in any system is not finite or
+    exceeds ``linf_ceiling`` fails at n and is dropped from all systems (the
+    buffers are compacted in place, keeping their order), and
+    ``retire(keep)`` learns which columns stay. Then ``observe(n, states,
+    live)`` sees the step, ``states`` holding a view per system of the state
+    that is valid only during the call and ``live`` the indices in the initial
+    batch of the columns still running. Unless it was the last step,
+    ``advance(n, states, laps, sqs, outs)`` writes the right-hand side of each
+    system into its view in ``outs`` from its state, Laplacian and pointwise
+    squared norms (the last two are its to overwrite), and one in-place
+    solve of (I - c Lap) for all systems gives the states of step n + 1.
 
     Returns ``(failures, cfl)``: ``(column, step, message)`` for every failed
     column by its index in the initial batch, and the largest explicit-term
     ratio of each column that ran to the end.
     """
-    peak = np.zeros(states[0].shape[2])
-    live = np.arange(peak.size)
+    systems = len(initial)
+    width = initial[0].shape[2]
+    shape = (initial[0].shape[0], 3, systems * width)
+    state, nxt, lap = solver_empty(shape), solver_empty(shape), solver_empty(shape)
+    sq = solver_empty((shape[0], shape[2]))
+    for s, u in enumerate(initial):
+        state[..., s * width:(s + 1) * width] = u
+    peak = np.zeros(width)
+    live = np.arange(width)
     failures = []
+
+    def split(a):
+        return a, [a[..., s * width:(s + 1) * width] for s in range(systems)]
+
+    # every buffer with its per-system views, made again only when the width changes
+    state, nxt, lap, sq = map(split, (state, nxt, lap, sq))
+
     for n in range(n_steps + 1):
-        laps = [lap_values(u, h) for u in states]
-        sqs = [sq_norm_values(u) for u in states]
-        sq = sqs[0].max(axis=0)
-        for node_sq in sqs[1:]:
-            sq = np.maximum(sq, node_sq.max(axis=0))
-        linf = np.sqrt(sq)
+        sq_norm_values(state[0], out=sq[0], work=lap[0])
+        top = sq[0].max(axis=0)
+        if systems > 1:
+            top = top.reshape(systems, width).max(axis=0)
+        linf = np.sqrt(top)
         ok = linf <= linf_ceiling
         if not ok.all():
             for j in np.flatnonzero(~ok):
-                if all(np.isfinite(u[..., j]).all() for u in states):
+                if np.isfinite(state[0][..., j::width]).all():
                     what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {linf_ceiling:.3g}"
                 else:
                     what = "non-finite state"
                 ratio = cfl_scale * peak[j]
                 failures.append((int(live[j]), n, f"{what} (explicit-term ratio {ratio:.3g})"))
-            states = [u[..., ok] for u in states]
-            laps = [lap[..., ok] for lap in laps]
-            sqs = [node_sq[:, ok] for node_sq in sqs]
+            keep = np.tile(ok, systems)
             linf, peak, live = linf[ok], peak[ok], live[ok]
-            if not ok.any():
+            width = live.size
+            if not width:
                 break
+            state, nxt, lap, sq = (split(_compact(a, keep)) for a, _ in (state, nxt, lap, sq))
             retire(ok)
         # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
         peak = np.maximum(peak, linf)
-        observe(n, states, live)
+        observe(n, state[1], live)
         if n == n_steps:
             break
-        states = advance(n, states, laps, sqs)
+        lap_values(state[0], h, out=lap[0])
+        advance(n, state[1], lap[1], sq[1], nxt[1])
+        helm_values(nxt[0], h, c, out=nxt[0])
+        state, nxt = nxt, state
     return failures, cfl_scale * peak
 
 
@@ -507,7 +631,10 @@ def integrate_batch(
     kinds and ``base`` only the linearized one. ``observe(n, states, live)``
     sees every step n = 0..steps: one (n, 3, M') array per kind, holding the
     columns ``live`` (indices into the initial batch) that are still running.
-    Memory grows with the batch width, not with the number of steps.
+    The arrays are views into the march's workspace, in the solver's memory
+    order, and valid only during the call: the march writes the next states
+    into the same memory, so an observer copies what it keeps. Memory grows
+    with the batch width, not with the number of steps.
 
     Every column's states have the bits of its own width-1 run. A column that
     blows up in any system (a state that is not finite or whose |u|_inf
@@ -554,21 +681,26 @@ def integrate_batch(
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
     steps = [
         _stepper(
-            kind, params, dt, c, h, mode_mat,
+            kind, params, dt, h, mode_mat,
             ctrl.coefficients if kind in _CONTROLLED_KINDS else None,
             base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
         )
         for kind in kinds
     ]
+    work = {}
 
-    def advance(n, states, laps, sqs):
+    def advance(n, states, laps, sqs, outs):
         forcing = None
         if any(noisy):
-            forcing = np.matmul(mode_mat, noise.at(n)).transpose(1, 2, 0)
-        return [
-            step(n, u, lap, sq, forcing if is_noisy else None, strength)
-            for step, u, lap, sq, is_noisy in zip(steps, states, laps, sqs, noisy)
-        ]
+            # one matmul of all columns' increments (M, n, 3), copied into the solver's order
+            increments = noise.at(n)
+            shape = (len(increments), mode_mat.shape[0], 3)
+            product = np.matmul(mode_mat, increments, out=scratch(work, "product", shape, np.empty))
+            forcing = scratch(work, "forcing", states[0].shape)
+            np.copyto(forcing, product.transpose(1, 2, 0))
+        tmp = scratch(work, "tmp", states[0].shape)
+        for step, u, lap, sq, out, is_noisy in zip(steps, states, laps, sqs, outs, noisy):
+            step(n, u, lap, sq, forcing if is_noisy else None, strength, out, tmp)
 
     def retire(keep):
         nonlocal sqrt_eps, strength
@@ -577,10 +709,12 @@ def integrate_batch(
         if noise is not None:
             noise.keep(keep)
 
-    failures, cfl = _march(
-        states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h,
-        linf_ceiling,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a blow-up is found and reported by the march, not by numpy warnings
+        failures, cfl = _march(
+            states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h, c,
+            linf_ceiling,
+        )
     failures = [
         BlowUpError(message, step=at, time=at * dt, key=keys[column])
         for column, at, message in failures

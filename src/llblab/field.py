@@ -15,6 +15,15 @@ alone: pointwise kernels use the same floating-point operations in the same
 order whatever the layout, and the tridiagonal solve runs LAPACK on each
 right-hand side separately. A batch therefore reproduces its single-field
 runs bit for bit.
+
+The stencils and pointwise products (``lap_values``, ``grad_values``,
+``cross_values``, ``dot_values``) write into a caller's ``out=`` array when
+given one, with the bits of the allocating call; ``out`` must not overlap
+the inputs. The solver's memory order (``solver_empty``) keeps every
+component and column as one contiguous n-vector, so the (n, -1) view of a
+batch is the Fortran-ordered matrix LAPACK works on:
+``helm_values(b, h, c, out=b)`` solves such a batch in place without a copy,
+while a call without ``out`` never writes into its input.
 """
 
 from __future__ import annotations
@@ -126,32 +135,53 @@ def _same_grid(f: VectorField, g: VectorField) -> None:
 _pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
-def lap_values(v: np.ndarray, h: float) -> np.ndarray:
+def solver_empty(shape) -> np.ndarray:
+    """Uninitialized node-major array of ``shape`` (n, ...) in the solver's memory
+    order: the node index runs fastest, so the (n, -1) view is Fortran-contiguous."""
+    shape = tuple(shape)
+    return np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0)
+
+
+def scratch(store: dict, name: str, shape, empty=solver_empty) -> np.ndarray:
+    """The buffer ``store[name]``, made anew by ``empty(shape)`` when it is missing
+    or has another shape: the workspace a loop reuses from step to step."""
+    buf = store.get(name)
+    if buf is None or buf.shape != tuple(shape):
+        buf = store[name] = empty(shape)
+    return buf
+
+
+def lap_values(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """3-point Laplacian with zero ghost nodes at both boundaries.
 
     Node i gets ((v[i+1] - 2 v[i]) + v[i-1]) / h^2, with the missing neighbour
     of a boundary node left out rather than added as a zero, which would turn
-    a -0.0 into 0.0.
+    a -0.0 into 0.0. ``out`` first holds 2 v, so no temporary is made.
     """
-    twice = 2.0 * v
-    out = np.empty_like(v)
-    np.subtract(v[1:], twice[:-1], out=out[:-1])
+    if out is None:
+        out = np.empty_like(v)
+    np.multiply(2.0, v, out=out)
+    np.subtract(v[1:], out[:-1], out=out[:-1])
     out[1:-1] += v[:-2]
-    np.subtract(v[-2], twice[-1], out=out[-1])
+    np.subtract(v[-2], out[-1], out=out[-1])
     out *= 1.0 / (h * h)
     return out
 
 
-def grad_values(v: np.ndarray, h: float) -> np.ndarray:
+def grad_values(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Forward differences on the n_interior+1 edges, zero ghost nodes.
 
     The output keeps the memory layout of the input, so the edge values of
     each snapshot of a node-major view of a snapshot stack stay contiguous.
     """
-    out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
-    out[0] = v[0] / h
-    out[1:-1] = (v[1:] - v[:-1]) / h
-    out[-1] = -v[-1] / h
+    if out is None:
+        out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
+    # the differences first, then one division of the whole array: a single
+    # pass over contiguous memory instead of one per strided slice
+    np.copyto(out[0], v[0])
+    np.subtract(v[1:], v[:-1], out=out[1:-1])
+    np.negative(v[-1], out=out[-1])
+    out /= h
     return out
 
 
@@ -159,44 +189,71 @@ def grad_values(v: np.ndarray, h: float) -> np.ndarray:
 # runs off its fast path; the component kernels take the 1-D components of its
 # (n, 3) view instead, with the same bits, about a microsecond sooner each.
 
-def cross_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross_values(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise cross product over axis 1; (n, 3, ...) shapes broadcast, so an
-    (n, 3, 1) field crosses every column of an (n, 3, M) batch."""
-    # keep the memory layout of the full-shape operand
-    out = np.empty_like(b if b.size > a.size else a)
+    (n, 3, 1) field crosses every column of an (n, 3, M) batch.
+
+    Each component is a product minus a product; the second product of the
+    first two components goes through the slot of the next one, so only the
+    last makes a temporary.
+    """
+    if out is None:
+        # keep the memory layout of the full-shape operand
+        out = np.empty_like(b if b.size > a.size else a)
     o = out
     if out.shape[2:] == (1,):
         a, b, o = a[..., 0], b[..., 0], out[..., 0]
-    o[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    o[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    o[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    o0, o1, o2 = o[:, 0], o[:, 1], o[:, 2]
+    np.multiply(a1, b2, out=o0)
+    o0 -= np.multiply(a2, b1, out=o1)
+    np.multiply(a2, b0, out=o1)
+    o1 -= np.multiply(a0, b2, out=o2)
+    np.multiply(a0, b1, out=o2)
+    o2 -= a1 * b0
     return out
 
 
-def dot_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def dot_values(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Pointwise dot product over axis 1: shape (n,) for (n, 3) inputs, (n, M) for batches.
 
     The three products are summed in a fixed order; an einsum would pick its
     order from the memory layout, which differs between a field and a batch.
+    ``work``, when given, takes the products instead of a temporary.
     """
-    p = a * b
+    p = np.multiply(a, b, out=work)
+    if out is None:
+        out = np.empty_like(p[:, 0])
+    o = out
     if p.shape[2:] == (1,):
-        return (p[:, 0, 0] + p[:, 1, 0] + p[:, 2, 0])[:, None]
-    return p[:, 0] + p[:, 1] + p[:, 2]
+        p, o = p[..., 0], out[..., 0]
+    np.add(p[:, 0], p[:, 1], out=o)
+    o += p[:, 2]
+    return out
 
 
-def sq_norm_values(v: np.ndarray) -> np.ndarray:
+def sq_norm_values(
+    v: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Pointwise squared Euclidean norm, shape (n,) for a field, (n, M) for a batch."""
-    return dot_values(v, v)
+    return dot_values(v, v, out, work)
 
 
-def column_sq_sums(v: np.ndarray) -> np.ndarray:
+def column_sq_sums(v: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Sum of squares of each column of an (m, 3, M) batch, shape (M,).
 
     Each column is summed from its own contiguous row, so the bits do not
     depend on the batch width or layout (an einsum picks its order from both).
+    ``work`` takes the squares instead of a temporary; it may be ``v`` itself
+    when ``v`` is not needed afterwards.
     """
-    return np.ascontiguousarray(dot_values(v, v).T).sum(axis=1)
+    return np.ascontiguousarray(dot_values(v, v, work=work).T).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -209,21 +266,33 @@ def _helmholtz_factor(n: int, h: float, c: float):
     return d, e
 
 
-def helm_values(v: np.ndarray, h: float, c: float) -> np.ndarray:
+def helm_values(v: np.ndarray, h: float, c: float, out: np.ndarray | None = None) -> np.ndarray:
     """Solve (I - c*Lap) w = v for every column of a node-major stack (n, ...);
     exact identity for c = 0.
 
     One LAPACK pttrs call takes all right-hand sides and solves each on its
-    own, so a batch gives each column the bits of solving it alone. Raises
+    own, so a batch gives each column the bits of solving it alone. ``w`` goes
+    into ``out`` when given, else into a new array (in the solver's memory
+    order for c > 0); ``v`` is written only when it is ``out``. An ``out`` in
+    the solver's memory order is solved in place, with no copy. Raises
     LinAlgError when the matrix is not positive definite (c < 0).
     """
+    if out is not None and out is not v:
+        np.copyto(out, v)
     if c == 0.0:
-        return v.copy()
+        return v.copy() if out is None else out
     d, e = _helmholtz_factor(v.shape[0], h, c)
-    x, info = _pttrs(d, e, v.reshape(v.shape[0], -1))
+    # without ``out`` LAPACK solves a copy of its own; with one, it overwrites
+    # ``out`` through its (n, -1) view, a copy unless ``out`` is in the solver's order
+    b = v if out is None else out
+    x, info = _pttrs(d, e, b.reshape(b.shape[0], -1), overwrite_b=out is not None)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-    return x.reshape(v.shape)
+    if out is None:
+        return x.reshape(v.shape)
+    if not np.may_share_memory(x, out):
+        out[...] = x.reshape(out.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------

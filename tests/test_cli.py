@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,30 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     assert payload["error"]["code"] == EXIT_BLOWUP
     assert payload["error"]["step"] is not None
     assert payload["error"]["key"] is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = stochastic-ensemble\ngrid.n = 15\ntime.steps = 20\nensemble.samples = 2\n"
+        "model.nu2 = 1e308\nmodel.mu = 1e308\n",
+        "kind = deterministic\nmodel.gamma = 1e300\n",
+    ],
+    ids=["ensemble-overflowing-damping", "deterministic-overflowing-precession"],
+)
+def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text):
+    # the march finds the non-finite state itself; numpy's overflow warnings
+    # on the way there would only add noise to stderr before the JSON error
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == EXIT_BLOWUP
+    assert json.loads(out.strip())["error"]["code"] == EXIT_BLOWUP
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err
 
 
 def test_main_rate_blow_up_exits_three(tmp_path, capsys):

@@ -215,3 +215,25 @@ def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup():
     det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
     h1_semi = stack_norms(det.snapshots, config.initial.grid.spacing)[:, 1]
     assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)
+
+
+def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
+    # weak diffusion and no damping: the noise lifts ||grad u||^2 of a nearly
+    # flat initial state above the deterministic sup, which is its value at
+    # n = 0, so every sample's sup is reached at a step n > 0
+    from llblab.clt import sup_grad_ensemble
+    from llblab.field import norms
+
+    config = small_config(
+        params=ModelParams(nu1=0.01, nu2=0.0),
+        tgrid=TimeGrid(0.05, 50),
+        initial=initial_profile(make_grid(31), a=0.01, b=0.0),
+    )
+    det_sup, sups, failures = sup_grad_ensemble(
+        (1.0, 0.3, 0.1), 4, config.params, config.tgrid, config.spec, config.initial, 4
+    )
+    assert failures == ()
+    assert det_sup == pytest.approx(norms(config.initial).h1_semi ** 2, rel=1e-14)
+    for per_epsilon in sups:
+        assert len(per_epsilon) == 4
+        assert all(sup > det_sup for sup in per_epsilon)

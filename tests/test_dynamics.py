@@ -14,7 +14,7 @@ from llblab.dynamics import (
     SystemKind,
     TimeGrid,
     TrajectoryRecord,
-    _step_values,
+    _rhs_values,
     initial_profile,
     integrate,
     integrate_batch,
@@ -23,6 +23,7 @@ from llblab.dynamics import (
 )
 from llblab.field import (
     VectorField,
+    helm_values,
     inner_l2,
     lap_values,
     make_grid,
@@ -70,10 +71,10 @@ def test_time_grid():
 # --- explicit drift and the step kernel --------------------------------------------
 
 def _drift(u, params):
-    # the explicit drift is (step - v) / dt of a step without the implicit solve
-    # (c = 0); dt = 1 keeps the subtraction from scaling its rounding up
+    # the explicit drift is (rhs - v) / dt, rhs the right-hand side of a step
+    # before its implicit solve; dt = 1 keeps the subtraction from scaling its rounding up
     v, h, dt = u.values, u.grid.spacing, 1.0
-    step = _step_values(v, lap_values(v, h), sq_norm_values(v), params, dt, 0.0, None, h)
+    step = _rhs_values(v, lap_values(v, h), sq_norm_values(v), params, dt, None, np.empty_like(v))
     return (step - v) / dt
 
 
@@ -113,7 +114,8 @@ def test_step_matches_integrate_single_step(rng):
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
     v, h = u0.values, g.spacing
-    manual = _step_values(v, lap_values(v, h), sq_norm_values(v), p, tg.dt, tg.dt * p.nu1, None, h)
+    rhs = _rhs_values(v, lap_values(v, h), sq_norm_values(v), p, tg.dt, None, np.empty_like(v))
+    manual = helm_values(rhs, h, tg.dt * p.nu1)
     assert np.array_equal(rec.final_values(), manual)
 
 
@@ -567,6 +569,28 @@ def test_batch_retires_a_blown_up_column_at_its_single_run_step():
     for j in (0, 1, 3):
         rec = _single_run(kind, initial, epsilons, ctrl, base, 5, j)
         assert seen[j][0].tobytes() == rec.snapshots.tobytes()
+
+
+def test_coupled_batch_retires_a_blown_up_middle_column_at_its_single_run_step():
+    # both systems share one stacked state; retiring a middle column compacts
+    # it in place, and every survivor keeps the bits of its width-1 runs
+    kinds = (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT)
+    setups = [_batch_setup(kind, 5, 5) for kind in kinds]
+    initial = [s[0] for s in setups]
+    _, epsilons, ctrl, base = setups[0]
+    initial[0] = 0.3 * initial[0]
+    initial[0][..., 2] *= 100.0
+    seen, failed = _run_batch(kinds, initial, epsilons, ctrl, base, 5, [0, 1, 2, 3, 4])
+    with pytest.raises(BlowUpError) as info:
+        _single_run(kinds[0], initial[0], epsilons, ctrl, base, 5, 2)
+    assert info.value.step > 0
+    assert [(f.key, f.step) for f in failed] == [(info.value.key, info.value.step)]
+    assert failed[0].key == (5, 2)
+    assert [len(states) for states in seen[2]] == [info.value.step] * 2
+    for j in (0, 1, 3, 4):
+        for k, kind in enumerate(kinds):
+            rec = _single_run(kind, initial[k], epsilons, ctrl, base, 5, j)
+            assert seen[j][k].tobytes() == rec.snapshots.tobytes(), (kind, j)
 
 
 def test_integrate_batch_checks_its_inputs():

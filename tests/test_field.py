@@ -10,6 +10,8 @@ from llblab.field import (
     EnergyReport,
     VectorField,
     cross,
+    cross_values,
+    dot_values,
     edge_inner,
     grad_values,
     gradient,
@@ -20,10 +22,11 @@ from llblab.field import (
     laplacian,
     make_grid,
     norms,
+    solver_empty,
     stack_norms,
     zero_field,
 )
-from conftest import random_field
+from conftest import EDGE_FLOATS, random_field
 
 # O(1) node values, the scale the exact identities are checked at
 UNIT_VALUES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -399,3 +402,55 @@ def test_helmholtz_matches_thomas_reference(rng):
     w = helm_values(rhs.values, g.spacing, c)
     ref = thomas_reference(c, g.spacing, rhs.values)
     assert np.max(np.abs(w - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+# --- out= and the in-place solve ----------------------------------------------------
+
+def _in_layout(a, layout):
+    """A copy of ``a`` (n, ...) held in ``layout``; its logical values are unchanged."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "solver":
+        out = solver_empty(a.shape)
+    else:
+        out = np.empty(a.shape[:-1] + (2 * a.shape[-1],))[..., ::2]
+    out[...] = a
+    return out
+
+
+LAYOUTS = st.sampled_from(["C", "F", "solver", "strided"])
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(3, 24))
+    width = draw(st.integers(1, 12))
+    a, b = (draw(arrays(np.float64, (n, 3, width), elements=EDGE_FLOATS)) for _ in range(2))
+    layouts = [draw(LAYOUTS, label=name) for name in ("a", "b", "out")]
+    return a, b, layouts, draw(st.floats(1e-3, 0.5)), draw(st.sampled_from([0.0, 1e-4, 0.3, 50.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_out_and_in_place_solve_give_the_bits_of_the_allocating_calls(case):
+    # C, Fortran, solver-order and strided inputs and outputs, -0.0, subnormals, inf and nan
+    a, b, (layout_a, layout_b, layout_out), h, c = case
+    a, b = _in_layout(a, layout_a), _in_layout(b, layout_b)
+    with np.errstate(all="ignore"):
+        for kernel, args, shape in (
+            (lap_values, (a, h), a.shape),
+            (grad_values, (a, h), (a.shape[0] + 1,) + a.shape[1:]),
+            (cross_values, (a, b), a.shape),
+            (dot_values, (a, b), a.shape[:1] + a.shape[2:]),
+        ):
+            out = _in_layout(np.zeros(shape), layout_out)
+            assert kernel(*args, out=out) is out
+            assert out.tobytes() == kernel(*args).tobytes(), kernel.__name__
+        # the public solve never writes into its input; the in-place one gives its bits
+        before = a.tobytes()
+        solved = helm_values(a, h, c)
+        assert a.tobytes() == before
+        assert helm_values(a, h, c, out=a) is a
+        assert a.tobytes() == solved.tobytes()
