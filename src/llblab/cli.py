@@ -178,7 +178,6 @@ KEY_TABLE = {
     "rate.modes": (_parse_int, 1, "rate", "integer >= 1", lambda v: v >= 1),
     "rate.slabs": (_parse_int, 5, "rate", "integer >= 1", lambda v: v >= 1),
     "rate.max_iters": (_parse_int, 60, "rate", "integer >= 1", lambda v: v >= 1),
-    "rate.step_size": (_parse_float, 1.0, "rate", "finite, > 0", _finite_positive),
     "rate.tolerance": (_parse_float, 1.0e-4, "rate", "finite, > 0", _finite_positive),
     "rate.continuation": (_parse_int, 1, "rate", "integer >= 0", lambda v: v >= 0),
     "compact.modes": (
@@ -550,7 +549,6 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         control_modes=config["rate.modes"],
         control_steps=config["rate.slabs"],
         max_iters=config["rate.max_iters"],
-        step_size=config["rate.step_size"],
         tolerance=config["rate.tolerance"],
         continuation_rounds=config["rate.continuation"],
     )

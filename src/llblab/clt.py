@@ -48,6 +48,7 @@ __all__ = [
     "SampleFailure",
     "CltReport",
     "SupGradEnsemble",
+    "minus_snapshot",
     "run_columns",
     "run_clt",
     "sup_grad_ensemble",
@@ -113,6 +114,17 @@ class SupGradEnsemble(NamedTuple):
     deterministic: float
     sups: list
     failures: tuple
+
+
+def minus_snapshot(work: dict, u: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
+    """``u - snapshot`` for every column of the batch ``u``, in the buffer that
+    ``work`` keeps for it. The buffer first holds the snapshot copied across
+    the columns: a difference of full arrays is cheaper than one that
+    broadcasts a column over the batch."""
+    d = scratch(work, "d", u.shape)
+    np.copyto(d, snapshot[..., None])
+    np.subtract(u, d, out=d)
+    return d
 
 
 def run_columns(
@@ -186,13 +198,9 @@ def run_clt(config: CltConfig) -> CltReport:
     work = {}
 
     def deviation_gap(n, states, eps):
-        # (u_eps - u0) / sqrt(eps) - V0 in one reused buffer, which first holds u0
-        # copied across the columns: a product of full arrays is cheaper than one
-        # that broadcasts a column over the batch
+        # (u_eps - u0) / sqrt(eps) - V0, in place in the buffer of u_eps - u0
         u_eps, v0 = states
-        d = scratch(work, "d", u_eps.shape)
-        np.copyto(d, base[n][..., None])
-        np.subtract(u_eps, d, out=d)
+        d = minus_snapshot(work, u_eps, base[n])
         d /= np.sqrt(eps)
         d -= v0
         return d

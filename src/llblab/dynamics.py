@@ -77,7 +77,7 @@ __all__ = [
     "write_fields_csv",
 ]
 
-DEFAULT_LINF_CEILING = 1.0e3
+LINF_CEILING = 1.0e3
 MAX_DENSE_SNAPSHOTS = 10_000
 # Sample columns the ensemble experiments march at a time: wider batches stop
 # paying once a step's arrays outgrow the cache, and the cap bounds memory
@@ -468,7 +468,7 @@ def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c, linf_ceiling):
+def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c):
     """The step loop of every run.
 
     ``initial`` holds one (n, 3, M) batch per system marching in lockstep;
@@ -477,7 +477,7 @@ def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c, linf_cei
     (s+1)*M - 1, and a second such buffer that the next state is written
     into before the two swap. At each step n = 0..n_steps every column is
     checked first: a column whose |u|_inf in any system is not finite or
-    exceeds ``linf_ceiling`` fails at n and is dropped from all systems (the
+    exceeds ``LINF_CEILING`` fails at n and is dropped from all systems (the
     buffers are compacted in place, keeping their order), and
     ``retire(keep)`` learns which columns stay. Then ``observe(n, states,
     live)`` sees the step, ``states`` holding a view per system of the state
@@ -515,11 +515,11 @@ def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c, linf_cei
         if systems > 1:
             top = top.reshape(systems, width).max(axis=0)
         linf = np.sqrt(top)
-        ok = linf <= linf_ceiling
+        ok = linf <= LINF_CEILING
         if not ok.all():
             for j in np.flatnonzero(~ok):
                 if np.isfinite(state[0][..., j::width]).all():
-                    what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {linf_ceiling:.3g}"
+                    what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                 else:
                     what = "non-finite state"
                 ratio = cfl_scale * peak[j]
@@ -554,7 +554,6 @@ def integrate(
     rng: np.random.Generator | None = None,
     seed_info: tuple | None = None,
     stride: int | None = None,
-    linf_ceiling: float = DEFAULT_LINF_CEILING,
     diffusion_off: bool = False,
 ) -> TrajectoryRecord:
     """Integrate one of the five systems and record its snapshots.
@@ -587,7 +586,7 @@ def integrate(
     failures, cfl = integrate_batch(
         (kind,), u0_field.grid, (u0_field.values[..., None],), params, tgrid, observe,
         spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=(params.epsilon,),
-        keys=(seed_info,), linf_ceiling=linf_ceiling, diffusion_off=diffusion_off,
+        keys=(seed_info,), diffusion_off=diffusion_off,
     )
     if failures:
         raise failures[0]
@@ -616,7 +615,6 @@ def integrate_batch(
     noise: IncrementStreams | None = None,
     epsilons=None,
     keys=None,
-    linf_ceiling: float = DEFAULT_LINF_CEILING,
     diffusion_off: bool = False,
 ) -> tuple[list[BlowUpError], float]:
     """March M sample columns of one or more systems in lockstep, storing nothing.
@@ -638,7 +636,7 @@ def integrate_batch(
 
     Every column's states have the bits of its own width-1 run. A column that
     blows up in any system (a state that is not finite or whose |u|_inf
-    exceeds ``linf_ceiling``) is retired at that step and the others go on.
+    exceeds ``LINF_CEILING``) is retired at that step and the others go on.
     Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
@@ -712,8 +710,7 @@ def integrate_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         # a blow-up is found and reported by the march, not by numpy warnings
         failures, cfl = _march(
-            states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h, c,
-            linf_ceiling,
+            states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h, c
         )
     failures = [
         BlowUpError(message, step=at, time=at * dt, key=keys[column])

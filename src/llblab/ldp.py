@@ -9,12 +9,12 @@ over a deliberately coarse control parameterization (a few modes, a few time
 slabs). Its gradient is the exact gradient of this discrete objective
 (discretize-then-optimize): one dense skeleton solve forward and one sweep of
 the transposed step map backward (``dynamics.skeleton_adjoint``), whatever the
-number of unknowns. The optimizer is plain steepest descent with a
-backtracking line search, which keeps the penalized objective nonincreasing
-across accepted iterations; the dense record of each accepted point is kept,
-so the next gradient costs only the backward sweep. Only the terminal state is
-matched (a quasipotential-style endpoint rate); matching a whole path is
-overdetermined at desk scale.
+number of unknowns. The optimizer is steepest descent with Barzilai-Borwein
+steps and Armijo backtracking, which keeps the penalized objective
+nonincreasing across accepted iterations; the dense record of each accepted
+point is kept, so its one gradient costs only the backward sweep. Only the
+terminal state is matched (a quasipotential-style endpoint rate); matching a
+whole path is overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns against
 the dense skeleton (``clt.run_columns``) and accumulates the proof metric step
@@ -32,7 +32,7 @@ import numpy as np
 # path_gap and stream_rng stay bound here, unused: perfbench/tracer.py patches
 # ldp.path_gap and ldp.stream_rng by name
 from .analysis import path_gap, sample_stats
-from .clt import run_columns
+from .clt import minus_snapshot, run_columns
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -68,7 +68,7 @@ class RateProblem:
 
     ``control_modes`` and ``control_steps`` define the coarse search space
     (modes 1..K' constant on N' equal time slabs); ``penalty`` is the misfit
-    weight rho, multiplied by 10 after each converged continuation round.
+    weight rho, multiplied by 10 at each continuation round.
     """
 
     target: VectorField
@@ -76,7 +76,6 @@ class RateProblem:
     control_modes: int = 1
     control_steps: int = 5
     max_iters: int = 60
-    step_size: float = 1.0
     tolerance: float = 1.0e-4
     continuation_rounds: int = 1
 
@@ -87,8 +86,8 @@ class RateProblem:
             raise ValueError("control_modes and control_steps must be >= 1")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tolerance <= 0.0 or self.step_size <= 0.0:
-            raise ValueError("tolerance and step_size must be positive")
+        if self.tolerance <= 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.continuation_rounds < 0:
             raise ValueError(f"continuation_rounds must be >= 0, got {self.continuation_rounds}")
 
@@ -218,35 +217,30 @@ def estimate_rate(
 ) -> RateEstimate:
     """Penalized gradient descent from the zero control; fully deterministic.
 
-    Convergence means the exact gradient norm fell below the tolerance in the
-    final continuation round; hitting the iteration cap or stalling in the
-    line search leaves ``converged`` False, which is the signal that the
-    infimum may be infinite for unreachable targets. A blow-up of the skeleton
-    under the zero control raises BlowUpError; a trial point of the line
-    search that blows up is rejected like any point that does not descend.
+    Each iteration tries the Barzilai-Borwein step s.s / s.y of the last
+    accepted move s and its gradient change y (1.0 at a round's start or when
+    s.y <= 0), halved until the Armijo test holds; ``iterations`` counts the
+    accepted steps. ``converged`` means the exact gradient norm at the returned
+    control under the final penalty is within the tolerance; False, after the
+    iteration cap or a stalled line search, signals that the infimum may be
+    infinite for unreachable targets. A blow-up of the skeleton under the zero
+    control raises BlowUpError; a trial that blows up is rejected like any
+    trial that does not descend.
     """
     objective = RateObjective(problem, params, tgrid, spec, u0_field)
     point = objective.evaluate(np.zeros(objective.dim))
     history: list[tuple] = []
     total_iters = 0
-    converged = False
     rho = problem.penalty
-    gnorm, grad_point = math.inf, None
     for round_idx in range(problem.continuation_rounds + 1):
-        step = problem.step_size
+        step = 1.0
         current = point.objective(rho)
+        grad = objective.gradient(point, rho)
         round_history = [current]
-        converged = False
         for _ in range(problem.max_iters):
-            grad = objective.gradient(point, rho)
-            gnorm, grad_point = float(np.linalg.norm(grad)), point
-            if not math.isfinite(gnorm):
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm <= problem.tolerance or not math.isfinite(gnorm):
                 break
-            if gnorm <= problem.tolerance:
-                converged = True
-                break
-            total_iters += 1
-            accepted = False
             while step >= MIN_LINE_SEARCH_STEP:
                 try:
                     trial = objective.evaluate(point.x - step * grad)
@@ -254,23 +248,23 @@ def estimate_rate(
                     trial = None
                 j_try = trial.objective(rho) if trial is not None else math.inf
                 if j_try <= current - ARMIJO_SLOPE * step * gnorm**2:
-                    point = trial
-                    current = j_try
-                    round_history.append(current)
-                    step = min(step * 2.0, 1.0e6)
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 logger.debug("line search stalled in round %d", round_idx)
                 break
+            trial_grad = objective.gradient(trial, rho)
+            s, y = trial.x - point.x, trial_grad - grad
+            sy = float(s @ y)
+            step = float(s @ s) / sy if sy > 0.0 else 1.0
+            point, grad, current = trial, trial_grad, j_try
+            round_history.append(current)
+            total_iters += 1
         history.append(tuple(round_history))
         rho *= 10.0
 
-    final_rho = rho / 10.0
-    if grad_point is not point:
-        # the iteration cap ended the last round after an accepted step
-        gnorm = float(np.linalg.norm(objective.gradient(point, final_rho)))
+    gnorm = float(np.linalg.norm(grad))
+    converged = gnorm <= problem.tolerance
     if not converged and point.misfit > 0.0:
         logger.warning(
             "rate optimizer did not converge (misfit %.3g, gradient norm %.3g); "
@@ -315,9 +309,10 @@ def weak_convergence_experiment(
         spec=spec, ctrl=ctrl, stride=1,
     ).snapshots
     eps_values = [float(e) for e in epsilons]
+    work = {}
     metrics, failures = run_columns(
         (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), eps_values, samples, base_seed,
-        lambda n, states, eps: states[0] - skeleton[n][..., None], params.nu1,
+        lambda n, states, eps: minus_snapshot(work, states[0], skeleton[n]), params.nu1,
         params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]

@@ -488,7 +488,7 @@ def _main_config_error(tmp_path, capsys, text):
     "key",
     [
         "time.horizon", "model.nu1", "model.nu2", "model.mu", "noise.alpha",
-        "rate.penalty", "rate.step_size", "rate.tolerance",
+        "rate.penalty", "rate.tolerance",
     ],
 )
 def test_main_non_finite_value_is_config_error(tmp_path, capsys, key):
@@ -496,9 +496,11 @@ def test_main_non_finite_value_is_config_error(tmp_path, capsys, key):
     assert key in messages and "finite" in messages
 
 
-def test_main_fd_bump_is_unknown_key(tmp_path, capsys):
-    messages = _main_config_error(tmp_path, capsys, "kind = rate\nrate.fd_bump = 1e-3\n")
-    assert "unknown key 'rate.fd_bump'" in messages
+@pytest.mark.parametrize("key", ["rate.fd_bump", "rate.step_size"])
+def test_main_fd_bump_is_unknown_key(tmp_path, capsys, key):
+    # removed optimizer knobs are config errors, not silently ignored settings
+    messages = _main_config_error(tmp_path, capsys, f"kind = rate\n{key} = 1e-3\n")
+    assert f"unknown key '{key}'" in messages
 
 
 @pytest.mark.parametrize(

@@ -330,9 +330,9 @@ def test_linearized_requires_zero_initial():
 
 def test_blow_up_on_ceiling():
     g = make_grid(31)
-    u0 = initial_profile(g)  # |u|_inf ~ 1
+    u0 = initial_profile(g, a=2e3)  # |u|_inf = 2e3, above the ceiling 1e3
     with pytest.raises(BlowUpError) as info:
-        integrate(SystemKind.DETERMINISTIC, u0, ModelParams(), TimeGrid(0.01, 10), linf_ceiling=0.5)
+        integrate(SystemKind.DETERMINISTIC, u0, ModelParams(), TimeGrid(0.01, 10))
     assert info.value.step == 0
 
 

@@ -157,6 +157,8 @@ def test_estimate_rate_round_trip_recovers_known_control():
         max_iters=25, continuation_rounds=1,
     )
     est = estimate_rate(problem, PARAMS, tg, SPEC, u0)
+    assert est.converged
+    assert est.gradient_norm <= problem.tolerance
     # h_star itself is feasible, so the optimizer must not do worse than its cost
     assert est.cost <= 1.05 * h_star.h0_cost()
     assert est.misfit <= 1e-2 * h1_norm(target)
@@ -165,18 +167,41 @@ def test_estimate_rate_round_trip_recovers_known_control():
         assert all(b <= a for a, b in zip(round_history, round_history[1:]))
 
 
-def test_estimate_rate_unreachable_target_flags_suspect_infimum():
-    tg = tgrid()
+def _spike_problem():
+    # a target far outside the skeleton's reach: long steps toward it blow up
     x = GRID.nodes
     spike = VectorField(GRID, np.stack([1e3 * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    problem = RateProblem(
+    return RateProblem(
         target=spike, penalty=1e3, control_modes=1, control_steps=5,
         max_iters=4, continuation_rounds=0,
     )
-    est = estimate_rate(problem, PARAMS, tg, SPEC, initial_profile(GRID))
+
+
+def test_estimate_rate_unreachable_target_flags_suspect_infimum():
+    problem = _spike_problem()
+    est = estimate_rate(problem, PARAMS, tgrid(), SPEC, initial_profile(GRID))
     assert not est.converged
     assert math.isfinite(est.cost)
-    assert est.misfit > 0.5 * h1_norm(spike)
+    assert est.misfit > 0.5 * h1_norm(problem.target)
+
+
+def test_estimate_rate_rejects_trials_that_blow_up(monkeypatch):
+    blow_ups = []
+    evaluate = RateObjective.evaluate
+
+    def counted(self, x):
+        try:
+            return evaluate(self, x)
+        except BlowUpError:
+            blow_ups.append(x)
+            raise
+
+    monkeypatch.setattr(RateObjective, "evaluate", counted)
+    est = estimate_rate(_spike_problem(), PARAMS, tgrid(), SPEC, initial_profile(GRID))
+    assert blow_ups
+    assert math.isfinite(est.cost)
+    for round_history in est.objective_history:
+        assert all(b <= a for a, b in zip(round_history, round_history[1:]))
 
 
 def test_estimate_rate_blow_up_under_zero_control_raises():

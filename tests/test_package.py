@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,21 @@ def test_every_export_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing, f"llblab.{name}.__all__ names undefined {missing}"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s and 19 MB to import, which every run would
+    # pay in its setup time and peak memory
+    import llblab
+
+    src = str(Path(llblab.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, llblab.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def _load_tracer():
