@@ -53,6 +53,7 @@ from .field import (
     Grid1D,
     VectorField,
     cross_values,
+    csv_rows,
     dot_values,
     helm_values,
     lap_values,
@@ -759,28 +760,28 @@ def skeleton_adjoint(
 def write_report_csv(record: TrajectoryRecord, path) -> None:
     """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf).
 
-    Floats are written as ``repr`` and rows end in CRLF.
+    Floats are spelled as ``repr`` spells them and rows end in CRLF
+    (``field.csv_rows``).
     """
-    times = record.times.tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("step,time,l2,h1_semi,h2_semi,linf\r\n")
-        fh.write("".join(
-            "%d,%r,%r,%r,%r,%r\r\n" % (n, times[n], *row)
-            for n, row in zip(record.snapshot_steps.tolist(), record.norm_rows.tolist())
-        ))
+    steps = record.snapshot_steps
+    values = np.column_stack([record.times[steps], record.norm_rows])
+    with open(path, "wb") as fh:
+        fh.write(b"step,time,l2,h1_semi,h2_semi,linf\r\n")
+        fh.write(csv_rows(steps[:, None], values))
 
 
 def write_fields_csv(record: TrajectoryRecord, path) -> None:
     """Stored snapshots as CSV (step, node_index, ux, uy, uz).
 
-    Floats are written as ``repr`` and rows end in CRLF. Each snapshot is
-    formatted as one string from a template of all its rows, one snapshot at
-    a time, so no more than one snapshot is ever held as Python floats.
+    Floats are spelled as ``repr`` spells them and rows end in CRLF
+    (``field.csv_rows``). The rows are formatted one snapshot at a time, so no
+    more than one snapshot is ever held as Python objects.
     """
-    template = "".join(
-        f"{{0}},{node},%r,%r,%r\r\n" for node in range(record.grid.n_interior)
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write("step,node_index,ux,uy,uz\r\n")
+    n = record.grid.n_interior
+    lead = np.empty((n, 2), dtype=np.int64)
+    lead[:, 1] = np.arange(n)
+    with open(path, "wb") as fh:
+        fh.write(b"step,node_index,ux,uy,uz\r\n")
         for step, snapshot in zip(record.snapshot_steps.tolist(), record.snapshots):
-            fh.write(template.format(step) % tuple(snapshot.ravel().tolist()))
+            lead[:, 0] = step
+            fh.write(csv_rows(lead, snapshot))

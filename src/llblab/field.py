@@ -19,11 +19,17 @@ runs bit for bit.
 The stencils and pointwise products (``lap_values``, ``grad_values``,
 ``cross_values``, ``dot_values``) write into a caller's ``out=`` array when
 given one, with the bits of the allocating call; ``out`` must not overlap
-the inputs. The solver's memory order (``solver_empty``) keeps every
-component and column as one contiguous n-vector, so the (n, -1) view of a
-batch is the Fortran-ordered matrix LAPACK works on:
+the inputs. Only a NaN result may differ in its sign bit between the two:
+IEEE 754 leaves the sign of a NaN open, and numpy picks the operand order of
+its loops from the layout; the NaNs stand at the same places, and every other
+value has the same bits. The solver's memory order (``solver_empty``) keeps
+every component and column as one contiguous n-vector, so the (n, -1) view
+of a batch is the Fortran-ordered matrix LAPACK works on:
 ``helm_values(b, h, c, out=b)`` solves such a batch in place without a copy,
 while a call without ``out`` never writes into its input.
+
+``csv_rows`` spells the float columns of every bulk CSV output: ``repr``'s
+shortest round-trip spelling, produced by orjson's Ryu formatter.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import orjson
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "stack_norms",
     "norms",
     "h1_norm",
+    "csv_rows",
 ]
 
 # Snapshots a stack operation handles at a time: bounds its temporaries to a
@@ -180,7 +188,9 @@ def grad_values(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.nd
     # pass over contiguous memory instead of one per strided slice
     np.copyto(out[0], v[0])
     np.subtract(v[1:], v[:-1], out=out[1:-1])
-    np.negative(v[-1], out=out[-1])
+    # not np.negative, which (numpy 2.4) reads the wrong elements of an 8-node
+    # input in the Fortran or solver layout; a product by -1.0 negates exactly
+    np.multiply(-1.0, v[-1], out=out[-1])
     out /= h
     return out
 
@@ -354,3 +364,29 @@ def h1_norm(f: VectorField) -> float:
     rep = norms(f)
     return math.hypot(rep.l2, rep.h1_semi)
 
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+def csv_rows(lead: np.ndarray, values: np.ndarray) -> bytes:
+    """CSV rows of the int columns ``lead`` (R, L) followed by the float columns
+    ``values`` (R, F), each row ending in CRLF, every float spelled as ``repr`` spells it.
+
+    One ``orjson.dumps`` of the row lists writes them. Its Ryu formatter spells
+    0 and every finite 1e-4 <= |x| < 1e16 exactly as ``repr`` does; it writes
+    the other floats in another exponent form, positionally (1e-5 <= |x| < 1e-4)
+    or as null (inf and nan), so those go in as their ``repr`` strings, whose
+    quotes are then removed.
+    """
+    if not len(values):
+        return b""
+    width = lead.shape[1]
+    rows = np.empty((len(values), width + values.shape[1]), dtype=object)
+    rows[:, :width] = lead
+    floats = rows[:, width:]
+    floats[...] = values
+    size = np.abs(values)
+    other = ~((values == 0.0) | ((size >= 1e-4) & (size < 1e16)))
+    floats[other] = list(map(repr, values[other].tolist()))
+    text = orjson.dumps(rows.tolist())
+    return text[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid1D
+from .field import Grid1D, csv_rows
 
 # Steps of increments drawn at a time per stream by IncrementStreams.
 INCREMENT_BLOCK = 256
@@ -192,13 +192,12 @@ class IncrementStreams:
 
 def write_control_csv(ctrl: ControlPath, path) -> None:
     """Persist as CSV with columns (step, k, j, coefficient); k, j are 1-based.
-    Floats are written as ``repr``, rows end in CRLF, one template string a step."""
+    Floats are spelled as ``repr`` spells them and rows end in CRLF (``field.csv_rows``)."""
     steps, modes, _ = ctrl.coefficients.shape
-    template = "".join(f"{{0}},{k},{j},%r\r\n" for k in range(1, modes + 1) for j in (1, 2, 3))
-    with open(path, "w", newline="") as fh:
-        fh.write("step,k,j,coefficient\r\n")
-        for n, row in enumerate(ctrl.coefficients.reshape(steps, 3 * modes).tolist()):
-            fh.write(template.format(n) % tuple(row))
+    index = np.indices((steps, modes, 3)).reshape(3, -1).T + (0, 1, 1)
+    with open(path, "wb") as fh:
+        fh.write(b"step,k,j,coefficient\r\n")
+        fh.write(csv_rows(index, ctrl.coefficients.reshape(-1, 1)))
 
 
 def read_control_coefficients(path) -> np.ndarray:

@@ -19,7 +19,7 @@ from llblab.analysis import (
     sample_stats,
 )
 from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
-from llblab.field import VectorField, make_grid, zero_field
+from llblab.field import VectorField, make_grid, solver_empty, zero_field
 from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
 
@@ -271,6 +271,23 @@ def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
     live = gen.permutation(width)
     for n in range(steps + 1):
         gap.add(n, (a[live, n] - b[live, n]).transpose(1, 2, 0), live)
+    for j in range(width):
+        expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
+        assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_streamed_path_gap_equals_path_gap_at_eight_nodes_in_the_solver_layout(rng):
+    # the differences in the march's memory order, whose last node of an
+    # 8-node grid np.negative misread in grad_values (numpy 2.4)
+    steps, width, nodes = 40, 3, 8
+    a = rng.normal(size=(width, steps + 1, nodes, 3))
+    b = rng.normal(size=(width, steps + 1, nodes, 3))
+    spacing = 1.0 / (nodes + 1)
+    gap = StreamedPathGap(width, spacing, 1e-4, 0.7, steps)
+    d = solver_empty((nodes, 3, width))
+    for n in range(steps + 1):
+        d[...] = (a[:, n] - b[:, n]).transpose(1, 2, 0)
+        gap.add(n, d, slice(None))
     for j in range(width):
         expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -11,6 +11,7 @@ from llblab.field import (
     VectorField,
     cross,
     cross_values,
+    csv_rows,
     dot_values,
     edge_inner,
     grad_values,
@@ -432,6 +433,14 @@ def _kernel_cases(draw):
     return a, b, layouts, draw(st.floats(1e-3, 0.5)), draw(st.sampled_from([0.0, 1e-4, 0.3, 50.0]))
 
 
+def _assert_same_bits_but_nan_signs(x, y, name):
+    # IEEE 754 leaves the sign of a NaN result open, and numpy picks the operand
+    # order of its loops from the layout: NaNs need only stand at the same places
+    nan = np.isnan(x)
+    assert np.array_equal(nan, np.isnan(y)), name
+    assert x[~nan].tobytes() == y[~nan].tobytes(), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases())
 def test_out_and_in_place_solve_give_the_bits_of_the_allocating_calls(case):
@@ -447,10 +456,71 @@ def test_out_and_in_place_solve_give_the_bits_of_the_allocating_calls(case):
         ):
             out = _in_layout(np.zeros(shape), layout_out)
             assert kernel(*args, out=out) is out
-            assert out.tobytes() == kernel(*args).tobytes(), kernel.__name__
+            _assert_same_bits_but_nan_signs(out, kernel(*args), kernel.__name__)
         # the public solve never writes into its input; the in-place one gives its bits
         before = a.tobytes()
         solved = helm_values(a, h, c)
         assert a.tobytes() == before
         assert helm_values(a, h, c, out=a) is a
         assert a.tobytes() == solved.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "solver", "strided"])
+def test_grad_values_matches_a_diff_reference_at_every_size_and_layout(layout, rng):
+    # the last edge is the negated last node: np.negative got it wrong at
+    # 8 nodes in the Fortran and solver layouts (numpy 2.4)
+    for n in range(3, 71):
+        h = 1.0 / (n + 1)
+        for width in (1, 2, 5):
+            v = rng.normal(size=(n, 3, width))
+            ghost = np.zeros((1, 3, width))
+            expected = (np.diff(np.concatenate([ghost, v, ghost]), axis=0) / h).tobytes()
+            a = _in_layout(v, layout)
+            assert grad_values(a, h).tobytes() == expected, (n, width)
+            if width == 1:
+                assert grad_values(a[..., 0], h).tobytes() == expected, (n, "field")
+            for out_layout in ("C", "F", "solver", "strided"):
+                out = _in_layout(np.zeros((n + 1, 3, width)), out_layout)
+                grad_values(a, h, out=out)
+                assert out.tobytes() == expected, (n, width, out_layout)
+
+
+# --- CSV rows -----------------------------------------------------------------------
+
+def _repr_rows(lead, values):
+    """The oracle: every row joined from ``repr`` of its ints and floats, CRLF ends."""
+    return "".join(
+        ",".join(map(repr, ints + floats)) + "\r\n"
+        for ints, floats in zip(lead.tolist(), values.tolist())
+    ).encode()
+
+
+@st.composite
+def _csv_tables(draw):
+    rows = draw(st.integers(0, 8))
+    lead = draw(arrays(np.int64, (rows, draw(st.integers(0, 3)))))
+    values = draw(arrays(np.float64, (rows, draw(st.integers(1, 4))), elements=EDGE_FLOATS))
+    return lead, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_tables())
+def test_csv_rows_spell_every_float_as_repr(table):
+    # nan, +-inf, +-0.0, subnormals, huge values and every int64
+    lead, values = table
+    assert csv_rows(lead, values) == _repr_rows(lead, values)
+
+
+BOUNDARY_FLOATS = [
+    1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e-5, np.nextafter(1e-5, 0.0),
+    1e16, np.nextafter(1e16, 0.0), 5e-324, np.finfo(float).max, np.finfo(float).tiny,
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("value", BOUNDARY_FLOATS, ids=repr)
+def test_csv_rows_spell_the_boundaries_of_the_plain_range_as_repr(value):
+    # orjson spells 0 and 1e-4 <= |x| < 1e16 as repr does; every other value is a repr string
+    values = np.array([[value, -value, 1.5]])
+    lead = np.array([[7, -3]])
+    assert csv_rows(lead, values) == _repr_rows(lead, values)

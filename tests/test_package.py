@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # an import missing from pyproject.toml works here and fails on a clean install
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+    imported = set()
+    for path in (root / "src" / "llblab").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"llblab"}
+    assert "numpy" in third_party
+    assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
 
 
 def _load_tracer():
