@@ -358,20 +358,10 @@ def _read_target_field(path, grid: Grid1D) -> VectorField:
 
 def _load_control(path, tgrid: TimeGrid, mode_count: int) -> ControlPath:
     try:
-        coeffs = read_control_coefficients(path)
+        coeffs = read_control_coefficients(path, tgrid.steps, mode_count)
     except (ValueError, csv.Error) as exc:
         raise ConfigError([str(exc)]) from None
-    if coeffs.shape[0] != tgrid.steps:
-        raise ConfigError(
-            [f"{path}: control has {coeffs.shape[0]} steps, time grid has {tgrid.steps}"]
-        )
-    if coeffs.shape[1] > mode_count:
-        raise ConfigError(
-            [f"{path}: control uses {coeffs.shape[1]} modes, noise.modes is {mode_count}"]
-        )
-    full = np.zeros((tgrid.steps, mode_count, 3))
-    full[:, : coeffs.shape[1], :] = coeffs
-    return ControlPath(full, tgrid.dt)
+    return ControlPath(coeffs, tgrid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,6 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
         config.initial(),
         config.model_params(),
         config.time_grid(),
-        stride=1,
     )
     files = []
     path = os.path.join(outdir, "trajectory_report.csv")

@@ -192,7 +192,6 @@ def run_clt(config: CltConfig) -> CltReport:
         config.initial,
         config.params.with_epsilon(0.0),
         config.tgrid,
-        stride=1,
     )
     base = u0_rec.snapshots
     work = {}
@@ -233,7 +232,7 @@ def sup_grad_ensemble(
     ``stream_rng(base_seed, i, m)``. Both use the same sums, so a sample at
     epsilon 0 gives the deterministic value bitwise. Raises BlowUpError when
     the deterministic run blows up."""
-    det = integrate(SystemKind.DETERMINISTIC, initial, params.with_epsilon(0.0), tgrid, stride=1)
+    det = integrate(SystemKind.DETERMINISTIC, initial, params.with_epsilon(0.0), tgrid)
     h = initial.grid.spacing
     det_grad_sq = map_stack(lambda v: h * column_sq_sums(grad_values(v, h)), det.snapshots)
     sups, failures = run_columns(

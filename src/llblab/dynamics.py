@@ -19,8 +19,8 @@ in the worst case; the integrator tracks the observed ratio and reports it on
 the trajectory record rather than failing eagerly (diffusion stabilizes the
 default parameter regime well past the naive bound).
 
-Every run goes through one step loop (``_march``), and every run is a batch:
-``integrate_batch`` marches a node-major batch (n, 3, M) of M sample columns,
+Every run goes through one step loop, that of ``integrate_batch``, and every
+run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
 of one system or of several systems in lockstep, and hands each step to an
 observer instead of storing it; ``integrate`` is its width-1 case and stores
 the snapshots it is asked for. The step kernels treat every column of a batch
@@ -28,7 +28,7 @@ as they treat that column alone, so a column's states have the same bits at
 any batch width, and a column that blows up is retired at the step where it
 would blow up alone while the others go on.
 
-The march holds one workspace per batch in the memory order of the
+The loop holds one workspace per batch in the memory order of the
 tridiagonal solve, (3, S*M, n) for S systems of M columns: every component of
 every column is one contiguous n-vector, while the arrays keep their logical
 node-major (n, 3, M) indexing. The systems share one stacked state, so a step
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 LINF_CEILING = 1.0e3
-MAX_DENSE_SNAPSHOTS = 10_000
 # Sample columns the ensemble experiments march at a time: wider batches stop
 # paying once a step's arrays outgrow the cache, and the cap bounds memory
 # whatever the sample count.
@@ -174,8 +173,7 @@ class TrajectoryRecord:
     """Immutable result of one integration.
 
     ``snapshots`` holds the state at the steps listed in ``snapshot_steps``
-    (every step by default at desk scale, strided for very long runs);
-    ``norm_rows`` gives their norms.
+    (every step by default); ``norm_rows`` gives their norms.
     """
 
     kind: str
@@ -200,12 +198,6 @@ class TrajectoryRecord:
         """``field.stack_norms`` of the snapshots, (l2, h1_semi, h2_semi, linf)
         per row; computed once, on first use."""
         return stack_norms(self.snapshots, self.grid.spacing)
-
-    def values_at(self, step: int) -> np.ndarray:
-        idx = np.searchsorted(self.snapshot_steps, step)
-        if idx >= len(self.snapshot_steps) or self.snapshot_steps[idx] != step:
-            raise KeyError(f"no snapshot stored for step {step}")
-        return self.snapshots[idx]
 
     def final_values(self) -> np.ndarray:
         return self.snapshots[-1]
@@ -346,41 +338,6 @@ def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float):
     return base_terms
 
 
-def _stepper(kind, params, dt, h, mode_mat, ctrl_coeffs, base_snaps):
-    """The step map of ``kind`` as ``step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work)``.
-
-    It writes the right-hand side of the step from the (n, 3, M) batch ``u``
-    into ``out``, to be solved in place by the march. ``lap_u`` is the
-    Laplacian of ``u`` and ``sq_u`` its pointwise squared norms, both
-    overwritten, ``forcing`` the noise field of step n (None for the noiseless
-    kinds), ``sqrt_eps`` the (M,) noise strengths of the columns, or None when
-    they are all zero, and ``work`` a scratch array of the shape of ``u``.
-    """
-    if kind is SystemKind.LINEARIZED_CLT:
-        base_terms = _base_terms(base_snaps, params, dt, h)
-
-        def linear_step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work):
-            return _linear_rhs_values(
-                u, lap_u, sq_u, base_terms(n, u.shape[2]), params, dt, forcing, out, work
-            )
-
-        return linear_step
-
-    # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
-    cf = None if ctrl_coeffs is None else solver_empty((mode_mat.shape[0], 3, 1))
-
-    def step(n, u, lap_u, sq_u, forcing, sqrt_eps, out, work):
-        g = None
-        if forcing is not None and sqrt_eps is not None:
-            g = np.multiply(sqrt_eps, forcing, out=out)
-        if cf is not None:
-            np.multiply(dt, (mode_mat @ ctrl_coeffs[n])[..., None], out=cf)
-            g = cf if g is None else np.add(g, cf, out=g)
-        return _rhs_values(u, lap_u, sq_u, params, dt, g, out)
-
-    return step
-
-
 def _step_transpose_values(
     lam: np.ndarray,
     v: np.ndarray,
@@ -411,12 +368,6 @@ def _step_transpose_values(
             dot = np.einsum("ij,ij->i", v, mu)
             out = out - (2.0 * dt * params.nu2 * params.mu) * dot[:, None] * v
     return out, mu
-
-
-def _default_stride(steps: int) -> int:
-    if steps <= MAX_DENSE_SNAPSHOTS:
-        return 1
-    return math.ceil(steps / MAX_DENSE_SNAPSHOTS)
 
 
 def _check_inputs(
@@ -469,81 +420,6 @@ def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march(initial, advance, observe, retire, n_steps, cfl_scale, h, c):
-    """The step loop of every run.
-
-    ``initial`` holds one (n, 3, M) batch per system marching in lockstep;
-    column j is sample j in every system. The systems share one state of
-    S*M columns in the solver's memory order, system s in columns s*M to
-    (s+1)*M - 1, and a second such buffer that the next state is written
-    into before the two swap. At each step n = 0..n_steps every column is
-    checked first: a column whose |u|_inf in any system is not finite or
-    exceeds ``LINF_CEILING`` fails at n and is dropped from all systems (the
-    buffers are compacted in place, keeping their order), and
-    ``retire(keep)`` learns which columns stay. Then ``observe(n, states,
-    live)`` sees the step, ``states`` holding a view per system of the state
-    that is valid only during the call and ``live`` the indices in the initial
-    batch of the columns still running. Unless it was the last step,
-    ``advance(n, states, laps, sqs, outs)`` writes the right-hand side of each
-    system into its view in ``outs`` from its state, Laplacian and pointwise
-    squared norms (the last two are its to overwrite), and one in-place
-    solve of (I - c Lap) for all systems gives the states of step n + 1.
-
-    Returns ``(failures, cfl)``: ``(column, step, message)`` for every failed
-    column by its index in the initial batch, and the largest explicit-term
-    ratio of each column that ran to the end.
-    """
-    systems = len(initial)
-    width = initial[0].shape[2]
-    shape = (initial[0].shape[0], 3, systems * width)
-    state, nxt, lap = solver_empty(shape), solver_empty(shape), solver_empty(shape)
-    sq = solver_empty((shape[0], shape[2]))
-    for s, u in enumerate(initial):
-        state[..., s * width:(s + 1) * width] = u
-    peak = np.zeros(width)
-    live = np.arange(width)
-    failures = []
-
-    def split(a):
-        return a, [a[..., s * width:(s + 1) * width] for s in range(systems)]
-
-    # every buffer with its per-system views, made again only when the width changes
-    state, nxt, lap, sq = map(split, (state, nxt, lap, sq))
-
-    for n in range(n_steps + 1):
-        sq_norm_values(state[0], out=sq[0], work=lap[0])
-        top = sq[0].max(axis=0)
-        if systems > 1:
-            top = top.reshape(systems, width).max(axis=0)
-        linf = np.sqrt(top)
-        ok = linf <= LINF_CEILING
-        if not ok.all():
-            for j in np.flatnonzero(~ok):
-                if np.isfinite(state[0][..., j::width]).all():
-                    what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
-                else:
-                    what = "non-finite state"
-                ratio = cfl_scale * peak[j]
-                failures.append((int(live[j]), n, f"{what} (explicit-term ratio {ratio:.3g})"))
-            keep = np.tile(ok, systems)
-            linf, peak, live = linf[ok], peak[ok], live[ok]
-            width = live.size
-            if not width:
-                break
-            state, nxt, lap, sq = (split(_compact(a, keep)) for a, _ in (state, nxt, lap, sq))
-            retire(ok)
-        # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
-        peak = np.maximum(peak, linf)
-        observe(n, state[1], live)
-        if n == n_steps:
-            break
-        lap_values(state[0], h, out=lap[0])
-        advance(n, state[1], lap[1], sq[1], nxt[1])
-        helm_values(nxt[0], h, c, out=nxt[0])
-        state, nxt = nxt, state
-    return failures, cfl_scale * peak
-
-
 def integrate(
     kind: SystemKind,
     u0_field: VectorField,
@@ -554,7 +430,7 @@ def integrate(
     base: TrajectoryRecord | None = None,
     rng: np.random.Generator | None = None,
     seed_info: tuple | None = None,
-    stride: int | None = None,
+    stride: int = 1,
     diffusion_off: bool = False,
 ) -> TrajectoryRecord:
     """Integrate one of the five systems and record its snapshots.
@@ -569,7 +445,7 @@ def integrate(
     oracles.
     """
     n_steps = tgrid.steps
-    stride = _default_stride(n_steps) if stride is None else int(stride)
+    stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if kind in _NOISY_KINDS and rng is None:
@@ -630,16 +506,25 @@ def integrate_batch(
     kinds and ``base`` only the linearized one. ``observe(n, states, live)``
     sees every step n = 0..steps: one (n, 3, M') array per kind, holding the
     columns ``live`` (indices into the initial batch) that are still running.
-    The arrays are views into the march's workspace, in the solver's memory
-    order, and valid only during the call: the march writes the next states
-    into the same memory, so an observer copies what it keeps. Memory grows
-    with the batch width, not with the number of steps.
+    Memory grows with the batch width, not with the number of steps.
 
-    Every column's states have the bits of its own width-1 run. A column that
-    blows up in any system (a state that is not finite or whose |u|_inf
-    exceeds ``LINF_CEILING``) is retired at that step and the others go on.
-    Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
-    with its step and ``keys[j]``, in the order of retirement, and the largest
+    The S systems share one state of S*M columns in the solver's memory order,
+    system s in columns s*M to (s+1)*M - 1, and a second such buffer that the
+    next state is written into before the two swap. At each step n every
+    column is checked first: a column whose |u|_inf in any system is not
+    finite or exceeds ``LINF_CEILING`` fails at n and is dropped from all
+    systems (the buffers are compacted in place, keeping their order, and its
+    noise stream goes with it) while the others go on. Then ``observe`` sees
+    the step. Its arrays are views into the workspace, valid only during the
+    call: the loop writes the next states into the same memory, so an
+    observer copies what it keeps. Unless it was the last step, one Laplacian
+    of all systems, one matmul of the step's increments and one control term
+    feed each system's right-hand side, and one in-place solve of
+    (I - dt nu1 Lap) for all systems gives the states of step n + 1.
+
+    Every column's states have the bits of its own width-1 run. Returns
+    ``(failures, explicit_cfl)``: one BlowUpError per retired column, with its
+    step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
     the end (0.0 when none did). ``diffusion_off`` skips the implicit solve.
     """
@@ -678,46 +563,88 @@ def integrate_batch(
     strength = sqrt_eps if sqrt_eps.any() else None
     keys = list(keys) if keys is not None else [None] * width
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
-    steps = [
-        _stepper(
-            kind, params, dt, h, mode_mat,
-            ctrl.coefficients if kind in _CONTROLLED_KINDS else None,
-            base.snapshots if kind is SystemKind.LINEARIZED_CLT else None,
-        )
-        for kind in kinds
-    ]
+    base_terms = _base_terms(base.snapshots, params, dt, h) if base is not None else None
+    cfl_scale = dt * abs(params.gamma) / (h * h)
+    systems = len(kinds)
+    shape = (grid.n_interior, 3, systems * width)
+    state, nxt, lap = solver_empty(shape), solver_empty(shape), solver_empty(shape)
+    sq = solver_empty((shape[0], shape[2]))
+    for s, u in enumerate(states):
+        state[..., s * width:(s + 1) * width] = u
+    # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
+    cf = None if ctrl is None else solver_empty((shape[0], 3, 1))
+    peak = np.zeros(width)
+    live = np.arange(width)
+    failures = []
     work = {}
 
-    def advance(n, states, laps, sqs, outs):
-        forcing = None
-        if any(noisy):
-            # one matmul of all columns' increments (M, n, 3), copied into the solver's order
-            increments = noise.at(n)
-            shape = (len(increments), mode_mat.shape[0], 3)
-            product = np.matmul(mode_mat, increments, out=scratch(work, "product", shape, np.empty))
-            forcing = scratch(work, "forcing", states[0].shape)
-            np.copyto(forcing, product.transpose(1, 2, 0))
-        tmp = scratch(work, "tmp", states[0].shape)
-        for step, u, lap, sq, out, is_noisy in zip(steps, states, laps, sqs, outs, noisy):
-            step(n, u, lap, sq, forcing if is_noisy else None, strength, out, tmp)
+    def split(a):
+        return a, [a[..., s * width:(s + 1) * width] for s in range(systems)]
 
-    def retire(keep):
-        nonlocal sqrt_eps, strength
-        sqrt_eps = sqrt_eps[keep]
-        strength = sqrt_eps if sqrt_eps.any() else None
-        if noise is not None:
-            noise.keep(keep)
-
+    # every buffer with its per-system views, made again only when the width changes
+    state, nxt, lap, sq = map(split, (state, nxt, lap, sq))
     with np.errstate(over="ignore", invalid="ignore"):
-        # a blow-up is found and reported by the march, not by numpy warnings
-        failures, cfl = _march(
-            states, advance, observe, retire, n_steps, dt * abs(params.gamma) / (h * h), h, c
-        )
-    failures = [
-        BlowUpError(message, step=at, time=at * dt, key=keys[column])
-        for column, at, message in failures
-    ]
-    return failures, float(np.max(cfl, initial=0.0))
+        # a blow-up is found and reported by the ceiling check, not by numpy warnings
+        for n in range(n_steps + 1):
+            sq_norm_values(state[0], out=sq[0], work=lap[0])
+            top = sq[0].max(axis=0)
+            if systems > 1:
+                top = top.reshape(systems, width).max(axis=0)
+            linf = np.sqrt(top)
+            ok = linf <= LINF_CEILING
+            if not ok.all():
+                for j in np.flatnonzero(~ok):
+                    if np.isfinite(state[0][..., j::width]).all():
+                        what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
+                    else:
+                        what = "non-finite state"
+                    failures.append(BlowUpError(
+                        f"{what} (explicit-term ratio {cfl_scale * peak[j]:.3g})",
+                        step=n, time=n * dt, key=keys[live[j]],
+                    ))
+                linf, peak, live = linf[ok], peak[ok], live[ok]
+                width = live.size
+                if not width:
+                    break
+                keep = np.tile(ok, systems)
+                state, nxt, lap, sq = (split(_compact(a, keep)) for a, _ in (state, nxt, lap, sq))
+                sqrt_eps = sqrt_eps[ok]
+                strength = sqrt_eps if sqrt_eps.any() else None
+                if noise is not None:
+                    noise.keep(ok)
+            # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
+            peak = np.maximum(peak, linf)
+            observe(n, state[1], live)
+            if n == n_steps:
+                break
+            lap_values(state[0], h, out=lap[0])
+            forcing = None
+            if any(noisy):
+                # one matmul of all columns' increments (M, n, 3), copied into the solver's order
+                product = scratch(work, "product", (width, shape[0], 3), np.empty)
+                np.matmul(mode_mat, noise.at(n), out=product)
+                forcing = scratch(work, "forcing", (shape[0], 3, width))
+                np.copyto(forcing, product.transpose(1, 2, 0))
+            if cf is not None:
+                np.multiply(dt, (mode_mat @ ctrl.coefficients[n])[..., None], out=cf)
+            tmp = scratch(work, "tmp", (shape[0], 3, width))
+            for kind, is_noisy, u, lap_u, sq_u, out in zip(
+                kinds, noisy, state[1], lap[1], sq[1], nxt[1]
+            ):
+                if kind is SystemKind.LINEARIZED_CLT:
+                    _linear_rhs_values(
+                        u, lap_u, sq_u, base_terms(n, width), params, dt, forcing, out, tmp
+                    )
+                    continue
+                g = None
+                if is_noisy and strength is not None:
+                    g = np.multiply(strength, forcing, out=out)
+                if kind in _CONTROLLED_KINDS:
+                    g = cf if g is None else np.add(g, cf, out=g)
+                _rhs_values(u, lap_u, sq_u, params, dt, g, out)
+            helm_values(nxt[0], h, c, out=nxt[0])
+            state, nxt = nxt, state
+    return failures, float(np.max(cfl_scale * peak, initial=0.0))
 
 
 def skeleton_adjoint(

@@ -186,7 +186,6 @@ class RateObjective:
             self.tgrid,
             spec=self.spec,
             ctrl=ctrl,
-            stride=1,
         )
         diff = rec.final_values() - self.problem.target.values
         misfit = h1_norm(VectorField(self.u0_field.grid, diff))
@@ -306,7 +305,7 @@ def weak_convergence_experiment(
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
-        spec=spec, ctrl=ctrl, stride=1,
+        spec=spec, ctrl=ctrl,
     ).snapshots
     eps_values = [float(e) for e in epsilons]
     work = {}
@@ -340,7 +339,7 @@ def compactness_probe(
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
     base = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
-        spec=spec, ctrl=ctrl, stride=1,
+        spec=spec, ctrl=ctrl,
     )
     h = u0_field.grid.spacing
     coeff = math.sqrt(unit_cost / tgrid.horizon)
@@ -358,7 +357,6 @@ def compactness_probe(
             tgrid,
             spec=spec,
             ctrl=ControlPath(coeffs, ctrl.dt),
-            stride=1,
         )
         # node-major view (n, steps, 3); each snapshot's edge values stay contiguous
         grad = grad_values((perturbed.snapshots - base.snapshots).transpose(1, 0, 2), h)

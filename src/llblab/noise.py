@@ -200,14 +200,18 @@ def write_control_csv(ctrl: ControlPath, path) -> None:
         fh.write(csv_rows(index, ctrl.coefficients.reshape(-1, 1)))
 
 
-def read_control_coefficients(path) -> np.ndarray:
-    """Read (step, k, j, coefficient) rows back into an (N, K, 3) array.
+def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
+    """Read (step, k, j, coefficient) rows into the (steps, mode_count, 3)
+    coefficients of a run.
 
-    Missing (step, k, j) combinations are zero. The time step is not stored in
-    the file; pair the coefficients with a dt from the run configuration.
-    Malformed content raises ValueError naming the file and line.
+    Missing (step, k, j) combinations are zero, but the last step must have a
+    row, so a file written for a shorter run is not silently padded. The time
+    step is not stored in the file; pair the coefficients with a dt from the
+    run configuration. Malformed content, or an index outside the run, raises
+    ValueError naming the file and line.
     """
-    entries = []
+    coeffs = np.zeros((steps, mode_count, 3))
+    last = -1
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -225,16 +229,17 @@ def read_control_coefficients(path) -> np.ndarray:
                     f"{path}: line {reader.line_num}: expected integer step,k,j and a finite "
                     f"coefficient, got {row}"
                 ) from None
-            if n < 0 or k < 1 or j not in (1, 2, 3):
-                raise ValueError(f"{path}: bad index row {row}")
-            entries.append((n, k, j, value))
-    if not entries:
+            if not (0 <= n < steps and 1 <= k <= mode_count and j in (1, 2, 3)):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: index row {row} outside the run's steps "
+                    f"0..{steps - 1}, modes 1..{mode_count} and components 1..3"
+                )
+            coeffs[n, k - 1, j - 1] = value
+            last = max(last, n)
+    if last < 0:
         raise ValueError(f"{path}: no coefficient rows")
-    steps = max(e[0] for e in entries) + 1
-    modes = max(e[1] for e in entries)
-    coeffs = np.zeros((steps, modes, 3))
-    for n, k, j, value in entries:
-        coeffs[n, k - 1, j - 1] = value
+    if last != steps - 1:
+        raise ValueError(f"{path}: control has {last + 1} steps, time grid has {steps}")
     return coeffs
 
 

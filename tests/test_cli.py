@@ -514,10 +514,13 @@ def test_main_fd_bump_is_unknown_key(tmp_path, capsys, key):
             "weak.control",
             "step,k,j,coefficient\n" + "".join(f"{n},1,3,0.5\n" for n in range(9)) + "9,1,3,inf\n",
         ),
+        # indices far outside the run must not size an allocation
+        ("weak.control", "step,k,j,coefficient\n9,1,1,0.5\n1000000000000,1,1,0.5\n"),
+        ("weak.control", "step,k,j,coefficient\n9,1,1,0.5\n0,100000000000,1,0.5\n"),
     ],
     ids=[
         "control-bad-header", "target-short-row", "target-non-numeric", "target-non-finite",
-        "control-non-finite",
+        "control-non-finite", "control-step-out-of-range", "control-mode-out-of-range",
     ],
 )
 def test_main_malformed_input_csv_is_config_error(tmp_path, capsys, key, content):

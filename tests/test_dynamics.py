@@ -348,27 +348,17 @@ def test_blow_up_on_instability():
 
 # --- record layout ------------------------------------------------------------------
 
-def test_default_stride_rule():
-    from llblab.dynamics import _default_stride
-
-    assert _default_stride(100) == 1
-    assert _default_stride(10_000) == 1
-    assert _default_stride(25_000) == 3
-
-
 def test_snapshot_striding():
     g = make_grid(31)
-    rec = integrate(
-        SystemKind.DETERMINISTIC, initial_profile(g), ModelParams(), TimeGrid(0.01, 100),
-        stride=7,
-    )
+    args = (SystemKind.DETERMINISTIC, initial_profile(g), ModelParams(), TimeGrid(0.01, 100))
+    rec = integrate(*args, stride=7)
     assert list(rec.snapshot_steps[:3]) == [0, 7, 14]
     assert rec.snapshot_steps[-1] == 100
     assert len(rec.snapshots) == len(rec.snapshot_steps) == 16
     assert not rec.dense
-    with pytest.raises(KeyError):
-        rec.values_at(1)
-    assert rec.values_at(14).shape == (31, 3)
+    dense = integrate(*args)
+    assert dense.dense
+    assert rec.snapshots[2].tobytes() == dense.snapshots[14].tobytes()
 
 
 def test_trajectory_csv_writers(tmp_path):
@@ -525,7 +515,11 @@ def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
 
 
 BATCH_CASES = [(kind,) for kind in SystemKind] + [
-    (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT)
+    (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
+    # two systems read one control term per step
+    (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON),
+    # noiseless systems march in lockstep beside a noisy one
+    (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC, SystemKind.SKELETON),
 ]
 
 

@@ -98,3 +98,29 @@ def test_perfbench_tracer_records_a_traced_run(tmp_path):
     assert layers["clt.samples"] == 6
     assert layers["dynamics.integrate.deterministic.calls"] == 1
     assert layers["noise.paths"] > 0
+
+
+def test_perfbench_tracer_install_restores_every_patched_name():
+    # `perfbench/run.py --trace 1` patches llblab's module attributes by name:
+    # install fails with AttributeError once a refactor drops one, and
+    # uninstall must put back the very objects it replaced
+    tracer_module = _load_tracer()
+    modules = [importlib.import_module(f"llblab.{name}") for name in MODULES]
+    originals = [dict(vars(module)) for module in modules]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        patched = {
+            (module.__name__, name)
+            for module, before in zip(modules, originals)
+            for name, value in vars(module).items()
+            if before.get(name) is not value
+        }
+    finally:
+        tracer.uninstall()
+    expected = {(f"llblab.{name}", "stream_rng") for name in ("cli", "clt", "ldp")}
+    expected |= {("llblab.clt", "path_gap"), ("llblab.ldp", "path_gap")}
+    assert expected <= patched
+    for module, before in zip(modules, originals):
+        changed = [name for name, value in before.items() if vars(module).get(name) is not value]
+        assert not changed, f"{module.__name__} keeps patched {changed}"
