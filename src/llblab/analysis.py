@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import (
-    Grid1D,
     VectorField,
     column_sq_sums,
     cross,
@@ -46,7 +45,6 @@ __all__ = [
     "energy_drift",
     "path_gap",
     "StreamedPathGap",
-    "random_smooth_field",
     "identity_suite",
 ]
 
@@ -271,13 +269,11 @@ def path_gap(
 class StreamedPathGap:
     """The proof metric of ``path_gap`` for a batch of M columns, fed one step at a time.
 
-    ``add(n, d, live)`` takes the (n, 3, M') differences of step n for the
-    columns ``live`` (indices into the batch, or a slice of it, which avoids
-    the gathers while no column has retired); ``values`` is the metric of
-    every column over the steps it was given. Only two numbers per column are
-    kept, never the trajectories. A column's value does not depend on the
-    batch it runs in; its sums run in step order, so it equals ``path_gap`` of
-    the stored differences to rounding, not bitwise. With ``nu1 = 0`` it is
+    ``add(n, d)`` takes the (n, 3, M) differences of step n; ``values`` is the
+    metric of every column over the steps it was given. Only two numbers per
+    column are kept, never the trajectories. A column's value does not depend
+    on the batch it runs in; its sums run in step order, so it equals
+    ``path_gap`` of the stored differences to rounding, not bitwise. With ``nu1 = 0`` it is
     sup_n ||grad d_n||^2 alone, and no Laplacian is taken.
     """
 
@@ -290,33 +286,18 @@ class StreamedPathGap:
         self._lap_sq_sum = np.zeros(width)
         self._work = {}
 
-    def add(self, n: int, d: np.ndarray, live: np.ndarray) -> None:
+    def add(self, n: int, d: np.ndarray) -> None:
         h = self.spacing
         grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
         grad_sq = h * column_sq_sums(grad, work=grad)
-        self._sup_grad_sq[live] = np.maximum(self._sup_grad_sq[live], grad_sq)
+        np.maximum(self._sup_grad_sq, grad_sq, out=self._sup_grad_sq)
         if n < self.steps and self.nu1 != 0.0:
             lap = lap_values(d, h, out=scratch(self._work, "lap", d.shape))
-            self._lap_sq_sum[live] += h * column_sq_sums(lap, work=lap)
+            self._lap_sq_sum += h * column_sq_sums(lap, work=lap)
 
     @property
     def values(self) -> np.ndarray:
         return self._sup_grad_sq + self.nu1 * self.dt * self._lap_sq_sum
-
-
-def random_smooth_field(
-    grid: Grid1D,
-    rng: np.random.Generator,
-    modes: int = 8,
-    decay: float = 2.0,
-    scale: float = 1.0,
-) -> VectorField:
-    """Random low-mode sine combination with k**(-decay) coefficient falloff."""
-    k = np.arange(1, modes + 1, dtype=float)
-    coeffs = rng.normal(size=(modes, 3)) * (scale * k ** (-decay))[:, None]
-    x = grid.nodes
-    basis = np.sin(math.pi * np.outer(x, k))
-    return VectorField(grid, basis @ coeffs)
 
 
 def identity_suite(

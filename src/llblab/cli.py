@@ -615,6 +615,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         return _error(EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=key)
     except OSError as exc:
         return _error(EXIT_IO, "io", message=str(exc))
+    except MemoryError as exc:
+        # numpy names the allocation it could not make, e.g. a time grid of 1e12 steps
+        return _error(EXIT_CONFIG, "config", messages=[f"the run needs more memory: {exc}"])
 
     manifest = {
         "version": __version__,

@@ -146,11 +146,13 @@ def run_columns(
     Column (i, m) starts every system of ``kinds`` from its field in
     ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
     (``dynamics.integrate_batch`` with ``ctrl`` and ``base``).
-    ``difference(n, states, eps)`` maps step n's states of the live columns
-    (one (n, 3, M') array per kind) and their (M',) epsilons to the field d
-    whose metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated.
-    Returns ``(values, failures)``: ``values[i][m]`` is the metric of column
-    (i, m), None where it blew up, and ``failures`` its SampleFailures, sorted.
+    ``difference(n, states, eps)`` maps step n's states of a batch (one
+    (n, 3, M) array per kind) and its (M,) epsilons to the field d whose
+    metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated. A column
+    that blew up stays in its batch, zeroed, to the end, and its metric is
+    dropped. Returns ``(values, failures)``: ``values[i][m]`` is the metric of
+    column (i, m), None where it blew up, and ``failures`` its SampleFailures,
+    sorted.
     """
     grid = initial[0].grid
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
@@ -164,10 +166,8 @@ def run_columns(
             [stream_rng(base_seed, i, m) for i, m in batch], tgrid.steps, spec.mode_count, tgrid.dt
         )
 
-        def observe(n, states, live):
-            # slices, not gathers, while no column has retired
-            cols = slice(None) if live.size == eps.size else live
-            gap.add(n, difference(n, states, eps[cols]), cols)
+        def observe(n, states):
+            gap.add(n, difference(n, states, eps))
 
         failed, _ = integrate_batch(
             kinds, grid, [np.repeat(f.values[..., None], len(batch), axis=2) for f in initial],

@@ -36,7 +36,8 @@ takes one Laplacian, one set of squared norms, one ceiling check and one solve
 for all of them; each system writes the right-hand side of its step into its
 slice of a second state buffer, which LAPACK solves in place before the two
 swap. Every array of the batch's shape that a step writes is a workspace
-buffer, and a retirement compacts the buffers in place, keeping their order.
+buffer, allocated once per batch: a batch keeps its width to the end, and a
+retired column stays in it, zeroed.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .field import (
     dot_values,
     helm_values,
     lap_values,
-    scratch,
     solver_empty,
     sq_norm_values,
     stack_norms,
@@ -299,26 +299,29 @@ def _linear_rhs_values(
     return out
 
 
-def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float):
-    """``base_terms(n, M)``: the (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)) of base
-    snapshot n for ``_linear_rhs_values``, the first two repeated over M columns.
-    The Laplacians and norms are taken for ``STACK_CHUNK`` snapshots at a time,
-    as node-major stack operations with the bits of the per-snapshot ones, so
-    memory holds one chunk."""
-    store = {}
+def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float, width: int):
+    """``base_terms(n)``: the (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)) of base
+    snapshot n for ``_linear_rhs_values``, the first two repeated over ``width``
+    columns. The Laplacians and norms are taken for ``STACK_CHUNK`` snapshots at
+    a time, as node-major stack operations with the bits of the per-snapshot
+    ones, so memory holds one chunk."""
     chunk = {}
     # one pair of chunk buffers for the run; the last chunk may use part of them
     size = min(STACK_CHUNK, len(snaps))
     nodes = snaps.shape[1]
+    chunk_drive, chunk_coef = solver_empty((nodes, 3, size)), solver_empty((nodes, size))
+    # b and its drive copied across the batch: products of full arrays are
+    # cheaper than products that broadcast a column over it
+    b, b_drive = solver_empty((nodes, 3, width)), solver_empty((nodes, 3, width))
 
-    def base_terms(n, width):
+    def base_terms(n):
         first = n - n % STACK_CHUNK
         if chunk.get("first") != first:
             # in place, with the operations of dt*gamma * Lap b and dt*nu2 * (1 + mu |b|^2)
             stack = np.moveaxis(snaps[first:first + STACK_CHUNK], 0, -1)
             count = stack.shape[2]
-            drive = scratch(store, "drive", (nodes, 3, size))[..., :count]
-            coef = scratch(store, "coef", (nodes, size))[:, :count]
+            drive = chunk_drive[..., :count]
+            coef = chunk_coef[:, :count]
             sq_norm_values(stack, out=coef, work=drive)
             coef *= params.mu
             coef += 1.0
@@ -327,11 +330,7 @@ def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float):
             drive *= dt * params.gamma
             chunk.update(first=first, drive=drive, coef=coef)
         k = n - first
-        # b and its drive copied across the batch: products of full arrays are
-        # cheaper than products that broadcast a column over it
-        b = scratch(store, "b", (nodes, 3, width))
         np.copyto(b, snaps[n][..., None])
-        b_drive = scratch(store, "b_drive", (nodes, 3, width))
         np.copyto(b_drive, chunk["drive"][..., k:k + 1])
         return b, b_drive, chunk["coef"][:, k:k + 1]
 
@@ -410,16 +409,6 @@ def _check_inputs(
             raise ValueError("base trajectory must store every step of the same time grid")
 
 
-def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The columns of the solver-order array ``a`` (n, ..., K) where ``keep`` is
-    True, moved to the front of its own memory: a view of them in the same order."""
-    kept = a[..., keep]
-    flat = np.moveaxis(a, 0, -1).reshape(-1)
-    out = np.moveaxis(flat[:kept.size].reshape(kept.shape[1:] + kept.shape[:1]), -1, 0)
-    out[...] = kept
-    return out
-
-
 def integrate(
     kind: SystemKind,
     u0_field: VectorField,
@@ -456,7 +445,7 @@ def integrate(
     snap_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
     snaps = np.empty((len(snap_steps),) + u0_field.values.shape)
 
-    def observe(n, states, live):
+    def observe(n, states):
         if n % stride == 0 or n == n_steps:
             snaps[-(-n // stride)] = states[0][..., 0]
 
@@ -503,28 +492,30 @@ def integrate_batch(
     used). Noisy kinds read step n's increments from ``noise``, one stream per
     column, and every system of a step sees the same ones, so coupled systems
     share their noise by construction. ``ctrl`` drives only the controlled
-    kinds and ``base`` only the linearized one. ``observe(n, states, live)``
-    sees every step n = 0..steps: one (n, 3, M') array per kind, holding the
-    columns ``live`` (indices into the initial batch) that are still running.
-    Memory grows with the batch width, not with the number of steps.
+    kinds and ``base`` only the linearized one. ``observe(n, states)`` sees
+    every step n = 0..steps: one (n, 3, M) array per kind. Memory grows with
+    the batch width, not with the number of steps.
 
     The S systems share one state of S*M columns in the solver's memory order,
     system s in columns s*M to (s+1)*M - 1, and a second such buffer that the
     next state is written into before the two swap. At each step n every
-    column is checked first: a column whose |u|_inf in any system is not
-    finite or exceeds ``LINF_CEILING`` fails at n and is dropped from all
-    systems (the buffers are compacted in place, keeping their order, and its
-    noise stream goes with it) while the others go on. Then ``observe`` sees
+    running column is checked first: a column whose |u|_inf in any system is
+    not finite or exceeds ``LINF_CEILING`` fails at n and is retired: it keeps
+    its column, zeroed in every system and with noise strength 0, and is
+    stepped on with the others. u = 0 is a fixed point of every nonlinear kind
+    and the linear system stays finite, so no NaN reaches an observer, which
+    drops the column's values through the failure list. Then ``observe`` sees
     the step. Its arrays are views into the workspace, valid only during the
     call: the loop writes the next states into the same memory, so an
     observer copies what it keeps. Unless it was the last step, one Laplacian
     of all systems, one matmul of the step's increments and one control term
     feed each system's right-hand side, and one in-place solve of
-    (I - dt nu1 Lap) for all systems gives the states of step n + 1.
+    (I - dt nu1 Lap) for all systems gives the states of step n + 1. The
+    march stops early only when every column has retired.
 
-    Every column's states have the bits of its own width-1 run. Returns
-    ``(failures, explicit_cfl)``: one BlowUpError per retired column, with its
-    step and ``keys[j]``, in the order of retirement, and the largest
+    Every running column's states have the bits of its own width-1 run.
+    Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
+    with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
     the end (0.0 when none did). ``diffusion_off`` skips the implicit solve.
     """
@@ -563,7 +554,7 @@ def integrate_batch(
     strength = sqrt_eps if sqrt_eps.any() else None
     keys = list(keys) if keys is not None else [None] * width
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
-    base_terms = _base_terms(base.snapshots, params, dt, h) if base is not None else None
+    base_terms = _base_terms(base.snapshots, params, dt, h, width) if base is not None else None
     cfl_scale = dt * abs(params.gamma) / (h * h)
     systems = len(kinds)
     shape = (grid.n_interior, 3, systems * width)
@@ -573,15 +564,18 @@ def integrate_batch(
         state[..., s * width:(s + 1) * width] = u
     # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
     cf = None if ctrl is None else solver_empty((shape[0], 3, 1))
+    # a noisy step's matmul of all columns' increments (M, n, 3), copied into the solver's order
+    product = np.empty((width, shape[0], 3))
+    forcing = solver_empty((shape[0], 3, width)) if any(noisy) else None
+    tmp = solver_empty((shape[0], 3, width))
     peak = np.zeros(width)
-    live = np.arange(width)
+    running = np.ones(width, dtype=bool)
     failures = []
-    work = {}
 
     def split(a):
         return a, [a[..., s * width:(s + 1) * width] for s in range(systems)]
 
-    # every buffer with its per-system views, made again only when the width changes
+    # every buffer with its per-system views
     state, nxt, lap, sq = map(split, (state, nxt, lap, sq))
     with np.errstate(over="ignore", invalid="ignore"):
         # a blow-up is found and reported by the ceiling check, not by numpy warnings
@@ -591,49 +585,40 @@ def integrate_batch(
             if systems > 1:
                 top = top.reshape(systems, width).max(axis=0)
             linf = np.sqrt(top)
-            ok = linf <= LINF_CEILING
-            if not ok.all():
-                for j in np.flatnonzero(~ok):
+            failed = running & ~(linf <= LINF_CEILING)
+            if failed.any():
+                for j in np.flatnonzero(failed):
                     if np.isfinite(state[0][..., j::width]).all():
                         what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                     else:
                         what = "non-finite state"
                     failures.append(BlowUpError(
                         f"{what} (explicit-term ratio {cfl_scale * peak[j]:.3g})",
-                        step=n, time=n * dt, key=keys[live[j]],
+                        step=n, time=n * dt, key=keys[j],
                     ))
-                linf, peak, live = linf[ok], peak[ok], live[ok]
-                width = live.size
-                if not width:
+                    state[0][..., j::width] = 0.0
+                running &= ~failed
+                if not running.any():
                     break
-                keep = np.tile(ok, systems)
-                state, nxt, lap, sq = (split(_compact(a, keep)) for a, _ in (state, nxt, lap, sq))
-                sqrt_eps = sqrt_eps[ok]
+                sqrt_eps[failed] = 0.0
                 strength = sqrt_eps if sqrt_eps.any() else None
-                if noise is not None:
-                    noise.keep(ok)
             # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
             peak = np.maximum(peak, linf)
-            observe(n, state[1], live)
+            observe(n, state[1])
             if n == n_steps:
                 break
             lap_values(state[0], h, out=lap[0])
-            forcing = None
-            if any(noisy):
-                # one matmul of all columns' increments (M, n, 3), copied into the solver's order
-                product = scratch(work, "product", (width, shape[0], 3), np.empty)
+            if forcing is not None:
                 np.matmul(mode_mat, noise.at(n), out=product)
-                forcing = scratch(work, "forcing", (shape[0], 3, width))
                 np.copyto(forcing, product.transpose(1, 2, 0))
             if cf is not None:
                 np.multiply(dt, (mode_mat @ ctrl.coefficients[n])[..., None], out=cf)
-            tmp = scratch(work, "tmp", (shape[0], 3, width))
             for kind, is_noisy, u, lap_u, sq_u, out in zip(
                 kinds, noisy, state[1], lap[1], sq[1], nxt[1]
             ):
                 if kind is SystemKind.LINEARIZED_CLT:
                     _linear_rhs_values(
-                        u, lap_u, sq_u, base_terms(n, width), params, dt, forcing, out, tmp
+                        u, lap_u, sq_u, base_terms(n), params, dt, forcing, out, tmp
                     )
                     continue
                 g = None
@@ -644,7 +629,7 @@ def integrate_batch(
                 _rhs_values(u, lap_u, sq_u, params, dt, g, out)
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
-    return failures, float(np.max(cfl_scale * peak, initial=0.0))
+    return failures, float(np.max(cfl_scale * peak[running], initial=0.0))
 
 
 def skeleton_adjoint(

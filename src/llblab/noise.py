@@ -184,11 +184,6 @@ class IncrementStreams:
             self._start, offset = n, 0
         return self._block[offset]
 
-    def keep(self, mask) -> None:
-        """Drop the streams whose entry in the boolean ``mask`` is False."""
-        self._rngs = [rng for rng, kept in zip(self._rngs, mask) if kept]
-        self._block = self._block[:, mask]
-
 
 def write_control_csv(ctrl: ControlPath, path) -> None:
     """Persist as CSV with columns (step, k, j, coefficient); k, j are 1-based.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from llblab.dynamics import integrate_batch
 from llblab.field import VectorField, make_grid
 
 # floats whose repr is easy to get wrong: signed zeros, subnormals, huge, inf and nan
@@ -40,3 +41,26 @@ class ScaledRng:
 
     def normal(self, *args, **kwargs):
         return self._gain * self._rng.normal(*args, **kwargs)
+
+
+def record_batch(kinds, grid, initial, params, tgrid, keys=None, **inputs):
+    """``integrate_batch`` with an observer that stores every step of every column.
+
+    Returns ``(columns, failures)``: ``columns[j]`` holds column j's states as
+    one (steps + 1, n, 3) array per kind, cut off at the step where it failed.
+    Failures are matched to columns by their keys, the column indices unless
+    ``keys`` is given.
+    """
+    width = np.shape(initial[0])[2]
+    keys = list(range(width)) if keys is None else list(keys)
+    steps = []
+    failures, _ = integrate_batch(
+        kinds, grid, initial, params, tgrid, lambda n, states: steps.append(np.stack(states)),
+        keys=keys, **inputs,
+    )
+    stored = np.array(steps)
+    ends = {keys.index(exc.key): exc.step for exc in failures}
+    columns = [
+        [stored[:ends.get(j), k, ..., j] for k in range(len(kinds))] for j in range(width)
+    ]
+    return columns, failures

@@ -15,11 +15,10 @@ from llblab.analysis import (
     fit_slope,
     identity_suite,
     path_gap,
-    random_smooth_field,
     sample_stats,
 )
 from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
-from llblab.field import VectorField, make_grid, solver_empty, zero_field
+from llblab.field import Grid1D, VectorField, make_grid, solver_empty, zero_field
 from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
 
@@ -262,15 +261,14 @@ def test_path_gap_equals_hand_written_stencils_at_acceptance_size(rng):
     scale=st.sampled_from([1e-6, 1.0, 1e3]),
 )
 def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
-    # fed one step of an (n, 3, M) batch at a time, its columns in a shuffled order
+    # fed one step of an (n, 3, M) batch at a time
     gen = np.random.default_rng(seed)
     a = scale * gen.normal(size=(width, steps + 1, nodes, 3))
     b = scale * gen.normal(size=(width, steps + 1, nodes, 3))
     spacing = 1.0 / (nodes + 1)
     gap = StreamedPathGap(width, spacing, 1e-4, 0.7, steps)
-    live = gen.permutation(width)
     for n in range(steps + 1):
-        gap.add(n, (a[live, n] - b[live, n]).transpose(1, 2, 0), live)
+        gap.add(n, (a[:, n] - b[:, n]).transpose(1, 2, 0))
     for j in range(width):
         expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -287,7 +285,7 @@ def test_streamed_path_gap_equals_path_gap_at_eight_nodes_in_the_solver_layout(r
     d = solver_empty((nodes, 3, width))
     for n in range(steps + 1):
         d[...] = (a[:, n] - b[:, n]).transpose(1, 2, 0)
-        gap.add(n, d, slice(None))
+        gap.add(n, d)
     for j in range(width):
         expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -315,6 +313,21 @@ def test_sample_stats_single_and_no_survivor():
 
 
 # --- suite and helpers ----------------------------------------------------------------
+
+def random_smooth_field(
+    grid: Grid1D,
+    rng: np.random.Generator,
+    modes: int = 8,
+    decay: float = 2.0,
+    scale: float = 1.0,
+) -> VectorField:
+    """Random low-mode sine combination with k**(-decay) coefficient falloff."""
+    k = np.arange(1, modes + 1, dtype=float)
+    coeffs = rng.normal(size=(modes, 3)) * (scale * k ** (-decay))[:, None]
+    x = grid.nodes
+    basis = np.sin(math.pi * np.outer(x, k))
+    return VectorField(grid, basis @ coeffs)
+
 
 def test_random_smooth_field_is_bounded(grid63):
     f = random_smooth_field(grid63, stream_rng(2))

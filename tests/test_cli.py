@@ -474,6 +474,26 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert payload["error"]["code"] == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    ["grid.n = 7\ntime.steps = 1000000000000\n", "grid.n = 1000000000000\ntime.steps = 10\n"],
+    ids=["steps", "nodes"],
+)
+def test_main_allocation_too_large_is_config_error(tmp_path, capfd, sizes):
+    # no upper bound on the sizes: numpy refuses the first 7 TiB array, so
+    # nothing is allocated, and the run reports it as one JSON error object
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(f"kind = deterministic\ntime.horizon = 0.05\n{sizes}")
+    code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == EXIT_CONFIG
+    (line,) = out.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["kind"]) == (EXIT_CONFIG, "config")
+    assert "Unable to allocate" in error["messages"][0]
+    assert "Traceback" not in err
+
+
 def _main_config_error(tmp_path, capsys, text):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(text)

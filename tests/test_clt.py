@@ -8,7 +8,7 @@ from llblab.clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import make_grid
 from llblab.noise import CovarianceSpec, make_covariance
-from conftest import ScaledRng
+from conftest import ScaledRng, record_batch
 
 
 def small_config(**overrides):
@@ -95,7 +95,7 @@ def _path_gap_errors(config):
     sample stored step by step from one width-1 coupled batch, then path_gap;
     test oracle only."""
     from llblab.analysis import path_gap
-    from llblab.dynamics import SystemKind, integrate, integrate_batch
+    from llblab.dynamics import SystemKind, integrate
     from llblab.field import zero_field
     from llblab.noise import IncrementStreams, stream_rng
 
@@ -106,22 +106,15 @@ def _path_gap_errors(config):
     for i, eps in enumerate(config.epsilons):
         row = []
         for m in range(config.samples):
-            pair = ([], [])
-
-            def observe(n, states, live):
-                for stored, u in zip(pair, states):
-                    stored.append(u[..., 0].copy())
-
-            failed, _ = integrate_batch(
+            ((u_eps, v0),), failed = record_batch(
                 (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), config.initial.grid, start,
-                config.params, tg, observe, spec=config.spec, base=u0,
+                config.params, tg, spec=config.spec, base=u0,
                 noise=IncrementStreams(
                     [stream_rng(config.base_seed, i, m)], tg.steps, config.spec.mode_count, tg.dt
                 ),
                 epsilons=[eps],
             )
             assert failed == []
-            u_eps, v0 = (np.array(stored) for stored in pair)
             v_eps = (u_eps - u0.snapshots) / math.sqrt(eps)
             row.append(
                 path_gap(v_eps, v0, config.initial.grid.spacing, tg.dt, config.params.nu1)
