@@ -150,7 +150,9 @@ class BlowUpError(RuntimeError):
 
     ``key`` is the counter-based stream key (seed, epsilon index, sample) of a
     noisy sample, so the failure can be replayed on its own; None for a run
-    without one.
+    without one. ``linf`` is the |u|_inf the ceiling check saw at the failing
+    step (inf or nan once the state overflows) and ``ratio`` the largest
+    explicit-term ratio dt |gamma| |u|_inf / h^2 of the steps before it.
     """
 
     def __init__(
@@ -159,10 +161,14 @@ class BlowUpError(RuntimeError):
         step: int | None = None,
         time: float | None = None,
         key: tuple | None = None,
+        linf: float | None = None,
+        ratio: float | None = None,
     ):
         self.step = step
         self.time = time
         self.key = key
+        self.linf = linf
+        self.ratio = ratio
         where = f" at step {step}" if step is not None else ""
         when = f", t = {time:.6g}" if time is not None else ""
         super().__init__(f"{message}{where}{when}")
@@ -592,9 +598,10 @@ def integrate_batch(
                         what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                     else:
                         what = "non-finite state"
+                    ratio = float(cfl_scale * peak[j])
                     failures.append(BlowUpError(
-                        f"{what} (explicit-term ratio {cfl_scale * peak[j]:.3g})",
-                        step=n, time=n * dt, key=keys[j],
+                        f"{what} (explicit-term ratio {ratio:.3g})",
+                        step=n, time=n * dt, key=keys[j], linf=float(linf[j]), ratio=ratio,
                     ))
                     state[0][..., j::width] = 0.0
                 running &= ~failed
@@ -686,14 +693,19 @@ def write_fields_csv(record: TrajectoryRecord, path) -> None:
     """Stored snapshots as CSV (step, node_index, ux, uy, uz).
 
     Floats are spelled as ``repr`` spells them and rows end in CRLF
-    (``field.csv_rows``). The rows are formatted one snapshot at a time, so no
-    more than one snapshot is ever held as Python objects.
+    (``field.csv_rows``). The rows are formatted 8 snapshots at a time, so no
+    more than 8 snapshots are ever held as Python objects.
     """
+    # more per call make more row lists at once and wake the garbage collector
+    per_call = 8
     n = record.grid.n_interior
-    lead = np.empty((n, 2), dtype=np.int64)
-    lead[:, 1] = np.arange(n)
+    steps = record.snapshot_steps
+    lead = np.empty((per_call * n, 2), dtype=np.int64)
+    lead[:, 1] = np.tile(np.arange(n), per_call)
     with open(path, "wb") as fh:
         fh.write(b"step,node_index,ux,uy,uz\r\n")
-        for step, snapshot in zip(record.snapshot_steps.tolist(), record.snapshots):
-            lead[:, 0] = step
-            fh.write(csv_rows(lead, snapshot))
+        for first in range(0, len(steps), per_call):
+            chunk = record.snapshots[first:first + per_call]
+            rows = len(chunk) * n
+            lead[:rows, 0] = np.repeat(steps[first:first + per_call], n)
+            fh.write(csv_rows(lead[:rows], chunk.reshape(rows, 3)))

@@ -29,7 +29,10 @@ of a batch is the Fortran-ordered matrix LAPACK works on:
 while a call without ``out`` never writes into its input.
 
 ``csv_rows`` spells the float columns of every bulk CSV output: ``repr``'s
-shortest round-trip spelling, produced by orjson's Ryu formatter.
+shortest round-trip spelling, produced from the digits of orjson's Ryu
+formatter; only inf and nan are spelled by ``repr`` itself. The rows of one
+call are held as Python objects while they are formatted, so a writer of a
+long trajectory passes a few snapshots per call.
 """
 
 from __future__ import annotations
@@ -368,15 +371,42 @@ def h1_norm(f: VectorField) -> float:
 # ---------------------------------------------------------------------------
 # CSV output
 
+def _signed_exponent(text: bytes) -> list:
+    # 1.5e16 -> 1.5e+16; 1e-100 keeps its sign
+    return text.replace(b"e", b"e+").replace(b"e+-", b"e-").decode().split(",")
+
+
+def _two_digit_exponent(text: bytes) -> list:
+    # 1.5e-7 -> 1.5e-07
+    return text.replace(b"e-", b"e-0").decode().split(",")
+
+
+def _positional_to_exponent(text: bytes) -> list:
+    # -0.0000123 -> -1.23e-05, 0.00002 -> 2e-05
+    spelled = []
+    for digits in text.replace(b"0.0000", b"").decode().split(","):
+        first = 2 if digits[0] == "-" else 1
+        if len(digits) > first:
+            spelled.append(f"{digits[:first]}.{digits[first:]}e-05")
+        else:
+            spelled.append(digits + "e-05")
+    return spelled
+
+
 def csv_rows(lead: np.ndarray, values: np.ndarray) -> bytes:
     """CSV rows of the int columns ``lead`` (R, L) followed by the float columns
     ``values`` (R, F), each row ending in CRLF, every float spelled as ``repr`` spells it.
 
-    One ``orjson.dumps`` of the row lists writes them. Its Ryu formatter spells
-    0 and every finite 1e-4 <= |x| < 1e16 exactly as ``repr`` does; it writes
-    the other floats in another exponent form, positionally (1e-5 <= |x| < 1e-4)
-    or as null (inf and nan), so those go in as their ``repr`` strings, whose
-    quotes are then removed.
+    One ``orjson.dumps`` of the row lists writes them. Its Ryu formatter finds
+    the shortest round-trip digits, as ``repr`` does, and spells 0 and every
+    finite 1e-4 <= |x| < 1e16 exactly as ``repr`` does. It spells the other
+    finite floats in another form, so each of their ranges is dumped on its
+    own, its text fixed up to ``repr``'s form and split into strings: a + on
+    exponents of |x| < 1e-9 and |x| >= 1e16 (1.5e16 -> 1.5e+16), two exponent
+    digits for 1e-9 <= |x| < 1e-5 (1.5e-7 -> 1.5e-07) and exponent form for
+    1e-5 <= |x| < 1e-4 (-0.0000123 -> -1.23e-05). Only inf and nan, which
+    orjson writes as null, go through ``repr``. The strings are put into the
+    rows and their quotes removed from the text.
     """
     if not len(values):
         return b""
@@ -386,7 +416,16 @@ def csv_rows(lead: np.ndarray, values: np.ndarray) -> bytes:
     floats = rows[:, width:]
     floats[...] = values
     size = np.abs(values)
-    other = ~((values == 0.0) | ((size >= 1e-4) & (size < 1e16)))
-    floats[other] = list(map(repr, values[other].tolist()))
+    ranges = (
+        (((size > 0.0) & (size < 1e-9)) | ((size >= 1e16) & (size < math.inf)), _signed_exponent),
+        ((size >= 1e-9) & (size < 1e-5), _two_digit_exponent),
+        ((size >= 1e-5) & (size < 1e-4), _positional_to_exponent),
+    )
+    for where, fix in ranges:
+        if where.any():
+            floats[where] = fix(orjson.dumps(values[where].tolist())[1:-1])
+    nonfinite = ~(size < math.inf)
+    if nonfinite.any():
+        floats[nonfinite] = list(map(repr, values[nonfinite].tolist()))
     text = orjson.dumps(rows.tolist())
     return text[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"

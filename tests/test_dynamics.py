@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from llblab.dynamics import (
+    LINF_CEILING,
     BlowUpError,
     ModelParams,
     SystemKind,
@@ -342,6 +343,35 @@ def test_blow_up_on_instability():
     assert info.value.step is not None and info.value.step > 0
 
 
+def test_blow_up_error_carries_the_stream_key_and_step():
+    # a = 30 makes the explicit cubic damping overshoot until step 3, as without noise
+    g = make_grid(31)
+    tg = TimeGrid(0.25, 64)
+    with pytest.raises(BlowUpError) as info:
+        integrate(
+            SystemKind.STOCHASTIC, initial_profile(g, a=30.0), ModelParams(epsilon=0.01), tg,
+            spec=make_covariance(8, 4.0), rng=stream_rng(7, 2), seed_info=(7, 1, 2),
+        )
+    assert (info.value.key, info.value.step, info.value.time) == ((7, 1, 2), 3, 3 * tg.dt)
+
+
+def test_blow_up_error_carries_the_failing_norm_and_the_explicit_term_ratio():
+    # a = 10 overshoots later: the ratio is the largest of the steps before the failure
+    g = make_grid(31)
+    p = ModelParams()
+    tg = TimeGrid(0.25, 64)
+    u0 = initial_profile(g, a=10.0).values[..., None]
+    (states,), (exc,) = record_batch((SystemKind.DETERMINISTIC,), g, (u0,), p, tg)
+    states = states[0]
+    assert exc.step == len(states) > 1
+    linf = np.sqrt((states ** 2).sum(axis=-1).max(axis=-1))
+    ratio = tg.dt * abs(p.gamma) / g.spacing ** 2 * linf.max()
+    assert exc.ratio == pytest.approx(ratio, rel=1e-12)
+    assert exc.linf > LINF_CEILING
+    assert f"|u|_inf = {exc.linf:.3g}" in str(exc)
+    assert f"explicit-term ratio {exc.ratio:.3g}" in str(exc)
+
+
 # --- record layout ------------------------------------------------------------------
 
 def test_snapshot_striding():
@@ -430,6 +460,28 @@ def test_trajectory_csv_writers_match_csv_writer_bytes(tmp_path_factory, record)
         write_report_csv(record, out / "report.csv")
         _csv_writer_report(record, out / "report_oracle.csv")
     assert (out / "report.csv").read_bytes() == (out / "report_oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["stride", "single"])
+def test_fields_csv_matches_repr_rows_whatever_its_snapshot_count(tmp_path, rng, source):
+    # 11 snapshots do not fill a whole number of the writer's calls; 1 fills part of one
+    if source == "stride":
+        record = integrate(
+            SystemKind.DETERMINISTIC, initial_profile(make_grid(31)), ModelParams(),
+            TimeGrid(0.1, 100), stride=10,
+        )
+        assert len(record.snapshots) == 11
+    else:
+        # magnitudes 1e-12 to 1e20 of both signs: every spelling range of field.csv_rows
+        shape = (1, 31, 3)
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12.0, 20.0, shape)
+        record = TrajectoryRecord(
+            kind="deterministic", params=ModelParams(), grid=make_grid(31),
+            times=np.zeros(1), snapshots=values, snapshot_steps=np.zeros(1, dtype=np.int64),
+        )
+    write_fields_csv(record, tmp_path / "fields.csv")
+    _csv_writer_fields(record, tmp_path / "oracle.csv")
+    assert (tmp_path / "fields.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_stochastic_energy_stays_bounded_smoke():

@@ -515,12 +515,31 @@ BOUNDARY_FLOATS = [
     1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e-5, np.nextafter(1e-5, 0.0),
     1e16, np.nextafter(1e16, 0.0), 5e-324, np.finfo(float).max, np.finfo(float).tiny,
     0.0, -0.0, math.inf, -math.inf, math.nan,
+    # the edges of the ranges csv_rows fixes up from orjson's spelling
+    1e-9, np.nextafter(1e-9, 0.0), 1e-10, 2e-5, -1.5e-5, 1.2345678901234568e-05, 1e22, 1e-100,
 ]
 
 
 @pytest.mark.parametrize("value", BOUNDARY_FLOATS, ids=repr)
 def test_csv_rows_spell_the_boundaries_of_the_plain_range_as_repr(value):
-    # orjson spells 0 and 1e-4 <= |x| < 1e16 as repr does; every other value is a repr string
     values = np.array([[value, -value, 1.5]])
     lead = np.array([[7, -3]])
+    assert csv_rows(lead, values) == _repr_rows(lead, values)
+
+
+# magnitudes drawn log-uniformly over [1e-12, 1e-3) and [1e15, 1e20), of both
+# signs: st.floats() seldom lands in the ranges orjson spells another way
+LOG_UNIFORM_FLOATS = st.builds(
+    lambda sign, exponent: sign * 10.0 ** exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(-12.0, -3.0, exclude_max=True), st.floats(15.0, 20.0, exclude_max=True)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda width: arrays(np.float64, (16, width), elements=LOG_UNIFORM_FLOATS)
+))
+def test_csv_rows_spell_small_and_huge_floats_as_repr(values):
+    lead = np.arange(len(values))[:, None]
     assert csv_rows(lead, values) == _repr_rows(lead, values)
