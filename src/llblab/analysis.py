@@ -267,14 +267,17 @@ def path_gap(
 
 
 class StreamedPathGap:
-    """The proof metric of ``path_gap`` for a batch of M columns, fed one step at a time.
+    """The proof metric of ``path_gap`` for a batch of M columns, fed a block of steps at a time.
 
-    ``add(n, d)`` takes the (n, 3, M) differences of step n; ``values`` is the
-    metric of every column over the steps it was given. Only two numbers per
-    column are kept, never the trajectories. A column's value does not depend
-    on the batch it runs in; its sums run in step order, so it equals
-    ``path_gap`` of the stored differences to rounding, not bitwise. With ``nu1 = 0`` it is
-    sup_n ||grad d_n||^2 alone, and no Laplacian is taken.
+    ``add(n, d)`` takes the (n, 3, M) differences of step n, or the
+    (n, 3, M, K) differences of steps n to n + K - 1; ``values`` is the metric
+    of every column over the steps it was given. Only two numbers per column
+    are kept, never the trajectories. A block costs one gradient and one
+    Laplacian whatever K is; each step's Laplacian term is added to the
+    running sum on its own, in step order, so a column's value has the same
+    bits whatever the blocks and the batch it runs in. It equals ``path_gap``
+    of the stored differences to rounding, not bitwise. With ``nu1 = 0`` it
+    is sup_n ||grad d_n||^2 alone, and no Laplacian is taken.
     """
 
     def __init__(self, width: int, spacing: float, dt: float, nu1: float, steps: int):
@@ -287,13 +290,18 @@ class StreamedPathGap:
         self._work = {}
 
     def add(self, n: int, d: np.ndarray) -> None:
+        if d.ndim == 3:
+            d = d[..., None]
         h = self.spacing
         grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
         grad_sq = h * column_sq_sums(grad, work=grad)
-        np.maximum(self._sup_grad_sq, grad_sq, out=self._sup_grad_sq)
-        if n < self.steps and self.nu1 != 0.0:
-            lap = lap_values(d, h, out=scratch(self._work, "lap", d.shape))
-            self._lap_sq_sum += h * column_sq_sums(lap, work=lap)
+        np.maximum(self._sup_grad_sq, grad_sq.max(axis=0), out=self._sup_grad_sq)
+        # the Laplacian term stops before the last step, as path_gap's sum does
+        integrated = d[..., :max(self.steps - n, 0)]
+        if integrated.size and self.nu1 != 0.0:
+            lap = lap_values(integrated, h, out=scratch(self._work, "lap", integrated.shape))
+            for lap_sq in h * column_sq_sums(lap, work=lap):
+                self._lap_sq_sum += lap_sq
 
     @property
     def values(self) -> np.ndarray:

@@ -612,7 +612,13 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         return _error(EXIT_CONFIG, "config", messages=exc.errors)
     except BlowUpError as exc:
         key = list(exc.key) if exc.key is not None else None
-        return _error(EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=key)
+        # JSON has no inf or nan: a state that overflowed has no |u|_inf to report
+        linf, ratio = (
+            x if x is not None and math.isfinite(x) else None for x in (exc.linf, exc.ratio)
+        )
+        return _error(
+            EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=key, linf=linf, ratio=ratio
+        )
     except OSError as exc:
         return _error(EXIT_IO, "io", message=str(exc))
     except MemoryError as exc:

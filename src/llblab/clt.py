@@ -7,7 +7,9 @@ counter-based stream ``stream_rng(seed, epsilon index, sample)``; at most
 ``BATCH_COLUMNS`` columns march together, so memory grows with the batch
 width, never with the number of samples. Each column's proof metric
 sup_t ||grad d||^2 + nu1 * int ||Lap d||^2 of a field d derived from its
-states is accumulated step by step instead of from stored trajectories. A
+states is accumulated a block of steps at a time instead of from stored
+trajectories: a narrow batch buffers the states of several steps, so the
+metric's kernels run once per block, on as many columns as a full batch. A
 sample whose run blows up is retired at that step, counted and listed with
 its stream key and step, never averaged; the other columns go on. The
 results depend on nothing but the config.
@@ -39,7 +41,15 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import VectorField, column_sq_sums, grad_values, map_stack, scratch, zero_field
+from .field import (
+    VectorField,
+    column_sq_sums,
+    grad_values,
+    map_stack,
+    scratch,
+    solver_empty,
+    zero_field,
+)
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
@@ -116,13 +126,14 @@ class SupGradEnsemble(NamedTuple):
     failures: tuple
 
 
-def minus_snapshot(work: dict, u: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
-    """``u - snapshot`` for every column of the batch ``u``, in the buffer that
-    ``work`` keeps for it. The buffer first holds the snapshot copied across
-    the columns: a difference of full arrays is cheaper than one that
-    broadcasts a column over the batch."""
+def minus_snapshot(work: dict, u: np.ndarray, snapshots: np.ndarray, first: int) -> np.ndarray:
+    """``u - snapshots[first + k]`` for step k of every column of the block
+    ``u`` (n, 3, M, K) of K steps, in the buffer that ``work`` keeps for it.
+    The buffer first holds the snapshots copied across the columns: a
+    difference of full arrays is cheaper than one that broadcasts a column
+    over the batch."""
     d = scratch(work, "d", u.shape)
-    np.copyto(d, snapshot[..., None])
+    np.copyto(d, snapshots[first:first + u.shape[3]].transpose(1, 2, 0)[:, :, None])
     np.subtract(u, d, out=d)
     return d
 
@@ -146,35 +157,56 @@ def run_columns(
     Column (i, m) starts every system of ``kinds`` from its field in
     ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
     (``dynamics.integrate_batch`` with ``ctrl`` and ``base``).
-    ``difference(n, states, eps)`` maps step n's states of a batch (one
-    (n, 3, M) array per kind) and its (M,) epsilons to the field d whose
-    metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated. A column
-    that blew up stays in its batch, zeroed, to the end, and its metric is
-    dropped. Returns ``(values, failures)``: ``values[i][m]`` is the metric of
-    column (i, m), None where it blew up, and ``failures`` its SampleFailures,
-    sorted.
+    ``difference(n, states, eps)`` maps the states of steps n to n + K - 1 of
+    a batch (one (n, 3, M, K) block per kind) and its (M,) epsilons to the
+    field d whose metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is
+    accumulated. K is the number of steps whose states, stacked, fill about
+    ``BATCH_COLUMNS`` columns, so a narrow batch pays the per-call cost of the
+    metric's kernels once per block; the last block of a run may be shorter.
+    A column that blew up stays in its batch, zeroed, to the end, and its
+    metric is dropped. Returns ``(values, failures)``: ``values[i][m]`` is the
+    metric of column (i, m), None where it blew up, and ``failures`` its
+    SampleFailures, sorted.
     """
     grid = initial[0].grid
+    steps = tgrid.steps
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
     values = []
     failures = []
     for first in range(0, len(columns), BATCH_COLUMNS):
         batch = columns[first:first + BATCH_COLUMNS]
+        width = len(batch)
         eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
-        gap = StreamedPathGap(len(batch), grid.spacing, tgrid.dt, nu1, tgrid.steps)
+        gap = StreamedPathGap(width, grid.spacing, tgrid.dt, nu1, steps)
         noise = IncrementStreams(
-            [stream_rng(base_seed, i, m) for i, m in batch], tgrid.steps, spec.mode_count, tgrid.dt
+            [stream_rng(base_seed, i, m) for i, m in batch], steps, spec.mode_count, tgrid.dt
         )
+        block = min(steps + 1, max(1, BATCH_COLUMNS // width))
+        shape = (grid.n_interior, 3, width, block)
+        buffers = [solver_empty(shape) for _ in kinds] if block > 1 else []
 
         def observe(n, states):
-            gap.add(n, difference(n, states, eps))
+            if block == 1:
+                # the step's own arrays: copying them into a one-step block costs more
+                gap.add(n, difference(n, [u[..., None] for u in states], eps))
+                return
+            k = n % block
+            for buf, u in zip(buffers, states):
+                np.copyto(buf[..., k], u)
+            if k == block - 1:
+                gap.add(n - k, difference(n - k, buffers, eps))
 
         failed, _ = integrate_batch(
-            kinds, grid, [np.repeat(f.values[..., None], len(batch), axis=2) for f in initial],
+            kinds, grid, [np.repeat(f.values[..., None], width, axis=2) for f in initial],
             params, tgrid, observe,
             spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
+        filled = (steps + 1) % block
+        # when every column has retired the march stopped early, leaving slots unfilled
+        if filled and len(failed) < width:
+            n = steps + 1 - filled
+            gap.add(n, difference(n, [buf[..., :filled] for buf in buffers], eps))
         batch_values = [float(v) for v in gap.values]
         for exc in failed:
             _, i, m = exc.key
@@ -199,8 +231,13 @@ def run_clt(config: CltConfig) -> CltReport:
     def deviation_gap(n, states, eps):
         # (u_eps - u0) / sqrt(eps) - V0, in place in the buffer of u_eps - u0
         u_eps, v0 = states
-        d = minus_snapshot(work, u_eps, base[n])
-        d /= np.sqrt(eps)
+        d = minus_snapshot(work, u_eps, base, n)
+        if work.get("eps") is not eps:
+            # a new batch: sqrt(eps) across a whole block, which divides faster
+            # than an (M,) array broadcast over the solver's layout
+            work["eps"], work["sqrt_eps"] = eps, solver_empty(d.shape)
+            np.copyto(work["sqrt_eps"], np.sqrt(eps)[:, None])
+        d /= work["sqrt_eps"][..., :d.shape[3]]
         d -= v0
         return d
 

@@ -259,14 +259,15 @@ def sq_norm_values(
 
 
 def column_sq_sums(v: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Sum of squares of each column of an (m, 3, M) batch, shape (M,).
+    """Sum of squares of each column of an (m, 3, M) batch, shape (M,), or of
+    each (column, step) of an (m, 3, M, K) stack of K steps, shape (K, M).
 
     Each column is summed from its own contiguous row, so the bits do not
-    depend on the batch width or layout (an einsum picks its order from both).
-    ``work`` takes the squares instead of a temporary; it may be ``v`` itself
-    when ``v`` is not needed afterwards.
+    depend on the batch width, the number of steps or the layout (an einsum
+    picks its order from all three). ``work`` takes the squares instead of a
+    temporary; it may be ``v`` itself when ``v`` is not needed afterwards.
     """
-    return np.ascontiguousarray(dot_values(v, v, work=work).T).sum(axis=1)
+    return np.ascontiguousarray(dot_values(v, v, work=work).T).sum(axis=-1)
 
 
 @lru_cache(maxsize=None)

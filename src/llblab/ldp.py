@@ -17,8 +17,8 @@ terminal state is matched (a quasipotential-style endpoint rate); matching a
 whole path is overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns against
-the dense skeleton (``clt.run_columns``) and accumulates the proof metric step
-by step, so it stores no sample trajectory.
+the dense skeleton (``clt.run_columns``) and accumulates the proof metric a
+block of steps at a time, so it stores no sample trajectory.
 """
 
 from __future__ import annotations
@@ -299,9 +299,10 @@ def weak_convergence_experiment(
     proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
     (epsilon index, sample) pair is one column of a batch marched against the
     dense skeleton on its own counter-based stream (``clt.run_columns``), with
-    the metric accumulated step by step; blown-up samples are retired,
-    counted and never averaged. Returns ``(rows, failures)``: one WeakRow per
-    epsilon and the ``clt.SampleFailure`` of every retired sample, sorted.
+    the metric accumulated a block of steps at a time; blown-up samples are
+    retired, counted and never averaged. Returns ``(rows, failures)``: one
+    WeakRow per epsilon and the ``clt.SampleFailure`` of every retired sample,
+    sorted.
     """
     skeleton = integrate(
         SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
@@ -311,7 +312,7 @@ def weak_convergence_experiment(
     work = {}
     metrics, failures = run_columns(
         (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), eps_values, samples, base_seed,
-        lambda n, states, eps: minus_snapshot(work, states[0], skeleton[n]), params.nu1,
+        lambda n, states, eps: minus_snapshot(work, states[0], skeleton, n), params.nu1,
         params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]

@@ -291,6 +291,36 @@ def test_streamed_path_gap_equals_path_gap_at_eight_nodes_in_the_solver_layout(r
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(3, 12),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.7]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_streamed_path_gap_fed_in_blocks_equals_single_steps_bitwise(
+    steps, nodes, width, nu1, seed, data
+):
+    # blocks of consecutive steps of random lengths, down to one step and with
+    # a last block of any length, held in the solver's order as the ensembles hold them
+    d = solver_empty((nodes, 3, width, steps + 1))
+    d[...] = np.random.default_rng(seed).normal(size=d.shape)
+    spacing = 1.0 / (nodes + 1)
+    single = StreamedPathGap(width, spacing, 1e-4, nu1, steps)
+    for n in range(steps + 1):
+        single.add(n, d[..., n])
+    cuts = data.draw(st.sets(st.integers(1, steps)))
+    starts = [0] + sorted(cuts)
+    blocked = StreamedPathGap(width, spacing, 1e-4, nu1, steps)
+    for first, end in zip(starts, starts[1:] + [steps + 1]):
+        block = solver_empty((nodes, 3, width, end - first))
+        block[...] = d[..., first:end]
+        blocked.add(first, block)
+    assert np.array_equal(blocked.values, single.values)
+
+
 # --- sample aggregation ------------------------------------------------------------------
 
 def test_sample_stats_mean_and_standard_error():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import warnings
 
@@ -318,6 +319,13 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     assert payload["error"]["code"] == EXIT_BLOWUP
     assert payload["error"]["step"] is not None
     assert payload["error"]["key"] is None
+    # the |u|_inf that failed the ceiling check and the explicit-term ratio before it
+    assert math.isfinite(payload["error"]["linf"]) and payload["error"]["linf"] > 1000.0
+    assert payload["error"]["ratio"] > 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
 
 
 @pytest.mark.parametrize(
@@ -339,7 +347,11 @@ def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text):
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
     out, err = capfd.readouterr()
     assert code == EXIT_BLOWUP
-    assert json.loads(out.strip())["error"]["code"] == EXIT_BLOWUP
+    # strict JSON: NaN and Infinity are not JSON tokens
+    error = json.loads(out.strip(), parse_constant=_reject_constant)["error"]
+    assert error["code"] == EXIT_BLOWUP
+    # both states overflow: there is no finite |u|_inf to report
+    assert error["linf"] is None
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err
 

@@ -174,6 +174,49 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     assert payload["failures"] == [{"eps_index": 0, "sample": 1, "step": step}]
 
 
+def test_run_clt_blocks_of_any_length_give_the_same_bits(monkeypatch):
+    # 6 columns take blocks of BATCH_COLUMNS // 6 steps: 1, 7 and 10 here. 255
+    # steps (0..254) fill no whole number of blocks of 7 or 10, so the last
+    # block of those runs is short
+    import llblab.clt as clt_module
+
+    config = small_config(samples=2, tgrid=TimeGrid(0.1, 254))
+    reports = []
+    for columns in (6, 42, 64):
+        monkeypatch.setattr(clt_module, "BATCH_COLUMNS", columns)
+        report = run_clt(config)
+        reports.append(([(r.mean_error, r.std_error) for r in report.rows], report.failures))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
+    # every column blows up at step 1 of a 16-step block: its metrics are all
+    # None, every failure is listed and no block of states reaches ``difference``
+    import llblab.clt as clt_module
+    from llblab.clt import run_columns
+    from llblab.dynamics import SystemKind
+    from llblab.noise import stream_rng
+
+    monkeypatch.setattr(
+        clt_module, "stream_rng", lambda seed, *key: ScaledRng(stream_rng(seed, *key), 1.0e8)
+    )
+    config = small_config(samples=2, epsilons=(1e-1, 1e-2))
+    calls = []
+
+    def difference(n, states, eps):
+        calls.append(n)
+        return states[0]
+
+    values, failures = run_columns(
+        (SystemKind.STOCHASTIC,), (config.initial,), config.epsilons, 2, config.base_seed,
+        difference, 0.0, config.params, config.tgrid, config.spec,
+    )
+    assert values == [[None, None], [None, None]]
+    assert [(f.eps_index, f.sample) for f in failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(f.step < 16 for f in failures)
+    assert calls == []
+
+
 # --- persistence -------------------------------------------------------------------
 
 def test_clt_csv_and_summary(tmp_path):

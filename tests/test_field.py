@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from llblab.field import (
     EnergyReport,
     VectorField,
+    column_sq_sums,
     cross,
     cross_values,
     csv_rows,
@@ -311,6 +312,27 @@ def test_stack_norms_rows_are_the_norms_of_each_field(stack, h):
         # the reference stencils round differently: allow for cancellation
         scale = np.max(np.abs(snap)) / h**2
         assert rows[s] == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 40), st.integers(1, 7), st.integers(1, 9)),
+    st.integers(0, 2**32 - 1),
+)
+def test_column_sq_sums_of_a_stack_of_steps_equal_those_of_each_step(shape, seed):
+    # an (m, 3, M, K) stack of K steps in the solver's memory order, as the
+    # ensembles buffer their narrow batches, against each step's (m, 3, M)
+    # batch copied into a workspace of its own
+    m, width, steps = shape
+    stack = solver_empty((m, 3, width, steps))
+    stack[...] = np.random.default_rng(seed).normal(size=stack.shape)
+    sums = column_sq_sums(stack)
+    assert sums.shape == (steps, width)
+    for k in range(steps):
+        step = solver_empty((m, 3, width))
+        step[...] = stack[..., k]
+        assert sums[k].tobytes() == column_sq_sums(step).tobytes()
+        assert sums[k].tobytes() == column_sq_sums(stack[..., k]).tobytes()
 
 
 def test_stack_norms_chunks_a_long_stack(rng):

@@ -54,6 +54,22 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
 
 
+def test_no_module_reads_the_environment():
+    # a run depends on its config alone: no module of llblab takes a setting
+    # from an environment variable
+    root = Path(__file__).resolve().parents[1] / "src" / "llblab"
+    reads = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                if names & {"environ", "getenv", "environb"}:
+                    reads.append(f"{path.name}:{node.lineno} from os import")
+    assert not reads, f"environment reads: {reads}"
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
