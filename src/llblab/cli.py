@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import energy_drift, identity_suite, sample_stats
-from .clt import CltConfig, run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
+from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -47,7 +47,13 @@ from .dynamics import (
     write_report_csv,
 )
 from .field import Grid1D, VectorField, h1_norm, make_grid
-from .ldp import RateProblem, compactness_probe, estimate_rate, weak_convergence_experiment
+from .ldp import (
+    RateProblem,
+    WeakRow,
+    compactness_probe,
+    estimate_rate,
+    weak_convergence_experiment,
+)
 # stream_rng stays bound here, unused: perfbench/tracer.py patches cli.stream_rng by name
 from .noise import (
     ControlPath,
@@ -76,14 +82,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
-
-
 def _parse_bool(text):
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -108,10 +106,6 @@ def _parse_path(text):
     return path
 
 
-def _parse_str(text):
-    return text.strip()
-
-
 def _finite_positive(value):
     return math.isfinite(value) and value > 0
 
@@ -132,21 +126,21 @@ KINDS = (
 
 # key -> (parser, default, kind restriction or None, constraint text, check)
 KEY_TABLE = {
-    "kind": (_parse_str, None, None, f"one of {', '.join(KINDS)}", lambda v: v in KINDS),
-    "output.dir": (_parse_str, "out", None, "non-empty", lambda v: bool(v)),
-    "seed": (_parse_int, 20240808, None, "integer >= 0", lambda v: v >= 0),
-    "grid.n": (_parse_int, 127, None, "integer >= 3", lambda v: v >= 3),
-    "time.horizon": (_parse_float, 0.25, None, "finite, > 0", _finite_positive),
-    "time.steps": (_parse_int, 2500, None, "integer >= 1", lambda v: v >= 1),
-    "model.nu1": (_parse_float, 1.0, None, "finite, > 0", _finite_positive),
-    "model.nu2": (_parse_float, 1.0, None, "finite, >= 0", _finite_nonnegative),
-    "model.gamma": (_parse_float, 1.0, None, "finite", math.isfinite),
-    "model.mu": (_parse_float, 1.0, None, "finite, >= 0", _finite_nonnegative),
-    "init.a": (_parse_float, 1.0, None, "finite", math.isfinite),
-    "init.b": (_parse_float, 0.5, None, "finite", math.isfinite),
-    "noise.modes": (_parse_int, 8, None, "integer >= 1", lambda v: v >= 1),
-    "noise.alpha": (_parse_float, 4.0, None, "finite, > 3", lambda v: math.isfinite(v) and v > 3),
-    "validate.samples": (_parse_int, 1000, "validate", "integer >= 1", lambda v: v >= 1),
+    "kind": (str, None, None, f"one of {', '.join(KINDS)}", lambda v: v in KINDS),
+    "output.dir": (str, "out", None, "non-empty", lambda v: bool(v)),
+    "seed": (int, 20240808, None, "integer >= 0", lambda v: v >= 0),
+    "grid.n": (int, 127, None, "integer >= 3", lambda v: v >= 3),
+    "time.horizon": (float, 0.25, None, "finite, > 0", _finite_positive),
+    "time.steps": (int, 2500, None, "integer >= 1", lambda v: v >= 1),
+    "model.nu1": (float, 1.0, None, "finite, > 0", _finite_positive),
+    "model.nu2": (float, 1.0, None, "finite, >= 0", _finite_nonnegative),
+    "model.gamma": (float, 1.0, None, "finite", math.isfinite),
+    "model.mu": (float, 1.0, None, "finite, >= 0", _finite_nonnegative),
+    "init.a": (float, 1.0, None, "finite", math.isfinite),
+    "init.b": (float, 0.5, None, "finite", math.isfinite),
+    "noise.modes": (int, 8, None, "integer >= 1", lambda v: v >= 1),
+    "noise.alpha": (float, 4.0, None, "finite, > 3", lambda v: math.isfinite(v) and v > 3),
+    "validate.samples": (int, 1000, "validate", "integer >= 1", lambda v: v >= 1),
     "validate.grids": (
         _parse_ints, (31, 127, 255), "validate", "grid sizes >= 3",
         lambda v: len(v) > 0 and all(n >= 3 for n in v),
@@ -156,35 +150,35 @@ KEY_TABLE = {
         _parse_floats, (0.1, 0.01), "stochastic-ensemble", "values in [0, 1]",
         lambda v: len(v) > 0 and all(0 <= e <= 1 for e in v),
     ),
-    "ensemble.samples": (_parse_int, 64, "stochastic-ensemble", "integer >= 1", lambda v: v >= 1),
+    "ensemble.samples": (int, 64, "stochastic-ensemble", "integer >= 1", lambda v: v >= 1),
     "clt.epsilons": (
         _parse_floats, (0.1, 0.01, 0.001), "clt", "strictly decreasing, in (0, 1]",
         lambda v: len(v) > 0
         and all(0 < e <= 1 for e in v)
         and all(b < a for a, b in zip(v, v[1:])),
     ),
-    "clt.samples": (_parse_int, 64, "clt", "integer >= 2", lambda v: v >= 2),
+    "clt.samples": (int, 64, "clt", "integer >= 2", lambda v: v >= 2),
     "weak.epsilons": (
         _parse_floats, (0.1, 0.01, 0.001), "weak-convergence", "values in [0, 1]",
         lambda v: len(v) > 0 and all(0 <= e <= 1 for e in v),
     ),
-    "weak.samples": (_parse_int, 32, "weak-convergence", "integer >= 1", lambda v: v >= 1),
+    "weak.samples": (int, 32, "weak-convergence", "integer >= 1", lambda v: v >= 1),
     "weak.control": (_parse_path, None, "weak-convergence", "existing file", lambda v: True),
-    "weak.mode": (_parse_int, 1, "weak-convergence", "integer >= 1", lambda v: v >= 1),
-    "weak.component": (_parse_int, 3, "weak-convergence", "1, 2 or 3", lambda v: v in (1, 2, 3)),
-    "weak.coefficient": (_parse_float, 0.5, "weak-convergence", "finite", math.isfinite),
+    "weak.mode": (int, 1, "weak-convergence", "integer >= 1", lambda v: v >= 1),
+    "weak.component": (int, 3, "weak-convergence", "1, 2 or 3", lambda v: v in (1, 2, 3)),
+    "weak.coefficient": (float, 0.5, "weak-convergence", "finite", math.isfinite),
     "rate.target": (_parse_path, None, "rate", "existing file", lambda v: True),
-    "rate.penalty": (_parse_float, 1.0e3, "rate", "finite, > 0", _finite_positive),
-    "rate.modes": (_parse_int, 1, "rate", "integer >= 1", lambda v: v >= 1),
-    "rate.slabs": (_parse_int, 5, "rate", "integer >= 1", lambda v: v >= 1),
-    "rate.max_iters": (_parse_int, 60, "rate", "integer >= 1", lambda v: v >= 1),
-    "rate.tolerance": (_parse_float, 1.0e-4, "rate", "finite, > 0", _finite_positive),
-    "rate.continuation": (_parse_int, 1, "rate", "integer >= 0", lambda v: v >= 0),
+    "rate.penalty": (float, 1.0e3, "rate", "finite, > 0", _finite_positive),
+    "rate.modes": (int, 1, "rate", "integer >= 1", lambda v: v >= 1),
+    "rate.slabs": (int, 5, "rate", "integer >= 1", lambda v: v >= 1),
+    "rate.max_iters": (int, 60, "rate", "integer >= 1", lambda v: v >= 1),
+    "rate.tolerance": (float, 1.0e-4, "rate", "finite, > 0", _finite_positive),
+    "rate.continuation": (int, 1, "rate", "integer >= 0", lambda v: v >= 0),
     "compact.modes": (
         _parse_ints, (2, 4, 8), "compactness", "mode indices >= 1",
         lambda v: len(v) > 0 and all(m >= 1 for m in v),
     ),
-    "compact.component": (_parse_int, 3, "compactness", "1, 2 or 3", lambda v: v in (1, 2, 3)),
+    "compact.component": (int, 3, "compactness", "1, 2 or 3", lambda v: v in (1, 2, 3)),
     "compact.control": (_parse_path, None, "compactness", "existing file", lambda v: True),
 }
 
@@ -451,16 +445,10 @@ def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
 
 
 def _run_clt(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
-    clt_config = CltConfig(
-        epsilons=config["clt.epsilons"],
-        samples=config["clt.samples"],
-        params=config.model_params(),
-        tgrid=config.time_grid(),
-        spec=config.covariance(),
-        initial=config.initial(),
-        base_seed=config["seed"],
+    report = run_clt(
+        config["clt.epsilons"], config["clt.samples"], config.model_params(), config.time_grid(),
+        config.covariance(), config.initial(), config["seed"],
     )
-    report = run_clt(clt_config)
     csv_path = os.path.join(outdir, "clt_report.csv")
     write_clt_csv(report, csv_path)
     summary_path = os.path.join(outdir, "summary.json")
@@ -493,25 +481,12 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         config["seed"],
     )
     path = os.path.join(outdir, "weak_report.csv")
-    _write_csv(
-        path,
-        ["epsilon", "mean_metric", "std_error", "n_ok", "n_failed"],
-        [(r.epsilon, r.mean_metric, r.std_error, r.n_ok, r.n_failed) for r in rows],
-    )
+    _write_csv(path, WeakRow._fields, rows)
     summary = os.path.join(outdir, "summary.json")
     _write_json(
         summary,
         {
-            "rows": [
-                {
-                    "epsilon": r.epsilon,
-                    "mean_metric": r.mean_metric,
-                    "std_error": r.std_error,
-                    "n_ok": r.n_ok,
-                    "n_failed": r.n_failed,
-                }
-                for r in rows
-            ],
+            "rows": [r._asdict() for r in rows],
             "control_cost": ctrl.h0_cost(),
             "failures": [f._asdict() for f in failures],
         },

@@ -41,24 +41,16 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import (
-    VectorField,
-    column_sq_sums,
-    grad_values,
-    map_stack,
-    scratch,
-    solver_empty,
-    zero_field,
-)
+from .field import STACK_CHUNK, VectorField, scratch, solver_empty, zero_field
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
-    "CltConfig",
     "CltRow",
     "SampleFailure",
     "CltReport",
     "SupGradEnsemble",
     "minus_snapshot",
+    "record_sup_grad",
     "run_columns",
     "run_clt",
     "sup_grad_ensemble",
@@ -67,31 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CltConfig:
-    epsilons: tuple
-    samples: int
-    params: ModelParams
-    tgrid: TimeGrid
-    spec: CovarianceSpec
-    initial: VectorField
-    base_seed: int
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
-            raise ValueError("need at least one epsilon")
-        if any(not 0.0 < e <= 1.0 for e in eps):
-            raise ValueError(f"epsilons must lie in (0, 1], got {eps}")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError(f"epsilons must be strictly decreasing, got {eps}")
-        if self.samples < 2:
-            raise ValueError(f"need at least 2 samples per epsilon, got {self.samples}")
-        object.__setattr__(self, "epsilons", eps)
-
-
-@dataclass(frozen=True)
-class CltRow:
+class CltRow(NamedTuple):
     epsilon: float
     mean_error: float
     std_error: float
@@ -217,14 +185,41 @@ def run_columns(
     return per_epsilon, tuple(sorted(failures))
 
 
-def run_clt(config: CltConfig) -> CltReport:
-    """Run the full experiment; deterministic for fixed (config, base_seed)."""
-    u0_rec = integrate(
-        SystemKind.DETERMINISTIC,
-        config.initial,
-        config.params.with_epsilon(0.0),
-        config.tgrid,
-    )
+def record_sup_grad(snapshots: np.ndarray, h: float) -> float:
+    """sup_n ||grad d_n||^2 of a stored record d (steps + 1, n, 3): the proof
+    metric with nu1 = 0, from ``StreamedPathGap`` fed at most ``STACK_CHUNK``
+    snapshots per block, so it takes the sums that a sample column takes."""
+    gap = StreamedPathGap(1, h, 0.0, 0.0, len(snapshots) - 1)
+    for first in range(0, len(snapshots), STACK_CHUNK):
+        gap.add(first, np.moveaxis(snapshots[first:first + STACK_CHUNK], 0, -1)[:, :, None])
+    return float(gap.values[0])
+
+
+def run_clt(
+    epsilons,
+    samples: int,
+    params: ModelParams,
+    tgrid: TimeGrid,
+    spec: CovarianceSpec,
+    initial: VectorField,
+    base_seed: int,
+) -> CltReport:
+    """The central limit experiment: ``samples`` coupled (u_eps, V0) columns
+    per epsilon, sample m of epsilon index i on ``stream_rng(base_seed, i, m)``,
+    and the slope of the mean error against epsilon when at least three means
+    are positive. The result depends on nothing but the arguments. Raises
+    ValueError, before any integration, unless the epsilons are strictly
+    decreasing in (0, 1] and there are at least 2 samples."""
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons:
+        raise ValueError("need at least one epsilon")
+    if any(not 0.0 < e <= 1.0 for e in epsilons):
+        raise ValueError(f"epsilons must lie in (0, 1], got {epsilons}")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError(f"epsilons must be strictly decreasing, got {epsilons}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples per epsilon, got {samples}")
+    u0_rec = integrate(SystemKind.DETERMINISTIC, initial, params, tgrid)
     base = u0_rec.snapshots
     work = {}
 
@@ -242,12 +237,11 @@ def run_clt(config: CltConfig) -> CltReport:
         return d
 
     errors, failures = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
-        (config.initial, zero_field(config.initial.grid)),
-        config.epsilons, config.samples, config.base_seed, deviation_gap, config.params.nu1,
-        config.params, config.tgrid, config.spec, base=u0_rec,
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial, zero_field(initial.grid)),
+        epsilons, samples, base_seed, deviation_gap, params.nu1, params, tgrid, spec,
+        base=u0_rec,
     )
-    rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(config.epsilons, errors)]
+    rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(epsilons, errors)]
     fit = None
     pts = [(r.epsilon, r.mean_error) for r in rows if r.n_ok > 0 and r.mean_error > 0.0]
     if len(pts) >= 3:
@@ -269,36 +263,26 @@ def sup_grad_ensemble(
     ``stream_rng(base_seed, i, m)``. Both use the same sums, so a sample at
     epsilon 0 gives the deterministic value bitwise. Raises BlowUpError when
     the deterministic run blows up."""
-    det = integrate(SystemKind.DETERMINISTIC, initial, params.with_epsilon(0.0), tgrid)
-    h = initial.grid.spacing
-    det_grad_sq = map_stack(lambda v: h * column_sq_sums(grad_values(v, h)), det.snapshots)
+    det = integrate(SystemKind.DETERMINISTIC, initial, params, tgrid)
+    det_sup = record_sup_grad(det.snapshots, initial.grid.spacing)
     sups, failures = run_columns(
         (SystemKind.STOCHASTIC,), (initial,), epsilons, samples, base_seed,
         lambda n, states, eps: states[0], 0.0, params, tgrid, spec,
     )
-    return SupGradEnsemble(float(np.max(det_grad_sq)), sups, failures)
+    return SupGradEnsemble(det_sup, sups, failures)
 
 
 def write_clt_csv(report: CltReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epsilon", "mean_error", "std_error", "n_ok", "n_failed"])
-        for r in report.rows:
-            writer.writerow([repr(r.epsilon), repr(r.mean_error), repr(r.std_error), r.n_ok, r.n_failed])
+        writer.writerow(CltRow._fields)
+        # Python floats and ints: the csv module spells the floats as repr does
+        writer.writerows(report.rows)
 
 
 def write_clt_summary(report: CltReport, path) -> None:
     payload = {
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "mean_error": r.mean_error,
-                "std_error": r.std_error,
-                "n_ok": r.n_ok,
-                "n_failed": r.n_failed,
-            }
-            for r in report.rows
-        ],
+        "rows": [r._asdict() for r in report.rows],
         "slope": report.fit.slope if report.fit is not None else None,
         "intercept": report.fit.intercept if report.fit is not None else None,
         "fit_residual": report.fit.residual if report.fit is not None else None,

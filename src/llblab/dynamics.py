@@ -87,13 +87,15 @@ BATCH_COLUMNS = 64
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coefficients of the model; epsilon = 0 gives the deterministic flow."""
+    """Coefficients of the model, shared by every system. The noise strength
+    is not one of them: it is the ``epsilon`` of ``integrate``, or one per
+    column of ``integrate_batch``, so one set of coefficients serves the whole
+    family u_eps."""
 
     nu1: float = 1.0
     nu2: float = 1.0
     gamma: float = 1.0
     mu: float = 1.0
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.nu1 <= 0.0:
@@ -102,11 +104,6 @@ class ModelParams:
             raise ValueError(f"nu2 must be nonnegative, got {self.nu2}")
         if self.mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-    def with_epsilon(self, epsilon: float) -> "ModelParams":
-        return ModelParams(self.nu1, self.nu2, self.gamma, self.mu, float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,8 @@ class BlowUpError(RuntimeError):
 
     ``key`` is the counter-based stream key (seed, epsilon index, sample) of a
     noisy sample, so the failure can be replayed on its own; None for a run
-    without one. ``linf`` is the |u|_inf the ceiling check saw at the failing
-    step (inf or nan once the state overflows) and ``ratio`` the largest
+    without one. ``linf`` is the |u|_inf of the failing step (inf or nan only
+    once the state itself overflows) and ``ratio`` the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 of the steps before it.
     """
 
@@ -188,7 +185,6 @@ class TrajectoryRecord:
     times: np.ndarray
     snapshots: np.ndarray
     snapshot_steps: np.ndarray
-    seed_info: tuple | None = None
     explicit_cfl: float = 0.0
 
     @property
@@ -424,6 +420,7 @@ def integrate(
     ctrl: ControlPath | None = None,
     base: TrajectoryRecord | None = None,
     rng: np.random.Generator | None = None,
+    epsilon: float = 0.0,
     seed_info: tuple | None = None,
     stride: int = 1,
     diffusion_off: bool = False,
@@ -431,13 +428,14 @@ def integrate(
     """Integrate one of the five systems and record its snapshots.
 
     The width-1 case of ``integrate_batch``: a noisy kind draws its increments
-    from ``rng`` and runs at ``params.epsilon``; deterministic and skeleton
-    runs consume no randomness. The state is stored every ``stride`` steps
-    and at the last step. Raises BlowUpError with the offending step (and
-    ``seed_info`` as its stream key) when the state leaves the finite/bounded
-    regime. ``diffusion_off`` is a test hook that skips the implicit solve, so
-    the remaining terms can be checked against pointwise ODE/precession
-    oracles.
+    from ``rng`` and runs at noise strength ``epsilon`` in [0, 1] (the
+    linearized system takes its noise at unit strength); deterministic and
+    skeleton runs consume no randomness. The state is stored every ``stride``
+    steps and at the last step. Raises BlowUpError with the offending step
+    (and ``seed_info`` as its stream key) when the state leaves the
+    finite/bounded regime. ``diffusion_off`` is a test hook that skips the
+    implicit solve, so the remaining terms can be checked against pointwise
+    ODE/precession oracles.
     """
     n_steps = tgrid.steps
     stride = int(stride)
@@ -457,7 +455,7 @@ def integrate(
 
     failures, cfl = integrate_batch(
         (kind,), u0_field.grid, (u0_field.values[..., None],), params, tgrid, observe,
-        spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=(params.epsilon,),
+        spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=(epsilon,),
         keys=(seed_info,), diffusion_off=diffusion_off,
     )
     if failures:
@@ -469,7 +467,6 @@ def integrate(
         times=tgrid.times,
         snapshots=snaps,
         snapshot_steps=snap_steps,
-        seed_info=seed_info,
         explicit_cfl=cfl,
     )
 
@@ -493,14 +490,13 @@ def integrate_batch(
 
     ``kinds`` names the systems and ``initial`` gives each its (n, 3, M)
     initial batch, in the same order; column j of every system is sample j.
-    The systems share ``params`` except the noise strength: column j of a
-    noisy nonlinear kind runs at ``epsilons[j]`` (``params.epsilon`` is not
-    used). Noisy kinds read step n's increments from ``noise``, one stream per
-    column, and every system of a step sees the same ones, so coupled systems
-    share their noise by construction. ``ctrl`` drives only the controlled
-    kinds and ``base`` only the linearized one. ``observe(n, states)`` sees
-    every step n = 0..steps: one (n, 3, M) array per kind. Memory grows with
-    the batch width, not with the number of steps.
+    The systems share ``params``; column j of a noisy nonlinear kind runs at
+    noise strength ``epsilons[j]``. Noisy kinds read step n's increments from
+    ``noise``, one stream per column, and every system of a step sees the same
+    ones, so coupled systems share their noise by construction. ``ctrl``
+    drives only the controlled kinds and ``base`` only the linearized one.
+    ``observe(n, states)`` sees every step n = 0..steps: one (n, 3, M) array
+    per kind. Memory grows with the batch width, not with the number of steps.
 
     The S systems share one state of S*M columns in the solver's memory order,
     system s in columns s*M to (s+1)*M - 1, and a second such buffer that the
@@ -594,7 +590,12 @@ def integrate_batch(
             failed = running & ~(linf <= LINF_CEILING)
             if failed.any():
                 for j in np.flatnonzero(failed):
-                    if np.isfinite(state[0][..., j::width]).all():
+                    column = state[0][..., j::width]
+                    if np.isfinite(column).all():
+                        # squares of components above about 1.3e154 overflow:
+                        # take them relative to the largest magnitude
+                        big = np.abs(column).max()
+                        linf[j] = big * np.sqrt(sq_norm_values(column / big).max())
                         what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                     else:
                         what = "non-finite state"
@@ -603,7 +604,7 @@ def integrate_batch(
                         f"{what} (explicit-term ratio {ratio:.3g})",
                         step=n, time=n * dt, key=keys[j], linf=float(linf[j]), ratio=ratio,
                     ))
-                    state[0][..., j::width] = 0.0
+                    column[...] = 0.0
                 running &= ~failed
                 if not running.any():
                     break

@@ -26,13 +26,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # path_gap and stream_rng stay bound here, unused: perfbench/tracer.py patches
 # ldp.path_gap and ldp.stream_rng by name
 from .analysis import path_gap, sample_stats
-from .clt import minus_snapshot, run_columns
+from .clt import minus_snapshot, record_sup_grad, run_columns
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -42,7 +43,7 @@ from .dynamics import (
     integrate,
     skeleton_adjoint,
 )
-from .field import VectorField, grad_values, h1_norm, lap_values
+from .field import VectorField, h1_norm, lap_values
 from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
@@ -108,8 +109,7 @@ class RateEstimate:
     gradient_norm: float
 
 
-@dataclass(frozen=True)
-class WeakRow:
+class WeakRow(NamedTuple):
     epsilon: float
     mean_metric: float
     std_error: float
@@ -158,7 +158,7 @@ class RateObjective:
                 f"control_modes {problem.control_modes} exceeds covariance modes {spec.mode_count}"
             )
         self.problem = problem
-        self.params = params.with_epsilon(0.0)
+        self.params = params
         self.tgrid = tgrid
         self.spec = spec
         self.u0_field = u0_field
@@ -305,8 +305,7 @@ def weak_convergence_experiment(
     sorted.
     """
     skeleton = integrate(
-        SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
-        spec=spec, ctrl=ctrl,
+        SystemKind.SKELETON, u0_field, params, tgrid, spec=spec, ctrl=ctrl
     ).snapshots
     eps_values = [float(e) for e in epsilons]
     work = {}
@@ -334,15 +333,13 @@ def compactness_probe(
     Each probe adds a constant-in-time oscillation in one sine mode with
     fixed H0 path integral ``unit_cost``; the synthesized field shrinks like
     k**(-decay/2), so the response metric sup ||grad(u_k - u_h)||^2 decays as
-    the mode index grows.
+    the mode index grows. The response is the proof metric with nu1 = 0 of
+    the stored difference of the two skeleton records (``clt.record_sup_grad``).
+    Returns one (mode, response) pair per oscillation mode.
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
-    base = integrate(
-        SystemKind.SKELETON, u0_field, params.with_epsilon(0.0), tgrid,
-        spec=spec, ctrl=ctrl,
-    )
-    h = u0_field.grid.spacing
+    base = integrate(SystemKind.SKELETON, u0_field, params, tgrid, spec=spec, ctrl=ctrl)
     coeff = math.sqrt(unit_cost / tgrid.horizon)
     out = []
     for mode in oscillation_modes:
@@ -352,15 +349,9 @@ def compactness_probe(
         coeffs = ctrl.coefficients.copy()
         coeffs[:, mode - 1, component - 1] += coeff
         perturbed = integrate(
-            SystemKind.SKELETON,
-            u0_field,
-            params.with_epsilon(0.0),
-            tgrid,
-            spec=spec,
+            SystemKind.SKELETON, u0_field, params, tgrid, spec=spec,
             ctrl=ControlPath(coeffs, ctrl.dt),
         )
-        # node-major view (n, steps, 3); each snapshot's edge values stay contiguous
-        grad = grad_values((perturbed.snapshots - base.snapshots).transpose(1, 0, 2), h)
-        grad_sup = max(h * float(np.vdot(g, g)) for g in grad.transpose(1, 0, 2))
-        out.append((mode, grad_sup))
+        d = perturbed.snapshots - base.snapshots
+        out.append((mode, record_sup_grad(d, u0_field.grid.spacing)))
     return out

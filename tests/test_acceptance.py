@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from llblab.analysis import fit_slope, identity_suite
-from llblab.clt import CltConfig, run_clt, sup_grad_ensemble
+from llblab.clt import run_clt, sup_grad_ensemble
 from llblab.cli import EXIT_OK, parse_config, run
 from llblab.dynamics import (
     ModelParams,
@@ -113,8 +113,8 @@ def test_criterion_04_zero_noise_degeneration():
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, DEFAULT_PARAMS, tgrid)
     sto = integrate(
-        SystemKind.STOCHASTIC, u0, DEFAULT_PARAMS.with_epsilon(0.0), tgrid,
-        spec=spec, rng=stream_rng(77),
+        SystemKind.STOCHASTIC, u0, DEFAULT_PARAMS, tgrid,
+        spec=spec, rng=stream_rng(77), epsilon=0.0,
     )
     ske = integrate(
         SystemKind.SKELETON, u0, DEFAULT_PARAMS, tgrid,
@@ -149,7 +149,7 @@ def test_criterion_05_a_priori_boundedness():
 
 def test_criterion_06_clt_decay_and_slope():
     started = time.perf_counter()
-    config = CltConfig(
+    report = run_clt(
         epsilons=(1e-1, 1e-2, 1e-3),
         samples=64,
         params=DEFAULT_PARAMS,
@@ -158,7 +158,6 @@ def test_criterion_06_clt_decay_and_slope():
         initial=initial_profile(make_grid(127)),
         base_seed=20240808,
     )
-    report = run_clt(config)
     elapsed = time.perf_counter() - started
     means = [r.mean_error for r in report.rows]
     decreasing = all(

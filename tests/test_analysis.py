@@ -162,8 +162,8 @@ def test_energy_drift_rejects_non_deterministic():
     tg = TimeGrid(0.01, 20)
     spec = make_covariance(4, 4.0)
     sto = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.1), tg,
-        spec=spec, rng=stream_rng(0),
+        SystemKind.STOCHASTIC, initial_profile(g), p, tg,
+        spec=spec, rng=stream_rng(0), epsilon=0.1,
     )
     with pytest.raises(ValueError, match="deterministic"):
         energy_drift(sto, p)

@@ -232,9 +232,9 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
     with pytest.raises(BlowUpError) as info:
         integrate(
-            SystemKind.CONTROLLED_STOCHASTIC, cfg.initial(), cfg.model_params().with_epsilon(0.1),
+            SystemKind.CONTROLLED_STOCHASTIC, cfg.initial(), cfg.model_params(),
             tgrid, spec=cfg.covariance(), ctrl=ctrl, rng=loud_stream(99, 0, 1),
-            seed_info=(99, 0, 1),
+            epsilon=0.1, seed_info=(99, 0, 1),
         )
     assert info.value.step == failure["step"]
     assert info.value.key == (99, 0, 1)
@@ -329,15 +329,18 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, finite_linf",
     [
-        "kind = stochastic-ensemble\ngrid.n = 15\ntime.steps = 20\nensemble.samples = 2\n"
-        "model.nu2 = 1e308\nmodel.mu = 1e308\n",
-        "kind = deterministic\nmodel.gamma = 1e300\n",
+        (
+            "kind = stochastic-ensemble\ngrid.n = 15\ntime.steps = 20\nensemble.samples = 2\n"
+            "model.nu2 = 1e308\nmodel.mu = 1e308\n",
+            False,
+        ),
+        ("kind = deterministic\nmodel.gamma = 1e300\n", True),
     ],
     ids=["ensemble-overflowing-damping", "deterministic-overflowing-precession"],
 )
-def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text):
+def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text, finite_linf):
     # the march finds the non-finite state itself; numpy's overflow warnings
     # on the way there would only add noise to stderr before the JSON error
     config_path = tmp_path / "exp.cfg"
@@ -350,10 +353,23 @@ def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text):
     # strict JSON: NaN and Infinity are not JSON tokens
     error = json.loads(out.strip(), parse_constant=_reject_constant)["error"]
     assert error["code"] == EXIT_BLOWUP
-    # both states overflow: there is no finite |u|_inf to report
-    assert error["linf"] is None
+    # the damping overflows the state itself, which leaves no |u|_inf to report;
+    # the precession leaves a finite state, only its squared norms overflow
+    assert (error["linf"] is not None) == finite_linf
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err
+
+
+def test_run_blow_up_reports_a_finite_norm_whose_square_overflows(tmp_path, capsys):
+    # the state is finite but its components exceed about 1.3e154, so their
+    # squares overflow: the error still carries the finite |u|_inf
+    cfg = parse_config(
+        "kind = deterministic\ngrid.n = 31\ntime.steps = 50\nmodel.gamma = 1e300\n"
+    )
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_BLOWUP
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert math.isfinite(error["linf"]) and error["linf"] > 1.0e154
+    assert f"|u|_inf = {error['linf']:.3g} exceeded" in error["message"]
 
 
 def test_main_rate_blow_up_exits_three(tmp_path, capsys):
@@ -385,9 +401,9 @@ def test_run_noisy_blow_up_reports_its_stream_key(tmp_path, monkeypatch, capsys)
 
     def loud_sample(config, outdir):
         integrate(
-            SystemKind.STOCHASTIC, config.initial(), config.model_params().with_epsilon(0.1),
+            SystemKind.STOCHASTIC, config.initial(), config.model_params(),
             config.time_grid(), spec=config.covariance(),
-            rng=ScaledRng(stream_rng(8, 0, 1), 1.0e4), seed_info=(8, 0, 1),
+            rng=ScaledRng(stream_rng(8, 0, 1), 1.0e4), epsilon=0.1, seed_info=(8, 0, 1),
         )
 
     monkeypatch.setitem(cli.DRIVERS, "deterministic", loud_sample)
@@ -450,9 +466,9 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     assert report[2] == "0.1,1,nan,blow-up"
     with pytest.raises(BlowUpError) as info:
         integrate(
-            SystemKind.STOCHASTIC, cfg.initial(), cfg.model_params().with_epsilon(0.1),
+            SystemKind.STOCHASTIC, cfg.initial(), cfg.model_params(),
             cfg.time_grid(), spec=cfg.covariance(), rng=loud_stream(8, 0, 1),
-            seed_info=(8, 0, 1),
+            epsilon=0.1, seed_info=(8, 0, 1),
         )
     assert info.value.step == failure["step"]
     assert info.value.key == (8, 0, 1)

@@ -1,14 +1,27 @@
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from llblab.clt import CltConfig, run_clt, write_clt_csv, write_clt_summary
+from llblab.clt import run_clt, write_clt_csv, write_clt_summary
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
-from llblab.field import make_grid
+from llblab.field import VectorField, make_grid
 from llblab.noise import CovarianceSpec, make_covariance
 from conftest import ScaledRng, record_batch
+
+
+class CltArgs(NamedTuple):
+    """The arguments of ``run_clt``, in its order."""
+
+    epsilons: tuple
+    samples: int
+    params: ModelParams
+    tgrid: TimeGrid
+    spec: CovarianceSpec
+    initial: VectorField
+    base_seed: int
 
 
 def small_config(**overrides):
@@ -23,32 +36,49 @@ def small_config(**overrides):
         base_seed=11,
     )
     defaults.update(overrides)
-    return CltConfig(**defaults)
+    return CltArgs(**defaults)
 
 
 # --- config validation ---------------------------------------------------------
 
 def test_config_rejects_bad_epsilons():
     with pytest.raises(ValueError, match="decreasing"):
-        small_config(epsilons=(1e-2, 1e-1))
+        run_clt(*small_config(epsilons=(1e-2, 1e-1)))
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        small_config(epsilons=(2.0, 1e-1))
+        run_clt(*small_config(epsilons=(2.0, 1e-1)))
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        small_config(epsilons=(1e-1, 0.0))
+        run_clt(*small_config(epsilons=(1e-1, 0.0)))
     with pytest.raises(ValueError, match="one epsilon"):
-        small_config(epsilons=())
+        run_clt(*small_config(epsilons=()))
 
 
 def test_config_rejects_few_samples():
     with pytest.raises(ValueError, match="2 samples"):
-        small_config(samples=1)
+        run_clt(*small_config(samples=1))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(epsilons=(1e-2, 1e-1)), dict(samples=1)],
+    ids=["increasing-epsilons", "one-sample"],
+)
+def test_run_clt_rejects_bad_arguments_before_integrating(monkeypatch, overrides):
+    import llblab.clt as clt_module
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_clt integrated before it checked its arguments")
+
+    monkeypatch.setattr(clt_module, "integrate", no_run)
+    monkeypatch.setattr(clt_module, "integrate_batch", no_run)
+    with pytest.raises(ValueError):
+        run_clt(*small_config(**overrides))
 
 
 # --- the experiment ---------------------------------------------------------------
 
 def test_run_clt_zero_noise_amplitude_gives_zero_error():
     spec = CovarianceSpec(4, 4.0, amplitude_scale=0.0)
-    report = run_clt(small_config(spec=spec, samples=2, epsilons=(1e-1, 1e-2)))
+    report = run_clt(*small_config(spec=spec, samples=2, epsilons=(1e-1, 1e-2)))
     for row in report.rows:
         assert row.mean_error == 0.0
         assert row.n_failed == 0
@@ -57,14 +87,14 @@ def test_run_clt_zero_noise_amplitude_gives_zero_error():
 
 def test_run_clt_reproducible_bitwise():
     cfg = small_config(samples=2, epsilons=(1e-1, 1e-2))
-    a = run_clt(cfg)
-    b = run_clt(cfg)
+    a = run_clt(*cfg)
+    b = run_clt(*cfg)
     assert [r.mean_error for r in a.rows] == [r.mean_error for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
 
 
 def test_run_clt_small_nonlinear_decay_and_slope():
-    report = run_clt(small_config())
+    report = run_clt(*small_config())
     means = [r.mean_error for r in report.rows]
     assert all(r.n_failed == 0 for r in report.rows)
     assert means[0] > means[1] > means[2]
@@ -78,7 +108,7 @@ def test_run_clt_small_nonlinear_decay_and_slope():
 def test_run_clt_linear_regime_slope():
     # gamma = mu = 0 leaves a linear drift; the deviation gap closes at a
     # clean first order in eps
-    report = run_clt(small_config(params=ModelParams(gamma=0.0, mu=0.0), base_seed=7))
+    report = run_clt(*small_config(params=ModelParams(gamma=0.0, mu=0.0), base_seed=7))
     assert report.fit.slope >= 0.9
 
 
@@ -86,7 +116,7 @@ def test_run_clt_epsilon_scaling_of_deviation():
     # the raw deviation field scales like sqrt(eps): the error functional of
     # V_eps against V_0 must shrink by ~10x per epsilon decade, which is what
     # the slope >= 0.7 assertion above pins quantitatively
-    report = run_clt(small_config(samples=4, epsilons=(1e-1, 1e-3)))
+    report = run_clt(*small_config(samples=4, epsilons=(1e-1, 1e-3)))
     assert report.rows[0].mean_error / report.rows[1].mean_error > 10.0
 
 
@@ -127,13 +157,13 @@ def test_run_clt_streamed_metric_equals_stored_path_gap(monkeypatch):
     import llblab.clt as clt_module
 
     config = small_config(samples=3, epsilons=(1e-1, 1e-2, 1e-3))
-    report = run_clt(config)
+    report = run_clt(*config)
     for row, errors in zip(report.rows, _path_gap_errors(config)):
         assert row.mean_error == pytest.approx(float(np.mean(errors)), rel=1e-12, abs=0.0)
         assert row.n_ok == 3
     # batches of any width give the same bits
     monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 4)
-    narrow = run_clt(config)
+    narrow = run_clt(*config)
     assert [(r.mean_error, r.std_error) for r in narrow.rows] == [
         (r.mean_error, r.std_error) for r in report.rows
     ]
@@ -150,7 +180,7 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
 
     monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
     config = small_config(samples=3, epsilons=(1e-1, 1e-2))
-    report = run_clt(config)
+    report = run_clt(*config)
     assert report.rows[0].n_failed == 1
     assert report.rows[0].n_ok == 2
     assert report.rows[1].n_failed == 0
@@ -162,9 +192,9 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     # the stream key and step replay the failure on its own
     with pytest.raises(BlowUpError) as info:
         integrate(
-            SystemKind.STOCHASTIC, config.initial, config.params.with_epsilon(1e-1),
+            SystemKind.STOCHASTIC, config.initial, config.params,
             config.tgrid, spec=config.spec, rng=loud_stream(config.base_seed, 0, 1),
-            seed_info=(config.base_seed, 0, 1),
+            epsilon=1e-1, seed_info=(config.base_seed, 0, 1),
         )
     assert info.value.step == step
     assert info.value.key == (config.base_seed, 0, 1)
@@ -184,7 +214,7 @@ def test_run_clt_blocks_of_any_length_give_the_same_bits(monkeypatch):
     reports = []
     for columns in (6, 42, 64):
         monkeypatch.setattr(clt_module, "BATCH_COLUMNS", columns)
-        report = run_clt(config)
+        report = run_clt(*config)
         reports.append(([(r.mean_error, r.std_error) for r in report.rows], report.failures))
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -220,7 +250,7 @@ def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
 # --- persistence -------------------------------------------------------------------
 
 def test_clt_csv_and_summary(tmp_path):
-    report = run_clt(small_config(samples=2))
+    report = run_clt(*small_config(samples=2))
     csv_path = tmp_path / "clt_report.csv"
     write_clt_csv(report, csv_path)
     lines = csv_path.read_text().splitlines()

@@ -42,7 +42,7 @@ from llblab.noise import (
 )
 from conftest import EDGE_FLOATS, ScaledRng, random_field, record_batch
 
-HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0, epsilon=0.0)
+HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)
 
 
 # --- parameter and grid types -------------------------------------------------
@@ -55,8 +55,10 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(mu=-0.5)
     with pytest.raises(ValueError):
-        ModelParams(epsilon=1.5)
-    assert ModelParams(epsilon=0.0).with_epsilon(0.3).epsilon == 0.3
+        integrate(
+            SystemKind.STOCHASTIC, initial_profile(make_grid(7)), ModelParams(), TimeGrid(0.01, 2),
+            spec=make_covariance(2, 4.0), rng=stream_rng(0), epsilon=1.5,
+        )
 
 
 def test_time_grid():
@@ -185,7 +187,7 @@ def test_stochastic_eps_zero_degenerates_bitwise():
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
     sto = integrate(
-        SystemKind.STOCHASTIC, u0, p.with_epsilon(0.0), tg, spec=spec, rng=stream_rng(7)
+        SystemKind.STOCHASTIC, u0, p, tg, spec=spec, rng=stream_rng(7), epsilon=0.0
     )
     assert det.snapshots.tobytes() == sto.snapshots.tobytes()
     assert det.explicit_cfl == sto.explicit_cfl
@@ -244,8 +246,8 @@ def test_coupled_runs_share_noise():
     )
     for j, seed in enumerate((3, 4)):
         alone_u = integrate(
-            SystemKind.STOCHASTIC, initial_profile(g), p.with_epsilon(0.1), tg,
-            spec=spec, rng=stream_rng(seed),
+            SystemKind.STOCHASTIC, initial_profile(g), p, tg,
+            spec=spec, rng=stream_rng(seed), epsilon=0.1,
         )
         alone_v = integrate(
             SystemKind.LINEARIZED_CLT, zero_field(g), p, tg,
@@ -261,11 +263,17 @@ def test_coupled_runs_share_noise():
 
 def test_integrate_determinism_same_seed():
     g = make_grid(31)
-    p = ModelParams().with_epsilon(0.05)
+    p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    a = integrate(SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2))
-    b = integrate(SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2))
+    a = integrate(
+        SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2),
+        epsilon=0.05,
+    )
+    b = integrate(
+        SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2),
+        epsilon=0.05,
+    )
     assert a.snapshots.tobytes() == b.snapshots.tobytes()
     # a batch rerun on the same streams has the same bits
     runs = [
@@ -349,8 +357,8 @@ def test_blow_up_error_carries_the_stream_key_and_step():
     tg = TimeGrid(0.25, 64)
     with pytest.raises(BlowUpError) as info:
         integrate(
-            SystemKind.STOCHASTIC, initial_profile(g, a=30.0), ModelParams(epsilon=0.01), tg,
-            spec=make_covariance(8, 4.0), rng=stream_rng(7, 2), seed_info=(7, 1, 2),
+            SystemKind.STOCHASTIC, initial_profile(g, a=30.0), ModelParams(), tg,
+            spec=make_covariance(8, 4.0), rng=stream_rng(7, 2), epsilon=0.01, seed_info=(7, 1, 2),
         )
     assert (info.value.key, info.value.step, info.value.time) == ((7, 1, 2), 3, 3 * tg.dt)
 
@@ -495,8 +503,8 @@ def test_stochastic_energy_stays_bounded_smoke():
     sups = []
     for m in range(4):
         rec = integrate(
-            SystemKind.STOCHASTIC, u0, p.with_epsilon(0.1), tg,
-            spec=spec, rng=stream_rng(17, m),
+            SystemKind.STOCHASTIC, u0, p, tg,
+            spec=spec, rng=stream_rng(17, m), epsilon=0.1,
         )
         sups.append(np.max(stack_norms(rec.snapshots, g.spacing)[:, 1]) ** 2)
     assert det_sup / 3.0 <= float(np.mean(sups)) <= 3.0 * det_sup
@@ -548,10 +556,10 @@ def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
 
 def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
     return integrate(
-        kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(epsilon=epsilons[j]),
+        kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(),
         BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
         base=_base_for((kind,), base),
-        rng=stream_rng(seed, j), seed_info=(seed, j),
+        rng=stream_rng(seed, j), epsilon=epsilons[j], seed_info=(seed, j),
     )
 
 
@@ -674,7 +682,7 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, 
                 epsilons=[0.1, 0.1], **inputs,
             )
         return integrate(
-            kind, initial, ModelParams(epsilon=0.1), BATCH_TIME, rng=stream_rng(0), **inputs
+            kind, initial, ModelParams(), BATCH_TIME, rng=stream_rng(0), epsilon=0.1, **inputs
         )
 
     if valid:

@@ -276,8 +276,8 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
             path_gap(
                 integrate(
                     SystemKind.CONTROLLED_STOCHASTIC, initial_profile(GRID),
-                    PARAMS.with_epsilon(row.epsilon), tg, spec=SPEC, ctrl=ctrl,
-                    rng=stream_rng(9, i, m), stride=1,
+                    PARAMS, tg, spec=SPEC, ctrl=ctrl,
+                    rng=stream_rng(9, i, m), epsilon=row.epsilon, stride=1,
                 ).snapshots,
                 skeleton.snapshots, GRID.spacing, tg.dt, PARAMS.nu1,
             )
@@ -308,6 +308,29 @@ def test_compactness_decreasing_in_mode():
     )
     metrics = [m for _, m in table]
     assert metrics[0] > metrics[1] > metrics[2] > 0.0
+
+
+def test_compactness_response_equals_stored_path_gap():
+    # the response is taken at most STACK_CHUNK snapshots per block: 301
+    # snapshots make two blocks, and path_gap of the stored records is the oracle
+    from llblab.analysis import path_gap
+    from llblab.field import STACK_CHUNK
+
+    tg = tgrid(300)
+    assert tg.steps + 1 > STACK_CHUNK
+    ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    u0 = initial_profile(GRID)
+    table = compactness_probe(ctrl, [2, 5], PARAMS, tg, SPEC, u0, component=2)
+    base = integrate(SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=ctrl)
+    for mode, response in table:
+        coeffs = ctrl.coefficients.copy()
+        coeffs[:, mode - 1, 1] += math.sqrt(1.0 / tg.horizon)
+        perturbed = integrate(
+            SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=ControlPath(coeffs, ctrl.dt)
+        )
+        oracle = path_gap(perturbed.snapshots, base.snapshots, GRID.spacing, tg.dt, 0.0)
+        assert response > 0.0
+        assert response == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_compactness_rejects_mode_out_of_range():

@@ -70,6 +70,26 @@ def test_no_module_reads_the_environment():
     assert not reads, f"environment reads: {reads}"
 
 
+def test_only_field_and_analysis_import_the_metric_kernels():
+    # the proof metric is taken by analysis.StreamedPathGap alone: a module
+    # that imports its kernels could grow a second way to take it
+    kernels = {"grad_values", "column_sq_sums"}
+    root = Path(__file__).resolve().parents[1] / "src" / "llblab"
+    uses = []
+    for path in sorted(root.rglob("*.py")):
+        if path.stem in ("field", "analysis"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = kernels & {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = kernels & {node.attr}
+            else:
+                continue
+            uses.extend(f"{path.name}:{node.lineno} {name}" for name in sorted(names))
+    assert not uses, f"metric kernels used outside field and analysis: {uses}"
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
