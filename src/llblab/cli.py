@@ -7,12 +7,12 @@ with the same config and seed are byte-identical in the CSV outputs;
 the manifest additionally carries the wall clock and so differs between runs
 by design.
 
-Config grammar: one ``key = value`` pair per line, ``#`` starts a comment,
-blank lines are ignored. Keys are dot-namespaced and validated against the
-table below; unknown keys and keys belonging to a different experiment kind
-are errors, and all validation errors are reported together. Lists are
-comma-separated. Paths are resolved relative to the working directory and
-must exist at parse time.
+Config grammar: UTF-8 text, one ``key = value`` pair per line, ``#`` starts
+a comment, blank lines are ignored. Keys are dot-namespaced and validated
+against the table below; unknown keys and keys belonging to a different
+experiment kind are errors, and all validation errors are reported together.
+Lists are comma-separated. Paths are resolved relative to the working
+directory and must exist at parse time.
 
 Exit codes: 0 success, 1 validation suite failed, 2 config or command-line
 usage error, 3 numerical blow-up, 4 I/O error. Every nonzero code but 1 comes
@@ -629,10 +629,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         return _error(EXIT_IO, "io", message=str(exc))
+    except UnicodeDecodeError as exc:
+        message = f"{args.config}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        return _error(EXIT_CONFIG, "config", messages=[message])
 
     try:
         config = parse_config(text)

@@ -7,7 +7,9 @@ rounding rather than only asymptotically. The implicit Helmholtz step
 (I - c*Lap) is solved with the LDL^T factorization of a symmetric positive
 definite tridiagonal matrix (LAPACK pttrf/pttrs); the matrix is strictly
 diagonally dominant and positive definite for c >= 0, so no pivoting is
-needed.
+needed. The two routines come from scipy's compiled LAPACK wrappers, the
+``scipy/linalg/_flapack`` extension, loaded from its file: importing the
+``scipy.linalg`` package would cost every process about 0.4 s and 20 MB.
 
 The array kernels take one (n, 3) field or a node-major batch (n, 3, M) of M
 fields, and treat every column of a batch exactly as they treat that column
@@ -37,13 +39,16 @@ long trajectory passes a few snapshots per call.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import orjson
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 __all__ = [
     "Grid1D",
@@ -143,7 +148,28 @@ def _same_grid(f: VectorField, g: VectorField) -> None:
 # node-major batches (n, 3, ...), and lap_values/grad_values/helm_values take
 # any node-major stack (n, ...))
 
-_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
+def _load_flapack(scipy_dir: str):
+    """The ``linalg/_flapack`` extension module of the scipy package in ``scipy_dir``.
+
+    The module registers itself in ``sys.modules`` under its own name, so a
+    later ``import scipy.linalg`` takes this module rather than loading it again.
+    """
+    linalg_dir = os.path.join(scipy_dir, "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"llblab requires scipy's _flapack extension; none found in {linalg_dir}")
+
+
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("llblab requires scipy, which is not installed", name="scipy")
+_flapack = _load_flapack(os.path.dirname(_scipy.origin))
+_pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 def solver_empty(shape) -> np.ndarray:

@@ -502,6 +502,22 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert payload["error"]["code"] == EXIT_CONFIG
 
 
+def test_main_non_utf8_config_is_config_error(tmp_path, capfd):
+    # the file is read as UTF-8 whatever the locale; other bytes are a config error
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_bytes(b"kind = validate\n\xff\xfe\n")
+    code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == EXIT_CONFIG
+    (line,) = out.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["kind"]) == (EXIT_CONFIG, "config")
+    assert str(config_path) in error["messages"][0]
+    assert "byte 16" in error["messages"][0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "sizes",
     ["grid.n = 7\ntime.steps = 1000000000000\n", "grid.n = 1000000000000\ntime.steps = 10\n"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from llblab import field
 from llblab.field import (
     EnergyReport,
     VectorField,
@@ -386,6 +387,35 @@ def test_helmholtz_round_trip(rng, grid63):
     back = helm_values(image.values, grid63.spacing, c)
     rel = np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
     assert rel <= 1e-10
+
+
+def test_helmholtz_lapack_routines_give_the_bits_of_scipy_linalg(rng):
+    # field loads pttrf/pttrs from scipy's _flapack file without scipy.linalg:
+    # the routines scipy.linalg hands out give the same bits
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
+    n, h, c = 127, 1.0 / 128, 1e-4  # criterion 6's grid and dt * nu1
+    inv_h2 = 1.0 / (h * h)
+    d, e, info = pttrf(np.full(n, 1.0 + 2.0 * c * inv_h2), np.full(n - 1, -c * inv_h2))
+    assert info == 0
+    factors = field._helmholtz_factor(n, h, c)
+    assert [f.tobytes() for f in factors] == [d.tobytes(), e.tobytes()]
+    batch = solver_empty((n, 3, 6))
+    batch[...] = rng.normal(size=batch.shape)
+    expected, info = pttrs(d, e, batch.reshape(n, -1))
+    assert info == 0
+    expected = expected.reshape(batch.shape)
+    assert helm_values(batch, h, c).tobytes() == expected.tobytes()
+    assert helm_values(batch, h, c, out=batch) is batch
+    assert batch.tobytes() == expected.tobytes()
+    assert field.LinAlgError is LinAlgError
+
+
+def test_flapack_loader_names_the_missing_extension(tmp_path):
+    with pytest.raises(ImportError, match="_flapack") as info:
+        field._load_flapack(str(tmp_path))
+    assert str(tmp_path / "linalg") in str(info.value)
 
 
 @st.composite

@@ -20,19 +20,35 @@ def test_every_export_resolves(name):
     assert not missing, f"llblab.{name}.__all__ names undefined {missing}"
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.3 s and 19 MB to import, which every run would
-    # pay in its setup time and peak memory
+@pytest.mark.parametrize("package", ["scipy.optimize", "scipy.linalg"])
+def test_cli_import_leaves_scipy_optimize_unloaded(package):
+    # scipy.optimize costs about 0.3 s and 19 MB to import and scipy.linalg about
+    # 0.4 s and 20 MB, which every run would pay in its setup time and peak
+    # memory; the package still imports afterwards, beside field's LAPACK routines
     import llblab
 
     src = str(Path(llblab.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    code = "import sys, llblab.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        f"import sys, llblab.cli; print({package!r} in sys.modules); "
+        f"import {package}; print({package}.__name__)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", package]
+
+
+def _is_find_spec_of_a_literal(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "find_spec"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    )
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -49,8 +65,11 @@ def test_every_third_party_import_is_a_declared_dependency():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
+            elif _is_find_spec_of_a_literal(node):
+                # a package located by name, as field.py locates scipy
+                imported.add(node.args[0].value.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"llblab"}
-    assert "numpy" in third_party
+    assert {"numpy", "scipy"} <= third_party
     assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
 
 
