@@ -68,7 +68,6 @@ class IdentityReport:
 class SlopeFit:
     """Least-squares line through (log eps, log metric) pairs."""
 
-    points: tuple
     slope: float
     intercept: float
     residual: float
@@ -181,9 +180,7 @@ def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, fl
     return vector_residual, colinear_residual
 
 
-def check_cubic_identity(
-    u: VectorField, mu: float = 1.0, tolerance: float = EXACT_IDENTITY_TOL
-) -> IdentityReport:
+def check_cubic_identity(u: VectorField, mu: float = 1.0) -> IdentityReport:
     """Scale-normalized residual of the exact vector identity.
 
     The colinear variant is logged at debug level for comparison; it is not
@@ -197,7 +194,7 @@ def check_cubic_identity(
     )
     rep = norms(u)
     scale = 1.0 + rep.h1_semi**2 * (1.0 + mu * rep.linf**2)
-    return IdentityReport("cubic-damping-identity", vector_residual / scale, tolerance)
+    return IdentityReport("cubic-damping-identity", vector_residual / scale, EXACT_IDENTITY_TOL)
 
 
 def fit_slope(points) -> SlopeFit:
@@ -212,13 +209,12 @@ def fit_slope(points) -> SlopeFit:
     for e, m in pts:
         if e <= 0.0 or m <= 0.0 or not (math.isfinite(e) and math.isfinite(m)):
             raise ValueError(f"points must be positive and finite, got ({e}, {m})")
-    log_pts = tuple((math.log(e), math.log(m)) for e, m in pts)
-    xs = np.array([p[0] for p in log_pts])
-    ys = np.array([p[1] for p in log_pts])
+    xs = np.array([math.log(e) for e, _ in pts])
+    ys = np.array([math.log(m) for _, m in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     rms = math.sqrt(float(np.mean(resid**2)))
-    return SlopeFit(points=log_pts, slope=float(slope), intercept=float(intercept), residual=rms)
+    return SlopeFit(slope=float(slope), intercept=float(intercept), residual=rms)
 
 
 def energy_drift(traj: TrajectoryRecord, params: ModelParams) -> float:

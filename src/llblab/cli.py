@@ -324,7 +324,7 @@ def _read_target_field(path, grid: Grid1D) -> VectorField:
     """Read a target CSV (node_index,ux,uy,uz); malformed content raises ValueError."""
     values = np.zeros((grid.n_interior, 3))
     seen = np.zeros(grid.n_interior, dtype=bool)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:4]] != ["node_index", "ux", "uy", "uz"]:
@@ -350,11 +350,21 @@ def _read_target_field(path, grid: Grid1D) -> VectorField:
     return VectorField(grid, values)
 
 
-def _load_control(path, tgrid: TimeGrid, mode_count: int) -> ControlPath:
+def _read_table(config: ExperimentConfig, key: str, read, *args):
+    """``read(path, *args)`` of the input table that ``key`` names; malformed
+    content is a ConfigError naming the key and the file."""
+    path = config[key]
     try:
-        coeffs = read_control_coefficients(path, tgrid.steps, mode_count)
+        return read(path, *args)
+    except UnicodeDecodeError as exc:
+        # the decoder counts bytes from its last read, not from the start of the file
+        raise ConfigError([f"{key}: {path}: not UTF-8 text ({exc.reason})"]) from None
     except (ValueError, csv.Error) as exc:
-        raise ConfigError([str(exc)]) from None
+        raise ConfigError([f"{key}: {exc}"]) from None
+
+
+def _load_control(config: ExperimentConfig, key: str, tgrid: TimeGrid, modes: int) -> ControlPath:
+    coeffs = _read_table(config, key, read_control_coefficients, tgrid.steps, modes)
     return ControlPath(coeffs, tgrid.dt)
 
 
@@ -460,7 +470,7 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     tgrid = config.time_grid()
     spec = config.covariance()
     if config["weak.control"] is not None:
-        ctrl = _load_control(config["weak.control"], tgrid, spec.mode_count)
+        ctrl = _load_control(config, "weak.control", tgrid, spec.mode_count)
     else:
         ctrl = single_mode_control(
             tgrid.steps,
@@ -500,10 +510,7 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     params = config.model_params()
     init = config.initial()
     if config["rate.target"] is not None:
-        try:
-            target = _read_target_field(config["rate.target"], config.grid())
-        except (ValueError, csv.Error) as exc:
-            raise ConfigError([str(exc)]) from None
+        target = _read_table(config, "rate.target", _read_target_field, config.grid())
     else:
         det = integrate(SystemKind.DETERMINISTIC, init, params, tgrid, stride=tgrid.steps)
         target = det.final_field()
@@ -538,7 +545,7 @@ def _run_compactness(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     tgrid = config.time_grid()
     spec = config.covariance()
     if config["compact.control"] is not None:
-        ctrl = _load_control(config["compact.control"], tgrid, spec.mode_count)
+        ctrl = _load_control(config, "compact.control", tgrid, spec.mode_count)
     else:
         ctrl = zero_control(tgrid.steps, spec.mode_count, tgrid.dt)
     table = compactness_probe(

@@ -161,8 +161,8 @@ def run_columns(
             k = n % block
             for buf, u in zip(buffers, states):
                 np.copyto(buf[..., k], u)
-            if k == block - 1:
-                gap.add(n - k, difference(n - k, buffers, eps))
+            if k == block - 1 or n == steps:
+                gap.add(n - k, difference(n - k, [buf[..., :k + 1] for buf in buffers], eps))
 
         failed, _ = integrate_batch(
             kinds, grid, [np.repeat(f.values[..., None], width, axis=2) for f in initial],
@@ -170,11 +170,6 @@ def run_columns(
             spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
-        filled = (steps + 1) % block
-        # when every column has retired the march stopped early, leaving slots unfilled
-        if filled and len(failed) < width:
-            n = steps + 1 - filled
-            gap.add(n, difference(n, [buf[..., :filled] for buf in buffers], eps))
         batch_values = [float(v) for v in gap.values]
         for exc in failed:
             _, i, m = exc.key

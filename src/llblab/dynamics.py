@@ -22,11 +22,12 @@ default parameter regime well past the naive bound).
 Every run goes through one step loop, that of ``integrate_batch``, and every
 run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
 of one system or of several systems in lockstep, and hands each step to an
-observer instead of storing it; ``integrate`` is its width-1 case and stores
-the snapshots it is asked for. The step kernels treat every column of a batch
-as they treat that column alone, so a column's states have the same bits at
-any batch width, and a column that blows up is retired at the step where it
-would blow up alone while the others go on.
+observer instead of storing it; ``integrate`` is its width-1 case for the
+noiseless kinds, deterministic and skeleton, and stores the snapshots it is
+asked for. The step kernels treat every column of a batch as they treat that
+column alone, so a column's states have the same bits at any batch width, and
+a column that blows up is retired at the step where it would blow up alone
+while the others go on.
 
 The loop holds one workspace per batch in the memory order of the
 tridiagonal solve, (3, S*M, n) for S systems of M columns: every component of
@@ -88,9 +89,8 @@ BATCH_COLUMNS = 64
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the model, shared by every system. The noise strength
-    is not one of them: it is the ``epsilon`` of ``integrate``, or one per
-    column of ``integrate_batch``, so one set of coefficients serves the whole
-    family u_eps."""
+    is not one of them: ``integrate_batch`` takes one per column, so one set of
+    coefficients serves the whole family u_eps."""
 
     nu1: float = 1.0
     nu2: float = 1.0
@@ -418,34 +418,22 @@ def integrate(
     tgrid: TimeGrid,
     spec: CovarianceSpec | None = None,
     ctrl: ControlPath | None = None,
-    base: TrajectoryRecord | None = None,
-    rng: np.random.Generator | None = None,
-    epsilon: float = 0.0,
-    seed_info: tuple | None = None,
     stride: int = 1,
-    diffusion_off: bool = False,
 ) -> TrajectoryRecord:
-    """Integrate one of the five systems and record its snapshots.
+    """Integrate one of the noiseless systems, deterministic or skeleton, and
+    record its snapshots.
 
-    The width-1 case of ``integrate_batch``: a noisy kind draws its increments
-    from ``rng`` and runs at noise strength ``epsilon`` in [0, 1] (the
-    linearized system takes its noise at unit strength); deterministic and
-    skeleton runs consume no randomness. The state is stored every ``stride``
-    steps and at the last step. Raises BlowUpError with the offending step
-    (and ``seed_info`` as its stream key) when the state leaves the
-    finite/bounded regime. ``diffusion_off`` is a test hook that skips the
-    implicit solve, so the remaining terms can be checked against pointwise
-    ODE/precession oracles.
+    The width-1 case of ``integrate_batch``; the noisy kinds draw increments and
+    run as batch columns there. The state is stored every ``stride`` steps and
+    at the last step. Raises BlowUpError with the offending step when the state
+    leaves the finite/bounded regime.
     """
+    if kind in _NOISY_KINDS:
+        raise ValueError(f"{kind.value} integration draws noise: run it with integrate_batch")
     n_steps = tgrid.steps
     stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if kind in _NOISY_KINDS and rng is None:
-        raise ValueError(f"{kind.value} integration needs an rng")
-    noise = None
-    if kind in _NOISY_KINDS and spec is not None:
-        noise = IncrementStreams([rng], n_steps, spec.mode_count, tgrid.dt)
     snap_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
     snaps = np.empty((len(snap_steps),) + u0_field.values.shape)
 
@@ -455,8 +443,7 @@ def integrate(
 
     failures, cfl = integrate_batch(
         (kind,), u0_field.grid, (u0_field.values[..., None],), params, tgrid, observe,
-        spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=(epsilon,),
-        keys=(seed_info,), diffusion_off=diffusion_off,
+        spec=spec, ctrl=ctrl,
     )
     if failures:
         raise failures[0]
@@ -484,7 +471,6 @@ def integrate_batch(
     noise: IncrementStreams | None = None,
     epsilons=None,
     keys=None,
-    diffusion_off: bool = False,
 ) -> tuple[list[BlowUpError], float]:
     """March M sample columns of one or more systems in lockstep, storing nothing.
 
@@ -519,7 +505,7 @@ def integrate_batch(
     Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
-    the end (0.0 when none did). ``diffusion_off`` skips the implicit solve.
+    the end (0.0 when none did).
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
@@ -535,7 +521,7 @@ def integrate_batch(
     n_steps = tgrid.steps
     dt = tgrid.dt
     h = grid.spacing
-    c = 0.0 if diffusion_off else dt * params.nu1
+    c = dt * params.nu1
     _check_inputs(kinds, grid, tgrid, spec, ctrl, base)
     for kind, u in zip(kinds, states):
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):

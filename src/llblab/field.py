@@ -114,9 +114,6 @@ class VectorField:
             )
         object.__setattr__(self, "values", vals)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -179,12 +176,12 @@ def solver_empty(shape) -> np.ndarray:
     return np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0)
 
 
-def scratch(store: dict, name: str, shape, empty=solver_empty) -> np.ndarray:
-    """The buffer ``store[name]``, made anew by ``empty(shape)`` when it is missing
-    or has another shape: the workspace a loop reuses from step to step."""
+def scratch(store: dict, name: str, shape) -> np.ndarray:
+    """The buffer ``store[name]``, made anew by ``solver_empty(shape)`` when it is
+    missing or has another shape: the workspace a loop reuses from step to step."""
     buf = store.get(name)
     if buf is None or buf.shape != tuple(shape):
-        buf = store[name] = empty(shape)
+        buf = store[name] = solver_empty(shape)
     return buf
 
 
@@ -307,20 +304,18 @@ def _helmholtz_factor(n: int, h: float, c: float):
 
 
 def helm_values(v: np.ndarray, h: float, c: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Solve (I - c*Lap) w = v for every column of a node-major stack (n, ...);
-    exact identity for c = 0.
+    """Solve (I - c*Lap) w = v for every column of a node-major stack (n, ...).
 
-    One LAPACK pttrs call takes all right-hand sides and solves each on its
-    own, so a batch gives each column the bits of solving it alone. ``w`` goes
-    into ``out`` when given, else into a new array (in the solver's memory
-    order for c > 0); ``v`` is written only when it is ``out``. An ``out`` in
-    the solver's memory order is solved in place, with no copy. Raises
-    LinAlgError when the matrix is not positive definite (c < 0).
+    Every c >= 0 takes the LAPACK solve; at c = 0 it returns the values of v,
+    though the sign of a zero may differ. One pttrs call takes all right-hand
+    sides and solves each on its own, so a batch gives each column the bits of
+    solving it alone. ``w`` goes into ``out`` when given, else into a new array
+    in the solver's memory order; ``v`` is written only when it is ``out``. An
+    ``out`` in the solver's memory order is solved in place, with no copy.
+    Raises LinAlgError when the matrix is not positive definite (c < 0).
     """
     if out is not None and out is not v:
         np.copyto(out, v)
-    if c == 0.0:
-        return v.copy() if out is None else out
     d, e = _helmholtz_factor(v.shape[0], h, c)
     # without ``out`` LAPACK solves a copy of its own; with one, it overwrites
     # ``out`` through its (n, -1) view, a copy unless ``out`` is in the solver's order

@@ -326,21 +326,21 @@ def compactness_probe(
     spec: CovarianceSpec,
     u0_field: VectorField,
     component: int = 3,
-    unit_cost: float = 1.0,
 ) -> list[tuple[int, float]]:
     """Skeleton response to weakly-null control perturbations.
 
-    Each probe adds a constant-in-time oscillation in one sine mode with
-    fixed H0 path integral ``unit_cost``; the synthesized field shrinks like
-    k**(-decay/2), so the response metric sup ||grad(u_k - u_h)||^2 decays as
-    the mode index grows. The response is the proof metric with nu1 = 0 of
-    the stored difference of the two skeleton records (``clt.record_sup_grad``).
-    Returns one (mode, response) pair per oscillation mode.
+    Each probe adds a constant-in-time oscillation in one sine mode, of unit
+    H0 path integral: its coefficient c = 1/sqrt(T) makes the sum over steps
+    of dt c^2 equal 1. The synthesized field shrinks like k**(-decay/2), so
+    the response metric sup ||grad(u_k - u_h)||^2 decays as the mode index
+    grows. The response is the proof metric with nu1 = 0 of the stored
+    difference of the two skeleton records (``clt.record_sup_grad``). Returns
+    one (mode, response) pair per oscillation mode.
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
     base = integrate(SystemKind.SKELETON, u0_field, params, tgrid, spec=spec, ctrl=ctrl)
-    coeff = math.sqrt(unit_cost / tgrid.horizon)
+    coeff = math.sqrt(1.0 / tgrid.horizon)
     out = []
     for mode in oscillation_modes:
         mode = int(mode)

@@ -41,24 +41,23 @@ __all__ = [
 class CovarianceSpec:
     """Per-mode noise amplitudes sqrt(lambda_k), lambda_k = k**(-decay_exponent).
 
-    ``amplitude_scale`` multiplies every mode; setting it to 0 switches the
-    noise off entirely (useful for degeneration experiments).
+    The noise strength is not part of the covariance: a run scales its
+    increments by sqrt(eps), so eps = 0 switches the noise off.
     """
 
     mode_count: int
     decay_exponent: float
-    amplitude_scale: float = 1.0
 
     @property
     def amplitudes(self) -> np.ndarray:
         k = np.arange(1, self.mode_count + 1, dtype=float)
-        return self.amplitude_scale * k ** (-0.5 * self.decay_exponent)
+        return k ** (-0.5 * self.decay_exponent)
 
     @property
     def h1_trace(self) -> float:
         """Partial sum of the H1 trace over the retained modes (3 directions)."""
         k = np.arange(1, self.mode_count + 1, dtype=float)
-        lam = self.amplitude_scale**2 * k ** (-self.decay_exponent)
+        lam = k ** (-self.decay_exponent)
         return float(np.sum(3.0 * lam * (1.0 + (k * math.pi) ** 2)))
 
 
@@ -207,7 +206,7 @@ def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
     """
     coeffs = np.zeros((steps, mode_count, 3))
     last = -1
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:4]] != ["step", "k", "j", "coefficient"]:

@@ -22,7 +22,7 @@ from llblab.cli import (
     parse_config,
     run,
 )
-from conftest import ScaledRng
+from conftest import ScaledRng, record_batch
 
 TINY_CLT = """
 kind = clt
@@ -214,8 +214,8 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     # a blown-up weak-convergence sample is listed with its stream key and
     # step; replaying the key raises at the same step
     import llblab.clt as clt_module
-    from llblab.dynamics import BlowUpError, SystemKind, integrate
-    from llblab.noise import single_mode_control, stream_rng
+    from llblab.dynamics import SystemKind
+    from llblab.noise import IncrementStreams, single_mode_control, stream_rng
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
@@ -230,14 +230,13 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
     tgrid = cfg.time_grid()
     ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
-    with pytest.raises(BlowUpError) as info:
-        integrate(
-            SystemKind.CONTROLLED_STOCHASTIC, cfg.initial(), cfg.model_params(),
-            tgrid, spec=cfg.covariance(), ctrl=ctrl, rng=loud_stream(99, 0, 1),
-            epsilon=0.1, seed_info=(99, 0, 1),
-        )
-    assert info.value.step == failure["step"]
-    assert info.value.key == (99, 0, 1)
+    _, (exc,) = record_batch(
+        (SystemKind.CONTROLLED_STOCHASTIC,), cfg.grid(), (cfg.initial().values[..., None],),
+        cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=ctrl,
+        noise=IncrementStreams([loud_stream(99, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
+        epsilons=(0.1,), keys=((99, 0, 1),),
+    )
+    assert (exc.step, exc.key) == (failure["step"], (99, 0, 1))
 
 
 def test_run_weak_with_control_file(tmp_path):
@@ -394,17 +393,12 @@ def test_main_rate_blow_up_exits_three(tmp_path, capsys):
 
 
 def test_run_noisy_blow_up_reports_its_stream_key(tmp_path, monkeypatch, capsys):
-    # a noisy run that fails through integrate names the stream that replays it
+    # a blow-up that carries a stream key names the stream that replays it
     from llblab import cli
-    from llblab.dynamics import SystemKind, integrate
-    from llblab.noise import stream_rng
+    from llblab.dynamics import BlowUpError
 
     def loud_sample(config, outdir):
-        integrate(
-            SystemKind.STOCHASTIC, config.initial(), config.model_params(),
-            config.time_grid(), spec=config.covariance(),
-            rng=ScaledRng(stream_rng(8, 0, 1), 1.0e4), epsilon=0.1, seed_info=(8, 0, 1),
-        )
+        raise BlowUpError("non-finite state", step=3, time=3 * config.time_grid().dt, key=(8, 0, 1))
 
     monkeypatch.setitem(cli.DRIVERS, "deterministic", loud_sample)
     cfg = parse_config(
@@ -444,8 +438,8 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     # a sample that blows up is excluded, counted and listed with its step,
     # never averaged; its stream key replays the failure on its own
     import llblab.clt as clt_module
-    from llblab.dynamics import BlowUpError, SystemKind, integrate
-    from llblab.noise import stream_rng
+    from llblab.dynamics import SystemKind
+    from llblab.noise import IncrementStreams, stream_rng
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
@@ -464,14 +458,14 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
     report = (tmp_path / "ensemble_report.csv").read_text().splitlines()
     assert report[2] == "0.1,1,nan,blow-up"
-    with pytest.raises(BlowUpError) as info:
-        integrate(
-            SystemKind.STOCHASTIC, cfg.initial(), cfg.model_params(),
-            cfg.time_grid(), spec=cfg.covariance(), rng=loud_stream(8, 0, 1),
-            epsilon=0.1, seed_info=(8, 0, 1),
-        )
-    assert info.value.step == failure["step"]
-    assert info.value.key == (8, 0, 1)
+    tgrid = cfg.time_grid()
+    _, (exc,) = record_batch(
+        (SystemKind.STOCHASTIC,), cfg.grid(), (cfg.initial().values[..., None],),
+        cfg.model_params(), tgrid, spec=cfg.covariance(),
+        noise=IncrementStreams([loud_stream(8, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
+        epsilons=(0.1,), keys=((8, 0, 1),),
+    )
+    assert (exc.step, exc.key) == (failure["step"], (8, 0, 1))
 
 
 def test_run_io_error_exit_code(tmp_path, capsys):
@@ -597,6 +591,20 @@ def test_main_malformed_input_csv_is_config_error(tmp_path, capsys, key, content
         f"noise.modes = 2\n{key} = {data}\n",
     )
     assert str(data) in messages
+
+
+@pytest.mark.parametrize("key", ["weak.control", "compact.control", "rate.target"])
+def test_main_non_utf8_input_table_is_config_error(tmp_path, capsys, key):
+    # the table is read as UTF-8 whatever the locale; the message names the key and the file
+    data = tmp_path / "input.csv"
+    data.write_bytes(b"step,k,j,coefficient\n0,1,3,0.5\xff\n")
+    kind = {"weak": "weak-convergence", "compact": "compactness", "rate": "rate"}[key.split(".")[0]]
+    messages = _main_config_error(
+        tmp_path, capsys,
+        f"kind = {kind}\ngrid.n = 7\ntime.horizon = 0.05\ntime.steps = 10\n"
+        f"noise.modes = 8\n{key} = {data}\n",
+    )
+    assert messages == f"{key}: {data}: not UTF-8 text (invalid start byte)"
 
 
 def test_main_missing_config_file(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from llblab.clt import run_clt, write_clt_csv, write_clt_summary
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import VectorField, make_grid
-from llblab.noise import CovarianceSpec, make_covariance
+from llblab.noise import CovarianceSpec, IncrementStreams, make_covariance, stream_rng
 from conftest import ScaledRng, record_batch
 
 
@@ -76,9 +76,12 @@ def test_run_clt_rejects_bad_arguments_before_integrating(monkeypatch, overrides
 
 # --- the experiment ---------------------------------------------------------------
 
-def test_run_clt_zero_noise_amplitude_gives_zero_error():
-    spec = CovarianceSpec(4, 4.0, amplitude_scale=0.0)
-    report = run_clt(*small_config(spec=spec, samples=2, epsilons=(1e-1, 1e-2)))
+def test_run_clt_zero_noise_amplitude_gives_zero_error(monkeypatch):
+    import llblab.clt as clt_module
+
+    # every stream draws zero increments
+    monkeypatch.setattr(clt_module, "stream_rng", lambda *key: ScaledRng(stream_rng(*key), 0.0))
+    report = run_clt(*small_config(samples=2, epsilons=(1e-1, 1e-2)))
     for row in report.rows:
         assert row.mean_error == 0.0
         assert row.n_failed == 0
@@ -127,7 +130,6 @@ def _path_gap_errors(config):
     from llblab.analysis import path_gap
     from llblab.dynamics import SystemKind, integrate
     from llblab.field import zero_field
-    from llblab.noise import IncrementStreams, stream_rng
 
     tg = config.tgrid
     u0 = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, tg, stride=1)
@@ -171,8 +173,7 @@ def test_run_clt_streamed_metric_equals_stored_path_gap(monkeypatch):
 
 def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     import llblab.clt as clt_module
-    from llblab.dynamics import BlowUpError, SystemKind, integrate
-    from llblab.noise import stream_rng
+    from llblab.dynamics import SystemKind
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
@@ -190,14 +191,14 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     # the failed sample is excluded from the mean, not averaged as NaN
     assert math.isfinite(report.rows[0].mean_error)
     # the stream key and step replay the failure on its own
-    with pytest.raises(BlowUpError) as info:
-        integrate(
-            SystemKind.STOCHASTIC, config.initial, config.params,
-            config.tgrid, spec=config.spec, rng=loud_stream(config.base_seed, 0, 1),
-            epsilon=1e-1, seed_info=(config.base_seed, 0, 1),
-        )
-    assert info.value.step == step
-    assert info.value.key == (config.base_seed, 0, 1)
+    tgrid, key = config.tgrid, (config.base_seed, 0, 1)
+    _, (exc,) = record_batch(
+        (SystemKind.STOCHASTIC,), config.initial.grid, (config.initial.values[..., None],),
+        config.params, tgrid, spec=config.spec,
+        noise=IncrementStreams([loud_stream(*key)], tgrid.steps, config.spec.mode_count, tgrid.dt),
+        epsilons=(1e-1,), keys=(key,),
+    )
+    assert (exc.step, exc.key) == (step, key)
     write_clt_summary(report, tmp_path / "summary.json")
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["n_failures"] == 1
@@ -225,7 +226,6 @@ def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
     import llblab.clt as clt_module
     from llblab.clt import run_columns
     from llblab.dynamics import SystemKind
-    from llblab.noise import stream_rng
 
     monkeypatch.setattr(
         clt_module, "stream_rng", lambda seed, *key: ScaledRng(stream_rng(seed, *key), 1.0e8)

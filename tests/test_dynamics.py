@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
+import llblab.dynamics as dynamics
 from llblab.dynamics import (
     LINF_CEILING,
     BlowUpError,
@@ -54,10 +55,12 @@ def test_model_params_validation():
         ModelParams(nu2=-1.0)
     with pytest.raises(ValueError):
         ModelParams(mu=-0.5)
-    with pytest.raises(ValueError):
-        integrate(
-            SystemKind.STOCHASTIC, initial_profile(make_grid(7)), ModelParams(), TimeGrid(0.01, 2),
-            spec=make_covariance(2, 4.0), rng=stream_rng(0), epsilon=1.5,
+    g = make_grid(7)
+    with pytest.raises(ValueError, match="epsilons"):
+        integrate_batch(
+            (SystemKind.STOCHASTIC,), g, (initial_profile(g).values[..., None],), ModelParams(),
+            TimeGrid(0.01, 2), lambda *a: None, spec=make_covariance(2, 4.0),
+            noise=IncrementStreams([stream_rng(0)], 2, 2, 0.005), epsilons=(1.5,),
         )
 
 
@@ -133,17 +136,24 @@ def test_heat_oracle_small():
     assert np.max(np.abs(rec.final_values()[:, 0] - exact)) <= 2e-3
 
 
-def test_cubic_ode_oracle_bernoulli():
-    # diffusion hook off, gamma = 0: each node follows r' = -2 nu2 r - 2 nu2 mu r^2
+def _without_diffusion(monkeypatch):
+    # the implicit solve returns its right-hand side, so the remaining terms
+    # can be checked against pointwise ODE and precession oracles
+    monkeypatch.setattr(
+        dynamics, "helm_values", lambda v, h, c, out=None: v if out is None else out
+    )
+
+
+def test_cubic_ode_oracle_bernoulli(monkeypatch):
+    # diffusion off, gamma = 0: each node follows r' = -2 nu2 r - 2 nu2 mu r^2
+    _without_diffusion(monkeypatch)
     g = make_grid(31)
     x = g.nodes
     amp = 0.5
     u0 = VectorField(g, np.stack([amp * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
     p = ModelParams(nu1=1.0, nu2=1.0, gamma=0.0, mu=1.0)
     horizon, steps = 0.02, 2000
-    rec = integrate(
-        SystemKind.DETERMINISTIC, u0, p, TimeGrid(horizon, steps), diffusion_off=True
-    )
+    rec = integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(horizon, steps))
     r0 = (amp * np.sin(np.pi * x)) ** 2
     decay = math.exp(-2.0 * p.nu2 * horizon)
     closed_form = r0 * decay / (1.0 + p.mu * r0 * (1.0 - decay))
@@ -164,14 +174,13 @@ def test_cubic_ode_oracle_bernoulli():
     assert np.max(np.abs(r_num - closed_form)) <= 1e-6
 
 
-def test_pure_precession_conserves_pointwise_norm():
-    # nu2 = 0, diffusion hook off: |u_i| is conserved because u . (u x Lap u) = 0
+def test_pure_precession_conserves_pointwise_norm(monkeypatch):
+    # nu2 = 0, diffusion off: |u_i| is conserved because u . (u x Lap u) = 0
+    _without_diffusion(monkeypatch)
     g = make_grid(63)
     u0 = initial_profile(g, a=0.25, b=0.25)
     p = ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0)
-    rec = integrate(
-        SystemKind.DETERMINISTIC, u0, p, TimeGrid(1e-3, 1000), diffusion_off=True
-    )
+    rec = integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(1e-3, 1000))
     before = np.sqrt(np.einsum("ij,ij->i", u0.values, u0.values))
     after = np.sqrt(np.einsum("ij,ij->i", rec.final_values(), rec.final_values()))
     assert np.max(np.abs(after - before)) <= 1e-8
@@ -186,11 +195,15 @@ def test_stochastic_eps_zero_degenerates_bitwise():
     tg = TimeGrid(0.05, 200)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    sto = integrate(
-        SystemKind.STOCHASTIC, u0, p, tg, spec=spec, rng=stream_rng(7), epsilon=0.0
+    sto = []
+    failures, cfl = integrate_batch(
+        (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg,
+        lambda n, states: sto.append(states[0][..., 0].copy()),
+        spec=spec, noise=IncrementStreams([stream_rng(7)], tg.steps, 8, tg.dt), epsilons=(0.0,),
     )
-    assert det.snapshots.tobytes() == sto.snapshots.tobytes()
-    assert det.explicit_cfl == sto.explicit_cfl
+    assert failures == []
+    assert det.snapshots.tobytes() == np.array(sto).tobytes()
+    assert det.explicit_cfl == cfl
 
 
 def test_skeleton_zero_control_degenerates_bitwise():
@@ -245,17 +258,17 @@ def test_coupled_runs_share_noise():
         p, tg, spec, base, [stream_rng(3), stream_rng(4)], [0.1, 0.1],
     )
     for j, seed in enumerate((3, 4)):
-        alone_u = integrate(
-            SystemKind.STOCHASTIC, initial_profile(g), p, tg,
-            spec=spec, rng=stream_rng(seed), epsilon=0.1,
+        ((alone_u,),) = _coupled_states(
+            (SystemKind.STOCHASTIC,), (initial_profile(g),), p, tg, spec, None,
+            [stream_rng(seed)], [0.1],
         )
-        alone_v = integrate(
-            SystemKind.LINEARIZED_CLT, zero_field(g), p, tg,
-            spec=spec, rng=stream_rng(seed), base=base,
+        ((alone_v,),) = _coupled_states(
+            (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, base,
+            [stream_rng(seed)], [0.1],
         )
         u_eps, v0 = columns[j]
-        assert u_eps.tobytes() == alone_u.snapshots.tobytes()
-        assert v0.tobytes() == alone_v.snapshots.tobytes()
+        assert u_eps.tobytes() == alone_u.tobytes()
+        assert v0.tobytes() == alone_v.tobytes()
     # another stream drives another path
     for k in range(2):
         assert not np.array_equal(columns[0][k], columns[1][k])
@@ -266,15 +279,14 @@ def test_integrate_determinism_same_seed():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    a = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2),
-        epsilon=0.05,
+    a, b = (
+        _coupled_states(
+            (SystemKind.STOCHASTIC,), (initial_profile(g),), p, tg, spec, None,
+            [stream_rng(1, 2)], [0.05],
+        )[0][0]
+        for _ in range(2)
     )
-    b = integrate(
-        SystemKind.STOCHASTIC, initial_profile(g), p, tg, spec=spec, rng=stream_rng(1, 2),
-        epsilon=0.05,
-    )
-    assert a.snapshots.tobytes() == b.snapshots.tobytes()
+    assert a.tobytes() == b.tobytes()
     # a batch rerun on the same streams has the same bits
     runs = [
         _coupled_states(
@@ -285,10 +297,23 @@ def test_integrate_determinism_same_seed():
     ]
     for j in range(2):
         assert runs[0][j][0].tobytes() == runs[1][j][0].tobytes()
-    assert runs[0][0][0].tobytes() == a.snapshots.tobytes()
+    assert runs[0][0][0].tobytes() == a.tobytes()
 
 
 # --- required inputs and failure modes -------------------------------------------
+
+@pytest.mark.parametrize(
+    "kind",
+    [SystemKind.STOCHASTIC, SystemKind.CONTROLLED_STOCHASTIC, SystemKind.LINEARIZED_CLT],
+    ids=lambda kind: kind.value,
+)
+def test_integrate_rejects_noisy_kinds(kind):
+    # noisy kinds run as batch columns; integrate stores the noiseless ones
+    g = make_grid(31)
+    tg = TimeGrid(0.05, 100)
+    with pytest.raises(ValueError, match="integrate_batch"):
+        integrate(kind, zero_field(g), ModelParams(), tg, spec=make_covariance(4, 4.0))
+
 
 def test_integrate_missing_inputs():
     g = make_grid(31)
@@ -296,15 +321,18 @@ def test_integrate_missing_inputs():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    with pytest.raises(ValueError, match="needs an rng"):
-        integrate(SystemKind.STOCHASTIC, u0, p, tg, spec=spec)
+    noise = IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt)
     with pytest.raises(ValueError, match="covariance"):
-        integrate(SystemKind.STOCHASTIC, u0, p, tg, rng=stream_rng(0))
+        integrate_batch(
+            (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg, lambda *a: None,
+            noise=noise, epsilons=(0.1,),
+        )
     with pytest.raises(ValueError, match="control"):
         integrate(SystemKind.SKELETON, u0, p, tg, spec=spec)
     with pytest.raises(ValueError, match="base"):
-        integrate(
-            SystemKind.LINEARIZED_CLT, zero_field(g), p, tg, spec=spec, rng=stream_rng(0)
+        integrate_batch(
+            (SystemKind.LINEARIZED_CLT,), g, (np.zeros((g.n_interior, 3, 1)),), p, tg,
+            lambda *a: None, spec=spec, noise=noise,
         )
 
 
@@ -327,9 +355,10 @@ def test_linearized_requires_zero_initial():
     spec = make_covariance(4, 4.0)
     base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
     with pytest.raises(ValueError, match="zero initial"):
-        integrate(
-            SystemKind.LINEARIZED_CLT, initial_profile(g), p, tg,
-            spec=spec, rng=stream_rng(0), base=base,
+        integrate_batch(
+            (SystemKind.LINEARIZED_CLT,), g, (initial_profile(g).values[..., None],), p, tg,
+            lambda *a: None, spec=spec, base=base,
+            noise=IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt),
         )
 
 
@@ -341,13 +370,14 @@ def test_blow_up_on_ceiling():
     assert info.value.step == 0
 
 
-def test_blow_up_on_instability():
-    # violent explicit precession with the diffusion hook off must abort, not NaN out
+def test_blow_up_on_instability(monkeypatch):
+    # violent explicit precession with diffusion off must abort, not NaN out
+    _without_diffusion(monkeypatch)
     g = make_grid(31)
     u0 = initial_profile(g)
     p = ModelParams(nu1=1.0, nu2=0.0, gamma=50.0, mu=0.0)
     with pytest.raises(BlowUpError) as info:
-        integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(1.0, 100), diffusion_off=True)
+        integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(1.0, 100))
     assert info.value.step is not None and info.value.step > 0
 
 
@@ -355,12 +385,13 @@ def test_blow_up_error_carries_the_stream_key_and_step():
     # a = 30 makes the explicit cubic damping overshoot until step 3, as without noise
     g = make_grid(31)
     tg = TimeGrid(0.25, 64)
-    with pytest.raises(BlowUpError) as info:
-        integrate(
-            SystemKind.STOCHASTIC, initial_profile(g, a=30.0), ModelParams(), tg,
-            spec=make_covariance(8, 4.0), rng=stream_rng(7, 2), epsilon=0.01, seed_info=(7, 1, 2),
-        )
-    assert (info.value.key, info.value.step, info.value.time) == ((7, 1, 2), 3, 3 * tg.dt)
+    _, (exc,) = record_batch(
+        (SystemKind.STOCHASTIC,), g, (initial_profile(g, a=30.0).values[..., None],),
+        ModelParams(), tg, spec=make_covariance(8, 4.0),
+        noise=IncrementStreams([stream_rng(7, 2)], tg.steps, 8, tg.dt), epsilons=(0.01,),
+        keys=((7, 1, 2),),
+    )
+    assert (exc.key, exc.step, exc.time) == ((7, 1, 2), 3, 3 * tg.dt)
 
 
 def test_blow_up_error_carries_the_failing_norm_and_the_explicit_term_ratio():
@@ -502,11 +533,12 @@ def test_stochastic_energy_stays_bounded_smoke():
     det_sup = np.max(stack_norms(det.snapshots, g.spacing)[:, 1]) ** 2
     sups = []
     for m in range(4):
-        rec = integrate(
-            SystemKind.STOCHASTIC, u0, p, tg,
-            spec=spec, rng=stream_rng(17, m), epsilon=0.1,
+        ((states,),), failed = record_batch(
+            (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg, spec=spec,
+            noise=IncrementStreams([stream_rng(17, m)], tg.steps, 8, tg.dt), epsilons=(0.1,),
         )
-        sups.append(np.max(stack_norms(rec.snapshots, g.spacing)[:, 1]) ** 2)
+        assert failed == []
+        sups.append(np.max(stack_norms(states, g.spacing)[:, 1]) ** 2)
     assert det_sup / 3.0 <= float(np.mean(sups)) <= 3.0 * det_sup
 
 
@@ -555,12 +587,16 @@ def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
 
 
 def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
-    return integrate(
-        kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(),
-        BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
-        base=_base_for((kind,), base),
-        rng=stream_rng(seed, j), epsilon=epsilons[j], seed_info=(seed, j),
-    )
+    """Column j of ``kind`` run alone: the ``integrate`` record of a noiseless
+    kind, the width-1 batch of a noisy one."""
+    if kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON):
+        return integrate(
+            kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(),
+            BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
+        ).snapshots
+    seen, failed = _run_batch((kind,), (initial,), epsilons, ctrl, base, seed, [j])
+    assert failed == []
+    return seen[j][0]
 
 
 BATCH_CASES = [(kind,) for kind in SystemKind] + [
@@ -606,14 +642,14 @@ def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts,
                     assert states.tobytes() == states_alone.tobytes(), j
                 continue
             for k, kind in enumerate(kinds):
-                rec = _single_run(kind, initial[k], epsilons, ctrl, base, seed, j)
-                assert seen[j][k].tobytes() == rec.snapshots.tobytes(), (kind, j)
+                alone = _single_run(kind, initial[k], epsilons, ctrl, base, seed, j)
+                assert seen[j][k].tobytes() == alone.tobytes(), (kind, j)
                 if kind is SystemKind.STOCHASTIC and epsilons[j] == 0.0:
                     # criterion 4 inside a batch that may hold noisy and retired columns
                     det = _single_run(
                         SystemKind.DETERMINISTIC, initial[k], epsilons, ctrl, base, seed, j
                     )
-                    assert seen[j][k].tobytes() == det.snapshots.tobytes(), j
+                    assert seen[j][k].tobytes() == det.tobytes(), j
 
 
 def test_integrate_batch_checks_its_inputs():
@@ -655,19 +691,19 @@ BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME
 )
 def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, with_base, batch):
     # a control drives only the controlled kinds, a base only the linearized
-    # one; both entry points reject every other combination before stepping
+    # one; both entry points reject every other combination before stepping,
+    # and integrate, which takes no base, every noisy kind
     controlled = kind in (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
     linearized = kind is SystemKind.LINEARIZED_CLT
-    valid = (
-        (with_spec or kind is SystemKind.DETERMINISTIC)
-        and with_ctrl == controlled
-        and with_base == linearized
-    )
+    valid = (with_spec or kind is SystemKind.DETERMINISTIC) and with_ctrl == controlled
+    if batch:
+        valid = valid and with_base == linearized
+    else:
+        valid = valid and kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON)
     initial = zero_field(BATCH_GRID) if linearized else initial_profile(BATCH_GRID)
     inputs = dict(
         spec=BATCH_SPEC if with_spec else None,
         ctrl=BATCH_CONTROL if with_ctrl else None,
-        base=BATCH_BASE if with_base else None,
     )
 
     def run():
@@ -679,11 +715,9 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, 
                     [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
                     BATCH_TIME.dt,
                 ),
-                epsilons=[0.1, 0.1], **inputs,
+                epsilons=[0.1, 0.1], base=BATCH_BASE if with_base else None, **inputs,
             )
-        return integrate(
-            kind, initial, ModelParams(), BATCH_TIME, rng=stream_rng(0), epsilon=0.1, **inputs
-        )
+        return integrate(kind, initial, ModelParams(), BATCH_TIME, **inputs)
 
     if valid:
         run()

@@ -21,7 +21,14 @@ from llblab.ldp import (
     estimate_rate,
     weak_convergence_experiment,
 )
-from llblab.noise import ControlPath, make_covariance, single_mode_control, zero_control
+from llblab.noise import (
+    ControlPath,
+    IncrementStreams,
+    make_covariance,
+    single_mode_control,
+    zero_control,
+)
+from conftest import record_batch
 
 GRID = make_grid(31)
 PARAMS = ModelParams()
@@ -272,17 +279,16 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
         SystemKind.SKELETON, initial_profile(GRID), PARAMS, tg, spec=SPEC, ctrl=ctrl, stride=1
     )
     for i, row in enumerate(rows):
-        metrics = [
-            path_gap(
-                integrate(
-                    SystemKind.CONTROLLED_STOCHASTIC, initial_profile(GRID),
-                    PARAMS, tg, spec=SPEC, ctrl=ctrl,
-                    rng=stream_rng(9, i, m), epsilon=row.epsilon, stride=1,
-                ).snapshots,
-                skeleton.snapshots, GRID.spacing, tg.dt, PARAMS.nu1,
+        metrics = []
+        for m in range(3):
+            ((states,),), failed = record_batch(
+                (SystemKind.CONTROLLED_STOCHASTIC,), GRID,
+                (initial_profile(GRID).values[..., None],), PARAMS, tg, spec=SPEC, ctrl=ctrl,
+                noise=IncrementStreams([stream_rng(9, i, m)], tg.steps, 8, tg.dt),
+                epsilons=(row.epsilon,),
             )
-            for m in range(3)
-        ]
+            assert failed == []
+            metrics.append(path_gap(states, skeleton.snapshots, GRID.spacing, tg.dt, PARAMS.nu1))
         assert row.mean_metric == pytest.approx(float(np.mean(metrics)), rel=1e-12, abs=0.0)
     assert rows[1].mean_metric == 0.0
     # batches of any width give the same bits (the ensemble driver is clt.run_columns)
@@ -291,15 +297,6 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
 
 
 # --- compactness probe --------------------------------------------------------------------
-
-def test_compactness_zero_perturbation():
-    tg = tgrid()
-    table = compactness_probe(
-        zero_control(tg.steps, 8, tg.dt), [2], PARAMS, tg, SPEC, initial_profile(GRID),
-        unit_cost=0.0,
-    )
-    assert table[0][1] == 0.0
-
 
 def test_compactness_decreasing_in_mode():
     tg = tgrid(250)

@@ -18,7 +18,6 @@ from llblab.dynamics import (
 from llblab.field import make_grid
 from llblab.noise import (
     ControlPath,
-    CovarianceSpec,
     IncrementStreams,
     increment_path,
     make_covariance,
@@ -274,12 +273,6 @@ def test_control_csv_requires_header(tmp_path):
     path.write_text("0,1,1,0.5\n")
     with pytest.raises(ValueError, match="header"):
         read_control_coefficients(path, 1, 1)
-
-
-def test_amplitude_scale_zero_silences_noise():
-    spec = CovarianceSpec(4, 4.0, amplitude_scale=0.0)
-    assert np.all(mode_matrix(spec, make_grid(31)) @ np.ones((4, 3)) == 0.0)
-    assert spec.h1_trace == 0.0
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 500])
