@@ -12,7 +12,9 @@ deviation system obtained by differentiating the step map at eps = 0. The
 linear system is exactly that derivative, so coupled runs on a shared noise
 path converge to each other at first order in eps by construction. Its
 transpose, swept backward over a dense skeleton record, is the discrete
-adjoint that gives exact control gradients of terminal functionals.
+adjoint that gives exact control gradients of terminal functionals; the sweep
+takes the base-state terms, those that do not depend on the adjoint, one
+chunk of snapshots at a time.
 
 Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
 in the worst case; the integrator tracks the observed ratio and reports it on
@@ -301,12 +303,25 @@ def _linear_rhs_values(
     return out
 
 
+def _stack_terms(
+    stack: np.ndarray, params: ModelParams, dt: float, h: float, drive: np.ndarray, coef: np.ndarray
+) -> None:
+    """dt gamma Lap b and dt nu2 (1 + mu |b|^2) of every snapshot b of the
+    node-major stack (n, 3, S), written into ``drive`` (n, 3, S) and ``coef``
+    (n, S) with the operations, and so the bits, of the per-snapshot terms."""
+    sq_norm_values(stack, out=coef, work=drive)
+    coef *= params.mu
+    coef += 1.0
+    coef *= dt * params.nu2
+    lap_values(stack, h, out=drive)
+    drive *= dt * params.gamma
+
+
 def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float, width: int):
     """``base_terms(n)``: the (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)) of base
     snapshot n for ``_linear_rhs_values``, the first two repeated over ``width``
     columns. The Laplacians and norms are taken for ``STACK_CHUNK`` snapshots at
-    a time, as node-major stack operations with the bits of the per-snapshot
-    ones, so memory holds one chunk."""
+    a time (``_stack_terms``), so memory holds one chunk."""
     chunk = {}
     # one pair of chunk buffers for the run; the last chunk may use part of them
     size = min(STACK_CHUNK, len(snaps))
@@ -319,17 +334,11 @@ def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float, wid
     def base_terms(n):
         first = n - n % STACK_CHUNK
         if chunk.get("first") != first:
-            # in place, with the operations of dt*gamma * Lap b and dt*nu2 * (1 + mu |b|^2)
             stack = np.moveaxis(snaps[first:first + STACK_CHUNK], 0, -1)
             count = stack.shape[2]
             drive = chunk_drive[..., :count]
             coef = chunk_coef[:, :count]
-            sq_norm_values(stack, out=coef, work=drive)
-            coef *= params.mu
-            coef += 1.0
-            coef *= dt * params.nu2
-            lap_values(stack, h, out=drive)
-            drive *= dt * params.gamma
+            _stack_terms(stack, params, dt, h, drive, coef)
             chunk.update(first=first, drive=drive, coef=coef)
         k = n - first
         np.copyto(b, snaps[n][..., None])
@@ -337,38 +346,6 @@ def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float, wid
         return b, b_drive, chunk["coef"][:, k:k + 1]
 
     return base_terms
-
-
-def _step_transpose_values(
-    lam: np.ndarray,
-    v: np.ndarray,
-    lap_v: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    c: float,
-    g: np.ndarray | None,
-    h: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose of the tangent of the nonlinear step (``_rhs_values`` and its
-    solve) at ``v``, applied to ``lam``.
-
-    Returns ``(lam_prev, mu)`` with ``mu = (I - c*Lap)^{-1} lam``; the Helmholtz
-    matrix is symmetric, so the same solve is its own transpose. The precession
-    and forcing terms are (dt gamma Lap v + g) x mu + dt gamma Lap(mu x v).
-    """
-    mu = helm_values(lam, h, c)
-    out = mu
-    drive = _drive(lap_v, params, dt, g)
-    if drive is not None:
-        out = out + cross_values(drive, mu)
-    if params.gamma != 0.0:
-        out = out + (dt * params.gamma) * lap_values(cross_values(mu, v), h)
-    if params.nu2 != 0.0:
-        out = out - (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(v)))[:, None] * mu
-        if params.mu != 0.0:
-            dot = np.einsum("ij,ij->i", v, mu)
-            out = out - (2.0 * dt * params.nu2 * params.mu) * dot[:, None] * v
-    return out, mu
 
 
 def _check_inputs(
@@ -641,25 +618,82 @@ def skeleton_adjoint(
     the (steps, K, 3) array of dPhi/dc_n, the derivative with respect to the
     control coefficients of every step, exact to rounding for the discrete
     scheme.
+
+    Step n transposes the tangent of the nonlinear step (``_rhs_values`` and
+    its solve) at u_n. With w = (I - c Lap)^{-1} lam (the Helmholtz matrix is
+    symmetric, so the solve is its own transpose) it maps lam to
+
+        w + (dt gamma Lap u_n + g_n) x w + dt gamma Lap(w x u_n)
+          - dt nu2 (1 + mu |u_n|^2) w - 2 dt nu2 mu (u_n . w) u_n,
+
+    and dPhi/dc_n = dt mode_mat^T (w x u_n). The sweep takes the base-state
+    terms a chunk of at most ``STACK_CHUNK`` steps at a time, as stack
+    operations with the bits of the per-step ones: dt gamma Lap u_n and
+    dt nu2 (1 + mu |u_n|^2) (``_stack_terms``), and the control fields
+    g_n = dt mode_mat c_n from one matmul, with a flag per step for a nonzero
+    field: a zero one is skipped, as the forward step skips it (``_drive``).
+    A step then does only the work that depends on lam, and keeps w x u_n for
+    the one matmul that gives the chunk's sensitivities.
+
+    Raises ValueError, before any work, unless ``record`` stores every step
+    of ``tgrid`` of a skeleton run, ``ctrl`` fits ``tgrid`` and ``spec``, and
+    ``terminal`` is one (n_interior, 3) field.
     """
     if record.kind != SystemKind.SKELETON.value:
         raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
-    if record.steps != tgrid.steps or not record.dense:
+    if not record.dense or not np.array_equal(record.times, tgrid.times):
         raise ValueError("adjoint sweep needs a record storing every step of the time grid")
-    if ctrl.coefficients.shape != (tgrid.steps, spec.mode_count, 3):
-        raise ValueError(f"control shape {ctrl.coefficients.shape} does not match the run")
+    _check_inputs((SystemKind.SKELETON,), record.grid, tgrid, spec, ctrl, None)
+    nodes = record.grid.n_interior
+    lam = np.asarray(terminal, dtype=float)
+    if lam.shape != (nodes, 3):
+        raise ValueError(f"terminal has shape {lam.shape}, the grid's fields {(nodes, 3)}")
     params = record.params
     h = record.grid.spacing
     dt = tgrid.dt
     c = dt * params.nu1
+    damping = 2.0 * dt * params.nu2 * params.mu
     mode_mat = mode_matrix(spec, record.grid)
     sens = np.empty_like(ctrl.coefficients)
-    lam = np.asarray(terminal, dtype=float)
-    for n in range(tgrid.steps - 1, -1, -1):
-        u = record.snapshots[n]
-        g = dt * (mode_mat @ ctrl.coefficients[n])
-        lam, mu = _step_transpose_values(lam, u, lap_values(u, h), params, dt, c, g, h)
-        sens[n] = dt * (mode_mat.T @ cross_values(mu, u))
+    # chunk buffers for the sweep, one step per row, so a step reads and
+    # writes contiguous (n, 3) fields
+    size = min(STACK_CHUNK, tgrid.steps)
+    fields, drives, w_cross_u = (np.empty((size, nodes, 3)) for _ in range(3))
+    coefs = np.empty((size, nodes))
+    for first in reversed(range(0, tgrid.steps, STACK_CHUNK)):
+        last = min(first + STACK_CHUNK, tgrid.steps)
+        count = last - first
+        snaps = record.snapshots[first:last]
+        drive, coef = drives[:count], coefs[:count]
+        _stack_terms(
+            np.moveaxis(snaps, 0, -1), params, dt, h,
+            np.moveaxis(drive, 0, -1), np.moveaxis(coef, 0, -1),
+        )
+        g = np.matmul(mode_mat, ctrl.coefficients[first:last], out=fields[:count])
+        g *= dt
+        live = g.reshape(count, -1).any(axis=1)
+        if params.gamma != 0.0:
+            np.add(drive, g, out=drive, where=live[:, None, None])
+            live[:] = True
+        else:
+            drive = g
+        for k in range(count - 1, -1, -1):
+            u = snaps[k]
+            w = helm_values(lam, h, c)
+            lam = w
+            if live[k]:
+                lam = lam + cross_values(drive[k], w)
+            w_u = cross_values(w, u, out=w_cross_u[k])
+            if params.gamma != 0.0:
+                lam = lam + (dt * params.gamma) * lap_values(w_u, h)
+            if params.nu2 != 0.0:
+                lam = lam - coef[k][:, None] * w
+                if params.mu != 0.0:
+                    # einsum picks its sum order from the layout; with w in the
+                    # solver's order it has the bits of the slower dot_values
+                    lam = lam - damping * np.einsum("ij,ij->i", u, w)[:, None] * u
+        chunk_sens = np.matmul(mode_mat.T, w_cross_u[:count], out=sens[first:last])
+        chunk_sens *= dt
     return sens
 
 

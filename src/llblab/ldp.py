@@ -9,12 +9,14 @@ over a deliberately coarse control parameterization (a few modes, a few time
 slabs). Its gradient is the exact gradient of this discrete objective
 (discretize-then-optimize): one dense skeleton solve forward and one sweep of
 the transposed step map backward (``dynamics.skeleton_adjoint``), whatever the
-number of unknowns. The optimizer is steepest descent with Barzilai-Borwein
-steps and Armijo backtracking, which keeps the penalized objective
-nonincreasing across accepted iterations; the dense record of each accepted
-point is kept, so its one gradient costs only the backward sweep. Only the
-terminal state is matched (a quasipotential-style endpoint rate); matching a
-whole path is overdetermined at desk scale.
+number of unknowns. The sweep takes the base-state terms one chunk of steps at
+a time, so each of its steps does only the work that depends on the adjoint.
+The optimizer is steepest descent with Barzilai-Borwein steps and Armijo
+backtracking, which keeps the penalized objective nonincreasing across
+accepted iterations; the dense record of each accepted point is kept, so its
+one gradient costs only the backward sweep. Only the terminal state is matched
+(a quasipotential-style endpoint rate); matching a whole path is
+overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns against
 the dense skeleton (``clt.run_columns``) and accumulates the proof metric a

@@ -16,15 +16,19 @@ from llblab.dynamics import (
     SystemKind,
     TimeGrid,
     TrajectoryRecord,
+    _drive,
     _rhs_values,
     initial_profile,
     integrate,
     integrate_batch,
+    skeleton_adjoint,
     write_fields_csv,
     write_report_csv,
 )
 from llblab.field import (
+    STACK_CHUNK,
     VectorField,
+    cross_values,
     helm_values,
     inner_l2,
     lap_values,
@@ -38,6 +42,8 @@ from llblab.noise import (
     ControlPath,
     IncrementStreams,
     make_covariance,
+    mode_matrix,
+    single_mode_control,
     stream_rng,
     zero_control,
 )
@@ -724,3 +730,138 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, 
     else:
         with pytest.raises(ValueError):
             run()
+
+
+# --- the adjoint sweep -----------------------------------------------------------------
+
+ADJOINT_GRID = make_grid(7)
+ADJOINT_SPEC = make_covariance(3, 4.0)
+ADJOINT_TIME = TimeGrid(0.25, 24)
+ADJOINT_U0 = initial_profile(ADJOINT_GRID)
+
+
+def _adjoint_oracle(record, tgrid, spec, ctrl, terminal):
+    """The adjoint sweep a step at a time: each step takes the Laplacian, the
+    squared norms and the control field of its own snapshot, and crosses mu
+    with it once for the precession term and once for the sensitivity."""
+    params = record.params
+    h = record.grid.spacing
+    dt = tgrid.dt
+    mode_mat = mode_matrix(spec, record.grid)
+    sens = np.empty_like(ctrl.coefficients)
+    lam = np.asarray(terminal, dtype=float)
+    for n in range(tgrid.steps - 1, -1, -1):
+        v = record.snapshots[n]
+        g = dt * (mode_mat @ ctrl.coefficients[n])
+        mu = helm_values(lam, h, dt * params.nu1)
+        out = mu
+        drive = _drive(lap_values(v, h), params, dt, g)
+        if drive is not None:
+            out = out + cross_values(drive, mu)
+        if params.gamma != 0.0:
+            out = out + (dt * params.gamma) * lap_values(cross_values(mu, v), h)
+        if params.nu2 != 0.0:
+            out = out - (dt * params.nu2 * (1.0 + params.mu * sq_norm_values(v)))[:, None] * mu
+            if params.mu != 0.0:
+                dot = np.einsum("ij,ij->i", v, mu)
+                out = out - (2.0 * dt * params.nu2 * params.mu) * dot[:, None] * v
+        lam = out
+        sens[n] = dt * (mode_mat.T @ cross_values(mu, v))
+    return sens
+
+
+ADJOINT_STEPS = (24, STACK_CHUNK, 300, 2 * STACK_CHUNK + 1)
+adjoint_coefficient = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+# a slab of the control is drawn, zero or negative zero
+slab_kinds = st.lists(st.sampled_from(["drawn", "zero", "negative zero"]), min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.sampled_from(ADJOINT_STEPS),
+    slabs=slab_kinds,
+    gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    nu2=adjoint_coefficient,
+    mu=adjoint_coefficient,
+    zero_components=st.sampled_from([[], [2], [0, 1, 2]]),
+    zero=st.sampled_from([0.0, -0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(steps=24, slabs=["drawn"], gamma=1.0, nu2=1.0, mu=1.0, zero_components=[], zero=0.0,
+         seed=0)
+@example(steps=STACK_CHUNK, slabs=["zero", "drawn"], gamma=0.0, nu2=1.0, mu=1.0,
+         zero_components=[], zero=0.0, seed=1)
+@example(steps=300, slabs=["drawn", "negative zero"], gamma=1.0, nu2=0.0, mu=0.0,
+         zero_components=[2], zero=0.0, seed=2)
+@example(steps=2 * STACK_CHUNK + 1, slabs=["drawn", "zero", "drawn"], gamma=-1.5, nu2=1.0,
+         mu=0.0, zero_components=[], zero=0.0, seed=3)
+# a terminal of negative zeros keeps every step's adjoint at signed zeros
+@example(steps=300, slabs=["drawn", "zero"], gamma=0.0, nu2=0.0, mu=0.0,
+         zero_components=[0, 1, 2], zero=-0.0, seed=4)
+def test_skeleton_adjoint_has_the_bits_of_the_step_by_step_sweep(
+    steps, slabs, gamma, nu2, mu, zero_components, zero, seed
+):
+    # across chunk boundaries, over control slabs whose fields are skipped as
+    # zero, with terminals that hold zeros, and with each of the coefficients
+    # that switch a term off
+    params = ModelParams(nu1=1.0, nu2=nu2, gamma=gamma, mu=mu)
+    tg = TimeGrid(0.25, steps)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(steps, ADJOINT_SPEC.mode_count, 3))
+    for kind, part in zip(slabs, np.array_split(np.arange(steps), len(slabs))):
+        if kind != "drawn":
+            coeffs[part] = 0.0 if kind == "zero" else -0.0
+    ctrl = ControlPath(coeffs, tg.dt)
+    record = integrate(SystemKind.SKELETON, ADJOINT_U0, params, tg, spec=ADJOINT_SPEC, ctrl=ctrl)
+    terminal = rng.normal(size=(ADJOINT_GRID.n_interior, 3))
+    terminal[:, zero_components] = zero
+    swept = skeleton_adjoint(record, tg, ADJOINT_SPEC, ctrl, terminal)
+    oracle = _adjoint_oracle(record, tg, ADJOINT_SPEC, ctrl, terminal)
+    assert swept.tobytes() == oracle.tobytes()
+
+
+ADJOINT_CONTROL = single_mode_control(
+    ADJOINT_TIME.steps, ADJOINT_SPEC.mode_count, ADJOINT_TIME.dt, mode=1, component=1,
+    coefficient=0.5,
+)
+ADJOINT_RECORD = integrate(
+    SystemKind.SKELETON, ADJOINT_U0, ModelParams(), ADJOINT_TIME, spec=ADJOINT_SPEC,
+    ctrl=ADJOINT_CONTROL,
+)
+LONGER_TIME = TimeGrid(1.0, ADJOINT_TIME.steps)
+
+
+def _adjoint_case(record=ADJOINT_RECORD, tgrid=ADJOINT_TIME, coefficients=None, dt=None,
+                  terminal=(ADJOINT_GRID.n_interior, 3)):
+    coefficients = ADJOINT_CONTROL.coefficients if coefficients is None else coefficients
+    ctrl = ControlPath(coefficients, tgrid.dt if dt is None else dt)
+    return record, tgrid, ADJOINT_SPEC, ctrl, np.ones(terminal)
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        (lambda: _adjoint_case(record=integrate(
+            SystemKind.DETERMINISTIC, ADJOINT_U0, ModelParams(), ADJOINT_TIME)),
+         "skeleton record"),
+        (lambda: _adjoint_case(record=integrate(
+            SystemKind.SKELETON, ADJOINT_U0, ModelParams(), ADJOINT_TIME, spec=ADJOINT_SPEC,
+            ctrl=ADJOINT_CONTROL, stride=2)),
+         "every step"),
+        # the same number of steps over another horizon
+        (lambda: _adjoint_case(tgrid=LONGER_TIME), "every step"),
+        (lambda: _adjoint_case(coefficients=ADJOINT_CONTROL.coefficients[1:]), "23 steps"),
+        (lambda: _adjoint_case(coefficients=ADJOINT_CONTROL.coefficients[:, :2]), "2 modes"),
+        (lambda: _adjoint_case(dt=LONGER_TIME.dt), "control dt"),
+        (lambda: _adjoint_case(terminal=(3,)), "terminal"),
+        (lambda: _adjoint_case(terminal=(7, 1)), "terminal"),
+        (lambda: _adjoint_case(terminal=(6, 3)), "terminal"),
+    ],
+    ids=[
+        "deterministic-record", "strided-record", "other-horizon", "control-steps",
+        "control-modes", "control-dt", "terminal-3", "terminal-7x1", "terminal-6x3",
+    ],
+)
+def test_skeleton_adjoint_rejects_inputs_that_do_not_fit_the_run(case, match):
+    with pytest.raises(ValueError, match=match):
+        skeleton_adjoint(*case())
