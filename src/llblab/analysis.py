@@ -1,15 +1,18 @@
-"""Identity checkers, inequality monitors, and convergence-rate fitting.
+"""Identity checks, inequality monitors, the proof metric and convergence-rate fitting.
 
-The two cross-product identities are algebraically exact for the discrete
-operators, so their residuals are pure rounding noise and are checked at
-1e-12 after scale normalization. Quadrature-limited identities (the cubic
-damping identity, the energy monitor) carry O(h) or O(dt) defects and are
+Summation by parts, the cross-product orthogonalities and the vector form of
+the cubic damping identity are exact for the discrete operators, so their
+residuals are pure rounding noise for any node values and are checked at
+1e-12 after scale normalization. The checks take node-major batches
+(n, 3, M) through the array kernels of ``field``, every per-column sum
+through ``column_sq_sums``, so a pair's residuals have the same bits alone
+(``check_identities``, ``check_cubic_identity``) or in any chunk of
+``identity_suite``. The energy monitor carries an O(dt) defect and is
 checked by refinement ratios instead of absolute thresholds.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,19 +20,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import (
+    STACK_CHUNK,
     VectorField,
     column_sq_sums,
-    cross,
     cross_values,
     dot_values,
     grad_values,
-    inner_l2,
+    helm_values,
     lap_values,
-    laplacian,
+    make_grid,
     map_stack,
-    norms,
     scratch,
     sq_norm_values,
+    stack_norms,
 )
 from .dynamics import ModelParams, TrajectoryRecord
 
@@ -47,8 +50,6 @@ __all__ = [
     "StreamedPathGap",
     "identity_suite",
 ]
-
-logger = logging.getLogger(__name__)
 
 EXACT_IDENTITY_TOL = 1.0e-12
 
@@ -96,6 +97,24 @@ def sample_stats(values) -> SampleStats:
     return SampleStats(float(np.mean(ok)), se, len(ok), n_failed)
 
 
+def _norm_rows(v: np.ndarray, h: float) -> np.ndarray:
+    """Rows (l2, h1_semi, h2_semi, linf) of every column of the node-major batch v (n, 3, M)."""
+    return stack_norms(np.moveaxis(v, -1, 0), h).T
+
+
+def _cross_residuals(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Rows (cross-orthogonality, precession-orthogonality, precession-bound) of
+    every column pair of the node-major batches u, v (n, 3, M); see ``check_identities``."""
+    l2_u, h1_u, h2_u, linf_u = _norm_rows(u, h)
+    l2_v, _, h2_v, _ = _norm_rows(v, h)
+    u_lap_v = cross_values(u, lap_values(v, h))
+    r1 = np.abs(h * column_sq_sums(cross_values(u, v), v)) / (1.0 + linf_u * l2_v**2)
+    r2 = np.abs(h * column_sq_sums(u_lap_v, u)) / (1.0 + linf_u**2 * h2_v)
+    lhs = np.abs(h * column_sq_sums(u_lap_v, lap_values(u, h)))
+    rhs = h2_u**2 + 2.0 * (1.0 + 10.0 * h) * h2_v**2 * (l2_u**2 + h1_u**2)
+    return np.stack([r1, r2, np.maximum(0.0, lhs - rhs)])
+
+
 def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
     """Residuals of the exact cross-product identities and the mixed bound.
 
@@ -107,26 +126,11 @@ def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
     """
     if u.grid != v.grid:
         raise ValueError("fields must share a grid")
-    nu = norms(u)
-    nv = norms(v)
-    lap_v = laplacian(v)
-
-    r1 = abs(inner_l2(cross(u, v), v))
-    s1 = 1.0 + nu.linf * nv.l2**2
-    r2 = abs(inner_l2(cross(u, lap_v), u))
-    s2 = 1.0 + nu.linf**2 * nv.h2_semi
-
-    h = u.grid.spacing
-    lhs = abs(inner_l2(cross(u, lap_v), laplacian(u)))
-    c_d = 2.0 * (1.0 + 10.0 * h)
-    u_h1_sq = nu.l2**2 + nu.h1_semi**2
-    rhs = nu.h2_semi**2 + c_d * nv.h2_semi**2 * u_h1_sq
-    violation = max(0.0, lhs - rhs)
-
+    r1, r2, violation = _cross_residuals(u.values[..., None], v.values[..., None], u.grid.spacing)
     return [
-        IdentityReport("cross-orthogonality", r1 / s1, EXACT_IDENTITY_TOL),
-        IdentityReport("precession-orthogonality", r2 / s2, EXACT_IDENTITY_TOL),
-        IdentityReport("precession-bound", violation, 0.0),
+        IdentityReport("cross-orthogonality", float(r1[0]), EXACT_IDENTITY_TOL),
+        IdentityReport("precession-orthogonality", float(r2[0]), EXACT_IDENTITY_TOL),
+        IdentityReport("precession-bound", float(violation[0]), 0.0),
     ]
 
 
@@ -141,11 +145,32 @@ def _edge_average(v: np.ndarray) -> np.ndarray:
 
 def _cubic_term(v: np.ndarray, h: float) -> np.ndarray:
     """Edge quadrature of |u|^2 |du|^2 + 2 (u.du)^2 with edge-averaged |u|^2 and u,
-    for one (n, 3) field or each column of a node-major batch (n, 3, M)."""
+    for each column of a node-major batch (n, 3, M): the energy monitor's sum."""
     grad = grad_values(v, h)
     dot = dot_values(_edge_average(v), grad)
     density = _edge_average(sq_norm_values(v)) * sq_norm_values(grad) + 2.0 * dot**2
     return h * np.sum(density, axis=0)
+
+
+def _cubic_residuals(u: np.ndarray, h: float, mu: float) -> np.ndarray:
+    """Rows (vector form, colinear form, vector form / its scale) of the cubic
+    damping identity of every column of the node-major batch u (n, 3, M).
+
+    The edge density |u|^2 |du|^2 + 2 (u.du)^2 is the inner product of du with
+    |u|^2 du + 2 (u.du) u, so each sum is one column reduction.
+    """
+    r = sq_norm_values(u)
+    lhs = h * column_sq_sums((1.0 + mu * r)[:, None] * u, lap_values(u, h))
+    grad = grad_values(u, h)
+    h1_sq = h * column_sq_sums(grad)
+    u_edge = _edge_average(u)
+    r_grad = _edge_average(r)[:, None] * grad
+    vector = lhs + h1_sq + mu * h * column_sq_sums(
+        r_grad + 2.0 * dot_values(u_edge, grad)[:, None] * u_edge, grad
+    )
+    colinear = lhs + h1_sq + mu * 3.0 * h * column_sq_sums(r_grad, grad)
+    _, h1_semi, _, linf = _norm_rows(u, h)
+    return np.stack([vector, colinear, vector / (1.0 + h1_semi**2 * (1.0 + mu * linf**2))])
 
 
 def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, float]:
@@ -160,41 +185,15 @@ def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, fl
     exactly when u is pointwise parallel to its derivative and differ at O(1)
     otherwise.
     """
-    grid = u.grid
-    h = grid.spacing
-    v = u.values
-    lap = lap_values(v, h)
-
-    r = sq_norm_values(v)
-    lhs = h * float(np.vdot((1.0 + mu * r)[:, None] * v, lap))
-
-    grad = grad_values(v, h)
-    grad_sq = np.einsum("ij,ij->i", grad, grad)
-    h1_sq = h * float(np.sum(grad_sq))
-
-    cubic_vec = float(_cubic_term(v, h))
-    cubic_colinear = 3.0 * h * float(np.sum(_edge_average(r) * grad_sq))
-
-    vector_residual = lhs + h1_sq + mu * cubic_vec
-    colinear_residual = lhs + h1_sq + mu * cubic_colinear
-    return vector_residual, colinear_residual
+    vector, colinear, _ = _cubic_residuals(u.values[..., None], u.grid.spacing, mu)[:, 0]
+    return float(vector), float(colinear)
 
 
 def check_cubic_identity(u: VectorField, mu: float = 1.0) -> IdentityReport:
-    """Scale-normalized residual of the exact vector identity.
-
-    The colinear variant is logged at debug level for comparison; it is not
-    asserted because the two forms agree only for pointwise-parallel fields.
-    """
-    vector_residual, colinear_residual = cubic_identity_residuals(u, mu)
-    logger.debug(
-        "cubic identity residuals: vector %.3e, colinear %.3e",
-        vector_residual,
-        colinear_residual,
-    )
-    rep = norms(u)
-    scale = 1.0 + rep.h1_semi**2 * (1.0 + mu * rep.linf**2)
-    return IdentityReport("cubic-damping-identity", vector_residual / scale, EXACT_IDENTITY_TOL)
+    """Scale-normalized residual of the exact vector identity; the colinear form
+    is not checked, because the two forms agree only for pointwise-parallel fields."""
+    residual = _cubic_residuals(u.values[..., None], u.grid.spacing, mu)[2, 0]
+    return IdentityReport("cubic-damping-identity", float(residual), EXACT_IDENTITY_TOL)
 
 
 def fit_slope(points) -> SlopeFit:
@@ -304,72 +303,63 @@ class StreamedPathGap:
         return self._sup_grad_sq + self.nu1 * self.dt * self._lap_sq_sum
 
 
+def _pair_residuals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """The nine random-pair residuals of ``identity_suite`` in the order of its rows,
+    for every column pair of the node-major batches a, b (n, 3, M), shape (9, M);
+    a column's bits do not depend on the others."""
+    grad_ab = h * column_sq_sums(grad_values(a, h), grad_values(b, h))
+    sbp = np.abs(h * column_sq_sums(lap_values(a, h), b) + grad_ab) / (1.0 + np.abs(grad_ab))
+    ab = cross_values(a, b)
+    asym = np.abs(ab + cross_values(b, a)).max(axis=(0, 1))
+    ortho = np.maximum(np.abs(dot_values(ab, a)), np.abs(dot_values(ab, b))).max(axis=0)
+    l2, h1_semi, _, linf = _norm_rows(a, h)
+    interp = np.maximum(0.0, linf**2 - 2.0 * l2 * np.hypot(l2, h1_semi) * (1.0 + 10.0 * h))
+    c = 0.1
+    sol = helm_values(a, h, c)
+    resid = sol - c * lap_values(sol, h) - a
+    helm = np.sqrt(column_sq_sums(resid) / column_sq_sums(a))
+    cubic = np.abs(_cubic_residuals(a, h, 1.0)[2])
+    return np.stack([sbp, asym, ortho, *_cross_residuals(a, b, h), interp, cubic, helm])
+
+
 def identity_suite(
     grid_sizes=(31, 127, 255),
     samples: int = 1000,
     base_seed: int = 0,
 ) -> list[IdentityReport]:
-    """Worst-case identity residuals over random field sweeps, one row per check."""
-    from .field import make_grid, zero_field, gradient, edge_inner, helm_values
+    """Worst-case identity residuals over random field sweeps, one row per check.
 
+    Each grid draws its sample pairs in chunks of at most ``STACK_CHUNK`` and
+    checks a chunk as one node-major batch, so memory stays at one chunk's
+    whatever the number of samples.
+    """
+    checks = (
+        ("summation-by-parts", EXACT_IDENTITY_TOL),
+        ("cross-antisymmetry", 0.0),
+        ("pointwise-orthogonality", 1.0e-14),
+        ("cross-orthogonality", EXACT_IDENTITY_TOL),
+        ("precession-orthogonality", EXACT_IDENTITY_TOL),
+        ("precession-bound", 0.0),
+        ("interpolation-inequality", 0.0),
+        ("cubic-damping-identity", EXACT_IDENTITY_TOL),
+        ("helmholtz-roundtrip", 1.0e-10),
+    )
     out = []
     for n in grid_sizes:
-        grid = make_grid(n)
-        h = grid.spacing
+        h = make_grid(n).spacing
         rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(n,)))
-        w_sbp = w_asym = w_ortho = w_r1 = w_r2 = w_bound = w_interp = w_helm = 0.0
-        w_cubic = 0.0
-        for _ in range(samples):
+        worst = np.zeros(len(checks))
+        for first in range(0, samples, STACK_CHUNK):
             # O(1) amplitudes so the absolute pointwise checks are meaningful;
-            # the scale-normalized residuals are magnitude-independent anyway
-            a = VectorField(grid, rng.uniform(-1.0, 1.0, size=(n, 3)))
-            b = VectorField(grid, rng.uniform(-1.0, 1.0, size=(n, 3)))
-
-            lhs = inner_l2(laplacian(a), b)
-            rhs = edge_inner(grid, gradient(a), gradient(b))
-            w_sbp = max(w_sbp, abs(lhs + rhs) / (1.0 + abs(rhs)))
-
-            ab = cross_values(a.values, b.values)
-            ba = cross_values(b.values, a.values)
-            w_asym = max(w_asym, float(np.max(np.abs(ab + ba))))
-            w_ortho = max(
-                w_ortho,
-                float(np.max(np.abs(np.einsum("ij,ij->i", ab, a.values)))),
-                float(np.max(np.abs(np.einsum("ij,ij->i", ab, b.values)))),
-            )
-
-            reps = check_identities(a, b)
-            w_r1 = max(w_r1, abs(reps[0].residual))
-            w_r2 = max(w_r2, abs(reps[1].residual))
-            w_bound = max(w_bound, reps[2].residual)
-
-            na = norms(a)
-            interp_rhs = 2.0 * na.l2 * math.hypot(na.l2, na.h1_semi) * (1.0 + 10.0 * h)
-            w_interp = max(w_interp, max(0.0, na.linf**2 - interp_rhs))
-
-            w_cubic = max(w_cubic, abs(check_cubic_identity(a).residual))
-
-            c = 0.1
-            sol = helm_values(a.values, h, c)
-            resid = sol - c * lap_values(sol, h) - a.values
-            w_helm = max(
-                w_helm,
-                math.sqrt(float(np.vdot(resid, resid)) / float(np.vdot(a.values, a.values))),
-            )
-        zero_reps = check_identities(zero_field(grid), zero_field(grid))
-        w_zero = max(abs(r.residual) for r in zero_reps)
+            # the scale-normalized residuals are magnitude-independent anyway.
+            # Pair s of the chunk is (pairs[s, 0], pairs[s, 1]).
+            pairs = rng.uniform(-1.0, 1.0, size=(min(STACK_CHUNK, samples - first), 2, n, 3))
+            a, b = np.moveaxis(pairs, 0, -1)
+            np.maximum(worst, _pair_residuals(a, b, h).max(axis=1), out=worst)
+        zero = np.zeros((n, 3, 1))
+        w_zero = float(_cross_residuals(zero, zero, h).max())
         out.append(IdentityReport(f"zero-field/n={n}", w_zero, 0.0))
         out.extend(
-            [
-                IdentityReport(f"summation-by-parts/n={n}", w_sbp, EXACT_IDENTITY_TOL),
-                IdentityReport(f"cross-antisymmetry/n={n}", w_asym, 0.0),
-                IdentityReport(f"pointwise-orthogonality/n={n}", w_ortho, 1.0e-14),
-                IdentityReport(f"cross-orthogonality/n={n}", w_r1, EXACT_IDENTITY_TOL),
-                IdentityReport(f"precession-orthogonality/n={n}", w_r2, EXACT_IDENTITY_TOL),
-                IdentityReport(f"precession-bound/n={n}", w_bound, 0.0),
-                IdentityReport(f"interpolation-inequality/n={n}", w_interp, 0.0),
-                IdentityReport(f"cubic-damping-identity/n={n}", w_cubic, EXACT_IDENTITY_TOL),
-                IdentityReport(f"helmholtz-roundtrip/n={n}", w_helm, 1.0e-10),
-            ]
+            IdentityReport(f"{name}/n={n}", float(w), tol) for (name, tol), w in zip(checks, worst)
         )
     return out

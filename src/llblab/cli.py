@@ -36,6 +36,8 @@ import numpy as np
 from . import __version__
 from .analysis import energy_drift, identity_suite, sample_stats
 from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
+# imported as _write_json: perfbench/tracer.py wraps cli._write_json by name
+from .clt import write_json as _write_json
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -52,6 +54,7 @@ from .ldp import (
     WeakRow,
     compactness_probe,
     estimate_rate,
+    final_penalty,
     weak_convergence_experiment,
 )
 # stream_rng stays bound here, unused: perfbench/tracer.py patches cli.stream_rng by name
@@ -279,6 +282,14 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     if kind == "rate" and settings["rate.modes"] > settings["noise.modes"]:
         cross_errors.append("rate.modes: must not exceed noise.modes")
+    if kind == "rate" and not math.isfinite(
+        2.0 * final_penalty(settings["rate.penalty"], settings["rate.continuation"])
+    ):
+        cross_errors.append(
+            "rate.penalty, rate.continuation: twice the last round's penalty, rate.penalty "
+            f"times 10 ** rate.continuation, overflows ({settings['rate.penalty']!r} after "
+            f"{settings['rate.continuation']} rounds)"
+        )
     if kind == "compactness" and max(settings["compact.modes"]) > settings["noise.modes"]:
         cross_errors.append("compact.modes: entries must not exceed noise.modes")
     if kind == "weak-convergence" and settings["weak.mode"] > settings["noise.modes"]:
@@ -298,12 +309,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _error(code: int, kind: str, **detail) -> int:

@@ -20,12 +20,17 @@ column march in lockstep over the dense base u0 and read the same
 increments, and the per-sample error is the proof metric of
 V_eps - V0 with V_eps = (u_eps - u0)/sqrt(eps). ``sup_grad_ensemble`` gives
 sup_t ||grad u_eps||^2 of the noisy flow alone, the a priori bound.
+
+``write_json`` writes every JSON output of the package, this experiment's
+summary and the CLI's, as strict JSON: an epsilon whose samples all blew up
+has no mean, and its NaN is written as null.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +61,7 @@ __all__ = [
     "sup_grad_ensemble",
     "write_clt_csv",
     "write_clt_summary",
+    "write_json",
 ]
 
 
@@ -284,6 +290,24 @@ def write_clt_summary(report: CltReport, path) -> None:
         "n_failures": len(report.failures),
         "failures": [f._asdict() for f in report.failures],
     }
+    write_json(path, payload)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in its dicts, lists and tuples replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, the one JSON writer of
+    every output. JSON has no inf or nan (RFC 8259): a non-finite float is written
+    as null, such as the mean of an epsilon whose samples all blew up."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

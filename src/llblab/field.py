@@ -11,12 +11,15 @@ needed. The two routines come from scipy's compiled LAPACK wrappers, the
 ``scipy/linalg/_flapack`` extension, loaded from its file: importing the
 ``scipy.linalg`` package would cost every process about 0.4 s and 20 MB.
 
-The array kernels take one (n, 3) field or a node-major batch (n, 3, M) of M
-fields, and treat every column of a batch exactly as they treat that column
-alone: pointwise kernels use the same floating-point operations in the same
-order whatever the layout, and the tridiagonal solve runs LAPACK on each
-right-hand side separately. A batch therefore reproduces its single-field
-runs bit for bit.
+``VectorField`` only pairs a grid with its (n, 3) values: every operator is an
+array kernel. The kernels take the values of one field or a node-major batch
+(n, 3, M) of M fields, and treat every column of a batch exactly as they
+treat that column alone: pointwise kernels use the same floating-point
+operations in the same order whatever the layout, the tridiagonal solve runs
+LAPACK on each right-hand side separately, and ``column_sq_sums``, the column
+reduction of the norms and inner products, sums each column from a
+contiguous row of its own. A batch therefore reproduces its single-field
+results bit for bit.
 
 The stencils and pointwise products (``lap_values``, ``grad_values``,
 ``cross_values``, ``dot_values``) write into a caller's ``out=`` array when
@@ -53,16 +56,9 @@ from numpy.linalg import LinAlgError
 __all__ = [
     "Grid1D",
     "VectorField",
-    "EnergyReport",
     "make_grid",
     "zero_field",
-    "laplacian",
-    "gradient",
-    "cross",
-    "inner_l2",
-    "edge_inner",
     "stack_norms",
-    "norms",
     "h1_norm",
     "csv_rows",
 ]
@@ -115,29 +111,8 @@ class VectorField:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Discrete norms of a field at one instant.
-
-    l2       L2 norm
-    h1_semi  L2 norm of the edge gradient
-    h2_semi  L2 norm of the node Laplacian
-    linf     max node Euclidean norm
-    """
-
-    l2: float
-    h1_semi: float
-    h2_semi: float
-    linf: float
-
-
 def zero_field(grid: Grid1D) -> VectorField:
     return VectorField(grid, np.zeros((grid.n_interior, 3)))
-
-
-def _same_grid(f: VectorField, g: VectorField) -> None:
-    if f.grid != g.grid:
-        raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +256,19 @@ def sq_norm_values(
     return dot_values(v, v, out, work)
 
 
-def column_sq_sums(v: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Sum of squares of each column of an (m, 3, M) batch, shape (M,), or of
-    each (column, step) of an (m, 3, M, K) stack of K steps, shape (K, M).
+def column_sq_sums(
+    a: np.ndarray, b: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum over the nodes of a.b (of a.a without ``b``): a number for (m, 3) fields,
+    one per column of (m, 3, M) batches, shape (M,), or one per (column, step) of
+    (m, 3, M, K) stacks of K steps, shape (K, M); the L2 inner products without the h.
 
     Each column is summed from its own contiguous row, so the bits do not
     depend on the batch width, the number of steps or the layout (an einsum
-    picks its order from all three). ``work`` takes the squares instead of a
-    temporary; it may be ``v`` itself when ``v`` is not needed afterwards.
+    picks its order from all three). ``work`` takes the products instead of a
+    temporary; it may be ``a`` itself when ``a`` is not needed afterwards.
     """
-    return np.ascontiguousarray(dot_values(v, v, work=work).T).sum(axis=-1)
+    return np.ascontiguousarray(dot_values(a, a if b is None else b, work=work).T).sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -331,34 +309,7 @@ def helm_values(v: np.ndarray, h: float, c: float, out: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# public field operations
-
-def laplacian(f: VectorField) -> VectorField:
-    return VectorField(f.grid, lap_values(f.values, f.grid.spacing))
-
-
-def gradient(f: VectorField) -> np.ndarray:
-    """Edge-valued gradient, shape (n_interior + 1, 3)."""
-    return grad_values(f.values, f.grid.spacing)
-
-
-def cross(f: VectorField, g: VectorField) -> VectorField:
-    _same_grid(f, g)
-    return VectorField(f.grid, cross_values(f.values, g.values))
-
-
-def inner_l2(f: VectorField, g: VectorField) -> float:
-    """Rectangle-rule L2 inner product h * sum_i f_i . g_i."""
-    _same_grid(f, g)
-    return f.grid.spacing * float(np.vdot(f.values, g.values))
-
-
-def edge_inner(grid: Grid1D, ea: np.ndarray, eb: np.ndarray) -> float:
-    """L2 inner product of two edge-valued fields (gradient outputs)."""
-    if ea.shape != (grid.n_interior + 1, 3) or eb.shape != ea.shape:
-        raise ValueError("edge fields must have shape (n_interior + 1, 3)")
-    return grid.spacing * float(np.vdot(ea, eb))
-
+# stacks of fields and their norms
 
 def map_stack(fn, stack: np.ndarray) -> np.ndarray:
     """``fn`` of the node-major view (n, 3, S') of each chunk of at most
@@ -380,14 +331,10 @@ def stack_norms(stack: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(map_stack(squares, stack)).T
 
 
-def norms(f: VectorField) -> EnergyReport:
-    return EnergyReport(*stack_norms(f.values[None], f.grid.spacing)[0].tolist())
-
-
 def h1_norm(f: VectorField) -> float:
     """Full H1 norm sqrt(l2^2 + h1_semi^2)."""
-    rep = norms(f)
-    return math.hypot(rep.l2, rep.h1_semi)
+    l2, h1_semi = stack_norms(f.values[None], f.grid.spacing)[0, :2].tolist()
+    return math.hypot(l2, h1_semi)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ __all__ = [
     "RatePoint",
     "WeakRow",
     "estimate_rate",
+    "final_penalty",
     "weak_convergence_experiment",
     "compactness_probe",
 ]
@@ -93,6 +94,23 @@ class RateProblem:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.continuation_rounds < 0:
             raise ValueError(f"continuation_rounds must be >= 0, got {self.continuation_rounds}")
+        if not math.isfinite(2.0 * final_penalty(self.penalty, self.continuation_rounds)):
+            raise ValueError(
+                f"penalty {self.penalty} overflows after {self.continuation_rounds} continuation "
+                "rounds: the terminal adjoint needs a finite 2 * penalty in the last round"
+            )
+
+
+def final_penalty(penalty: float, continuation_rounds: int) -> float:
+    """The misfit weight of the last continuation round: ``penalty`` multiplied by 10
+    once per round, as ``estimate_rate`` multiplies it, and inf once that overflows
+    (where 10.0 ** continuation_rounds would raise OverflowError)."""
+    rho = penalty
+    for _ in range(continuation_rounds):
+        rho *= 10.0
+        if rho == math.inf:
+            break
+    return rho
 
 
 @dataclass(frozen=True, eq=False)

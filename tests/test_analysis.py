@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llblab.analysis import (
+    EXACT_IDENTITY_TOL,
     SampleStats,
     StreamedPathGap,
     check_cubic_identity,
@@ -13,17 +15,32 @@ from llblab.analysis import (
     cubic_identity_residuals,
     energy_drift,
     fit_slope,
+    _pair_residuals,
     identity_suite,
     path_gap,
     sample_stats,
 )
 from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, integrate
-from llblab.field import Grid1D, VectorField, make_grid, solver_empty, zero_field
+from llblab.field import (
+    STACK_CHUNK,
+    Grid1D,
+    VectorField,
+    column_sq_sums,
+    grad_values,
+    lap_values,
+    make_grid,
+    solver_empty,
+    zero_field,
+)
 from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
 
 
 # --- exact identities -----------------------------------------------------------
+
+# the rows of _pair_residuals: the checks of identity_suite after its zero-field row
+SUITE_CHECKS = [r.name.split("/")[0] for r in identity_suite(grid_sizes=(3,), samples=1)[1:]]
+
 
 def test_check_identities_zero_field(grid63):
     reports = check_identities(zero_field(grid63), zero_field(grid63))
@@ -31,16 +48,35 @@ def test_check_identities_zero_field(grid63):
     assert all(r.passed for r in reports)
 
 
-def test_check_identities_random_fields(rng):
-    for n in (31, 255):
-        g = make_grid(n)
-        for scale in (1.0, 50.0):
-            u = random_field(g, rng, scale)
-            v = random_field(g, rng, scale)
-            by_name = {r.name: r for r in check_identities(u, v)}
-            assert by_name["cross-orthogonality"].passed
-            assert by_name["precession-orthogonality"].passed
-            assert by_name["precession-bound"].residual == 0.0
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(3, 64),
+    width=st.integers(1, 9),
+    scale=st.floats(0.01, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_identities_random_fields(nodes, width, scale, seed):
+    # a batch of random pairs as identity_suite checks it: each column's rows
+    # have the bits of checking that pair alone (the suite keeps the magnitude
+    # of the signed cubic residual), and every identity holds
+    pairs = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(width, 2, nodes, 3))
+    a, b = np.moveaxis(pairs, 0, -1)
+    g = make_grid(nodes)
+    rows = dict(zip(SUITE_CHECKS, _pair_residuals(a, b, g.spacing)))
+    for j in range(width):
+        u, v = VectorField(g, pairs[j, 0]), VectorField(g, pairs[j, 1])
+        for rep in check_identities(u, v) + [check_cubic_identity(u)]:
+            assert rows[rep.name][j].tobytes() == np.float64(abs(rep.residual)).tobytes()
+    for name in (
+        "summation-by-parts", "cross-orthogonality", "precession-orthogonality",
+        "cubic-damping-identity",
+    ):
+        assert rows[name].max() <= EXACT_IDENTITY_TOL
+    for name in ("cross-antisymmetry", "precession-bound", "interpolation-inequality"):
+        assert rows[name].max() == 0.0
+    # the pointwise residual is not normalized: it grows with the cube of the scale
+    assert rows["pointwise-orthogonality"].max() <= 1e-14 * max(1.0, scale) ** 3
+    assert rows["helmholtz-roundtrip"].max() <= 1e-10
 
 
 def test_check_identities_grid_mismatch(rng):
@@ -185,21 +221,18 @@ def test_path_gap_shape_mismatch(rng):
 
 def test_path_gap_matches_pointwise_formula(rng):
     # cross-check the batched evaluation against a direct per-step loop
-    from llblab.field import gradient, laplacian, edge_inner, inner_l2
-
     g = make_grid(31)
+    h = g.spacing
     a = rng.normal(size=(4, 31, 3))
     b = rng.normal(size=(4, 31, 3))
     dt, nu1 = 0.01, 1.0
     sup = 0.0
     integ = 0.0
     for n in range(4):
-        d = VectorField(g, a[n] - b[n])
-        ge = gradient(d)
-        sup = max(sup, edge_inner(g, ge, ge))
+        d = a[n] - b[n]
+        sup = max(sup, h * column_sq_sums(grad_values(d, h)))
         if n < 3:
-            lap = laplacian(d)
-            integ += dt * inner_l2(lap, lap)
+            integ += dt * h * column_sq_sums(lap_values(d, h))
     expected = sup + nu1 * integ
     assert path_gap(a, b, g.spacing, dt, nu1) == pytest.approx(expected, rel=1e-12)
 
@@ -365,3 +398,27 @@ def test_identity_suite_small_sweep():
     names = {r.name.split("/")[0] for r in reports}
     assert "summation-by-parts" in names
     assert "cubic-damping-identity" in names
+
+
+def test_identity_suite_chunks_give_the_rows_of_one_batch():
+    # the samples cross a chunk boundary; checked as one batch of the same
+    # draws, they give the same worst residuals
+    n, samples = 7, STACK_CHUNK + 5
+    reports = identity_suite(grid_sizes=(n,), samples=samples, base_seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(n,)))
+    a, b = np.moveaxis(rng.uniform(-1.0, 1.0, size=(samples, 2, n, 3)), 0, -1)
+    worst = _pair_residuals(a, b, 1.0 / (n + 1)).max(axis=1)
+    assert [r.name for r in reports[1:]] == [f"{name}/n={n}" for name in SUITE_CHECKS]
+    assert [r.residual for r in reports[1:]] == worst.tolist()
+
+
+def test_identity_suite_memory_does_not_grow_with_samples():
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            identity_suite(grid_sizes=(255,), samples=samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * STACK_CHUNK) <= 1.25 * peak(STACK_CHUNK)

@@ -327,6 +327,32 @@ def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
 
+# weak diffusion and a long horizon: every sample at epsilon = 1 blows up
+ALL_FAILED = (
+    "grid.n = 15\ntime.steps = 50\ntime.horizon = 100\n"
+    "model.nu1 = 1e-3\nmodel.nu2 = 0\nmodel.gamma = 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = stochastic-ensemble\nensemble.epsilons = 1.0, 0.0\nensemble.samples = 3\n",
+        "kind = clt\nclt.epsilons = 1.0, 0.5, 0.25\nclt.samples = 3\n",
+        "kind = weak-convergence\nweak.epsilons = 1.0, 0.0\nweak.samples = 3\n"
+        "weak.coefficient = 0\n",
+    ],
+    ids=["stochastic-ensemble", "clt", "weak-convergence"],
+)
+def test_run_all_failed_epsilon_writes_strict_json(tmp_path, text):
+    # the mean of no samples is written as null: JSON has no NaN token
+    assert run(parse_config(ALL_FAILED + text), out_dir=str(tmp_path)) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
+    row = summary["rows"][0]
+    assert (row["n_ok"], row["n_failed"]) == (0, 3)
+    assert None in row.values()
+
+
 @pytest.mark.parametrize(
     "text, finite_linf",
     [
@@ -530,6 +556,16 @@ def test_main_allocation_too_large_is_config_error(tmp_path, capfd, sizes):
     assert (error["code"], error["kind"]) == (EXIT_CONFIG, "config")
     assert "Unable to allocate" in error["messages"][0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("penalty, rounds", [("1e308", 0), ("1e306", 3)])
+def test_main_overflowing_penalty_schedule_is_config_error(tmp_path, capsys, penalty, rounds):
+    messages = _main_config_error(
+        tmp_path, capsys,
+        "kind = rate\ngrid.n = 7\ntime.steps = 10\nrate.slabs = 5\n"
+        f"rate.penalty = {penalty}\nrate.continuation = {rounds}\n",
+    )
+    assert "rate.penalty" in messages and "rate.continuation" in messages
 
 
 def _main_config_error(tmp_path, capsys, text):

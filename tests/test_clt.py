@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from llblab.clt import run_clt, write_clt_csv, write_clt_summary
+from llblab.clt import run_clt, write_clt_csv, write_clt_summary, write_json
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import VectorField, make_grid
 from llblab.noise import CovarianceSpec, IncrementStreams, make_covariance, stream_rng
@@ -288,7 +288,7 @@ def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
     # flat initial state above the deterministic sup, which is its value at
     # n = 0, so every sample's sup is reached at a step n > 0
     from llblab.clt import sup_grad_ensemble
-    from llblab.field import norms
+    from llblab.field import stack_norms
 
     config = small_config(
         params=ModelParams(nu1=0.01, nu2=0.0),
@@ -299,7 +299,23 @@ def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
         (1.0, 0.3, 0.1), 4, config.params, config.tgrid, config.spec, config.initial, 4
     )
     assert failures == ()
-    assert det_sup == pytest.approx(norms(config.initial).h1_semi ** 2, rel=1e-14)
+    h1_semi = stack_norms(config.initial.values[None], config.initial.grid.spacing)[0, 1]
+    assert det_sup == pytest.approx(h1_semi**2, rel=1e-14)
     for per_epsilon in sups:
         assert len(per_epsilon) == 4
         assert all(sup > det_sup for sup in per_epsilon)
+
+
+def test_write_json_spells_non_finite_floats_as_null(tmp_path):
+    payload = {"b": [1.5, math.nan, (2, -math.inf)], "a": {"x": np.float64(math.inf), "y": "nan"}}
+    write_json(tmp_path / "out.json", payload)
+    assert json.loads((tmp_path / "out.json").read_text()) == {
+        "a": {"x": None, "y": "nan"}, "b": [1.5, None, [2, None]],
+    }
+
+
+def test_write_json_of_finite_values_is_json_dump(tmp_path):
+    payload = {"rows": [{"e": 0.1, "n": 3, "t": (1e-300, -0.0)}], "fit": None, "ok": True}
+    write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out.json").read_text() == expected

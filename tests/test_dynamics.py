@@ -28,12 +28,11 @@ from llblab.dynamics import (
 from llblab.field import (
     STACK_CHUNK,
     VectorField,
+    column_sq_sums,
     cross_values,
     helm_values,
-    inner_l2,
     lap_values,
     make_grid,
-    norms,
     sq_norm_values,
     stack_norms,
     zero_field,
@@ -114,9 +113,9 @@ def test_precession_energy_orthogonality(rng):
         g = make_grid(n)
         u = random_field(g, rng)
         term = _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0))
-        resid = abs(inner_l2(VectorField(g, term), u))
-        rep = norms(u)
-        assert resid <= 1e-12 * (1.0 + rep.linf**2 * rep.h2_semi)
+        resid = abs(g.spacing * column_sq_sums(term, u.values))
+        _, _, h2_semi, linf = stack_norms(u.values[None], g.spacing)[0]
+        assert resid <= 1e-12 * (1.0 + linf**2 * h2_semi)
 
 
 def test_step_matches_integrate_single_step(rng):
@@ -444,8 +443,8 @@ def test_trajectory_csv_writers(tmp_path):
     assert len(lines) == 12
     last = lines[-1].split(",")
     assert (int(last[0]), float(last[1])) == (10, rec.times[10])
-    final = norms(rec.final_field())
-    assert [float(x) for x in last[2:]] == [final.l2, final.h1_semi, final.h2_semi, final.linf]
+    final = stack_norms(rec.final_values()[None], rec.grid.spacing)[0]
+    assert [float(x) for x in last[2:]] == final.tolist()
 
     fields_path = tmp_path / "fields.csv"
     write_fields_csv(rec, fields_path)

@@ -8,23 +8,16 @@ from hypothesis.extra.numpy import arrays
 
 from llblab import field
 from llblab.field import (
-    EnergyReport,
     VectorField,
     column_sq_sums,
-    cross,
     cross_values,
     csv_rows,
     dot_values,
-    edge_inner,
     grad_values,
-    gradient,
     h1_norm,
     helm_values,
-    inner_l2,
     lap_values,
-    laplacian,
     make_grid,
-    norms,
     solver_empty,
     stack_norms,
     zero_field,
@@ -95,14 +88,14 @@ def test_vectorfield_shape_check():
 def test_laplacian_quadratic_exact():
     g = make_grid(127)
     x = g.nodes
-    f = VectorField(g, np.stack([x * (1 - x), np.zeros_like(x), np.zeros_like(x)], axis=1))
-    lap = laplacian(f)
-    assert np.max(np.abs(lap.values[:, 0] + 2.0)) == 0.0
-    assert np.all(lap.values[:, 1:] == 0.0)
+    f = np.stack([x * (1 - x), np.zeros_like(x), np.zeros_like(x)], axis=1)
+    lap = lap_values(f, g.spacing)
+    assert np.max(np.abs(lap[:, 0] + 2.0)) == 0.0
+    assert np.all(lap[:, 1:] == 0.0)
 
 
 def test_laplacian_zero_field(grid63):
-    assert np.all(laplacian(zero_field(grid63)).values == 0.0)
+    assert np.all(lap_values(zero_field(grid63).values, grid63.spacing) == 0.0)
 
 
 def test_laplacian_sine_error_bound():
@@ -110,9 +103,9 @@ def test_laplacian_sine_error_bound():
     # the analytic second derivative is (pi^2 - pi_h^2) |sin| <= pi^4 h^2 / 12
     g = make_grid(255)
     x = g.nodes
-    f = VectorField(g, np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    lap = laplacian(f)
-    err = np.max(np.abs(lap.values[:, 0] + math.pi**2 * np.sin(np.pi * x)))
+    f = np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
+    lap = lap_values(f, g.spacing)
+    err = np.max(np.abs(lap[:, 0] + math.pi**2 * np.sin(np.pi * x)))
     bound = math.pi**4 * g.spacing**2 / 12.0 * 1.01
     assert err <= bound
 
@@ -120,14 +113,13 @@ def test_laplacian_sine_error_bound():
 # --- gradient and summation by parts --------------------------------------
 
 def test_gradient_zero(grid63):
-    assert np.all(gradient(zero_field(grid63)) == 0.0)
+    assert np.all(grad_values(zero_field(grid63).values, grid63.spacing) == 0.0)
 
 
 def test_gradient_linear_exact_interior():
     g = make_grid(31)
     x = g.nodes
-    f = VectorField(g, np.stack([x, 0 * x, 0 * x], axis=1))
-    edges = gradient(f)
+    edges = grad_values(np.stack([x, 0 * x, 0 * x], axis=1), g.spacing)
     # interior edges are exactly 1; the right boundary edge sees the ghost zero
     assert np.max(np.abs(edges[:-1, 0] - 1.0)) <= 1e-13
     assert edges.shape == (32, 3)
@@ -137,32 +129,31 @@ def test_gradient_linear_exact_interior():
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_summation_by_parts(n, data):
-    g = make_grid(n)
-    f = VectorField(g, data.draw(fields(n), label="f"))
-    w = VectorField(g, data.draw(fields(n), label="w"))
-    lhs = inner_l2(laplacian(f), w)
-    rhs = edge_inner(g, gradient(f), gradient(w))
+    h = make_grid(n).spacing
+    f = data.draw(fields(n), label="f")
+    w = data.draw(fields(n), label="w")
+    lhs = h * column_sq_sums(lap_values(f, h), w)
+    rhs = h * column_sq_sums(grad_values(f, h), grad_values(w, h))
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
 # --- cross product ---------------------------------------------------------
 
 def test_cross_unit_vectors():
-    g = make_grid(5)
-    e1 = VectorField(g, np.tile([1.0, 0.0, 0.0], (5, 1)))
-    e2 = VectorField(g, np.tile([0.0, 1.0, 0.0], (5, 1)))
-    assert np.array_equal(cross(e1, e2).values, np.tile([0.0, 0.0, 1.0], (5, 1)))
+    e1 = np.tile([1.0, 0.0, 0.0], (5, 1))
+    e2 = np.tile([0.0, 1.0, 0.0], (5, 1))
+    assert np.array_equal(cross_values(e1, e2), np.tile([0.0, 0.0, 1.0], (5, 1)))
 
 
 def test_cross_self_is_zero(rng, grid63):
-    f = random_field(grid63, rng)
-    assert np.all(cross(f, f).values == 0.0)
+    f = random_field(grid63, rng).values
+    assert np.all(cross_values(f, f) == 0.0)
 
 
 def test_cross_antisymmetry_exact(rng, grid63):
-    f = random_field(grid63, rng)
-    w = random_field(grid63, rng)
-    assert np.array_equal(cross(f, w).values, -cross(w, f).values)
+    f = random_field(grid63, rng).values
+    w = random_field(grid63, rng).values
+    assert np.array_equal(cross_values(f, w), -cross_values(w, f))
 
 
 def test_cross_inner_orthogonality(rng):
@@ -172,24 +163,18 @@ def test_cross_inner_orthogonality(rng):
         for scale in (1.0, 1e3):
             u = random_field(g, rng, scale)
             v = random_field(g, rng, scale)
-            resid = abs(inner_l2(cross(u, v), v))
-            nv = norms(v)
-            assert resid <= 1e-12 * (1.0 + norms(u).linf * nv.l2**2)
+            resid = abs(g.spacing * column_sq_sums(cross_values(u.values, v.values), v.values))
+            linf_u = stack_norms(u.values[None], g.spacing)[0, 3]
+            l2_v = stack_norms(v.values[None], g.spacing)[0, 0]
+            assert resid <= 1e-12 * (1.0 + linf_u * l2_v**2)
 
 
 def test_cross_pointwise_orthogonality(rng, grid63):
-    u = VectorField(grid63, rng.uniform(-1, 1, size=(63, 3)))
-    v = VectorField(grid63, rng.uniform(-1, 1, size=(63, 3)))
-    c = cross(u, v).values
-    assert np.max(np.abs(np.einsum("ij,ij->i", c, u.values))) <= 1e-14
-    assert np.max(np.abs(np.einsum("ij,ij->i", c, v.values))) <= 1e-14
-
-
-def test_cross_grid_mismatch(rng):
-    u = random_field(make_grid(5), rng)
-    v = random_field(make_grid(6), rng)
-    with pytest.raises(ValueError):
-        cross(u, v)
+    u = rng.uniform(-1, 1, size=(63, 3))
+    v = rng.uniform(-1, 1, size=(63, 3))
+    c = cross_values(u, v)
+    assert np.max(np.abs(dot_values(c, u))) <= 1e-14
+    assert np.max(np.abs(dot_values(c, v))) <= 1e-14
 
 
 # --- inner products and norms ----------------------------------------------
@@ -198,40 +183,38 @@ def test_inner_normalized_sine():
     # discrete sine orthogonality makes h * sum 2 sin^2 exactly 1
     g = make_grid(255)
     x = g.nodes
-    f = VectorField(g, np.stack([math.sqrt(2) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    assert abs(inner_l2(f, f) - 1.0) <= 1e-12
+    f = np.stack([math.sqrt(2) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
+    assert abs(g.spacing * column_sq_sums(f) - 1.0) <= 1e-12
 
 
 def test_inner_zero(rng, grid63):
     f = random_field(grid63, rng)
-    assert inner_l2(f, zero_field(grid63)) == 0.0
+    assert column_sq_sums(f.values, zero_field(grid63).values) == 0.0
 
 
 def test_inner_bilinearity(rng, grid63):
-    f = random_field(grid63, rng)
-    w = random_field(grid63, rng)
-    v = random_field(grid63, rng)
+    f, w, v = (random_field(grid63, rng).values for _ in range(3))
     a, b = 1.7, -0.3
-    lhs = inner_l2(VectorField(grid63, a * f.values + b * w.values), v)
-    rhs = a * inner_l2(f, v) + b * inner_l2(w, v)
+    lhs = column_sq_sums(a * f + b * w, v)
+    rhs = a * column_sq_sums(f, v) + b * column_sq_sums(w, v)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
 def test_norms_zero(grid63):
-    rep = norms(zero_field(grid63))
-    assert rep == EnergyReport(0.0, 0.0, 0.0, 0.0)
+    rows = stack_norms(zero_field(grid63).values[None], grid63.spacing)
+    assert rows.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 def test_norms_eigenfunction():
     g = make_grid(255)
     x = g.nodes
     h = g.spacing
-    f = VectorField(g, np.stack([math.sqrt(2) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    rep = norms(f)
-    assert abs(rep.l2 - 1.0) <= 1e-12
-    assert abs(rep.h1_semi - math.pi) <= math.pi**3 * h**2  # pi_h = pi + O(h^2)
-    assert abs(rep.h2_semi - math.pi**2) <= 2 * math.pi**4 * h**2
-    assert abs(rep.linf - math.sqrt(2)) <= 1e-3  # nearest node to the peak
+    f = np.stack([math.sqrt(2) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
+    l2, h1_semi, h2_semi, linf = stack_norms(f[None], h)[0]
+    assert abs(l2 - 1.0) <= 1e-12
+    assert abs(h1_semi - math.pi) <= math.pi**3 * h**2  # pi_h = pi + O(h^2)
+    assert abs(h2_semi - math.pi**2) <= 2 * math.pi**4 * h**2
+    assert abs(linf - math.sqrt(2)) <= 1e-3  # nearest node to the peak
 
 
 # node values whose squares neither overflow nor underflow
@@ -242,24 +225,26 @@ FIELD_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e10
 @given(data=st.data())
 def test_poincare_sweep(data):
     n = data.draw(st.sampled_from([31, 127]), label="n")
-    rep = norms(VectorField(make_grid(n), data.draw(fields(n, FIELD_VALUES), label="u")))
-    assert rep.l2 <= rep.h1_semi
+    u = data.draw(fields(n, FIELD_VALUES), label="u")
+    l2, h1_semi, _, _ = stack_norms(u[None], make_grid(n).spacing)[0]
+    assert l2 <= h1_semi
 
 
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_interpolation_inequality_sweep(data):
     n = data.draw(st.sampled_from([31, 127]), label="n")
-    g = make_grid(n)
-    rep = norms(VectorField(g, data.draw(fields(n, FIELD_VALUES), label="u")))
-    rhs = 2.0 * rep.l2 * math.hypot(rep.l2, rep.h1_semi) * (1.0 + 10.0 * g.spacing)
-    assert rep.linf**2 <= rhs
+    h = make_grid(n).spacing
+    u = data.draw(fields(n, FIELD_VALUES), label="u")
+    l2, h1_semi, _, linf = stack_norms(u[None], h)[0]
+    rhs = 2.0 * l2 * math.hypot(l2, h1_semi) * (1.0 + 10.0 * h)
+    assert linf**2 <= rhs
 
 
 def test_h1_norm_combines(rng, grid63):
     f = random_field(grid63, rng)
-    rep = norms(f)
-    assert abs(h1_norm(f) - math.hypot(rep.l2, rep.h1_semi)) <= 1e-15
+    l2, h1_semi, _, _ = stack_norms(f.values[None], grid63.spacing)[0]
+    assert abs(h1_norm(f) - math.hypot(l2, h1_semi)) <= 1e-15
 
 
 # --- stencils on snapshot stacks --------------------------------------------
@@ -383,8 +368,8 @@ def test_helmholtz_residual(c, rng):
 def test_helmholtz_round_trip(rng, grid63):
     c = 0.2
     f = random_field(grid63, rng)
-    image = VectorField(grid63, f.values - c * laplacian(f).values)
-    back = helm_values(image.values, grid63.spacing, c)
+    image = f.values - c * lap_values(f.values, grid63.spacing)
+    back = helm_values(image, grid63.spacing, c)
     rel = np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
     assert rel <= 1e-10
 

@@ -19,6 +19,7 @@ from llblab.ldp import (
     RateProblem,
     compactness_probe,
     estimate_rate,
+    final_penalty,
     weak_convergence_experiment,
 )
 from llblab.noise import (
@@ -68,6 +69,23 @@ def test_rate_problem_validation():
         RateProblem(target=target, control_modes=0)
     with pytest.raises(ValueError):
         RateProblem(target=target, continuation_rounds=-1)
+
+
+@pytest.mark.parametrize(
+    "penalty, rounds", [(1e308, 0), (1e306, 3), (1e-300, 10**9), (math.nan, 0)]
+)
+def test_rate_problem_rejects_a_penalty_schedule_that_overflows(penalty, rounds):
+    # the last round's terminal adjoint 2 rho h (d - Lap d) would be inf * 0 = nan
+    with pytest.raises(ValueError, match="overflows"):
+        RateProblem(target=initial_profile(GRID), penalty=penalty, continuation_rounds=rounds)
+
+
+def test_final_penalty_is_the_last_round_of_the_schedule():
+    assert final_penalty(1e3, 0) == 1e3
+    assert final_penalty(1e3, 2) == 1e3 * 10.0 * 10.0
+    assert final_penalty(1e300, 5) == 1e300 * 10.0 * 10.0 * 10.0 * 10.0 * 10.0
+    assert final_penalty(1.0, 400) == math.inf
+    RateProblem(target=initial_profile(GRID), penalty=1e300, continuation_rounds=5)
 
 
 def test_estimate_rate_requires_divisible_slabs():
