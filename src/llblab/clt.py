@@ -14,12 +14,14 @@ sample whose run blows up is retired at that step, counted and listed with
 its stream key and step, never averaged; the other columns go on. The
 results depend on nothing but the config.
 
-The central limit experiment couples the noisy flow u_eps, its deterministic
-limit u0 and the linear deviation system V0: the runs u_eps and V0 of a
-column march in lockstep over the dense base u0 and read the same
-increments, and the per-sample error is the proof metric of
-V_eps - V0 with V_eps = (u_eps - u0)/sqrt(eps). ``sup_grad_ensemble`` gives
-sup_t ||grad u_eps||^2 of the noisy flow alone, the a priori bound.
+Every batch marches the ensemble's noiseless reference as one shared
+column, and the observer compares each sample with the reference's state of
+the same step: no record of it is stored. The central limit experiment
+couples the noisy flow u_eps, the reference u0 and the linear deviation
+system V0 about it, which reads the increments of u_eps; the per-sample
+error is the proof metric of V_eps - V0, V_eps = (u_eps - u0)/sqrt(eps).
+``sup_grad_ensemble`` gives sup_t ||grad u||^2 of u0 and of every sample of
+the noisy flow, the a priori bound.
 
 ``write_json`` writes every JSON output of the package, this experiment's
 summary and the CLI's, as strict JSON: an epsilon whose samples all blew up
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# path_gap stays bound here, unused: perfbench/tracer.py patches clt.path_gap by name
+# path_gap and integrate stay bound here, unused: perfbench/tracer.py patches them by name
 from .analysis import SlopeFit, StreamedPathGap, fit_slope, path_gap, sample_stats
 from .dynamics import (
     BATCH_COLUMNS,
@@ -54,7 +56,7 @@ __all__ = [
     "SampleFailure",
     "CltReport",
     "SupGradEnsemble",
-    "minus_snapshot",
+    "minus_reference",
     "record_sup_grad",
     "run_columns",
     "run_clt",
@@ -100,21 +102,18 @@ class SupGradEnsemble(NamedTuple):
     failures: tuple
 
 
-def minus_snapshot(work: dict, u: np.ndarray, snapshots: np.ndarray, first: int) -> np.ndarray:
-    """``u - snapshots[first + k]`` for step k of every column of the block
-    ``u`` (n, 3, M, K) of K steps, in the buffer that ``work`` keeps for it.
-    The buffer first holds the snapshots copied across the columns: a
-    difference of full arrays is cheaper than one that broadcasts a column
-    over the batch."""
+def minus_reference(work: dict, u: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``u - ref`` of a block (n, 3, M, K) and the reference's (n, 3, 1, K), in ``work``'s
+    buffer, filled with ``ref`` first: a difference of full arrays beats a broadcast."""
     d = scratch(work, "d", u.shape)
-    np.copyto(d, snapshots[first:first + u.shape[3]].transpose(1, 2, 0)[:, :, None])
-    np.subtract(u, d, out=d)
-    return d
+    np.copyto(d, ref)
+    return np.subtract(u, d, out=d)
 
 
 def run_columns(
     kinds,
     initial,
+    reference,
     epsilons,
     samples: int,
     base_seed: int,
@@ -124,26 +123,29 @@ def run_columns(
     tgrid: TimeGrid,
     spec: CovarianceSpec,
     ctrl=None,
-    base=None,
 ) -> tuple[list, tuple]:
     """The proof metric of every (epsilon index, sample) column of an ensemble.
 
     Column (i, m) starts every system of ``kinds`` from its field in
     ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
-    (``dynamics.integrate_batch`` with ``ctrl`` and ``base``).
+    (``dynamics.integrate_batch`` with ``ctrl``). ``reference`` is a
+    (kind, field) pair: the noiseless run the samples are compared with,
+    marched as one shared column of every batch; a linearized system is
+    linearized about it, and its blow-up is raised as ``integrate`` raises it.
     ``difference(n, states, eps)`` maps the states of steps n to n + K - 1 of
-    a batch (one (n, 3, M, K) block per kind) and its (M,) epsilons to the
-    field d whose metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is
-    accumulated. K is the number of steps whose states, stacked, fill about
-    ``BATCH_COLUMNS`` columns, so a narrow batch pays the per-call cost of the
-    metric's kernels once per block; the last block of a run may be shorter.
-    A column that blew up stays in its batch, zeroed, to the end, and its
-    metric is dropped. Returns ``(values, failures)``: ``values[i][m]`` is the
-    metric of column (i, m), None where it blew up, and ``failures`` its
-    SampleFailures, sorted.
+    a batch (one (n, 3, M, K) block per kind, then the reference's
+    (n, 3, 1, K) block) and its (M,) epsilons to the field d whose metric
+    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated. K is the number
+    of steps whose states, stacked, fill about ``BATCH_COLUMNS`` columns, so a
+    narrow batch pays the per-call cost of the metric's kernels once per
+    block; the last block of a run may be shorter. A column that blew up stays
+    in its batch, zeroed, to the end, and its metric is dropped. Returns
+    ``(values, failures)``: ``values[i][m]`` is the metric of column (i, m),
+    None where it blew up, and ``failures`` its SampleFailures, sorted.
     """
     grid = initial[0].grid
     steps = tgrid.steps
+    kinds = (*kinds, reference[0])
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
     values = []
     failures = []
@@ -156,8 +158,10 @@ def run_columns(
             [stream_rng(base_seed, i, m) for i, m in batch], steps, spec.mode_count, tgrid.dt
         )
         block = min(steps + 1, max(1, BATCH_COLUMNS // width))
+        start = [np.repeat(f.values[..., None], width, axis=2) for f in initial]
+        start.append(reference[1].values)
         shape = (grid.n_interior, 3, width, block)
-        buffers = [solver_empty(shape) for _ in kinds] if block > 1 else []
+        buffers = [solver_empty(shape) for _ in initial] + [solver_empty(shape[:2] + (1, block))]
 
         def observe(n, states):
             if block == 1:
@@ -171,9 +175,8 @@ def run_columns(
                 gap.add(n - k, difference(n - k, [buf[..., :k + 1] for buf in buffers], eps))
 
         failed, _ = integrate_batch(
-            kinds, grid, [np.repeat(f.values[..., None], width, axis=2) for f in initial],
-            params, tgrid, observe,
-            spec=spec, ctrl=ctrl, base=base, noise=noise, epsilons=eps,
+            kinds, grid, start, params, tgrid, observe,
+            spec=spec, ctrl=ctrl, noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
         batch_values = [float(v) for v in gap.values]
@@ -220,14 +223,12 @@ def run_clt(
         raise ValueError(f"epsilons must be strictly decreasing, got {epsilons}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples per epsilon, got {samples}")
-    u0_rec = integrate(SystemKind.DETERMINISTIC, initial, params, tgrid)
-    base = u0_rec.snapshots
     work = {}
 
     def deviation_gap(n, states, eps):
         # (u_eps - u0) / sqrt(eps) - V0, in place in the buffer of u_eps - u0
-        u_eps, v0 = states
-        d = minus_snapshot(work, u_eps, base, n)
+        u_eps, v0, u0 = states
+        d = minus_reference(work, u_eps, u0)
         if work.get("eps") is not eps:
             # a new batch: sqrt(eps) across a whole block, which divides faster
             # than an (M,) array broadcast over the solver's layout
@@ -239,8 +240,8 @@ def run_clt(
 
     errors, failures = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial, zero_field(initial.grid)),
-        epsilons, samples, base_seed, deviation_gap, params.nu1, params, tgrid, spec,
-        base=u0_rec,
+        (SystemKind.DETERMINISTIC, initial), epsilons, samples, base_seed, deviation_gap,
+        params.nu1, params, tgrid, spec,
     )
     rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(epsilons, errors)]
     fit = None
@@ -264,13 +265,20 @@ def sup_grad_ensemble(
     ``stream_rng(base_seed, i, m)``. Both use the same sums, so a sample at
     epsilon 0 gives the deterministic value bitwise. Raises BlowUpError when
     the deterministic run blows up."""
-    det = integrate(SystemKind.DETERMINISTIC, initial, params, tgrid)
-    det_sup = record_sup_grad(det.snapshots, initial.grid.spacing)
+    det = StreamedPathGap(1, initial.grid.spacing, tgrid.dt, 0.0, tgrid.steps)
+    first = {}
+
+    def sup_grad(n, states, eps):
+        # every batch marches the same reference: the first batch takes its sup
+        if first.setdefault("eps", eps) is eps:
+            det.add(n, states[1])
+        return states[0]
+
     sups, failures = run_columns(
-        (SystemKind.STOCHASTIC,), (initial,), epsilons, samples, base_seed,
-        lambda n, states, eps: states[0], 0.0, params, tgrid, spec,
+        (SystemKind.STOCHASTIC,), (initial,), (SystemKind.DETERMINISTIC, initial), epsilons,
+        samples, base_seed, sup_grad, 0.0, params, tgrid, spec,
     )
-    return SupGradEnsemble(det_sup, sups, failures)
+    return SupGradEnsemble(float(det.values[0]), sups, failures)
 
 
 def write_clt_csv(report: CltReport, path) -> None:

@@ -8,13 +8,14 @@ tridiagonal LDL^T solve per step) and everything else explicitly:
 
 The same machinery drives the deterministic flow, the small-noise and
 controlled stochastic flows, the deterministic skeleton, and the linear
-deviation system obtained by differentiating the step map at eps = 0. The
-linear system is exactly that derivative, so coupled runs on a shared noise
-path converge to each other at first order in eps by construction. Its
-transpose, swept backward over a dense skeleton record, is the discrete
-adjoint that gives exact control gradients of terminal functionals; the sweep
-takes the base-state terms, those that do not depend on the adjoint, one
-chunk of snapshots at a time.
+deviation system obtained by differentiating the step map at eps = 0 along a
+deterministic run of the same batch, whose step terms it reads as they are
+made. The linear system is exactly that derivative, so coupled runs on a
+shared noise path converge to each other at first order in eps by
+construction. Its transpose, swept backward over a dense skeleton record, is
+the discrete adjoint that gives exact control gradients of terminal
+functionals; the sweep takes the base-state terms, those that do not depend
+on the adjoint, one chunk of snapshots at a time.
 
 Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
 in the worst case; the integrator tracks the observed ratio and reports it on
@@ -23,24 +24,25 @@ default parameter regime well past the naive bound).
 
 Every run goes through one step loop, that of ``integrate_batch``, and every
 run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
-of one system or of several systems in lockstep, and hands each step to an
-observer instead of storing it; ``integrate`` is its width-1 case for the
-noiseless kinds, deterministic and skeleton, and stores the snapshots it is
-asked for. The step kernels treat every column of a batch as they treat that
-column alone, so a column's states have the same bits at any batch width, and
-a column that blows up is retired at the step where it would blow up alone
-while the others go on.
+of one system or of several systems in lockstep, beside any shared columns,
+noiseless runs made once for the whole batch such as an ensemble's
+reference, and hands each step to an observer instead of storing it;
+``integrate`` is its width-1 case for the noiseless kinds, deterministic and
+skeleton, and stores the snapshots it is asked for. The step kernels treat
+every column of a batch as they treat that column alone, so a column's states
+have the same bits at any batch width, and a column that blows up is retired
+at the step where it would blow up alone while the others go on.
 
 The loop holds one workspace per batch in the memory order of the
-tridiagonal solve, (3, S*M, n) for S systems of M columns: every component of
-every column is one contiguous n-vector, while the arrays keep their logical
-node-major (n, 3, M) indexing. The systems share one stacked state, so a step
-takes one Laplacian, one set of squared norms, one ceiling check and one solve
-for all of them; each system writes the right-hand side of its step into its
-slice of a second state buffer, which LAPACK solves in place before the two
-swap. Every array of the batch's shape that a step writes is a workspace
-buffer, allocated once per batch: a batch keeps its width to the end, and a
-retired column stays in it, zeroed.
+tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
+columns: every component of every column is one contiguous n-vector, while
+the arrays keep their logical node-major (n, 3, M) indexing. The systems
+share one stacked state, so a step takes one Laplacian, one set of squared
+norms, one ceiling check and one solve for all of them; each system writes
+the right-hand side of its step into its slice of a second state buffer,
+which LAPACK solves in place before the two swap. Every array of the batch's
+shape that a step writes is a workspace buffer, allocated once per batch: a
+batch keeps its width to the end, and a retired column stays in it, zeroed.
 """
 
 from __future__ import annotations
@@ -221,17 +223,16 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> VectorField
 
 def _drive(lap_v: np.ndarray, params: ModelParams, dt: float, g: np.ndarray | None):
     """dt gamma Lap u + g, the field the state is crossed with, written over the
-    Laplacian ``lap_v``; None when it is identically zero. A zero ``g`` is
-    skipped, so a run without noise or control takes the noiseless path bit for
-    bit."""
+    Laplacian ``lap_v``; None when it is identically zero, and ``lap_v`` then
+    holds dt gamma Lap u. A zero ``g`` is skipped, so a run without noise or
+    control takes the noiseless path bit for bit."""
     if g is not None and not g.any():
         g = None
+    lap_v *= dt * params.gamma
+    if g is None:
+        return lap_v if params.gamma != 0.0 else None
     if params.gamma != 0.0:
-        lap_v *= dt * params.gamma
-        if g is not None:
-            lap_v += g
-    elif g is None:
-        return None
+        lap_v += g
     else:
         np.copyto(lap_v, g)
     return lap_v
@@ -245,14 +246,16 @@ def _rhs_values(
     dt: float,
     g: np.ndarray | None,
     out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Right-hand side of one semi-implicit step of the nonlinear systems (module
     docstring), v + v x (dt gamma Lap v + g) - dt nu2 (1 + mu |v|^2) v, written
     into ``out`` and returned; the step is its solve.
 
     ``g`` = sqrt(eps) dB + dt h is the forcing, None when absent; it may be
-    ``out`` itself. The Laplacian ``lap_v`` and the pointwise squared norms
-    ``sq_v`` of ``v`` are overwritten, and take the step's intermediate terms.
+    ``out`` itself. ``lap_v`` is left holding the drive and, if nu2 != 0, ``sq_v``
+    dt nu2 (1 + mu |v|^2): the terms a linearized system reads of its reference.
+    ``work``, the shape of ``v``, is overwritten.
     """
     drive = _drive(lap_v, params, dt, g)
     if drive is None:
@@ -263,7 +266,7 @@ def _rhs_values(
         coef = np.multiply(params.mu, sq_v, out=sq_v)
         coef += 1.0
         coef *= dt * params.nu2
-        out -= np.multiply(coef[:, None], v, out=lap_v)
+        out -= np.multiply(coef[:, None], v, out=work)
     return out
 
 
@@ -286,8 +289,8 @@ def _linear_rhs_values(
           - dt nu2 (1 + mu |b|^2) v - 2 dt nu2 mu (b.v) b.
 
     ``base`` is (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)), the first two of
-    the shape of ``v`` or broadcasting to it, the last (n, 1). ``lap_v``,
-    ``sq_v`` and ``work`` (the shape of ``v``) are overwritten.
+    the shape of ``v`` or broadcasting to it, the last (n, M) or (n, 1).
+    ``lap_v``, ``sq_v`` and ``work`` (the shape of ``v``) are overwritten.
     """
     b, base_drive, base_coef = base
     np.add(v, cross_values(v, base_drive, out=out), out=out)
@@ -317,61 +320,26 @@ def _stack_terms(
     drive *= dt * params.gamma
 
 
-def _base_terms(snaps: np.ndarray, params: ModelParams, dt: float, h: float, width: int):
-    """``base_terms(n)``: the (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)) of base
-    snapshot n for ``_linear_rhs_values``, the first two repeated over ``width``
-    columns. The Laplacians and norms are taken for ``STACK_CHUNK`` snapshots at
-    a time (``_stack_terms``), so memory holds one chunk."""
-    chunk = {}
-    # one pair of chunk buffers for the run; the last chunk may use part of them
-    size = min(STACK_CHUNK, len(snaps))
-    nodes = snaps.shape[1]
-    chunk_drive, chunk_coef = solver_empty((nodes, 3, size)), solver_empty((nodes, size))
-    # b and its drive copied across the batch: products of full arrays are
-    # cheaper than products that broadcast a column over it
-    b, b_drive = solver_empty((nodes, 3, width)), solver_empty((nodes, 3, width))
-
-    def base_terms(n):
-        first = n - n % STACK_CHUNK
-        if chunk.get("first") != first:
-            stack = np.moveaxis(snaps[first:first + STACK_CHUNK], 0, -1)
-            count = stack.shape[2]
-            drive = chunk_drive[..., :count]
-            coef = chunk_coef[:, :count]
-            _stack_terms(stack, params, dt, h, drive, coef)
-            chunk.update(first=first, drive=drive, coef=coef)
-        k = n - first
-        np.copyto(b, snaps[n][..., None])
-        np.copyto(b_drive, chunk["drive"][..., k:k + 1])
-        return b, b_drive, chunk["coef"][:, k:k + 1]
-
-    return base_terms
-
-
 def _check_inputs(
     kinds,
-    grid: Grid1D,
     tgrid: TimeGrid,
     spec: CovarianceSpec | None,
     ctrl: ControlPath | None,
-    base: TrajectoryRecord | None,
 ) -> None:
     """Raise ValueError when one of ``kinds`` lacks an input it needs, an input
     does not fit the run, or no kind uses it: a control drives only the
-    controlled kinds and a base only the linearized one."""
+    controlled kinds, and a linearized one needs a deterministic system to follow."""
     n_steps = tgrid.steps
     names = ", ".join(kind.value for kind in kinds)
     if ctrl is not None and not any(kind in _CONTROLLED_KINDS for kind in kinds):
         raise ValueError(f"{names} integration takes no control path")
-    if base is not None and SystemKind.LINEARIZED_CLT not in kinds:
-        raise ValueError(f"{names} integration takes no base trajectory")
     for kind in kinds:
         if kind in _NOISY_KINDS + _CONTROLLED_KINDS and spec is None:
             raise ValueError(f"{kind.value} integration requires a covariance spec")
         if kind in _CONTROLLED_KINDS and ctrl is None:
             raise ValueError(f"{kind.value} integration requires a control path")
-        if kind is SystemKind.LINEARIZED_CLT and base is None:
-            raise ValueError("linearized deviation system requires a base trajectory")
+        if kind is SystemKind.LINEARIZED_CLT and SystemKind.DETERMINISTIC not in kinds:
+            raise ValueError("linearized system needs a deterministic reference in its batch")
     if ctrl is not None:
         if ctrl.steps != n_steps:
             raise ValueError(f"control has {ctrl.steps} steps, time grid has {n_steps}")
@@ -381,11 +349,6 @@ def _check_inputs(
             )
         if not math.isclose(ctrl.dt, tgrid.dt, rel_tol=1e-12):
             raise ValueError(f"control dt {ctrl.dt} does not match time grid dt {tgrid.dt}")
-    if base is not None:
-        if base.grid != grid:
-            raise ValueError("base trajectory grid does not match")
-        if base.steps != n_steps or not base.dense or not np.array_equal(base.times, tgrid.times):
-            raise ValueError("base trajectory must store every step of the same time grid")
 
 
 def integrate(
@@ -444,62 +407,72 @@ def integrate_batch(
     observe,
     spec: CovarianceSpec | None = None,
     ctrl: ControlPath | None = None,
-    base: TrajectoryRecord | None = None,
     noise: IncrementStreams | None = None,
     epsilons=None,
     keys=None,
 ) -> tuple[list[BlowUpError], float]:
     """March M sample columns of one or more systems in lockstep, storing nothing.
 
-    ``kinds`` names the systems and ``initial`` gives each its (n, 3, M)
-    initial batch, in the same order; column j of every system is sample j.
-    The systems share ``params``; column j of a noisy nonlinear kind runs at
-    noise strength ``epsilons[j]``. Noisy kinds read step n's increments from
-    ``noise``, one stream per column, and every system of a step sees the same
-    ones, so coupled systems share their noise by construction. ``ctrl``
-    drives only the controlled kinds and ``base`` only the linearized one.
-    ``observe(n, states)`` sees every step n = 0..steps: one (n, 3, M) array
-    per kind. Memory grows with the batch width, not with the number of steps.
+    ``kinds`` names the systems and ``initial`` gives each, in the same order,
+    its (n, 3, M) initial batch; column j of every such system is sample j.
+    Shared columns come last, each given as an (n, 3) field: a noiseless
+    system that runs once for the whole batch, such as an ensemble's
+    reference. The systems share ``params``; column j of a noisy nonlinear
+    kind runs at noise strength ``epsilons[j]``. Noisy kinds read step n's
+    increments from ``noise``, one stream per column, and every system of a
+    step sees the same ones, so coupled systems share their noise by
+    construction. ``ctrl`` drives only the controlled kinds. A linearized
+    system is linearized about the first deterministic system, whose step
+    terms it reads in the same step. ``observe(n, states)`` sees every step
+    n = 0..steps: one (n, 3, M) array per kind, (n, 3, 1) for a shared one.
+    Memory grows with the batch width, not with the number of steps.
 
-    The S systems share one state of S*M columns in the solver's memory order,
-    system s in columns s*M to (s+1)*M - 1, and a second such buffer that the
-    next state is written into before the two swap. At each step n every
-    running column is checked first: a column whose |u|_inf in any system is
-    not finite or exceeds ``LINF_CEILING`` fails at n and is retired: it keeps
-    its column, zeroed in every system and with noise strength 0, and is
-    stepped on with the others. u = 0 is a fixed point of every nonlinear kind
-    and the linear system stays finite, so no NaN reaches an observer, which
-    drops the column's values through the failure list. Then ``observe`` sees
-    the step. Its arrays are views into the workspace, valid only during the
-    call: the loop writes the next states into the same memory, so an
-    observer copies what it keeps. Unless it was the last step, one Laplacian
-    of all systems, one matmul of the step's increments and one control term
-    feed each system's right-hand side, and one in-place solve of
-    (I - dt nu1 Lap) for all systems gives the states of step n + 1. The
-    march stops early only when every column has retired.
+    The systems share one state in the solver's memory order, system by
+    system, and a second such buffer that the next state is written into
+    before the two swap. At each step n every running column is checked
+    first: a sample column whose |u|_inf in any system is not finite or
+    exceeds ``LINF_CEILING`` fails at n and is retired: it keeps its column,
+    zeroed in every system and with noise strength 0, and is stepped on with
+    the others. u = 0 is a fixed point of every nonlinear kind and the linear
+    system stays finite, so no NaN reaches an observer, which drops the
+    column's values through the failure list. A shared column that fails
+    ends the march with its BlowUpError, key None, raised: every sample
+    depends on it. Then ``observe`` sees the step. Its arrays are views into
+    the workspace, valid only during the call: the loop writes the next
+    states into the same memory, so an observer copies what it keeps. Unless
+    it was the last step, one Laplacian of all systems, one matmul of the
+    step's increments and one control term feed each system's right-hand
+    side, and one in-place solve of (I - dt nu1 Lap) for all systems gives
+    the states of step n + 1. The march stops early only when every sample
+    column has retired and no shared column runs.
 
-    Every running column's states have the bits of its own width-1 run.
-    Returns ``(failures, explicit_cfl)``: one BlowUpError per retired column,
+    Every running column's states have the bits of its own width-1 run, a
+    shared column's those of ``integrate``. Returns
+    ``(failures, explicit_cfl)``: one BlowUpError per retired sample column,
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
     the end (0.0 when none did).
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
-    width = states[0].shape[2] if states[0].ndim == 3 else 0
+    shared = [u.ndim == 2 for u in states]
+    width = next((u.shape[2] for u in states if u.ndim == 3), 0)
     shapes = [u.shape for u in states]
-    if width < 1 or len(states) != len(kinds) or any(
-        shape != (grid.n_interior, 3, width) for shape in shapes
+    nodes = grid.n_interior
+    if width < 1 or len(states) != len(kinds) or shared != sorted(shared) or any(
+        shape != ((nodes, 3) if one else (nodes, 3, width)) for shape, one in zip(shapes, shared)
     ):
         raise ValueError(
-            f"need one initial batch of shape (n_interior, 3, M), M >= 1, per kind, "
-            f"got {shapes} for {len(kinds)} kinds"
+            f"need one initial batch of shape (n_interior, 3, M), M >= 1, per kind, then the "
+            f"shared (n_interior, 3) fields, got {shapes} for {len(kinds)} kinds"
         )
+    if any(one and kind in _NOISY_KINDS for one, kind in zip(shared, kinds)):
+        raise ValueError("a shared column runs a noiseless kind, deterministic or skeleton")
     n_steps = tgrid.steps
     dt = tgrid.dt
     h = grid.spacing
     c = dt * params.nu1
-    _check_inputs(kinds, grid, tgrid, spec, ctrl, base)
+    _check_inputs(kinds, tgrid, spec, ctrl)
     for kind, u in zip(kinds, states):
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):
             raise ValueError("linearized deviation system starts from zero initial data")
@@ -517,43 +490,55 @@ def integrate_batch(
         raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
     sqrt_eps = np.sqrt(eps)
     strength = sqrt_eps if sqrt_eps.any() else None
-    keys = list(keys) if keys is not None else [None] * width
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
-    base_terms = _base_terms(base.snapshots, params, dt, h, width) if base is not None else None
     cfl_scale = dt * abs(params.gamma) / (h * h)
-    systems = len(kinds)
-    shape = (grid.n_interior, 3, systems * width)
-    state, nxt, lap = solver_empty(shape), solver_empty(shape), solver_empty(shape)
-    sq = solver_empty((shape[0], shape[2]))
-    for s, u in enumerate(states):
-        state[..., s * width:(s + 1) * width] = u
+    # the columns of every batch system in turn, then one per shared system; the
+    # ceiling check retires sample column j in every batch system, or a shared column
+    bounds = np.cumsum([0] + [1 if one else width for one in shared])
+    cols = [slice(first, last) for first, last in zip(bounds, bounds[1:])]
+    sample_end = shared.count(False) * width
+    columns = [slice(j, sample_end, width) for j in range(width)] + cols[shared.count(False):]
+    keys = (list(keys) if keys is not None else [None] * width) + [None] * shared.count(True)
+    shape = (nodes, 3, int(bounds[-1]))
+    state, nxt, lap, tmp = (solver_empty(shape) for _ in range(4))
+    sq = solver_empty((nodes, shape[2]))
+    for col, u in zip(cols, states):
+        state[..., col] = u.reshape(nodes, 3, -1)
     # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
-    cf = None if ctrl is None else solver_empty((shape[0], 3, 1))
+    cf = None if ctrl is None else solver_empty((nodes, 3, 1))
     # a noisy step's matmul of all columns' increments (M, n, 3), copied into the solver's order
-    product = np.empty((width, shape[0], 3))
-    forcing = solver_empty((shape[0], 3, width)) if any(noisy) else None
-    tmp = solver_empty((shape[0], 3, width))
-    peak = np.zeros(width)
-    running = np.ones(width, dtype=bool)
+    product = np.empty((width, nodes, 3))
+    forcing = solver_empty((nodes, 3, width)) if any(noisy) else None
+    # a linearized system reads the step terms that its reference's step leaves behind
+    ref = kinds.index(SystemKind.DETERMINISTIC) if SystemKind.DETERMINISTIC in kinds else None
+    # a shared reference and its drive copied across the batch: products of full
+    # arrays are cheaper than products that broadcast a column over it
+    spread = None
+    if SystemKind.LINEARIZED_CLT in kinds and shared[ref] and width > 1:
+        spread = (solver_empty((nodes, 3, width)), solver_empty((nodes, 3, width)))
+    order = sorted(range(len(kinds)), key=lambda s: kinds[s] is SystemKind.LINEARIZED_CLT)
+    peak = np.zeros(len(columns))
+    running = np.ones(len(columns), dtype=bool)
     failures = []
 
-    def split(a):
-        return a, [a[..., s * width:(s + 1) * width] for s in range(systems)]
-
     # every buffer with its per-system views
-    state, nxt, lap, sq = map(split, (state, nxt, lap, sq))
+    state, nxt, lap, sq, tmp = (
+        (a, [a[..., col] for col in cols]) for a in (state, nxt, lap, sq, tmp)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         # a blow-up is found and reported by the ceiling check, not by numpy warnings
         for n in range(n_steps + 1):
             sq_norm_values(state[0], out=sq[0], work=lap[0])
             top = sq[0].max(axis=0)
-            if systems > 1:
-                top = top.reshape(systems, width).max(axis=0)
+            if sample_end > width:
+                top = np.concatenate(
+                    (top[:sample_end].reshape(-1, width).max(axis=0), top[sample_end:])
+                )
             linf = np.sqrt(top)
             failed = running & ~(linf <= LINF_CEILING)
             if failed.any():
                 for j in np.flatnonzero(failed):
-                    column = state[0][..., j::width]
+                    column = state[0][..., columns[j]]
                     if np.isfinite(column).all():
                         # squares of components above about 1.3e154 overflow:
                         # take them relative to the largest magnitude
@@ -563,15 +548,18 @@ def integrate_batch(
                     else:
                         what = "non-finite state"
                     ratio = float(cfl_scale * peak[j])
-                    failures.append(BlowUpError(
+                    failure = BlowUpError(
                         f"{what} (explicit-term ratio {ratio:.3g})",
                         step=n, time=n * dt, key=keys[j], linf=float(linf[j]), ratio=ratio,
-                    ))
+                    )
+                    if j >= width:
+                        raise failure
+                    failures.append(failure)
                     column[...] = 0.0
                 running &= ~failed
                 if not running.any():
                     break
-                sqrt_eps[failed] = 0.0
+                sqrt_eps[failed[:width]] = 0.0
                 strength = sqrt_eps if sqrt_eps.any() else None
             # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
             peak = np.maximum(peak, linf)
@@ -584,20 +572,22 @@ def integrate_batch(
                 np.copyto(forcing, product.transpose(1, 2, 0))
             if cf is not None:
                 np.multiply(dt, (mode_mat @ ctrl.coefficients[n])[..., None], out=cf)
-            for kind, is_noisy, u, lap_u, sq_u, out in zip(
-                kinds, noisy, state[1], lap[1], sq[1], nxt[1]
-            ):
+            for s in order:
+                kind, u, lap_u, sq_u, out = kinds[s], state[1][s], lap[1][s], sq[1][s], nxt[1][s]
                 if kind is SystemKind.LINEARIZED_CLT:
-                    _linear_rhs_values(
-                        u, lap_u, sq_u, base_terms(n), params, dt, forcing, out, tmp
-                    )
+                    base = (state[1][ref], lap[1][ref], sq[1][ref])
+                    if spread is not None:
+                        np.copyto(spread[0], base[0])
+                        np.copyto(spread[1], base[1])
+                        base = (*spread, base[2])
+                    _linear_rhs_values(u, lap_u, sq_u, base, params, dt, forcing, out, tmp[1][s])
                     continue
                 g = None
-                if is_noisy and strength is not None:
+                if noisy[s] and strength is not None:
                     g = np.multiply(strength, forcing, out=out)
                 if kind in _CONTROLLED_KINDS:
                     g = cf if g is None else np.add(g, cf, out=g)
-                _rhs_values(u, lap_u, sq_u, params, dt, g, out)
+                _rhs_values(u, lap_u, sq_u, params, dt, g, out, tmp[1][s])
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
     return failures, float(np.max(cfl_scale * peak[running], initial=0.0))
@@ -643,7 +633,7 @@ def skeleton_adjoint(
         raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
     if not record.dense or not np.array_equal(record.times, tgrid.times):
         raise ValueError("adjoint sweep needs a record storing every step of the time grid")
-    _check_inputs((SystemKind.SKELETON,), record.grid, tgrid, spec, ctrl, None)
+    _check_inputs((SystemKind.SKELETON,), tgrid, spec, ctrl)
     nodes = record.grid.n_interior
     lam = np.asarray(terminal, dtype=float)
     if lam.shape != (nodes, 3):

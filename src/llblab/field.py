@@ -146,9 +146,11 @@ _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 def solver_empty(shape) -> np.ndarray:
     """Uninitialized node-major array of ``shape`` (n, ...) in the solver's memory
-    order: the node index runs fastest, so the (n, -1) view is Fortran-contiguous."""
-    shape = tuple(shape)
-    return np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0)
+    order (axis 1, then the later axes from the last back, then the nodes): a
+    batch (n, 3, M) has a Fortran-contiguous (n, -1) view, and a block
+    (n, 3, M, K) of K steps reaches ``column_sq_sums`` without a copy."""
+    memory = np.empty((shape[1], *shape[:1:-1], shape[0]))
+    return memory.transpose(len(shape) - 1, 0, *range(len(shape) - 2, 0, -1))
 
 
 def scratch(store: dict, name: str, shape) -> np.ndarray:

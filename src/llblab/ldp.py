@@ -18,9 +18,10 @@ one gradient costs only the backward sweep. Only the terminal state is matched
 (a quasipotential-style endpoint rate); matching a whole path is
 overdetermined at desk scale.
 
-The weak-convergence experiment marches its samples as batch columns against
-the dense skeleton (``clt.run_columns``) and accumulates the proof metric a
-block of steps at a time, so it stores no sample trajectory.
+The weak-convergence experiment marches its samples as batch columns beside
+the skeleton, a shared column of every batch (``clt.run_columns``), and
+accumulates the proof metric a block of steps at a time, so it stores no
+trajectory.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 # path_gap and stream_rng stay bound here, unused: perfbench/tracer.py patches
 # ldp.path_gap and ldp.stream_rng by name
 from .analysis import path_gap, sample_stats
-from .clt import minus_snapshot, record_sup_grad, run_columns
+from .clt import minus_reference, record_sup_grad, run_columns
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -317,22 +318,19 @@ def weak_convergence_experiment(
     For each epsilon, ``samples`` paths of the controlled system (same fixed
     deterministic control) are compared against the skeleton solution in the
     proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
-    (epsilon index, sample) pair is one column of a batch marched against the
-    dense skeleton on its own counter-based stream (``clt.run_columns``), with
+    (epsilon index, sample) pair is one column of a batch marched beside the
+    skeleton on its own counter-based stream (``clt.run_columns``), with
     the metric accumulated a block of steps at a time; blown-up samples are
     retired, counted and never averaged. Returns ``(rows, failures)``: one
     WeakRow per epsilon and the ``clt.SampleFailure`` of every retired sample,
     sorted.
     """
-    skeleton = integrate(
-        SystemKind.SKELETON, u0_field, params, tgrid, spec=spec, ctrl=ctrl
-    ).snapshots
     eps_values = [float(e) for e in epsilons]
     work = {}
     metrics, failures = run_columns(
-        (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), eps_values, samples, base_seed,
-        lambda n, states, eps: minus_snapshot(work, states[0], skeleton, n), params.nu1,
-        params, tgrid, spec, ctrl=ctrl,
+        (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), (SystemKind.SKELETON, u0_field),
+        eps_values, samples, base_seed, lambda n, states, eps: minus_reference(work, *states),
+        params.nu1, params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
     return rows, failures

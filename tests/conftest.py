@@ -47,20 +47,24 @@ def record_batch(kinds, grid, initial, params, tgrid, keys=None, **inputs):
     """``integrate_batch`` with an observer that stores every step of every column.
 
     Returns ``(columns, failures)``: ``columns[j]`` holds column j's states as
-    one (steps + 1, n, 3) array per kind, cut off at the step where it failed.
-    Failures are matched to columns by their keys, the column indices unless
-    ``keys`` is given.
+    one (steps + 1, n, 3) array per kind, cut off at the step where it failed;
+    a shared column, given as an (n, 3) field, is every column's, and runs on
+    to the end. Failures are matched to columns by their keys, the column
+    indices unless ``keys`` is given.
     """
-    width = np.shape(initial[0])[2]
+    width = next(np.shape(u)[2] for u in initial if np.ndim(u) == 3)
     keys = list(range(width)) if keys is None else list(keys)
-    steps = []
-    failures, _ = integrate_batch(
-        kinds, grid, initial, params, tgrid, lambda n, states: steps.append(np.stack(states)),
-        keys=keys, **inputs,
-    )
-    stored = np.array(steps)
+    steps = [[] for _ in kinds]
+
+    def observe(n, states):
+        for stored, u in zip(steps, states):
+            stored.append(u.copy())
+
+    failures, _ = integrate_batch(kinds, grid, initial, params, tgrid, observe, keys=keys, **inputs)
+    stored = [np.array(s) for s in steps]
     ends = {keys.index(exc.key): exc.step for exc in failures}
     columns = [
-        [stored[:ends.get(j), k, ..., j] for k in range(len(kinds))] for j in range(width)
+        [s[:ends.get(j), ..., j] if np.ndim(u) == 3 else s[..., 0] for s, u in zip(stored, initial)]
+        for j in range(width)
     ]
     return columns, failures

@@ -192,6 +192,25 @@ def test_energy_drift_full_model_first_order():
     assert 1.5 <= d_coarse / d_fine <= 2.5
 
 
+def test_energy_drift_does_not_depend_on_the_stack_chunk(monkeypatch):
+    # each step's cubic sum is a column reduction: whatever chunk of snapshots
+    # it is taken in, alone or in a wide stack, the drift keeps its bits. With
+    # mu = 100 the cubic term carries the balance, so a sum that moved with
+    # the chunk would show in the drift
+    import dataclasses
+
+    import llblab.field as field_module
+
+    p = ModelParams(mu=100.0)
+    rec = integrate(SystemKind.DETERMINISTIC, initial_profile(make_grid(31)), p, TimeGrid(0.05, 50))
+    drifts = []
+    for chunk in (1, 7, 256, 4096):
+        monkeypatch.setattr(field_module, "STACK_CHUNK", chunk)
+        # a fresh record, so its cached norm rows are taken at this chunk too
+        drifts.append(energy_drift(dataclasses.replace(rec), p).hex())
+    assert drifts == [drifts[0]] * 4
+
+
 def test_energy_drift_rejects_non_deterministic():
     g = make_grid(31)
     p = ModelParams()

@@ -385,6 +385,66 @@ def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text, finite_linf
     assert "Warning" not in err
 
 
+def test_main_clt_reference_blow_up_after_every_sample_retired(tmp_path, capfd):
+    # at gamma = 4 the noise drives every sample past the ceiling before the
+    # deterministic reference blows up at step 105: the reference marches on
+    # alone, and the run still ends with the error that integrate of the
+    # reference raises, as the one exit-3 JSON object
+    from llblab.dynamics import BlowUpError, SystemKind, integrate
+    from llblab.noise import IncrementStreams, stream_rng
+
+    text = (
+        "kind = clt\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 400\nnoise.modes = 8\n"
+        "model.gamma = 4\nclt.epsilons = 1.0, 0.5\nclt.samples = 2\nseed = 5\n"
+    )
+    config = parse_config(text)
+    u0, params, tgrid = config.initial(), config.model_params(), config.time_grid()
+    with pytest.raises(BlowUpError) as reference:
+        integrate(SystemKind.DETERMINISTIC, u0, params, tgrid)
+    exc = reference.value
+    assert exc.step == 105
+    # the samples on their streams, the reference beside them as a batch system
+    keys = [(5, i, m) for i in range(2) for m in range(2)]
+    start = np.repeat(u0.values[..., None], 4, axis=2)
+    _, failed = record_batch(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), u0.grid,
+        (start, np.zeros_like(start), start), params, tgrid, keys=keys,
+        spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
+        noise=IncrementStreams([stream_rng(*key) for key in keys], 400, 8, tgrid.dt),
+    )
+    assert sorted(f.key for f in failed) == keys
+    assert all(f.step < exc.step for f in failed)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, _ = capfd.readouterr()
+    assert code == EXIT_BLOWUP
+    assert json.loads(out) == {
+        "error": {
+            "code": EXIT_BLOWUP, "kind": "blow-up", "message": str(exc), "step": 105,
+            "key": None, "linf": exc.linf, "ratio": exc.ratio,
+        }
+    }
+
+
+def test_main_energy_drift_of_a_huge_coefficient_is_finite(tmp_path, capfd):
+    # 2 nu1 ||Lap u||^2 alone overflows at nu1 = 1e300 for this state; weighted
+    # by dt = 1e-9 first, the drift is a finite number, with no numpy warning
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "kind = deterministic\nmodel.nu1 = 1e300\ntime.horizon = 1e-9\ngrid.n = 3\n"
+        "time.steps = 1\ninit.b = 500\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert (code, out, err) == (EXIT_OK, "", "")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["energy_drift"] is not None
+    assert 1.0e280 < summary["energy_drift"] < math.inf
+
+
 def test_run_blow_up_reports_a_finite_norm_whose_square_overflows(tmp_path, capsys):
     # the state is finite but its components exceed about 1.3e154, so their
     # squares overflow: the error still carries the finite |u|_inf

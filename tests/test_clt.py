@@ -133,20 +133,26 @@ def _path_gap_errors(config):
 
     tg = config.tgrid
     u0 = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, tg, stride=1)
-    start = (config.initial.values[..., None], zero_field(config.initial.grid).values[..., None])
+    # the deterministic reference as a shared column of the batch
+    start = (
+        config.initial.values[..., None],
+        zero_field(config.initial.grid).values[..., None],
+        config.initial.values,
+    )
     errors = []
     for i, eps in enumerate(config.epsilons):
         row = []
         for m in range(config.samples):
-            ((u_eps, v0),), failed = record_batch(
-                (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), config.initial.grid, start,
-                config.params, tg, spec=config.spec, base=u0,
+            ((u_eps, v0, ref),), failed = record_batch(
+                (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
+                config.initial.grid, start, config.params, tg, spec=config.spec,
                 noise=IncrementStreams(
                     [stream_rng(config.base_seed, i, m)], tg.steps, config.spec.mode_count, tg.dt
                 ),
                 epsilons=[eps],
             )
             assert failed == []
+            assert ref.tobytes() == u0.snapshots.tobytes()
             v_eps = (u_eps - u0.snapshots) / math.sqrt(eps)
             row.append(
                 path_gap(v_eps, v0, config.initial.grid.spacing, tg.dt, config.params.nu1)
@@ -221,30 +227,37 @@ def test_run_clt_blocks_of_any_length_give_the_same_bits(monkeypatch):
 
 
 def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
-    # every column blows up at step 1 of a 16-step block: its metrics are all
-    # None, every failure is listed and no block of states reaches ``difference``
+    # every column blows up before step 16, the end of its first block: its
+    # metrics are all None and every failure is listed, while the reference
+    # marches on to the last step, so that a later blow-up of its own would
+    # still end the run, and every block of it reaches ``difference``
     import llblab.clt as clt_module
     from llblab.clt import run_columns
-    from llblab.dynamics import SystemKind
+    from llblab.dynamics import SystemKind, integrate
 
     monkeypatch.setattr(
         clt_module, "stream_rng", lambda seed, *key: ScaledRng(stream_rng(seed, *key), 1.0e8)
     )
     config = small_config(samples=2, epsilons=(1e-1, 1e-2))
     calls = []
+    reference = []
 
     def difference(n, states, eps):
         calls.append(n)
+        reference.append(np.moveaxis(states[1][..., 0, :], -1, 0).copy())
         return states[0]
 
     values, failures = run_columns(
-        (SystemKind.STOCHASTIC,), (config.initial,), config.epsilons, 2, config.base_seed,
-        difference, 0.0, config.params, config.tgrid, config.spec,
+        (SystemKind.STOCHASTIC,), (config.initial,), (SystemKind.DETERMINISTIC, config.initial),
+        config.epsilons, 2, config.base_seed, difference, 0.0, config.params, config.tgrid,
+        config.spec,
     )
     assert values == [[None, None], [None, None]]
     assert [(f.eps_index, f.sample) for f in failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(f.step < 16 for f in failures)
-    assert calls == []
+    assert calls == list(range(0, config.tgrid.steps + 1, 16))
+    det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
+    assert np.concatenate(reference).tobytes() == det.snapshots.tobytes()
 
 
 # --- persistence -------------------------------------------------------------------
@@ -265,15 +278,18 @@ def test_clt_csv_and_summary(tmp_path):
     assert payload["failures"] == [] and payload["n_failures"] == 0
 
 
-def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup():
+def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
+    import llblab.clt as clt_module
     from llblab.clt import sup_grad_ensemble
     from llblab.field import stack_norms
     from llblab.dynamics import SystemKind, integrate
 
     config = small_config(tgrid=TimeGrid(0.05, 50))
-    det_sup, sups, failures = sup_grad_ensemble(
-        (0.0, 0.1), 3, config.params, config.tgrid, config.spec, config.initial, 4
-    )
+    args = ((0.0, 0.1), 3, config.params, config.tgrid, config.spec, config.initial, 4)
+    det_sup, sups, failures = sup_grad_ensemble(*args)
+    # batches of 4 and 2 columns: the first batch's reference gives the same sup
+    monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 4)
+    assert sup_grad_ensemble(*args) == (det_sup, sups, failures)
     # the noiseless columns run the deterministic flow: the same sums give the same bits
     assert sups[0] == [det_sup] * 3
     assert failures == ()

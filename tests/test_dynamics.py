@@ -85,7 +85,10 @@ def _drift(u, params):
     # the explicit drift is (rhs - v) / dt, rhs the right-hand side of a step
     # before its implicit solve; dt = 1 keeps the subtraction from scaling its rounding up
     v, h, dt = u.values, u.grid.spacing, 1.0
-    step = _rhs_values(v, lap_values(v, h), sq_norm_values(v), params, dt, None, np.empty_like(v))
+    step = _rhs_values(
+        v, lap_values(v, h), sq_norm_values(v), params, dt, None, np.empty_like(v),
+        np.empty_like(v),
+    )
     return (step - v) / dt
 
 
@@ -125,7 +128,9 @@ def test_step_matches_integrate_single_step(rng):
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
     v, h = u0.values, g.spacing
-    rhs = _rhs_values(v, lap_values(v, h), sq_norm_values(v), p, tg.dt, None, np.empty_like(v))
+    rhs = _rhs_values(
+        v, lap_values(v, h), sq_norm_values(v), p, tg.dt, None, np.empty_like(v), np.empty_like(v)
+    )
     manual = helm_values(rhs, h, tg.dt * p.nu1)
     assert np.array_equal(rec.final_values(), manual)
 
@@ -224,13 +229,16 @@ def test_skeleton_zero_control_degenerates_bitwise():
     assert det.snapshots.tobytes() == ske.snapshots.tobytes()
 
 
-def _coupled_states(kinds, initial, params, tg, spec, base, rngs, epsilons):
+def _coupled_states(kinds, initial, params, tg, spec, reference, rngs, epsilons):
     """Every step of a batch of ``kinds`` run on increment streams drawn from
-    ``rngs``, as one (steps + 1, n, 3) array per column and kind."""
+    ``rngs``, as one (steps + 1, n, 3) array per column and kind; a
+    ``reference`` field adds a shared deterministic column, listed last."""
+    start = [np.repeat(f.values[..., None], len(rngs), axis=2) for f in initial]
+    if reference is not None:
+        kinds = (*kinds, SystemKind.DETERMINISTIC)
+        start.append(reference.values)
     columns, failed = record_batch(
-        kinds, initial[0].grid,
-        [np.repeat(f.values[..., None], len(rngs), axis=2) for f in initial],
-        params, tg, spec=spec, base=base,
+        kinds, initial[0].grid, start, params, tg, spec=spec,
         noise=IncrementStreams(rngs, tg.steps, spec.mode_count, tg.dt), epsilons=epsilons,
     )
     assert failed == []
@@ -242,9 +250,8 @@ def test_linearized_zero_path_stays_zero():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
-    ((v0,),) = _coupled_states(
-        (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, base,
+    ((v0, _),) = _coupled_states(
+        (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, initial_profile(g),
         [ScaledRng(stream_rng(3), 0.0)], [0.0],
     )
     assert np.all(v0 == 0.0)
@@ -257,7 +264,7 @@ def test_coupled_runs_share_noise():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
+    base = initial_profile(g)
     columns = _coupled_states(
         (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial_profile(g), zero_field(g)),
         p, tg, spec, base, [stream_rng(3), stream_rng(4)], [0.1, 0.1],
@@ -267,11 +274,11 @@ def test_coupled_runs_share_noise():
             (SystemKind.STOCHASTIC,), (initial_profile(g),), p, tg, spec, None,
             [stream_rng(seed)], [0.1],
         )
-        ((alone_v,),) = _coupled_states(
+        ((alone_v, _),) = _coupled_states(
             (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, base,
             [stream_rng(seed)], [0.1],
         )
-        u_eps, v0 = columns[j]
+        u_eps, v0, _ = columns[j]
         assert u_eps.tobytes() == alone_u.tobytes()
         assert v0.tobytes() == alone_v.tobytes()
     # another stream drives another path
@@ -334,10 +341,17 @@ def test_integrate_missing_inputs():
         )
     with pytest.raises(ValueError, match="control"):
         integrate(SystemKind.SKELETON, u0, p, tg, spec=spec)
-    with pytest.raises(ValueError, match="base"):
+    # a linearized system needs a deterministic system to linearize about
+    with pytest.raises(ValueError, match="deterministic reference"):
         integrate_batch(
             (SystemKind.LINEARIZED_CLT,), g, (np.zeros((g.n_interior, 3, 1)),), p, tg,
             lambda *a: None, spec=spec, noise=noise,
+        )
+    with pytest.raises(ValueError, match="deterministic reference"):
+        integrate_batch(
+            (SystemKind.LINEARIZED_CLT, SystemKind.STOCHASTIC), g,
+            (np.zeros((g.n_interior, 3, 1)), u0.values[..., None]), p, tg,
+            lambda *a: None, spec=spec, noise=noise, epsilons=(0.1,),
         )
 
 
@@ -358,11 +372,11 @@ def test_linearized_requires_zero_initial():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    base = integrate(SystemKind.DETERMINISTIC, initial_profile(g), p, tg)
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT,), g, (initial_profile(g).values[..., None],), p, tg,
-            lambda *a: None, spec=spec, base=base,
+            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), g,
+            (initial_profile(g).values[..., None], initial_profile(g).values), p, tg,
+            lambda *a: None, spec=spec,
             noise=IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt),
         )
 
@@ -555,7 +569,8 @@ BATCH_SPEC = make_covariance(16, 4.0)
 
 
 def _batch_setup(kind, seed, width):
-    """Initial states, epsilons, control and base of a ``width``-column run of ``kind``."""
+    """Initial states, epsilons, control and reference field of a ``width``-column
+    run of ``kind``."""
     rng = np.random.default_rng(seed)
     if kind is SystemKind.LINEARIZED_CLT:
         initial = np.zeros((BATCH_GRID.n_interior, 3, width))
@@ -563,8 +578,7 @@ def _batch_setup(kind, seed, width):
         initial = rng.normal(size=(BATCH_GRID.n_interior, 3, width))
     epsilons = rng.choice([0.0, 1e-3, 0.1, 1.0], size=width)
     ctrl = ControlPath(rng.normal(size=(BATCH_TIME.steps, BATCH_SPEC.mode_count, 3)), BATCH_TIME.dt)
-    base = integrate(SystemKind.DETERMINISTIC, initial_profile(BATCH_GRID), ModelParams(), BATCH_TIME)
-    return initial, epsilons, ctrl, base
+    return initial, epsilons, ctrl, initial_profile(BATCH_GRID)
 
 
 def _control_for(kinds, ctrl):
@@ -572,16 +586,18 @@ def _control_for(kinds, ctrl):
     return ctrl if any(k in controlled for k in kinds) else None
 
 
-def _base_for(kinds, base):
-    return base if SystemKind.LINEARIZED_CLT in kinds else None
-
-
 def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
-    """March ``columns`` of the setup as one batch; returns each column's
-    ``record_batch`` states, by column, and the failures."""
+    """March ``columns`` of the setup as one batch, with the ``base`` field as a
+    shared deterministic column, listed last, when a linearized system needs
+    one; returns each column's ``record_batch`` states, by column, and the
+    failures."""
+    start = [u[..., columns] for u in initial]
+    if SystemKind.LINEARIZED_CLT in kinds and SystemKind.DETERMINISTIC not in kinds:
+        kinds = (*kinds, SystemKind.DETERMINISTIC)
+        start.append(base.values)
     states, failed = record_batch(
-        kinds, BATCH_GRID, [u[..., columns] for u in initial], ModelParams(), BATCH_TIME,
-        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl), base=_base_for(kinds, base),
+        kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME,
+        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl),
         noise=IncrementStreams(
             [stream_rng(seed, j) for j in columns],
             BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
@@ -657,6 +673,75 @@ def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts,
                     assert seen[j][k].tobytes() == det.tobytes(), j
 
 
+REFERENCE_CASES = [
+    ((SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), SystemKind.DETERMINISTIC),
+    ((SystemKind.CONTROLLED_STOCHASTIC,), SystemKind.SKELETON),
+]
+
+
+@pytest.mark.parametrize(
+    "kinds, ref_kind", REFERENCE_CASES, ids=["deterministic-reference", "skeleton-reference"]
+)
+@settings(max_examples=15, deadline=None)
+@given(
+    width=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    blown=st.sets(st.integers(0, 7), max_size=8),
+    ref_scale=st.sampled_from([1.0, 1.0, 10.0, 100.0]),
+)
+# every sample column retires and the reference marches on alone, to the end
+# or to its own blow-up a few steps later
+@example(width=3, seed=5, blown={0, 1, 2}, ref_scale=1.0)
+@example(width=3, seed=5, blown={0, 1, 2}, ref_scale=10.0)
+def test_shared_reference_column_has_the_bits_of_integrate(
+    kinds, ref_kind, width, seed, blown, ref_scale
+):
+    # the noiseless reference as a shared column of a batch: its states are
+    # integrate's snapshots byte for byte, whatever the width and whichever
+    # columns retire, every sample column keeps the bits of its own width-1
+    # batch, and a reference that blows up raises integrate's BlowUpError
+    setups = [_batch_setup(kind, seed, width) for kind in kinds]
+    initial = [s[0] for s in setups]
+    _, epsilons, ctrl, _ = setups[0]
+    for u in initial:
+        u[..., [j for j in blown if j < width]] *= 100.0
+    draw = np.random.default_rng(seed + 1).normal(size=(BATCH_GRID.n_interior, 3))
+    ref = VectorField(BATCH_GRID, ref_scale * draw)
+    ctrl = _control_for((ref_kind,), ctrl)
+
+    def run(columns):
+        return record_batch(
+            (*kinds, ref_kind), BATCH_GRID, [u[..., columns] for u in initial] + [ref.values],
+            ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl,
+            noise=IncrementStreams(
+                [stream_rng(seed, j) for j in columns],
+                BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
+            ),
+            epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
+        )
+
+    try:
+        alone = integrate(ref_kind, ref, ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl)
+    except BlowUpError as exc:
+        with pytest.raises(BlowUpError) as info:
+            run(list(range(width)))
+        raised = info.value
+        assert (raised.step, raised.key, raised.linf, raised.ratio, str(raised)) == (
+            exc.step, None, exc.linf, exc.ratio, str(exc)
+        )
+        return
+    seen, failed = run(list(range(width)))
+    retired = {exc.key[1]: exc for exc in failed}
+    for j in range(width):
+        assert seen[j][-1].tobytes() == alone.snapshots.tobytes(), j
+        single, single_failed = run([j])
+        assert [(exc.key, exc.step, str(exc)) for exc in single_failed] == (
+            [(retired[j].key, retired[j].step, str(retired[j]))] if j in retired else []
+        )
+        for states, states_alone in zip(seen[j], single[0]):
+            assert states.tobytes() == states_alone.tobytes(), j
+
+
 def test_integrate_batch_checks_its_inputs():
     initial, epsilons, ctrl, base = _batch_setup(SystemKind.STOCHASTIC, 1, 2)
     kw = dict(spec=BATCH_SPEC)
@@ -672,17 +757,29 @@ def test_integrate_batch_checks_its_inputs():
         )
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT,), BATCH_GRID, (initial,), ModelParams(),
-            BATCH_TIME, lambda *a: None, base=base,
+            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), BATCH_GRID,
+            (initial, base.values), ModelParams(), BATCH_TIME, lambda *a: None,
             noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt), **kw,
         )
+    # a shared column runs a noiseless kind beside at least one batch system
+    with pytest.raises(ValueError, match="shared column"):
+        integrate_batch(
+            (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC), BATCH_GRID,
+            (initial, base.values), ModelParams(), BATCH_TIME, lambda *a: None,
+            noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt),
+            epsilons=epsilons, **kw,
+        )
+    # no batch system, or a shared field before one
+    for kinds, start in (
+        ((SystemKind.DETERMINISTIC,), (base.values,)),
+        ((SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC), (base.values, initial)),
+    ):
+        with pytest.raises(ValueError, match="initial batch"):
+            integrate_batch(kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME, lambda *a: None)
 
 
 # --- inputs a kind cannot use ---------------------------------------------------------
 
-BATCH_BASE = integrate(
-    SystemKind.DETERMINISTIC, initial_profile(BATCH_GRID), ModelParams(), BATCH_TIME
-)
 BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt)
 
 
@@ -691,18 +788,20 @@ BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME
     kind=st.sampled_from(list(SystemKind)),
     with_spec=st.booleans(),
     with_ctrl=st.booleans(),
-    with_base=st.booleans(),
+    with_reference=st.booleans(),
     batch=st.booleans(),
 )
-def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, with_base, batch):
-    # a control drives only the controlled kinds, a base only the linearized
-    # one; both entry points reject every other combination before stepping,
-    # and integrate, which takes no base, every noisy kind
+def test_each_kind_takes_exactly_the_inputs_it_uses(
+    kind, with_spec, with_ctrl, with_reference, batch
+):
+    # a control drives only the controlled kinds, and the linearized one needs
+    # a deterministic reference, here a shared column; both entry points reject
+    # every other combination before stepping, and integrate every noisy kind
     controlled = kind in (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
     linearized = kind is SystemKind.LINEARIZED_CLT
     valid = (with_spec or kind is SystemKind.DETERMINISTIC) and with_ctrl == controlled
     if batch:
-        valid = valid and with_base == linearized
+        valid = valid and (with_reference or not linearized)
     else:
         valid = valid and kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON)
     initial = zero_field(BATCH_GRID) if linearized else initial_profile(BATCH_GRID)
@@ -713,14 +812,17 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(kind, with_spec, with_ctrl, 
 
     def run():
         if batch:
+            reference = ((SystemKind.DETERMINISTIC,), (initial_profile(BATCH_GRID).values,))
+            kinds, start = ((kind,), (np.repeat(initial.values[..., None], 2, axis=2),))
+            if with_reference:
+                kinds, start = kinds + reference[0], start + reference[1]
             return integrate_batch(
-                (kind,), BATCH_GRID, (np.repeat(initial.values[..., None], 2, axis=2),),
-                ModelParams(), BATCH_TIME, lambda *a: None,
+                kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME, lambda *a: None,
                 noise=IncrementStreams(
                     [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
                     BATCH_TIME.dt,
                 ),
-                epsilons=[0.1, 0.1], base=BATCH_BASE if with_base else None, **inputs,
+                epsilons=[0.1, 0.1], **inputs,
             )
         return integrate(kind, initial, ModelParams(), BATCH_TIME, **inputs)
 

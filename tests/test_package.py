@@ -151,7 +151,10 @@ def test_perfbench_tracer_records_a_traced_run(tmp_path):
     assert {attr: getattr(cli, attr) for attr in originals} == originals
     layers = tracer.layer_metrics()
     assert layers["clt.samples"] == 6
-    assert layers["dynamics.integrate.deterministic.calls"] == 1
+    # the deterministic reference marches inside the batch: no integrate call
+    # and no stored snapshot
+    assert layers["dynamics.integrate.deterministic.calls"] == 0
+    assert layers["dynamics.snapshots_mb"] == 0.0
     assert layers["noise.paths"] > 0
 
 
