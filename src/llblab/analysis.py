@@ -21,7 +21,7 @@ import numpy as np
 
 from .field import (
     STACK_CHUNK,
-    VectorField,
+    as_field,
     column_sq_sums,
     cross_values,
     dot_values,
@@ -34,7 +34,7 @@ from .field import (
     sq_norm_values,
     stack_norms,
 )
-from .dynamics import ModelParams, TrajectoryRecord
+from .dynamics import TrajectoryRecord
 
 __all__ = [
     "IdentityReport",
@@ -115,7 +115,7 @@ def _cross_residuals(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     return np.stack([r1, r2, np.maximum(0.0, lhs - rhs)])
 
 
-def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
+def check_identities(u: np.ndarray, v: np.ndarray) -> list[IdentityReport]:
     """Residuals of the exact cross-product identities and the mixed bound.
 
     The first two residuals are scale-normalized so the 1e-12 tolerance is
@@ -124,9 +124,10 @@ def check_identities(u: VectorField, v: VectorField) -> list[IdentityReport]:
     discrete interpolation constant c_d = 2 (1 + 10 h); its residual is the
     violation amount, zero when the bound holds.
     """
-    if u.grid != v.grid:
+    u, v = as_field(u), as_field(v)
+    if u.shape != v.shape:
         raise ValueError("fields must share a grid")
-    r1, r2, violation = _cross_residuals(u.values[..., None], v.values[..., None], u.grid.spacing)
+    r1, r2, violation = _cross_residuals(u[..., None], v[..., None], make_grid(len(u)).spacing)
     return [
         IdentityReport("cross-orthogonality", float(r1[0]), EXACT_IDENTITY_TOL),
         IdentityReport("precession-orthogonality", float(r2[0]), EXACT_IDENTITY_TOL),
@@ -170,7 +171,7 @@ def _cubic_residuals(u: np.ndarray, h: float, mu: float) -> np.ndarray:
     return np.stack([vector, colinear, vector / (1.0 + h1_semi**2 * (1.0 + mu * linf**2))])
 
 
-def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, float]:
+def cubic_identity_residuals(u: np.ndarray, mu: float = 1.0) -> tuple[float, float]:
     """Residuals of the cubic damping identity, vector form and colinear form.
 
     Vector form:   ((1+mu|u|^2) u, Lap u) = -||grad u||^2
@@ -182,14 +183,14 @@ def cubic_identity_residuals(u: VectorField, mu: float = 1.0) -> tuple[float, fl
     exactly when u is pointwise parallel to its derivative and differ at O(1)
     otherwise.
     """
-    vector, colinear, _ = _cubic_residuals(u.values[..., None], u.grid.spacing, mu)[:, 0]
+    vector, colinear, _ = _cubic_residuals(u[..., None], make_grid(len(u)).spacing, mu)[:, 0]
     return float(vector), float(colinear)
 
 
-def check_cubic_identity(u: VectorField, mu: float = 1.0) -> IdentityReport:
+def check_cubic_identity(u: np.ndarray, mu: float = 1.0) -> IdentityReport:
     """Scale-normalized residual of the exact vector identity; the colinear form
     is not checked, because the two forms agree only for pointwise-parallel fields."""
-    residual = _cubic_residuals(u.values[..., None], u.grid.spacing, mu)[2, 0]
+    residual = _cubic_residuals(u[..., None], make_grid(len(u)).spacing, mu)[2, 0]
     return IdentityReport("cubic-damping-identity", float(residual), EXACT_IDENTITY_TOL)
 
 
@@ -213,18 +214,20 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=rms)
 
 
-def energy_drift(traj: TrajectoryRecord, params: ModelParams) -> float:
+def energy_drift(traj: TrajectoryRecord) -> float:
     """Deviation of the dissipation balance along a deterministic trajectory.
 
     Monitors  ||grad u(t)||^2 + 2 nu1 int ||Lap u||^2 + 2 nu2 int (||grad u||^2
-    + mu * cubic) - ||grad u(0)||^2  with left-endpoint quadrature; the result
-    shrinks at first order in dt. Its cubic sums are column reductions, whatever the
-    chunk; dt weights each coefficient first, so a huge nu1 over a tiny dt stays finite.
+    + mu * cubic) - ||grad u(0)||^2  with left-endpoint quadrature and the run's own
+    ``traj.params``; the result shrinks at first order in dt. Its cubic sums are column
+    reductions, whatever the chunk; dt weights each coefficient first, so a huge nu1
+    over a tiny dt stays finite.
     """
     if traj.kind != "deterministic":
         raise ValueError(f"energy drift is defined for deterministic runs, got {traj.kind}")
     if not traj.dense:
         raise ValueError("energy drift needs snapshots at every step")
+    params = traj.params
     h = traj.grid.spacing
     dt = float(traj.times[1] - traj.times[0])
     rows = traj.norm_rows

@@ -39,6 +39,7 @@ from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
 # imported as _write_json: perfbench/tracer.py wraps cli._write_json by name
 from .clt import write_json as _write_json
 from .dynamics import (
+    LINF_CEILING,
     BlowUpError,
     ModelParams,
     SystemKind,
@@ -48,7 +49,7 @@ from .dynamics import (
     write_fields_csv,
     write_report_csv,
 )
-from .field import Grid1D, VectorField, h1_norm, make_grid
+from .field import h1_norm, make_grid
 from .ldp import (
     RateProblem,
     WeakRow,
@@ -197,9 +198,6 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.settings[key]
 
-    def grid(self) -> Grid1D:
-        return make_grid(self.settings["grid.n"])
-
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.settings["time.horizon"], self.settings["time.steps"])
 
@@ -214,8 +212,9 @@ class ExperimentConfig:
     def covariance(self):
         return make_covariance(self.settings["noise.modes"], self.settings["noise.alpha"])
 
-    def initial(self) -> VectorField:
-        return initial_profile(self.grid(), self.settings["init.a"], self.settings["init.b"])
+    def initial(self) -> np.ndarray:
+        grid = make_grid(self.settings["grid.n"])
+        return initial_profile(grid, self.settings["init.a"], self.settings["init.b"])
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -325,10 +324,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _read_target_field(path, grid: Grid1D) -> VectorField:
-    """Read a target CSV (node_index,ux,uy,uz); malformed content raises ValueError."""
-    values = np.zeros((grid.n_interior, 3))
-    seen = np.zeros(grid.n_interior, dtype=bool)
+def _read_target_field(path, nodes: int) -> np.ndarray:
+    """Read a target CSV (node_index,ux,uy,uz) into a (nodes, 3) field; malformed
+    content raises ValueError."""
+    values = np.zeros((nodes, 3))
+    seen = np.zeros(nodes, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -346,13 +346,13 @@ def _read_target_field(path, grid: Grid1D) -> VectorField:
                     f"{path}: line {reader.line_num}: expected node_index and three finite "
                     f"values, got {row}"
                 ) from None
-            if not 0 <= idx < grid.n_interior:
-                raise ValueError(f"{path}: node index {idx} outside grid of {grid.n_interior}")
+            if not 0 <= idx < nodes:
+                raise ValueError(f"{path}: node index {idx} outside grid of {nodes}")
             values[idx] = node
             seen[idx] = True
     if not seen.all():
         raise ValueError(f"{path}: {int((~seen).sum())} node values missing")
-    return VectorField(grid, values)
+    return values
 
 
 def _read_table(config: ExperimentConfig, key: str, read, *args):
@@ -415,7 +415,7 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
         {
             "final_l2": final_l2,
             "final_h1_semi": final_h1_semi,
-            "energy_drift": energy_drift(rec, config.model_params()),
+            "energy_drift": energy_drift(rec),
             "explicit_cfl": rec.explicit_cfl,
         },
     )
@@ -515,10 +515,17 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     params = config.model_params()
     init = config.initial()
     if config["rate.target"] is not None:
-        target = _read_table(config, "rate.target", _read_target_field, config.grid())
+        target = _read_table(config, "rate.target", _read_target_field, config["grid.n"])
+        # a skeleton state above the ceiling is a blow-up, so no control reaches
+        # it; hypot takes each node's |u| without squares that could overflow
+        if np.hypot.reduce(target, axis=1).max() > LINF_CEILING:
+            raise ConfigError([
+                f"rate.target: {config['rate.target']}: a node's |u| exceeds the blow-up "
+                f"ceiling {LINF_CEILING:g}, which no skeleton state reaches"
+            ])
     else:
         det = integrate(SystemKind.DETERMINISTIC, init, params, tgrid, stride=tgrid.steps)
-        target = det.final_field()
+        target = det.final_values()
     problem = RateProblem(
         target=target,
         penalty=config["rate.penalty"],

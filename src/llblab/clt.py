@@ -48,7 +48,7 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import STACK_CHUNK, VectorField, scratch, solver_empty, zero_field
+from .field import STACK_CHUNK, make_grid, scratch, solver_empty
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
@@ -126,7 +126,7 @@ def run_columns(
 ) -> tuple[list, tuple]:
     """The proof metric of every (epsilon index, sample) column of an ensemble.
 
-    Column (i, m) starts every system of ``kinds`` from its field in
+    Column (i, m) starts every system of ``kinds`` from its (n, 3) field in
     ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
     (``dynamics.integrate_batch`` with ``ctrl``). ``reference`` is a
     (kind, field) pair: the noiseless run the samples are compared with,
@@ -143,7 +143,7 @@ def run_columns(
     ``(values, failures)``: ``values[i][m]`` is the metric of column (i, m),
     None where it blew up, and ``failures`` its SampleFailures, sorted.
     """
-    grid = initial[0].grid
+    nodes = len(initial[0])
     steps = tgrid.steps
     kinds = (*kinds, reference[0])
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
@@ -153,14 +153,14 @@ def run_columns(
         batch = columns[first:first + BATCH_COLUMNS]
         width = len(batch)
         eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
-        gap = StreamedPathGap(width, grid.spacing, tgrid.dt, nu1, steps)
+        gap = StreamedPathGap(width, make_grid(nodes).spacing, tgrid.dt, nu1, steps)
         noise = IncrementStreams(
             [stream_rng(base_seed, i, m) for i, m in batch], steps, spec.mode_count, tgrid.dt
         )
         block = min(steps + 1, max(1, BATCH_COLUMNS // width))
-        start = [np.repeat(f.values[..., None], width, axis=2) for f in initial]
-        start.append(reference[1].values)
-        shape = (grid.n_interior, 3, width, block)
+        start = [np.repeat(f[..., None], width, axis=2) for f in initial]
+        start.append(reference[1])
+        shape = (nodes, 3, width, block)
         buffers = [solver_empty(shape) for _ in initial] + [solver_empty(shape[:2] + (1, block))]
 
         def observe(n, states):
@@ -175,7 +175,7 @@ def run_columns(
                 gap.add(n - k, difference(n - k, [buf[..., :k + 1] for buf in buffers], eps))
 
         failed, _ = integrate_batch(
-            kinds, grid, start, params, tgrid, observe,
+            kinds, start, params, tgrid, observe,
             spec=spec, ctrl=ctrl, noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
@@ -205,15 +205,16 @@ def run_clt(
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
-    initial: VectorField,
+    initial: np.ndarray,
     base_seed: int,
 ) -> CltReport:
     """The central limit experiment: ``samples`` coupled (u_eps, V0) columns
-    per epsilon, sample m of epsilon index i on ``stream_rng(base_seed, i, m)``,
-    and the slope of the mean error against epsilon when at least three means
-    are positive. The result depends on nothing but the arguments. Raises
-    ValueError, before any integration, unless the epsilons are strictly
-    decreasing in (0, 1] and there are at least 2 samples."""
+    per epsilon from the (n, 3) field ``initial``, sample m of epsilon index i
+    on ``stream_rng(base_seed, i, m)``, and the slope of the mean error against
+    epsilon when at least three means are positive. The result depends on
+    nothing but the arguments. Raises ValueError, before any integration,
+    unless the epsilons are strictly decreasing in (0, 1] and there are at
+    least 2 samples."""
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
@@ -239,7 +240,7 @@ def run_clt(
         return d
 
     errors, failures = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial, zero_field(initial.grid)),
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial, np.zeros_like(initial)),
         (SystemKind.DETERMINISTIC, initial), epsilons, samples, base_seed, deviation_gap,
         params.nu1, params, tgrid, spec,
     )
@@ -257,15 +258,15 @@ def sup_grad_ensemble(
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
-    initial: VectorField,
+    initial: np.ndarray,
     base_seed: int,
 ) -> SupGradEnsemble:
-    """sup_n ||grad u_n||^2 of the deterministic run from ``initial`` and of
-    ``samples`` stochastic runs per epsilon, sample m of epsilon index i on
-    ``stream_rng(base_seed, i, m)``. Both use the same sums, so a sample at
-    epsilon 0 gives the deterministic value bitwise. Raises BlowUpError when
-    the deterministic run blows up."""
-    det = StreamedPathGap(1, initial.grid.spacing, tgrid.dt, 0.0, tgrid.steps)
+    """sup_n ||grad u_n||^2 of the deterministic run from the (n, 3) field
+    ``initial`` and of ``samples`` stochastic runs per epsilon, sample m of
+    epsilon index i on ``stream_rng(base_seed, i, m)``. Both use the same sums,
+    so a sample at epsilon 0 gives the deterministic value bitwise. Raises
+    BlowUpError when the deterministic run blows up."""
+    det = StreamedPathGap(1, make_grid(len(initial)).spacing, tgrid.dt, 0.0, tgrid.steps)
     first = {}
 
     def sup_grad(n, states, eps):

@@ -57,12 +57,13 @@ import numpy as np
 from .field import (
     STACK_CHUNK,
     Grid1D,
-    VectorField,
+    as_field,
     cross_values,
     csv_rows,
     dot_values,
     helm_values,
     lap_values,
+    make_grid,
     solver_empty,
     sq_norm_values,
     stack_norms,
@@ -208,17 +209,14 @@ class TrajectoryRecord:
     def final_values(self) -> np.ndarray:
         return self.snapshots[-1]
 
-    def final_field(self) -> VectorField:
-        return VectorField(self.grid, self.final_values().copy())
 
-
-def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> VectorField:
-    """Default initial state a sin(pi x) e1 + b sin(2 pi x) e2."""
+def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> np.ndarray:
+    """Default initial state a sin(pi x) e1 + b sin(2 pi x) e2, an (n, 3) field."""
     x = grid.nodes
     vals = np.zeros((grid.n_interior, 3))
     vals[:, 0] = a * np.sin(math.pi * x)
     vals[:, 1] = b * np.sin(2.0 * math.pi * x)
-    return VectorField(grid, vals)
+    return vals
 
 
 def _drive(lap_v: np.ndarray, params: ModelParams, dt: float, g: np.ndarray | None):
@@ -353,44 +351,45 @@ def _check_inputs(
 
 def integrate(
     kind: SystemKind,
-    u0_field: VectorField,
+    u0: np.ndarray,
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec | None = None,
     ctrl: ControlPath | None = None,
     stride: int = 1,
 ) -> TrajectoryRecord:
-    """Integrate one of the noiseless systems, deterministic or skeleton, and
-    record its snapshots.
+    """Integrate one of the noiseless systems, deterministic or skeleton, from
+    the (n, 3) field ``u0`` and record its snapshots.
 
     The width-1 case of ``integrate_batch``; the noisy kinds draw increments and
     run as batch columns there. The state is stored every ``stride`` steps and
-    at the last step. Raises BlowUpError with the offending step when the state
-    leaves the finite/bounded regime.
+    at the last step. Raises ValueError for a ``u0`` of another shape, and
+    BlowUpError with the offending step when the state leaves the
+    finite/bounded regime.
     """
     if kind in _NOISY_KINDS:
         raise ValueError(f"{kind.value} integration draws noise: run it with integrate_batch")
+    u0 = as_field(u0)
     n_steps = tgrid.steps
     stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     snap_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
-    snaps = np.empty((len(snap_steps),) + u0_field.values.shape)
+    snaps = np.empty((len(snap_steps),) + u0.shape)
 
     def observe(n, states):
         if n % stride == 0 or n == n_steps:
             snaps[-(-n // stride)] = states[0][..., 0]
 
     failures, cfl = integrate_batch(
-        (kind,), u0_field.grid, (u0_field.values[..., None],), params, tgrid, observe,
-        spec=spec, ctrl=ctrl,
+        (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=ctrl
     )
     if failures:
         raise failures[0]
     return TrajectoryRecord(
         kind=kind.value,
         params=params,
-        grid=u0_field.grid,
+        grid=make_grid(len(u0)),
         times=tgrid.times,
         snapshots=snaps,
         snapshot_steps=snap_steps,
@@ -400,7 +399,6 @@ def integrate(
 
 def integrate_batch(
     kinds,
-    grid: Grid1D,
     initial,
     params: ModelParams,
     tgrid: TimeGrid,
@@ -414,18 +412,18 @@ def integrate_batch(
     """March M sample columns of one or more systems in lockstep, storing nothing.
 
     ``kinds`` names the systems and ``initial`` gives each, in the same order,
-    its (n, 3, M) initial batch; column j of every such system is sample j.
-    Shared columns come last, each given as an (n, 3) field: a noiseless
-    system that runs once for the whole batch, such as an ensemble's
-    reference. The systems share ``params``; column j of a noisy nonlinear
-    kind runs at noise strength ``epsilons[j]``. Noisy kinds read step n's
-    increments from ``noise``, one stream per column, and every system of a
-    step sees the same ones, so coupled systems share their noise by
-    construction. ``ctrl`` drives only the controlled kinds. A linearized
-    system is linearized about the first deterministic system, whose step
-    terms it reads in the same step. ``observe(n, states)`` sees every step
-    n = 0..steps: one (n, 3, M) array per kind, (n, 3, 1) for a shared one.
-    Memory grows with the batch width, not with the number of steps.
+    its (n, 3, M) initial batch; column j of every such system is sample j, and
+    n fixes the grid (``field.make_grid``). Shared columns come last, each
+    given as an (n, 3) field: a noiseless system that runs once for the whole
+    batch, such as an ensemble's reference. The systems share ``params``;
+    column j of a noisy nonlinear kind runs at noise strength ``epsilons[j]``.
+    Noisy kinds read step n's increments from ``noise``, one stream per column,
+    and every system of a step sees the same ones, so coupled systems share
+    their noise by construction. ``ctrl`` drives only the controlled kinds. A
+    linearized system is linearized about the first deterministic system, whose
+    step terms it reads in the same step. ``observe(n, states)`` sees every
+    step n = 0..steps: one (n, 3, M) array per kind, (n, 3, 1) for a shared
+    one. Memory grows with the batch width, not with the number of steps.
 
     The systems share one state in the solver's memory order, system by
     system, and a second such buffer that the next state is written into
@@ -456,9 +454,8 @@ def integrate_batch(
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
     shared = [u.ndim == 2 for u in states]
-    width = next((u.shape[2] for u in states if u.ndim == 3), 0)
+    nodes, _, width = next((u.shape for u in states if u.ndim == 3), (0, 0, 0))
     shapes = [u.shape for u in states]
-    nodes = grid.n_interior
     if width < 1 or len(states) != len(kinds) or shared != sorted(shared) or any(
         shape != ((nodes, 3) if one else (nodes, 3, width)) for shape, one in zip(shapes, shared)
     ):
@@ -468,6 +465,7 @@ def integrate_batch(
         )
     if any(one and kind in _NOISY_KINDS for one, kind in zip(shared, kinds)):
         raise ValueError("a shared column runs a noiseless kind, deterministic or skeleton")
+    grid = make_grid(nodes)
     n_steps = tgrid.steps
     dt = tgrid.dt
     h = grid.spacing

@@ -11,15 +11,15 @@ needed. The two routines come from scipy's compiled LAPACK wrappers, the
 ``scipy/linalg/_flapack`` extension, loaded from its file: importing the
 ``scipy.linalg`` package would cost every process about 0.4 s and 20 MB.
 
-``VectorField`` only pairs a grid with its (n, 3) values: every operator is an
-array kernel. The kernels take the values of one field or a node-major batch
-(n, 3, M) of M fields, and treat every column of a batch exactly as they
-treat that column alone: pointwise kernels use the same floating-point
-operations in the same order whatever the layout, the tridiagonal solve runs
-LAPACK on each right-hand side separately, and ``column_sq_sums``, the column
-reduction of the norms and inner products, sums each column from a
-contiguous row of its own. A batch therefore reproduces its single-field
-results bit for bit.
+A field is a float (n, 3) array of its node values, and ``Grid1D`` maps the
+node count n to the spacing h = 1/(n + 1) and the nodes. Every operator is an
+array kernel. The kernels take one field or a node-major batch (n, 3, M) of
+M fields, and treat every column of a batch exactly as they treat that
+column alone: pointwise kernels use the same floating-point operations in the
+same order whatever the layout, the tridiagonal solve runs LAPACK on each
+right-hand side separately, and ``column_sq_sums``, the column reduction of
+the norms and inner products, sums each column from a contiguous row of its
+own. A batch therefore reproduces its single-field results bit for bit.
 
 The stencils and pointwise products (``lap_values``, ``grad_values``,
 ``cross_values``, ``dot_values``) write into a caller's ``out=`` array when
@@ -55,9 +55,7 @@ from numpy.linalg import LinAlgError
 
 __all__ = [
     "Grid1D",
-    "VectorField",
     "make_grid",
-    "zero_field",
     "stack_norms",
     "h1_norm",
     "csv_rows",
@@ -91,28 +89,13 @@ def make_grid(n_interior: int) -> Grid1D:
     return Grid1D(int(n_interior))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """R^3-valued field on the interior nodes; boundary values are identically zero.
-
-    ``values`` has shape (n_interior, 3). The array is not defensively copied;
-    treat it as read-only once wrapped.
-    """
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_interior, 3):
-            raise ValueError(
-                f"values must have shape {(self.grid.n_interior, 3)}, got {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-
-def zero_field(grid: Grid1D) -> VectorField:
-    return VectorField(grid, np.zeros((grid.n_interior, 3)))
+def as_field(u) -> np.ndarray:
+    """``u`` as a float array of shape (n, 3), the node values of one field;
+    raises ValueError for any other shape."""
+    values = np.asarray(u, dtype=float)
+    if values.ndim != 2 or values.shape[1] != 3:
+        raise ValueError(f"a field has shape (n_interior, 3), got {values.shape}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +316,9 @@ def stack_norms(stack: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(map_stack(squares, stack)).T
 
 
-def h1_norm(f: VectorField) -> float:
-    """Full H1 norm sqrt(l2^2 + h1_semi^2)."""
-    l2, h1_semi = stack_norms(f.values[None], f.grid.spacing)[0, :2].tolist()
+def h1_norm(u: np.ndarray) -> float:
+    """Full H1 norm sqrt(l2^2 + h1_semi^2) of the field ``u`` (n, 3)."""
+    l2, h1_semi = stack_norms(u[None], make_grid(len(u)).spacing)[0, :2].tolist()
     return math.hypot(l2, h1_semi)
 
 

@@ -46,7 +46,7 @@ from .dynamics import (
     integrate,
     skeleton_adjoint,
 )
-from .field import VectorField, h1_norm, lap_values
+from .field import as_field, h1_norm, lap_values
 from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
@@ -73,10 +73,11 @@ class RateProblem:
 
     ``control_modes`` and ``control_steps`` define the coarse search space
     (modes 1..K' constant on N' equal time slabs); ``penalty`` is the misfit
-    weight rho, multiplied by 10 at each continuation round.
+    weight rho, multiplied by 10 at each continuation round. ``target`` is
+    the (n, 3) field the skeleton's terminal state should reach.
     """
 
-    target: VectorField
+    target: np.ndarray
     penalty: float = 1.0e3
     control_modes: int = 1
     control_steps: int = 5
@@ -85,6 +86,7 @@ class RateProblem:
     continuation_rounds: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "target", as_field(self.target))
         if self.penalty <= 0.0:
             raise ValueError(f"penalty must be positive, got {self.penalty}")
         if self.control_modes < 1 or self.control_steps < 1:
@@ -166,9 +168,10 @@ class RateObjective:
         params: ModelParams,
         tgrid: TimeGrid,
         spec: CovarianceSpec,
-        u0_field: VectorField,
+        u0: np.ndarray,
     ):
-        if problem.target.grid != u0_field.grid:
+        u0 = as_field(u0)
+        if problem.target.shape != u0.shape:
             raise ValueError("target and initial state live on different grids")
         if tgrid.steps % problem.control_steps != 0:
             raise ValueError(
@@ -182,7 +185,7 @@ class RateObjective:
         self.params = params
         self.tgrid = tgrid
         self.spec = spec
-        self.u0_field = u0_field
+        self.u0 = u0
         self.dim = problem.control_steps * problem.control_modes * 3
 
     def _coarse_shape(self) -> tuple[int, int, int]:
@@ -202,14 +205,13 @@ class RateObjective:
         ctrl = self.control(x)
         rec = integrate(
             SystemKind.SKELETON,
-            self.u0_field,
+            self.u0,
             self.params,
             self.tgrid,
             spec=self.spec,
             ctrl=ctrl,
         )
-        diff = rec.final_values() - self.problem.target.values
-        misfit = h1_norm(VectorField(self.u0_field.grid, diff))
+        misfit = h1_norm(rec.final_values() - self.problem.target)
         return RatePoint(x, ctrl, ctrl.h0_cost(), misfit, rec)
 
     def gradient(self, point: RatePoint, rho: float) -> np.ndarray:
@@ -219,8 +221,8 @@ class RateObjective:
         parts), so the terminal adjoint is 2 rho h (d - Lap d); the H0 cost
         adds dt * c_n at every step. Each slab sums the steps it covers.
         """
-        h = self.u0_field.grid.spacing
-        d = point.record.final_values() - self.problem.target.values
+        h = point.record.grid.spacing
+        d = point.record.final_values() - self.problem.target
         terminal = (2.0 * rho * h) * (d - lap_values(d, h))
         sens = skeleton_adjoint(point.record, self.tgrid, self.spec, point.control, terminal)
         full = self.tgrid.dt * point.control.coefficients + sens
@@ -233,9 +235,10 @@ def estimate_rate(
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
-    u0_field: VectorField,
+    u0: np.ndarray,
 ) -> RateEstimate:
-    """Penalized gradient descent from the zero control; fully deterministic.
+    """Penalized gradient descent from the zero control, the skeleton starting
+    at the (n, 3) field ``u0``; fully deterministic.
 
     Each iteration tries the Barzilai-Borwein step s.s / s.y of the last
     accepted move s and its gradient change y (1.0 at a round's start or when
@@ -247,7 +250,7 @@ def estimate_rate(
     control raises BlowUpError; a trial that blows up is rejected like any
     trial that does not descend.
     """
-    objective = RateObjective(problem, params, tgrid, spec, u0_field)
+    objective = RateObjective(problem, params, tgrid, spec, u0)
     point = objective.evaluate(np.zeros(objective.dim))
     history: list[tuple] = []
     total_iters = 0
@@ -310,14 +313,15 @@ def weak_convergence_experiment(
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
-    u0_field: VectorField,
+    u0: np.ndarray,
     base_seed: int,
 ) -> tuple[list[WeakRow], tuple]:
     """Distance between the controlled stochastic flow and the skeleton.
 
     For each epsilon, ``samples`` paths of the controlled system (same fixed
-    deterministic control) are compared against the skeleton solution in the
-    proof metric sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
+    deterministic control) from the (n, 3) field ``u0`` are compared against
+    the skeleton solution in the proof metric
+    sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
     (epsilon index, sample) pair is one column of a batch marched beside the
     skeleton on its own counter-based stream (``clt.run_columns``), with
     the metric accumulated a block of steps at a time; blown-up samples are
@@ -328,7 +332,7 @@ def weak_convergence_experiment(
     eps_values = [float(e) for e in epsilons]
     work = {}
     metrics, failures = run_columns(
-        (SystemKind.CONTROLLED_STOCHASTIC,), (u0_field,), (SystemKind.SKELETON, u0_field),
+        (SystemKind.CONTROLLED_STOCHASTIC,), (u0,), (SystemKind.SKELETON, u0),
         eps_values, samples, base_seed, lambda n, states, eps: minus_reference(work, *states),
         params.nu1, params, tgrid, spec, ctrl=ctrl,
     )
@@ -342,10 +346,11 @@ def compactness_probe(
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
-    u0_field: VectorField,
+    u0: np.ndarray,
     component: int = 3,
 ) -> list[tuple[int, float]]:
-    """Skeleton response to weakly-null control perturbations.
+    """Skeleton response, from the (n, 3) field ``u0``, to weakly-null control
+    perturbations.
 
     Each probe adds a constant-in-time oscillation in one sine mode, of unit
     H0 path integral: its coefficient c = 1/sqrt(T) makes the sum over steps
@@ -357,7 +362,7 @@ def compactness_probe(
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
-    base = integrate(SystemKind.SKELETON, u0_field, params, tgrid, spec=spec, ctrl=ctrl)
+    base = integrate(SystemKind.SKELETON, u0, params, tgrid, spec=spec, ctrl=ctrl)
     coeff = math.sqrt(1.0 / tgrid.horizon)
     out = []
     for mode in oscillation_modes:
@@ -367,9 +372,9 @@ def compactness_probe(
         coeffs = ctrl.coefficients.copy()
         coeffs[:, mode - 1, component - 1] += coeff
         perturbed = integrate(
-            SystemKind.SKELETON, u0_field, params, tgrid, spec=spec,
+            SystemKind.SKELETON, u0, params, tgrid, spec=spec,
             ctrl=ControlPath(coeffs, ctrl.dt),
         )
         d = perturbed.snapshots - base.snapshots
-        out.append((mode, record_sup_grad(d, u0_field.grid.spacing)))
+        out.append((mode, record_sup_grad(d, base.grid.spacing)))
     return out

@@ -53,13 +53,6 @@ class CovarianceSpec:
         k = np.arange(1, self.mode_count + 1, dtype=float)
         return k ** (-0.5 * self.decay_exponent)
 
-    @property
-    def h1_trace(self) -> float:
-        """Partial sum of the H1 trace over the retained modes (3 directions)."""
-        k = np.arange(1, self.mode_count + 1, dtype=float)
-        lam = k ** (-self.decay_exponent)
-        return float(np.sum(3.0 * lam * (1.0 + (k * math.pi) ** 2)))
-
 
 def make_covariance(mode_count: int, decay_exponent: float = 4.0) -> CovarianceSpec:
     if mode_count < 1:

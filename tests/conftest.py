@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from llblab.dynamics import integrate_batch
-from llblab.field import VectorField, make_grid
+from llblab.field import make_grid
 
 # floats whose repr is easy to get wrong: signed zeros, subnormals, huge, inf and nan
 EDGE_FLOATS = st.one_of(
@@ -23,7 +23,7 @@ def rng():
 
 
 def random_field(grid, rng, scale=1.0):
-    return VectorField(grid, scale * rng.normal(size=(grid.n_interior, 3)))
+    return scale * rng.normal(size=(grid.n_interior, 3))
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ class ScaledRng:
         return self._gain * self._rng.normal(*args, **kwargs)
 
 
-def record_batch(kinds, grid, initial, params, tgrid, keys=None, **inputs):
+def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
     """``integrate_batch`` with an observer that stores every step of every column.
 
     Returns ``(columns, failures)``: ``columns[j]`` holds column j's states as
@@ -60,7 +60,7 @@ def record_batch(kinds, grid, initial, params, tgrid, keys=None, **inputs):
         for stored, u in zip(steps, states):
             stored.append(u.copy())
 
-    failures, _ = integrate_batch(kinds, grid, initial, params, tgrid, observe, keys=keys, **inputs)
+    failures, _ = integrate_batch(kinds, initial, params, tgrid, observe, keys=keys, **inputs)
     stored = [np.array(s) for s in steps]
     ends = {keys.index(exc.key): exc.step for exc in failures}
     columns = [

@@ -23,7 +23,7 @@ from llblab.dynamics import (
     initial_profile,
     integrate,
 )
-from llblab.field import VectorField, h1_norm, make_grid
+from llblab.field import h1_norm, make_grid
 from llblab.ldp import (
     RateProblem,
     compactness_probe,
@@ -67,7 +67,7 @@ def test_criterion_02_heat_oracle():
     for n, steps in ((255, 1000), (511, 2000)):
         grid = make_grid(n)
         x = grid.nodes
-        u0 = VectorField(grid, np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+        u0 = np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
         params = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)
         rec = integrate(SystemKind.DETERMINISTIC, u0, params, TimeGrid(0.1, steps))
         exact = math.exp(-math.pi**2 * 0.1) * np.sin(np.pi * x)
@@ -90,7 +90,7 @@ def test_criterion_03_cubic_ode_oracle(monkeypatch):
     grid = make_grid(31)
     x = grid.nodes
     amp = 0.5
-    u0 = VectorField(grid, np.stack([amp * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+    u0 = np.stack([amp * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
     params = ModelParams(nu1=1.0, nu2=1.0, gamma=0.0, mu=1.0)
     horizon = 0.02
     steps = 2000  # dt = 1e-5
@@ -124,7 +124,7 @@ def test_criterion_04_zero_noise_degeneration():
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, DEFAULT_PARAMS, tgrid)
     ((sto,),), failed = record_batch(
-        (SystemKind.STOCHASTIC,), grid, (u0.values[..., None],), DEFAULT_PARAMS, tgrid,
+        (SystemKind.STOCHASTIC,), (u0[..., None],), DEFAULT_PARAMS, tgrid,
         spec=spec, noise=IncrementStreams([stream_rng(77)], tgrid.steps, 8, tgrid.dt),
         epsilons=(0.0,),
     )
@@ -215,7 +215,7 @@ def test_criterion_08_rate_function():
 
     det = integrate(SystemKind.DETERMINISTIC, u0, DEFAULT_PARAMS, tgrid, stride=tgrid.steps)
     trivial = estimate_rate(
-        RateProblem(target=det.final_field(), penalty=1e4, control_modes=1, control_steps=5),
+        RateProblem(target=det.final_values(), penalty=1e4, control_modes=1, control_steps=5),
         DEFAULT_PARAMS, tgrid, spec, u0,
     )
 
@@ -224,7 +224,7 @@ def test_criterion_08_rate_function():
         SystemKind.SKELETON, u0, DEFAULT_PARAMS, tgrid, spec=spec, ctrl=h_star,
         stride=tgrid.steps,
     )
-    target = ske.final_field()
+    target = ske.final_values()
     problem = RateProblem(
         target=target, penalty=1e4, control_modes=1, control_steps=5,
         max_iters=60, continuation_rounds=1,

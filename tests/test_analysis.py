@@ -24,13 +24,11 @@ from llblab.dynamics import ModelParams, SystemKind, TimeGrid, initial_profile, 
 from llblab.field import (
     STACK_CHUNK,
     Grid1D,
-    VectorField,
     column_sq_sums,
     grad_values,
     lap_values,
     make_grid,
     solver_empty,
-    zero_field,
 )
 from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
@@ -43,7 +41,7 @@ SUITE_CHECKS = [r.name.split("/")[0] for r in identity_suite(grid_sizes=(3,), sa
 
 
 def test_check_identities_zero_field(grid63):
-    reports = check_identities(zero_field(grid63), zero_field(grid63))
+    reports = check_identities(np.zeros((grid63.n_interior, 3)), np.zeros((grid63.n_interior, 3)))
     assert all(r.residual == 0.0 for r in reports)
     assert all(r.passed for r in reports)
 
@@ -64,7 +62,7 @@ def test_check_identities_random_fields(nodes, width, scale, seed):
     g = make_grid(nodes)
     rows = dict(zip(SUITE_CHECKS, _pair_residuals(a, b, g.spacing)))
     for j in range(width):
-        u, v = VectorField(g, pairs[j, 0]), VectorField(g, pairs[j, 1])
+        u, v = pairs[j, 0], pairs[j, 1]
         for rep in check_identities(u, v) + [check_cubic_identity(u)]:
             assert rows[rep.name][j].tobytes() == np.float64(abs(rep.residual)).tobytes()
     for name in (
@@ -87,7 +85,7 @@ def test_check_identities_grid_mismatch(rng):
 # --- cubic damping identity -------------------------------------------------------
 
 def test_cubic_identity_zero(grid63):
-    vec, col = cubic_identity_residuals(zero_field(grid63))
+    vec, col = cubic_identity_residuals(np.zeros((grid63.n_interior, 3)))
     assert vec == 0.0 and col == 0.0
 
 
@@ -100,7 +98,7 @@ def test_cubic_identity_single_direction_forms_coincide(rng):
         g = make_grid(n)
         x = g.nodes
         f = np.sin(math.pi * x) + 0.4 * np.sin(3 * math.pi * x)
-        u = VectorField(g, np.stack([f, 0 * x, 0 * x], axis=1))
+        u = np.stack([f, 0 * x, 0 * x], axis=1)
         vec, col = cubic_identity_residuals(u, mu=1.3)
         assert abs(vec) <= 1e-12
         assert check_cubic_identity(u, mu=1.3).passed
@@ -169,17 +167,17 @@ def test_fit_slope_rejects_bad_input():
 def test_energy_drift_zero_solution():
     g = make_grid(31)
     p = ModelParams()
-    rec = integrate(SystemKind.DETERMINISTIC, zero_field(g), p, TimeGrid(0.01, 20))
-    assert energy_drift(rec, p) == 0.0
+    rec = integrate(SystemKind.DETERMINISTIC, np.zeros((g.n_interior, 3)), p, TimeGrid(0.01, 20))
+    assert energy_drift(rec) == 0.0
 
 
 def test_energy_drift_heat_halves_with_dt():
     g = make_grid(63)
     x = g.nodes
-    u0 = VectorField(g, np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+    u0 = np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
     p = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)
-    d_coarse = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 500)), p)
-    d_fine = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 1000)), p)
+    d_coarse = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 500)))
+    d_fine = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 1000)))
     assert d_coarse / d_fine == pytest.approx(2.0, rel=0.2)
 
 
@@ -187,8 +185,8 @@ def test_energy_drift_full_model_first_order():
     g = make_grid(63)
     u0 = initial_profile(g)
     p = ModelParams()
-    d_coarse = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 500)), p)
-    d_fine = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 1000)), p)
+    d_coarse = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 500)))
+    d_fine = energy_drift(integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(0.1, 1000)))
     assert 1.5 <= d_coarse / d_fine <= 2.5
 
 
@@ -207,7 +205,7 @@ def test_energy_drift_does_not_depend_on_the_stack_chunk(monkeypatch):
     for chunk in (1, 7, 256, 4096):
         monkeypatch.setattr(field_module, "STACK_CHUNK", chunk)
         # a fresh record, so its cached norm rows are taken at this chunk too
-        drifts.append(energy_drift(dataclasses.replace(rec), p).hex())
+        drifts.append(energy_drift(dataclasses.replace(rec)).hex())
     assert drifts == [drifts[0]] * 4
 
 
@@ -221,7 +219,7 @@ def test_energy_drift_rejects_non_deterministic():
         spec=spec, ctrl=zero_control(20, 4, tg.dt),
     )
     with pytest.raises(ValueError, match="deterministic"):
-        energy_drift(ske, p)
+        energy_drift(ske)
 
 
 # --- path gap ----------------------------------------------------------------------
@@ -396,19 +394,19 @@ def random_smooth_field(
     modes: int = 8,
     decay: float = 2.0,
     scale: float = 1.0,
-) -> VectorField:
+) -> np.ndarray:
     """Random low-mode sine combination with k**(-decay) coefficient falloff."""
     k = np.arange(1, modes + 1, dtype=float)
     coeffs = rng.normal(size=(modes, 3)) * (scale * k ** (-decay))[:, None]
     x = grid.nodes
     basis = np.sin(math.pi * np.outer(x, k))
-    return VectorField(grid, basis @ coeffs)
+    return basis @ coeffs
 
 
 def test_random_smooth_field_is_bounded(grid63):
     f = random_smooth_field(grid63, stream_rng(2))
-    assert np.all(np.isfinite(f.values))
-    assert float(np.max(np.abs(f.values))) < 10.0
+    assert np.all(np.isfinite(f))
+    assert float(np.max(np.abs(f))) < 10.0
 
 
 def test_identity_suite_small_sweep():

@@ -231,7 +231,7 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     tgrid = cfg.time_grid()
     ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
     _, (exc,) = record_batch(
-        (SystemKind.CONTROLLED_STOCHASTIC,), cfg.grid(), (cfg.initial().values[..., None],),
+        (SystemKind.CONTROLLED_STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=ctrl,
         noise=IncrementStreams([loud_stream(99, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
         epsilons=(0.1,), keys=((99, 0, 1),),
@@ -405,9 +405,9 @@ def test_main_clt_reference_blow_up_after_every_sample_retired(tmp_path, capfd):
     assert exc.step == 105
     # the samples on their streams, the reference beside them as a batch system
     keys = [(5, i, m) for i in range(2) for m in range(2)]
-    start = np.repeat(u0.values[..., None], 4, axis=2)
+    start = np.repeat(u0[..., None], 4, axis=2)
     _, failed = record_batch(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), u0.grid,
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
         (start, np.zeros_like(start), start), params, tgrid, keys=keys,
         spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
         noise=IncrementStreams([stream_rng(*key) for key in keys], 400, 8, tgrid.dt),
@@ -510,14 +510,13 @@ def test_run_noisy_blow_up_reports_its_stream_key(tmp_path, monkeypatch, capsys)
 def test_target_csv_round_trip(tmp_path_factory, values, order):
     # a target written with repr reads back bitwise, in any row order
     from llblab.cli import _read_target_field
-    from llblab.field import make_grid
 
     rows = [f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in enumerate(values.tolist())]
     order.shuffle(rows)
     path = tmp_path_factory.mktemp("target") / "target.csv"
     path.write_text("node_index,ux,uy,uz\n" + "".join(rows))
-    field = _read_target_field(path, make_grid(len(values)))
-    assert field.values.tobytes() == values.tobytes()
+    field = _read_target_field(path, len(values))
+    assert field.tobytes() == values.tobytes()
 
 
 def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
@@ -546,7 +545,7 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     assert report[2] == "0.1,1,nan,blow-up"
     tgrid = cfg.time_grid()
     _, (exc,) = record_batch(
-        (SystemKind.STOCHASTIC,), cfg.grid(), (cfg.initial().values[..., None],),
+        (SystemKind.STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(),
         noise=IncrementStreams([loud_stream(8, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
         epsilons=(0.1,), keys=((8, 0, 1),),
@@ -701,6 +700,28 @@ def test_main_non_utf8_input_table_is_config_error(tmp_path, capsys, key):
         f"noise.modes = 8\n{key} = {data}\n",
     )
     assert messages == f"{key}: {data}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("value", [1.0e200, 577.5], ids=["overflowing", "norm-above"])
+def test_main_rate_target_above_the_blow_up_ceiling_is_config_error(tmp_path, capsys, value):
+    # a skeleton state above the ceiling is a blow-up, so no control reaches the
+    # target. Near 1e200 its squares overflow; 577.5 in every component stays
+    # below the ceiling, but |u| = 577.5 sqrt(3) exceeds it
+    data = tmp_path / "target.csv"
+    data.write_text(
+        "node_index,ux,uy,uz\n" + "".join(f"{i},{value!r},{value!r},{value!r}\n" for i in range(7))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        messages = _main_config_error(
+            tmp_path, capsys,
+            "kind = rate\ngrid.n = 7\ntime.horizon = 0.01\ntime.steps = 10\nnoise.modes = 2\n"
+            f"rate.max_iters = 2\nrate.target = {data}\n",
+        )
+    assert messages == (
+        f"rate.target: {data}: a node's |u| exceeds the blow-up ceiling 1000, "
+        "which no skeleton state reaches"
+    )
 
 
 def test_main_missing_config_file(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from llblab.clt import run_clt, write_clt_csv, write_clt_summary, write_json
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
-from llblab.field import VectorField, make_grid
+from llblab.field import make_grid
 from llblab.noise import CovarianceSpec, IncrementStreams, make_covariance, stream_rng
 from conftest import ScaledRng, record_batch
 
@@ -20,7 +20,7 @@ class CltArgs(NamedTuple):
     params: ModelParams
     tgrid: TimeGrid
     spec: CovarianceSpec
-    initial: VectorField
+    initial: np.ndarray
     base_seed: int
 
 
@@ -129,23 +129,18 @@ def _path_gap_errors(config):
     test oracle only."""
     from llblab.analysis import path_gap
     from llblab.dynamics import SystemKind, integrate
-    from llblab.field import zero_field
 
     tg = config.tgrid
     u0 = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, tg, stride=1)
     # the deterministic reference as a shared column of the batch
-    start = (
-        config.initial.values[..., None],
-        zero_field(config.initial.grid).values[..., None],
-        config.initial.values,
-    )
+    start = (config.initial[..., None], np.zeros_like(config.initial)[..., None], config.initial)
     errors = []
     for i, eps in enumerate(config.epsilons):
         row = []
         for m in range(config.samples):
             ((u_eps, v0, ref),), failed = record_batch(
                 (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
-                config.initial.grid, start, config.params, tg, spec=config.spec,
+                start, config.params, tg, spec=config.spec,
                 noise=IncrementStreams(
                     [stream_rng(config.base_seed, i, m)], tg.steps, config.spec.mode_count, tg.dt
                 ),
@@ -154,9 +149,7 @@ def _path_gap_errors(config):
             assert failed == []
             assert ref.tobytes() == u0.snapshots.tobytes()
             v_eps = (u_eps - u0.snapshots) / math.sqrt(eps)
-            row.append(
-                path_gap(v_eps, v0, config.initial.grid.spacing, tg.dt, config.params.nu1)
-            )
+            row.append(path_gap(v_eps, v0, u0.grid.spacing, tg.dt, config.params.nu1))
         errors.append(row)
     return errors
 
@@ -199,7 +192,7 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     # the stream key and step replay the failure on its own
     tgrid, key = config.tgrid, (config.base_seed, 0, 1)
     _, (exc,) = record_batch(
-        (SystemKind.STOCHASTIC,), config.initial.grid, (config.initial.values[..., None],),
+        (SystemKind.STOCHASTIC,), (config.initial[..., None],),
         config.params, tgrid, spec=config.spec,
         noise=IncrementStreams([loud_stream(*key)], tgrid.steps, config.spec.mode_count, tgrid.dt),
         epsilons=(1e-1,), keys=(key,),
@@ -295,7 +288,7 @@ def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
     assert failures == ()
     assert all(sup > 0.0 for sup in sups[1])
     det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
-    h1_semi = stack_norms(det.snapshots, config.initial.grid.spacing)[:, 1]
+    h1_semi = stack_norms(det.snapshots, det.grid.spacing)[:, 1]
     assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)
 
 
@@ -315,7 +308,7 @@ def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
         (1.0, 0.3, 0.1), 4, config.params, config.tgrid, config.spec, config.initial, 4
     )
     assert failures == ()
-    h1_semi = stack_norms(config.initial.values[None], config.initial.grid.spacing)[0, 1]
+    h1_semi = stack_norms(config.initial[None], make_grid(31).spacing)[0, 1]
     assert det_sup == pytest.approx(h1_semi**2, rel=1e-14)
     for per_epsilon in sups:
         assert len(per_epsilon) == 4

@@ -27,7 +27,6 @@ from llblab.dynamics import (
 )
 from llblab.field import (
     STACK_CHUNK,
-    VectorField,
     column_sq_sums,
     cross_values,
     helm_values,
@@ -35,7 +34,6 @@ from llblab.field import (
     make_grid,
     sq_norm_values,
     stack_norms,
-    zero_field,
 )
 from llblab.noise import (
     ControlPath,
@@ -63,7 +61,7 @@ def test_model_params_validation():
     g = make_grid(7)
     with pytest.raises(ValueError, match="epsilons"):
         integrate_batch(
-            (SystemKind.STOCHASTIC,), g, (initial_profile(g).values[..., None],), ModelParams(),
+            (SystemKind.STOCHASTIC,), (initial_profile(g)[..., None],), ModelParams(),
             TimeGrid(0.01, 2), lambda *a: None, spec=make_covariance(2, 4.0),
             noise=IncrementStreams([stream_rng(0)], 2, 2, 0.005), epsilons=(1.5,),
         )
@@ -81,10 +79,10 @@ def test_time_grid():
 
 # --- explicit drift and the step kernel --------------------------------------------
 
-def _drift(u, params):
+def _drift(v, params):
     # the explicit drift is (rhs - v) / dt, rhs the right-hand side of a step
     # before its implicit solve; dt = 1 keeps the subtraction from scaling its rounding up
-    v, h, dt = u.values, u.grid.spacing, 1.0
+    h, dt = make_grid(len(v)).spacing, 1.0
     step = _rhs_values(
         v, lap_values(v, h), sq_norm_values(v), params, dt, None, np.empty_like(v),
         np.empty_like(v),
@@ -102,7 +100,7 @@ def test_explicit_rhs_single_direction(rng):
     g = make_grid(63)
     x = g.nodes
     f = np.sin(math.pi * x) + 0.3 * np.sin(2 * math.pi * x)
-    u = VectorField(g, np.stack([f, 0 * x, 0 * x], axis=1))
+    u = np.stack([f, 0 * x, 0 * x], axis=1)
     p = ModelParams(nu1=1.0, nu2=0.7, gamma=2.0, mu=1.3)
     out = _drift(u, p)
     expected = -p.nu2 * (1.0 + p.mu * f**2) * f
@@ -116,8 +114,8 @@ def test_precession_energy_orthogonality(rng):
         g = make_grid(n)
         u = random_field(g, rng)
         term = _drift(u, ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0))
-        resid = abs(g.spacing * column_sq_sums(term, u.values))
-        _, _, h2_semi, linf = stack_norms(u.values[None], g.spacing)[0]
+        resid = abs(g.spacing * column_sq_sums(term, u))
+        _, _, h2_semi, linf = stack_norms(u[None], g.spacing)[0]
         assert resid <= 1e-12 * (1.0 + linf**2 * h2_semi)
 
 
@@ -127,7 +125,7 @@ def test_step_matches_integrate_single_step(rng):
     p = ModelParams()
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    v, h = u0.values, g.spacing
+    v, h = u0, g.spacing
     rhs = _rhs_values(
         v, lap_values(v, h), sq_norm_values(v), p, tg.dt, None, np.empty_like(v), np.empty_like(v)
     )
@@ -140,7 +138,7 @@ def test_step_matches_integrate_single_step(rng):
 def test_heat_oracle_small():
     g = make_grid(63)
     x = g.nodes
-    u0 = VectorField(g, np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+    u0 = np.stack([np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, HEAT, TimeGrid(0.1, 500))
     exact = math.exp(-math.pi**2 * 0.1) * np.sin(np.pi * x)
     assert np.max(np.abs(rec.final_values()[:, 0] - exact)) <= 2e-3
@@ -160,7 +158,7 @@ def test_cubic_ode_oracle_bernoulli(monkeypatch):
     g = make_grid(31)
     x = g.nodes
     amp = 0.5
-    u0 = VectorField(g, np.stack([amp * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+    u0 = np.stack([amp * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
     p = ModelParams(nu1=1.0, nu2=1.0, gamma=0.0, mu=1.0)
     horizon, steps = 0.02, 2000
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(horizon, steps))
@@ -191,7 +189,7 @@ def test_pure_precession_conserves_pointwise_norm(monkeypatch):
     u0 = initial_profile(g, a=0.25, b=0.25)
     p = ModelParams(nu1=1.0, nu2=0.0, gamma=1.0, mu=0.0)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, TimeGrid(1e-3, 1000))
-    before = np.sqrt(np.einsum("ij,ij->i", u0.values, u0.values))
+    before = np.sqrt(np.einsum("ij,ij->i", u0, u0))
     after = np.sqrt(np.einsum("ij,ij->i", rec.final_values(), rec.final_values()))
     assert np.max(np.abs(after - before)) <= 1e-8
 
@@ -207,7 +205,7 @@ def test_stochastic_eps_zero_degenerates_bitwise():
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
     sto = []
     failures, cfl = integrate_batch(
-        (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg,
+        (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg,
         lambda n, states: sto.append(states[0][..., 0].copy()),
         spec=spec, noise=IncrementStreams([stream_rng(7)], tg.steps, 8, tg.dt), epsilons=(0.0,),
     )
@@ -233,12 +231,12 @@ def _coupled_states(kinds, initial, params, tg, spec, reference, rngs, epsilons)
     """Every step of a batch of ``kinds`` run on increment streams drawn from
     ``rngs``, as one (steps + 1, n, 3) array per column and kind; a
     ``reference`` field adds a shared deterministic column, listed last."""
-    start = [np.repeat(f.values[..., None], len(rngs), axis=2) for f in initial]
+    start = [np.repeat(f[..., None], len(rngs), axis=2) for f in initial]
     if reference is not None:
         kinds = (*kinds, SystemKind.DETERMINISTIC)
-        start.append(reference.values)
+        start.append(reference)
     columns, failed = record_batch(
-        kinds, initial[0].grid, start, params, tg, spec=spec,
+        kinds, start, params, tg, spec=spec,
         noise=IncrementStreams(rngs, tg.steps, spec.mode_count, tg.dt), epsilons=epsilons,
     )
     assert failed == []
@@ -251,7 +249,7 @@ def test_linearized_zero_path_stays_zero():
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
     ((v0, _),) = _coupled_states(
-        (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, initial_profile(g),
+        (SystemKind.LINEARIZED_CLT,), (np.zeros((31, 3)),), p, tg, spec, initial_profile(g),
         [ScaledRng(stream_rng(3), 0.0)], [0.0],
     )
     assert np.all(v0 == 0.0)
@@ -266,7 +264,7 @@ def test_coupled_runs_share_noise():
     spec = make_covariance(4, 4.0)
     base = initial_profile(g)
     columns = _coupled_states(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial_profile(g), zero_field(g)),
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (base, np.zeros_like(base)),
         p, tg, spec, base, [stream_rng(3), stream_rng(4)], [0.1, 0.1],
     )
     for j, seed in enumerate((3, 4)):
@@ -275,7 +273,7 @@ def test_coupled_runs_share_noise():
             [stream_rng(seed)], [0.1],
         )
         ((alone_v, _),) = _coupled_states(
-            (SystemKind.LINEARIZED_CLT,), (zero_field(g),), p, tg, spec, base,
+            (SystemKind.LINEARIZED_CLT,), (np.zeros_like(base),), p, tg, spec, base,
             [stream_rng(seed)], [0.1],
         )
         u_eps, v0, _ = columns[j]
@@ -321,10 +319,9 @@ def test_integrate_determinism_same_seed():
 )
 def test_integrate_rejects_noisy_kinds(kind):
     # noisy kinds run as batch columns; integrate stores the noiseless ones
-    g = make_grid(31)
     tg = TimeGrid(0.05, 100)
     with pytest.raises(ValueError, match="integrate_batch"):
-        integrate(kind, zero_field(g), ModelParams(), tg, spec=make_covariance(4, 4.0))
+        integrate(kind, np.zeros((31, 3)), ModelParams(), tg, spec=make_covariance(4, 4.0))
 
 
 def test_integrate_missing_inputs():
@@ -336,7 +333,7 @@ def test_integrate_missing_inputs():
     noise = IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt)
     with pytest.raises(ValueError, match="covariance"):
         integrate_batch(
-            (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg, lambda *a: None,
+            (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, lambda *a: None,
             noise=noise, epsilons=(0.1,),
         )
     with pytest.raises(ValueError, match="control"):
@@ -344,13 +341,13 @@ def test_integrate_missing_inputs():
     # a linearized system needs a deterministic system to linearize about
     with pytest.raises(ValueError, match="deterministic reference"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT,), g, (np.zeros((g.n_interior, 3, 1)),), p, tg,
+            (SystemKind.LINEARIZED_CLT,), (np.zeros((g.n_interior, 3, 1)),), p, tg,
             lambda *a: None, spec=spec, noise=noise,
         )
     with pytest.raises(ValueError, match="deterministic reference"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT, SystemKind.STOCHASTIC), g,
-            (np.zeros((g.n_interior, 3, 1)), u0.values[..., None]), p, tg,
+            (SystemKind.LINEARIZED_CLT, SystemKind.STOCHASTIC),
+            (np.zeros((g.n_interior, 3, 1)), u0[..., None]), p, tg,
             lambda *a: None, spec=spec, noise=noise, epsilons=(0.1,),
         )
 
@@ -374,8 +371,8 @@ def test_linearized_requires_zero_initial():
     spec = make_covariance(4, 4.0)
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), g,
-            (initial_profile(g).values[..., None], initial_profile(g).values), p, tg,
+            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
+            (initial_profile(g)[..., None], initial_profile(g)), p, tg,
             lambda *a: None, spec=spec,
             noise=IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt),
         )
@@ -405,7 +402,7 @@ def test_blow_up_error_carries_the_stream_key_and_step():
     g = make_grid(31)
     tg = TimeGrid(0.25, 64)
     _, (exc,) = record_batch(
-        (SystemKind.STOCHASTIC,), g, (initial_profile(g, a=30.0).values[..., None],),
+        (SystemKind.STOCHASTIC,), (initial_profile(g, a=30.0)[..., None],),
         ModelParams(), tg, spec=make_covariance(8, 4.0),
         noise=IncrementStreams([stream_rng(7, 2)], tg.steps, 8, tg.dt), epsilons=(0.01,),
         keys=((7, 1, 2),),
@@ -418,8 +415,8 @@ def test_blow_up_error_carries_the_failing_norm_and_the_explicit_term_ratio():
     g = make_grid(31)
     p = ModelParams()
     tg = TimeGrid(0.25, 64)
-    u0 = initial_profile(g, a=10.0).values[..., None]
-    (states,), (exc,) = record_batch((SystemKind.DETERMINISTIC,), g, (u0,), p, tg)
+    u0 = initial_profile(g, a=10.0)[..., None]
+    (states,), (exc,) = record_batch((SystemKind.DETERMINISTIC,), (u0,), p, tg)
     states = states[0]
     assert exc.step == len(states) > 1
     linf = np.sqrt((states ** 2).sum(axis=-1).max(axis=-1))
@@ -553,7 +550,7 @@ def test_stochastic_energy_stays_bounded_smoke():
     sups = []
     for m in range(4):
         ((states,),), failed = record_batch(
-            (SystemKind.STOCHASTIC,), g, (u0.values[..., None],), p, tg, spec=spec,
+            (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, spec=spec,
             noise=IncrementStreams([stream_rng(17, m)], tg.steps, 8, tg.dt), epsilons=(0.1,),
         )
         assert failed == []
@@ -594,9 +591,9 @@ def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
     start = [u[..., columns] for u in initial]
     if SystemKind.LINEARIZED_CLT in kinds and SystemKind.DETERMINISTIC not in kinds:
         kinds = (*kinds, SystemKind.DETERMINISTIC)
-        start.append(base.values)
+        start.append(base)
     states, failed = record_batch(
-        kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME,
+        kinds, start, ModelParams(), BATCH_TIME,
         spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl),
         noise=IncrementStreams(
             [stream_rng(seed, j) for j in columns],
@@ -612,7 +609,7 @@ def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
     kind, the width-1 batch of a noisy one."""
     if kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON):
         return integrate(
-            kind, VectorField(BATCH_GRID, initial[..., j]), ModelParams(),
+            kind, initial[..., j], ModelParams(),
             BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
         ).snapshots
     seen, failed = _run_batch((kind,), (initial,), epsilons, ctrl, base, seed, [j])
@@ -706,12 +703,12 @@ def test_shared_reference_column_has_the_bits_of_integrate(
     for u in initial:
         u[..., [j for j in blown if j < width]] *= 100.0
     draw = np.random.default_rng(seed + 1).normal(size=(BATCH_GRID.n_interior, 3))
-    ref = VectorField(BATCH_GRID, ref_scale * draw)
+    ref = ref_scale * draw
     ctrl = _control_for((ref_kind,), ctrl)
 
     def run(columns):
         return record_batch(
-            (*kinds, ref_kind), BATCH_GRID, [u[..., columns] for u in initial] + [ref.values],
+            (*kinds, ref_kind), [u[..., columns] for u in initial] + [ref],
             ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl,
             noise=IncrementStreams(
                 [stream_rng(seed, j) for j in columns],
@@ -747,35 +744,35 @@ def test_integrate_batch_checks_its_inputs():
     kw = dict(spec=BATCH_SPEC)
     with pytest.raises(ValueError, match="initial batch"):
         integrate_batch(
-            (SystemKind.STOCHASTIC,), BATCH_GRID, (initial[..., 0],), ModelParams(),
+            (SystemKind.STOCHASTIC,), (initial[..., 0],), ModelParams(),
             BATCH_TIME, lambda *a: None, **kw,
         )
     with pytest.raises(ValueError, match="increment streams"):
         integrate_batch(
-            (SystemKind.STOCHASTIC,), BATCH_GRID, (initial,), ModelParams(),
+            (SystemKind.STOCHASTIC,), (initial,), ModelParams(),
             BATCH_TIME, lambda *a: None, epsilons=epsilons, **kw,
         )
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
-            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), BATCH_GRID,
-            (initial, base.values), ModelParams(), BATCH_TIME, lambda *a: None,
+            (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
+            (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
             noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt), **kw,
         )
     # a shared column runs a noiseless kind beside at least one batch system
     with pytest.raises(ValueError, match="shared column"):
         integrate_batch(
-            (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC), BATCH_GRID,
-            (initial, base.values), ModelParams(), BATCH_TIME, lambda *a: None,
+            (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC),
+            (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
             noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt),
             epsilons=epsilons, **kw,
         )
     # no batch system, or a shared field before one
     for kinds, start in (
-        ((SystemKind.DETERMINISTIC,), (base.values,)),
-        ((SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC), (base.values, initial)),
+        ((SystemKind.DETERMINISTIC,), (base,)),
+        ((SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC), (base, initial)),
     ):
         with pytest.raises(ValueError, match="initial batch"):
-            integrate_batch(kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME, lambda *a: None)
+            integrate_batch(kinds, start, ModelParams(), BATCH_TIME, lambda *a: None)
 
 
 # --- inputs a kind cannot use ---------------------------------------------------------
@@ -804,7 +801,7 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
         valid = valid and (with_reference or not linearized)
     else:
         valid = valid and kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON)
-    initial = zero_field(BATCH_GRID) if linearized else initial_profile(BATCH_GRID)
+    initial = np.zeros((BATCH_GRID.n_interior, 3)) if linearized else initial_profile(BATCH_GRID)
     inputs = dict(
         spec=BATCH_SPEC if with_spec else None,
         ctrl=BATCH_CONTROL if with_ctrl else None,
@@ -812,12 +809,12 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
 
     def run():
         if batch:
-            reference = ((SystemKind.DETERMINISTIC,), (initial_profile(BATCH_GRID).values,))
-            kinds, start = ((kind,), (np.repeat(initial.values[..., None], 2, axis=2),))
+            reference = ((SystemKind.DETERMINISTIC,), (initial_profile(BATCH_GRID),))
+            kinds, start = ((kind,), (np.repeat(initial[..., None], 2, axis=2),))
             if with_reference:
                 kinds, start = kinds + reference[0], start + reference[1]
             return integrate_batch(
-                kinds, BATCH_GRID, start, ModelParams(), BATCH_TIME, lambda *a: None,
+                kinds, start, ModelParams(), BATCH_TIME, lambda *a: None,
                 noise=IncrementStreams(
                     [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
                     BATCH_TIME.dt,

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from llblab import field
 from llblab.field import (
-    VectorField,
     column_sq_sums,
     cross_values,
     csv_rows,
@@ -20,7 +19,6 @@ from llblab.field import (
     make_grid,
     solver_empty,
     stack_norms,
-    zero_field,
 )
 from conftest import EDGE_FLOATS, random_field
 
@@ -75,14 +73,6 @@ def test_nodes_interior():
     assert np.allclose(g.nodes, [0.2, 0.4, 0.6, 0.8])
 
 
-def test_vectorfield_shape_check():
-    g = make_grid(5)
-    with pytest.raises(ValueError):
-        VectorField(g, np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        VectorField(g, np.zeros((5, 2)))
-
-
 # --- laplacian -------------------------------------------------------------
 
 def test_laplacian_quadratic_exact():
@@ -95,7 +85,7 @@ def test_laplacian_quadratic_exact():
 
 
 def test_laplacian_zero_field(grid63):
-    assert np.all(lap_values(zero_field(grid63).values, grid63.spacing) == 0.0)
+    assert np.all(lap_values(np.zeros((grid63.n_interior, 3)), grid63.spacing) == 0.0)
 
 
 def test_laplacian_sine_error_bound():
@@ -113,7 +103,7 @@ def test_laplacian_sine_error_bound():
 # --- gradient and summation by parts --------------------------------------
 
 def test_gradient_zero(grid63):
-    assert np.all(grad_values(zero_field(grid63).values, grid63.spacing) == 0.0)
+    assert np.all(grad_values(np.zeros((grid63.n_interior, 3)), grid63.spacing) == 0.0)
 
 
 def test_gradient_linear_exact_interior():
@@ -146,13 +136,13 @@ def test_cross_unit_vectors():
 
 
 def test_cross_self_is_zero(rng, grid63):
-    f = random_field(grid63, rng).values
+    f = random_field(grid63, rng)
     assert np.all(cross_values(f, f) == 0.0)
 
 
 def test_cross_antisymmetry_exact(rng, grid63):
-    f = random_field(grid63, rng).values
-    w = random_field(grid63, rng).values
+    f = random_field(grid63, rng)
+    w = random_field(grid63, rng)
     assert np.array_equal(cross_values(f, w), -cross_values(w, f))
 
 
@@ -163,9 +153,9 @@ def test_cross_inner_orthogonality(rng):
         for scale in (1.0, 1e3):
             u = random_field(g, rng, scale)
             v = random_field(g, rng, scale)
-            resid = abs(g.spacing * column_sq_sums(cross_values(u.values, v.values), v.values))
-            linf_u = stack_norms(u.values[None], g.spacing)[0, 3]
-            l2_v = stack_norms(v.values[None], g.spacing)[0, 0]
+            resid = abs(g.spacing * column_sq_sums(cross_values(u, v), v))
+            linf_u = stack_norms(u[None], g.spacing)[0, 3]
+            l2_v = stack_norms(v[None], g.spacing)[0, 0]
             assert resid <= 1e-12 * (1.0 + linf_u * l2_v**2)
 
 
@@ -189,11 +179,11 @@ def test_inner_normalized_sine():
 
 def test_inner_zero(rng, grid63):
     f = random_field(grid63, rng)
-    assert column_sq_sums(f.values, zero_field(grid63).values) == 0.0
+    assert column_sq_sums(f, np.zeros((grid63.n_interior, 3))) == 0.0
 
 
 def test_inner_bilinearity(rng, grid63):
-    f, w, v = (random_field(grid63, rng).values for _ in range(3))
+    f, w, v = (random_field(grid63, rng) for _ in range(3))
     a, b = 1.7, -0.3
     lhs = column_sq_sums(a * f + b * w, v)
     rhs = a * column_sq_sums(f, v) + b * column_sq_sums(w, v)
@@ -201,7 +191,7 @@ def test_inner_bilinearity(rng, grid63):
 
 
 def test_norms_zero(grid63):
-    rows = stack_norms(zero_field(grid63).values[None], grid63.spacing)
+    rows = stack_norms(np.zeros((grid63.n_interior, 3))[None], grid63.spacing)
     assert rows.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
@@ -243,7 +233,7 @@ def test_interpolation_inequality_sweep(data):
 
 def test_h1_norm_combines(rng, grid63):
     f = random_field(grid63, rng)
-    l2, h1_semi, _, _ = stack_norms(f.values[None], grid63.spacing)[0]
+    l2, h1_semi, _, _ = stack_norms(f[None], grid63.spacing)[0]
     assert abs(h1_norm(f) - math.hypot(l2, h1_semi)) <= 1e-15
 
 
@@ -334,14 +324,14 @@ def test_stack_norms_chunks_a_long_stack(rng):
 
 def test_helmholtz_c_zero_identity(rng, grid63):
     f = random_field(grid63, rng)
-    w = helm_values(f.values, grid63.spacing, 0.0)
-    assert np.array_equal(w, f.values)
+    w = helm_values(f, grid63.spacing, 0.0)
+    assert np.array_equal(w, f)
 
 
 def test_helmholtz_negative_c(rng, grid63):
     # c = -0.1 makes I - c*Lap indefinite on this grid; the LDL^T factorization refuses it
     with pytest.raises(np.linalg.LinAlgError):
-        helm_values(random_field(grid63, rng).values, grid63.spacing, -0.1)
+        helm_values(random_field(grid63, rng), grid63.spacing, -0.1)
 
 
 def test_helmholtz_discrete_eigenvector():
@@ -350,8 +340,8 @@ def test_helmholtz_discrete_eigenvector():
     h = g.spacing
     c = 0.37
     pi2_h = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2
-    rhs = VectorField(g, np.stack([(1.0 + c * pi2_h) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
-    w = helm_values(rhs.values, h, c)
+    rhs = np.stack([(1.0 + c * pi2_h) * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
+    w = helm_values(rhs, h, c)
     assert np.max(np.abs(w[:, 0] - np.sin(np.pi * x))) <= 1e-10
 
 
@@ -359,18 +349,18 @@ def test_helmholtz_discrete_eigenvector():
 def test_helmholtz_residual(c, rng):
     g = make_grid(255)
     rhs = random_field(g, rng)
-    w = helm_values(rhs.values, g.spacing, c)
-    resid = w - c * lap_values(w, g.spacing) - rhs.values
-    rel = math.sqrt(float(np.vdot(resid, resid)) / float(np.vdot(rhs.values, rhs.values)))
+    w = helm_values(rhs, g.spacing, c)
+    resid = w - c * lap_values(w, g.spacing) - rhs
+    rel = math.sqrt(float(np.vdot(resid, resid)) / float(np.vdot(rhs, rhs)))
     assert rel <= 1e-10
 
 
 def test_helmholtz_round_trip(rng, grid63):
     c = 0.2
     f = random_field(grid63, rng)
-    image = f.values - c * lap_values(f.values, grid63.spacing)
+    image = f - c * lap_values(f, grid63.spacing)
     back = helm_values(image, grid63.spacing, c)
-    rel = np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
+    rel = np.linalg.norm(back - f) / np.linalg.norm(f)
     assert rel <= 1e-10
 
 
@@ -437,8 +427,8 @@ def test_helmholtz_matches_thomas_reference(rng):
     g = make_grid(97)
     c = 0.85
     rhs = random_field(g, rng)
-    w = helm_values(rhs.values, g.spacing, c)
-    ref = thomas_reference(c, g.spacing, rhs.values)
+    w = helm_values(rhs, g.spacing, c)
+    ref = thomas_reference(c, g.spacing, rhs)
     assert np.max(np.abs(w - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 

@@ -13,7 +13,7 @@ from llblab.dynamics import (
     initial_profile,
     integrate,
 )
-from llblab.field import VectorField, h1_norm, make_grid, zero_field
+from llblab.field import h1_norm, make_grid
 from llblab.ldp import (
     RateObjective,
     RateProblem,
@@ -111,7 +111,7 @@ TAYLOR_PROBLEM = RateProblem(
     target=integrate(
         SystemKind.DETERMINISTIC, initial_profile(TAYLOR_GRID), PARAMS, TAYLOR_TGRID,
         stride=TAYLOR_TGRID.steps,
-    ).final_field(),
+    ).final_values(),
     penalty=50.0, control_modes=2, control_steps=4,
 )
 TAYLOR_DIM = 2 * 4 * 3
@@ -164,7 +164,7 @@ def test_estimate_rate_trivial_target():
     tg = tgrid()
     u0 = initial_profile(GRID)
     det = integrate(SystemKind.DETERMINISTIC, u0, PARAMS, tg, stride=tg.steps)
-    problem = RateProblem(target=det.final_field(), penalty=1e4, control_modes=1, control_steps=5)
+    problem = RateProblem(target=det.final_values(), penalty=1e4, control_modes=1, control_steps=5)
     est = estimate_rate(problem, PARAMS, tg, SPEC, u0)
     assert est.converged
     assert est.cost <= 1e-3
@@ -176,7 +176,7 @@ def test_estimate_rate_round_trip_recovers_known_control():
     u0 = initial_profile(GRID)
     h_star = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
     ske = integrate(SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=h_star, stride=tg.steps)
-    target = ske.final_field()
+    target = ske.final_values()
     problem = RateProblem(
         target=target, penalty=1e4, control_modes=1, control_steps=5,
         max_iters=25, continuation_rounds=1,
@@ -195,7 +195,7 @@ def test_estimate_rate_round_trip_recovers_known_control():
 def _spike_problem():
     # a target far outside the skeleton's reach: long steps toward it blow up
     x = GRID.nodes
-    spike = VectorField(GRID, np.stack([1e3 * np.sin(np.pi * x), 0 * x, 0 * x], axis=1))
+    spike = np.stack([1e3 * np.sin(np.pi * x), 0 * x, 0 * x], axis=1)
     return RateProblem(
         target=spike, penalty=1e3, control_modes=1, control_steps=5,
         max_iters=4, continuation_rounds=0,
@@ -234,7 +234,7 @@ def test_estimate_rate_blow_up_under_zero_control_raises():
     # bounded regime, so there is no start point to descend from
     grid = make_grid(63)
     tg = TimeGrid(1.0, 100)
-    problem = RateProblem(target=zero_field(grid), control_modes=1, control_steps=5)
+    problem = RateProblem(target=np.zeros((grid.n_interior, 3)), control_modes=1, control_steps=5)
     with pytest.raises(BlowUpError) as info:
         estimate_rate(problem, ModelParams(gamma=500.0), tg, SPEC, initial_profile(grid))
     assert info.value.step is not None and info.value.step > 0
@@ -244,7 +244,7 @@ def test_estimate_rate_deterministic_rerun():
     tg = tgrid()
     u0 = initial_profile(GRID)
     det = integrate(SystemKind.DETERMINISTIC, u0, PARAMS, tg, stride=tg.steps)
-    problem = RateProblem(target=det.final_field(), penalty=1e3, control_modes=1, control_steps=5)
+    problem = RateProblem(target=det.final_values(), penalty=1e3, control_modes=1, control_steps=5)
     a = estimate_rate(problem, PARAMS, tg, SPEC, u0)
     b = estimate_rate(problem, PARAMS, tg, SPEC, u0)
     assert a.cost == b.cost
@@ -300,8 +300,8 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
         metrics = []
         for m in range(3):
             ((states,),), failed = record_batch(
-                (SystemKind.CONTROLLED_STOCHASTIC,), GRID,
-                (initial_profile(GRID).values[..., None],), PARAMS, tg, spec=SPEC, ctrl=ctrl,
+                (SystemKind.CONTROLLED_STOCHASTIC,), (initial_profile(GRID)[..., None],), PARAMS,
+                tg, spec=SPEC, ctrl=ctrl,
                 noise=IncrementStreams([stream_rng(9, i, m)], tg.steps, 8, tg.dt),
                 epsilons=(row.epsilon,),
             )

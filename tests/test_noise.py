@@ -33,17 +33,6 @@ from conftest import EDGE_FLOATS
 
 # --- covariance -------------------------------------------------------------
 
-def test_make_covariance_single_mode_trace():
-    spec = make_covariance(1, 4.0)
-    assert abs(spec.h1_trace - 3.0 * (1.0 + math.pi**2)) <= 1e-12
-
-
-def test_make_covariance_trace_bound():
-    spec = make_covariance(16, 4.0)
-    # k^-4 (1 + (k pi)^2) <= (1 + pi^2) k^-2, and sum k^-2 < pi^2/6
-    assert spec.h1_trace < 3.0 * (1.0 + math.pi**2) * math.pi**2 / 6.0
-
-
 def test_make_covariance_amplitudes_decreasing():
     amps = make_covariance(12, 3.5).amplitudes
     assert np.all(amps > 0)
@@ -126,7 +115,7 @@ def test_noise_field_dimension_mismatch():
     for steps, modes in ((10, 3), (9, 4)):
         with pytest.raises(ValueError, match="increment streams"):
             integrate_batch(
-                (SystemKind.STOCHASTIC,), grid, (initial_profile(grid).values[..., None],),
+                (SystemKind.STOCHASTIC,), (initial_profile(grid)[..., None],),
                 ModelParams(), tg, lambda *a: None, spec=spec,
                 noise=IncrementStreams([stream_rng(0)], steps, modes, tg.dt), epsilons=[0.1],
             )

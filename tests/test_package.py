@@ -1,12 +1,19 @@
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from llblab.analysis import check_identities
+from llblab.dynamics import ModelParams, SystemKind, TimeGrid, integrate, integrate_batch
+from llblab.ldp import RateObjective, RateProblem
+from llblab.noise import make_covariance
 
 MODULES = ("field", "noise", "dynamics", "analysis", "clt", "ldp", "cli")
 
@@ -182,3 +189,69 @@ def test_perfbench_tracer_install_restores_every_patched_name():
     for module, before in zip(modules, originals):
         changed = [name for name, value in before.items() if vars(module).get(name) is not value]
         assert not changed, f"{module.__name__} keeps patched {changed}"
+
+
+GOOD_FIELD = np.ones((7, 3))
+FIELD_CONSUMERS = {
+    "integrate": lambda u: integrate(
+        SystemKind.DETERMINISTIC, u, ModelParams(), TimeGrid(0.01, 5)
+    ),
+    # the initial batch of a second system, beside that of the good field
+    "integrate_batch": lambda u: integrate_batch(
+        (SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC),
+        (GOOD_FIELD[..., None], u[..., None]), ModelParams(), TimeGrid(0.01, 5), lambda *a: None,
+    ),
+    "RateObjective": lambda u: RateObjective(
+        RateProblem(target=u), ModelParams(), TimeGrid(0.01, 5), make_covariance(2), GOOD_FIELD
+    ),
+    "check_identities": lambda u: check_identities(GOOD_FIELD, u),
+}
+BAD_FIELDS = {
+    "n-by-2": np.zeros((7, 2)),
+    "n-vector": np.zeros(7),
+    "batch-of-1": np.zeros((7, 3, 1)),
+    "another-grid": np.zeros((8, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "consumer, case",
+    # integrate takes one field, so no other grid is there to differ from
+    [
+        (consumer, case) for consumer in FIELD_CONSUMERS for case in BAD_FIELDS
+        if (consumer, case) != ("integrate", "another-grid")
+    ],
+)
+def test_every_consumer_refuses_a_field_that_is_not_n_by_3_on_its_grid(consumer, case):
+    # a field is an (n, 3) array, and two fields of one computation share n
+    with pytest.raises(ValueError):
+        FIELD_CONSUMERS[consumer](BAD_FIELDS[case])
+
+
+def test_pytest_settings_report_a_failing_property_and_run_on(tmp_path):
+    # with every warning an error, hypothesis's report of a failing property
+    # must still be reported as a failure, and the session must go on to the
+    # next test rather than stop with an INTERNALERROR
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
+    # JSON strings and lists of them are TOML values as they are
+    lines = ["[tool.pytest.ini_options]"]
+    lines += [f"{key} = {json.dumps(value)}" for key, value in options.items()]
+    (tmp_path / "pyproject.toml").write_text("\n".join(lines) + "\n")
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_passes():\n"
+        "    assert True\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
