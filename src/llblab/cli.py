@@ -326,7 +326,7 @@ def _sha256(path) -> str:
 
 def _read_target_field(path, nodes: int) -> np.ndarray:
     """Read a target CSV (node_index,ux,uy,uz) into a (nodes, 3) field; malformed
-    content raises ValueError."""
+    content, such as a node index listed twice, raises ValueError."""
     values = np.zeros((nodes, 3))
     seen = np.zeros(nodes, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -348,6 +348,8 @@ def _read_target_field(path, nodes: int) -> np.ndarray:
                 ) from None
             if not 0 <= idx < nodes:
                 raise ValueError(f"{path}: node index {idx} outside grid of {nodes}")
+            if seen[idx]:
+                raise ValueError(f"{path}: line {reader.line_num}: node index {idx} repeated")
             values[idx] = node
             seen[idx] = True
     if not seen.all():

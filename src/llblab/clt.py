@@ -48,7 +48,7 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import STACK_CHUNK, make_grid, scratch, solver_empty
+from .field import make_grid, scratch, solver_empty
 from .noise import CovarianceSpec, IncrementStreams, stream_rng
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "CltReport",
     "SupGradEnsemble",
     "minus_reference",
-    "record_sup_grad",
     "run_columns",
     "run_clt",
     "sup_grad_ensemble",
@@ -128,7 +127,8 @@ def run_columns(
 
     Column (i, m) starts every system of ``kinds`` from its (n, 3) field in
     ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
-    (``dynamics.integrate_batch`` with ``ctrl``). ``reference`` is a
+    (``dynamics.integrate_batch``, with ``ctrl`` the control of every system,
+    the reference's too). ``reference`` is a
     (kind, field) pair: the noiseless run the samples are compared with,
     marched as one shared column of every batch; a linearized system is
     linearized about it, and its blow-up is raised as ``integrate`` raises it.
@@ -176,7 +176,8 @@ def run_columns(
 
         failed, _ = integrate_batch(
             kinds, start, params, tgrid, observe,
-            spec=spec, ctrl=ctrl, noise=noise, epsilons=eps,
+            spec=spec, ctrl=None if ctrl is None else (ctrl,) * len(kinds),
+            noise=noise, epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
         batch_values = [float(v) for v in gap.values]
@@ -187,16 +188,6 @@ def run_columns(
         values.extend(batch_values)
     per_epsilon = [values[i * samples:(i + 1) * samples] for i in range(len(epsilons))]
     return per_epsilon, tuple(sorted(failures))
-
-
-def record_sup_grad(snapshots: np.ndarray, h: float) -> float:
-    """sup_n ||grad d_n||^2 of a stored record d (steps + 1, n, 3): the proof
-    metric with nu1 = 0, from ``StreamedPathGap`` fed at most ``STACK_CHUNK``
-    snapshots per block, so it takes the sums that a sample column takes."""
-    gap = StreamedPathGap(1, h, 0.0, 0.0, len(snapshots) - 1)
-    for first in range(0, len(snapshots), STACK_CHUNK):
-        gap.add(first, np.moveaxis(snapshots[first:first + STACK_CHUNK], 0, -1)[:, :, None])
-    return float(gap.values[0])
 
 
 def run_clt(

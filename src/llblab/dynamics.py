@@ -24,9 +24,10 @@ default parameter regime well past the naive bound).
 
 Every run goes through one step loop, that of ``integrate_batch``, and every
 run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
-of one system or of several systems in lockstep, beside any shared columns,
-noiseless runs made once for the whole batch such as an ensemble's
-reference, and hands each step to an observer instead of storing it;
+of one system or of several systems in lockstep, each under its own control,
+beside any shared columns, noiseless runs made once for the whole batch such
+as an ensemble's reference, and hands each step to an observer instead of
+storing it, so runs are compared while they march;
 ``integrate`` is its width-1 case for the noiseless kinds, deterministic and
 skeleton, and stores the snapshots it is asked for. The step kernels treat
 every column of a batch as they treat that column alone, so a column's states
@@ -318,29 +319,24 @@ def _stack_terms(
     drive *= dt * params.gamma
 
 
-def _check_inputs(
-    kinds,
-    tgrid: TimeGrid,
-    spec: CovarianceSpec | None,
-    ctrl: ControlPath | None,
-) -> None:
+def _check_inputs(kinds, tgrid: TimeGrid, spec: CovarianceSpec | None, ctrls) -> None:
     """Raise ValueError when one of ``kinds`` lacks an input it needs, an input
-    does not fit the run, or no kind uses it: a control drives only the
-    controlled kinds, and a linearized one needs a deterministic system to follow."""
-    n_steps = tgrid.steps
-    names = ", ".join(kind.value for kind in kinds)
-    if ctrl is not None and not any(kind in _CONTROLLED_KINDS for kind in kinds):
-        raise ValueError(f"{names} integration takes no control path")
-    for kind in kinds:
+    does not fit the run, or the kind does not use it. ``ctrls`` holds one entry
+    per kind: a control path for a controlled kind, None for any other; a
+    linearized kind needs a deterministic system to follow."""
+    for kind, ctrl in zip(kinds, ctrls, strict=True):
         if kind in _NOISY_KINDS + _CONTROLLED_KINDS and spec is None:
             raise ValueError(f"{kind.value} integration requires a covariance spec")
-        if kind in _CONTROLLED_KINDS and ctrl is None:
-            raise ValueError(f"{kind.value} integration requires a control path")
+        controlled = kind in _CONTROLLED_KINDS
+        if controlled != (ctrl is not None):
+            need = "requires a" if controlled else "takes no"
+            raise ValueError(f"{kind.value} integration {need} control path")
         if kind is SystemKind.LINEARIZED_CLT and SystemKind.DETERMINISTIC not in kinds:
             raise ValueError("linearized system needs a deterministic reference in its batch")
-    if ctrl is not None:
-        if ctrl.steps != n_steps:
-            raise ValueError(f"control has {ctrl.steps} steps, time grid has {n_steps}")
+        if ctrl is None:
+            continue
+        if ctrl.steps != tgrid.steps:
+            raise ValueError(f"control has {ctrl.steps} steps, time grid has {tgrid.steps}")
         if ctrl.mode_count != spec.mode_count:
             raise ValueError(
                 f"control has {ctrl.mode_count} modes, covariance has {spec.mode_count}"
@@ -382,7 +378,7 @@ def integrate(
             snaps[-(-n // stride)] = states[0][..., 0]
 
     failures, cfl = integrate_batch(
-        (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=ctrl
+        (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=(ctrl,)
     )
     if failures:
         raise failures[0]
@@ -404,7 +400,7 @@ def integrate_batch(
     tgrid: TimeGrid,
     observe,
     spec: CovarianceSpec | None = None,
-    ctrl: ControlPath | None = None,
+    ctrl=None,
     noise: IncrementStreams | None = None,
     epsilons=None,
     keys=None,
@@ -419,7 +415,8 @@ def integrate_batch(
     column j of a noisy nonlinear kind runs at noise strength ``epsilons[j]``.
     Noisy kinds read step n's increments from ``noise``, one stream per column,
     and every system of a step sees the same ones, so coupled systems share
-    their noise by construction. ``ctrl`` drives only the controlled kinds. A
+    their noise by construction. ``ctrl`` is None or gives each kind its own
+    entry: a ControlPath for a controlled kind, None for any other. A
     linearized system is linearized about the first deterministic system, whose
     step terms it reads in the same step. ``observe(n, states)`` sees every
     step n = 0..steps: one (n, 3, M) array per kind, (n, 3, 1) for a shared
@@ -439,10 +436,10 @@ def integrate_batch(
     the workspace, valid only during the call: the loop writes the next
     states into the same memory, so an observer copies what it keeps. Unless
     it was the last step, one Laplacian of all systems, one matmul of the
-    step's increments and one control term feed each system's right-hand
-    side, and one in-place solve of (I - dt nu1 Lap) for all systems gives
-    the states of step n + 1. The march stops early only when every sample
-    column has retired and no shared column runs.
+    step's increments and a controlled system's own control term feed each
+    system's right-hand side, and one in-place solve of (I - dt nu1 Lap) for
+    all systems gives the states of step n + 1. The march stops early only
+    when every sample column has retired and no shared column runs.
 
     Every running column's states have the bits of its own width-1 run, a
     shared column's those of ``integrate``. Returns
@@ -470,7 +467,8 @@ def integrate_batch(
     dt = tgrid.dt
     h = grid.spacing
     c = dt * params.nu1
-    _check_inputs(kinds, tgrid, spec, ctrl)
+    ctrls = (None,) * len(kinds) if ctrl is None else tuple(ctrl)
+    _check_inputs(kinds, tgrid, spec, ctrls)
     for kind, u in zip(kinds, states):
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):
             raise ValueError("linearized deviation system starts from zero initial data")
@@ -502,8 +500,8 @@ def integrate_batch(
     sq = solver_empty((nodes, shape[2]))
     for col, u in zip(cols, states):
         state[..., col] = u.reshape(nodes, 3, -1)
-    # the control term dt * (mode_mat @ c_n) of a step, in the solver's order
-    cf = None if ctrl is None else solver_empty((nodes, 3, 1))
+    # a system's control term dt * (mode_mat @ c_n) of a step, in the solver's order
+    cf = solver_empty((nodes, 3, 1))
     # a noisy step's matmul of all columns' increments (M, n, 3), copied into the solver's order
     product = np.empty((width, nodes, 3))
     forcing = solver_empty((nodes, 3, width)) if any(noisy) else None
@@ -568,8 +566,6 @@ def integrate_batch(
             if forcing is not None:
                 np.matmul(mode_mat, noise.at(n), out=product)
                 np.copyto(forcing, product.transpose(1, 2, 0))
-            if cf is not None:
-                np.multiply(dt, (mode_mat @ ctrl.coefficients[n])[..., None], out=cf)
             for s in order:
                 kind, u, lap_u, sq_u, out = kinds[s], state[1][s], lap[1][s], sq[1][s], nxt[1][s]
                 if kind is SystemKind.LINEARIZED_CLT:
@@ -583,7 +579,8 @@ def integrate_batch(
                 g = None
                 if noisy[s] and strength is not None:
                     g = np.multiply(strength, forcing, out=out)
-                if kind in _CONTROLLED_KINDS:
+                if ctrls[s] is not None:
+                    np.multiply(dt, (mode_mat @ ctrls[s].coefficients[n])[..., None], out=cf)
                     g = cf if g is None else np.add(g, cf, out=g)
                 _rhs_values(u, lap_u, sq_u, params, dt, g, out, tmp[1][s])
             helm_values(nxt[0], h, c, out=nxt[0])
@@ -631,7 +628,7 @@ def skeleton_adjoint(
         raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
     if not record.dense or not np.array_equal(record.times, tgrid.times):
         raise ValueError("adjoint sweep needs a record storing every step of the time grid")
-    _check_inputs((SystemKind.SKELETON,), tgrid, spec, ctrl)
+    _check_inputs((SystemKind.SKELETON,), tgrid, spec, (ctrl,))
     nodes = record.grid.n_interior
     lam = np.asarray(terminal, dtype=float)
     if lam.shape != (nodes, 3):

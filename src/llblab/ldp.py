@@ -19,9 +19,10 @@ one gradient costs only the backward sweep. Only the terminal state is matched
 overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns beside
-the skeleton, a shared column of every batch (``clt.run_columns``), and
-accumulates the proof metric a block of steps at a time, so it stores no
-trajectory.
+the skeleton, a shared column of every batch (``clt.run_columns``), and the
+compactness probe its perturbed skeletons beside the base skeleton, each system
+of the batch under its own control; both take their metric as the runs march,
+so neither stores a trajectory.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 # path_gap and stream_rng stay bound here, unused: perfbench/tracer.py patches
 # ldp.path_gap and ldp.stream_rng by name
-from .analysis import path_gap, sample_stats
-from .clt import minus_reference, record_sup_grad, run_columns
+from .analysis import StreamedPathGap, path_gap, sample_stats
+from .clt import minus_reference, run_columns
 from .dynamics import (
     BlowUpError,
     ModelParams,
@@ -44,9 +45,10 @@ from .dynamics import (
     TimeGrid,
     TrajectoryRecord,
     integrate,
+    integrate_batch,
     skeleton_adjoint,
 )
-from .field import as_field, h1_norm, lap_values
+from .field import as_field, h1_norm, lap_values, make_grid
 from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
@@ -230,6 +232,17 @@ class RateObjective:
         return full[:, :modes, :].reshape(slabs, per_slab, modes, 3).sum(axis=1).ravel()
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of ``x``, taken relative to its largest magnitude where the
+    squares of finite entries overflow; elsewhere ``np.linalg.norm`` bit for bit."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == math.inf and np.isfinite(x).all():
+        big = float(np.abs(x).max())
+        norm = big * float(np.linalg.norm(x / big))
+    return norm
+
+
 def estimate_rate(
     problem: RateProblem,
     params: ModelParams,
@@ -261,8 +274,13 @@ def estimate_rate(
         grad = objective.gradient(point, rho)
         round_history = [current]
         for _ in range(problem.max_iters):
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = _norm(grad)
             if gnorm <= problem.tolerance or not math.isfinite(gnorm):
+                break
+            try:
+                gnorm_sq = gnorm**2
+            except OverflowError:
+                # no trial can meet the Armijo test: the round stops, as a stalled search does
                 break
             while step >= MIN_LINE_SEARCH_STEP:
                 try:
@@ -270,7 +288,7 @@ def estimate_rate(
                 except BlowUpError:
                     trial = None
                 j_try = trial.objective(rho) if trial is not None else math.inf
-                if j_try <= current - ARMIJO_SLOPE * step * gnorm**2:
+                if j_try <= current - ARMIJO_SLOPE * step * gnorm_sq:
                     break
                 step *= 0.5
             else:
@@ -286,7 +304,7 @@ def estimate_rate(
         history.append(tuple(round_history))
         rho *= 10.0
 
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _norm(grad)
     converged = gnorm <= problem.tolerance
     if not converged and point.misfit > 0.0:
         logger.warning(
@@ -356,25 +374,32 @@ def compactness_probe(
     H0 path integral: its coefficient c = 1/sqrt(T) makes the sum over steps
     of dt c^2 equal 1. The synthesized field shrinks like k**(-decay/2), so
     the response metric sup ||grad(u_k - u_h)||^2 decays as the mode index
-    grows. The response is the proof metric with nu1 = 0 of the stored
-    difference of the two skeleton records (``clt.record_sup_grad``). Returns
-    one (mode, response) pair per oscillation mode.
+    grows. The base skeleton under ``ctrl`` and one skeleton per probe march
+    as the width-1 systems of one batch, each under its own control, and the
+    response is the proof metric with nu1 = 0 of their difference, taken step
+    by step, so no trajectory is stored. A blow-up is raised, key None, at the
+    first step where any skeleton crosses the ceiling. Returns one
+    (mode, response) pair per oscillation mode.
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
-    base = integrate(SystemKind.SKELETON, u0, params, tgrid, spec=spec, ctrl=ctrl)
-    coeff = math.sqrt(1.0 / tgrid.horizon)
-    out = []
-    for mode in oscillation_modes:
-        mode = int(mode)
+    modes = [int(mode) for mode in oscillation_modes]
+    ctrls = [ctrl]
+    for mode in modes:
         if not 1 <= mode <= spec.mode_count:
             raise ValueError(f"oscillation mode {mode} outside 1..{spec.mode_count}")
         coeffs = ctrl.coefficients.copy()
-        coeffs[:, mode - 1, component - 1] += coeff
-        perturbed = integrate(
-            SystemKind.SKELETON, u0, params, tgrid, spec=spec,
-            ctrl=ControlPath(coeffs, ctrl.dt),
-        )
-        d = perturbed.snapshots - base.snapshots
-        out.append((mode, record_sup_grad(d, base.grid.spacing)))
-    return out
+        coeffs[:, mode - 1, component - 1] += math.sqrt(1.0 / tgrid.horizon)
+        ctrls.append(ControlPath(coeffs, ctrl.dt))
+    gap = StreamedPathGap(len(modes), make_grid(len(u0)).spacing, tgrid.dt, 0.0, tgrid.steps)
+
+    def observe(n, states):
+        gap.add(n, np.concatenate(states, axis=2)[..., 1:] - states[0])
+
+    failures, _ = integrate_batch(
+        (SystemKind.SKELETON,) * len(ctrls), [u0[..., None]] * len(ctrls), params, tgrid,
+        observe, spec=spec, ctrl=ctrls,
+    )
+    if failures:
+        raise failures[0]
+    return list(zip(modes, gap.values.tolist()))

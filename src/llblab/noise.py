@@ -194,10 +194,11 @@ def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
     Missing (step, k, j) combinations are zero, but the last step must have a
     row, so a file written for a shorter run is not silently padded. The time
     step is not stored in the file; pair the coefficients with a dt from the
-    run configuration. Malformed content, or an index outside the run, raises
-    ValueError naming the file and line.
+    run configuration. Malformed content, an index outside the run or a
+    (step, k, j) row listed twice raises ValueError naming the file and line.
     """
     coeffs = np.zeros((steps, mode_count, 3))
+    seen = np.zeros(coeffs.shape, dtype=bool)
     last = -1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -221,6 +222,9 @@ def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
                     f"{path}: line {reader.line_num}: index row {row} outside the run's steps "
                     f"0..{steps - 1}, modes 1..{mode_count} and components 1..3"
                 )
+            if seen[n, k - 1, j - 1]:
+                raise ValueError(f"{path}: line {reader.line_num}: index row {row} repeated")
+            seen[n, k - 1, j - 1] = True
             coeffs[n, k - 1, j - 1] = value
             last = max(last, n)
     if last < 0:

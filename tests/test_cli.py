@@ -232,7 +232,7 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
     _, (exc,) = record_batch(
         (SystemKind.CONTROLLED_STOCHASTIC,), (cfg.initial()[..., None],),
-        cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=ctrl,
+        cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=(ctrl,),
         noise=IncrementStreams([loud_stream(99, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
         epsilons=(0.1,), keys=((99, 0, 1),),
     )
@@ -292,6 +292,38 @@ def test_run_compactness_outputs(tmp_path):
     lines = (tmp_path / "compactness_report.csv").read_text().splitlines()
     assert lines[0] == "mode,metric"
     assert len(lines) == 3
+
+
+def test_run_compactness_blow_up_reports_the_first_skeleton_to_cross(tmp_path, capsys, monkeypatch):
+    # the base and the probes march as one batch, so the run stops at the first
+    # step where any skeleton crosses the ceiling: mode 4's, though mode 1,
+    # listed first, crosses later and the base never does
+    import llblab.dynamics as dynamics
+    from llblab.dynamics import BlowUpError, SystemKind, integrate
+    from llblab.noise import single_mode_control
+
+    monkeypatch.setattr(dynamics, "LINF_CEILING", 1.01)
+    cfg = parse_config(
+        "kind = compactness\ngrid.n = 15\ntime.horizon = 0.05\ntime.steps = 40\n"
+        "noise.modes = 4\ncompact.modes = 1, 4\ncompact.component = 1\n"
+        "model.nu1 = 0.01\nmodel.nu2 = 0\n"
+    )
+    tgrid, spec = cfg.time_grid(), cfg.covariance()
+    steps = {}
+    for mode in (1, 4):
+        probe = single_mode_control(
+            tgrid.steps, 4, tgrid.dt, mode, 1, math.sqrt(1.0 / tgrid.horizon)
+        )
+        with pytest.raises(BlowUpError) as info:
+            integrate(
+                SystemKind.SKELETON, cfg.initial(), cfg.model_params(), tgrid, spec=spec,
+                ctrl=probe,
+            )
+        steps[mode] = info.value.step
+    assert steps[4] < steps[1]
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_BLOWUP
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert (error["code"], error["step"], error["key"]) == (EXIT_BLOWUP, steps[4], None)
 
 
 def test_run_ensemble_outputs(tmp_path):
@@ -443,6 +475,28 @@ def test_main_energy_drift_of_a_huge_coefficient_is_finite(tmp_path, capfd):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["energy_drift"] is not None
     assert 1.0e280 < summary["energy_drift"] < math.inf
+
+
+def test_main_rate_gradient_norm_whose_square_overflows_is_finite(tmp_path, capfd):
+    # at penalty 1e300 the gradient's entries are finite but their squares
+    # overflow: its norm is taken relative to the largest entry, with no numpy
+    # warning, and its square overflows, so no trial can meet the Armijo test
+    data = tmp_path / "target.csv"
+    data.write_text("node_index,ux,uy,uz\n" + "".join(f"{i},0.5,0.1,0.2\n" for i in range(7)))
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "kind = rate\ngrid.n = 7\ntime.steps = 10\ntime.horizon = 0.01\nnoise.modes = 2\n"
+        f"rate.penalty = 1e300\nrate.continuation = 1\nrate.target = {data}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, _ = capfd.readouterr()
+    assert (code, out) == (EXIT_OK, "")
+    estimate = json.loads((tmp_path / "out" / "rate_estimate.json").read_text())
+    assert estimate["converged"] is False
+    assert estimate["gradient_norm"] is not None
+    assert 1.0e154 < estimate["gradient_norm"] < math.inf
 
 
 def test_run_blow_up_reports_a_finite_norm_whose_square_overflows(tmp_path, capsys):
@@ -686,6 +740,34 @@ def test_main_malformed_input_csv_is_config_error(tmp_path, capsys, key, content
         f"noise.modes = 2\n{key} = {data}\n",
     )
     assert str(data) in messages
+
+
+def test_main_repeated_target_node_is_config_error(tmp_path, capsys):
+    # node 3 listed twice: the second row would silently replace the first
+    data = tmp_path / "target.csv"
+    rows = [f"{i},0.5,0.1,0.2\n" for i in range(7)]
+    rows.insert(4, "3,9.0,9.0,9.0\n")
+    data.write_text("node_index,ux,uy,uz\n" + "".join(rows))
+    messages = _main_config_error(
+        tmp_path, capsys,
+        "kind = rate\ngrid.n = 7\ntime.horizon = 0.01\ntime.steps = 10\nnoise.modes = 2\n"
+        f"rate.target = {data}\n",
+    )
+    assert messages == f"rate.target: {data}: line 6: node index 3 repeated"
+
+
+def test_main_repeated_control_row_is_config_error(tmp_path, capsys):
+    # step 4 listed twice for the same mode and component
+    data = tmp_path / "control.csv"
+    rows = [f"{n},1,3,0.5\n" for n in range(10)]
+    rows.insert(5, "4,1,3,2.0\n")
+    data.write_text("step,k,j,coefficient\n" + "".join(rows))
+    messages = _main_config_error(
+        tmp_path, capsys,
+        "kind = weak-convergence\ngrid.n = 7\ntime.horizon = 0.05\ntime.steps = 10\n"
+        f"noise.modes = 2\nweak.control = {data}\n",
+    )
+    assert messages == f"weak.control: {data}: line 7: index row ['4', '1', '3', '2.0'] repeated"
 
 
 @pytest.mark.parametrize("key", ["weak.control", "compact.control", "rate.target"])

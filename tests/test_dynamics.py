@@ -578,23 +578,27 @@ def _batch_setup(kind, seed, width):
     return initial, epsilons, ctrl, initial_profile(BATCH_GRID)
 
 
-def _control_for(kinds, ctrl):
+def _controls_for(kinds, ctrls):
+    """``integrate_batch``'s control entries: each controlled kind's own control,
+    None for any other kind."""
     controlled = (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
-    return ctrl if any(k in controlled for k in kinds) else None
+    return tuple(c if k in controlled else None for k, c in zip(kinds, ctrls, strict=True))
 
 
-def _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns):
-    """March ``columns`` of the setup as one batch, with the ``base`` field as a
-    shared deterministic column, listed last, when a linearized system needs
-    one; returns each column's ``record_batch`` states, by column, and the
-    failures."""
+def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns):
+    """March ``columns`` of the setup as one batch, each system under its own
+    control of ``ctrls``, with the ``base`` field as a shared deterministic
+    column, listed last, when a linearized system needs one; returns each
+    column's ``record_batch`` states, by column, and the failures."""
     start = [u[..., columns] for u in initial]
+    ctrls = _controls_for(kinds, ctrls)
     if SystemKind.LINEARIZED_CLT in kinds and SystemKind.DETERMINISTIC not in kinds:
         kinds = (*kinds, SystemKind.DETERMINISTIC)
         start.append(base)
+        ctrls = (*ctrls, None)
     states, failed = record_batch(
         kinds, start, ModelParams(), BATCH_TIME,
-        spec=BATCH_SPEC, ctrl=_control_for(kinds, ctrl),
+        spec=BATCH_SPEC, ctrl=ctrls,
         noise=IncrementStreams(
             [stream_rng(seed, j) for j in columns],
             BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
@@ -610,17 +614,18 @@ def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
     if kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON):
         return integrate(
             kind, initial[..., j], ModelParams(),
-            BATCH_TIME, spec=BATCH_SPEC, ctrl=_control_for((kind,), ctrl),
+            BATCH_TIME, spec=BATCH_SPEC, ctrl=_controls_for((kind,), (ctrl,))[0],
         ).snapshots
-    seen, failed = _run_batch((kind,), (initial,), epsilons, ctrl, base, seed, [j])
+    seen, failed = _run_batch((kind,), (initial,), epsilons, (ctrl,), base, seed, [j])
     assert failed == []
     return seen[j][0]
 
 
 BATCH_CASES = [(kind,) for kind in SystemKind] + [
     (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
-    # two systems read one control term per step
+    # two controlled systems, each under its own control
     (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON),
+    (SystemKind.SKELETON, SystemKind.SKELETON),
     # noiseless systems march in lockstep beside a noisy one
     (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC, SystemKind.SKELETON),
 ]
@@ -638,21 +643,23 @@ BATCH_CASES = [(kind,) for kind in SystemKind] + [
 @example(width=6, seed=44, cuts=set(), blown={1, 3, 4})
 def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts, blown):
     # the ``blown`` columns start 100 times larger, where explicit cubic
-    # damping overshoots, u -> (1 - dt (1 + |u|^2)) u grows, and they retire
-    setups = [_batch_setup(kind, seed, width) for kind in kinds]
+    # damping overshoots, u -> (1 - dt (1 + |u|^2)) u grows, and they retire;
+    # system k draws its initial batch and control from seed + k
+    setups = [_batch_setup(kind, seed + k, width) for k, kind in enumerate(kinds)]
     initial = [s[0] for s in setups]
-    _, epsilons, ctrl, base = setups[0]
+    ctrls = [s[2] for s in setups]
+    _, epsilons, _, base = setups[0]
     for u in initial:
         u[..., [j for j in blown if j < width]] *= 100.0
     bounds = [0, *sorted(c for c in cuts if c < width), width]
     for lo, hi in zip(bounds, bounds[1:]):
         columns = list(range(lo, hi))
-        seen, failed = _run_batch(kinds, initial, epsilons, ctrl, base, seed, columns)
+        seen, failed = _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns)
         retired = {exc.key[1]: exc for exc in failed}
         for j in columns:
             if j in retired:
                 # the failure and the states up to it are those of its width-1 batch
-                alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrl, base, seed, [j])
+                alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j])
                 assert (retired[j].key, retired[j].step, str(retired[j])) == (
                     exc.key, exc.step, str(exc)
                 )
@@ -660,12 +667,12 @@ def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts,
                     assert states.tobytes() == states_alone.tobytes(), j
                 continue
             for k, kind in enumerate(kinds):
-                alone = _single_run(kind, initial[k], epsilons, ctrl, base, seed, j)
+                alone = _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, j)
                 assert seen[j][k].tobytes() == alone.tobytes(), (kind, j)
                 if kind is SystemKind.STOCHASTIC and epsilons[j] == 0.0:
                     # criterion 4 inside a batch that may hold noisy and retired columns
                     det = _single_run(
-                        SystemKind.DETERMINISTIC, initial[k], epsilons, ctrl, base, seed, j
+                        SystemKind.DETERMINISTIC, initial[k], epsilons, ctrls[k], base, seed, j
                     )
                     assert seen[j][k].tobytes() == det.tobytes(), j
 
@@ -704,12 +711,12 @@ def test_shared_reference_column_has_the_bits_of_integrate(
         u[..., [j for j in blown if j < width]] *= 100.0
     draw = np.random.default_rng(seed + 1).normal(size=(BATCH_GRID.n_interior, 3))
     ref = ref_scale * draw
-    ctrl = _control_for((ref_kind,), ctrl)
+    ctrls = _controls_for((*kinds, ref_kind), [ctrl] * (len(kinds) + 1))
 
     def run(columns):
         return record_batch(
             (*kinds, ref_kind), [u[..., columns] for u in initial] + [ref],
-            ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl,
+            ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrls,
             noise=IncrementStreams(
                 [stream_rng(seed, j) for j in columns],
                 BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
@@ -718,7 +725,9 @@ def test_shared_reference_column_has_the_bits_of_integrate(
         )
 
     try:
-        alone = integrate(ref_kind, ref, ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl)
+        alone = integrate(
+            ref_kind, ref, ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrls[-1]
+        )
     except BlowUpError as exc:
         with pytest.raises(BlowUpError) as info:
             run(list(range(width)))
@@ -780,48 +789,61 @@ def test_integrate_batch_checks_its_inputs():
 BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(list(SystemKind)),
     with_spec=st.booleans(),
     with_ctrl=st.booleans(),
     with_reference=st.booleans(),
+    reference_ctrl=st.booleans(),
+    entries=st.sampled_from(["per kind", "per kind", "one short", "one over"]),
     batch=st.booleans(),
 )
+# a mixed batch: the skeleton takes a control and the deterministic reference
+# none, and a control for both, or a tuple of another length, is refused
+@example(SystemKind.SKELETON, True, True, True, False, "per kind", True)
+@example(SystemKind.SKELETON, True, True, True, True, "per kind", True)
+@example(SystemKind.SKELETON, True, True, True, False, "one short", True)
+@example(SystemKind.SKELETON, True, True, True, False, "one over", True)
 def test_each_kind_takes_exactly_the_inputs_it_uses(
-    kind, with_spec, with_ctrl, with_reference, batch
+    kind, with_spec, with_ctrl, with_reference, reference_ctrl, entries, batch
 ):
     # a control drives only the controlled kinds, and the linearized one needs
     # a deterministic reference, here a shared column; both entry points reject
-    # every other combination before stepping, and integrate every noisy kind
+    # every other combination before stepping, and integrate every noisy kind.
+    # A batch takes one control entry per system: a control for a controlled
+    # kind, None for any other
     controlled = kind in (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
     linearized = kind is SystemKind.LINEARIZED_CLT
     valid = (with_spec or kind is SystemKind.DETERMINISTIC) and with_ctrl == controlled
     if batch:
         valid = valid and (with_reference or not linearized)
+        valid = valid and not (with_reference and reference_ctrl) and entries == "per kind"
     else:
         valid = valid and kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON)
     initial = np.zeros((BATCH_GRID.n_interior, 3)) if linearized else initial_profile(BATCH_GRID)
-    inputs = dict(
-        spec=BATCH_SPEC if with_spec else None,
-        ctrl=BATCH_CONTROL if with_ctrl else None,
-    )
+    spec = BATCH_SPEC if with_spec else None
+    ctrl = BATCH_CONTROL if with_ctrl else None
 
     def run():
         if batch:
-            reference = ((SystemKind.DETERMINISTIC,), (initial_profile(BATCH_GRID),))
             kinds, start = ((kind,), (np.repeat(initial[..., None], 2, axis=2),))
+            ctrls = (ctrl,)
             if with_reference:
-                kinds, start = kinds + reference[0], start + reference[1]
+                kinds += (SystemKind.DETERMINISTIC,)
+                start += (initial_profile(BATCH_GRID),)
+                ctrls += (BATCH_CONTROL if reference_ctrl else None,)
+            ctrls = {"per kind": ctrls, "one short": ctrls[:-1], "one over": ctrls + (None,)}
             return integrate_batch(
-                kinds, start, ModelParams(), BATCH_TIME, lambda *a: None,
+                kinds, start, ModelParams(), BATCH_TIME, lambda *a: None, spec=spec,
+                ctrl=ctrls[entries],
                 noise=IncrementStreams(
                     [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
                     BATCH_TIME.dt,
                 ),
-                epsilons=[0.1, 0.1], **inputs,
+                epsilons=[0.1, 0.1],
             )
-        return integrate(kind, initial, ModelParams(), BATCH_TIME, **inputs)
+        return integrate(kind, initial, ModelParams(), BATCH_TIME, spec=spec, ctrl=ctrl)
 
     if valid:
         run()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from llblab.dynamics import (
     initial_profile,
     integrate,
 )
-from llblab.field import h1_norm, make_grid
+from llblab.analysis import StreamedPathGap
+from llblab.field import STACK_CHUNK, h1_norm, make_grid
 from llblab.ldp import (
     RateObjective,
     RateProblem,
@@ -301,7 +303,7 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
         for m in range(3):
             ((states,),), failed = record_batch(
                 (SystemKind.CONTROLLED_STOCHASTIC,), (initial_profile(GRID)[..., None],), PARAMS,
-                tg, spec=SPEC, ctrl=ctrl,
+                tg, spec=SPEC, ctrl=(ctrl,),
                 noise=IncrementStreams([stream_rng(9, i, m)], tg.steps, 8, tg.dt),
                 epsilons=(row.epsilon,),
             )
@@ -329,7 +331,6 @@ def test_compactness_response_equals_stored_path_gap():
     # the response is taken at most STACK_CHUNK snapshots per block: 301
     # snapshots make two blocks, and path_gap of the stored records is the oracle
     from llblab.analysis import path_gap
-    from llblab.field import STACK_CHUNK
 
     tg = tgrid(300)
     assert tg.steps + 1 > STACK_CHUNK
@@ -346,6 +347,61 @@ def test_compactness_response_equals_stored_path_gap():
         oracle = path_gap(perturbed.snapshots, base.snapshots, GRID.spacing, tg.dt, 0.0)
         assert response > 0.0
         assert response == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def _stored_record_responses(ctrl, modes, tg, u0, component):
+    """The responses taken from stored records: a dense ``integrate`` run of the
+    base and of each probe, their difference fed to ``StreamedPathGap``
+    ``STACK_CHUNK`` snapshots per block."""
+    base = integrate(SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=ctrl)
+    out = []
+    for mode in modes:
+        coeffs = ctrl.coefficients.copy()
+        coeffs[:, mode - 1, component - 1] += math.sqrt(1.0 / tg.horizon)
+        perturbed = integrate(
+            SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=ControlPath(coeffs, ctrl.dt)
+        )
+        d = perturbed.snapshots - base.snapshots
+        gap = StreamedPathGap(1, GRID.spacing, 0.0, 0.0, tg.steps)
+        for first in range(0, len(d), STACK_CHUNK):
+            gap.add(first, np.moveaxis(d[first:first + STACK_CHUNK], 0, -1)[:, :, None])
+        out.append((mode, float(gap.values[0])))
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    modes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    component=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_compactness_probe_has_the_bits_of_the_stored_records(modes, component, seed):
+    # the probes march beside the base in one batch and their differences are
+    # taken step by step: every response has the bits of the stored-record oracle
+    tg = tgrid(300)
+    assert tg.steps + 1 > STACK_CHUNK
+    coeffs = np.random.default_rng(seed).normal(size=(tg.steps, SPEC.mode_count, 3))
+    ctrl = ControlPath(coeffs, tg.dt)
+    u0 = initial_profile(GRID)
+    table = compactness_probe(ctrl, modes, PARAMS, tg, SPEC, u0, component=component)
+    assert table == _stored_record_responses(ctrl, modes, tg, u0, component)
+
+
+def test_compactness_probe_stores_no_record():
+    # the probe keeps two numbers and one control per mode: its peak stays
+    # below the size of one dense record of its run
+    grid = make_grid(63)
+    tg = TimeGrid(0.05, 400)
+    spec = make_covariance(4, 4.0)
+    record_bytes = (tg.steps + 1) * grid.n_interior * 3 * 8
+    ctrl = zero_control(tg.steps, spec.mode_count, tg.dt)
+    tracemalloc.start()
+    try:
+        compactness_probe(ctrl, (2, 3, 4), PARAMS, tg, spec, initial_profile(grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes
 
 
 def test_compactness_rejects_mode_out_of_range():
