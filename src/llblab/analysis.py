@@ -29,7 +29,6 @@ from .field import (
     helm_values,
     lap_values,
     make_grid,
-    map_stack,
     scratch,
     sq_norm_values,
     stack_norms,
@@ -46,6 +45,7 @@ __all__ = [
     "cubic_identity_residuals",
     "fit_slope",
     "energy_drift",
+    "StreamedEnergyDrift",
     "path_gap",
     "StreamedPathGap",
     "identity_suite",
@@ -135,9 +135,11 @@ def check_identities(u: np.ndarray, v: np.ndarray) -> list[IdentityReport]:
     ]
 
 
-def _edge_average(v: np.ndarray) -> np.ndarray:
-    """Midpoint averages on the n_interior+1 edges, zero ghost nodes, laid out like ``v``."""
-    out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
+def _edge_average(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Midpoint averages on the n_interior+1 edges, zero ghost nodes, laid out like ``v``
+    or written into ``out``."""
+    if out is None:
+        out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
     out[0] = 0.5 * v[0]
     np.add(v[1:], v[:-1], out=out[1:-1])
     out[1:-1] *= 0.5
@@ -145,15 +147,22 @@ def _edge_average(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cubic_sum(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _cubic_sum(u: np.ndarray, grad: np.ndarray, work: dict | None = None) -> np.ndarray:
     """sum_e (|u|^2 |du|^2 + 2 (u.du)^2), edge-averaged |u|^2 and u, per column of the
     node-major batch u (n, 3, M) with edge differences ``grad``: the inner product of
-    du with |u|^2 du + 2 (u.du) u, one column reduction. ``vector`` takes every
-    product in turn, so no more than three arrays of the batch's size are alive."""
-    u_edge = _edge_average(u)
-    vector = np.empty_like(grad)
-    np.multiply(2.0 * dot_values(u_edge, grad, work=vector)[:, None], u_edge, out=u_edge)
-    np.multiply(_edge_average(sq_norm_values(u, work=vector[:-1]))[:, None], grad, out=vector)
+    du with |u|^2 du + 2 (u.du) u, one column reduction. Its arrays are ``scratch``
+    buffers of ``work`` in the memory order of ``grad``, taken anew when it is None;
+    ``vector`` takes every product in turn, so no more than three arrays of the
+    batch's size are alive."""
+    work = {} if work is None else work
+    u_edge = _edge_average(u, out=scratch(work, "u_edge", grad.shape, like=grad))
+    vector = scratch(work, "edges", grad.shape, like=grad)
+    edge = scratch(work, "edge", grad[:, 0].shape, like=grad[:, 0])
+    edge = dot_values(u_edge, grad, out=edge, work=vector)
+    np.multiply(np.multiply(2.0, edge, out=edge)[:, None], u_edge, out=u_edge)
+    sq = scratch(work, "sq", u[:, 0].shape, like=grad[:-1, 0])
+    sq = sq_norm_values(u, out=sq, work=vector[:-1])
+    np.multiply(_edge_average(sq, out=edge)[:, None], grad, out=vector)
     vector += u_edge
     return column_sq_sums(vector, grad, work=vector)
 
@@ -214,6 +223,56 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=rms)
 
 
+class StreamedEnergyDrift:
+    """The drift of ``energy_drift`` along a deterministic run, fed a block of steps at a time.
+
+    ``add(n, snapshots)`` takes the states (K, n, 3) of steps n to n + K - 1,
+    in step order, and returns their ``field.stack_norms`` rows, of which the
+    balance is made, so a caller that writes them takes them once; ``value``
+    is the drift over the steps given so far. Only the running dissipation
+    sum and the worst deviation are kept, never the trajectory. The norm pass
+    and the cubic sums share one dict of ``scratch`` buffers, made for the
+    first block in its memory order and reused, so a run allocates no block's
+    arrays twice. The sum is carried from block to block in step order, so
+    the drift has the same bits whatever the blocks.
+    """
+
+    def __init__(self, params, spacing: float, dt: float, steps: int):
+        self.params = params
+        self.spacing = spacing
+        self.dt = dt
+        self.steps = steps
+        self._h1_sq_0 = 0.0
+        self._acc = 0.0
+        self._worst = 0.0
+        self._work = {}
+
+    def add(self, n: int, snapshots: np.ndarray) -> np.ndarray:
+        params, h, dt, work = self.params, self.spacing, self.dt, self._work
+        rows = stack_norms(snapshots, h, work)
+        h1_sq = rows[:, 1] ** 2
+        if n == 0:
+            self._h1_sq_0 = h1_sq[0]
+        # the quadrature stops before the last step
+        u = np.moveaxis(snapshots[:max(self.steps - n, 0)], 0, -1)
+        nodes, _, count = u.shape
+        grad = grad_values(u, h, out=scratch(work, "grad", (nodes + 1, 3, count), like=u))
+        cubic = h * _cubic_sum(u, grad, work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diss = (2.0 * dt * params.nu1) * rows[:count, 2] ** 2
+            diss += (2.0 * dt * params.nu2) * (h1_sq[:count] + params.mu * cubic)
+            # the sums before each step of the block, and after it
+            acc = np.cumsum(np.concatenate([[self._acc], diss]))
+            balance = np.abs(h1_sq + acc[:len(h1_sq)] - self._h1_sq_0)
+            self._worst = np.maximum(self._worst, np.max(balance))
+        self._acc = acc[-1]
+        return rows
+
+    @property
+    def value(self) -> float:
+        return float(self._worst)
+
+
 def energy_drift(traj: TrajectoryRecord) -> float:
     """Deviation of the dissipation balance along a deterministic trajectory.
 
@@ -221,25 +280,19 @@ def energy_drift(traj: TrajectoryRecord) -> float:
     + mu * cubic) - ||grad u(0)||^2  with left-endpoint quadrature and the run's own
     ``traj.params``; the result shrinks at first order in dt. Its cubic sums are column
     reductions, whatever the chunk; dt weights each coefficient first, so a huge nu1
-    over a tiny dt stays finite.
+    over a tiny dt stays finite. The record is fed to ``StreamedEnergyDrift`` a
+    chunk of ``STACK_CHUNK`` snapshots at a time.
     """
     if traj.kind != "deterministic":
         raise ValueError(f"energy drift is defined for deterministic runs, got {traj.kind}")
     if not traj.dense:
         raise ValueError("energy drift needs snapshots at every step")
-    params = traj.params
-    h = traj.grid.spacing
-    dt = float(traj.times[1] - traj.times[0])
-    rows = traj.norm_rows
-    h1_sq = rows[:, 1] ** 2
-    cubic = map_stack(
-        lambda v: h * _cubic_sum(v, grad_values(v, h)), traj.snapshots[:-1]
+    drift = StreamedEnergyDrift(
+        traj.params, traj.grid.spacing, float(traj.times[1] - traj.times[0]), traj.steps
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        diss = (2.0 * dt * params.nu1) * rows[:-1, 2] ** 2
-        diss += (2.0 * dt * params.nu2) * (h1_sq[:-1] + params.mu * cubic)
-        acc = np.concatenate([[0.0], np.cumsum(diss)])
-        return float(np.max(np.abs(h1_sq + acc - h1_sq[0])))
+    for first in range(0, len(traj.snapshots), STACK_CHUNK):
+        drift.add(first, traj.snapshots[first:first + STACK_CHUNK])
+    return drift.value
 
 
 def path_gap(

@@ -17,6 +17,11 @@ directory and must exist at parse time.
 Exit codes: 0 success, 1 validation suite failed, 2 config or command-line
 usage error, 3 numerical blow-up, 4 I/O error. Every nonzero code but 1 comes
 with one JSON error object on stdout.
+
+The deterministic run stores no trajectory: it writes its report, its fields
+dump and its energy balance a block of ``STACK_CHUNK`` steps at a time as it
+marches, so its memory does not grow with the number of steps, and a run
+that fails part way removes the files it had begun.
 """
 
 from __future__ import annotations
@@ -29,27 +34,35 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .analysis import energy_drift, identity_suite, sample_stats
+# energy_drift, write_report_csv and write_fields_csv stay bound here, unused, and so does
+# integrate, which only the rate run uses: perfbench/tracer.py patches all four in cli by name
+from .analysis import StreamedEnergyDrift, energy_drift, identity_suite, sample_stats
 from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
 # imported as _write_json: perfbench/tracer.py wraps cli._write_json by name
 from .clt import write_json as _write_json
 from .dynamics import (
+    FIELDS_HEADER,
     LINF_CEILING,
+    REPORT_HEADER,
     BlowUpError,
     ModelParams,
     SystemKind,
     TimeGrid,
     initial_profile,
     integrate,
+    integrate_batch,
+    write_field_rows,
     write_fields_csv,
     write_report_csv,
+    write_report_rows,
 )
-from .field import h1_norm, make_grid
+from .field import STACK_CHUNK, h1_norm, make_grid, solver_empty
 from .ldp import (
     RateProblem,
     WeakRow,
@@ -347,7 +360,9 @@ def _read_target_field(path, nodes: int) -> np.ndarray:
                     f"values, got {row}"
                 ) from None
             if not 0 <= idx < nodes:
-                raise ValueError(f"{path}: node index {idx} outside grid of {nodes}")
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: node index {idx} outside grid of {nodes}"
+                )
             if seen[idx]:
                 raise ValueError(f"{path}: line {reader.line_num}: node index {idx} repeated")
             values[idx] = node
@@ -394,35 +409,87 @@ def _run_validate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
     return (EXIT_OK if all_passed else EXIT_SUITE_FAILED), [path]
 
 
+@contextmanager
+def _outputs(paths):
+    """The files ``paths`` opened for binary writing; when the block raises, every
+    file it opened is removed, so a failed run leaves no partial output."""
+    handles = []
+    try:
+        for path in paths:
+            handles.append(open(path, "wb"))
+        yield handles
+    except BaseException:
+        for fh in handles:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    finally:
+        for fh in handles:
+            fh.close()
+
+
 def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
-    rec = integrate(
-        SystemKind.DETERMINISTIC,
-        config.initial(),
-        config.model_params(),
-        config.time_grid(),
-    )
-    files = []
-    path = os.path.join(outdir, "trajectory_report.csv")
-    write_report_csv(rec, path)
-    files.append(path)
+    """March u_0 as a width-1 batch and write every output as it marches.
+
+    The observer copies each step into a buffer of at most ``STACK_CHUNK``
+    snapshots. Each full block, and the last one, takes one norm pass whose
+    rows feed the report, the energy balance and, for the last block, the
+    final norms; its states feed the fields dump. Memory does not grow with
+    the number of steps.
+    """
+    tgrid = config.time_grid()
+    params = config.model_params()
+    u0 = config.initial()
+    h = make_grid(len(u0)).spacing
+    # the times column: a grid too long to hold fails to allocate before step 0
+    times = tgrid.times
+    drift = StreamedEnergyDrift(params, h, tgrid.dt, tgrid.steps)
+    # (S, n, 3) snapshots in the solver's memory order: every component of a
+    # snapshot is one contiguous n-vector, for the pointwise kernels of the drift
+    snaps = np.moveaxis(solver_empty(u0.shape + (min(STACK_CHUNK, tgrid.steps + 1),)), -1, 0)
+    final = None
+    paths = [os.path.join(outdir, "trajectory_report.csv")]
     if config["deterministic.dump_fields"]:
-        dump = os.path.join(outdir, "fields.csv")
-        write_fields_csv(rec, dump)
-        files.append(dump)
-    # the report, the drift and the final norms share the record's norm rows
-    final_l2, final_h1_semi = rec.norm_rows[-1, :2].tolist()
+        paths.append(os.path.join(outdir, "fields.csv"))
     summary = os.path.join(outdir, "summary.json")
-    _write_json(
-        summary,
-        {
-            "final_l2": final_l2,
-            "final_h1_semi": final_h1_semi,
-            "energy_drift": energy_drift(rec),
-            "explicit_cfl": rec.explicit_cfl,
-        },
-    )
-    files.append(summary)
-    return EXIT_OK, files
+    with _outputs(paths) as (report, *fields):
+        report.write(REPORT_HEADER)
+        for fh in fields:
+            fh.write(FIELDS_HEADER)
+
+        def observe(n, states):
+            nonlocal final
+            k = n % len(snaps)
+            snaps[k] = states[0][..., 0]
+            if k + 1 < len(snaps) and n < tgrid.steps:
+                return
+            first = n - k
+            block = snaps[:k + 1]
+            steps = np.arange(first, n + 1)
+            rows = drift.add(first, block)
+            write_report_rows(report, steps, times[first:n + 1], rows)
+            for fh in fields:
+                write_field_rows(fh, steps, block)
+            final = rows[-1]
+
+        failures, cfl = integrate_batch(
+            (SystemKind.DETERMINISTIC,), (u0[..., None],), params, tgrid, observe
+        )
+        if failures:
+            raise failures[0]
+        # written before the streamed files close: on ext4, truncating a file just
+        # after closing a large rewritten one waits for the flush that the close starts
+        final_l2, final_h1_semi = final[:2].tolist()
+        _write_json(
+            summary,
+            {
+                "final_l2": final_l2,
+                "final_h1_semi": final_h1_semi,
+                "energy_drift": drift.value,
+                "explicit_cfl": cfl,
+            },
+        )
+    return EXIT_OK, paths + [summary]
 
 
 def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:

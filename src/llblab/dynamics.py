@@ -29,10 +29,13 @@ beside any shared columns, noiseless runs made once for the whole batch such
 as an ensemble's reference, and hands each step to an observer instead of
 storing it, so runs are compared while they march;
 ``integrate`` is its width-1 case for the noiseless kinds, deterministic and
-skeleton, and stores the snapshots it is asked for. The step kernels treat
-every column of a batch as they treat that column alone, so a column's states
-have the same bits at any batch width, and a column that blows up is retired
-at the step where it would blow up alone while the others go on.
+skeleton, and stores the snapshots it is asked for. The CLI's deterministic
+run marches the same width-1 batch and writes each block of snapshots as it
+comes (``write_report_rows``, ``write_field_rows``), storing no record; the
+record writers apply those block writers to a whole record. The step kernels
+treat every column of a batch as they treat that column alone, so a column's
+states have the same bits at any batch width, and a column that blows up is
+retired at the step where it would blow up alone while the others go on.
 
 The loop holds one workspace per batch in the memory order of the
 tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
@@ -83,6 +86,8 @@ __all__ = [
     "skeleton_adjoint",
     "write_report_csv",
     "write_fields_csv",
+    "write_report_rows",
+    "write_field_rows",
 ]
 
 LINF_CEILING = 1.0e3
@@ -682,36 +687,50 @@ def skeleton_adjoint(
     return sens
 
 
+REPORT_HEADER = b"step,time,l2,h1_semi,h2_semi,linf\r\n"
+FIELDS_HEADER = b"step,node_index,ux,uy,uz\r\n"
+
+
+def write_report_rows(fh, steps: np.ndarray, times: np.ndarray, norm_rows: np.ndarray) -> None:
+    """Rows (step, time, l2, h1_semi, h2_semi, linf) of a block of snapshots into the
+    binary file ``fh``: their ``steps``, ``times`` and ``field.stack_norms`` rows."""
+    fh.write(csv_rows(steps[:, None], np.column_stack([times, norm_rows])))
+
+
+def write_field_rows(fh, steps: np.ndarray, snapshots: np.ndarray) -> None:
+    """Rows (step, node_index, ux, uy, uz) of the block ``snapshots`` (S, n, 3) at
+    ``steps`` into the binary file ``fh``, formatted 8 snapshots at a time, so no
+    more than 8 snapshots are ever held as Python objects."""
+    # more per call make more row lists at once and wake the garbage collector
+    per_call = 8
+    n = snapshots.shape[1]
+    lead = np.empty((per_call * n, 2), dtype=np.int64)
+    lead[:, 1] = np.tile(np.arange(n), per_call)
+    for first in range(0, len(steps), per_call):
+        chunk = snapshots[first:first + per_call]
+        rows = len(chunk) * n
+        lead[:rows, 0] = np.repeat(steps[first:first + per_call], n)
+        fh.write(csv_rows(lead[:rows], chunk.reshape(rows, 3)))
+
+
 def write_report_csv(record: TrajectoryRecord, path) -> None:
     """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf).
 
     Floats are spelled as ``repr`` spells them and rows end in CRLF
-    (``field.csv_rows``).
+    (``field.csv_rows``). The record is one block of ``write_report_rows``.
     """
     steps = record.snapshot_steps
-    values = np.column_stack([record.times[steps], record.norm_rows])
     with open(path, "wb") as fh:
-        fh.write(b"step,time,l2,h1_semi,h2_semi,linf\r\n")
-        fh.write(csv_rows(steps[:, None], values))
+        fh.write(REPORT_HEADER)
+        write_report_rows(fh, steps, record.times[steps], record.norm_rows)
 
 
 def write_fields_csv(record: TrajectoryRecord, path) -> None:
     """Stored snapshots as CSV (step, node_index, ux, uy, uz).
 
     Floats are spelled as ``repr`` spells them and rows end in CRLF
-    (``field.csv_rows``). The rows are formatted 8 snapshots at a time, so no
-    more than 8 snapshots are ever held as Python objects.
+    (``field.csv_rows``). The record is one block of ``write_field_rows``.
     """
-    # more per call make more row lists at once and wake the garbage collector
-    per_call = 8
-    n = record.grid.n_interior
-    steps = record.snapshot_steps
-    lead = np.empty((per_call * n, 2), dtype=np.int64)
-    lead[:, 1] = np.tile(np.arange(n), per_call)
     with open(path, "wb") as fh:
-        fh.write(b"step,node_index,ux,uy,uz\r\n")
-        for first in range(0, len(steps), per_call):
-            chunk = record.snapshots[first:first + per_call]
-            rows = len(chunk) * n
-            lead[:rows, 0] = np.repeat(steps[first:first + per_call], n)
-            fh.write(csv_rows(lead[:rows], chunk.reshape(rows, 3)))
+        fh.write(FIELDS_HEADER)
+        write_field_rows(fh, record.snapshot_steps, record.snapshots)

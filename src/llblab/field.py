@@ -136,12 +136,13 @@ def solver_empty(shape) -> np.ndarray:
     return memory.transpose(len(shape) - 1, 0, *range(len(shape) - 2, 0, -1))
 
 
-def scratch(store: dict, name: str, shape) -> np.ndarray:
-    """The buffer ``store[name]``, made anew by ``solver_empty(shape)`` when it is
-    missing or has another shape: the workspace a loop reuses from step to step."""
+def scratch(store: dict, name: str, shape, like: np.ndarray | None = None) -> np.ndarray:
+    """The buffer ``store[name]``, made anew when it is missing or has another shape,
+    by ``solver_empty(shape)`` or, given an array ``like`` of as many axes, in its
+    memory order: the workspace a loop reuses from step to step."""
     buf = store.get(name)
     if buf is None or buf.shape != tuple(shape):
-        buf = store[name] = solver_empty(shape)
+        buf = store[name] = solver_empty(shape) if like is None else np.empty_like(like, shape=shape)
     return buf
 
 
@@ -303,15 +304,27 @@ def map_stack(fn, stack: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(np.moveaxis(chunk, 0, -1)) for chunk in chunks], axis=-1)
 
 
-def stack_norms(stack: np.ndarray, h: float) -> np.ndarray:
+def stack_norms(stack: np.ndarray, h: float, work: dict | None = None) -> np.ndarray:
     """Rows (l2, h1_semi, h2_semi, linf) of every field of the stack (S, n, 3), shape (S, 4).
 
-    A row's bits do not depend on the other fields of the stack.
+    A row's bits do not depend on the other fields of the stack. A chunk's
+    temporaries of its own size are ``scratch`` buffers of ``work``, in the
+    chunk's memory order: a caller that passes the same dict call after call,
+    such as a run that takes the norms of each block of steps as it marches,
+    makes them once.
     """
+    work = {} if work is None else work
 
     def squares(v):
-        sums = [h * column_sq_sums(w) for w in (v, grad_values(v, h), lap_values(v, h))]
-        return np.stack(sums + [sq_norm_values(v).max(axis=0)])
+        nodes, _, count = v.shape
+        buf = scratch(work, "nodes", v.shape, like=v)
+        edges = scratch(work, "edges", (nodes + 1, 3, count), like=v)
+        l2 = h * column_sq_sums(v, work=buf)
+        sq = scratch(work, "sq", (nodes, count), like=v[:, 0])
+        linf = sq_norm_values(v, out=sq, work=buf).max(axis=0)
+        h1 = h * column_sq_sums(grad_values(v, h, out=edges), work=edges)
+        h2 = h * column_sq_sums(lap_values(v, h, out=buf), work=buf)
+        return np.stack([l2, h1, h2, linf])
 
     return np.sqrt(map_stack(squares, stack)).T
 

@@ -209,6 +209,39 @@ def test_energy_drift_does_not_depend_on_the_stack_chunk(monkeypatch):
     assert drifts == [drifts[0]] * 4
 
 
+def _dense_energy_drift(rec):
+    # the one-pass balance over the whole stored record, one cumulative sum
+    # of every step's dissipation: the oracle of the blocked drift
+    from llblab.analysis import _cubic_sum
+    from llblab.field import map_stack
+
+    params, h = rec.params, rec.grid.spacing
+    dt = float(rec.times[1] - rec.times[0])
+    rows = rec.norm_rows
+    h1_sq = rows[:, 1] ** 2
+    cubic = map_stack(lambda v: h * _cubic_sum(v, grad_values(v, h)), rec.snapshots[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diss = (2.0 * dt * params.nu1) * rows[:-1, 2] ** 2
+        diss += (2.0 * dt * params.nu2) * (h1_sq[:-1] + params.mu * cubic)
+        acc = np.concatenate([[0.0], np.cumsum(diss)])
+        return float(np.max(np.abs(h1_sq + acc - h1_sq[0])))
+
+
+@pytest.mark.parametrize(
+    "steps", [1, STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1, 2 * STACK_CHUNK + 3]
+)
+def test_energy_drift_carries_its_sum_across_blocks(steps):
+    # the drift takes STACK_CHUNK snapshots at a time and carries the running
+    # dissipation sum and the worst deviation from block to block: the bits of
+    # one cumulative sum over the whole record. mu = 100 makes the cubic term
+    # carry the balance
+    p = ModelParams(nu2=2.0, mu=100.0)
+    rec = integrate(
+        SystemKind.DETERMINISTIC, initial_profile(make_grid(9)), p, TimeGrid(0.05, steps)
+    )
+    assert energy_drift(rec).hex() == _dense_energy_drift(rec).hex()
+
+
 def test_energy_drift_rejects_non_deterministic():
     g = make_grid(31)
     p = ModelParams()

@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from llblab.analysis import energy_drift
 from llblab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -22,6 +23,9 @@ from llblab.cli import (
     parse_config,
     run,
 )
+from llblab.clt import write_json
+from llblab.dynamics import BlowUpError, SystemKind, integrate, write_fields_csv, write_report_csv
+from llblab.field import STACK_CHUNK
 from conftest import ScaledRng, record_batch
 
 TINY_CLT = """
@@ -182,6 +186,135 @@ def test_run_deterministic_outputs(tmp_path, monkeypatch):
     assert len(dump) == 1 + 41 * 31
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["energy_drift"] >= 0.0
+
+
+B = STACK_CHUNK
+DET_STEPS = [1, B - 1, B, B + 1, 2 * B + 3]
+DET_ZEROS = ["model.nu2", "model.mu", "model.gamma"]
+
+
+def _record_path_outputs(config, outdir):
+    # the stored-record implementation the streamed run replaced: the oracle
+    rec = integrate(
+        SystemKind.DETERMINISTIC, config.initial(), config.model_params(), config.time_grid()
+    )
+    write_report_csv(rec, outdir / "trajectory_report.csv")
+    write_fields_csv(rec, outdir / "fields.csv")
+    final_l2, final_h1_semi = rec.norm_rows[-1, :2].tolist()
+    write_json(
+        outdir / "summary.json",
+        {
+            "final_l2": final_l2,
+            "final_h1_semi": final_h1_semi,
+            "energy_drift": energy_drift(rec),
+            "explicit_cfl": rec.explicit_cfl,
+        },
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    nodes=st.integers(3, 15),
+    steps=st.sampled_from(DET_STEPS),
+    zero=st.sampled_from([None] + DET_ZEROS),
+    init=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+@example(nodes=3, steps=1, zero=None, init=(1.0, 0.5))
+@example(nodes=15, steps=B - 1, zero="model.nu2", init=(1.0, 0.5))
+@example(nodes=7, steps=B, zero="model.mu", init=(-1.5, 2.0))
+@example(nodes=11, steps=B + 1, zero="model.gamma", init=(0.3, -1.0))
+@example(nodes=15, steps=2 * B + 3, zero=None, init=(2.0, 2.0))
+def test_streamed_deterministic_run_matches_the_record_path_bytes(
+    tmp_path_factory, nodes, steps, zero, init
+):
+    # the report, the fields and the summary, written block by block as the
+    # run marches, byte for byte as the stored record wrote them: step counts
+    # that end a block one short, exactly, one over and in a third block
+    text = (
+        f"kind = deterministic\ngrid.n = {nodes}\ntime.horizon = 0.05\ntime.steps = {steps}\n"
+        f"init.a = {init[0]!r}\ninit.b = {init[1]!r}\nmodel.mu = 3\n"
+        "deterministic.dump_fields = true\n"
+    )
+    if zero is not None:
+        text = text.replace("model.mu = 3\n", "") + f"{zero} = 0\n"
+    config = parse_config(text)
+    streamed, oracle = tmp_path_factory.mktemp("streamed"), tmp_path_factory.mktemp("oracle")
+    try:
+        _record_path_outputs(config, oracle)
+    except BlowUpError:
+        # a step too coarse for the state: both blow up, and the run leaves no output
+        assert run(config, out_dir=str(streamed)) == EXIT_BLOWUP
+        assert list(streamed.iterdir()) == []
+        return
+    assert run(config, out_dir=str(streamed)) == EXIT_OK
+    for name in ("trajectory_report.csv", "fields.csv", "summary.json"):
+        assert (streamed / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
+def test_deterministic_run_memory_does_not_grow_with_steps(tmp_path):
+    # the run keeps one block of STACK_CHUNK snapshots, never the trajectory:
+    # ten times the steps leaves the tracemalloc peak within one block's buffers
+    import tracemalloc
+
+    def peak(steps):
+        config = parse_config(
+            f"kind = deterministic\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = {steps}\n"
+            "deterministic.dump_fields = true\n"
+        )
+        tracemalloc.start()
+        try:
+            assert run(config, out_dir=str(tmp_path / str(steps))) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # caches and lazy set-up
+    block = STACK_CHUNK * 31 * 3 * 8
+    short, long = peak(600), peak(6000)
+    assert long - short < block, (short, long)
+
+
+def test_main_blow_up_after_the_first_block_leaves_no_partial_output(tmp_path, capfd):
+    # the first block's rows are written before the blow-up at step 287; the
+    # run exits 3 with one JSON object and removes what it wrote, so no
+    # report or fields file is left, as when the blow-up comes before any write
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "kind = deterministic\ngrid.n = 31\ntime.horizon = 0.1\ntime.steps = 800\n"
+        "model.gamma = 3.36\ndeterministic.dump_fields = true\n"
+    )
+    out_dir = tmp_path / "out"
+    code = main(["--config", str(config_path), "--out", str(out_dir)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_BLOWUP
+    (line,) = out.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["kind"]) == (EXIT_BLOWUP, "blow-up")
+    assert error["step"] > STACK_CHUNK
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out_dir)) == []
+
+
+@pytest.mark.parametrize("name", ["fields.csv", "summary.json"])
+def test_main_output_path_that_is_a_directory_is_io_error(tmp_path, capfd, name):
+    # the fields dump fails before the march, the summary after it; either
+    # way the run exits 4 and leaves none of the files it had begun
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "kind = deterministic\ngrid.n = 7\ntime.horizon = 0.01\ntime.steps = 10\n"
+        "deterministic.dump_fields = true\n"
+    )
+    code = main(["--config", str(config_path), "--out", str(out_dir)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_IO
+    (line,) = out.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["kind"]) == (EXIT_IO, "io")
+    assert name in error["message"]
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out_dir)) == [name]
 
 
 def test_run_rerun_byte_identical(tmp_path):
@@ -754,6 +887,20 @@ def test_main_repeated_target_node_is_config_error(tmp_path, capsys):
         f"rate.target = {data}\n",
     )
     assert messages == f"rate.target: {data}: line 6: node index 3 repeated"
+
+
+def test_main_target_node_outside_the_grid_names_its_line(tmp_path, capsys):
+    # a row for node 9 of a 7-node grid is named by its line, as every other row error is
+    data = tmp_path / "target.csv"
+    rows = [f"{i},0.5,0.1,0.2\n" for i in range(7)]
+    rows.insert(2, "9,0.5,0.1,0.2\n")
+    data.write_text("node_index,ux,uy,uz\n" + "".join(rows))
+    messages = _main_config_error(
+        tmp_path, capsys,
+        "kind = rate\ngrid.n = 7\ntime.horizon = 0.01\ntime.steps = 10\nnoise.modes = 2\n"
+        f"rate.target = {data}\n",
+    )
+    assert messages == f"rate.target: {data}: line 4: node index 9 outside grid of 7"
 
 
 def test_main_repeated_control_row_is_config_error(tmp_path, capsys):
