@@ -8,7 +8,8 @@ residuals are pure rounding noise for any node values and are checked at
 through ``column_sq_sums``, so a pair's residuals have the same bits alone
 (``check_identities``, ``check_cubic_identity``) or in any chunk of
 ``identity_suite``. The energy monitor carries an O(dt) defect and is
-checked by refinement ratios instead of absolute thresholds.
+checked by refinement ratios instead of absolute thresholds. The streamed
+monitors take a run's time grid and the grid of the fields they are fed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .field import (
     sq_norm_values,
     stack_norms,
 )
-from .dynamics import TrajectoryRecord
+from .dynamics import TimeGrid, TrajectoryRecord
 
 __all__ = [
     "IdentityReport",
@@ -227,40 +228,42 @@ class StreamedEnergyDrift:
     """The drift of ``energy_drift`` along a deterministic run, fed a block of steps at a time.
 
     ``add(n, snapshots)`` takes the states (K, n, 3) of steps n to n + K - 1,
-    in step order, and returns their ``field.stack_norms`` rows, of which the
-    balance is made, so a caller that writes them takes them once; ``value``
-    is the drift over the steps given so far. Only the running dissipation
-    sum and the worst deviation are kept, never the trajectory. The norm pass
-    and the cubic sums share one dict of ``scratch`` buffers, made for the
-    first block in its memory order and reused, so a run allocates no block's
-    arrays twice. The sum is carried from block to block in step order, so
-    the drift has the same bits whatever the blocks.
+    in step order, on the grid of their node count, and returns their
+    ``field.stack_norms`` rows, of which the balance is made, so a caller that
+    writes them takes them once; ``value`` is the drift over the steps given
+    so far. Only the running dissipation sum and the worst deviation are kept,
+    never the trajectory. The norm pass and the cubic sums share one dict of
+    ``scratch`` buffers, made for the first block in its memory order and
+    reused, so a run allocates no block's arrays twice. The sum is carried
+    from block to block in step order, so the drift has the same bits whatever
+    the blocks.
     """
 
-    def __init__(self, params, spacing: float, dt: float, steps: int):
+    def __init__(self, params, tgrid: TimeGrid):
         self.params = params
-        self.spacing = spacing
-        self.dt = dt
-        self.steps = steps
+        self.tgrid = tgrid
         self._h1_sq_0 = 0.0
         self._acc = 0.0
         self._worst = 0.0
         self._work = {}
 
     def add(self, n: int, snapshots: np.ndarray) -> np.ndarray:
-        params, h, dt, work = self.params, self.spacing, self.dt, self._work
+        params, dt, work = self.params, self.tgrid.dt, self._work
+        h = make_grid(snapshots.shape[1]).spacing
         rows = stack_norms(snapshots, h, work)
         h1_sq = rows[:, 1] ** 2
         if n == 0:
             self._h1_sq_0 = h1_sq[0]
         # the quadrature stops before the last step
-        u = np.moveaxis(snapshots[:max(self.steps - n, 0)], 0, -1)
+        u = np.moveaxis(snapshots[:max(self.tgrid.steps - n, 0)], 0, -1)
         nodes, _, count = u.shape
-        grad = grad_values(u, h, out=scratch(work, "grad", (nodes + 1, 3, count), like=u))
-        cubic = h * _cubic_sum(u, grad, work)
         with np.errstate(over="ignore", invalid="ignore"):
             diss = (2.0 * dt * params.nu1) * rows[:count, 2] ** 2
-            diss += (2.0 * dt * params.nu2) * (h1_sq[:count] + params.mu * cubic)
+            # as the step skips it: no damping adds nothing, however large mu * cubic
+            if params.nu2 != 0.0:
+                grad = grad_values(u, h, out=scratch(work, "grad", (nodes + 1, 3, count), like=u))
+                cubic = h * _cubic_sum(u, grad, work)
+                diss += (2.0 * dt * params.nu2) * (h1_sq[:count] + params.mu * cubic)
             # the sums before each step of the block, and after it
             acc = np.cumsum(np.concatenate([[self._acc], diss]))
             balance = np.abs(h1_sq + acc[:len(h1_sq)] - self._h1_sq_0)
@@ -287,9 +290,7 @@ def energy_drift(traj: TrajectoryRecord) -> float:
         raise ValueError(f"energy drift is defined for deterministic runs, got {traj.kind}")
     if not traj.dense:
         raise ValueError("energy drift needs snapshots at every step")
-    drift = StreamedEnergyDrift(
-        traj.params, traj.grid.spacing, float(traj.times[1] - traj.times[0]), traj.steps
-    )
+    drift = StreamedEnergyDrift(traj.params, traj.tgrid)
     for first in range(0, len(traj.snapshots), STACK_CHUNK):
         drift.add(first, traj.snapshots[first:first + STACK_CHUNK])
     return drift.value
@@ -322,21 +323,20 @@ class StreamedPathGap:
     """The proof metric of ``path_gap`` for a batch of M columns, fed a block of steps at a time.
 
     ``add(n, d)`` takes the (n, 3, M) differences of step n, or the
-    (n, 3, M, K) differences of steps n to n + K - 1; ``values`` is the metric
-    of every column over the steps it was given. Only two numbers per column
-    are kept, never the trajectories. A block costs one gradient and one
-    Laplacian whatever K is; each step's Laplacian term is added to the
-    running sum on its own, in step order, so a column's value has the same
-    bits whatever the blocks and the batch it runs in. It equals ``path_gap``
-    of the stored differences to rounding, not bitwise. With ``nu1 = 0`` it
-    is sup_n ||grad d_n||^2 alone, and no Laplacian is taken.
+    (n, 3, M, K) differences of steps n to n + K - 1, on the grid of their
+    node count; ``values`` is the metric of every column over the steps it
+    was given. Only two numbers per column are kept, never the trajectories.
+    A block costs one gradient and one Laplacian whatever K is; each step's
+    Laplacian term is added to the running sum on its own, in step order, so
+    a column's value has the same bits whatever the blocks and the batch it
+    runs in. It equals ``path_gap`` of the stored differences to rounding,
+    not bitwise. With ``nu1 = 0`` it is sup_n ||grad d_n||^2 alone, and no
+    Laplacian is taken.
     """
 
-    def __init__(self, width: int, spacing: float, dt: float, nu1: float, steps: int):
-        self.spacing = spacing
-        self.dt = dt
+    def __init__(self, width: int, tgrid: TimeGrid, nu1: float):
+        self.tgrid = tgrid
         self.nu1 = nu1
-        self.steps = steps
         self._sup_grad_sq = np.zeros(width)
         self._lap_sq_sum = np.zeros(width)
         self._work = {}
@@ -344,12 +344,12 @@ class StreamedPathGap:
     def add(self, n: int, d: np.ndarray) -> None:
         if d.ndim == 3:
             d = d[..., None]
-        h = self.spacing
+        h = make_grid(d.shape[0]).spacing
         grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
         grad_sq = h * column_sq_sums(grad, work=grad)
         np.maximum(self._sup_grad_sq, grad_sq.max(axis=0), out=self._sup_grad_sq)
         # the Laplacian term stops before the last step, as path_gap's sum does
-        integrated = d[..., :max(self.steps - n, 0)]
+        integrated = d[..., :max(self.tgrid.steps - n, 0)]
         if integrated.size and self.nu1 != 0.0:
             lap = lap_values(integrated, h, out=scratch(self._work, "lap", integrated.shape))
             for lap_sq in h * column_sq_sums(lap, work=lap):
@@ -357,7 +357,7 @@ class StreamedPathGap:
 
     @property
     def values(self) -> np.ndarray:
-        return self._sup_grad_sq + self.nu1 * self.dt * self._lap_sq_sum
+        return self._sup_grad_sq + self.nu1 * self.tgrid.dt * self._lap_sq_sum
 
 
 def _pair_residuals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:

@@ -440,10 +440,9 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
     tgrid = config.time_grid()
     params = config.model_params()
     u0 = config.initial()
-    h = make_grid(len(u0)).spacing
     # the times column: a grid too long to hold fails to allocate before step 0
     times = tgrid.times
-    drift = StreamedEnergyDrift(params, h, tgrid.dt, tgrid.steps)
+    drift = StreamedEnergyDrift(params, tgrid)
     # (S, n, 3) snapshots in the solver's memory order: every component of a
     # snapshot is one contiguous n-vector, for the pointwise kernels of the drift
     snaps = np.moveaxis(solver_empty(u0.shape + (min(STACK_CHUNK, tgrid.steps + 1),)), -1, 0)
@@ -554,6 +553,10 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
             component=config["weak.component"],
             coefficient=config["weak.coefficient"],
         )
+    cost = ctrl.h0_cost()
+    if not math.isfinite(cost):
+        key = "weak.control" if config["weak.control"] is not None else "weak.coefficient"
+        raise ConfigError([f"{key}: the control's H0 cost 0.5 * sum_n dt |c_n|^2 overflows"])
     rows, failures = weak_convergence_experiment(
         ctrl,
         config["weak.epsilons"],
@@ -571,7 +574,7 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         summary,
         {
             "rows": [r._asdict() for r in rows],
-            "control_cost": ctrl.h0_cost(),
+            "control_cost": cost,
             "failures": [f._asdict() for f in failures],
         },
     )

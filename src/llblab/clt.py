@@ -3,7 +3,8 @@ experiment built on them.
 
 An ensemble runs ``samples`` paths at each noise strength epsilon. Every
 (epsilon index, sample) pair is one column of a batch, driven by its own
-counter-based stream ``stream_rng(seed, epsilon index, sample)``; at most
+counter-based stream ``stream_rng(seed, epsilon index, sample)``, from which
+the batch draws the column's increments on the run's time grid; at most
 ``BATCH_COLUMNS`` columns march together, so memory grows with the batch
 width, never with the number of samples. Each column's proof metric
 sup_t ||grad d||^2 + nu1 * int ||Lap d||^2 of a field d derived from its
@@ -48,8 +49,8 @@ from .dynamics import (
     integrate,
     integrate_batch,
 )
-from .field import make_grid, scratch, solver_empty
-from .noise import CovarianceSpec, IncrementStreams, stream_rng
+from .field import scratch, solver_empty
+from .noise import CovarianceSpec, stream_rng
 
 __all__ = [
     "CltRow",
@@ -153,10 +154,7 @@ def run_columns(
         batch = columns[first:first + BATCH_COLUMNS]
         width = len(batch)
         eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
-        gap = StreamedPathGap(width, make_grid(nodes).spacing, tgrid.dt, nu1, steps)
-        noise = IncrementStreams(
-            [stream_rng(base_seed, i, m) for i, m in batch], steps, spec.mode_count, tgrid.dt
-        )
+        gap = StreamedPathGap(width, tgrid, nu1)
         block = min(steps + 1, max(1, BATCH_COLUMNS // width))
         start = [np.repeat(f[..., None], width, axis=2) for f in initial]
         start.append(reference[1])
@@ -177,7 +175,7 @@ def run_columns(
         failed, _ = integrate_batch(
             kinds, start, params, tgrid, observe,
             spec=spec, ctrl=None if ctrl is None else (ctrl,) * len(kinds),
-            noise=noise, epsilons=eps,
+            rngs=[stream_rng(base_seed, i, m) for i, m in batch], epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
         batch_values = [float(v) for v in gap.values]
@@ -257,7 +255,7 @@ def sup_grad_ensemble(
     epsilon index i on ``stream_rng(base_seed, i, m)``. Both use the same sums,
     so a sample at epsilon 0 gives the deterministic value bitwise. Raises
     BlowUpError when the deterministic run blows up."""
-    det = StreamedPathGap(1, make_grid(len(initial)).spacing, tgrid.dt, 0.0, tgrid.steps)
+    det = StreamedPathGap(1, tgrid, 0.0)
     first = {}
 
     def sup_grad(n, states, eps):

@@ -15,7 +15,9 @@ shared noise path converge to each other at first order in eps by
 construction. Its transpose, swept backward over a dense skeleton record, is
 the discrete adjoint that gives exact control gradients of terminal
 functionals; the sweep takes the base-state terms, those that do not depend
-on the adjoint, one chunk of snapshots at a time.
+on the adjoint, one chunk of snapshots at a time. A record describes its run
+once: it holds the parameters, time grid, covariance and control it was made
+with, which the sweep reads, and its grid is that of its node count.
 
 Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
 in the worst case; the integrator tracks the observed ratio and reports it on
@@ -26,8 +28,9 @@ Every run goes through one step loop, that of ``integrate_batch``, and every
 run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
 of one system or of several systems in lockstep, each under its own control,
 beside any shared columns, noiseless runs made once for the whole batch such
-as an ensemble's reference, and hands each step to an observer instead of
-storing it, so runs are compared while they march;
+as an ensemble's reference, draws each sample column's increments from that
+column's generator on the batch's time grid, and hands each step to an observer
+instead of storing it, so runs are compared while they march;
 ``integrate`` is its width-1 case for the noiseless kinds, deterministic and
 skeleton, and stores the snapshots it is asked for. The CLI's deterministic
 run marches the same width-1 batch and writes each block of snapshots as it
@@ -184,27 +187,38 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Immutable result of one integration.
+    """Immutable result of one integration: the run's inputs and its snapshots.
 
     ``snapshots`` holds the state at the steps listed in ``snapshot_steps``
-    (every step by default); ``norm_rows`` gives their norms.
+    (every step by default); ``norm_rows`` gives their norms. ``spec`` and
+    ``ctrl`` are those the run was given, None if none; the grid is that of
+    the node count, the times and steps those of ``tgrid``.
     """
 
     kind: str
     params: ModelParams
-    grid: Grid1D
-    times: np.ndarray
+    tgrid: TimeGrid
+    spec: CovarianceSpec | None
+    ctrl: ControlPath | None
     snapshots: np.ndarray
     snapshot_steps: np.ndarray
     explicit_cfl: float = 0.0
 
     @property
+    def grid(self) -> Grid1D:
+        return make_grid(self.snapshots.shape[1])
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.tgrid.times
+
+    @property
     def steps(self) -> int:
-        return len(self.times) - 1
+        return self.tgrid.steps
 
     @property
     def dense(self) -> bool:
-        return len(self.snapshot_steps) == len(self.times)
+        return len(self.snapshot_steps) == self.steps + 1
 
     @cached_property
     def norm_rows(self) -> np.ndarray:
@@ -387,15 +401,7 @@ def integrate(
     )
     if failures:
         raise failures[0]
-    return TrajectoryRecord(
-        kind=kind.value,
-        params=params,
-        grid=make_grid(len(u0)),
-        times=tgrid.times,
-        snapshots=snaps,
-        snapshot_steps=snap_steps,
-        explicit_cfl=cfl,
-    )
+    return TrajectoryRecord(kind.value, params, tgrid, spec, ctrl, snaps, snap_steps, cfl)
 
 
 def integrate_batch(
@@ -406,7 +412,7 @@ def integrate_batch(
     observe,
     spec: CovarianceSpec | None = None,
     ctrl=None,
-    noise: IncrementStreams | None = None,
+    rngs=None,
     epsilons=None,
     keys=None,
 ) -> tuple[list[BlowUpError], float]:
@@ -418,9 +424,10 @@ def integrate_batch(
     given as an (n, 3) field: a noiseless system that runs once for the whole
     batch, such as an ensemble's reference. The systems share ``params``;
     column j of a noisy nonlinear kind runs at noise strength ``epsilons[j]``.
-    Noisy kinds read step n's increments from ``noise``, one stream per column,
-    and every system of a step sees the same ones, so coupled systems share
-    their noise by construction. ``ctrl`` is None or gives each kind its own
+    Noisy kinds draw the increments of column j on the run's time grid from
+    ``rngs[j]`` (``noise.IncrementStreams``), and every system of a step sees
+    the same ones, so coupled systems share their noise by construction.
+    ``ctrl`` is None or gives each kind its own
     entry: a ControlPath for a controlled kind, None for any other. A
     linearized system is linearized about the first deterministic system, whose
     step terms it reads in the same step. ``observe(n, states)`` sees every
@@ -451,7 +458,8 @@ def integrate_batch(
     ``(failures, explicit_cfl)``: one BlowUpError per retired sample column,
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
-    the end (0.0 when none did).
+    the end (0.0 when none did). ``keys``, ``epsilons`` and, for noisy kinds,
+    ``rngs`` hold one entry per sample column, or a ValueError is raised.
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
@@ -478,17 +486,17 @@ def integrate_batch(
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):
             raise ValueError("linearized deviation system starts from zero initial data")
     noisy = [kind in _NOISY_KINDS for kind in kinds]
-    if any(noisy) and (
-        noise is None
-        or (noise.width, noise.steps, noise.mode_count) != (width, n_steps, spec.mode_count)
-    ):
-        raise ValueError(
-            f"noisy kinds need increment streams of {n_steps} steps and {spec.mode_count} "
-            f"modes for all {width} columns"
-        )
+    if any(noisy):
+        rngs = list(rngs or ())
+        if len(rngs) != width:
+            raise ValueError(f"noisy kinds need one generator per column: {width}, got {len(rngs)}")
+        noise = IncrementStreams(rngs, n_steps, spec.mode_count, dt)
     eps = np.zeros(width) if epsilons is None else np.asarray(epsilons, dtype=float)
     if eps.shape != (width,) or not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
+    keys = [None] * width if keys is None else list(keys)
+    if len(keys) != width:
+        raise ValueError(f"need {width} keys, one per sample column, got {len(keys)}")
     sqrt_eps = np.sqrt(eps)
     strength = sqrt_eps if sqrt_eps.any() else None
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
@@ -499,7 +507,7 @@ def integrate_batch(
     cols = [slice(first, last) for first, last in zip(bounds, bounds[1:])]
     sample_end = shared.count(False) * width
     columns = [slice(j, sample_end, width) for j in range(width)] + cols[shared.count(False):]
-    keys = (list(keys) if keys is not None else [None] * width) + [None] * shared.count(True)
+    keys += [None] * shared.count(True)
     shape = (nodes, 3, int(bounds[-1]))
     state, nxt, lap, tmp = (solver_empty(shape) for _ in range(4))
     sq = solver_empty((nodes, shape[2]))
@@ -593,21 +601,16 @@ def integrate_batch(
     return failures, float(np.max(cfl_scale * peak[running], initial=0.0))
 
 
-def skeleton_adjoint(
-    record: TrajectoryRecord,
-    tgrid: TimeGrid,
-    spec: CovarianceSpec,
-    ctrl: ControlPath,
-    terminal: np.ndarray,
-) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarray:
     """Exact control sensitivities of a terminal functional of the skeleton.
 
-    ``record`` is the dense skeleton run under ``ctrl`` and ``terminal`` the
-    derivative of a functional Phi(u_N) with respect to the final state. One
-    backward sweep of the transposed step map (the discrete adjoint) returns
-    the (steps, K, 3) array of dPhi/dc_n, the derivative with respect to the
-    control coefficients of every step, exact to rounding for the discrete
-    scheme.
+    ``record`` is a dense skeleton run, whose inputs the sweep reads, and
+    ``terminal`` the derivative of a functional Phi(u_N) with respect to the
+    final state. One backward sweep of the transposed step map (the discrete
+    adjoint) returns the (steps, K, 3) array of dPhi/dc_n, the derivative
+    with respect to the control coefficients of every step, exact to
+    rounding for the discrete scheme.
 
     Step n transposes the tangent of the nonlinear step (``_rhs_values`` and
     its solve) at u_n. With w = (I - c Lap)^{-1} lam (the Helmholtz matrix is
@@ -626,24 +629,26 @@ def skeleton_adjoint(
     the one matmul that gives the chunk's sensitivities.
 
     Raises ValueError, before any work, unless ``record`` stores every step
-    of ``tgrid`` of a skeleton run, ``ctrl`` fits ``tgrid`` and ``spec``, and
-    ``terminal`` is one (n_interior, 3) field.
+    of a skeleton run and ``terminal`` is one (n_interior, 3) field; its
+    control was checked when the record was made. Raises BlowUpError, step
+    None, when a sensitivity is not finite, as a huge damping weight
+    dt nu2 (1 + mu |u|^2) can make it even where the skeleton stays at zero.
     """
     if record.kind != SystemKind.SKELETON.value:
         raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
-    if not record.dense or not np.array_equal(record.times, tgrid.times):
+    if not record.dense:
         raise ValueError("adjoint sweep needs a record storing every step of the time grid")
-    _check_inputs((SystemKind.SKELETON,), tgrid, spec, (ctrl,))
-    nodes = record.grid.n_interior
+    grid = record.grid
+    nodes = grid.n_interior
     lam = np.asarray(terminal, dtype=float)
     if lam.shape != (nodes, 3):
         raise ValueError(f"terminal has shape {lam.shape}, the grid's fields {(nodes, 3)}")
-    params = record.params
-    h = record.grid.spacing
+    params, tgrid, ctrl = record.params, record.tgrid, record.ctrl
+    h = grid.spacing
     dt = tgrid.dt
     c = dt * params.nu1
     damping = 2.0 * dt * params.nu2 * params.mu
-    mode_mat = mode_matrix(spec, record.grid)
+    mode_mat = mode_matrix(record.spec, grid)
     sens = np.empty_like(ctrl.coefficients)
     # chunk buffers for the sweep, one step per row, so a step reads and
     # writes contiguous (n, 3) fields
@@ -684,6 +689,8 @@ def skeleton_adjoint(
                     lam = lam - damping * np.einsum("ij,ij->i", u, w)[:, None] * u
         chunk_sens = np.matmul(mode_mat.T, w_cross_u[:count], out=sens[first:last])
         chunk_sens *= dt
+    if not np.isfinite(sens).all():
+        raise BlowUpError("adjoint sweep left the double range: a sensitivity is not finite")
     return sens
 
 

@@ -48,7 +48,7 @@ from .dynamics import (
     integrate_batch,
     skeleton_adjoint,
 )
-from .field import as_field, h1_norm, lap_values, make_grid
+from .field import as_field, h1_norm, lap_values
 from .noise import ControlPath, CovarianceSpec, stream_rng
 
 __all__ = [
@@ -145,10 +145,9 @@ class WeakRow(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RatePoint:
     """One evaluated coarse control ``x``: its cost, its H1 misfit and the dense
-    skeleton record behind them."""
+    skeleton record behind them, which holds the control of ``x``."""
 
     x: np.ndarray
-    control: ControlPath
     cost: float
     misfit: float
     record: TrajectoryRecord
@@ -206,15 +205,10 @@ class RateObjective:
         """One dense skeleton solve under the control of ``x``; raises BlowUpError."""
         ctrl = self.control(x)
         rec = integrate(
-            SystemKind.SKELETON,
-            self.u0,
-            self.params,
-            self.tgrid,
-            spec=self.spec,
-            ctrl=ctrl,
+            SystemKind.SKELETON, self.u0, self.params, self.tgrid, spec=self.spec, ctrl=ctrl
         )
         misfit = h1_norm(rec.final_values() - self.problem.target)
-        return RatePoint(x, ctrl, ctrl.h0_cost(), misfit, rec)
+        return RatePoint(x, ctrl.h0_cost(), misfit, rec)
 
     def gradient(self, point: RatePoint, rho: float) -> np.ndarray:
         """Exact gradient of ``point.objective(rho)`` with respect to ``x``.
@@ -226,8 +220,8 @@ class RateObjective:
         h = point.record.grid.spacing
         d = point.record.final_values() - self.problem.target
         terminal = (2.0 * rho * h) * (d - lap_values(d, h))
-        sens = skeleton_adjoint(point.record, self.tgrid, self.spec, point.control, terminal)
-        full = self.tgrid.dt * point.control.coefficients + sens
+        sens = skeleton_adjoint(point.record, terminal)
+        full = self.tgrid.dt * point.record.ctrl.coefficients + sens
         slabs, per_slab, modes = self._coarse_shape()
         return full[:, :modes, :].reshape(slabs, per_slab, modes, 3).sum(axis=1).ravel()
 
@@ -316,7 +310,7 @@ def estimate_rate(
     return RateEstimate(
         cost=point.cost,
         misfit=point.misfit,
-        control=point.control,
+        control=point.record.ctrl,
         iterations=total_iters,
         converged=converged,
         objective_history=tuple(history),
@@ -391,7 +385,7 @@ def compactness_probe(
         coeffs = ctrl.coefficients.copy()
         coeffs[:, mode - 1, component - 1] += math.sqrt(1.0 / tgrid.horizon)
         ctrls.append(ControlPath(coeffs, ctrl.dt))
-    gap = StreamedPathGap(len(modes), make_grid(len(u0)).spacing, tgrid.dt, 0.0, tgrid.steps)
+    gap = StreamedPathGap(len(modes), tgrid, 0.0)
 
     def observe(n, states):
         gap.add(n, np.concatenate(states, axis=2)[..., 1:] - states[0])

@@ -161,10 +161,6 @@ class IncrementStreams:
         self._start = 0
         self._block = np.empty((0, len(self._rngs), mode_count, 3))
 
-    @property
-    def width(self) -> int:
-        return len(self._rngs)
-
     def at(self, n: int) -> np.ndarray:
         offset = n - self._start
         if offset >= len(self._block):

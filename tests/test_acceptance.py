@@ -31,7 +31,6 @@ from llblab.ldp import (
     weak_convergence_experiment,
 )
 from llblab.noise import (
-    IncrementStreams,
     make_covariance,
     single_mode_control,
     stream_rng,
@@ -125,7 +124,7 @@ def test_criterion_04_zero_noise_degeneration():
     det = integrate(SystemKind.DETERMINISTIC, u0, DEFAULT_PARAMS, tgrid)
     ((sto,),), failed = record_batch(
         (SystemKind.STOCHASTIC,), (u0[..., None],), DEFAULT_PARAMS, tgrid,
-        spec=spec, noise=IncrementStreams([stream_rng(77)], tgrid.steps, 8, tgrid.dt),
+        spec=spec, rngs=[stream_rng(77)],
         epsilons=(0.0,),
     )
     ske = integrate(

@@ -242,6 +242,21 @@ def test_energy_drift_carries_its_sum_across_blocks(steps):
     assert energy_drift(rec).hex() == _dense_energy_drift(rec).hex()
 
 
+def test_energy_drift_without_damping_does_not_read_mu():
+    # nu2 = 0 switches the damping off in the step, so it adds nothing to the
+    # balance either: a huge mu once made it 0 * inf = nan
+    u0 = initial_profile(make_grid(3), a=0.0, b=-1000.0)
+    drifts = [
+        energy_drift(integrate(
+            SystemKind.DETERMINISTIC, u0, ModelParams(nu2=0.0, mu=mu, gamma=0.0),
+            TimeGrid(1e-9, 1),
+        ))
+        for mu in (0.0, 1e300)
+    ]
+    assert math.isfinite(drifts[0])
+    assert drifts[0].hex() == drifts[1].hex()
+
+
 def test_energy_drift_rejects_non_deterministic():
     g = make_grid(31)
     p = ModelParams()
@@ -343,11 +358,12 @@ def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
     a = scale * gen.normal(size=(width, steps + 1, nodes, 3))
     b = scale * gen.normal(size=(width, steps + 1, nodes, 3))
     spacing = 1.0 / (nodes + 1)
-    gap = StreamedPathGap(width, spacing, 1e-4, 0.7, steps)
+    tg = TimeGrid(1e-4 * steps, steps)
+    gap = StreamedPathGap(width, tg, 0.7)
     for n in range(steps + 1):
         gap.add(n, (a[:, n] - b[:, n]).transpose(1, 2, 0))
     for j in range(width):
-        expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
+        expected = path_gap(a[j], b[j], spacing, tg.dt, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -358,13 +374,14 @@ def test_streamed_path_gap_equals_path_gap_at_eight_nodes_in_the_solver_layout(r
     a = rng.normal(size=(width, steps + 1, nodes, 3))
     b = rng.normal(size=(width, steps + 1, nodes, 3))
     spacing = 1.0 / (nodes + 1)
-    gap = StreamedPathGap(width, spacing, 1e-4, 0.7, steps)
+    tg = TimeGrid(1e-4 * steps, steps)
+    gap = StreamedPathGap(width, tg, 0.7)
     d = solver_empty((nodes, 3, width))
     for n in range(steps + 1):
         d[...] = (a[:, n] - b[:, n]).transpose(1, 2, 0)
         gap.add(n, d)
     for j in range(width):
-        expected = path_gap(a[j], b[j], spacing, 1e-4, 0.7)
+        expected = path_gap(a[j], b[j], spacing, tg.dt, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -384,13 +401,13 @@ def test_streamed_path_gap_fed_in_blocks_equals_single_steps_bitwise(
     # a last block of any length, held in the solver's order as the ensembles hold them
     d = solver_empty((nodes, 3, width, steps + 1))
     d[...] = np.random.default_rng(seed).normal(size=d.shape)
-    spacing = 1.0 / (nodes + 1)
-    single = StreamedPathGap(width, spacing, 1e-4, nu1, steps)
+    tg = TimeGrid(1e-4 * steps, steps)
+    single = StreamedPathGap(width, tg, nu1)
     for n in range(steps + 1):
         single.add(n, d[..., n])
     cuts = data.draw(st.sets(st.integers(1, steps)))
     starts = [0] + sorted(cuts)
-    blocked = StreamedPathGap(width, spacing, 1e-4, nu1, steps)
+    blocked = StreamedPathGap(width, tg, nu1)
     for first, end in zip(starts, starts[1:] + [steps + 1]):
         block = solver_empty((nodes, 3, width, end - first))
         block[...] = d[..., first:end]

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from llblab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SUITE_FAILED,
     KEY_TABLE,
     KINDS,
     ConfigError,
@@ -348,7 +352,7 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     # step; replaying the key raises at the same step
     import llblab.clt as clt_module
     from llblab.dynamics import SystemKind
-    from llblab.noise import IncrementStreams, single_mode_control, stream_rng
+    from llblab.noise import single_mode_control, stream_rng
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
@@ -366,7 +370,7 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     _, (exc,) = record_batch(
         (SystemKind.CONTROLLED_STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=(ctrl,),
-        noise=IncrementStreams([loud_stream(99, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
+        rngs=[loud_stream(99, 0, 1)],
         epsilons=(0.1,), keys=((99, 0, 1),),
     )
     assert (exc.step, exc.key) == (failure["step"], (99, 0, 1))
@@ -556,7 +560,7 @@ def test_main_clt_reference_blow_up_after_every_sample_retired(tmp_path, capfd):
     # alone, and the run still ends with the error that integrate of the
     # reference raises, as the one exit-3 JSON object
     from llblab.dynamics import BlowUpError, SystemKind, integrate
-    from llblab.noise import IncrementStreams, stream_rng
+    from llblab.noise import stream_rng
 
     text = (
         "kind = clt\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 400\nnoise.modes = 8\n"
@@ -575,7 +579,7 @@ def test_main_clt_reference_blow_up_after_every_sample_retired(tmp_path, capfd):
         (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
         (start, np.zeros_like(start), start), params, tgrid, keys=keys,
         spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
-        noise=IncrementStreams([stream_rng(*key) for key in keys], 400, 8, tgrid.dt),
+        rngs=[stream_rng(*key) for key in keys],
     )
     assert sorted(f.key for f in failed) == keys
     assert all(f.step < exc.step for f in failed)
@@ -711,7 +715,7 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     # never averaged; its stream key replays the failure on its own
     import llblab.clt as clt_module
     from llblab.dynamics import SystemKind
-    from llblab.noise import IncrementStreams, stream_rng
+    from llblab.noise import stream_rng
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
@@ -734,7 +738,7 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(),
-        noise=IncrementStreams([loud_stream(8, 0, 1)], tgrid.steps, cfg["noise.modes"], tgrid.dt),
+        rngs=[loud_stream(8, 0, 1)],
         epsilons=(0.1,), keys=((8, 0, 1),),
     )
     assert (exc.step, exc.key) == (failure["step"], (8, 0, 1))
@@ -993,3 +997,185 @@ def test_run_ensemble_zero_initial_state_has_no_ratio(tmp_path):
     row = summary["rows"][0]
     assert row["ratio_vs_deterministic"] is None
     assert row["n_ok"] == 2 and row["mean_sup_grad_sq"] == 0.0
+
+
+# --- a run-level property over the config space -----------------------------------------
+
+EXTREME = {
+    "time.horizon": [1e-9, 1e-3, 0.05, 1.0, 1e3],
+    "model.nu1": [1e-300, 1e-6, 1.0, 1e6, 1e300],
+    "model.nu2": [0.0, 1.0, 1e3, 1e300],
+    "model.gamma": [-1e300, -5.0, 0.0, 1.0, 1e3, 1e300],
+    "model.mu": [0.0, 1.0, 1e300],
+    "init.a": [0.0, 1e-300, 0.5, 1.0, 999.0, 1e300],
+    "init.b": [0.0, -0.5, 2.0, -1e3],
+    "noise.alpha": [3.000001, 4.0, 1e300],
+}
+TABLE_VALUES = [0.0, -1.0, 0.5, 999.0, 1e200]
+
+
+@st.composite
+def tiny_configs(draw):
+    """A config of any kind at 3-9 nodes and 1-12 steps, with extreme but accepted
+    values, and the input tables it names as (key, kind of table, value)."""
+    kind = draw(st.sampled_from(KINDS))
+    nodes, steps, modes = draw(st.integers(3, 9)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    keys = {"kind": kind, "grid.n": nodes, "time.steps": steps, "noise.modes": modes}
+    keys["seed"] = draw(st.integers(0, 2**64))
+    for key, choices in EXTREME.items():
+        keys[key] = draw(st.sampled_from(choices))
+    epsilons = st.lists(st.sampled_from([0.0, 1e-300, 0.01, 0.5, 1.0]), min_size=1, max_size=3)
+    samples = st.integers(1, 3)
+    mode = st.integers(1, modes)
+    component = st.integers(1, 3)
+    tables = []
+    if kind == "validate":
+        keys["validate.samples"] = draw(samples)
+        grids = draw(st.lists(st.integers(3, 9), min_size=1, max_size=2))
+        keys["validate.grids"] = ", ".join(map(str, grids))
+    elif kind == "deterministic":
+        keys["deterministic.dump_fields"] = draw(st.booleans())
+    elif kind == "stochastic-ensemble":
+        keys["ensemble.epsilons"] = ", ".join(map(repr, draw(epsilons)))
+        keys["ensemble.samples"] = draw(samples)
+    elif kind == "clt":
+        chosen = draw(st.lists(st.sampled_from([1.0, 0.5, 1e-3, 1e-300]), min_size=1, max_size=3))
+        keys["clt.epsilons"] = ", ".join(map(repr, sorted(set(chosen), reverse=True)))
+        keys["clt.samples"] = draw(st.integers(2, 3))
+    elif kind == "weak-convergence":
+        keys["weak.epsilons"] = ", ".join(map(repr, draw(epsilons)))
+        keys["weak.samples"] = draw(samples)
+        keys["weak.mode"], keys["weak.component"] = draw(mode), draw(component)
+        keys["weak.coefficient"] = draw(st.sampled_from([-1e300, 0.0, 0.5, 1e300]))
+        if draw(st.booleans()):
+            tables.append(("weak.control", "control", draw(st.sampled_from(TABLE_VALUES))))
+    elif kind == "rate":
+        keys["rate.penalty"] = draw(st.sampled_from([1e-300, 1.0, 1e3, 1e300]))
+        keys["rate.modes"] = draw(mode)
+        divisors = [s for s in range(1, steps + 1) if steps % s == 0]
+        keys["rate.slabs"] = draw(st.sampled_from(divisors))
+        keys["rate.max_iters"] = draw(st.integers(1, 3))
+        keys["rate.tolerance"] = draw(st.sampled_from([1e-300, 1e-4, 1e300]))
+        keys["rate.continuation"] = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            tables.append(("rate.target", "target", draw(st.sampled_from(TABLE_VALUES))))
+    else:
+        keys["compact.modes"] = ", ".join(map(str, draw(st.lists(mode, min_size=1, max_size=3))))
+        keys["compact.component"] = draw(component)
+        if draw(st.booleans()):
+            tables.append(("compact.control", "control", draw(st.sampled_from(TABLE_VALUES))))
+    return keys, tables
+
+
+def _write_table(path, table, value, keys):
+    """A control file that sets every (step, mode, component) to ``value``, or a
+    rate target whose every node is (value, -value, value)."""
+    if table == "control":
+        header = "step,k,j,coefficient"
+        index = np.indices((keys["time.steps"], keys["noise.modes"], 3)).reshape(3, -1).T
+        rows = [[n, k + 1, j + 1, value] for n, k, j in index.tolist()]
+    else:
+        header = "node_index,ux,uy,uz"
+        rows = [[i, value, -value, value] for i in range(keys["grid.n"])]
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
+def _null_paths(value, path=()):
+    if value is None:
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _null_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _null_paths(item, path + (i,))
+
+
+def _documented_nulls(payload, keys):
+    """The nulls the README documents in a summary: the statistics of an epsilon
+    whose samples all blew up, the ratio of a deterministic sup of zero, the fit
+    of fewer than three positive means, and an energy balance beyond the double
+    range, which a state within the blow-up ceiling on 3-9 nodes reaches only
+    under a dissipation weight 2 dt nu of about 1e290 or more."""
+    rows = payload.get("rows", [])
+    allowed = set()
+    dt = keys["time.horizon"] / keys["time.steps"]
+    if 2.0 * dt * max(keys["model.nu1"], keys["model.nu2"]) >= 1e290:
+        allowed.add(("energy_drift",))
+    for i, row in enumerate(rows):
+        if row.get("n_ok") == 0:
+            allowed |= {("rows", i, key) for key in row}
+        if payload.get("deterministic_sup_grad_sq") == 0.0:
+            allowed.add(("rows", i, "ratio_vs_deterministic"))
+    positive = [row for row in rows if row.get("n_ok") and (row.get("mean_error") or 0.0) > 0.0]
+    if len(positive) < 3:
+        allowed |= {("slope",), ("intercept",), ("fit_residual",)}
+    return allowed
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+TINY_BASE = {
+    "grid.n": 3, "time.steps": 1, "noise.modes": 1, "seed": 0, "time.horizon": 1e-9,
+    "model.nu1": 1e-300, "model.nu2": 0.0, "model.gamma": -1e300, "model.mu": 0.0,
+    "init.a": 0.0, "init.b": 0.0, "noise.alpha": 3.000001,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_configs())
+# a weak-convergence control whose H0 cost overflows: a config error naming the key,
+# where the run wrote "control_cost": null
+@example((
+    dict(TINY_BASE, kind="weak-convergence", **{
+        "weak.epsilons": "0.0", "weak.samples": 1, "weak.mode": 1, "weak.component": 1,
+        "weak.coefficient": -1e300,
+    }), [],
+))
+# no damping (nu2 = 0) under a huge mu: 0 * inf made the energy drift nan, written as null
+@example((
+    dict(TINY_BASE, kind="deterministic", **{
+        "model.mu": 1e300, "init.b": -1000.0, "deterministic.dump_fields": False,
+    }), [],
+))
+# a rate problem whose tangent damping weight 2 dt nu2 mu overflows, over a skeleton at
+# zero: inf * 0 in the adjoint sweep raised a numpy warning
+@example((
+    dict(TINY_BASE, kind="rate", **{
+        "model.nu2": 1e300, "model.mu": 1e300, "rate.penalty": 1e-300, "rate.modes": 1,
+        "rate.slabs": 1, "rate.max_iters": 1, "rate.tolerance": 1e-300, "rate.continuation": 0,
+    }), [],
+))
+def test_main_exits_with_a_documented_code_and_finite_results(drawn):
+    # every run of every kind ends with its documented exit code, one JSON error
+    # object on stdout for exits 2-4 and nothing there otherwise, no warning of
+    # numpy or Python, and on exit 0 JSON outputs whose only nulls are the documented ones
+    keys, tables = dict(drawn[0]), drawn[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, table, value in tables:
+            keys[key] = os.path.join(tmp, f"{table}.csv")
+            _write_table(keys[key], table, value, keys)
+        config = os.path.join(tmp, "exp.cfg")
+        with open(config, "w") as fh:
+            fh.write("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        out = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
+            warnings.simplefilter("always")
+            code = main(["--config", config, "--out", os.path.join(tmp, "out")])
+        assert not caught, [str(w.message) for w in caught]
+        if code in (EXIT_CONFIG, EXIT_BLOWUP, EXIT_IO):
+            (line,) = out.getvalue().splitlines()
+            assert json.loads(line, parse_constant=_no_constant)["error"]["code"] == code
+            return
+        assert code == EXIT_OK or (code == EXIT_SUITE_FAILED and keys["kind"] == "validate")
+        assert out.getvalue() == ""
+        outdir = os.path.join(tmp, "out")
+        for name in sorted(os.listdir(outdir)):
+            if name.endswith(".json"):
+                with open(os.path.join(outdir, name)) as fh:
+                    payload = json.loads(fh.read(), parse_constant=_no_constant)
+                nulls = set(_null_paths(payload))
+                assert nulls <= _documented_nulls(payload, keys), (name, nulls)

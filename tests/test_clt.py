@@ -8,7 +8,7 @@ import pytest
 from llblab.clt import run_clt, write_clt_csv, write_clt_summary, write_json
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import make_grid
-from llblab.noise import CovarianceSpec, IncrementStreams, make_covariance, stream_rng
+from llblab.noise import CovarianceSpec, make_covariance, stream_rng
 from conftest import ScaledRng, record_batch
 
 
@@ -141,9 +141,7 @@ def _path_gap_errors(config):
             ((u_eps, v0, ref),), failed = record_batch(
                 (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
                 start, config.params, tg, spec=config.spec,
-                noise=IncrementStreams(
-                    [stream_rng(config.base_seed, i, m)], tg.steps, config.spec.mode_count, tg.dt
-                ),
+                rngs=[stream_rng(config.base_seed, i, m)],
                 epsilons=[eps],
             )
             assert failed == []
@@ -194,7 +192,7 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (config.initial[..., None],),
         config.params, tgrid, spec=config.spec,
-        noise=IncrementStreams([loud_stream(*key)], tgrid.steps, config.spec.mode_count, tgrid.dt),
+        rngs=[loud_stream(*key)],
         epsilons=(1e-1,), keys=(key,),
     )
     assert (exc.step, exc.key) == (step, key)

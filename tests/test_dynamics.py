@@ -15,6 +15,7 @@ from llblab.dynamics import (
     ModelParams,
     SystemKind,
     TimeGrid,
+    REPORT_HEADER,
     TrajectoryRecord,
     _drive,
     _rhs_values,
@@ -24,6 +25,7 @@ from llblab.dynamics import (
     skeleton_adjoint,
     write_fields_csv,
     write_report_csv,
+    write_report_rows,
 )
 from llblab.field import (
     STACK_CHUNK,
@@ -37,7 +39,6 @@ from llblab.field import (
 )
 from llblab.noise import (
     ControlPath,
-    IncrementStreams,
     make_covariance,
     mode_matrix,
     single_mode_control,
@@ -63,7 +64,7 @@ def test_model_params_validation():
         integrate_batch(
             (SystemKind.STOCHASTIC,), (initial_profile(g)[..., None],), ModelParams(),
             TimeGrid(0.01, 2), lambda *a: None, spec=make_covariance(2, 4.0),
-            noise=IncrementStreams([stream_rng(0)], 2, 2, 0.005), epsilons=(1.5,),
+            rngs=[stream_rng(0)], epsilons=(1.5,),
         )
 
 
@@ -207,7 +208,7 @@ def test_stochastic_eps_zero_degenerates_bitwise():
     failures, cfl = integrate_batch(
         (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg,
         lambda n, states: sto.append(states[0][..., 0].copy()),
-        spec=spec, noise=IncrementStreams([stream_rng(7)], tg.steps, 8, tg.dt), epsilons=(0.0,),
+        spec=spec, rngs=[stream_rng(7)], epsilons=(0.0,),
     )
     assert failures == []
     assert det.snapshots.tobytes() == np.array(sto).tobytes()
@@ -237,7 +238,7 @@ def _coupled_states(kinds, initial, params, tg, spec, reference, rngs, epsilons)
         start.append(reference)
     columns, failed = record_batch(
         kinds, start, params, tg, spec=spec,
-        noise=IncrementStreams(rngs, tg.steps, spec.mode_count, tg.dt), epsilons=epsilons,
+        rngs=rngs, epsilons=epsilons,
     )
     assert failed == []
     return columns
@@ -330,11 +331,11 @@ def test_integrate_missing_inputs():
     p = ModelParams()
     tg = TimeGrid(0.05, 100)
     spec = make_covariance(4, 4.0)
-    noise = IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt)
+    rngs = [stream_rng(0)]
     with pytest.raises(ValueError, match="covariance"):
         integrate_batch(
             (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, lambda *a: None,
-            noise=noise, epsilons=(0.1,),
+            rngs=rngs, epsilons=(0.1,),
         )
     with pytest.raises(ValueError, match="control"):
         integrate(SystemKind.SKELETON, u0, p, tg, spec=spec)
@@ -342,13 +343,13 @@ def test_integrate_missing_inputs():
     with pytest.raises(ValueError, match="deterministic reference"):
         integrate_batch(
             (SystemKind.LINEARIZED_CLT,), (np.zeros((g.n_interior, 3, 1)),), p, tg,
-            lambda *a: None, spec=spec, noise=noise,
+            lambda *a: None, spec=spec, rngs=rngs,
         )
     with pytest.raises(ValueError, match="deterministic reference"):
         integrate_batch(
             (SystemKind.LINEARIZED_CLT, SystemKind.STOCHASTIC),
             (np.zeros((g.n_interior, 3, 1)), u0[..., None]), p, tg,
-            lambda *a: None, spec=spec, noise=noise, epsilons=(0.1,),
+            lambda *a: None, spec=spec, rngs=rngs, epsilons=(0.1,),
         )
 
 
@@ -374,7 +375,7 @@ def test_linearized_requires_zero_initial():
             (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
             (initial_profile(g)[..., None], initial_profile(g)), p, tg,
             lambda *a: None, spec=spec,
-            noise=IncrementStreams([stream_rng(0)], tg.steps, 4, tg.dt),
+            rngs=[stream_rng(0)],
         )
 
 
@@ -404,7 +405,7 @@ def test_blow_up_error_carries_the_stream_key_and_step():
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (initial_profile(g, a=30.0)[..., None],),
         ModelParams(), tg, spec=make_covariance(8, 4.0),
-        noise=IncrementStreams([stream_rng(7, 2)], tg.steps, 8, tg.dt), epsilons=(0.01,),
+        rngs=[stream_rng(7, 2)], epsilons=(0.01,),
         keys=((7, 1, 2),),
     )
     assert (exc.key, exc.step, exc.time) == ((7, 1, 2), 3, 3 * tg.dt)
@@ -464,10 +465,10 @@ def test_trajectory_csv_writers(tmp_path):
     assert len(dump) == 1 + 11 * 31
 
 
-def _csv_writer_report(record, path):
+def _csv_writer_report(record, times, path):
     # the csv.writer implementation the template writers replaced: the oracle
     rows = stack_norms(record.snapshots, record.grid.spacing).tolist()
-    times = record.times.tolist()
+    times = times.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "l2", "h1_semi", "h2_semi", "linf"])
@@ -495,26 +496,38 @@ def _records(draw):
     snap_steps = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
     snapshots = draw(arrays(np.float64, (len(snap_steps), n, 3), elements=EDGE_FLOATS))
     times = draw(arrays(np.float64, steps + 1, elements=EDGE_FLOATS))
-    return TrajectoryRecord(
-        kind="deterministic", params=ModelParams(), grid=make_grid(n), times=times,
-        snapshots=snapshots, snapshot_steps=snap_steps,
+    record = TrajectoryRecord(
+        kind="deterministic", params=ModelParams(), tgrid=TimeGrid(1.0, steps), spec=None,
+        ctrl=None, snapshots=snapshots, snapshot_steps=snap_steps,
     )
+    return record, times
 
 
 @settings(max_examples=60, deadline=None)
 @given(_records())
-def test_trajectory_csv_writers_match_csv_writer_bytes(tmp_path_factory, record):
+def test_trajectory_csv_writers_match_csv_writer_bytes(tmp_path_factory, drawn):
     # repr floats (signed zeros, subnormals, huge, inf and nan) and CRLF rows,
-    # byte for byte as csv.writer wrote them, at any stride and grid size
+    # byte for byte as csv.writer wrote them, at any stride and grid size; a
+    # record's times are those of its time grid, so the block writer takes an
+    # arbitrary time column
+    record, times = drawn
     out = tmp_path_factory.mktemp("writers")
     write_fields_csv(record, out / "fields.csv")
     _csv_writer_fields(record, out / "fields_oracle.csv")
     assert (out / "fields.csv").read_bytes() == (out / "fields_oracle.csv").read_bytes()
     # norms of huge or non-finite states overflow to inf or nan, as they should
+    steps = record.snapshot_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        write_report_csv(record, out / "report.csv")
-        _csv_writer_report(record, out / "report_oracle.csv")
+        with open(out / "report.csv", "wb") as fh:
+            fh.write(REPORT_HEADER)
+            write_report_rows(fh, steps, times[steps], record.norm_rows)
+        _csv_writer_report(record, times, out / "report_oracle.csv")
+        write_report_csv(record, out / "record_report.csv")
+        _csv_writer_report(record, record.times, out / "record_report_oracle.csv")
     assert (out / "report.csv").read_bytes() == (out / "report_oracle.csv").read_bytes()
+    assert (out / "record_report.csv").read_bytes() == (
+        out / "record_report_oracle.csv"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize("source", ["stride", "single"])
@@ -531,8 +544,8 @@ def test_fields_csv_matches_repr_rows_whatever_its_snapshot_count(tmp_path, rng,
         shape = (1, 31, 3)
         values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12.0, 20.0, shape)
         record = TrajectoryRecord(
-            kind="deterministic", params=ModelParams(), grid=make_grid(31),
-            times=np.zeros(1), snapshots=values, snapshot_steps=np.zeros(1, dtype=np.int64),
+            kind="deterministic", params=ModelParams(), tgrid=TimeGrid(1.0, 1), spec=None,
+            ctrl=None, snapshots=values, snapshot_steps=np.zeros(1, dtype=np.int64),
         )
     write_fields_csv(record, tmp_path / "fields.csv")
     _csv_writer_fields(record, tmp_path / "oracle.csv")
@@ -551,7 +564,7 @@ def test_stochastic_energy_stays_bounded_smoke():
     for m in range(4):
         ((states,),), failed = record_batch(
             (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, spec=spec,
-            noise=IncrementStreams([stream_rng(17, m)], tg.steps, 8, tg.dt), epsilons=(0.1,),
+            rngs=[stream_rng(17, m)], epsilons=(0.1,),
         )
         assert failed == []
         sups.append(np.max(stack_norms(states, g.spacing)[:, 1]) ** 2)
@@ -599,10 +612,7 @@ def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns):
     states, failed = record_batch(
         kinds, start, ModelParams(), BATCH_TIME,
         spec=BATCH_SPEC, ctrl=ctrls,
-        noise=IncrementStreams(
-            [stream_rng(seed, j) for j in columns],
-            BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
-        ),
+        rngs=[stream_rng(seed, j) for j in columns],
         epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
     )
     return dict(zip(columns, states)), failed
@@ -717,10 +727,7 @@ def test_shared_reference_column_has_the_bits_of_integrate(
         return record_batch(
             (*kinds, ref_kind), [u[..., columns] for u in initial] + [ref],
             ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrls,
-            noise=IncrementStreams(
-                [stream_rng(seed, j) for j in columns],
-                BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt,
-            ),
+            rngs=[stream_rng(seed, j) for j in columns],
             epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
         )
 
@@ -756,23 +763,26 @@ def test_integrate_batch_checks_its_inputs():
             (SystemKind.STOCHASTIC,), (initial[..., 0],), ModelParams(),
             BATCH_TIME, lambda *a: None, **kw,
         )
-    with pytest.raises(ValueError, match="increment streams"):
-        integrate_batch(
-            (SystemKind.STOCHASTIC,), (initial,), ModelParams(),
-            BATCH_TIME, lambda *a: None, epsilons=epsilons, **kw,
-        )
+    # the batch draws its increments on its own time grid and modes, so only
+    # the number of generators can disagree with it: one per sample column
+    for rngs in (None, [], [stream_rng(0)], [stream_rng(0), stream_rng(1), stream_rng(2)]):
+        with pytest.raises(ValueError, match="one generator per column"):
+            integrate_batch(
+                (SystemKind.STOCHASTIC,), (initial,), ModelParams(),
+                BATCH_TIME, lambda *a: None, rngs=rngs, epsilons=epsilons, **kw,
+            )
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
             (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
             (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
-            noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt), **kw,
+            rngs=[stream_rng(0), stream_rng(1)], **kw,
         )
     # a shared column runs a noiseless kind beside at least one batch system
     with pytest.raises(ValueError, match="shared column"):
         integrate_batch(
             (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC),
             (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
-            noise=IncrementStreams([stream_rng(0), stream_rng(1)], 24, 16, BATCH_TIME.dt),
+            rngs=[stream_rng(0), stream_rng(1)],
             epsilons=epsilons, **kw,
         )
     # no batch system, or a shared field before one
@@ -782,6 +792,21 @@ def test_integrate_batch_checks_its_inputs():
     ):
         with pytest.raises(ValueError, match="initial batch"):
             integrate_batch(kinds, start, ModelParams(), BATCH_TIME, lambda *a: None)
+
+
+@pytest.mark.parametrize("keys", [[], [(1, 0, 0), (1, 0, 1)]], ids=["no-keys", "two-keys"])
+def test_integrate_batch_refuses_keys_that_are_not_one_per_sample_column(keys):
+    # as it refuses epsilons: beside a shared reference that starts above the
+    # ceiling, a key more would label its failure, key None, with a sample's
+    # key, and a key fewer would fail on the lookup
+    u0 = initial_profile(BATCH_GRID)
+    with pytest.raises(ValueError, match="1 keys, one per sample column"):
+        integrate_batch(
+            (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC),
+            (u0[..., None], initial_profile(BATCH_GRID, a=2.0 * LINF_CEILING)), ModelParams(),
+            BATCH_TIME, lambda *a: None, spec=BATCH_SPEC, rngs=[stream_rng(1, 0, 0)],
+            epsilons=(0.1,), keys=keys,
+        )
 
 
 # --- inputs a kind cannot use ---------------------------------------------------------
@@ -837,10 +862,7 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
             return integrate_batch(
                 kinds, start, ModelParams(), BATCH_TIME, lambda *a: None, spec=spec,
                 ctrl=ctrls[entries],
-                noise=IncrementStreams(
-                    [stream_rng(0), stream_rng(1)], BATCH_TIME.steps, BATCH_SPEC.mode_count,
-                    BATCH_TIME.dt,
-                ),
+                rngs=[stream_rng(0), stream_rng(1)],
                 epsilons=[0.1, 0.1],
             )
         return integrate(kind, initial, ModelParams(), BATCH_TIME, spec=spec, ctrl=ctrl)
@@ -935,9 +957,23 @@ def test_skeleton_adjoint_has_the_bits_of_the_step_by_step_sweep(
     record = integrate(SystemKind.SKELETON, ADJOINT_U0, params, tg, spec=ADJOINT_SPEC, ctrl=ctrl)
     terminal = rng.normal(size=(ADJOINT_GRID.n_interior, 3))
     terminal[:, zero_components] = zero
-    swept = skeleton_adjoint(record, tg, ADJOINT_SPEC, ctrl, terminal)
+    swept = skeleton_adjoint(record, terminal)
     oracle = _adjoint_oracle(record, tg, ADJOINT_SPEC, ctrl, terminal)
     assert swept.tobytes() == oracle.tobytes()
+
+
+def test_skeleton_adjoint_past_the_double_range_is_a_blow_up():
+    # 2 dt nu2 mu overflows, so the tangent's damping weight is inf: over a
+    # skeleton at zero the sweep meets inf * 0, reported once, with no numpy warning
+    params = ModelParams(nu2=1e300, mu=1e300)
+    tg = TimeGrid(1e-9, 2)
+    record = integrate(
+        SystemKind.SKELETON, np.zeros_like(ADJOINT_U0), params, tg, spec=ADJOINT_SPEC,
+        ctrl=zero_control(tg.steps, ADJOINT_SPEC.mode_count, tg.dt),
+    )
+    with pytest.raises(BlowUpError, match="double range") as info:
+        skeleton_adjoint(record, np.ones_like(ADJOINT_U0))
+    assert info.value.step is None
 
 
 ADJOINT_CONTROL = single_mode_control(
@@ -951,37 +987,44 @@ ADJOINT_RECORD = integrate(
 LONGER_TIME = TimeGrid(1.0, ADJOINT_TIME.steps)
 
 
-def _adjoint_case(record=ADJOINT_RECORD, tgrid=ADJOINT_TIME, coefficients=None, dt=None,
-                  terminal=(ADJOINT_GRID.n_interior, 3)):
-    coefficients = ADJOINT_CONTROL.coefficients if coefficients is None else coefficients
-    ctrl = ControlPath(coefficients, tgrid.dt if dt is None else dt)
-    return record, tgrid, ADJOINT_SPEC, ctrl, np.ones(terminal)
+@pytest.mark.parametrize(
+    "record, terminal, match",
+    [
+        (integrate(SystemKind.DETERMINISTIC, ADJOINT_U0, ModelParams(), ADJOINT_TIME),
+         (ADJOINT_GRID.n_interior, 3), "skeleton record"),
+        (integrate(
+            SystemKind.SKELETON, ADJOINT_U0, ModelParams(), ADJOINT_TIME, spec=ADJOINT_SPEC,
+            ctrl=ADJOINT_CONTROL, stride=2),
+         (ADJOINT_GRID.n_interior, 3), "every step"),
+        (ADJOINT_RECORD, (3,), "terminal"),
+        (ADJOINT_RECORD, (7, 1), "terminal"),
+        (ADJOINT_RECORD, (6, 3), "terminal"),
+    ],
+    ids=["deterministic-record", "strided-record", "terminal-3", "terminal-7x1", "terminal-6x3"],
+)
+def test_skeleton_adjoint_rejects_inputs_that_do_not_fit_the_run(record, terminal, match):
+    # the sweep reads the run's time grid, covariance and control from the record
+    with pytest.raises(ValueError, match=match):
+        skeleton_adjoint(record, np.ones(terminal))
 
 
 @pytest.mark.parametrize(
-    "case, match",
+    "coefficients, dt, match",
     [
-        (lambda: _adjoint_case(record=integrate(
-            SystemKind.DETERMINISTIC, ADJOINT_U0, ModelParams(), ADJOINT_TIME)),
-         "skeleton record"),
-        (lambda: _adjoint_case(record=integrate(
-            SystemKind.SKELETON, ADJOINT_U0, ModelParams(), ADJOINT_TIME, spec=ADJOINT_SPEC,
-            ctrl=ADJOINT_CONTROL, stride=2)),
-         "every step"),
+        (ADJOINT_CONTROL.coefficients[1:], ADJOINT_TIME.dt, "23 steps"),
+        (ADJOINT_CONTROL.coefficients[:, :2], ADJOINT_TIME.dt, "2 modes"),
         # the same number of steps over another horizon
-        (lambda: _adjoint_case(tgrid=LONGER_TIME), "every step"),
-        (lambda: _adjoint_case(coefficients=ADJOINT_CONTROL.coefficients[1:]), "23 steps"),
-        (lambda: _adjoint_case(coefficients=ADJOINT_CONTROL.coefficients[:, :2]), "2 modes"),
-        (lambda: _adjoint_case(dt=LONGER_TIME.dt), "control dt"),
-        (lambda: _adjoint_case(terminal=(3,)), "terminal"),
-        (lambda: _adjoint_case(terminal=(7, 1)), "terminal"),
-        (lambda: _adjoint_case(terminal=(6, 3)), "terminal"),
+        (ADJOINT_CONTROL.coefficients, LONGER_TIME.dt, "control dt"),
     ],
-    ids=[
-        "deterministic-record", "strided-record", "other-horizon", "control-steps",
-        "control-modes", "control-dt", "terminal-3", "terminal-7x1", "terminal-6x3",
-    ],
+    ids=["control-steps", "control-modes", "control-dt"],
 )
-def test_skeleton_adjoint_rejects_inputs_that_do_not_fit_the_run(case, match):
+def test_integrate_rejects_a_skeleton_control_that_does_not_fit_the_run(
+    coefficients, dt, match
+):
+    # checked once, where the run is made: the record the adjoint sweep reads
+    # holds a control that fits its time grid and covariance
     with pytest.raises(ValueError, match=match):
-        skeleton_adjoint(*case())
+        integrate(
+            SystemKind.SKELETON, ADJOINT_U0, ModelParams(), ADJOINT_TIME, spec=ADJOINT_SPEC,
+            ctrl=ControlPath(coefficients, dt),
+        )

@@ -26,7 +26,6 @@ from llblab.ldp import (
 )
 from llblab.noise import (
     ControlPath,
-    IncrementStreams,
     make_covariance,
     single_mode_control,
     zero_control,
@@ -147,7 +146,7 @@ def test_rate_gradient_taylor(x, direction, gamma, nu2, mu):
     d = np.asarray(direction) / np.linalg.norm(direction)
     rho = TAYLOR_PROBLEM.penalty
     point = objective.evaluate(x)
-    assert point.control.coefficients.any()
+    assert point.record.ctrl.coefficients.any()
     slope = float(objective.gradient(point, rho) @ d)
     scale = 100.0 * np.finfo(float).eps * (1.0 + abs(point.objective(rho)))
     gaps = []
@@ -304,7 +303,7 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
             ((states,),), failed = record_batch(
                 (SystemKind.CONTROLLED_STOCHASTIC,), (initial_profile(GRID)[..., None],), PARAMS,
                 tg, spec=SPEC, ctrl=(ctrl,),
-                noise=IncrementStreams([stream_rng(9, i, m)], tg.steps, 8, tg.dt),
+                rngs=[stream_rng(9, i, m)],
                 epsilons=(row.epsilon,),
             )
             assert failed == []
@@ -362,7 +361,7 @@ def _stored_record_responses(ctrl, modes, tg, u0, component):
             SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=ControlPath(coeffs, ctrl.dt)
         )
         d = perturbed.snapshots - base.snapshots
-        gap = StreamedPathGap(1, GRID.spacing, 0.0, 0.0, tg.steps)
+        gap = StreamedPathGap(1, tg, 0.0)
         for first in range(0, len(d), STACK_CHUNK):
             gap.add(first, np.moveaxis(d[first:first + STACK_CHUNK], 0, -1)[:, :, None])
         out.append((mode, float(gap.values[0])))

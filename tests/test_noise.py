@@ -13,7 +13,6 @@ from llblab.dynamics import (
     TimeGrid,
     initial_profile,
     integrate,
-    integrate_batch,
 )
 from llblab.field import make_grid
 from llblab.noise import (
@@ -105,20 +104,6 @@ def test_noise_field_linearity(rng):
     a = rng.normal(size=(5, 3))
     b = rng.normal(size=(5, 3))
     assert np.max(np.abs(mat @ (2.0 * a + b) - (2.0 * (mat @ a) + mat @ b))) <= 1e-14
-
-
-def test_noise_field_dimension_mismatch():
-    # increment streams must match the covariance's mode count and the time grid
-    spec = make_covariance(4, 4.0)
-    tg = TimeGrid(0.01, 10)
-    grid = make_grid(31)
-    for steps, modes in ((10, 3), (9, 4)):
-        with pytest.raises(ValueError, match="increment streams"):
-            integrate_batch(
-                (SystemKind.STOCHASTIC,), (initial_profile(grid)[..., None],),
-                ModelParams(), tg, lambda *a: None, spec=spec,
-                noise=IncrementStreams([stream_rng(0)], steps, modes, tg.dt), epsilons=[0.1],
-            )
 
 
 def test_noise_field_node_variance_matches_covariance():
@@ -273,7 +258,6 @@ def test_increment_streams_replay_whole_paths(monkeypatch, block):
     steps, dt = 100, 1e-3
     whole = [increment_path(stream_rng(4, j), steps, 3, dt) for j in range(3)]
     streams = IncrementStreams([stream_rng(4, j) for j in range(3)], steps, 3, dt)
-    assert streams.width == 3
     for n in range(steps):
         step = streams.at(n)
         assert step.shape == (3, 3, 3)

@@ -165,6 +165,43 @@ def test_perfbench_tracer_records_a_traced_run(tmp_path):
     assert layers["noise.paths"] > 0
 
 
+def test_perfbench_tracer_records_a_traced_rate_run(tmp_path):
+    # the tracer counts every record integrate returns by its steps and
+    # snapshots, the skeleton solves by their kind, and the optimizer's iterations
+    from llblab import cli
+
+    target = tmp_path / "target.csv"
+    target.write_text("node_index,ux,uy,uz\n" + "".join(f"{i},0.0,0.0,0.0\n" for i in range(7)))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        config = cli.parse_config(
+            "kind = rate\ngrid.n = 7\ntime.horizon = 0.05\ntime.steps = 10\nnoise.modes = 2\n"
+            f"rate.target = {target}\nrate.slabs = 2\nrate.max_iters = 2\nrate.continuation = 0\n"
+        )
+        assert cli.run(config, out_dir=str(tmp_path / "out")) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    assert layers["dynamics.integrate.skeleton.calls"] >= 1
+    assert layers["ldp.iterations"] >= 1
+    assert layers["dynamics.snapshots_mb"] > 0.0
+
+
+def test_perfbench_worker_rate_config_runs(tmp_path):
+    # perfbench/worker.py writes its rate target with integrate(..., stride=),
+    # single_mode_control(..., dt, ...) and final_values(), then runs the config
+    from llblab import cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    texts, _, check = worker.rate_configs(1, str(tmp_path))
+    assert os.path.exists(check["target_csv"])
+    assert cli.run(cli.parse_config(texts[0]), out_dir=str(tmp_path / "out")) == cli.EXIT_OK
+
+
 def test_perfbench_tracer_install_restores_every_patched_name():
     # `perfbench/run.py --trace 1` patches llblab's module attributes by name:
     # install fails with AttributeError once a refactor drops one, and
