@@ -5,11 +5,11 @@ the cubic damping identity are exact for the discrete operators, so their
 residuals are pure rounding noise for any node values and are checked at
 1e-12 after scale normalization. The checks take node-major batches
 (n, 3, M) through the array kernels of ``field``, every per-column sum
-through ``column_sq_sums``, so a pair's residuals have the same bits alone
-(``check_identities``, ``check_cubic_identity``) or in any chunk of
-``identity_suite``. The energy monitor carries an O(dt) defect and is
-checked by refinement ratios instead of absolute thresholds. The streamed
-monitors take a run's time grid and the grid of the fields they are fed.
+through ``column_sq_sums``, so a pair's residuals have the same bits in a
+width-1 batch as in any chunk of ``identity_suite``, their one entry. The
+energy monitor carries an O(dt) defect and is checked by refinement ratios
+instead of absolute thresholds. The streamed monitors take a run's time grid
+and the grid of the fields they are fed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .field import (
     STACK_CHUNK,
-    as_field,
     column_sq_sums,
     cross_values,
     dot_values,
@@ -41,9 +40,6 @@ __all__ = [
     "SlopeFit",
     "SampleStats",
     "sample_stats",
-    "check_identities",
-    "check_cubic_identity",
-    "cubic_identity_residuals",
     "fit_slope",
     "energy_drift",
     "StreamedEnergyDrift",
@@ -105,7 +101,10 @@ def _norm_rows(v: np.ndarray, h: float) -> np.ndarray:
 
 def _cross_residuals(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     """Rows (cross-orthogonality, precession-orthogonality, precession-bound) of
-    every column pair of the node-major batches u, v (n, 3, M); see ``check_identities``."""
+    every column pair of the node-major batches u, v (n, 3, M). The first two are
+    scale-normalized, so the 1e-12 tolerance is magnitude-independent; the third is
+    the violation of |(u x Lap v, Lap u)| <= ||Lap u||^2 + c_d ||Lap v||^2 ||u||_H1^2,
+    c_d = 2 (1 + 10 h) the discrete interpolation constant, zero when it holds."""
     l2_u, h1_u, h2_u, linf_u = _norm_rows(u, h)
     l2_v, _, h2_v, _ = _norm_rows(v, h)
     u_lap_v = cross_values(u, lap_values(v, h))
@@ -114,26 +113,6 @@ def _cross_residuals(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     lhs = np.abs(h * column_sq_sums(u_lap_v, lap_values(u, h)))
     rhs = h2_u**2 + 2.0 * (1.0 + 10.0 * h) * h2_v**2 * (l2_u**2 + h1_u**2)
     return np.stack([r1, r2, np.maximum(0.0, lhs - rhs)])
-
-
-def check_identities(u: np.ndarray, v: np.ndarray) -> list[IdentityReport]:
-    """Residuals of the exact cross-product identities and the mixed bound.
-
-    The first two residuals are scale-normalized so the 1e-12 tolerance is
-    magnitude-independent. The third entry checks the inequality
-    |(u x Lap v, Lap u)| <= ||Lap u||^2 + c_d ||Lap v||^2 ||u||_H1^2 with the
-    discrete interpolation constant c_d = 2 (1 + 10 h); its residual is the
-    violation amount, zero when the bound holds.
-    """
-    u, v = as_field(u), as_field(v)
-    if u.shape != v.shape:
-        raise ValueError("fields must share a grid")
-    r1, r2, violation = _cross_residuals(u[..., None], v[..., None], make_grid(len(u)).spacing)
-    return [
-        IdentityReport("cross-orthogonality", float(r1[0]), EXACT_IDENTITY_TOL),
-        IdentityReport("precession-orthogonality", float(r2[0]), EXACT_IDENTITY_TOL),
-        IdentityReport("precession-bound", float(violation[0]), 0.0),
-    ]
 
 
 def _edge_average(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +149,14 @@ def _cubic_sum(u: np.ndarray, grad: np.ndarray, work: dict | None = None) -> np.
 
 def _cubic_residuals(u: np.ndarray, h: float, mu: float) -> np.ndarray:
     """Rows (vector form, colinear form, vector form / its scale) of the cubic
-    damping identity of every column of the node-major batch u (n, 3, M)."""
+    damping identity of every column of the node-major batch u (n, 3, M).
+
+    Vector form: ((1+mu|u|^2) u, Lap u) = -||grad u||^2 - mu sum_e h (|u|^2 |du|^2
+    + 2 (u.du)^2), with midpoint edge averages of |u|^2 and u, which make the
+    discrete product rule exact: its residual is rounding noise for any node
+    values. The colinear form takes 3 mu (|u|^2, |grad u|^2) for the edge sum; it
+    agrees only where u is pointwise parallel to du, so the suite checks the vector form.
+    """
     r = sq_norm_values(u)
     lhs = h * column_sq_sums((1.0 + mu * r)[:, None] * u, lap_values(u, h))
     grad = grad_values(u, h)
@@ -179,29 +165,6 @@ def _cubic_residuals(u: np.ndarray, h: float, mu: float) -> np.ndarray:
     colinear = lhs + h1_sq + mu * 3.0 * h * column_sq_sums(_edge_average(r)[:, None] * grad, grad)
     _, h1_semi, _, linf = _norm_rows(u, h)
     return np.stack([vector, colinear, vector / (1.0 + h1_semi**2 * (1.0 + mu * linf**2))])
-
-
-def cubic_identity_residuals(u: np.ndarray, mu: float = 1.0) -> tuple[float, float]:
-    """Residuals of the cubic damping identity, vector form and colinear form.
-
-    Vector form:   ((1+mu|u|^2) u, Lap u) = -||grad u||^2
-                                            - mu sum_e h (|u|^2 |du|^2 + 2 (u.du)^2)
-    with midpoint edge averages of |u|^2 and u. The midpoint convention makes
-    the discrete product rule exact, so the vector-form residual is pure
-    rounding noise for arbitrary node values, not merely O(h). The colinear
-    form replaces the edge sum by 3 mu (|u|^2, |grad u|^2); the two coincide
-    exactly when u is pointwise parallel to its derivative and differ at O(1)
-    otherwise.
-    """
-    vector, colinear, _ = _cubic_residuals(u[..., None], make_grid(len(u)).spacing, mu)[:, 0]
-    return float(vector), float(colinear)
-
-
-def check_cubic_identity(u: np.ndarray, mu: float = 1.0) -> IdentityReport:
-    """Scale-normalized residual of the exact vector identity; the colinear form
-    is not checked, because the two forms agree only for pointwise-parallel fields."""
-    residual = _cubic_residuals(u[..., None], make_grid(len(u)).spacing, mu)[2, 0]
-    return IdentityReport("cubic-damping-identity", float(residual), EXACT_IDENTITY_TOL)
 
 
 def fit_slope(points) -> SlopeFit:

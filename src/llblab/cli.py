@@ -27,7 +27,6 @@ that fails part way removes the files it had begun.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,8 +43,8 @@ from . import __version__
 # integrate, which only the rate run uses: perfbench/tracer.py patches all four in cli by name
 from .analysis import StreamedEnergyDrift, energy_drift, identity_suite, sample_stats
 from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
-# imported as _write_json: perfbench/tracer.py wraps cli._write_json by name
-from .clt import write_json as _write_json
+# imported as _write_csv and _write_json: perfbench/tracer.py wraps both in cli by name
+from .clt import write_csv as _write_csv, write_json as _write_json
 from .dynamics import (
     FIELDS_HEADER,
     LINF_CEILING,
@@ -62,7 +61,7 @@ from .dynamics import (
     write_report_csv,
     write_report_rows,
 )
-from .field import STACK_CHUNK, h1_norm, make_grid, solver_empty
+from .field import STACK_CHUNK, h1_norm, make_grid, read_csv_table, solver_empty
 from .ldp import (
     RateProblem,
     WeakRow,
@@ -315,14 +314,6 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
 def _error(code: int, kind: str, **detail) -> int:
     """Print the JSON error object of a failed run on stdout; returns ``code``."""
     print(json.dumps({"error": {"code": code, "kind": kind, **detail}}))
@@ -339,34 +330,8 @@ def _sha256(path) -> str:
 
 def _read_target_field(path, nodes: int) -> np.ndarray:
     """Read a target CSV (node_index,ux,uy,uz) into a (nodes, 3) field; malformed
-    content, such as a node index listed twice, raises ValueError."""
-    values = np.zeros((nodes, 3))
-    seen = np.zeros(nodes, dtype=bool)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:4]] != ["node_index", "ux", "uy", "uz"]:
-            raise ValueError(f"{path}: expected header 'node_index,ux,uy,uz'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                idx, node = int(row[0]), [float(row[1]), float(row[2]), float(row[3])]
-                if not all(math.isfinite(v) for v in node):
-                    raise ValueError
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected node_index and three finite "
-                    f"values, got {row}"
-                ) from None
-            if not 0 <= idx < nodes:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: node index {idx} outside grid of {nodes}"
-                )
-            if seen[idx]:
-                raise ValueError(f"{path}: line {reader.line_num}: node index {idx} repeated")
-            values[idx] = node
-            seen[idx] = True
+    content, such as a node index listed twice, or a node without a row, raises ValueError."""
+    values, seen = read_csv_table(path, ("node_index", "ux", "uy", "uz"), (nodes,), (0,))
     if not seen.all():
         raise ValueError(f"{path}: {int((~seen).sum())} node values missing")
     return values
@@ -378,10 +343,7 @@ def _read_table(config: ExperimentConfig, key: str, read, *args):
     path = config[key]
     try:
         return read(path, *args)
-    except UnicodeDecodeError as exc:
-        # the decoder counts bytes from its last read, not from the start of the file
-        raise ConfigError([f"{key}: {path}: not UTF-8 text ({exc.reason})"]) from None
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         raise ConfigError([f"{key}: {exc}"]) from None
 
 

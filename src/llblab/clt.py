@@ -26,7 +26,8 @@ the noisy flow, the a priori bound.
 
 ``write_json`` writes every JSON output of the package, this experiment's
 summary and the CLI's, as strict JSON: an epsilon whose samples all blew up
-has no mean, and its NaN is written as null.
+has no mean, and its NaN is written as null. ``write_csv`` writes every small
+CSV table, this experiment's report and the CLI's, through the csv module.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "sup_grad_ensemble",
     "write_clt_csv",
     "write_clt_summary",
+    "write_csv",
     "write_json",
 ]
 
@@ -272,11 +274,7 @@ def sup_grad_ensemble(
 
 
 def write_clt_csv(report: CltReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CltRow._fields)
-        # Python floats and ints: the csv module spells the floats as repr does
-        writer.writerows(report.rows)
+    write_csv(path, CltRow._fields, report.rows)
 
 
 def write_clt_summary(report: CltReport, path) -> None:
@@ -300,6 +298,14 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(item) for item in value]
     return value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the row ``header`` and ``rows`` through the csv module, the one writer
+    of the small CSV tables; every float, numpy's too, is spelled as ``repr`` spells it."""
+    rows = [[repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_json(path, payload) -> None:

@@ -319,7 +319,13 @@ def _linear_rhs_values(
         out -= np.multiply(base_coef[:, None], v, out=work)
         if params.mu != 0.0:
             dot = dot_values(b, v, out=sq_v, work=work)
-            dot *= 2.0 * dt * params.nu2 * params.mu
+            weight = 2.0 * dt * params.nu2 * params.mu
+            if math.isfinite(weight):
+                dot *= weight
+            else:
+                # the weight overflows: in two factors, b.v = 0 stays 0 instead of inf * 0
+                dot *= 2.0 * dt * params.nu2
+                dot *= params.mu
             out -= np.multiply(dot[:, None], b, out=work)
     return out
 

@@ -37,11 +37,13 @@ while a call without ``out`` never writes into its input.
 shortest round-trip spelling, produced from the digits of orjson's Ryu
 formatter; only inf and nan are spelled by ``repr`` itself. The rows of one
 call are held as Python objects while they are formatted, so a writer of a
-long trajectory passes a few snapshots per call.
+long trajectory passes a few snapshots per call. ``read_csv_table`` reads
+every input table, a control path or a rate target.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib.machinery
 import importlib.util
 import math
@@ -59,6 +61,7 @@ __all__ = [
     "stack_norms",
     "h1_norm",
     "csv_rows",
+    "read_csv_table",
 ]
 
 # Snapshots a stack operation handles at a time: bounds its temporaries to a
@@ -336,7 +339,7 @@ def h1_norm(u: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV output
+# CSV output and input
 
 def _signed_exponent(text: bytes) -> list:
     # 1.5e16 -> 1.5e+16; 1e-100 keeps its sign
@@ -396,3 +399,55 @@ def csv_rows(lead: np.ndarray, values: np.ndarray) -> bytes:
         floats[nonfinite] = list(map(repr, values[nonfinite].tolist()))
     text = orjson.dumps(rows.tolist())
     return text[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"
+
+
+def read_csv_table(path, header, shape, first) -> tuple[np.ndarray, np.ndarray]:
+    """Read a UTF-8 CSV table of indexed values: the row ``header`` (columns after
+    its names are ignored), then rows of len(shape) integer indices, index i in
+    ``first[i]`` .. ``first[i] + shape[i] - 1``, followed by one finite value per
+    remaining header name; blank lines are skipped.
+
+    Returns ``(values, seen)``: the values (*shape, F), zero where no row was
+    given, and the boolean mask (*shape) of the index rows read. A missing
+    header, a malformed row, an index out of range, an index row listed twice
+    or text that is not UTF-8 raises ValueError naming the file and, for a
+    row, its line. A row's indices are checked before they index an array.
+    """
+    dims, width = len(shape), len(header)
+    values = np.zeros((*shape, width - dims))
+    seen = np.zeros(shape, dtype=bool)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            top = next(reader, None)
+            if top is None or [c.strip() for c in top[:width]] != list(header):
+                raise ValueError(f"{path}: expected header '{','.join(header)}'")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    index = list(map(int, row[:dims]))
+                    value = list(map(float, row[dims:width]))
+                    if len(row) < width or not all(map(math.isfinite, value)):
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: expected integer {', '.join(header[:dims])} and finite "
+                        f"{', '.join(header[dims:])}, got {row}"
+                    ) from None
+                at = ()
+                for name, i, low, size in zip(header, index, first, shape):
+                    if not low <= i < low + size:
+                        raise ValueError(f"{where}: {name} = {i} outside {low}..{low + size - 1}")
+                    at += (i - low,)
+                if seen[at]:
+                    raise ValueError(f"{where}: index row {','.join(map(str, index))} repeated")
+                seen[at] = True
+                values[at] = value
+    except UnicodeDecodeError as exc:
+        # the decoder counts bytes from its last read, not from the start of the file
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return values, seen

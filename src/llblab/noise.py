@@ -6,18 +6,18 @@ the H1-weighted trace sum_k lambda_k * (1 + (k pi)^2) converges, so the noise
 stays H1-regular. Control paths live in the same coordinates: the coefficient
 c_{k,j}(t) is the component of h(t) along the unit vector sqrt(lambda_k) e_k e_j
 of the Cameron-Martin space, which makes the H0 cost a plain sum of squares.
+A control path is a (step, k, j, coefficient) CSV table, read by ``field.read_csv_table``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid1D, csv_rows
+from .field import Grid1D, csv_rows, read_csv_table
 
 # Steps of increments drawn at a time per stream by IncrementStreams.
 INCREMENT_BLOCK = 256
@@ -185,7 +185,7 @@ def write_control_csv(ctrl: ControlPath, path) -> None:
 
 def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
     """Read (step, k, j, coefficient) rows into the (steps, mode_count, 3)
-    coefficients of a run.
+    coefficients of a run (``field.read_csv_table``).
 
     Missing (step, k, j) combinations are zero, but the last step must have a
     row, so a file written for a shorter run is not silently padded. The time
@@ -193,41 +193,14 @@ def read_control_coefficients(path, steps: int, mode_count: int) -> np.ndarray:
     run configuration. Malformed content, an index outside the run or a
     (step, k, j) row listed twice raises ValueError naming the file and line.
     """
-    coeffs = np.zeros((steps, mode_count, 3))
-    seen = np.zeros(coeffs.shape, dtype=bool)
-    last = -1
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:4]] != ["step", "k", "j", "coefficient"]:
-            raise ValueError(f"{path}: expected header 'step,k,j,coefficient'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                n, k, j, value = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-                if not math.isfinite(value):
-                    raise ValueError
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected integer step,k,j and a finite "
-                    f"coefficient, got {row}"
-                ) from None
-            if not (0 <= n < steps and 1 <= k <= mode_count and j in (1, 2, 3)):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: index row {row} outside the run's steps "
-                    f"0..{steps - 1}, modes 1..{mode_count} and components 1..3"
-                )
-            if seen[n, k - 1, j - 1]:
-                raise ValueError(f"{path}: line {reader.line_num}: index row {row} repeated")
-            seen[n, k - 1, j - 1] = True
-            coeffs[n, k - 1, j - 1] = value
-            last = max(last, n)
-    if last < 0:
+    header = ("step", "k", "j", "coefficient")
+    coeffs, seen = read_csv_table(path, header, (steps, mode_count, 3), (0, 1, 1))
+    given = np.flatnonzero(seen.any(axis=(1, 2)))
+    if not len(given):
         raise ValueError(f"{path}: no coefficient rows")
-    if last != steps - 1:
-        raise ValueError(f"{path}: control has {last + 1} steps, time grid has {steps}")
-    return coeffs
+    if given[-1] != steps - 1:
+        raise ValueError(f"{path}: control has {given[-1] + 1} steps, time grid has {steps}")
+    return coeffs[..., 0]
 
 
 def stream_rng(base_seed: int, *key: int) -> np.random.Generator:

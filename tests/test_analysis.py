@@ -10,12 +10,11 @@ from llblab.analysis import (
     EXACT_IDENTITY_TOL,
     SampleStats,
     StreamedPathGap,
-    check_cubic_identity,
-    check_identities,
-    cubic_identity_residuals,
+    _cross_residuals,
+    _cubic_residuals,
+    _pair_residuals,
     energy_drift,
     fit_slope,
-    _pair_residuals,
     identity_suite,
     path_gap,
     sample_stats,
@@ -40,10 +39,10 @@ from conftest import random_field
 SUITE_CHECKS = [r.name.split("/")[0] for r in identity_suite(grid_sizes=(3,), samples=1)[1:]]
 
 
-def test_check_identities_zero_field(grid63):
-    reports = check_identities(np.zeros((grid63.n_interior, 3)), np.zeros((grid63.n_interior, 3)))
-    assert all(r.residual == 0.0 for r in reports)
-    assert all(r.passed for r in reports)
+def test_identity_residuals_of_a_zero_field_are_zero(grid63):
+    zero = np.zeros((grid63.n_interior, 3, 1))
+    assert np.all(_cross_residuals(zero, zero, grid63.spacing) == 0.0)
+    assert np.all(_cubic_residuals(zero, grid63.spacing, 1.0) == 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,18 +52,18 @@ def test_check_identities_zero_field(grid63):
     scale=st.floats(0.01, 50.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_check_identities_random_fields(nodes, width, scale, seed):
+def test_pair_residual_columns_have_the_bits_of_their_width_1_call(nodes, width, scale, seed):
     # a batch of random pairs as identity_suite checks it: each column's rows
-    # have the bits of checking that pair alone (the suite keeps the magnitude
-    # of the signed cubic residual), and every identity holds
+    # have the bits of checking that pair alone, as the width-1 batch of its
+    # fields, and every identity holds
     pairs = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(width, 2, nodes, 3))
     a, b = np.moveaxis(pairs, 0, -1)
-    g = make_grid(nodes)
-    rows = dict(zip(SUITE_CHECKS, _pair_residuals(a, b, g.spacing)))
+    h = make_grid(nodes).spacing
+    residuals = _pair_residuals(a, b, h)
     for j in range(width):
-        u, v = pairs[j, 0], pairs[j, 1]
-        for rep in check_identities(u, v) + [check_cubic_identity(u)]:
-            assert rows[rep.name][j].tobytes() == np.float64(abs(rep.residual)).tobytes()
+        alone = _pair_residuals(pairs[j, 0][..., None], pairs[j, 1][..., None], h)
+        assert alone[:, 0].tobytes() == residuals[:, j].tobytes()
+    rows = dict(zip(SUITE_CHECKS, residuals))
     for name in (
         "summation-by-parts", "cross-orthogonality", "precession-orthogonality",
         "cubic-damping-identity",
@@ -77,16 +76,12 @@ def test_check_identities_random_fields(nodes, width, scale, seed):
     assert rows["helmholtz-roundtrip"].max() <= 1e-10
 
 
-def test_check_identities_grid_mismatch(rng):
-    with pytest.raises(ValueError):
-        check_identities(random_field(make_grid(5), rng), random_field(make_grid(6), rng))
-
-
 # --- cubic damping identity -------------------------------------------------------
 
-def test_cubic_identity_zero(grid63):
-    vec, col = cubic_identity_residuals(np.zeros((grid63.n_interior, 3)))
-    assert vec == 0.0 and col == 0.0
+def cubic_residuals(u, mu=1.0):
+    """(vector form, colinear form, scale-normalized vector form) of the field u,
+    from its width-1 batch."""
+    return _cubic_residuals(u[..., None], make_grid(len(u)).spacing, mu)[:, 0].tolist()
 
 
 def test_cubic_identity_single_direction_forms_coincide(rng):
@@ -99,9 +94,9 @@ def test_cubic_identity_single_direction_forms_coincide(rng):
         x = g.nodes
         f = np.sin(math.pi * x) + 0.4 * np.sin(3 * math.pi * x)
         u = np.stack([f, 0 * x, 0 * x], axis=1)
-        vec, col = cubic_identity_residuals(u, mu=1.3)
+        vec, col, scaled = cubic_residuals(u, mu=1.3)
         assert abs(vec) <= 1e-12
-        assert check_cubic_identity(u, mu=1.3).passed
+        assert abs(scaled) <= EXACT_IDENTITY_TOL
         residuals[n] = abs(col)
     assert residuals[63] / residuals[127] == pytest.approx(4.0, rel=0.3)
 
@@ -111,16 +106,14 @@ def test_cubic_identity_vector_form_is_exact(rng):
     # so the residual is rounding noise even on rough fields
     for n in (31, 63, 127):
         g = make_grid(n)
-        u = random_field(g, rng)
-        assert check_cubic_identity(u).passed
-        smooth = random_smooth_field(g, stream_rng(5, n))
-        assert check_cubic_identity(smooth).passed
+        for u in (random_field(g, rng), random_smooth_field(g, stream_rng(5, n))):
+            assert abs(cubic_residuals(u)[2]) <= EXACT_IDENTITY_TOL
 
 
 def test_cubic_identity_colinear_form_differs_generically(rng):
     g = make_grid(63)
     u = random_smooth_field(g, stream_rng(9))
-    vec, col = cubic_identity_residuals(u)
+    vec, col, _ = cubic_residuals(u)
     assert abs(vec) <= 1e-10
     assert abs(col) > 1e-4  # O(1) discrepancy for non-parallel fields
 

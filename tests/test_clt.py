@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from llblab.clt import run_clt, write_clt_csv, write_clt_summary, write_json
+from llblab.clt import run_clt, write_clt_csv, write_clt_summary, write_csv, write_json
 from llblab.dynamics import ModelParams, TimeGrid, initial_profile
 from llblab.field import make_grid
 from llblab.noise import CovarianceSpec, make_covariance, stream_rng
@@ -86,6 +86,18 @@ def test_run_clt_zero_noise_amplitude_gives_zero_error(monkeypatch):
         assert row.mean_error == 0.0
         assert row.n_failed == 0
     assert report.fit is None  # no positive metrics to fit
+
+
+@pytest.mark.parametrize("damping", [1.0, 1e300])
+def test_run_clt_from_zero_gives_zero_error_at_any_damping(damping):
+    # zero is a fixed point of the coupled flow and of the linear deviation system;
+    # at 1e300 the weight 2 dt nu2 mu overflows, and inf * (b.v = 0) retired every sample
+    report = run_clt(
+        (0.5, 0.25, 0.125), 2, ModelParams(nu2=damping, mu=damping), TimeGrid(1e-9, 3),
+        make_covariance(2), np.zeros((7, 3)), 1,
+    )
+    assert report.failures == ()
+    assert [tuple(r)[1:] for r in report.rows] == [(0.0, 0.0, 2, 0)] * 3
 
 
 def test_run_clt_reproducible_bitwise():
@@ -267,6 +279,18 @@ def test_clt_csv_and_summary(tmp_path):
     assert payload["slope"] == pytest.approx(report.fit.slope)
     assert len(payload["rows"]) == len(report.rows)
     assert payload["failures"] == [] and payload["n_failures"] == 0
+
+
+def test_write_csv_spells_every_float_as_repr(tmp_path):
+    # numpy floats too, which the csv module alone would spell as np.float64(...);
+    # the CLI writes its small tables through the same function
+    from llblab import cli
+
+    assert cli._write_csv is write_csv
+    path = tmp_path / "table.csv"
+    rows = [(np.float64(0.1), 1, math.nan), (-0.0, np.int64(2), "ok"), (1e-7, True, -math.inf)]
+    write_csv(path, ("a", "b", "c"), rows)
+    assert path.read_bytes() == b"a,b,c\r\n0.1,1,nan\r\n-0.0,2,ok\r\n1e-07,True,-inf\r\n"
 
 
 def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
