@@ -327,8 +327,12 @@ def _pair_residuals(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     """The nine random-pair residuals of ``identity_suite`` in the order of its rows,
     for every column pair of the node-major batches a, b (n, 3, M), shape (9, M);
     a column's bits do not depend on the others."""
-    grad_ab = h * column_sq_sums(grad_values(a, h), grad_values(b, h))
-    sbp = np.abs(h * column_sq_sums(lap_values(a, h), b) + grad_ab) / (1.0 + np.abs(grad_ab))
+    # summation by parts relative to the size of its terms, h sum |grad a . grad b|:
+    # the size of their sum is far smaller where the terms cancel
+    terms = np.ascontiguousarray(dot_values(grad_values(a, h), grad_values(b, h)).T)
+    grad_ab = h * terms.sum(axis=-1)
+    size = 1.0 + h * np.abs(terms).sum(axis=-1)
+    sbp = np.abs(h * column_sq_sums(lap_values(a, h), b) + grad_ab) / size
     ab = cross_values(a, b)
     asym = np.abs(ab + cross_values(b, a)).max(axis=(0, 1))
     ortho = np.maximum(np.abs(dot_values(ab, a)), np.abs(dot_values(ab, b))).max(axis=0)

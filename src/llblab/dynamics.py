@@ -45,11 +45,14 @@ tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
 columns: every component of every column is one contiguous n-vector, while
 the arrays keep their logical node-major (n, 3, M) indexing. The systems
 share one stacked state, so a step takes one Laplacian, one set of squared
-norms, one ceiling check and one solve for all of them; each system writes
-the right-hand side of its step into its slice of a second state buffer,
-which LAPACK solves in place before the two swap. Every array of the batch's
-shape that a step writes is a workspace buffer, allocated once per batch: a
-batch keeps its width to the end, and a retired column stays in it, zeroed.
+norms, one ceiling check, one right-hand side and one solve for all of them.
+Every system's right-hand side is one template, u + u x Y - C u, with its
+own drive Y and damping C: the template runs once over the whole stack into
+a second state buffer, a linearized system takes the drive and damping of
+its reference and adds only its own two terms, and LAPACK solves the buffer
+in place before the two swap. Every array of the batch's shape that a step
+writes is a workspace buffer, allocated once per batch: a batch keeps its
+width to the end, and a retired column stays in it, zeroed.
 """
 
 from __future__ import annotations
@@ -239,95 +242,86 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> np.ndarray:
     return vals
 
 
-def _drive(lap_v: np.ndarray, params: ModelParams, dt: float, g: np.ndarray | None):
-    """dt gamma Lap u + g, the field the state is crossed with, written over the
-    Laplacian ``lap_v``; None when it is identically zero, and ``lap_v`` then
-    holds dt gamma Lap u. A zero ``g`` is skipped, so a run without noise or
-    control takes the noiseless path bit for bit."""
-    if g is not None and not g.any():
-        g = None
-    lap_v *= dt * params.gamma
-    if g is None:
-        return lap_v if params.gamma != 0.0 else None
-    if params.gamma != 0.0:
-        lap_v += g
-    else:
-        np.copyto(lap_v, g)
-    return lap_v
+def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, params, dt) -> None:
+    """Right-hand side of one semi-implicit step (module docstring) of every system
+    of a stacked batch, written into ``out``; the step is its solve.
 
+    ``state``, ``lap``, ``sq``, ``out`` and ``work`` are (array, per-system views)
+    pairs: the stacked state (n, 3, C), its Laplacian, its squared norms (n, C),
+    and two buffers the shape of the state. ``systems`` gives each system
+    (noisy, field): whether it is a nonlinear kind driven by the noise, and its
+    control field dt mode_mat c_n of the step, None without a control.
+    ``forcing`` is the step's noise field dB (n, 3, M), None without noise,
+    and ``strength`` sqrt(eps) of each sample column, None when all are zero.
+    ``linear`` is (ref, lins, base): the deterministic system, the linearized
+    ones and None or a buffer (n, 3, M) that takes a shared reference state
+    across the batch, as products of full arrays are cheaper than products that
+    broadcast a column over them.
 
-def _rhs_values(
-    v: np.ndarray,
-    lap_v: np.ndarray,
-    sq_v: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    g: np.ndarray | None,
-    out: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Right-hand side of one semi-implicit step of the nonlinear systems (module
-    docstring), v + v x (dt gamma Lap v + g) - dt nu2 (1 + mu |v|^2) v, written
-    into ``out`` and returned; the step is its solve.
-
-    ``g`` = sqrt(eps) dB + dt h is the forcing, None when absent; it may be
-    ``out`` itself. ``lap_v`` is left holding the drive and, if nu2 != 0, ``sq_v``
-    dt nu2 (1 + mu |v|^2): the terms a linearized system reads of its reference.
-    ``work``, the shape of ``v``, is overwritten.
+    Every column takes the template u + u x Y - C u, computed once over the
+    whole stack, with Y = dt gamma Lap u + g and C = dt nu2 (1 + mu |u|^2) of
+    its own system, g = sqrt(eps) dB + dt h its forcing. A zero g is skipped,
+    so a run without noise or control takes the noiseless path bit for bit,
+    and a system with no drive (gamma = 0, no g) gets out = u. A linearized
+    system, the derivative of the step at eps = 0 along the reference state b,
+    takes Y and C of b, so its template is v + v x (dt gamma Lap b) - C v, and
+    adds its own terms in their order: + b x (dt gamma Lap v + dB) after the
+    cross and - 2 dt nu2 mu (b.v) b after the damping. Every element sees the
+    operations of its system's own step. ``lap``, ``sq`` and ``work`` are
+    overwritten.
     """
-    drive = _drive(lap_v, params, dt, g)
-    if drive is None:
-        np.copyto(out, v)
-    else:
-        np.add(v, cross_values(v, drive, out=out), out=out)
+    (u, us), (lap, laps), (sq, sqs), (out, outs), (work, works) = state, lap, sq, out, work
+    gamma = params.gamma
+    lap *= dt * gamma
+    ref, lins, base = linear
+    live = []
+    for s, (noisy, field) in enumerate(systems):
+        g = forcing if s in lins else None
+        if noisy and strength is not None:
+            g = np.multiply(strength, forcing, out=outs[s])
+        if field is not None:
+            g = field if g is None else np.add(g, field, out=g)
+        live.append(g is not None and g.any())
+        if live[s] and gamma != 0.0:
+            laps[s] += g
+        elif live[s]:
+            np.copyto(laps[s], g)
     if params.nu2 != 0.0:
-        coef = np.multiply(params.mu, sq_v, out=sq_v)
-        coef += 1.0
-        coef *= dt * params.nu2
-        out -= np.multiply(coef[:, None], v, out=work)
-    return out
-
-
-def _linear_rhs_values(
-    v: np.ndarray,
-    lap_v: np.ndarray,
-    sq_v: np.ndarray,
-    base: tuple,
-    params: ModelParams,
-    dt: float,
-    forcing: np.ndarray | None,
-    out: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Right-hand side of one step of the linear deviation system, written into
-    ``out``: the derivative of the nonlinear step at eps = 0 along the base state
-    b, driven by the noise field ``forcing``,
-
-        v + v x (dt gamma Lap b) + b x (dt gamma Lap v + forcing)
-          - dt nu2 (1 + mu |b|^2) v - 2 dt nu2 mu (b.v) b.
-
-    ``base`` is (b, dt gamma Lap b, dt nu2 (1 + mu |b|^2)), the first two of
-    the shape of ``v`` or broadcasting to it, the last (n, M) or (n, 1).
-    ``lap_v``, ``sq_v`` and ``work`` (the shape of ``v``) are overwritten.
-    """
-    b, base_drive, base_coef = base
-    np.add(v, cross_values(v, base_drive, out=out), out=out)
-    drive = _drive(lap_v, params, dt, forcing)
-    if drive is not None:
-        out += cross_values(b, drive, out=work)
-    if params.nu2 != 0.0:
-        out -= np.multiply(base_coef[:, None], v, out=work)
-        if params.mu != 0.0:
-            dot = dot_values(b, v, out=sq_v, work=work)
-            weight = 2.0 * dt * params.nu2 * params.mu
-            if math.isfinite(weight):
-                dot *= weight
-            else:
-                # the weight overflows: in two factors, b.v = 0 stays 0 instead of inf * 0
-                dot *= 2.0 * dt * params.nu2
-                dot *= params.mu
-            out -= np.multiply(dot[:, None], b, out=work)
-    return out
+        np.multiply(params.mu, sq, out=sq)
+        sq += 1.0
+        sq *= dt * params.nu2
+    b = us[ref] if lins else None
+    if base is not None:
+        b = base
+        np.copyto(b, us[ref])
+    for s in lins:
+        if live[s]:
+            cross_values(b, laps[s], out=works[s])
+        np.copyto(laps[s], laps[ref])
+        np.copyto(sqs[s], sqs[ref])
+    np.add(u, cross_values(u, lap, out=out), out=out)
+    if gamma == 0.0:
+        for s, on in enumerate(live):
+            if not on and s not in lins:
+                np.copyto(outs[s], us[s])
+    for s in lins:
+        if live[s]:
+            outs[s] += works[s]
+    if params.nu2 == 0.0:
+        return
+    out -= np.multiply(sq[:, None], u, out=work)
+    if params.mu == 0.0 or not lins:
+        return
+    weight = 2.0 * dt * params.nu2 * params.mu
+    for s in lins:
+        dot = dot_values(b, us[s], out=sqs[s], work=works[s])
+        if math.isfinite(weight):
+            dot *= weight
+        else:
+            # the weight overflows: in two factors, b.v = 0 stays 0 instead of inf * 0
+            dot *= 2.0 * dt * params.nu2
+            dot *= params.mu
+        outs[s] -= np.multiply(dot[:, None], b, out=works[s])
 
 
 def _stack_terms(
@@ -454,10 +448,11 @@ def integrate_batch(
     the workspace, valid only during the call: the loop writes the next
     states into the same memory, so an observer copies what it keeps. Unless
     it was the last step, one Laplacian of all systems, one matmul of the
-    step's increments and a controlled system's own control term feed each
-    system's right-hand side, and one in-place solve of (I - dt nu1 Lap) for
-    all systems gives the states of step n + 1. The march stops early only
-    when every sample column has retired and no shared column runs.
+    step's increments and one control term per distinct ControlPath feed one
+    right-hand side of all systems (``_batch_rhs``), and one in-place solve of
+    (I - dt nu1 Lap) for all systems gives the states of step n + 1. The
+    march stops early only when every sample column has retired and no shared
+    column runs.
 
     Every running column's states have the bits of its own width-1 run, a
     shared column's those of ``integrate``. Returns
@@ -519,19 +514,24 @@ def integrate_batch(
     sq = solver_empty((nodes, shape[2]))
     for col, u in zip(cols, states):
         state[..., col] = u.reshape(nodes, 3, -1)
-    # a system's control term dt * (mode_mat @ c_n) of a step, in the solver's order
-    cf = solver_empty((nodes, 3, 1))
+    # the control term dt * (mode_mat @ c_n) of a step, one per distinct control, in
+    # the solver's order: systems under one control share it
+    fields = {path: solver_empty((nodes, 3, 1)) for path in ctrls if path is not None}
+    systems = [
+        (noisy[s] and kind is not SystemKind.LINEARIZED_CLT,
+         None if ctrls[s] is None else fields[ctrls[s]])
+        for s, kind in enumerate(kinds)
+    ]
     # a noisy step's matmul of all columns' increments (M, n, 3), copied into the solver's order
     product = np.empty((width, nodes, 3))
     forcing = solver_empty((nodes, 3, width)) if any(noisy) else None
-    # a linearized system reads the step terms that its reference's step leaves behind
+    # linearized systems read the step terms of the first deterministic one
     ref = kinds.index(SystemKind.DETERMINISTIC) if SystemKind.DETERMINISTIC in kinds else None
-    # a shared reference and its drive copied across the batch: products of full
-    # arrays are cheaper than products that broadcast a column over it
-    spread = None
-    if SystemKind.LINEARIZED_CLT in kinds and shared[ref] and width > 1:
-        spread = (solver_empty((nodes, 3, width)), solver_empty((nodes, 3, width)))
-    order = sorted(range(len(kinds)), key=lambda s: kinds[s] is SystemKind.LINEARIZED_CLT)
+    lins = tuple(s for s, kind in enumerate(kinds) if kind is SystemKind.LINEARIZED_CLT)
+    base = solver_empty((nodes, 3, width)) if lins and shared[ref] and width > 1 else None
+    linear = (ref, lins, base)
+    ceiling = LINF_CEILING**2
+    # the largest squared |u|_inf of each column, which gives its largest explicit-term ratio
     peak = np.zeros(len(columns))
     running = np.ones(len(columns), dtype=bool)
     failures = []
@@ -549,23 +549,26 @@ def integrate_batch(
                 top = np.concatenate(
                     (top[:sample_end].reshape(-1, width).max(axis=0), top[sample_end:])
                 )
-            linf = np.sqrt(top)
-            failed = running & ~(linf <= LINF_CEILING)
-            if failed.any():
+            # sqrt is monotone and correctly rounded, so |u|_inf <= LINF_CEILING
+            # exactly when its square is at most LINF_CEILING^2; the largest
+            # square settles a step where no column fails (a NaN fails it)
+            failed = running & ~(top <= ceiling) if not top.max() <= ceiling else None
+            if failed is not None and failed.any():
                 for j in np.flatnonzero(failed):
                     column = state[0][..., columns[j]]
+                    linf = float(np.sqrt(top[j]))
                     if np.isfinite(column).all():
                         # squares of components above about 1.3e154 overflow:
                         # take them relative to the largest magnitude
                         big = np.abs(column).max()
-                        linf[j] = big * np.sqrt(sq_norm_values(column / big).max())
-                        what = f"|u|_inf = {linf[j]:.3g} exceeded ceiling {LINF_CEILING:.3g}"
+                        linf = float(big * np.sqrt(sq_norm_values(column / big).max()))
+                        what = f"|u|_inf = {linf:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                     else:
                         what = "non-finite state"
-                    ratio = float(cfl_scale * peak[j])
+                    ratio = float(cfl_scale * np.sqrt(peak[j]))
                     failure = BlowUpError(
                         f"{what} (explicit-term ratio {ratio:.3g})",
-                        step=n, time=n * dt, key=keys[j], linf=float(linf[j]), ratio=ratio,
+                        step=n, time=n * dt, key=keys[j], linf=linf, ratio=ratio,
                     )
                     if j >= width:
                         raise failure
@@ -576,8 +579,7 @@ def integrate_batch(
                     break
                 sqrt_eps[failed[:width]] = 0.0
                 strength = sqrt_eps if sqrt_eps.any() else None
-            # the ratio grows with |u|_inf, so its maximum is that of the largest |u|_inf
-            peak = np.maximum(peak, linf)
+            np.maximum(peak, top, out=peak)
             observe(n, state[1])
             if n == n_steps:
                 break
@@ -585,26 +587,12 @@ def integrate_batch(
             if forcing is not None:
                 np.matmul(mode_mat, noise.at(n), out=product)
                 np.copyto(forcing, product.transpose(1, 2, 0))
-            for s in order:
-                kind, u, lap_u, sq_u, out = kinds[s], state[1][s], lap[1][s], sq[1][s], nxt[1][s]
-                if kind is SystemKind.LINEARIZED_CLT:
-                    base = (state[1][ref], lap[1][ref], sq[1][ref])
-                    if spread is not None:
-                        np.copyto(spread[0], base[0])
-                        np.copyto(spread[1], base[1])
-                        base = (*spread, base[2])
-                    _linear_rhs_values(u, lap_u, sq_u, base, params, dt, forcing, out, tmp[1][s])
-                    continue
-                g = None
-                if noisy[s] and strength is not None:
-                    g = np.multiply(strength, forcing, out=out)
-                if ctrls[s] is not None:
-                    np.multiply(dt, (mode_mat @ ctrls[s].coefficients[n])[..., None], out=cf)
-                    g = cf if g is None else np.add(g, cf, out=g)
-                _rhs_values(u, lap_u, sq_u, params, dt, g, out, tmp[1][s])
+            for path, field in fields.items():
+                np.multiply(dt, (mode_mat @ path.coefficients[n])[..., None], out=field)
+            _batch_rhs(state, lap, sq, nxt, tmp, systems, linear, forcing, strength, params, dt)
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
-    return failures, float(np.max(cfl_scale * peak[running], initial=0.0))
+    return failures, float(np.max(cfl_scale * np.sqrt(peak[running]), initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -618,7 +606,7 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
     with respect to the control coefficients of every step, exact to
     rounding for the discrete scheme.
 
-    Step n transposes the tangent of the nonlinear step (``_rhs_values`` and
+    Step n transposes the tangent of the nonlinear step (``_batch_rhs`` and
     its solve) at u_n. With w = (I - c Lap)^{-1} lam (the Helmholtz matrix is
     symmetric, so the solve is its own transpose) it maps lam to
 
@@ -630,7 +618,7 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
     operations with the bits of the per-step ones: dt gamma Lap u_n and
     dt nu2 (1 + mu |u_n|^2) (``_stack_terms``), and the control fields
     g_n = dt mode_mat c_n from one matmul, with a flag per step for a nonzero
-    field: a zero one is skipped, as the forward step skips it (``_drive``).
+    field: a zero one is skipped, as the forward step skips it (``_batch_rhs``).
     A step then does only the work that depends on lam, and keeps w x u_n for
     the one matmul that gives the chunk's sensitivities.
 

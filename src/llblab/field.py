@@ -402,16 +402,17 @@ def csv_rows(lead: np.ndarray, values: np.ndarray) -> bytes:
 
 
 def read_csv_table(path, header, shape, first) -> tuple[np.ndarray, np.ndarray]:
-    """Read a UTF-8 CSV table of indexed values: the row ``header`` (columns after
-    its names are ignored), then rows of len(shape) integer indices, index i in
-    ``first[i]`` .. ``first[i] + shape[i] - 1``, followed by one finite value per
-    remaining header name; blank lines are skipped.
+    """Read a UTF-8 CSV table of indexed values: the row ``header``, then rows of
+    len(shape) integer indices, index i in ``first[i]`` .. ``first[i] + shape[i] - 1``,
+    followed by one finite value per remaining header name; blank lines are skipped.
 
     Returns ``(values, seen)``: the values (*shape, F), zero where no row was
-    given, and the boolean mask (*shape) of the index rows read. A missing
-    header, a malformed row, an index out of range, an index row listed twice
-    or text that is not UTF-8 raises ValueError naming the file and, for a
-    row, its line. A row's indices are checked before they index an array.
+    given, and the boolean mask (*shape) of the index rows read. A header that
+    is not exactly ``header``, extra columns included, a malformed row, one
+    with more or fewer fields than the header among them, an index out of
+    range, an index row listed twice or text that is not UTF-8 raises
+    ValueError naming the file and, for a row, its line. A row's indices are
+    checked before they index an array.
     """
     dims, width = len(shape), len(header)
     values = np.zeros((*shape, width - dims))
@@ -420,7 +421,7 @@ def read_csv_table(path, header, shape, first) -> tuple[np.ndarray, np.ndarray]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             top = next(reader, None)
-            if top is None or [c.strip() for c in top[:width]] != list(header):
+            if top is None or [c.strip() for c in top] != list(header):
                 raise ValueError(f"{path}: expected header '{','.join(header)}'")
             for row in reader:
                 if not row:
@@ -429,7 +430,7 @@ def read_csv_table(path, header, shape, first) -> tuple[np.ndarray, np.ndarray]:
                 try:
                     index = list(map(int, row[:dims]))
                     value = list(map(float, row[dims:width]))
-                    if len(row) < width or not all(map(math.isfinite, value)):
+                    if len(row) != width or not all(map(math.isfinite, value)):
                         raise ValueError
                 except ValueError:
                     raise ValueError(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import llblab.analysis as analysis
 from llblab.analysis import (
     EXACT_IDENTITY_TOL,
     SampleStats,
@@ -74,6 +75,27 @@ def test_pair_residual_columns_have_the_bits_of_their_width_1_call(nodes, width,
     # the pointwise residual is not normalized: it grows with the cube of the scale
     assert rows["pointwise-orthogonality"].max() <= 1e-14 * max(1.0, scale) ** 3
     assert rows["helmholtz-roundtrip"].max() <= 1e-10
+
+
+@pytest.mark.parametrize("node", [0, -1], ids=["first", "last"])
+def test_summation_by_parts_fails_for_a_laplacian_broken_at_one_boundary_node(
+    monkeypatch, node
+):
+    # a Laplacian that drops the ghost node of one boundary (zero flux there)
+    # is no longer the adjoint of the gradient: every random pair shows it, far
+    # above the tolerance, and the identity suite's row fails
+    def broken(v, h, out=None):
+        out = lap_values(v, h, out=out)
+        out[node] += v[node] / (h * h)
+        return out
+
+    monkeypatch.setattr(analysis, "lap_values", broken)
+    n = 31
+    a, b = np.moveaxis(np.random.default_rng(5).uniform(-1.0, 1.0, size=(16, 2, n, 3)), 0, -1)
+    sbp = _pair_residuals(a, b, make_grid(n).spacing)[SUITE_CHECKS.index("summation-by-parts")]
+    assert sbp.min() > 1e6 * EXACT_IDENTITY_TOL
+    rows = {r.name: r for r in identity_suite(grid_sizes=(n,), samples=16)}
+    assert not rows[f"summation-by-parts/n={n}"].passed
 
 
 # --- cubic damping identity -------------------------------------------------------

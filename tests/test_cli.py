@@ -865,6 +865,14 @@ MALFORMED_TABLES = {
         "line 3: expected integer step, k, j and finite coefficient, got ['9', '1', '3']",
         "line 3: expected integer node_index and finite ux, uy, uz, got ['3', '0.5', '0.1']",
     ),
+    # a field past the header's names is refused, not dropped
+    "long-row": (
+        "9,1,3,0.5,99", "3,0.5,0.1,0.2,99",
+        "line 3: expected integer step, k, j and finite coefficient, "
+        "got ['9', '1', '3', '0.5', '99']",
+        "line 3: expected integer node_index and finite ux, uy, uz, "
+        "got ['3', '0.5', '0.1', '0.2', '99']",
+    ),
     "non-integer-index": (
         "9,1.0,3,0.5", "three,0.5,0.1,0.2",
         "line 3: expected integer step, k, j and finite coefficient, got ['9', '1.0', '3', '0.5']",
@@ -932,6 +940,21 @@ def test_main_malformed_input_table_names_key_file_and_line(tmp_path, capsys, ke
         f"{compact}{key} = {data}\n",
     )
     assert messages == f"{key}: {data}: {message}"
+
+
+@pytest.mark.parametrize("key", INPUT_TABLES)
+def test_main_input_table_header_with_an_extra_column_is_config_error(tmp_path, capsys, key):
+    # a column the reader does not know is refused, not dropped with its values
+    kind, header, good = INPUT_TABLES[key]
+    data = tmp_path / "table.csv"
+    data.write_text(f"{header},extra\n{good},99\n")
+    compact = "compact.modes = 1, 2\n" if kind == "compactness" else ""
+    messages = _main_config_error(
+        tmp_path, capsys,
+        f"kind = {kind}\ngrid.n = 7\ntime.horizon = 0.05\ntime.steps = 10\nnoise.modes = 2\n"
+        f"{compact}{key} = {data}\n",
+    )
+    assert messages == f"{key}: {data}: expected header '{header}'"
 
 
 def test_main_repeated_target_node_is_config_error(tmp_path, capsys):

@@ -17,8 +17,7 @@ from llblab.dynamics import (
     TimeGrid,
     REPORT_HEADER,
     TrajectoryRecord,
-    _drive,
-    _rhs_values,
+    _batch_rhs,
     initial_profile,
     integrate,
     integrate_batch,
@@ -80,15 +79,21 @@ def test_time_grid():
 
 # --- explicit drift and the step kernel --------------------------------------------
 
+def _rhs(v, params, dt):
+    """The right-hand side of one step of the deterministic system from the field
+    v (n, 3), before its implicit solve: ``_batch_rhs`` of the width-1 batch of v."""
+    u = v[..., None]
+    buffers = [u, lap_values(u, make_grid(len(v)).spacing), sq_norm_values(u)]
+    buffers += [np.empty_like(u), np.empty_like(u)]
+    _batch_rhs(*[(a, [a]) for a in buffers], [(False, None)], (None, (), None), None, None,
+               params, dt)
+    return buffers[3][..., 0]
+
+
 def _drift(v, params):
-    # the explicit drift is (rhs - v) / dt, rhs the right-hand side of a step
-    # before its implicit solve; dt = 1 keeps the subtraction from scaling its rounding up
-    h, dt = make_grid(len(v)).spacing, 1.0
-    step = _rhs_values(
-        v, lap_values(v, h), sq_norm_values(v), params, dt, None, np.empty_like(v),
-        np.empty_like(v),
-    )
-    return (step - v) / dt
+    # the explicit drift is (rhs - v) / dt; dt = 1 keeps the subtraction from
+    # scaling its rounding up
+    return _rhs(v, params, 1.0) - v
 
 
 def test_explicit_rhs_vanishes_without_terms(rng, grid63):
@@ -126,11 +131,7 @@ def test_step_matches_integrate_single_step(rng):
     p = ModelParams()
     tg = TimeGrid(0.01, 1)
     rec = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    v, h = u0, g.spacing
-    rhs = _rhs_values(
-        v, lap_values(v, h), sq_norm_values(v), p, tg.dt, None, np.empty_like(v), np.empty_like(v)
-    )
-    manual = helm_values(rhs, h, tg.dt * p.nu1)
+    manual = helm_values(_rhs(u0, p, tg.dt), g.spacing, tg.dt * p.nu1)
     assert np.array_equal(rec.final_values(), manual)
 
 
@@ -598,7 +599,7 @@ def _controls_for(kinds, ctrls):
     return tuple(c if k in controlled else None for k, c in zip(kinds, ctrls, strict=True))
 
 
-def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns):
+def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params=ModelParams()):
     """March ``columns`` of the setup as one batch, each system under its own
     control of ``ctrls``, with the ``base`` field as a shared deterministic
     column, listed last, when a linearized system needs one; returns each
@@ -610,7 +611,7 @@ def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns):
         start.append(base)
         ctrls = (*ctrls, None)
     states, failed = record_batch(
-        kinds, start, ModelParams(), BATCH_TIME,
+        kinds, start, params, BATCH_TIME,
         spec=BATCH_SPEC, ctrl=ctrls,
         rngs=[stream_rng(seed, j) for j in columns],
         epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
@@ -618,17 +619,46 @@ def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns):
     return dict(zip(columns, states)), failed
 
 
-def _single_run(kind, initial, epsilons, ctrl, base, seed, j):
+def _single_run(kind, initial, epsilons, ctrl, base, seed, j, params=ModelParams()):
     """Column j of ``kind`` run alone: the ``integrate`` record of a noiseless
     kind, the width-1 batch of a noisy one."""
     if kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON):
         return integrate(
-            kind, initial[..., j], ModelParams(),
+            kind, initial[..., j], params,
             BATCH_TIME, spec=BATCH_SPEC, ctrl=_controls_for((kind,), (ctrl,))[0],
         ).snapshots
-    seen, failed = _run_batch((kind,), (initial,), epsilons, (ctrl,), base, seed, [j])
+    seen, failed = _run_batch((kind,), (initial,), epsilons, (ctrl,), base, seed, [j], params)
     assert failed == []
     return seen[j][0]
+
+
+def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, columns, params):
+    """March ``columns`` as one batch and check every column against its own run:
+    a retired column's failure and states up to it are those of its width-1
+    batch, any other column's states those of ``_single_run`` of each kind,
+    and a stochastic column at epsilon 0 has the deterministic run's bits.
+    Returns the batch's failures."""
+    seen, failed = _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params)
+    retired = {exc.key[1]: exc for exc in failed}
+    for j in columns:
+        if j in retired:
+            alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j], params)
+            assert (retired[j].key, retired[j].step, str(retired[j])) == (
+                exc.key, exc.step, str(exc)
+            )
+            for states, states_alone in zip(seen[j], alone[j]):
+                assert states.tobytes() == states_alone.tobytes(), j
+            continue
+        for k, kind in enumerate(kinds):
+            alone = _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, j, params)
+            assert seen[j][k].tobytes() == alone.tobytes(), (kind, j)
+            if kind is SystemKind.STOCHASTIC and epsilons[j] == 0.0:
+                # criterion 4 inside a batch that may hold noisy and retired columns
+                det = _single_run(
+                    SystemKind.DETERMINISTIC, initial[k], epsilons, ctrls[k], base, seed, j, params
+                )
+                assert seen[j][k].tobytes() == det.tobytes(), j
+    return failed
 
 
 BATCH_CASES = [(kind,) for kind in SystemKind] + [
@@ -663,28 +693,46 @@ def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts,
         u[..., [j for j in blown if j < width]] *= 100.0
     bounds = [0, *sorted(c for c in cuts if c < width), width]
     for lo, hi in zip(bounds, bounds[1:]):
-        columns = list(range(lo, hi))
-        seen, failed = _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns)
-        retired = {exc.key[1]: exc for exc in failed}
-        for j in columns:
-            if j in retired:
-                # the failure and the states up to it are those of its width-1 batch
-                alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j])
-                assert (retired[j].key, retired[j].step, str(retired[j])) == (
-                    exc.key, exc.step, str(exc)
-                )
-                for states, states_alone in zip(seen[j], alone[j]):
-                    assert states.tobytes() == states_alone.tobytes(), j
-                continue
-            for k, kind in enumerate(kinds):
-                alone = _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, j)
-                assert seen[j][k].tobytes() == alone.tobytes(), (kind, j)
-                if kind is SystemKind.STOCHASTIC and epsilons[j] == 0.0:
-                    # criterion 4 inside a batch that may hold noisy and retired columns
-                    det = _single_run(
-                        SystemKind.DETERMINISTIC, initial[k], epsilons, ctrls[k], base, seed, j
-                    )
-                    assert seen[j][k].tobytes() == det.tobytes(), j
+        _assert_columns_run_as_alone(
+            kinds, initial, epsilons, ctrls, base, seed, list(range(lo, hi)), ModelParams()
+        )
+
+
+BRANCH_PARAMS = {
+    "gamma=0": ModelParams(gamma=0.0),
+    "nu2=0": ModelParams(nu2=0.0),
+    "mu=0": ModelParams(mu=0.0),
+    # the linearized damping weight 2 dt nu2 mu overflows, and so does every
+    # nonzero state's damping coefficient
+    "nu2=mu=1e300": ModelParams(nu2=1e300, mu=1e300),
+}
+
+
+@pytest.mark.parametrize("params", BRANCH_PARAMS.values(), ids=BRANCH_PARAMS)
+@pytest.mark.parametrize("kinds", BATCH_CASES[-4:], ids=lambda ks: "+".join(k.value for k in ks))
+@settings(max_examples=4, deadline=None)
+@given(width=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_batch_columns_keep_their_bits_at_every_branch_of_the_step(kinds, params, width, seed):
+    # each branch of the batch right-hand side: no drive without noise or
+    # control at gamma = 0, no damping, no linearized damping term, and the
+    # two-factor weight; column 0 runs without noise. Under the overflowing
+    # weights every nonzero state blows up at the first step, a reference's
+    # blow-up ending the march, so the reference and column 0 start from zero,
+    # a fixed point: there b.v = 0 must stay 0, and column 0 must not retire
+    setups = [_batch_setup(kind, seed + k, width) for k, kind in enumerate(kinds)]
+    initial = [s[0] for s in setups]
+    ctrls = [s[2] for s in setups]
+    _, epsilons, _, base = setups[0]
+    epsilons[0] = 0.0
+    overflow = params.mu > 1e100
+    if overflow:
+        base = np.zeros_like(base)
+        for u in initial:
+            u[..., 0] = 0.0
+    failed = _assert_columns_run_as_alone(
+        kinds, initial, epsilons, ctrls, base, seed, list(range(width)), params
+    )
+    assert not (overflow and any(exc.key[1] == 0 for exc in failed))
 
 
 REFERENCE_CASES = [
@@ -897,7 +945,10 @@ def _adjoint_oracle(record, tgrid, spec, ctrl, terminal):
         g = dt * (mode_mat @ ctrl.coefficients[n])
         mu = helm_values(lam, h, dt * params.nu1)
         out = mu
-        drive = _drive(lap_values(v, h), params, dt, g)
+        # dt gamma Lap v + g, as the forward step forms it: a zero g is skipped
+        drive = (dt * params.gamma) * lap_values(v, h) if params.gamma != 0.0 else None
+        if g.any():
+            drive = g if drive is None else drive + g
         if drive is not None:
             out = out + cross_values(drive, mu)
         if params.gamma != 0.0:
