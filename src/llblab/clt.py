@@ -261,9 +261,21 @@ def sup_grad_ensemble(
     first = {}
 
     def sup_grad(n, states, eps):
-        # every batch marches the same reference: the first batch takes its sup
+        # every batch marches the same reference: the first batch takes its sup,
+        # buffered into blocks of about BATCH_COLUMNS steps, so that a wide batch's
+        # blocks of one step do not each pay the metric's per-call cost; the sup
+        # does not depend on the blocks
         if first.setdefault("eps", eps) is eps:
-            det.add(n, states[1])
+            u0 = states[1]
+            k = u0.shape[3]
+            if "ref" not in first:
+                first["ref"] = solver_empty(u0.shape[:3] + (k * max(1, BATCH_COLUMNS // k),))
+            ref = first["ref"]
+            # the blocks start at multiples of the first one's length, which divides ref's
+            at = n % ref.shape[3]
+            np.copyto(ref[..., at:at + k], u0)
+            if at + k == ref.shape[3] or n + k > tgrid.steps:
+                det.add(n - at, ref[..., :at + k])
         return states[0]
 
     sups, failures = run_columns(

@@ -440,7 +440,12 @@ def integrate_batch(
     first: a sample column whose |u|_inf in any system is not finite or
     exceeds ``LINF_CEILING`` fails at n and is retired: it keeps its column,
     zeroed in every system and with noise strength 0, and is stepped on with
-    the others. u = 0 is a fixed point of every nonlinear kind and the linear
+    the others. The check takes one maximum of the step's squared node norms
+    over the whole workspace and one running elementwise maximum of them:
+    only a step whose maximum passes LINF_CEILING^2 (or is NaN) takes the
+    column maxima that find the failing columns and the peaks behind their
+    explicit-term ratios, and the peaks of the others are taken at the end.
+    u = 0 is a fixed point of every nonlinear kind and the linear
     system stays finite, so no NaN reaches an observer, which drops the
     column's values through the failure list. A shared column that fails
     ends the march with its BlowUpError, key None, raised: every sample
@@ -531,10 +536,21 @@ def integrate_batch(
     base = solver_empty((nodes, 3, width)) if lins and shared[ref] and width > 1 else None
     linear = (ref, lins, base)
     ceiling = LINF_CEILING**2
-    # the largest squared |u|_inf of each column, which gives its largest explicit-term ratio
-    peak = np.zeros(len(columns))
+    # the largest squared node norm seen at each node of each column; its column
+    # maxima give a column's largest explicit-term ratio
+    high = np.zeros_like(sq)
     running = np.ones(len(columns), dtype=bool)
     failures = []
+
+    def column_max(a):
+        # the largest entry of each column of an (n, S*M + R) array, one per sample
+        # column over every batch system, then one per shared column
+        top = a.max(axis=0)
+        if sample_end > width:
+            top = np.concatenate(
+                (top[:sample_end].reshape(-1, width).max(axis=0), top[sample_end:])
+            )
+        return top
 
     # every buffer with its per-system views
     state, nxt, lap, sq, tmp = (
@@ -544,16 +560,12 @@ def integrate_batch(
         # a blow-up is found and reported by the ceiling check, not by numpy warnings
         for n in range(n_steps + 1):
             sq_norm_values(state[0], out=sq[0], work=lap[0])
-            top = sq[0].max(axis=0)
-            if sample_end > width:
-                top = np.concatenate(
-                    (top[:sample_end].reshape(-1, width).max(axis=0), top[sample_end:])
-                )
             # sqrt is monotone and correctly rounded, so |u|_inf <= LINF_CEILING
             # exactly when its square is at most LINF_CEILING^2; the largest
-            # square settles a step where no column fails (a NaN fails it)
-            failed = running & ~(top <= ceiling) if not top.max() <= ceiling else None
-            if failed is not None and failed.any():
+            # square of all settles a step where no column fails (a NaN fails it)
+            if not sq[0].max() <= ceiling:
+                top, peak = column_max(sq[0]), column_max(high)
+                failed = running & ~(top <= ceiling)
                 for j in np.flatnonzero(failed):
                     column = state[0][..., columns[j]]
                     linf = float(np.sqrt(top[j]))
@@ -579,7 +591,7 @@ def integrate_batch(
                     break
                 sqrt_eps[failed[:width]] = 0.0
                 strength = sqrt_eps if sqrt_eps.any() else None
-            np.maximum(peak, top, out=peak)
+            np.maximum(high, sq[0], out=high)
             observe(n, state[1])
             if n == n_steps:
                 break
@@ -592,6 +604,7 @@ def integrate_batch(
             _batch_rhs(state, lap, sq, nxt, tmp, systems, linear, forcing, strength, params, dt)
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
+    peak = column_max(high)
     return failures, float(np.max(cfl_scale * np.sqrt(peak[running]), initial=0.0))
 
 

@@ -314,6 +314,30 @@ def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
     assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)
 
 
+def test_sup_grad_ensemble_takes_a_wide_batchs_reference_in_blocks(monkeypatch):
+    # 6 columns in batches of 6 take blocks of one step; the reference's 51
+    # steps still reach its metric in blocks of BATCH_COLUMNS (8 of 6 and one
+    # of 3), with the sup of the default batches' blocks, bit for bit
+    import llblab.clt as clt_module
+    from llblab.clt import sup_grad_ensemble
+
+    config = small_config(tgrid=TimeGrid(0.05, 50))
+    args = ((0.1, 0.01), 3, config.params, config.tgrid, config.spec, config.initial, 4)
+    wide = sup_grad_ensemble(*args)
+    blocks = []
+
+    class Recorded(clt_module.StreamedPathGap):
+        def add(self, n, d):
+            if d.shape[2] == 1:
+                blocks.append((n, d.shape[3]))
+            super().add(n, d)
+
+    monkeypatch.setattr(clt_module, "StreamedPathGap", Recorded)
+    monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 6)
+    assert sup_grad_ensemble(*args) == wide
+    assert blocks == [(6 * i, 6) for i in range(8)] + [(48, 3)]
+
+
 def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
     # weak diffusion and no damping: the noise lifts ||grad u||^2 of a nearly
     # flat initial state above the deterministic sup, which is its value at

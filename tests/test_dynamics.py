@@ -429,6 +429,67 @@ def test_blow_up_error_carries_the_failing_norm_and_the_explicit_term_ratio():
     assert f"explicit-term ratio {exc.ratio:.3g}" in str(exc)
 
 
+def _exactly(exc):
+    """A BlowUpError's key, step, linf, ratio and message; repr round-trips a
+    float, so two of these are equal exactly when the numbers have the same
+    bits, a NaN linf included."""
+    return exc.key, exc.step, repr(exc.linf), repr(exc.ratio), str(exc)
+
+
+def test_partly_blown_up_batch_retires_each_column_as_its_width_1_run():
+    # u_eps and V0 beside a shared reference: columns 2 and 3 start where the
+    # explicit damping overshoots and fail the ceiling at different steps,
+    # column 4's increments are infinite (a non-finite state), column 5's so
+    # large that its squares overflow past 1.3e154 (|u|_inf taken relative to
+    # the largest magnitude) and column 6's loud enough that its V0, not its
+    # u_eps, sets its ratio; columns 0 and 1 run to the end, with larger
+    # explicit-term ratios than the reference's
+    g = make_grid(31)
+    p = ModelParams()
+    tg = TimeGrid(0.25, 64)
+    amplitudes = [2.0, 4.0, 10.0, 30.0, 1.0, 1.0, 1.0]
+    gains = [1.0, 1.0, 1.0, 1.0, math.inf, 1e200, 3000.0]
+    u0 = np.stack([initial_profile(g, a=a) for a in amplitudes], axis=-1)
+
+    def run(columns):
+        seen = []
+        failures, cfl = integrate_batch(
+            (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
+            (u0[..., columns], np.zeros((31, 3, len(columns))), initial_profile(g)),
+            p, tg, lambda n, states: seen.append(np.concatenate(states, axis=-1)),
+            spec=make_covariance(8, 4.0),
+            rngs=[ScaledRng(stream_rng(3, j), gains[j]) for j in columns],
+            epsilons=[0.01] * len(columns), keys=list(columns),
+        )
+        return failures, cfl, np.array(seen)
+
+    def ratio(steps):
+        # the largest explicit-term ratio of the stored (S, n, 3, C) states, as the check takes it
+        sq = sq_norm_values(np.moveaxis(steps, 0, -1))
+        return float(cfl_scale * np.sqrt(sq.max()))
+
+    cfl_scale = tg.dt * abs(p.gamma) / (g.spacing * g.spacing)
+    width = len(amplitudes)
+    failures, cfl, seen = run(list(range(width)))
+    assert sorted(exc.key for exc in failures) == [2, 3, 4, 5, 6]
+    assert len({exc.step for exc in failures}) >= 3
+    by_key = {exc.key: exc for exc in failures}
+    assert str(by_key[4]).startswith("non-finite state") and math.isnan(by_key[4].linf)
+    assert 1.3e154 < by_key[5].linf < math.inf
+    # the steps before a failure, u_eps and V0 of the column, give its ratio
+    for j, exc in by_key.items():
+        assert exc.ratio == ratio(seen[:exc.step, ..., [j, width + j]]), j
+    assert ratio(seen[:by_key[6].step, ..., [6]]) < by_key[6].ratio
+    # the survivors and the reference over every step give the batch's ratio
+    assert cfl == ratio(seen[..., [0, 1, width, width + 1, -1]]) > ratio(seen[..., [-1]])
+    alone = {j: run([j]) for j in range(width)}
+    for exc in failures:
+        (single,), _, _ = alone[exc.key]
+        assert _exactly(exc) == _exactly(single)
+    assert alone[0][0] == alone[1][0] == []
+    assert cfl == max(alone[0][1], alone[1][1])
+
+
 # --- record layout ------------------------------------------------------------------
 
 def test_snapshot_striding():
@@ -643,9 +704,7 @@ def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, co
     for j in columns:
         if j in retired:
             alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j], params)
-            assert (retired[j].key, retired[j].step, str(retired[j])) == (
-                exc.key, exc.step, str(exc)
-            )
+            assert _exactly(retired[j]) == _exactly(exc)
             for states, states_alone in zip(seen[j], alone[j]):
                 assert states.tobytes() == states_alone.tobytes(), j
             continue
@@ -796,8 +855,8 @@ def test_shared_reference_column_has_the_bits_of_integrate(
     for j in range(width):
         assert seen[j][-1].tobytes() == alone.snapshots.tobytes(), j
         single, single_failed = run([j])
-        assert [(exc.key, exc.step, str(exc)) for exc in single_failed] == (
-            [(retired[j].key, retired[j].step, str(retired[j]))] if j in retired else []
+        assert list(map(_exactly, single_failed)) == (
+            [_exactly(retired[j])] if j in retired else []
         )
         for states, states_alone in zip(seen[j], single[0]):
             assert states.tobytes() == states_alone.tobytes(), j

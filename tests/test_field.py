@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,141 @@ def test_grad_values_matches_a_diff_reference_at_every_size_and_layout(layout, r
                 out = _in_layout(np.zeros((n + 1, 3, width)), out_layout)
                 grad_values(a, h, out=out)
                 assert out.tobytes() == expected, (n, width, out_layout)
+
+
+# --- the flat Laplacian -------------------------------------------------------------
+
+def _row_lap(v, h):
+    """The row form of ``lap_values``, one call per node-shifted slice; test oracle only."""
+    out = np.empty_like(v)
+    np.multiply(2.0, v, out=out)
+    np.subtract(v[1:], out[:-1], out=out[:-1])
+    out[1:-1] += v[:-2]
+    np.subtract(v[-2], out[-1], out=out[-1])
+    out *= 1.0 / (h * h)
+    return out
+
+
+def _row_grad(v, h):
+    """The row form of ``grad_values``; test oracle only."""
+    out = np.empty_like(v, shape=(v.shape[0] + 1,) + v.shape[1:])
+    np.copyto(out[0], v[0])
+    np.subtract(v[1:], v[:-1], out=out[1:-1])
+    np.multiply(-1.0, v[-1], out=out[-1])
+    out /= h
+    return out
+
+
+def _stack(layout, n, width, steps):
+    """An uninitialized (n, 3, width) stack, (n, 3, width, steps) for a block, in ``layout``."""
+    if layout == "block":
+        return solver_empty((n, 3, width, steps))
+    if layout == "moveaxis":
+        # a C-ordered snapshot stack (S, n, 3) seen node-major
+        return np.moveaxis(np.empty((width, n, 3)), 0, -1)
+    if layout == "sliced":
+        return solver_empty((n, 3, 2 * width))[..., ::2]
+    if layout == "reversed":
+        return solver_empty((n, 3, width))[::-1]
+    return solver_empty((n, 3, width))
+
+
+STACK_LAYOUTS = ["solver", "block", "moveaxis", "sliced", "reversed"]
+
+
+@st.composite
+def _stencil_stacks(draw):
+    n = draw(st.sampled_from([3, 4, 5, 6, 7, 8, 9, 127]))
+    v = _stack(draw(st.sampled_from(STACK_LAYOUTS)), n, draw(st.integers(1, 70)),
+               draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=v.shape)
+    special = rng.random(v.shape) < draw(st.sampled_from([0.0, 0.01, 0.3]))
+    values[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
+    v[...] = values
+    return v, draw(st.sampled_from(["allocate", "like", "C"])), draw(st.floats(1e-3, 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stencil_stacks())
+def test_stencils_give_the_row_forms_bits_in_every_layout(case):
+    # solver-order batches and blocks, moveaxis views of snapshot stacks,
+    # sliced views and node-reversed ones, n = 3..9 and 127, 1..70 columns,
+    # signed zeros, inf and nan: 8 nodes is where np.negative read the wrong
+    # elements (numpy 2.4)
+    v, out_kind, h = case
+    with np.errstate(all="ignore"):
+        for kernel, oracle, nodes in (
+            (lap_values, _row_lap, len(v)), (grad_values, _row_grad, len(v) + 1)
+        ):
+            if out_kind == "allocate":
+                got = kernel(v, h)
+            else:
+                shape = (nodes,) + v.shape[1:]
+                out = np.empty_like(v, shape=shape) if out_kind == "like" else np.empty(shape)
+                got = kernel(v, h, out=out)
+                assert got is out
+            _assert_same_bits_but_nan_signs(got, oracle(v, h), kernel.__name__)
+
+
+@pytest.mark.parametrize(
+    "layout, width, out_kind, flat",
+    [
+        ("solver", 1, "like", False),  # 3 rows: the width-1 march
+        ("solver", 3, "like", False),
+        ("solver", 4, "like", True),
+        ("solver", 13, "like", True),
+        ("block", 6, "like", True),
+        ("moveaxis", 13, "like", True),
+        ("moveaxis", 13, "allocate", True),
+        ("sliced", 13, "same", False),  # not contiguous
+        ("reversed", 13, "same", False),  # a negative node stride
+        ("C", 13, "like", False),  # node by node: the row form is one pass already
+        ("solver", 13, "C", False),  # out has other strides
+    ],
+)
+def test_lap_values_takes_the_flat_pass_for_wide_contiguous_stacks(
+    monkeypatch, layout, width, out_kind, flat
+):
+    calls = []
+    flat_pass = field._flat_pass
+    monkeypatch.setattr(field, "_flat_pass", lambda *args: calls.append(1) or flat_pass(*args))
+    v = np.empty((127, 3, width)) if layout == "C" else _stack(layout, 127, width, 10)
+    v[...] = np.random.default_rng(width).normal(size=v.shape)
+    outs = {"allocate": None, "like": np.empty_like(v), "C": np.empty(v.shape)}
+    # "same": another stack of the layout, with v's strides
+    out = outs[out_kind] if out_kind in outs else _stack(layout, 127, width, 10)
+    got = lap_values(v, 0.01, out=out)
+    assert bool(calls) == flat
+    assert got.tobytes() == _row_lap(v, 0.01).tobytes()
+
+
+def _warnings_of(fn, *args):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, {(w.category, str(w.message)) for w in seen}
+
+
+def test_flat_laplacian_raises_no_warning_the_row_form_does_not():
+    # outside any np.errstate: one row ends in 5e307 beside the next row's
+    # -8e307, so the flat pass's sums across the two overflow while every sum
+    # of the row form stays finite (h = 1: nothing is scaled)
+    v = solver_empty((5, 3, 6))
+    v[...] = 1.0
+    v[-1, 0, 0], v[0, 0, 1] = 5e307, -8e307
+    lap, seen = _warnings_of(lap_values, v, 1.0)
+    expected, expected_seen = _warnings_of(_row_lap, v, 1.0)
+    assert seen == expected_seen == set()
+    assert np.isfinite(lap).all()
+    assert lap.tobytes() == expected.tobytes()
+    # an overflow inside a row warns as in the row form, at the same entries
+    v[2, 1, 3], v[3, 1, 3] = 8e307, -8e307
+    lap, seen = _warnings_of(lap_values, v, 1.0)
+    expected, expected_seen = _warnings_of(_row_lap, v, 1.0)
+    assert seen == expected_seen != set()
+    assert np.array_equal(np.isinf(lap), np.isinf(expected)) and np.isinf(lap).any()
+    _assert_same_bits_but_nan_signs(lap, expected, "lap_values")
 
 
 # --- CSV rows -----------------------------------------------------------------------
