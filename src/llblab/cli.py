@@ -56,6 +56,7 @@ from .dynamics import (
     initial_profile,
     integrate,
     integrate_batch,
+    overflowing_step_scalars,
     write_field_rows,
     write_fields_csv,
     write_report_csv,
@@ -285,7 +286,15 @@ def parse_config(text: str) -> ExperimentConfig:
             settings[key] = default
 
     # cross-field constraints
+    config = ExperimentConfig(kind=kind, settings=settings, raw=dict(raw))
     cross_errors = []
+    if kind != "validate" and (overflowing := overflowing_step_scalars(
+        config.model_params(), config.time_grid(), settings["grid.n"]
+    )):
+        names = ", ".join(overflowing)
+        keys = [f"model.{p}" for p in ("nu1", "nu2", "gamma") if p in names]
+        keys += ["grid.n"] * ("h^2" in names) + ["time.horizon", "time.steps"]
+        cross_errors.append(f"{', '.join(keys)}: the step's {names} leave the double range")
     if kind == "rate" and settings["time.steps"] % settings["rate.slabs"] != 0:
         cross_errors.append(
             f"rate.slabs: must divide time.steps "
@@ -308,7 +317,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if cross_errors:
         raise ConfigError(cross_errors)
 
-    return ExperimentConfig(kind=kind, settings=settings, raw=dict(raw))
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ shared noise path converge to each other at first order in eps by
 construction. Its transpose, swept backward over a dense skeleton record, is
 the discrete adjoint that gives exact control gradients of terminal
 functionals; the sweep takes the base-state terms, those that do not depend
-on the adjoint, one chunk of snapshots at a time. A record describes its run
+on the adjoint, one chunk of snapshots at a time. The march, the tangent and
+the adjoint take the step's coefficients from one place: ``_step_terms``
+forms dt gamma Lap u and dt nu2 (1 + mu |u|^2), and ``_tangent_weight`` the
+tangent's 2 dt nu2 mu (b . v). A record describes its run
 once: it holds the parameters, time grid, covariance and control it was made
 with, which the sweep reads, and its grid is that of its node count.
 
@@ -89,6 +92,7 @@ __all__ = [
     "initial_profile",
     "integrate",
     "integrate_batch",
+    "overflowing_step_scalars",
     "skeleton_adjoint",
     "write_report_csv",
     "write_fields_csv",
@@ -242,6 +246,34 @@ def initial_profile(grid: Grid1D, a: float = 1.0, b: float = 0.5) -> np.ndarray:
     return vals
 
 
+def _step_terms(lap: np.ndarray, sq: np.ndarray, params: ModelParams, dt: float) -> None:
+    """Turn the Laplacian ``lap`` and the squared norms ``sq`` of a stack of
+    states, in place, into the step's drive dt gamma Lap u and damping
+    dt nu2 (1 + mu |u|^2). Without damping (nu2 = 0) ``sq`` is left as it is:
+    the step takes no damping term. The march, its tangent and its adjoint all
+    take their coefficients from here."""
+    lap *= dt * params.gamma
+    if params.nu2 != 0.0:
+        np.multiply(params.mu, sq, out=sq)
+        sq += 1.0
+        sq *= dt * params.nu2
+
+
+def _tangent_weight(dot: np.ndarray, params: ModelParams, dt: float) -> np.ndarray:
+    """The tangent's damping term, b.v times 2 dt nu2 mu, in place in ``dot``.
+
+    The weight is one scalar wherever it is finite; where it overflows it is
+    taken in two factors, so b.v = 0 stays 0 instead of inf * 0 (2 dt nu2 is
+    finite in every run ``integrate_batch`` accepts)."""
+    weight = 2.0 * dt * params.nu2 * params.mu
+    if math.isfinite(weight):
+        dot *= weight
+    else:
+        dot *= 2.0 * dt * params.nu2
+        dot *= params.mu
+    return dot
+
+
 def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, params, dt) -> None:
     """Right-hand side of one semi-implicit step (module docstring) of every system
     of a stacked batch, written into ``out``; the step is its solve.
@@ -260,19 +292,20 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
 
     Every column takes the template u + u x Y - C u, computed once over the
     whole stack, with Y = dt gamma Lap u + g and C = dt nu2 (1 + mu |u|^2) of
-    its own system, g = sqrt(eps) dB + dt h its forcing. A zero g is skipped,
-    so a run without noise or control takes the noiseless path bit for bit,
-    and a system with no drive (gamma = 0, no g) gets out = u. A linearized
-    system, the derivative of the step at eps = 0 along the reference state b,
-    takes Y and C of b, so its template is v + v x (dt gamma Lap b) - C v, and
-    adds its own terms in their order: + b x (dt gamma Lap v + dB) after the
-    cross and - 2 dt nu2 mu (b.v) b after the damping. Every element sees the
-    operations of its system's own step. ``lap``, ``sq`` and ``work`` are
-    overwritten.
+    its own system (``_step_terms``), g = sqrt(eps) dB + dt h its forcing. A
+    zero g is skipped, so a run without noise or control takes the noiseless
+    path bit for bit, and a system with no drive (gamma = 0, no g) gets out = u.
+    A linearized system, the derivative of the step at eps = 0 along the
+    reference state b, takes Y and C of b, so its template is
+    v + v x (dt gamma Lap b) - C v, and adds its own terms in their order, at
+    every step: + b x (dt gamma Lap v + dB) after the cross and
+    - 2 dt nu2 mu (b.v) b (``_tangent_weight``) after the damping. Every
+    element sees the operations of its system's own step. ``lap``, ``sq`` and
+    ``work`` are overwritten.
     """
     (u, us), (lap, laps), (sq, sqs), (out, outs), (work, works) = state, lap, sq, out, work
     gamma = params.gamma
-    lap *= dt * gamma
+    _step_terms(lap, sq, params, dt)
     ref, lins, base = linear
     live = []
     for s, (noisy, field) in enumerate(systems):
@@ -286,17 +319,12 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
             laps[s] += g
         elif live[s]:
             np.copyto(laps[s], g)
-    if params.nu2 != 0.0:
-        np.multiply(params.mu, sq, out=sq)
-        sq += 1.0
-        sq *= dt * params.nu2
     b = us[ref] if lins else None
     if base is not None:
         b = base
         np.copyto(b, us[ref])
     for s in lins:
-        if live[s]:
-            cross_values(b, laps[s], out=works[s])
+        cross_values(b, laps[s], out=works[s])
         np.copyto(laps[s], laps[ref])
         np.copyto(sqs[s], sqs[ref])
     np.add(u, cross_values(u, lap, out=out), out=out)
@@ -305,37 +333,33 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
             if not on and s not in lins:
                 np.copyto(outs[s], us[s])
     for s in lins:
-        if live[s]:
-            outs[s] += works[s]
+        outs[s] += works[s]
     if params.nu2 == 0.0:
         return
     out -= np.multiply(sq[:, None], u, out=work)
-    if params.mu == 0.0 or not lins:
+    if params.mu == 0.0:
         return
-    weight = 2.0 * dt * params.nu2 * params.mu
     for s in lins:
-        dot = dot_values(b, us[s], out=sqs[s], work=works[s])
-        if math.isfinite(weight):
-            dot *= weight
-        else:
-            # the weight overflows: in two factors, b.v = 0 stays 0 instead of inf * 0
-            dot *= 2.0 * dt * params.nu2
-            dot *= params.mu
+        dot = _tangent_weight(dot_values(b, us[s], out=sqs[s], work=works[s]), params, dt)
         outs[s] -= np.multiply(dot[:, None], b, out=works[s])
 
 
-def _stack_terms(
-    stack: np.ndarray, params: ModelParams, dt: float, h: float, drive: np.ndarray, coef: np.ndarray
-) -> None:
-    """dt gamma Lap b and dt nu2 (1 + mu |b|^2) of every snapshot b of the
-    node-major stack (n, 3, S), written into ``drive`` (n, 3, S) and ``coef``
-    (n, S) with the operations, and so the bits, of the per-snapshot terms."""
-    sq_norm_values(stack, out=coef, work=drive)
-    coef *= params.mu
-    coef += 1.0
-    coef *= dt * params.nu2
-    lap_values(stack, h, out=drive)
-    drive *= dt * params.gamma
+def overflowing_step_scalars(params: ModelParams, tgrid: TimeGrid, nodes: int) -> list[str]:
+    """The scalars of a step on ``nodes`` interior nodes that leave the double
+    range, of dt nu1, the Helmholtz diagonal's 2 dt nu1 / h^2, dt gamma, dt nu2,
+    2 dt nu2 and the explicit-term scale dt |gamma| / h^2. With any of them inf,
+    a state at zero meets inf * 0 = nan, so ``integrate_batch`` refuses such a
+    run."""
+    dt, h = tgrid.dt, make_grid(nodes).spacing
+    scalars = {
+        "dt nu1": dt * params.nu1,
+        "2 dt nu1 / h^2": 2.0 * (dt * params.nu1) * (1.0 / (h * h)),
+        "dt gamma": dt * params.gamma,
+        "dt nu2": dt * params.nu2,
+        "2 dt nu2": 2.0 * dt * params.nu2,
+        "dt |gamma| / h^2": dt * abs(params.gamma) / (h * h),
+    }
+    return [name for name, value in scalars.items() if not math.isfinite(value)]
 
 
 def _check_inputs(kinds, tgrid: TimeGrid, spec: CovarianceSpec | None, ctrls) -> None:
@@ -465,7 +489,9 @@ def integrate_batch(
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
     the end (0.0 when none did). ``keys``, ``epsilons`` and, for noisy kinds,
-    ``rngs`` hold one entry per sample column, or a ValueError is raised.
+    ``rngs`` hold one entry per sample column, or a ValueError is raised; so is
+    it, before step 0, when a scalar of the step leaves the double range
+    (``overflowing_step_scalars``).
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
@@ -486,6 +512,8 @@ def integrate_batch(
     dt = tgrid.dt
     h = grid.spacing
     c = dt * params.nu1
+    if overflowing := overflowing_step_scalars(params, tgrid, nodes):
+        raise ValueError(f"the step's {', '.join(overflowing)} leave the double range")
     ctrls = (None,) * len(kinds) if ctrl is None else tuple(ctrl)
     _check_inputs(kinds, tgrid, spec, ctrls)
     for kind, u in zip(kinds, states):
@@ -626,20 +654,24 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
         w + (dt gamma Lap u_n + g_n) x w + dt gamma Lap(w x u_n)
           - dt nu2 (1 + mu |u_n|^2) w - 2 dt nu2 mu (u_n . w) u_n,
 
-    and dPhi/dc_n = dt mode_mat^T (w x u_n). The sweep takes the base-state
-    terms a chunk of at most ``STACK_CHUNK`` steps at a time, as stack
-    operations with the bits of the per-step ones: dt gamma Lap u_n and
-    dt nu2 (1 + mu |u_n|^2) (``_stack_terms``), and the control fields
-    g_n = dt mode_mat c_n from one matmul, with a flag per step for a nonzero
-    field: a zero one is skipped, as the forward step skips it (``_batch_rhs``).
-    A step then does only the work that depends on lam, and keeps w x u_n for
-    the one matmul that gives the chunk's sensitivities.
+    and dPhi/dc_n = dt mode_mat^T (w x u_n). The coefficients are the
+    forward step's, from the same two helpers: dt gamma Lap u_n and
+    dt nu2 (1 + mu |u_n|^2) from ``_step_terms``, taken over a chunk of at
+    most ``STACK_CHUNK`` snapshots at a time with the bits of the per-step
+    ones, and the weighted (u_n . w) from ``_tangent_weight``, so over a
+    skeleton at zero it stays 0 where 2 dt nu2 mu overflows. The control
+    fields g_n = dt mode_mat c_n come from one matmul per chunk, with a flag
+    per step for a nonzero field: a zero one is skipped, as the forward step
+    skips it (``_batch_rhs``). A step then does only the work that depends on
+    lam, and keeps w x u_n for the one matmul that gives the chunk's
+    sensitivities.
 
     Raises ValueError, before any work, unless ``record`` stores every step
     of a skeleton run and ``terminal`` is one (n_interior, 3) field; its
     control was checked when the record was made. Raises BlowUpError, step
-    None, when a sensitivity is not finite, as a huge damping weight
-    dt nu2 (1 + mu |u|^2) can make it even where the skeleton stays at zero.
+    None, when a sensitivity is not finite, as a huge damping
+    dt nu2 (1 + mu |u|^2) can make it by scaling lam past the double range,
+    even where the skeleton stays at zero; a zero terminal gives zeros.
     """
     if record.kind != SystemKind.SKELETON.value:
         raise ValueError(f"adjoint sweep needs a skeleton record, got {record.kind}")
@@ -654,7 +686,6 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
     h = grid.spacing
     dt = tgrid.dt
     c = dt * params.nu1
-    damping = 2.0 * dt * params.nu2 * params.mu
     mode_mat = mode_matrix(record.spec, grid)
     sens = np.empty_like(ctrl.coefficients)
     # chunk buffers for the sweep, one step per row, so a step reads and
@@ -667,10 +698,9 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
         count = last - first
         snaps = record.snapshots[first:last]
         drive, coef = drives[:count], coefs[:count]
-        _stack_terms(
-            np.moveaxis(snaps, 0, -1), params, dt, h,
-            np.moveaxis(drive, 0, -1), np.moveaxis(coef, 0, -1),
-        )
+        stack, lap, sq = (np.moveaxis(a, 0, -1) for a in (snaps, drive, coef))
+        sq_norm_values(stack, out=sq, work=lap)
+        _step_terms(lap_values(stack, h, out=lap), sq, params, dt)
         g = np.matmul(mode_mat, ctrl.coefficients[first:last], out=fields[:count])
         g *= dt
         live = g.reshape(count, -1).any(axis=1)
@@ -693,7 +723,8 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
                 if params.mu != 0.0:
                     # einsum picks its sum order from the layout; with w in the
                     # solver's order it has the bits of the slower dot_values
-                    lam = lam - damping * np.einsum("ij,ij->i", u, w)[:, None] * u
+                    dot = _tangent_weight(np.einsum("ij,ij->i", u, w), params, dt)
+                    lam = lam - dot[:, None] * u
         chunk_sens = np.matmul(mode_mat.T, w_cross_u[:count], out=sens[first:last])
         chunk_sens *= dt
     if not np.isfinite(sens).all():

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -916,6 +917,38 @@ def test_integrate_batch_refuses_keys_that_are_not_one_per_sample_column(keys):
         )
 
 
+# (parameters, time grid, interior nodes, the step scalars that leave the double range)
+OVERFLOWING_STEPS = {
+    "dt-nu1": (ModelParams(nu1=1.7e308), TimeGrid(4.0, 2), 7, ["dt nu1", "2 dt nu1 / h^2"]),
+    "helmholtz-diagonal": (ModelParams(nu1=1e305), TimeGrid(1.0, 1), 999, ["2 dt nu1 / h^2"]),
+    "dt-gamma": (
+        ModelParams(gamma=1.7e308), TimeGrid(4.0, 2), 7, ["dt gamma", "dt |gamma| / h^2"]
+    ),
+    "dt-nu2": (ModelParams(nu2=1e308), TimeGrid(4.0, 2), 7, ["dt nu2", "2 dt nu2"]),
+    "2-dt-nu2": (ModelParams(nu2=1.7e308), TimeGrid(2.0, 2), 7, ["2 dt nu2"]),
+    "explicit-term-scale": (
+        ModelParams(gamma=1e306), TimeGrid(1.0, 1), 999, ["dt |gamma| / h^2"]
+    ),
+}
+
+
+@pytest.mark.parametrize("params, tg, nodes, overflowing", OVERFLOWING_STEPS.values(),
+                         ids=OVERFLOWING_STEPS)
+def test_integrate_batch_refuses_a_step_scalar_beyond_the_double_range(
+    params, tg, nodes, overflowing
+):
+    # with any of them inf, a state at zero would meet inf * 0 = nan: refused
+    # before step 0, so no run from zero leaves its fixed point
+    assert dynamics.overflowing_step_scalars(params, tg, nodes) == overflowing
+    steps = []
+    with pytest.raises(ValueError, match=re.escape(f"the step's {', '.join(overflowing)} leave")):
+        integrate_batch(
+            (SystemKind.DETERMINISTIC,), (np.zeros((nodes, 3, 1)),), params, tg,
+            lambda n, states: steps.append(n),
+        )
+    assert steps == []
+
+
 # --- inputs a kind cannot use ---------------------------------------------------------
 
 BATCH_CONTROL = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt)
@@ -1072,18 +1105,124 @@ def test_skeleton_adjoint_has_the_bits_of_the_step_by_step_sweep(
     assert swept.tobytes() == oracle.tobytes()
 
 
-def test_skeleton_adjoint_past_the_double_range_is_a_blow_up():
-    # 2 dt nu2 mu overflows, so the tangent's damping weight is inf: over a
-    # skeleton at zero the sweep meets inf * 0, reported once, with no numpy warning
-    params = ModelParams(nu2=1e300, mu=1e300)
-    tg = TimeGrid(1e-9, 2)
-    record = integrate(
+def _zero_skeleton(params, tg):
+    return integrate(
         SystemKind.SKELETON, np.zeros_like(ADJOINT_U0), params, tg, spec=ADJOINT_SPEC,
         ctrl=zero_control(tg.steps, ADJOINT_SPEC.mode_count, tg.dt),
     )
+
+
+def test_skeleton_adjoint_over_zero_under_an_overflowing_weight_is_zero():
+    # 2 dt nu2 mu overflows, so the tangent's damping weight is taken in two
+    # factors (``_tangent_weight``): over a skeleton at zero, u.w = 0 stays 0,
+    # and w x u = 0 gives zero sensitivities, with no numpy warning
+    record = _zero_skeleton(ModelParams(nu2=1e300, mu=1e300), TimeGrid(1e-9, 2))
+    sens = skeleton_adjoint(record, np.ones_like(ADJOINT_U0))
+    assert sens.shape == (2, ADJOINT_SPEC.mode_count, 3)
+    assert not sens.any()
+
+
+def test_skeleton_adjoint_past_the_double_range_is_a_blow_up():
+    # the damping dt nu2 (1 + mu |u|^2) = 3.3e290 over a skeleton at zero scales
+    # the adjoint by that much a step: at the third step back it overflows, and
+    # w x u = inf * 0 gives a nan sensitivity, reported once, with no numpy warning
+    record = _zero_skeleton(ModelParams(nu2=1e300), TimeGrid(1e-9, 3))
     with pytest.raises(BlowUpError, match="double range") as info:
         skeleton_adjoint(record, np.ones_like(ADJOINT_U0))
     assert info.value.step is None
+
+
+class _Draws:
+    """A generator whose normal draws are the rows of ``values`` (steps, K, 3),
+    in turn: the increment stream of exactly those increments."""
+
+    def __init__(self, values):
+        self._values = values
+        self._next = 0
+
+    def normal(self, loc, scale, size):
+        first, self._next = self._next, self._next + size[0]
+        return self._values[first:self._next]
+
+
+TANGENT_GRID = make_grid(15)
+TANGENT_SPEC = make_covariance(3, 4.0)
+TANGENT_TIME = TimeGrid(0.02, 40)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gamma=st.sampled_from([0.0, 1.0]),
+    nu2=st.sampled_from([0.0, 1.0]),
+    mu=st.sampled_from([0.0, 1.0]),
+    slabs=st.lists(st.booleans(), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the control direction is zero on steps 5-39, where the tangent once took no
+# b x (dt gamma Lap v) because the step's increments were all zero
+@example(gamma=1.0, nu2=1.0, mu=1.0, slabs=[True] + [False] * 7, seed=0)
+def test_tangent_is_the_derivative_that_the_adjoint_transposes(gamma, nu2, mu, slabs, seed):
+    # the linearized system driven by increments dt dc_n takes the control field
+    # of dc as its forcing: it is the tangent of the skeleton map at the zero
+    # control, whose skeleton is the deterministic run. Its terminal state
+    # paired with a terminal field is the adjoint's sensitivities paired with dc
+    params = ModelParams(nu1=1.0, nu2=nu2, gamma=gamma, mu=mu)
+    tg = TANGENT_TIME
+    rng = np.random.default_rng(seed)
+    dc = rng.normal(size=(tg.steps, TANGENT_SPEC.mode_count, 3))
+    for drawn, part in zip(slabs, np.array_split(np.arange(tg.steps), len(slabs))):
+        if not drawn:
+            dc[part] = 0.0
+    u0 = initial_profile(TANGENT_GRID)
+    ((v, _),), failed = record_batch(
+        (SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), (np.zeros(u0.shape + (1,)), u0),
+        params, tg, spec=TANGENT_SPEC, rngs=[_Draws(tg.dt * dc)],
+    )
+    assert failed == []
+    record = integrate(
+        SystemKind.SKELETON, u0, params, tg, spec=TANGENT_SPEC,
+        ctrl=zero_control(tg.steps, TANGENT_SPEC.mode_count, tg.dt),
+    )
+    terminal = rng.normal(size=u0.shape)
+    sens = skeleton_adjoint(record, terminal)
+    tangent, adjoint = terminal * v[-1], sens * dc
+    scale = np.abs(tangent).sum() + np.abs(adjoint).sum()
+    assert abs(tangent.sum() - adjoint.sum()) <= 1e-12 * scale
+
+
+class _FirstStepOnly:
+    """A generator whose normal draws are those of ``rng`` on a stream's first
+    step and exactly zero after it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def normal(self, *args, **kwargs):
+        draws = self._rng.normal(*args, **kwargs)
+        draws[1 if self._first else 0:] = 0.0
+        self._first = False
+        return draws
+
+
+def test_linearized_system_is_the_derivative_after_the_noise_stops():
+    # the noise acts on step 0 only, and the deviation it leaves evolves under
+    # the tangent alone: (u_eps - u_0) / sqrt(eps) - V_0 is O(sqrt eps), so each
+    # hundredfold smaller eps leaves about a tenth of the gap
+    g = make_grid(31)
+    base = initial_profile(g)
+    epsilons = [1e-2, 1e-4, 1e-6, 1e-8]
+    columns = _coupled_states(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (base, np.zeros_like(base)),
+        ModelParams(), TimeGrid(0.05, 50), make_covariance(4, 4.0), base,
+        [_FirstStepOnly(stream_rng(7)) for _ in epsilons], epsilons,
+    )
+    gaps = [
+        np.abs((u_eps - u_0) / math.sqrt(eps) - v_0).max()
+        for (u_eps, v_0, u_0), eps in zip(columns, epsilons)
+    ]
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert narrow <= 0.2 * wide, gaps
 
 
 ADJOINT_CONTROL = single_mode_control(
