@@ -645,6 +645,14 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
         code, files = DRIVERS[config.kind](config, outdir)
+        manifest = {
+            "version": __version__,
+            "kind": config.kind,
+            "config": config.raw,
+            "wall_clock_seconds": time.perf_counter() - started,
+            "outputs": {os.path.basename(p): _sha256(p) for p in files},
+        }
+        _write_json(os.path.join(outdir, "manifest.json"), manifest)
     except ConfigError as exc:
         return _error(EXIT_CONFIG, "config", messages=exc.errors)
     except BlowUpError as exc:
@@ -661,15 +669,6 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     except MemoryError as exc:
         # numpy names the allocation it could not make, e.g. a time grid of 1e12 steps
         return _error(EXIT_CONFIG, "config", messages=[f"the run needs more memory: {exc}"])
-
-    manifest = {
-        "version": __version__,
-        "kind": config.kind,
-        "config": config.raw,
-        "wall_clock_seconds": time.perf_counter() - started,
-        "outputs": {os.path.basename(p): _sha256(p) for p in files},
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
     return code
 
 

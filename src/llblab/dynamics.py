@@ -39,9 +39,12 @@ skeleton, and stores the snapshots it is asked for. The CLI's deterministic
 run marches the same width-1 batch and writes each block of snapshots as it
 comes (``write_report_rows``, ``write_field_rows``), storing no record; the
 record writers apply those block writers to a whole record. The step kernels
-treat every column of a batch as they treat that column alone, so a column's
-states have the same bits at any batch width, and a column that blows up is
-retired at the step where it would blow up alone while the others go on.
+treat every column of a batch as they treat that column alone, and no step
+branches on the data of its columns: every system adds every forcing it has,
+a zero one too. So a column's states have the same bits at any batch width,
+a column at eps = 0 or under a zero control has the bits of the noiseless
+run, and a column that blows up is retired at the step where it would blow
+up alone while the others go on.
 
 The loop holds one workspace per batch in the memory order of the
 tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
@@ -284,7 +287,7 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
     (noisy, field): whether it is a nonlinear kind driven by the noise, and its
     control field dt mode_mat c_n of the step, None without a control.
     ``forcing`` is the step's noise field dB (n, 3, M), None without noise,
-    and ``strength`` sqrt(eps) of each sample column, None when all are zero.
+    and ``strength`` sqrt(eps) of each sample column, zero for a retired one.
     ``linear`` is (ref, lins, base): the deterministic system, the linearized
     ones and None or a buffer (n, 3, M) that takes a shared reference state
     across the batch, as products of full arrays are cheaper than products that
@@ -292,11 +295,12 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
 
     Every column takes the template u + u x Y - C u, computed once over the
     whole stack, with Y = dt gamma Lap u + g and C = dt nu2 (1 + mu |u|^2) of
-    its own system (``_step_terms``), g = sqrt(eps) dB + dt h its forcing. A
-    zero g is skipped, so a run without noise or control takes the noiseless
-    path bit for bit, and a system with no drive (gamma = 0, no g) gets out = u.
-    A linearized system, the derivative of the step at eps = 0 along the
-    reference state b, takes Y and C of b, so its template is
+    its own system (``_step_terms``), g = sqrt(eps) dB + dt h its forcing.
+    Every system adds every forcing it has, a zero one too: adding zero leaves
+    every nonzero value as it is, so a column at eps = 0 or under a zero
+    control has the values of the noiseless run, and no step branches on the
+    data of other columns. A linearized system, the derivative of the step at
+    eps = 0 along the reference state b, takes Y and C of b, so its template is
     v + v x (dt gamma Lap b) - C v, and adds its own terms in their order, at
     every step: + b x (dt gamma Lap v + dB) after the cross and
     - 2 dt nu2 mu (b.v) b (``_tangent_weight``) after the damping. Every
@@ -304,21 +308,16 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
     ``work`` are overwritten.
     """
     (u, us), (lap, laps), (sq, sqs), (out, outs), (work, works) = state, lap, sq, out, work
-    gamma = params.gamma
     _step_terms(lap, sq, params, dt)
     ref, lins, base = linear
-    live = []
     for s, (noisy, field) in enumerate(systems):
         g = forcing if s in lins else None
-        if noisy and strength is not None:
+        if noisy:
             g = np.multiply(strength, forcing, out=outs[s])
         if field is not None:
             g = field if g is None else np.add(g, field, out=g)
-        live.append(g is not None and g.any())
-        if live[s] and gamma != 0.0:
+        if g is not None:
             laps[s] += g
-        elif live[s]:
-            np.copyto(laps[s], g)
     b = us[ref] if lins else None
     if base is not None:
         b = base
@@ -328,10 +327,6 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
         np.copyto(laps[s], laps[ref])
         np.copyto(sqs[s], sqs[ref])
     np.add(u, cross_values(u, lap, out=out), out=out)
-    if gamma == 0.0:
-        for s, on in enumerate(live):
-            if not on and s not in lins:
-                np.copyto(outs[s], us[s])
     for s in lins:
         outs[s] += works[s]
     if params.nu2 == 0.0:
@@ -532,7 +527,6 @@ def integrate_batch(
     if len(keys) != width:
         raise ValueError(f"need {width} keys, one per sample column, got {len(keys)}")
     sqrt_eps = np.sqrt(eps)
-    strength = sqrt_eps if sqrt_eps.any() else None
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
     cfl_scale = dt * abs(params.gamma) / (h * h)
     # the columns of every batch system in turn, then one per shared system; the
@@ -618,7 +612,6 @@ def integrate_batch(
                 if not running.any():
                     break
                 sqrt_eps[failed[:width]] = 0.0
-                strength = sqrt_eps if sqrt_eps.any() else None
             np.maximum(high, sq[0], out=high)
             observe(n, state[1])
             if n == n_steps:
@@ -629,7 +622,7 @@ def integrate_batch(
                 np.copyto(forcing, product.transpose(1, 2, 0))
             for path, field in fields.items():
                 np.multiply(dt, (mode_mat @ path.coefficients[n])[..., None], out=field)
-            _batch_rhs(state, lap, sq, nxt, tmp, systems, linear, forcing, strength, params, dt)
+            _batch_rhs(state, lap, sq, nxt, tmp, systems, linear, forcing, sqrt_eps, params, dt)
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
     peak = column_max(high)
@@ -660,11 +653,10 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
     most ``STACK_CHUNK`` snapshots at a time with the bits of the per-step
     ones, and the weighted (u_n . w) from ``_tangent_weight``, so over a
     skeleton at zero it stays 0 where 2 dt nu2 mu overflows. The control
-    fields g_n = dt mode_mat c_n come from one matmul per chunk, with a flag
-    per step for a nonzero field: a zero one is skipped, as the forward step
-    skips it (``_batch_rhs``). A step then does only the work that depends on
-    lam, and keeps w x u_n for the one matmul that gives the chunk's
-    sensitivities.
+    fields g_n = dt mode_mat c_n come from one matmul per chunk and are added
+    to the drive of every step, a zero one too, as the forward step adds them
+    (``_batch_rhs``). A step then does only the work that depends on lam, and
+    keeps w x u_n for the one matmul that gives the chunk's sensitivities.
 
     Raises ValueError, before any work, unless ``record`` stores every step
     of a skeleton run and ``terminal`` is one (n_interior, 3) field; its
@@ -703,18 +695,11 @@ def skeleton_adjoint(record: TrajectoryRecord, terminal: np.ndarray) -> np.ndarr
         _step_terms(lap_values(stack, h, out=lap), sq, params, dt)
         g = np.matmul(mode_mat, ctrl.coefficients[first:last], out=fields[:count])
         g *= dt
-        live = g.reshape(count, -1).any(axis=1)
-        if params.gamma != 0.0:
-            np.add(drive, g, out=drive, where=live[:, None, None])
-            live[:] = True
-        else:
-            drive = g
+        drive += g
         for k in range(count - 1, -1, -1):
             u = snaps[k]
             w = helm_values(lam, h, c)
-            lam = w
-            if live[k]:
-                lam = lam + cross_values(drive[k], w)
+            lam = w + cross_values(drive[k], w)
             w_u = cross_values(w, u, out=w_cross_u[k])
             if params.gamma != 0.0:
                 lam = lam + (dt * params.gamma) * lap_values(w_u, h)

@@ -116,19 +116,11 @@ def single_mode_control(
 
 
 @lru_cache(maxsize=None)
-def _sine_basis(grid: Grid1D, mode_count: int) -> np.ndarray:
-    """(n, K) matrix of sqrt(2) sin(k pi x_i); cached, treat as read-only."""
-    x = grid.nodes
-    k = np.arange(1, mode_count + 1)
-    basis = math.sqrt(2.0) * np.sin(math.pi * np.outer(x, k))
-    basis.setflags(write=False)
-    return basis
-
-
-@lru_cache(maxsize=None)
 def mode_matrix(spec: CovarianceSpec, grid: Grid1D) -> np.ndarray:
-    """(n, K) synthesis matrix sqrt(lambda_k) * sqrt(2) sin(k pi x_i)."""
-    mat = _sine_basis(grid, spec.mode_count) * spec.amplitudes
+    """(n, K) synthesis matrix sqrt(lambda_k) * sqrt(2) sin(k pi x_i); cached,
+    treat as read-only."""
+    k = np.arange(1, spec.mode_count + 1)
+    mat = math.sqrt(2.0) * np.sin(math.pi * np.outer(grid.nodes, k)) * spec.amplitudes
     mat.setflags(write=False)
     return mat
 

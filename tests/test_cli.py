@@ -322,6 +322,23 @@ def test_main_output_path_that_is_a_directory_is_io_error(tmp_path, capfd, name)
     assert sorted(os.listdir(out_dir)) == [name]
 
 
+def test_main_manifest_path_that_is_a_directory_is_io_error(tmp_path, capfd):
+    # the outputs are written and hashed, then the manifest cannot be: the run
+    # exits 4 with one JSON error object, not with a traceback
+    out_dir = tmp_path / "out"
+    (out_dir / "manifest.json").mkdir(parents=True)
+    config_path = tmp_path / "v.cfg"
+    config_path.write_text("kind = validate\nvalidate.samples = 5\nvalidate.grids = 7\n")
+    code = main(["--config", str(config_path), "--out", str(out_dir)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_IO
+    (line,) = out.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["kind"]) == (EXIT_IO, "io")
+    assert "manifest.json" in error["message"]
+    assert "Traceback" not in err
+
+
 def test_run_rerun_byte_identical(tmp_path):
     cfg = parse_config(TINY_CLT)
     out_a = tmp_path / "a"

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import re
 
@@ -199,35 +200,69 @@ def test_pure_precession_conserves_pointwise_norm(monkeypatch):
 
 # --- degeneration and coupling ---------------------------------------------------
 
-def test_stochastic_eps_zero_degenerates_bitwise():
-    g = make_grid(63)
-    u0 = initial_profile(g)
-    p = ModelParams()
+DEGENERATION_PARAMS = {
+    f"gamma={g:g},nu2={n:g},mu={m:g}": ModelParams(gamma=g, nu2=n, mu=m)
+    for g, n, m in itertools.product((0.0, 1.0), repeat=3)
+}
+
+
+def _degeneration_field(name):
+    """An initial field of the degeneration tests on 63 nodes: the default
+    profile, or one whose zeros are negative zeros."""
+    u0 = initial_profile(make_grid(63))
+    if name == "negative zeros":
+        u0 = np.full_like(u0, -0.0)
+    elif name == "profile, zeros negative":
+        u0[u0 == 0.0] = -0.0
+    elif name == "drawn, 30 % negative zeros":
+        rng = np.random.default_rng(30)
+        u0 = rng.normal(size=u0.shape)
+        u0[rng.random(u0.shape) < 0.3] = -0.0
+    return u0
+
+
+DEGENERATION_FIELDS = [
+    "profile", "negative zeros", "profile, zeros negative", "drawn, 30 % negative zeros"
+]
+
+
+@pytest.mark.parametrize("field", DEGENERATION_FIELDS)
+@pytest.mark.parametrize("p", DEGENERATION_PARAMS.values(), ids=DEGENERATION_PARAMS)
+def test_stochastic_eps_zero_degenerates_bitwise(p, field):
+    # criterion 4, alone and beside a noisy column: the column at eps = 0 has
+    # the deterministic run's bits, signed zeros included, with every term of
+    # the step switched on or off
+    u0 = _degeneration_field(field)
     tg = TimeGrid(0.05, 200)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    sto = []
-    failures, cfl = integrate_batch(
-        (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg,
-        lambda n, states: sto.append(states[0][..., 0].copy()),
-        spec=spec, rngs=[stream_rng(7)], epsilons=(0.0,),
-    )
-    assert failures == []
-    assert det.snapshots.tobytes() == np.array(sto).tobytes()
-    assert det.explicit_cfl == cfl
+    for epsilons in [(0.0,), (0.1, 0.0)]:
+        width = len(epsilons)
+        sto = []
+        failures, cfl = integrate_batch(
+            (SystemKind.STOCHASTIC,), (np.repeat(u0[..., None], width, axis=2),), p, tg,
+            lambda n, states: sto.append(states[0][..., -1].copy()),
+            spec=spec, rngs=[stream_rng(7, 0, j) for j in range(width)], epsilons=epsilons,
+        )
+        assert failures == []
+        assert det.snapshots.tobytes() == np.array(sto).tobytes(), epsilons
+        if width == 1:
+            assert det.explicit_cfl == cfl
 
 
-def test_skeleton_zero_control_degenerates_bitwise():
-    g = make_grid(63)
-    u0 = initial_profile(g)
-    p = ModelParams()
+@pytest.mark.parametrize("field", DEGENERATION_FIELDS)
+@pytest.mark.parametrize("p", DEGENERATION_PARAMS.values(), ids=DEGENERATION_PARAMS)
+def test_skeleton_zero_control_degenerates_bitwise(p, field):
+    # the skeleton under a control of zeros or of negative zeros has the
+    # deterministic run's bits, signed zeros included
+    u0 = _degeneration_field(field)
     tg = TimeGrid(0.05, 200)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    ske = integrate(
-        SystemKind.SKELETON, u0, p, tg, spec=spec, ctrl=zero_control(200, 8, tg.dt)
-    )
-    assert det.snapshots.tobytes() == ske.snapshots.tobytes()
+    for zero in (0.0, -0.0):
+        ctrl = ControlPath(np.full((200, 8, 3), zero), tg.dt)
+        ske = integrate(SystemKind.SKELETON, u0, p, tg, spec=spec, ctrl=ctrl)
+        assert det.snapshots.tobytes() == ske.snapshots.tobytes(), zero
 
 
 def _coupled_states(kinds, initial, params, tg, spec, reference, rngs, epsilons):
@@ -762,6 +797,8 @@ BRANCH_PARAMS = {
     "gamma=0": ModelParams(gamma=0.0),
     "nu2=0": ModelParams(nu2=0.0),
     "mu=0": ModelParams(mu=0.0),
+    # no term but the solve: a forcing of zeros is the only term a column adds
+    "gamma=nu2=0": ModelParams(gamma=0.0, nu2=0.0),
     # the linearized damping weight 2 dt nu2 mu overflows, and so does every
     # nonzero state's damping coefficient
     "nu2=mu=1e300": ModelParams(nu2=1e300, mu=1e300),
@@ -771,19 +808,32 @@ BRANCH_PARAMS = {
 @pytest.mark.parametrize("params", BRANCH_PARAMS.values(), ids=BRANCH_PARAMS)
 @pytest.mark.parametrize("kinds", BATCH_CASES[-4:], ids=lambda ks: "+".join(k.value for k in ks))
 @settings(max_examples=4, deadline=None)
-@given(width=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-def test_batch_columns_keep_their_bits_at_every_branch_of_the_step(kinds, params, width, seed):
-    # each branch of the batch right-hand side: no drive without noise or
-    # control at gamma = 0, no damping, no linearized damping term, and the
-    # two-factor weight; column 0 runs without noise. Under the overflowing
-    # weights every nonzero state blows up at the first step, a reference's
-    # blow-up ending the march, so the reference and column 0 start from zero,
-    # a fixed point: there b.v = 0 must stay 0, and column 0 must not retire
+@given(
+    width=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    negative_zeros=st.sampled_from([0.0, 0.3, 1.0]),
+)
+# every state starts at -0.0 and column 1 is noisy: at gamma = nu2 = 0 column 0,
+# at eps = 0, took the sign bits of zeros from its batch mate's noise
+@example(width=2, seed=0, negative_zeros=1.0)
+def test_batch_columns_keep_their_bits_at_every_branch_of_the_step(
+    kinds, params, width, seed, negative_zeros
+):
+    # each branch of the batch right-hand side: no drive at gamma = 0, no
+    # damping, no term but the forcing, no linearized damping term, and the
+    # two-factor weight; column 0 runs without noise, and a drawn share of
+    # every initial batch is negative zeros. Under the overflowing weights
+    # every nonzero state blows up at the first step, a reference's blow-up
+    # ending the march, so the reference and column 0 start from zero, a fixed
+    # point: there b.v = 0 must stay 0, and column 0 must not retire
     setups = [_batch_setup(kind, seed + k, width) for k, kind in enumerate(kinds)]
     initial = [s[0] for s in setups]
     ctrls = [s[2] for s in setups]
     _, epsilons, _, base = setups[0]
     epsilons[0] = 0.0
+    draw = np.random.default_rng(seed)
+    for u in initial:
+        u[draw.random(u.shape) < negative_zeros] = -0.0
     overflow = params.mu > 1e100
     if overflow:
         base = np.zeros_like(base)
@@ -1036,13 +1086,8 @@ def _adjoint_oracle(record, tgrid, spec, ctrl, terminal):
         v = record.snapshots[n]
         g = dt * (mode_mat @ ctrl.coefficients[n])
         mu = helm_values(lam, h, dt * params.nu1)
-        out = mu
-        # dt gamma Lap v + g, as the forward step forms it: a zero g is skipped
-        drive = (dt * params.gamma) * lap_values(v, h) if params.gamma != 0.0 else None
-        if g.any():
-            drive = g if drive is None else drive + g
-        if drive is not None:
-            out = out + cross_values(drive, mu)
+        # dt gamma Lap v + g, as the forward step forms it
+        out = mu + cross_values((dt * params.gamma) * lap_values(v, h) + g, mu)
         if params.gamma != 0.0:
             out = out + (dt * params.gamma) * lap_values(cross_values(mu, v), h)
         if params.nu2 != 0.0:
@@ -1086,8 +1131,8 @@ slab_kinds = st.lists(st.sampled_from(["drawn", "zero", "negative zero"]), min_s
 def test_skeleton_adjoint_has_the_bits_of_the_step_by_step_sweep(
     steps, slabs, gamma, nu2, mu, zero_components, zero, seed
 ):
-    # across chunk boundaries, over control slabs whose fields are skipped as
-    # zero, with terminals that hold zeros, and with each of the coefficients
+    # across chunk boundaries, over control slabs of zeros and negative zeros,
+    # with terminals that hold zeros, and with each of the coefficients
     # that switch a term off
     params = ModelParams(nu1=1.0, nu2=nu2, gamma=gamma, mu=mu)
     tg = TimeGrid(0.25, steps)

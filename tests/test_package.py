@@ -82,15 +82,10 @@ def _is_find_spec_of_a_literal(node):
     )
 
 
-def test_every_third_party_import_is_a_declared_dependency():
-    # an import missing from pyproject.toml works here and fails on a clean install
-    tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parents[1]
-    with open(root / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+def _top_level_imports(paths):
+    """The top-level names of every module imported, or located by name, in ``paths``."""
     imported = set()
-    for path in (root / "src" / "llblab").rglob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
@@ -99,9 +94,32 @@ def test_every_third_party_import_is_a_declared_dependency():
             elif _is_find_spec_of_a_literal(node):
                 # a package located by name, as field.py locates scipy
                 imported.add(node.args[0].value.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"llblab"}
-    assert {"numpy", "scipy"} <= third_party
-    assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
+    return imported
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # an import missing from pyproject.toml works here and fails on a clean
+    # install: the package imports only its dependencies, the tests also what
+    # the ``test`` extra declares
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+
+    declared = names(project["dependencies"])
+    for_tests = declared | names(project["optional-dependencies"]["test"])
+    tests = sorted((root / "tests").glob("*.py"))
+    local = set(sys.stdlib_module_names) | {"llblab"} | {path.stem for path in tests}
+    for paths, allowed, expected in [
+        ((root / "src" / "llblab").rglob("*.py"), declared, {"numpy", "scipy"}),
+        (tests, for_tests, {"numpy", "scipy", "pytest", "hypothesis"}),
+    ]:
+        third_party = _top_level_imports(paths) - local
+        assert expected <= third_party
+        assert third_party <= allowed, f"imported but not declared: {third_party - allowed}"
 
 
 def test_no_module_reads_the_environment():
