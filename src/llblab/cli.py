@@ -42,7 +42,7 @@ from . import __version__
 # energy_drift, write_report_csv and write_fields_csv stay bound here, unused, and so does
 # integrate, which only the rate run uses: perfbench/tracer.py patches all four in cli by name
 from .analysis import StreamedEnergyDrift, energy_drift, identity_suite, sample_stats
-from .clt import run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
+from .clt import _finite_or_null, run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
 # imported as _write_csv and _write_json: perfbench/tracer.py wraps both in cli by name
 from .clt import write_csv as _write_csv, write_json as _write_json
 from .dynamics import (
@@ -324,8 +324,11 @@ def parse_config(text: str) -> ExperimentConfig:
 # output helpers
 
 def _error(code: int, kind: str, **detail) -> int:
-    """Print the JSON error object of a failed run on stdout; returns ``code``."""
-    print(json.dumps({"error": {"code": code, "kind": kind, **detail}}))
+    """Print the JSON error object of a failed run on stdout; returns ``code``.
+    JSON has no inf or nan (RFC 8259): a non-finite detail is printed as null,
+    by the rule of ``clt.write_json``."""
+    error = _finite_or_null({"error": {"code": code, "kind": kind, **detail}})
+    print(json.dumps(error, allow_nan=False))
     return code
 
 
@@ -364,20 +367,18 @@ def _load_control(config: ExperimentConfig, key: str, tgrid: TimeGrid, modes: in
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def _run_validate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_validate(config: ExperimentConfig, output) -> int:
     reports = identity_suite(
         grid_sizes=config["validate.grids"],
         samples=config["validate.samples"],
         base_seed=config["seed"],
     )
-    path = os.path.join(outdir, "identity_report.csv")
     _write_csv(
-        path,
+        output("identity_report.csv"),
         ["name", "residual", "tolerance", "passed"],
         [(r.name, r.residual, r.tolerance, r.passed) for r in reports],
     )
-    all_passed = all(r.passed for r in reports)
-    return (EXIT_OK if all_passed else EXIT_SUITE_FAILED), [path]
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILED
 
 
 @contextmanager
@@ -399,7 +400,7 @@ def _outputs(paths):
             fh.close()
 
 
-def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_deterministic(config: ExperimentConfig, output) -> int:
     """March u_0 as a width-1 batch and write every output as it marches.
 
     The observer copies each step into a buffer of at most ``STACK_CHUNK``
@@ -418,19 +419,18 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
     # snapshot is one contiguous n-vector, for the pointwise kernels of the drift
     snaps = np.moveaxis(solver_empty(u0.shape + (min(STACK_CHUNK, tgrid.steps + 1),)), -1, 0)
     final = None
-    paths = [os.path.join(outdir, "trajectory_report.csv")]
+    names = ["trajectory_report.csv"]
     if config["deterministic.dump_fields"]:
-        paths.append(os.path.join(outdir, "fields.csv"))
-    summary = os.path.join(outdir, "summary.json")
-    with _outputs(paths) as (report, *fields):
+        names.append("fields.csv")
+    with _outputs(map(output, names)) as (report, *fields):
         report.write(REPORT_HEADER)
         for fh in fields:
             fh.write(FIELDS_HEADER)
 
-        def observe(n, states):
+        def observe(n, u):
             nonlocal final
             k = n % len(snaps)
-            snaps[k] = states[0][..., 0]
+            snaps[k] = u[..., 0]
             if k + 1 < len(snaps) and n < tgrid.steps:
                 return
             first = n - k
@@ -451,7 +451,7 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
         # after closing a large rewritten one waits for the flush that the close starts
         final_l2, final_h1_semi = final[:2].tolist()
         _write_json(
-            summary,
+            output("summary.json"),
             {
                 "final_l2": final_l2,
                 "final_h1_semi": final_h1_semi,
@@ -459,10 +459,10 @@ def _run_deterministic(config: ExperimentConfig, outdir: str) -> tuple[int, list
                 "explicit_cfl": cfl,
             },
         )
-    return EXIT_OK, paths + [summary]
+    return EXIT_OK
 
 
-def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_ensemble(config: ExperimentConfig, output) -> int:
     epsilons = config["ensemble.epsilons"]
     det_sup, per_epsilon, failures = sup_grad_ensemble(
         epsilons, config["ensemble.samples"], config.model_params(), config.time_grid(),
@@ -484,33 +484,29 @@ def _run_ensemble(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
                 "n_failed": stats.n_failed,
             }
         )
-    path = os.path.join(outdir, "ensemble_report.csv")
-    _write_csv(path, ["epsilon", "sample", "sup_grad_sq", "status"], rows)
-    summary = os.path.join(outdir, "summary.json")
+    _write_csv(output("ensemble_report.csv"), ["epsilon", "sample", "sup_grad_sq", "status"], rows)
     _write_json(
-        summary,
+        output("summary.json"),
         {
             "deterministic_sup_grad_sq": det_sup,
             "rows": summary_rows,
             "failures": [f._asdict() for f in failures],
         },
     )
-    return EXIT_OK, [path, summary]
+    return EXIT_OK
 
 
-def _run_clt(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_clt(config: ExperimentConfig, output) -> int:
     report = run_clt(
         config["clt.epsilons"], config["clt.samples"], config.model_params(), config.time_grid(),
         config.covariance(), config.initial(), config["seed"],
     )
-    csv_path = os.path.join(outdir, "clt_report.csv")
-    write_clt_csv(report, csv_path)
-    summary_path = os.path.join(outdir, "summary.json")
-    write_clt_summary(report, summary_path)
-    return EXIT_OK, [csv_path, summary_path]
+    write_clt_csv(report, output("clt_report.csv"))
+    write_clt_summary(report, output("summary.json"))
+    return EXIT_OK
 
 
-def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_weak(config: ExperimentConfig, output) -> int:
     tgrid = config.time_grid()
     spec = config.covariance()
     if config["weak.control"] is not None:
@@ -538,21 +534,19 @@ def _run_weak(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         config.initial(),
         config["seed"],
     )
-    path = os.path.join(outdir, "weak_report.csv")
-    _write_csv(path, WeakRow._fields, rows)
-    summary = os.path.join(outdir, "summary.json")
+    _write_csv(output("weak_report.csv"), WeakRow._fields, rows)
     _write_json(
-        summary,
+        output("summary.json"),
         {
             "rows": [r._asdict() for r in rows],
             "control_cost": cost,
             "failures": [f._asdict() for f in failures],
         },
     )
-    return EXIT_OK, [path, summary]
+    return EXIT_OK
 
 
-def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_rate(config: ExperimentConfig, output) -> int:
     tgrid = config.time_grid()
     spec = config.covariance()
     params = config.model_params()
@@ -579,9 +573,8 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         continuation_rounds=config["rate.continuation"],
     )
     estimate = estimate_rate(problem, params, tgrid, spec, init)
-    est_path = os.path.join(outdir, "rate_estimate.json")
     _write_json(
-        est_path,
+        output("rate_estimate.json"),
         {
             "cost": estimate.cost,
             "misfit": estimate.misfit,
@@ -591,12 +584,11 @@ def _run_rate(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
             "gradient_norm": estimate.gradient_norm,
         },
     )
-    ctrl_path = os.path.join(outdir, "control.csv")
-    write_control_csv(estimate.control, ctrl_path)
-    return EXIT_OK, [est_path, ctrl_path]
+    write_control_csv(estimate.control, output("control.csv"))
+    return EXIT_OK
 
 
-def _run_compactness(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
+def _run_compactness(config: ExperimentConfig, output) -> int:
     tgrid = config.time_grid()
     spec = config.covariance()
     if config["compact.control"] is not None:
@@ -612,11 +604,9 @@ def _run_compactness(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
         config.initial(),
         component=config["compact.component"],
     )
-    path = os.path.join(outdir, "compactness_report.csv")
-    _write_csv(path, ["mode", "metric"], [(mode, metric) for mode, metric in table])
-    summary = os.path.join(outdir, "summary.json")
+    _write_csv(output("compactness_report.csv"), ["mode", "metric"], table)
     _write_json(
-        summary,
+        output("summary.json"),
         {
             "rows": [{"mode": mode, "metric": metric} for mode, metric in table],
             "monotone_decreasing": all(
@@ -624,7 +614,7 @@ def _run_compactness(config: ExperimentConfig, outdir: str) -> tuple[int, list]:
             ),
         },
     )
-    return EXIT_OK, [path, summary]
+    return EXIT_OK
 
 
 DRIVERS = {
@@ -639,30 +629,37 @@ DRIVERS = {
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Dispatch the experiment, persist outputs and the manifest, return exit code."""
+    """Dispatch the experiment, persist outputs and the manifest, return exit code.
+
+    A driver takes the config and ``output(name)``, which returns the path of
+    the file ``name`` in the run's directory and lists it for the manifest,
+    and returns its exit code.
+    """
     outdir = out_dir if out_dir is not None else config["output.dir"]
     started = time.perf_counter()
+    names = []
+
+    def output(name):
+        names.append(name)
+        return os.path.join(outdir, name)
+
     try:
         os.makedirs(outdir, exist_ok=True)
-        code, files = DRIVERS[config.kind](config, outdir)
+        code = DRIVERS[config.kind](config, output)
         manifest = {
             "version": __version__,
             "kind": config.kind,
             "config": config.raw,
             "wall_clock_seconds": time.perf_counter() - started,
-            "outputs": {os.path.basename(p): _sha256(p) for p in files},
+            "outputs": {name: _sha256(os.path.join(outdir, name)) for name in names},
         }
         _write_json(os.path.join(outdir, "manifest.json"), manifest)
     except ConfigError as exc:
         return _error(EXIT_CONFIG, "config", messages=exc.errors)
     except BlowUpError as exc:
-        key = list(exc.key) if exc.key is not None else None
-        # JSON has no inf or nan: a state that overflowed has no |u|_inf to report
-        linf, ratio = (
-            x if x is not None and math.isfinite(x) else None for x in (exc.linf, exc.ratio)
-        )
         return _error(
-            EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=key, linf=linf, ratio=ratio
+            EXIT_BLOWUP, "blow-up", message=str(exc), step=exc.step, key=exc.key, linf=exc.linf,
+            ratio=exc.ratio,
         )
     except OSError as exc:
         return _error(EXIT_IO, "io", message=str(exc))

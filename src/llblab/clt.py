@@ -17,12 +17,15 @@ results depend on nothing but the config.
 
 Every batch marches the ensemble's noiseless reference as one shared
 column, and the observer compares each sample with the reference's state of
-the same step: no record of it is stored. The central limit experiment
+the same step: no record of it is stored. The observer buffers the batch's
+whole stacked state, the reference's column included, with one copy a step,
+and a difference that keeps columns past the samples gets their metric too.
+The central limit experiment
 couples the noisy flow u_eps, the reference u0 and the linear deviation
 system V0 about it, which reads the increments of u_eps; the per-sample
 error is the proof metric of V_eps - V0, V_eps = (u_eps - u0)/sqrt(eps).
 ``sup_grad_ensemble`` gives sup_t ||grad u||^2 of u0 and of every sample of
-the noisy flow, the a priori bound.
+the noisy flow, the a priori bound, from one metric of both.
 
 ``write_json`` writes every JSON output of the package, this experiment's
 summary and the CLI's, as strict JSON: an epsilon whose samples all blew up
@@ -114,8 +117,7 @@ def minus_reference(work: dict, u: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def run_columns(
     kinds,
-    initial,
-    reference,
+    u0: np.ndarray,
     epsilons,
     samples: int,
     base_seed: int,
@@ -125,30 +127,35 @@ def run_columns(
     tgrid: TimeGrid,
     spec: CovarianceSpec,
     ctrl=None,
-) -> tuple[list, tuple]:
+) -> tuple[list, tuple, list]:
     """The proof metric of every (epsilon index, sample) column of an ensemble.
 
-    Column (i, m) starts every system of ``kinds`` from its (n, 3) field in
-    ``initial`` and runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
+    ``kinds`` names the systems of each column, then the reference's kind:
+    the noiseless run the samples are compared with, marched from ``u0`` as
+    one shared column of every batch. Column (i, m) starts every system from
+    the (n, 3) field ``u0``, a linearized one from zero, and runs at
+    ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
     (``dynamics.integrate_batch``, with ``ctrl`` the control of every system,
-    the reference's too). ``reference`` is a
-    (kind, field) pair: the noiseless run the samples are compared with,
-    marched as one shared column of every batch; a linearized system is
-    linearized about it, and its blow-up is raised as ``integrate`` raises it.
-    ``difference(n, states, eps)`` maps the states of steps n to n + K - 1 of
-    a batch (one (n, 3, M, K) block per kind, then the reference's
-    (n, 3, 1, K) block) and its (M,) epsilons to the field d whose metric
-    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated. K is the number
-    of steps whose states, stacked, fill about ``BATCH_COLUMNS`` columns, so a
-    narrow batch pays the per-call cost of the metric's kernels once per
-    block; the last block of a run may be shorter. A column that blew up stays
-    in its batch, zeroed, to the end, and its metric is dropped. Returns
-    ``(values, failures)``: ``values[i][m]`` is the metric of column (i, m),
-    None where it blew up, and ``failures`` its SampleFailures, sorted.
+    the reference's too). A linearized system is linearized about the
+    reference, and the reference's blow-up is raised as ``integrate`` raises
+    it. ``difference(n, block, eps)`` maps the stacked states of steps n to
+    n + K - 1 of a batch, a block (n, 3, S*M + 1, K) holding the M columns of
+    each of the S systems in turn and then the reference's, and the batch's
+    (M,) epsilons to the field d whose metric
+    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated; its first M
+    columns are the samples', any further ones the reference's. K is the
+    number of steps whose states, stacked, fill about ``BATCH_COLUMNS``
+    columns, so a narrow batch pays the per-call cost of the metric's kernels
+    once per block; the last block of a run may be shorter. A column that
+    blew up stays in its batch, zeroed, to the end, and its metric is
+    dropped. Returns ``(values, failures, reference)``: ``values[i][m]`` is
+    the metric of column (i, m), None where it blew up, ``failures`` its
+    SampleFailures, sorted, and ``reference`` the metric of each column of d
+    past the samples. A column's sums do not depend on its batch, so every
+    batch gives the reference's the same bits.
     """
-    nodes = len(initial[0])
+    nodes = len(u0)
     steps = tgrid.steps
-    kinds = (*kinds, reference[0])
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
     values = []
     failures = []
@@ -156,38 +163,46 @@ def run_columns(
         batch = columns[first:first + BATCH_COLUMNS]
         width = len(batch)
         eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
-        gap = StreamedPathGap(width, tgrid, nu1)
         block = min(steps + 1, max(1, BATCH_COLUMNS // width))
-        start = [np.repeat(f[..., None], width, axis=2) for f in initial]
-        start.append(reference[1])
-        shape = (nodes, 3, width, block)
-        buffers = [solver_empty(shape) for _ in initial] + [solver_empty(shape[:2] + (1, block))]
+        start = [
+            np.zeros((nodes, 3, width)) if kind is SystemKind.LINEARIZED_CLT
+            else np.repeat(u0[..., None], width, axis=2)
+            for kind in kinds[:-1]
+        ]
+        buf = solver_empty((nodes, 3, len(start) * width + 1, block))
+        gap = None
 
-        def observe(n, states):
-            if block == 1:
-                # the step's own arrays: copying them into a one-step block costs more
-                gap.add(n, difference(n, [u[..., None] for u in states], eps))
-                return
+        def observe(n, u):
+            nonlocal gap
             k = n % block
-            for buf, u in zip(buffers, states):
+            if block == 1:
+                # the step's own array: copying it into a one-step block costs more
+                u = u[..., None]
+            else:
                 np.copyto(buf[..., k], u)
-            if k == block - 1 or n == steps:
-                gap.add(n - k, difference(n - k, [buf[..., :k + 1] for buf in buffers], eps))
+                if k < block - 1 and n < steps:
+                    return
+                u = buf[..., :k + 1]
+            d = difference(n - k, u, eps)
+            if gap is None:
+                gap = StreamedPathGap(d.shape[2], tgrid, nu1)
+            gap.add(n - k, d)
 
         failed, _ = integrate_batch(
-            kinds, start, params, tgrid, observe,
+            kinds, [*start, u0], params, tgrid, observe,
             spec=spec, ctrl=None if ctrl is None else (ctrl,) * len(kinds),
             rngs=[stream_rng(base_seed, i, m) for i, m in batch], epsilons=eps,
             keys=[(base_seed, i, m) for i, m in batch],
         )
-        batch_values = [float(v) for v in gap.values]
+        metrics = [float(v) for v in gap.values]
+        batch_values, reference = metrics[:width], metrics[width:]
         for exc in failed:
             _, i, m = exc.key
             batch_values[batch.index((i, m))] = None
             failures.append(SampleFailure(i, m, exc.step))
         values.extend(batch_values)
     per_epsilon = [values[i * samples:(i + 1) * samples] for i in range(len(epsilons))]
-    return per_epsilon, tuple(sorted(failures))
+    return per_epsilon, tuple(sorted(failures)), reference
 
 
 def run_clt(
@@ -217,23 +232,21 @@ def run_clt(
         raise ValueError(f"need at least 2 samples per epsilon, got {samples}")
     work = {}
 
-    def deviation_gap(n, states, eps):
+    def deviation_gap(n, u, eps):
         # (u_eps - u0) / sqrt(eps) - V0, in place in the buffer of u_eps - u0
-        u_eps, v0, u0 = states
-        d = minus_reference(work, u_eps, u0)
-        if work.get("eps") is not eps:
+        m = len(eps)
+        d = minus_reference(work, u[:, :, :m], u[:, :, 2 * m:])
+        if n == 0:
             # a new batch: sqrt(eps) across a whole block, which divides faster
             # than an (M,) array broadcast over the solver's layout
-            work["eps"], work["sqrt_eps"] = eps, solver_empty(d.shape)
-            np.copyto(work["sqrt_eps"], np.sqrt(eps)[:, None])
+            np.copyto(scratch(work, "sqrt_eps", d.shape), np.sqrt(eps)[:, None])
         d /= work["sqrt_eps"][..., :d.shape[3]]
-        d -= v0
+        d -= u[:, :, m:2 * m]
         return d
 
-    errors, failures = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT), (initial, np.zeros_like(initial)),
-        (SystemKind.DETERMINISTIC, initial), epsilons, samples, base_seed, deviation_gap,
-        params.nu1, params, tgrid, spec,
+    errors, failures, _ = run_columns(
+        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), initial,
+        epsilons, samples, base_seed, deviation_gap, params.nu1, params, tgrid, spec,
     )
     rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(epsilons, errors)]
     fit = None
@@ -254,35 +267,15 @@ def sup_grad_ensemble(
 ) -> SupGradEnsemble:
     """sup_n ||grad u_n||^2 of the deterministic run from the (n, 3) field
     ``initial`` and of ``samples`` stochastic runs per epsilon, sample m of
-    epsilon index i on ``stream_rng(base_seed, i, m)``. Both use the same sums,
-    so a sample at epsilon 0 gives the deterministic value bitwise. Raises
-    BlowUpError when the deterministic run blows up."""
-    det = StreamedPathGap(1, tgrid, 0.0)
-    first = {}
-
-    def sup_grad(n, states, eps):
-        # every batch marches the same reference: the first batch takes its sup,
-        # buffered into blocks of about BATCH_COLUMNS steps, so that a wide batch's
-        # blocks of one step do not each pay the metric's per-call cost; the sup
-        # does not depend on the blocks
-        if first.setdefault("eps", eps) is eps:
-            u0 = states[1]
-            k = u0.shape[3]
-            if "ref" not in first:
-                first["ref"] = solver_empty(u0.shape[:3] + (k * max(1, BATCH_COLUMNS // k),))
-            ref = first["ref"]
-            # the blocks start at multiples of the first one's length, which divides ref's
-            at = n % ref.shape[3]
-            np.copyto(ref[..., at:at + k], u0)
-            if at + k == ref.shape[3] or n + k > tgrid.steps:
-                det.add(n - at, ref[..., :at + k])
-        return states[0]
-
-    sups, failures = run_columns(
-        (SystemKind.STOCHASTIC,), (initial,), (SystemKind.DETERMINISTIC, initial), epsilons,
-        samples, base_seed, sup_grad, 0.0, params, tgrid, spec,
+    epsilon index i on ``stream_rng(base_seed, i, m)``. The deterministic
+    value is that of the reference column in the samples' own metric, so a
+    sample at epsilon 0 gives it bitwise. Raises BlowUpError when the
+    deterministic run blows up."""
+    sups, failures, (det,) = run_columns(
+        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), initial, epsilons, samples, base_seed,
+        lambda n, u, eps: u, 0.0, params, tgrid, spec,
     )
-    return SupGradEnsemble(float(det.values[0]), sups, failures)
+    return SupGradEnsemble(det, sups, failures)
 
 
 def write_clt_csv(report: CltReport, path) -> None:

@@ -32,26 +32,27 @@ run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
 of one system or of several systems in lockstep, each under its own control,
 beside any shared columns, noiseless runs made once for the whole batch such
 as an ensemble's reference, draws each sample column's increments from that
-column's generator on the batch's time grid, and hands each step to an observer
-instead of storing it, so runs are compared while they march;
-``integrate`` is its width-1 case for the noiseless kinds, deterministic and
-skeleton, and stores the snapshots it is asked for. The CLI's deterministic
-run marches the same width-1 batch and writes each block of snapshots as it
-comes (``write_report_rows``, ``write_field_rows``), storing no record; the
-record writers apply those block writers to a whole record. The step kernels
-treat every column of a batch as they treat that column alone, and no step
-branches on the data of its columns: every system adds every forcing it has,
-a zero one too. So a column's states have the same bits at any batch width,
-a column at eps = 0 or under a zero control has the bits of the noiseless
-run, and a column that blows up is retired at the step where it would blow
-up alone while the others go on.
+column's generator on the batch's time grid, and hands the stacked state of
+each step to an observer instead of storing it, so runs are compared while
+they march; ``integrate`` is its width-1 case for the noiseless kinds,
+deterministic and skeleton, and stores the snapshots it is asked for. The
+CLI's deterministic run marches the same width-1 batch and writes each block
+of snapshots as it comes (``write_report_rows``, ``write_field_rows``),
+storing no record; the record writers apply those block writers to a whole
+record. The step kernels treat every column of a batch as they treat that
+column alone, and no step branches on the data of its columns: every system
+adds every forcing it has, a zero one too. So a column's states have the
+same bits at any batch width, a column at eps = 0 or under a zero control
+has the bits of the noiseless run, and a column that blows up is retired at
+the step where it would blow up alone while the others go on.
 
 The loop holds one workspace per batch in the memory order of the
 tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
 columns: every component of every column is one contiguous n-vector, while
 the arrays keep their logical node-major (n, 3, M) indexing. The systems
 share one stacked state, so a step takes one Laplacian, one set of squared
-norms, one ceiling check, one right-hand side and one solve for all of them.
+norms, one ceiling check, one right-hand side and one solve for all of them,
+and the observer sees that state and slices what it needs.
 Every system's right-hand side is one template, u + u x Y - C u, with its
 own drive Y and damping C: the template runs once over the whole stack into
 a second state buffer, a linearized system takes the drive and damping of
@@ -411,9 +412,9 @@ def integrate(
     snap_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
     snaps = np.empty((len(snap_steps),) + u0.shape)
 
-    def observe(n, states):
+    def observe(n, u):
         if n % stride == 0 or n == n_steps:
-            snaps[-(-n // stride)] = states[0][..., 0]
+            snaps[-(-n // stride)] = u[..., 0]
 
     failures, cfl = integrate_batch(
         (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=(ctrl,)
@@ -449,9 +450,11 @@ def integrate_batch(
     ``ctrl`` is None or gives each kind its own
     entry: a ControlPath for a controlled kind, None for any other. A
     linearized system is linearized about the first deterministic system, whose
-    step terms it reads in the same step. ``observe(n, states)`` sees every
-    step n = 0..steps: one (n, 3, M) array per kind, (n, 3, 1) for a shared
-    one. Memory grows with the batch width, not with the number of steps.
+    step terms it reads in the same step. ``observe(n, u)`` sees every step
+    n = 0..steps in the stacked state u, of shape (n, 3, S*M + R) for S
+    systems of M columns and R shared ones: the M columns of each system in
+    the order of ``kinds``, then one column per shared system. Memory grows
+    with the batch width, not with the number of steps.
 
     The systems share one state in the solver's memory order, system by
     system, and a second such buffer that the next state is written into
@@ -468,9 +471,9 @@ def integrate_batch(
     system stays finite, so no NaN reaches an observer, which drops the
     column's values through the failure list. A shared column that fails
     ends the march with its BlowUpError, key None, raised: every sample
-    depends on it. Then ``observe`` sees the step. Its arrays are views into
-    the workspace, valid only during the call: the loop writes the next
-    states into the same memory, so an observer copies what it keeps. Unless
+    depends on it. Then ``observe`` sees the step. Its array is the workspace
+    itself, valid only during the call: the loop writes the next states into
+    the same memory, so an observer copies what it keeps. Unless
     it was the last step, one Laplacian of all systems, one matmul of the
     step's increments and one control term per distinct ControlPath feed one
     right-hand side of all systems (``_batch_rhs``), and one in-place solve of
@@ -590,12 +593,10 @@ def integrate_batch(
                 failed = running & ~(top <= ceiling)
                 for j in np.flatnonzero(failed):
                     column = state[0][..., columns[j]]
-                    linf = float(np.sqrt(top[j]))
+                    # hypot takes each node's |u| without squares, which overflow
+                    # for components above about 1.3e154
+                    linf = float(np.hypot.reduce(column, axis=1).max())
                     if np.isfinite(column).all():
-                        # squares of components above about 1.3e154 overflow:
-                        # take them relative to the largest magnitude
-                        big = np.abs(column).max()
-                        linf = float(big * np.sqrt(sq_norm_values(column / big).max()))
                         what = f"|u|_inf = {linf:.3g} exceeded ceiling {LINF_CEILING:.3g}"
                     else:
                         what = "non-finite state"
@@ -613,7 +614,7 @@ def integrate_batch(
                     break
                 sqrt_eps[failed[:width]] = 0.0
             np.maximum(high, sq[0], out=high)
-            observe(n, state[1])
+            observe(n, state[0])
             if n == n_steps:
                 break
             lap_values(state[0], h, out=lap[0])

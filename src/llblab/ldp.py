@@ -343,9 +343,9 @@ def weak_convergence_experiment(
     """
     eps_values = [float(e) for e in epsilons]
     work = {}
-    metrics, failures = run_columns(
-        (SystemKind.CONTROLLED_STOCHASTIC,), (u0,), (SystemKind.SKELETON, u0),
-        eps_values, samples, base_seed, lambda n, states, eps: minus_reference(work, *states),
+    metrics, failures, _ = run_columns(
+        (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON), u0, eps_values, samples,
+        base_seed, lambda n, u, eps: minus_reference(work, u[:, :, :len(eps)], u[:, :, len(eps):]),
         params.nu1, params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
@@ -387,8 +387,8 @@ def compactness_probe(
         ctrls.append(ControlPath(coeffs, ctrl.dt))
     gap = StreamedPathGap(len(modes), tgrid, 0.0)
 
-    def observe(n, states):
-        gap.add(n, np.concatenate(states, axis=2)[..., 1:] - states[0])
+    def observe(n, u):
+        gap.add(n, u[..., 1:] - u[..., :1])
 
     failures, _ = integrate_batch(
         (SystemKind.SKELETON,) * len(ctrls), [u0[..., None]] * len(ctrls), params, tgrid,

@@ -55,10 +55,12 @@ def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
     width = next(np.shape(u)[2] for u in initial if np.ndim(u) == 3)
     keys = list(range(width)) if keys is None else list(keys)
     steps = [[] for _ in kinds]
+    # the stacked state holds the M columns of each batch system, then one per shared system
+    bounds = np.cumsum([0] + [width if np.ndim(u) == 3 else 1 for u in initial])
 
-    def observe(n, states):
-        for stored, u in zip(steps, states):
-            stored.append(u.copy())
+    def observe(n, u):
+        for stored, first, last in zip(steps, bounds, bounds[1:]):
+            stored.append(u[:, :, first:last].copy())
 
     failures, _ = integrate_batch(kinds, initial, params, tgrid, observe, keys=keys, **inputs)
     stored = [np.array(s) for s in steps]

@@ -492,6 +492,18 @@ def test_run_ensemble_outputs(tmp_path):
     assert 0.0 < summary["rows"][0]["ratio_vs_deterministic"] < 3.0
 
 
+def test_error_object_spells_non_finite_details_as_null(capsys):
+    # JSON has no inf or nan: the error object takes write_json's rule, so a
+    # non-finite detail prints as null in one line of strict JSON
+    from llblab.cli import _error
+
+    assert _error(EXIT_BLOWUP, "blow-up", linf=math.nan, ratio=-math.inf, key=(1, 0, 2)) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line, parse_constant=_no_constant) == {
+        "error": {"code": 3, "kind": "blow-up", "linf": None, "ratio": None, "key": [1, 0, 2]},
+    }
+
+
 def test_run_blow_up_exit_code(tmp_path, capsys):
     # an unstable run is fatal with a structured error and exit 3
     cfg = parse_config(
@@ -1297,6 +1309,10 @@ def test_main_exits_with_a_documented_code_and_finite_results(drawn):
         assert code == EXIT_OK or (code == EXIT_SUITE_FAILED and keys["kind"] == "validate")
         assert stdout == ""
         outdir = os.path.join(tmp, "out")
+        # the manifest lists every file of the run's directory but itself, and nothing else
+        with open(os.path.join(outdir, "manifest.json")) as fh:
+            listed = set(json.load(fh)["outputs"])
+        assert listed == set(os.listdir(outdir)) - {"manifest.json"}
         for name in sorted(os.listdir(outdir)):
             if name.endswith(".json"):
                 with open(os.path.join(outdir, name)) as fh:

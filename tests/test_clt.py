@@ -245,16 +245,16 @@ def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
     calls = []
     reference = []
 
-    def difference(n, states, eps):
+    def difference(n, block, eps):
         calls.append(n)
-        reference.append(np.moveaxis(states[1][..., 0, :], -1, 0).copy())
-        return states[0]
+        reference.append(np.moveaxis(block[:, :, len(eps)], -1, 0).copy())
+        return block[:, :, :len(eps)]
 
-    values, failures = run_columns(
-        (SystemKind.STOCHASTIC,), (config.initial,), (SystemKind.DETERMINISTIC, config.initial),
-        config.epsilons, 2, config.base_seed, difference, 0.0, config.params, config.tgrid,
-        config.spec,
+    values, failures, ref_metric = run_columns(
+        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, config.epsilons, 2,
+        config.base_seed, difference, 0.0, config.params, config.tgrid, config.spec,
     )
+    assert ref_metric == []
     assert values == [[None, None], [None, None]]
     assert [(f.eps_index, f.sample) for f in failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(f.step < 16 for f in failures)
@@ -314,28 +314,41 @@ def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
     assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)
 
 
-def test_sup_grad_ensemble_takes_a_wide_batchs_reference_in_blocks(monkeypatch):
-    # 6 columns in batches of 6 take blocks of one step; the reference's 51
-    # steps still reach its metric in blocks of BATCH_COLUMNS (8 of 6 and one
-    # of 3), with the sup of the default batches' blocks, bit for bit
+def test_sup_grad_ensemble_gives_the_same_bits_in_batches_of_one_step_blocks(monkeypatch):
+    # 6 columns in batches of 6 take blocks of one step, the default batch
+    # blocks of 10: the samples' sups and the reference's, a column of the
+    # same metric, have the same bits
     import llblab.clt as clt_module
     from llblab.clt import sup_grad_ensemble
 
     config = small_config(tgrid=TimeGrid(0.05, 50))
     args = ((0.1, 0.01), 3, config.params, config.tgrid, config.spec, config.initial, 4)
     wide = sup_grad_ensemble(*args)
-    blocks = []
-
-    class Recorded(clt_module.StreamedPathGap):
-        def add(self, n, d):
-            if d.shape[2] == 1:
-                blocks.append((n, d.shape[3]))
-            super().add(n, d)
-
-    monkeypatch.setattr(clt_module, "StreamedPathGap", Recorded)
     monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 6)
     assert sup_grad_ensemble(*args) == wide
-    assert blocks == [(6 * i, 6) for i in range(8)] + [(48, 3)]
+
+
+@pytest.mark.parametrize("samples", [3, 64, 70], ids=["one-batch", "two-batches", "three-batches"])
+def test_run_columns_reference_metric_is_the_deterministic_runs(samples):
+    # the reference column of the samples' own metric, at nu1 > 0, has the
+    # bits of a width-1 metric fed the stored deterministic run: a column's
+    # sums do not depend on its batch, its blocks or the batch's width
+    from llblab.analysis import StreamedPathGap
+    from llblab.clt import run_columns
+    from llblab.dynamics import SystemKind, integrate
+
+    config = small_config(tgrid=TimeGrid(0.02, 20))
+    values, failures, reference = run_columns(
+        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, (0.1, 0.01), samples,
+        config.base_seed, lambda n, block, eps: block, config.params.nu1, config.params,
+        config.tgrid, config.spec,
+    )
+    assert failures == () and [len(v) for v in values] == [samples, samples]
+    det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
+    alone = StreamedPathGap(1, config.tgrid, config.params.nu1)
+    alone.add(0, np.moveaxis(det.snapshots, 0, -1)[:, :, None])
+    assert config.params.nu1 > 0.0
+    assert np.array(reference).tobytes() == alone.values.tobytes()
 
 
 def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():

@@ -241,7 +241,7 @@ def test_stochastic_eps_zero_degenerates_bitwise(p, field):
         sto = []
         failures, cfl = integrate_batch(
             (SystemKind.STOCHASTIC,), (np.repeat(u0[..., None], width, axis=2),), p, tg,
-            lambda n, states: sto.append(states[0][..., -1].copy()),
+            lambda n, u: sto.append(u[..., -1].copy()),
             spec=spec, rngs=[stream_rng(7, 0, j) for j in range(width)], epsilons=epsilons,
         )
         assert failures == []
@@ -492,7 +492,7 @@ def test_partly_blown_up_batch_retires_each_column_as_its_width_1_run():
         failures, cfl = integrate_batch(
             (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
             (u0[..., columns], np.zeros((31, 3, len(columns))), initial_profile(g)),
-            p, tg, lambda n, states: seen.append(np.concatenate(states, axis=-1)),
+            p, tg, lambda n, u: seen.append(u.copy()),
             spec=make_covariance(8, 4.0),
             rngs=[ScaledRng(stream_rng(3, j), gains[j]) for j in columns],
             epsilons=[0.01] * len(columns), keys=list(columns),
