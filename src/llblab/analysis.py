@@ -285,10 +285,11 @@ def path_gap(
 class StreamedPathGap:
     """The proof metric of ``path_gap`` for a batch of M columns, fed a block of steps at a time.
 
-    ``add(n, d)`` takes the (n, 3, M) differences of step n, or the
-    (n, 3, M, K) differences of steps n to n + K - 1, on the grid of their
-    node count; ``values`` is the metric of every column over the steps it
-    was given. Only two numbers per column are kept, never the trajectories.
+    ``add(n, d)`` takes the (n, 3, M, K) differences of steps n to
+    n + K - 1, a one-step block (n, 3, M, 1) for a single step, on the grid
+    of their node count, and raises ValueError for any other number of axes;
+    ``values`` is the metric of every column over the steps it was given.
+    Only two numbers per column are kept, never the trajectories.
     A block costs one gradient and one Laplacian whatever K is; each step's
     Laplacian term is added to the running sum on its own, in step order, so
     a column's value has the same bits whatever the blocks and the batch it
@@ -305,8 +306,8 @@ class StreamedPathGap:
         self._work = {}
 
     def add(self, n: int, d: np.ndarray) -> None:
-        if d.ndim == 3:
-            d = d[..., None]
+        if d.ndim != 4:
+            raise ValueError(f"need a block (n, 3, M, K) of differences, got shape {d.shape}")
         h = make_grid(d.shape[0]).spacing
         grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
         grad_sq = h * column_sq_sums(grad, work=grad)

@@ -250,12 +250,10 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         raw[key] = value
 
-    kind = raw.get("kind")
+    # an unknown kind is reported by the key loop, through KEY_TABLE's rule
+    kind = raw["kind"] if raw.get("kind") in KINDS else None
     if "kind" not in raw:
         errors.append("missing required key 'kind'")
-    elif kind not in KINDS:
-        errors.append(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
-        kind = None
 
     settings: dict = {}
     for key, value in raw.items():

@@ -152,11 +152,16 @@ def run_columns(
     the metric of column (i, m), None where it blew up, ``failures`` its
     SampleFailures, sorted, and ``reference`` the metric of each column of d
     past the samples. A column's sums do not depend on its batch, so every
-    batch gives the reference's the same bits.
+    batch gives the reference's the same bits. Raises ValueError, before any
+    integration, when there is no epsilon or no sample.
     """
     nodes = len(u0)
     steps = tgrid.steps
     columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
+    if not columns:
+        raise ValueError(
+            f"need at least one epsilon and one sample, got {len(epsilons)} and {samples}"
+        )
     values = []
     failures = []
     for first in range(0, len(columns), BATCH_COLUMNS):
@@ -270,7 +275,8 @@ def sup_grad_ensemble(
     epsilon index i on ``stream_rng(base_seed, i, m)``. The deterministic
     value is that of the reference column in the samples' own metric, so a
     sample at epsilon 0 gives it bitwise. Raises BlowUpError when the
-    deterministic run blows up."""
+    deterministic run blows up, and ValueError, before any integration, when
+    there is no epsilon or no sample."""
     sups, failures, (det,) = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), initial, epsilons, samples, base_seed,
         lambda n, u, eps: u, 0.0, params, tgrid, spec,

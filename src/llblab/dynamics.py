@@ -23,9 +23,9 @@ once: it holds the parameters, time grid, covariance and control it was made
 with, which the sweep reads, and its grid is that of its node count.
 
 Explicit treatment of the precession term imposes dt <~ h^2/(gamma |u|_inf)
-in the worst case; the integrator tracks the observed ratio and reports it on
-the trajectory record rather than failing eagerly (diffusion stabilizes the
-default parameter regime well past the naive bound).
+in the worst case; the integrator tracks the observed ratio and returns it,
+and a BlowUpError carries it, rather than failing eagerly (diffusion
+stabilizes the default parameter regime well past the naive bound).
 
 Every run goes through one step loop, that of ``integrate_batch``, and every
 run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
@@ -67,7 +67,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +84,7 @@ from .field import (
     sq_norm_values,
     stack_norms,
 )
-from .noise import ControlPath, CovarianceSpec, IncrementStreams, mode_matrix
+from .noise import ControlPath, CovarianceSpec, increments, mode_matrix
 
 __all__ = [
     "ModelParams",
@@ -201,9 +200,9 @@ class TrajectoryRecord:
     """Immutable result of one integration: the run's inputs and its snapshots.
 
     ``snapshots`` holds the state at the steps listed in ``snapshot_steps``
-    (every step by default); ``norm_rows`` gives their norms. ``spec`` and
-    ``ctrl`` are those the run was given, None if none; the grid is that of
-    the node count, the times and steps those of ``tgrid``.
+    (every step by default). ``spec`` and ``ctrl`` are those the run was
+    given, None if none; the grid is that of the node count, the steps those
+    of ``tgrid``.
     """
 
     kind: str
@@ -213,15 +212,10 @@ class TrajectoryRecord:
     ctrl: ControlPath | None
     snapshots: np.ndarray
     snapshot_steps: np.ndarray
-    explicit_cfl: float = 0.0
 
     @property
     def grid(self) -> Grid1D:
         return make_grid(self.snapshots.shape[1])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.tgrid.times
 
     @property
     def steps(self) -> int:
@@ -230,12 +224,6 @@ class TrajectoryRecord:
     @property
     def dense(self) -> bool:
         return len(self.snapshot_steps) == self.steps + 1
-
-    @cached_property
-    def norm_rows(self) -> np.ndarray:
-        """``field.stack_norms`` of the snapshots, (l2, h1_semi, h2_semi, linf)
-        per row; computed once, on first use."""
-        return stack_norms(self.snapshots, self.grid.spacing)
 
     def final_values(self) -> np.ndarray:
         return self.snapshots[-1]
@@ -416,12 +404,12 @@ def integrate(
         if n % stride == 0 or n == n_steps:
             snaps[-(-n // stride)] = u[..., 0]
 
-    failures, cfl = integrate_batch(
+    failures, _ = integrate_batch(
         (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=(ctrl,)
     )
     if failures:
         raise failures[0]
-    return TrajectoryRecord(kind.value, params, tgrid, spec, ctrl, snaps, snap_steps, cfl)
+    return TrajectoryRecord(kind.value, params, tgrid, spec, ctrl, snaps, snap_steps)
 
 
 def integrate_batch(
@@ -445,7 +433,7 @@ def integrate_batch(
     batch, such as an ensemble's reference. The systems share ``params``;
     column j of a noisy nonlinear kind runs at noise strength ``epsilons[j]``.
     Noisy kinds draw the increments of column j on the run's time grid from
-    ``rngs[j]`` (``noise.IncrementStreams``), and every system of a step sees
+    ``rngs[j]`` (``noise.increments``), and every system of a step sees
     the same ones, so coupled systems share their noise by construction.
     ``ctrl`` is None or gives each kind its own
     entry: a ControlPath for a controlled kind, None for any other. A
@@ -522,7 +510,7 @@ def integrate_batch(
         rngs = list(rngs or ())
         if len(rngs) != width:
             raise ValueError(f"noisy kinds need one generator per column: {width}, got {len(rngs)}")
-        noise = IncrementStreams(rngs, n_steps, spec.mode_count, dt)
+        noise = increments(rngs, n_steps, spec.mode_count, dt)
     eps = np.zeros(width) if epsilons is None else np.asarray(epsilons, dtype=float)
     if eps.shape != (width,) or not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
@@ -619,7 +607,7 @@ def integrate_batch(
                 break
             lap_values(state[0], h, out=lap[0])
             if forcing is not None:
-                np.matmul(mode_mat, noise.at(n), out=product)
+                np.matmul(mode_mat, next(noise), out=product)
                 np.copyto(forcing, product.transpose(1, 2, 0))
             for path, field in fields.items():
                 np.multiply(dt, (mode_mat @ path.coefficients[n])[..., None], out=field)
@@ -748,12 +736,15 @@ def write_report_csv(record: TrajectoryRecord, path) -> None:
     """Norms of the stored snapshots as CSV (step, time, l2, h1_semi, h2_semi, linf).
 
     Floats are spelled as ``repr`` spells them and rows end in CRLF
-    (``field.csv_rows``). The record is one block of ``write_report_rows``.
+    (``field.csv_rows``). The record is one block of ``write_report_rows``, its
+    rows one ``field.stack_norms`` pass of the snapshots, its times those of
+    ``tgrid``.
     """
     steps = record.snapshot_steps
+    rows = stack_norms(record.snapshots, record.grid.spacing)
     with open(path, "wb") as fh:
         fh.write(REPORT_HEADER)
-        write_report_rows(fh, steps, record.times[steps], record.norm_rows)
+        write_report_rows(fh, steps, record.tgrid.times[steps], rows)
 
 
 def write_fields_csv(record: TrajectoryRecord, path) -> None:

@@ -370,36 +370,28 @@ def helm_values(v: np.ndarray, h: float, c: float, out: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 # stacks of fields and their norms
 
-def map_stack(fn, stack: np.ndarray) -> np.ndarray:
-    """``fn`` of the node-major view (n, 3, S') of each chunk of at most
-    ``STACK_CHUNK`` snapshots of the stack (S, n, 3), joined along the last axis."""
-    chunks = [stack[first:first + STACK_CHUNK] for first in range(0, len(stack), STACK_CHUNK)]
-    return np.concatenate([fn(np.moveaxis(chunk, 0, -1)) for chunk in chunks], axis=-1)
-
-
 def stack_norms(stack: np.ndarray, h: float, work: dict | None = None) -> np.ndarray:
     """Rows (l2, h1_semi, h2_semi, linf) of every field of the stack (S, n, 3), shape (S, 4).
 
-    A row's bits do not depend on the other fields of the stack. A chunk's
-    temporaries of its own size are ``scratch`` buffers of ``work``, in the
-    chunk's memory order: a caller that passes the same dict call after call,
+    The stack is one batch, its node-major view (n, 3, S), and its
+    temporaries grow with S: the streamed callers pass at most
+    ``STACK_CHUNK`` fields. A row's bits do not depend on the other fields of
+    the stack. The temporaries are ``scratch`` buffers of ``work``, in the
+    batch's memory order: a caller that passes the same dict call after call,
     such as a run that takes the norms of each block of steps as it marches,
     makes them once.
     """
     work = {} if work is None else work
-
-    def squares(v):
-        nodes, _, count = v.shape
-        buf = scratch(work, "nodes", v.shape, like=v)
-        edges = scratch(work, "edges", (nodes + 1, 3, count), like=v)
-        l2 = h * column_sq_sums(v, work=buf)
-        sq = scratch(work, "sq", (nodes, count), like=v[:, 0])
-        linf = sq_norm_values(v, out=sq, work=buf).max(axis=0)
-        h1 = h * column_sq_sums(grad_values(v, h, out=edges), work=edges)
-        h2 = h * column_sq_sums(lap_values(v, h, out=buf), work=buf)
-        return np.stack([l2, h1, h2, linf])
-
-    return np.sqrt(map_stack(squares, stack)).T
+    v = np.moveaxis(stack, 0, -1)
+    nodes, _, count = v.shape
+    buf = scratch(work, "nodes", v.shape, like=v)
+    edges = scratch(work, "edges", (nodes + 1, 3, count), like=v)
+    l2 = h * column_sq_sums(v, work=buf)
+    sq = scratch(work, "sq", (nodes, count), like=v[:, 0])
+    linf = sq_norm_values(v, out=sq, work=buf).max(axis=0)
+    h1 = h * column_sq_sums(grad_values(v, h, out=edges), work=edges)
+    h2 = h * column_sq_sums(lap_values(v, h, out=buf), work=buf)
+    return np.sqrt(np.stack([l2, h1, h2, linf])).T
 
 
 def h1_norm(u: np.ndarray) -> float:

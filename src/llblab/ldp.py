@@ -339,7 +339,8 @@ def weak_convergence_experiment(
     the metric accumulated a block of steps at a time; blown-up samples are
     retired, counted and never averaged. Returns ``(rows, failures)``: one
     WeakRow per epsilon and the ``clt.SampleFailure`` of every retired sample,
-    sorted.
+    sorted. Raises ValueError, before any integration, when there is no
+    epsilon or no sample.
     """
     eps_values = [float(e) for e in epsilons]
     work = {}
@@ -388,7 +389,7 @@ def compactness_probe(
     gap = StreamedPathGap(len(modes), tgrid, 0.0)
 
     def observe(n, u):
-        gap.add(n, u[..., 1:] - u[..., :1])
+        gap.add(n, (u[..., 1:] - u[..., :1])[..., None])
 
     failures, _ = integrate_batch(
         (SystemKind.SKELETON,) * len(ctrls), [u0[..., None]] * len(ctrls), params, tgrid,

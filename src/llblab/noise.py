@@ -7,6 +7,8 @@ stays H1-regular. Control paths live in the same coordinates: the coefficient
 c_{k,j}(t) is the component of h(t) along the unit vector sqrt(lambda_k) e_k e_j
 of the Cameron-Martin space, which makes the H0 cost a plain sum of squares.
 A control path is a (step, k, j, coefficient) CSV table, read by ``field.read_csv_table``.
+A run's noise is the raw mode increments of one generator per sample column:
+``increments`` yields them step by step, drawn a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .field import Grid1D, csv_rows, read_csv_table
 
-# Steps of increments drawn at a time per stream by IncrementStreams.
+# Steps of increments drawn at a time per stream by ``increments``.
 INCREMENT_BLOCK = 256
 
 __all__ = [
@@ -28,7 +30,7 @@ __all__ = [
     "make_covariance",
     "mode_matrix",
     "increment_path",
-    "IncrementStreams",
+    "increments",
     "zero_control",
     "single_mode_control",
     "write_control_csv",
@@ -135,34 +137,21 @@ def increment_path(rng: np.random.Generator, steps: int, mode_count: int, dt: fl
     return rng.normal(0.0, math.sqrt(dt), size=(steps, mode_count, 3))
 
 
-class IncrementStreams:
-    """The increment paths of M streams, drawn in blocks of steps.
+def increments(rngs, steps: int, mode_count: int, dt: float):
+    """Yield the (M, K, 3) raw increments of steps 0, 1, ..., steps - 1 of M
+    streams, one row per generator of ``rngs``.
 
-    ``at(n)`` returns the (M, K, 3) raw increments of step n, one row per
-    stream, for n = 0, 1, ... in increasing order. Drawing a stream block by
-    block continues its generator, so it yields the values of one
+    Each stream is drawn ``INCREMENT_BLOCK`` steps at a time; drawing block by
+    block continues its generator, so the rows are the values of one
     ``increment_path`` draw of all steps, while memory grows with the number
     of streams times the block length, never with the number of steps.
     """
-
-    def __init__(self, rngs, steps: int, mode_count: int, dt: float):
-        self._rngs = list(rngs)
-        self.steps = steps
-        self.mode_count = mode_count
-        self._dt = dt
-        self._start = 0
-        self._block = np.empty((0, len(self._rngs), mode_count, 3))
-
-    def at(self, n: int) -> np.ndarray:
-        offset = n - self._start
-        if offset >= len(self._block):
-            count = min(INCREMENT_BLOCK, self.steps - n)
-            self._block = np.stack(
-                [increment_path(rng, count, self.mode_count, self._dt) for rng in self._rngs],
-                axis=1,
-            )
-            self._start, offset = n, 0
-        return self._block[offset]
+    rngs = list(rngs)
+    for first in range(0, steps, INCREMENT_BLOCK):
+        count = min(INCREMENT_BLOCK, steps - first)
+        block = np.stack([increment_path(rng, count, mode_count, dt) for rng in rngs], axis=1)
+        for k in range(count):
+            yield block[k]
 
 
 def write_control_csv(ctrl: ControlPath, path) -> None:

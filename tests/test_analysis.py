@@ -29,6 +29,7 @@ from llblab.field import (
     lap_values,
     make_grid,
     solver_empty,
+    stack_norms,
 )
 from llblab.noise import make_covariance, stream_rng, zero_control
 from conftest import random_field
@@ -210,17 +211,13 @@ def test_energy_drift_does_not_depend_on_the_stack_chunk(monkeypatch):
     # it is taken in, alone or in a wide stack, the drift keeps its bits. With
     # mu = 100 the cubic term carries the balance, so a sum that moved with
     # the chunk would show in the drift
-    import dataclasses
-
-    import llblab.field as field_module
-
     p = ModelParams(mu=100.0)
     rec = integrate(SystemKind.DETERMINISTIC, initial_profile(make_grid(31)), p, TimeGrid(0.05, 50))
     drifts = []
     for chunk in (1, 7, 256, 4096):
-        monkeypatch.setattr(field_module, "STACK_CHUNK", chunk)
-        # a fresh record, so its cached norm rows are taken at this chunk too
-        drifts.append(energy_drift(dataclasses.replace(rec)).hex())
+        # the chunk energy_drift feeds StreamedEnergyDrift, its norm pass and cubic sums
+        monkeypatch.setattr(analysis, "STACK_CHUNK", chunk)
+        drifts.append(energy_drift(rec).hex())
     assert drifts == [drifts[0]] * 4
 
 
@@ -228,13 +225,12 @@ def _dense_energy_drift(rec):
     # the one-pass balance over the whole stored record, one cumulative sum
     # of every step's dissipation: the oracle of the blocked drift
     from llblab.analysis import _cubic_sum
-    from llblab.field import map_stack
 
-    params, h = rec.params, rec.grid.spacing
-    dt = float(rec.times[1] - rec.times[0])
-    rows = rec.norm_rows
+    params, h, dt = rec.params, rec.grid.spacing, rec.tgrid.dt
+    rows = stack_norms(rec.snapshots, h)
     h1_sq = rows[:, 1] ** 2
-    cubic = map_stack(lambda v: h * _cubic_sum(v, grad_values(v, h)), rec.snapshots[:-1])
+    v = np.moveaxis(rec.snapshots[:-1], 0, -1)
+    cubic = h * _cubic_sum(v, grad_values(v, h))
     with np.errstate(over="ignore", invalid="ignore"):
         diss = (2.0 * dt * params.nu1) * rows[:-1, 2] ** 2
         diss += (2.0 * dt * params.nu2) * (h1_sq[:-1] + params.mu * cubic)
@@ -368,7 +364,7 @@ def test_path_gap_equals_hand_written_stencils_at_acceptance_size(rng):
     scale=st.sampled_from([1e-6, 1.0, 1e3]),
 )
 def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
-    # fed one step of an (n, 3, M) batch at a time
+    # fed one step of an (n, 3, M) batch at a time, as a one-step block
     gen = np.random.default_rng(seed)
     a = scale * gen.normal(size=(width, steps + 1, nodes, 3))
     b = scale * gen.normal(size=(width, steps + 1, nodes, 3))
@@ -376,7 +372,7 @@ def test_streamed_path_gap_equals_path_gap(steps, nodes, width, seed, scale):
     tg = TimeGrid(1e-4 * steps, steps)
     gap = StreamedPathGap(width, tg, 0.7)
     for n in range(steps + 1):
-        gap.add(n, (a[:, n] - b[:, n]).transpose(1, 2, 0))
+        gap.add(n, (a[:, n] - b[:, n]).transpose(1, 2, 0)[..., None])
     for j in range(width):
         expected = path_gap(a[j], b[j], spacing, tg.dt, 0.7)
         assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -391,9 +387,9 @@ def test_streamed_path_gap_equals_path_gap_at_eight_nodes_in_the_solver_layout(r
     spacing = 1.0 / (nodes + 1)
     tg = TimeGrid(1e-4 * steps, steps)
     gap = StreamedPathGap(width, tg, 0.7)
-    d = solver_empty((nodes, 3, width))
+    d = solver_empty((nodes, 3, width, 1))
     for n in range(steps + 1):
-        d[...] = (a[:, n] - b[:, n]).transpose(1, 2, 0)
+        d[..., 0] = (a[:, n] - b[:, n]).transpose(1, 2, 0)
         gap.add(n, d)
     for j in range(width):
         expected = path_gap(a[j], b[j], spacing, tg.dt, 0.7)
@@ -419,7 +415,7 @@ def test_streamed_path_gap_fed_in_blocks_equals_single_steps_bitwise(
     tg = TimeGrid(1e-4 * steps, steps)
     single = StreamedPathGap(width, tg, nu1)
     for n in range(steps + 1):
-        single.add(n, d[..., n])
+        single.add(n, d[..., n:n + 1])
     cuts = data.draw(st.sets(st.integers(1, steps)))
     starts = [0] + sorted(cuts)
     blocked = StreamedPathGap(width, tg, nu1)
@@ -428,6 +424,13 @@ def test_streamed_path_gap_fed_in_blocks_equals_single_steps_bitwise(
         block[...] = d[..., first:end]
         blocked.add(first, block)
     assert np.array_equal(blocked.values, single.values)
+
+
+def test_streamed_path_gap_takes_only_blocks():
+    # a step's (n, 3, M) differences are a one-step block (n, 3, M, 1)
+    gap = StreamedPathGap(2, TimeGrid(0.01, 4), 0.7)
+    with pytest.raises(ValueError, match=r"block \(n, 3, M, K\)"):
+        gap.add(0, np.zeros((7, 3, 2)))
 
 
 # --- sample aggregation ------------------------------------------------------------------

@@ -29,8 +29,15 @@ from llblab.cli import (
     run,
 )
 from llblab.clt import write_json
-from llblab.dynamics import BlowUpError, SystemKind, integrate, write_fields_csv, write_report_csv
-from llblab.field import STACK_CHUNK
+from llblab.dynamics import (
+    BlowUpError,
+    SystemKind,
+    integrate,
+    integrate_batch,
+    write_fields_csv,
+    write_report_csv,
+)
+from llblab.field import STACK_CHUNK, stack_norms
 from conftest import ScaledRng, record_batch
 
 TINY_CLT = """
@@ -165,17 +172,19 @@ def test_run_validate_small(tmp_path):
 
 
 def test_run_deterministic_outputs(tmp_path, monkeypatch):
+    import llblab.analysis as analysis_module
+    import llblab.dynamics as dynamics_module
     import llblab.field as field_module
 
     # the report, the energy drift and the final norms share one norm pass
     stacks = []
-    map_stack = field_module.map_stack
 
-    def counted_map_stack(fn, stack):
+    def counted_stack_norms(stack, h, work=None):
         stacks.append(len(stack))
-        return map_stack(fn, stack)
+        return stack_norms(stack, h, work)
 
-    monkeypatch.setattr(field_module, "map_stack", counted_map_stack)
+    for module in (analysis_module, dynamics_module, field_module):
+        monkeypatch.setattr(module, "stack_norms", counted_stack_norms)
     cfg = parse_config(
         "kind = deterministic\ngrid.n = 31\ntime.horizon = 0.02\ntime.steps = 40\n"
         "deterministic.dump_fields = true\n"
@@ -205,14 +214,19 @@ def _record_path_outputs(config, outdir):
     )
     write_report_csv(rec, outdir / "trajectory_report.csv")
     write_fields_csv(rec, outdir / "fields.csv")
-    final_l2, final_h1_semi = rec.norm_rows[-1, :2].tolist()
+    final = stack_norms(rec.final_values()[None], rec.grid.spacing)[0]
+    final_l2, final_h1_semi = final[:2].tolist()
+    _, cfl = integrate_batch(
+        (SystemKind.DETERMINISTIC,), (config.initial()[..., None],), config.model_params(),
+        config.time_grid(), lambda n, u: None,
+    )
     write_json(
         outdir / "summary.json",
         {
             "final_l2": final_l2,
             "final_h1_semi": final_h1_semi,
             "energy_drift": energy_drift(rec),
-            "explicit_cfl": rec.explicit_cfl,
+            "explicit_cfl": cfl,
         },
     )
 
@@ -800,6 +814,14 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert main(["--config", str(config_path)]) == EXIT_CONFIG
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["error"]["code"] == EXIT_CONFIG
+
+
+def test_main_reports_an_unknown_kind_once(tmp_path, capsys):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("kind = bogus\n")
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    messages = json.loads(capsys.readouterr().out.strip())["error"]["messages"]
+    assert messages == [f"kind: must be one of {', '.join(KINDS)}, got 'bogus'"]
 
 
 def test_main_non_utf8_config_is_config_error(tmp_path, capfd):

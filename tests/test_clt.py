@@ -74,6 +74,26 @@ def test_run_clt_rejects_bad_arguments_before_integrating(monkeypatch, overrides
         run_clt(*small_config(**overrides))
 
 
+@pytest.mark.parametrize(
+    "epsilons, samples", [((), 3), ((0.1,), 0)], ids=["no-epsilons", "no-samples"]
+)
+def test_sup_grad_ensemble_rejects_an_empty_ensemble_before_integrating(
+    monkeypatch, epsilons, samples
+):
+    import llblab.clt as clt_module
+    from llblab.clt import sup_grad_ensemble
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble integrated before it checked its arguments")
+
+    monkeypatch.setattr(clt_module, "integrate_batch", no_run)
+    config = small_config()
+    with pytest.raises(ValueError, match="one epsilon and one sample"):
+        sup_grad_ensemble(
+            epsilons, samples, config.params, config.tgrid, config.spec, config.initial, 4
+        )
+
+
 # --- the experiment ---------------------------------------------------------------
 
 def test_run_clt_zero_noise_amplitude_gives_zero_error(monkeypatch):

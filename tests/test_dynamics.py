@@ -236,6 +236,9 @@ def test_stochastic_eps_zero_degenerates_bitwise(p, field):
     tg = TimeGrid(0.05, 200)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
+    _, det_cfl = integrate_batch(
+        (SystemKind.DETERMINISTIC,), (u0[..., None],), p, tg, lambda n, u: None
+    )
     for epsilons in [(0.0,), (0.1, 0.0)]:
         width = len(epsilons)
         sto = []
@@ -247,7 +250,7 @@ def test_stochastic_eps_zero_degenerates_bitwise(p, field):
         assert failures == []
         assert det.snapshots.tobytes() == np.array(sto).tobytes(), epsilons
         if width == 1:
-            assert det.explicit_cfl == cfl
+            assert det_cfl == cfl
 
 
 @pytest.mark.parametrize("field", DEGENERATION_FIELDS)
@@ -552,7 +555,7 @@ def test_trajectory_csv_writers(tmp_path):
     assert lines[0] == "step,time,l2,h1_semi,h2_semi,linf"
     assert len(lines) == 12
     last = lines[-1].split(",")
-    assert (int(last[0]), float(last[1])) == (10, rec.times[10])
+    assert (int(last[0]), float(last[1])) == (10, rec.tgrid.times[10])
     final = stack_norms(rec.final_values()[None], rec.grid.spacing)[0]
     assert [float(x) for x in last[2:]] == final.tolist()
 
@@ -618,10 +621,11 @@ def test_trajectory_csv_writers_match_csv_writer_bytes(tmp_path_factory, drawn):
     with np.errstate(over="ignore", invalid="ignore"):
         with open(out / "report.csv", "wb") as fh:
             fh.write(REPORT_HEADER)
-            write_report_rows(fh, steps, times[steps], record.norm_rows)
+            rows = stack_norms(record.snapshots, record.grid.spacing)
+            write_report_rows(fh, steps, times[steps], rows)
         _csv_writer_report(record, times, out / "report_oracle.csv")
         write_report_csv(record, out / "record_report.csv")
-        _csv_writer_report(record, record.times, out / "record_report_oracle.csv")
+        _csv_writer_report(record, record.tgrid.times, out / "record_report_oracle.csv")
     assert (out / "report.csv").read_bytes() == (out / "report_oracle.csv").read_bytes()
     assert (out / "record_report.csv").read_bytes() == (
         out / "record_report_oracle.csv"

@@ -312,7 +312,8 @@ def test_column_sq_sums_of_a_stack_of_steps_equal_those_of_each_step(shape, seed
         assert sums[k].tobytes() == column_sq_sums(stack[..., k]).tobytes()
 
 
-def test_stack_norms_chunks_a_long_stack(rng):
+def test_stack_norms_row_bits_do_not_depend_on_the_stack_around_it(rng):
+    # a field's row has the same bits alone and in a stack wider than a chunk
     from llblab.field import STACK_CHUNK
 
     stack = rng.normal(size=(2 * STACK_CHUNK + 3, 7, 3))

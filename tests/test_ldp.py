@@ -265,6 +265,26 @@ def test_weak_convergence_zero_eps_is_exact():
     assert rows[0].n_failed == 0
 
 
+@pytest.mark.parametrize(
+    "epsilons, samples", [((), 3), ((0.1,), 0)], ids=["no-epsilons", "no-samples"]
+)
+def test_weak_convergence_rejects_an_empty_ensemble_before_integrating(
+    monkeypatch, epsilons, samples
+):
+    import llblab.clt as clt_module
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble integrated before it checked its arguments")
+
+    monkeypatch.setattr(clt_module, "integrate_batch", no_run)
+    tg = tgrid()
+    ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    with pytest.raises(ValueError, match="one epsilon and one sample"):
+        weak_convergence_experiment(
+            ctrl, epsilons, samples, PARAMS, tg, SPEC, initial_profile(GRID), base_seed=3
+        )
+
+
 def test_weak_convergence_metric_decreases():
     tg = tgrid(250)
     ctrl = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)

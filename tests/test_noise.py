@@ -17,8 +17,8 @@ from llblab.dynamics import (
 from llblab.field import make_grid
 from llblab.noise import (
     ControlPath,
-    IncrementStreams,
     increment_path,
+    increments,
     make_covariance,
     mode_matrix,
     read_control_coefficients,
@@ -251,15 +251,16 @@ def test_control_csv_requires_header(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 7, 64, 500])
 def test_increment_streams_replay_whole_paths(monkeypatch, block):
-    # block by block, each stream yields the bits of its one-draw path
+    # block by block, each stream yields the bits of its one-draw path, and the
+    # generator yields exactly one row of streams per step
     import llblab.noise as noise_module
 
     monkeypatch.setattr(noise_module, "INCREMENT_BLOCK", block)
     steps, dt = 100, 1e-3
     whole = [increment_path(stream_rng(4, j), steps, 3, dt) for j in range(3)]
-    streams = IncrementStreams([stream_rng(4, j) for j in range(3)], steps, 3, dt)
-    for n in range(steps):
-        step = streams.at(n)
+    rows = list(increments([stream_rng(4, j) for j in range(3)], steps, 3, dt))
+    assert len(rows) == steps
+    for n, step in enumerate(rows):
         assert step.shape == (3, 3, 3)
         for j in range(3):
             assert step[j].tobytes() == whole[j][n].tobytes()
