@@ -290,12 +290,16 @@ class StreamedPathGap:
     of their node count, and raises ValueError for any other number of axes;
     ``values`` is the metric of every column over the steps it was given.
     Only two numbers per column are kept, never the trajectories.
-    A block costs one gradient and one Laplacian whatever K is; each step's
-    Laplacian term is added to the running sum on its own, in step order, so
-    a column's value has the same bits whatever the blocks and the batch it
-    runs in. It equals ``path_gap`` of the stored differences to rounding,
-    not bitwise. With ``nu1 = 0`` it is sup_n ||grad d_n||^2 alone, and no
-    Laplacian is taken.
+    A block costs one Laplacian whatever K is: on the grid's zero Dirichlet
+    boundary h sum_edges |grad d|^2 = -h sum_nodes d . Lap d, so the sup term
+    comes from the same Laplacian as the integral term. Each step's sums are
+    taken per column and each step's Laplacian term is added to the running
+    sum on its own, in step order, so a column's value has the same bits
+    whatever the blocks and the batch it runs in. It equals ``path_gap`` of
+    the stored differences to rounding, not bitwise: the summation-by-parts
+    form's relative rounding grows like the machine epsilon over (h k)^2 for a
+    deviation of wave number k. A zero deviation gives +0.0, since ``values``
+    adds the integral term, +0.0 at nu1 = 0, to a sup that may be -0.0.
     """
 
     def __init__(self, width: int, tgrid: TimeGrid, nu1: float):
@@ -309,15 +313,13 @@ class StreamedPathGap:
         if d.ndim != 4:
             raise ValueError(f"need a block (n, 3, M, K) of differences, got shape {d.shape}")
         h = make_grid(d.shape[0]).spacing
-        grad = grad_values(d, h, out=scratch(self._work, "grad", (d.shape[0] + 1,) + d.shape[1:]))
-        grad_sq = h * column_sq_sums(grad, work=grad)
+        lap = lap_values(d, h, out=scratch(self._work, "lap", d.shape))
+        grad_sq = -h * column_sq_sums(d, lap, work=scratch(self._work, "product", d.shape))
         np.maximum(self._sup_grad_sq, grad_sq.max(axis=0), out=self._sup_grad_sq)
         # the Laplacian term stops before the last step, as path_gap's sum does
-        integrated = d[..., :max(self.tgrid.steps - n, 0)]
-        if integrated.size and self.nu1 != 0.0:
-            lap = lap_values(integrated, h, out=scratch(self._work, "lap", integrated.shape))
-            for lap_sq in h * column_sq_sums(lap, work=lap):
-                self._lap_sq_sum += lap_sq
+        integrated = lap[..., :max(self.tgrid.steps - n, 0)]
+        for lap_sq in h * column_sq_sums(integrated, work=integrated):
+            self._lap_sq_sum += lap_sq
 
     @property
     def values(self) -> np.ndarray:

@@ -42,7 +42,7 @@ from . import __version__
 # energy_drift, write_report_csv and write_fields_csv stay bound here, unused, and so does
 # integrate, which only the rate run uses: perfbench/tracer.py patches all four in cli by name
 from .analysis import StreamedEnergyDrift, energy_drift, identity_suite, sample_stats
-from .clt import _finite_or_null, run_clt, sup_grad_ensemble, write_clt_csv, write_clt_summary
+from .clt import _finite_or_null, a_priori_ensemble, run_clt, write_clt_csv, write_clt_summary
 # imported as _write_csv and _write_json: perfbench/tracer.py wraps both in cli by name
 from .clt import write_csv as _write_csv, write_json as _write_json
 from .dynamics import (
@@ -462,31 +462,31 @@ def _run_deterministic(config: ExperimentConfig, output) -> int:
 
 def _run_ensemble(config: ExperimentConfig, output) -> int:
     epsilons = config["ensemble.epsilons"]
-    det_sup, per_epsilon, failures = sup_grad_ensemble(
+    det, per_epsilon, failures = a_priori_ensemble(
         epsilons, config["ensemble.samples"], config.model_params(), config.time_grid(),
         config.covariance(), config.initial(), config["seed"],
     )
     rows = []
     summary_rows = []
-    for eps, sups in zip(epsilons, per_epsilon):
-        for m, sup in enumerate(sups):
-            rows.append((eps, m, math.nan, "blow-up") if sup is None else (eps, m, sup, "ok"))
-        stats = sample_stats(sups)
+    for eps, values in zip(epsilons, per_epsilon):
+        for m, value in enumerate(values):
+            rows.append((eps, m, math.nan, "blow-up") if value is None else (eps, m, value, "ok"))
+        stats = sample_stats(values)
         summary_rows.append(
             {
                 "epsilon": eps,
-                "mean_sup_grad_sq": stats.mean,
+                "mean_metric": stats.mean,
                 # a zero initial state leaves the deterministic run at zero: no ratio
-                "ratio_vs_deterministic": stats.mean / det_sup if det_sup > 0.0 else None,
+                "ratio_vs_deterministic": stats.mean / det if det > 0.0 else None,
                 "n_ok": stats.n_ok,
                 "n_failed": stats.n_failed,
             }
         )
-    _write_csv(output("ensemble_report.csv"), ["epsilon", "sample", "sup_grad_sq", "status"], rows)
+    _write_csv(output("ensemble_report.csv"), ["epsilon", "sample", "metric", "status"], rows)
     _write_json(
         output("summary.json"),
         {
-            "deterministic_sup_grad_sq": det_sup,
+            "deterministic_metric": det,
             "rows": summary_rows,
             "failures": [f._asdict() for f in failures],
         },

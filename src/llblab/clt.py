@@ -7,13 +7,13 @@ counter-based stream ``stream_rng(seed, epsilon index, sample)``, from which
 the batch draws the column's increments on the run's time grid; at most
 ``BATCH_COLUMNS`` columns march together, so memory grows with the batch
 width, never with the number of samples. Each column's proof metric
-sup_t ||grad d||^2 + nu1 * int ||Lap d||^2 of a field d derived from its
-states is accumulated a block of steps at a time instead of from stored
-trajectories: a narrow batch buffers the states of several steps, so the
-metric's kernels run once per block, on as many columns as a full batch. A
-sample whose run blows up is retired at that step, counted and listed with
-its stream key and step, never averaged; the other columns go on. The
-results depend on nothing but the config.
+sup_t ||grad d||^2 + nu1 * int ||Lap d||^2, with the model's nu1, of a field
+d derived from its states is accumulated a block of steps at a time instead
+of from stored trajectories: a narrow batch buffers the states of several
+steps, so the metric's one Laplacian runs once per block, on as many columns
+as a full batch. A sample whose run blows up is retired at that step,
+counted and listed with its stream key and step, never averaged; the other
+columns go on. The results depend on nothing but the config.
 
 Every batch marches the ensemble's noiseless reference as one shared
 column, and the observer compares each sample with the reference's state of
@@ -24,8 +24,10 @@ The central limit experiment
 couples the noisy flow u_eps, the reference u0 and the linear deviation
 system V0 about it, which reads the increments of u_eps; the per-sample
 error is the proof metric of V_eps - V0, V_eps = (u_eps - u0)/sqrt(eps).
-``sup_grad_ensemble`` gives sup_t ||grad u||^2 of u0 and of every sample of
-the noisy flow, the a priori bound, from one metric of both.
+``a_priori_ensemble`` gives the proof metric of u itself,
+sup_t ||grad u||^2 + nu1 * int ||Lap u||^2, the quantity of the a priori
+estimate, for u0 and for every sample of the noisy flow, from one metric of
+both.
 
 ``write_json`` writes every JSON output of the package, this experiment's
 summary and the CLI's, as strict JSON: an epsilon whose samples all blew up
@@ -60,11 +62,11 @@ __all__ = [
     "CltRow",
     "SampleFailure",
     "CltReport",
-    "SupGradEnsemble",
+    "APrioriEnsemble",
     "minus_reference",
     "run_columns",
     "run_clt",
-    "sup_grad_ensemble",
+    "a_priori_ensemble",
     "write_clt_csv",
     "write_clt_summary",
     "write_csv",
@@ -95,15 +97,16 @@ class CltReport:
     failures: tuple
 
 
-class SupGradEnsemble(NamedTuple):
-    """sup_n ||grad u_n||^2 of the noiseless run and of every sample.
+class APrioriEnsemble(NamedTuple):
+    """The proof metric of u, sup_n ||grad u_n||^2 + nu1 sum dt ||Lap u_n||^2,
+    of the noiseless run and of every sample.
 
-    ``sups[i][m]`` belongs to epsilon index i and sample m, None where the
+    ``values[i][m]`` belongs to epsilon index i and sample m, None where the
     sample blew up; ``failures`` lists those samples.
     """
 
     deterministic: float
-    sups: list
+    values: list
     failures: tuple
 
 
@@ -122,7 +125,6 @@ def run_columns(
     samples: int,
     base_seed: int,
     difference,
-    nu1: float,
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
@@ -142,18 +144,19 @@ def run_columns(
     n + K - 1 of a batch, a block (n, 3, S*M + 1, K) holding the M columns of
     each of the S systems in turn and then the reference's, and the batch's
     (M,) epsilons to the field d whose metric
-    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2 is accumulated; its first M
-    columns are the samples', any further ones the reference's. K is the
-    number of steps whose states, stacked, fill about ``BATCH_COLUMNS``
-    columns, so a narrow batch pays the per-call cost of the metric's kernels
-    once per block; the last block of a run may be shorter. A column that
-    blew up stays in its batch, zeroed, to the end, and its metric is
-    dropped. Returns ``(values, failures, reference)``: ``values[i][m]`` is
-    the metric of column (i, m), None where it blew up, ``failures`` its
-    SampleFailures, sorted, and ``reference`` the metric of each column of d
-    past the samples. A column's sums do not depend on its batch, so every
-    batch gives the reference's the same bits. Raises ValueError, before any
-    integration, when there is no epsilon or no sample.
+    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2, with ``params.nu1``, is
+    accumulated; its first M columns are the samples', any further ones the
+    reference's. K is the number of steps whose states, stacked, fill about
+    ``BATCH_COLUMNS`` columns, so a narrow batch pays the per-call cost of the
+    metric's one Laplacian once per block; the last block of a run may be
+    shorter. A column that blew up stays in its batch, zeroed, to the end,
+    and its metric is dropped. Returns ``(values, failures, reference)``:
+    ``values[i][m]`` is the metric of column (i, m), None where it blew up,
+    ``failures`` its SampleFailures, sorted, and ``reference`` the metric of
+    each column of d past the samples. A column's sums do not depend on its
+    batch, so every batch gives the reference's the same bits. Raises
+    ValueError, before any integration, when there is no epsilon or no
+    sample.
     """
     nodes = len(u0)
     steps = tgrid.steps
@@ -190,7 +193,7 @@ def run_columns(
                 u = buf[..., :k + 1]
             d = difference(n - k, u, eps)
             if gap is None:
-                gap = StreamedPathGap(d.shape[2], tgrid, nu1)
+                gap = StreamedPathGap(d.shape[2], tgrid, params.nu1)
             gap.add(n - k, d)
 
         failed, _ = integrate_batch(
@@ -251,7 +254,7 @@ def run_clt(
 
     errors, failures, _ = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), initial,
-        epsilons, samples, base_seed, deviation_gap, params.nu1, params, tgrid, spec,
+        epsilons, samples, base_seed, deviation_gap, params, tgrid, spec,
     )
     rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(epsilons, errors)]
     fit = None
@@ -261,7 +264,7 @@ def run_clt(
     return CltReport(rows=tuple(rows), fit=fit, failures=failures)
 
 
-def sup_grad_ensemble(
+def a_priori_ensemble(
     epsilons,
     samples: int,
     params: ModelParams,
@@ -269,19 +272,21 @@ def sup_grad_ensemble(
     spec: CovarianceSpec,
     initial: np.ndarray,
     base_seed: int,
-) -> SupGradEnsemble:
-    """sup_n ||grad u_n||^2 of the deterministic run from the (n, 3) field
-    ``initial`` and of ``samples`` stochastic runs per epsilon, sample m of
-    epsilon index i on ``stream_rng(base_seed, i, m)``. The deterministic
+) -> APrioriEnsemble:
+    """The proof metric of u with ``params.nu1``,
+    sup_n ||grad u_n||^2 + nu1 sum dt ||Lap u_n||^2, of the deterministic run
+    from the (n, 3) field ``initial`` and of ``samples`` stochastic runs per
+    epsilon, sample m of epsilon index i on ``stream_rng(base_seed, i, m)``:
+    the quantity the a priori estimate bounds. The deterministic
     value is that of the reference column in the samples' own metric, so a
     sample at epsilon 0 gives it bitwise. Raises BlowUpError when the
     deterministic run blows up, and ValueError, before any integration, when
     there is no epsilon or no sample."""
-    sups, failures, (det,) = run_columns(
+    values, failures, (det,) = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), initial, epsilons, samples, base_seed,
-        lambda n, u, eps: u, 0.0, params, tgrid, spec,
+        lambda n, u, eps: u, params, tgrid, spec,
     )
-    return SupGradEnsemble(det, sups, failures)
+    return APrioriEnsemble(det, values, failures)
 
 
 def write_clt_csv(report: CltReport, path) -> None:

@@ -189,7 +189,7 @@ def _flat_pass(f: np.ndarray, o: np.ndarray, s: int) -> None:
 
 
 def _flat_lap(v: np.ndarray, out: np.ndarray) -> bool:
-    """``lap_values`` of the stack v into ``out``, of v's strides, before the
+    """``lap_values`` of the stack v into ``out``, of v's layout, before the
     scaling by 1/h^2, as one flat pass over v's memory; False, having done
     nothing that counts, when v is not contiguous or the pass raised a flag."""
     memory = v.ravel(order="K")
@@ -215,16 +215,18 @@ def lap_values(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.nda
     of a boundary node left out rather than added as a zero, which would turn
     a -0.0 into 0.0. ``out`` first holds 2 v, so no temporary is made. A stack
     of at least ``FLAT_ROWS`` rows that lies contiguously in memory with the
-    strides of ``out``, but not node by node, takes the flat pass
-    (``_flat_lap``); should a floating-point flag rise in it, the row form
-    computes the stack again, with the row form's warnings.
+    strides of ``out`` on every axis longer than 1, but not node by node,
+    takes the flat pass (``_flat_lap``); should a floating-point flag rise in
+    it, the row form computes the stack again, with the row form's warnings.
+    The stride of a length-1 axis never moves an element: a step's state seen
+    as a one-step block, ``u[..., None]``, has a zero stride there.
     """
     if out is None:
         out = np.empty_like(v)
     n = len(v)
     if not (
         v.size >= FLAT_ROWS * n
-        and v.strides == out.strides
+        and all(a == b for a, b, m in zip(v.strides, out.strides, v.shape) if m > 1)
         and 0 < v.strides[0] * n < v.nbytes
         and _flat_lap(v, out)
     ):

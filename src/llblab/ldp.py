@@ -333,7 +333,7 @@ def weak_convergence_experiment(
     For each epsilon, ``samples`` paths of the controlled system (same fixed
     deterministic control) from the (n, 3) field ``u0`` are compared against
     the skeleton solution in the proof metric
-    sup ||grad diff||^2 + nu1 int ||Lap diff||^2. Every
+    sup ||grad diff||^2 + nu1 int ||Lap diff||^2, with ``params.nu1``. Every
     (epsilon index, sample) pair is one column of a batch marched beside the
     skeleton on its own counter-based stream (``clt.run_columns``), with
     the metric accumulated a block of steps at a time; blown-up samples are
@@ -347,7 +347,7 @@ def weak_convergence_experiment(
     metrics, failures, _ = run_columns(
         (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON), u0, eps_values, samples,
         base_seed, lambda n, u, eps: minus_reference(work, u[:, :, :len(eps)], u[:, :, len(eps):]),
-        params.nu1, params, tgrid, spec, ctrl=ctrl,
+        params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]
     return rows, failures
@@ -372,9 +372,11 @@ def compactness_probe(
     grows. The base skeleton under ``ctrl`` and one skeleton per probe march
     as the width-1 systems of one batch, each under its own control, and the
     response is the proof metric with nu1 = 0 of their difference, taken step
-    by step, so no trajectory is stored. A blow-up is raised, key None, at the
-    first step where any skeleton crosses the ceiling. Returns one
-    (mode, response) pair per oscillation mode.
+    by step, so no trajectory is stored: ``StreamedPathGap`` takes its
+    sup ||grad d||^2 from the one Laplacian of each step by summation by
+    parts, and its integral term, weighted by 0, adds +0.0. A blow-up is
+    raised, key None, at the first step where any skeleton crosses the
+    ceiling. Returns one (mode, response) pair per oscillation mode.
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")

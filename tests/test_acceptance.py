@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 
 import llblab.dynamics as dynamics
 from llblab.analysis import fit_slope, identity_suite
-from llblab.clt import run_clt, sup_grad_ensemble
+from llblab.clt import a_priori_ensemble, run_clt
 from llblab.cli import EXIT_OK, parse_config, run
 from llblab.dynamics import (
     ModelParams,
@@ -143,18 +143,22 @@ def test_criterion_04_zero_noise_degeneration():
 def test_criterion_05_a_priori_boundedness():
     epsilons = (1e-1, 1e-2)
     # 64 samples per epsilon, sample m of epsilon index i on stream (501, i, m)
-    ensemble = sup_grad_ensemble(
+    # the proof metric of u, sup ||grad u||^2 + nu1 int ||Lap u||^2: what the
+    # a priori estimate bounds
+    ensemble = a_priori_ensemble(
         epsilons, 64, DEFAULT_PARAMS, TimeGrid(0.25, 2500), make_covariance(8, 4.0),
         initial_profile(make_grid(127)), base_seed=501,
     )
-    det_sup = ensemble.deterministic
+    det = ensemble.deterministic
     details = []
     ok = True
-    for eps, sups in zip(epsilons, ensemble.sups):
-        failed = sum(sup is None for sup in sups)
-        mean = float(np.mean([sup for sup in sups if sup is not None]))
-        ok = ok and failed == 0 and det_sup / 3.0 <= mean <= 3.0 * det_sup
-        details.append(f"eps={eps:g}: mean sup {mean:.4f} vs det {det_sup:.4f}, {failed} blow-ups")
+    for eps, values in zip(epsilons, ensemble.values):
+        failed = sum(value is None for value in values)
+        mean = float(np.mean([value for value in values if value is not None]))
+        ok = ok and failed == 0 and det / 3.0 <= mean <= 3.0 * det
+        details.append(
+            f"eps={eps:g}: mean proof metric {mean:.4f} vs det {det:.4f}, {failed} blow-ups"
+        )
     assert _verdict(5, "a priori boundedness", ok, "; ".join(details))
 
 

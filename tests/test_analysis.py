@@ -426,6 +426,43 @@ def test_streamed_path_gap_fed_in_blocks_equals_single_steps_bitwise(
     assert np.array_equal(blocked.values, single.values)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    nodes=st.sampled_from([127, 255, 511]),
+    mode=st.integers(1, 5),
+    amplitude=st.sampled_from([1.0, 1e-3]),
+    steps=st.integers(1, 8),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_path_gap_of_smooth_deviations_equals_path_gap(
+    nodes, mode, amplitude, steps, width, seed
+):
+    # the sup term is -h sum d . Lap d, whose relative rounding grows like the
+    # machine epsilon over (h k)^2: smooth low modes on fine grids are its worst case
+    grid = make_grid(nodes)
+    coeffs = np.random.default_rng(seed).normal(size=(width, steps + 1, 1, 3))
+    d = amplitude * coeffs * np.sin(mode * np.pi * grid.nodes)[:, None]
+    tg = TimeGrid(1e-4 * steps, steps)
+    gap = StreamedPathGap(width, tg, 0.7)
+    gap.add(0, np.moveaxis(d, (0, 1), (2, 3)))
+    for j in range(width):
+        expected = path_gap(d[j], 0.0 * d[j], grid.spacing, tg.dt, 0.7)
+        assert gap.values[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nu1", [0.0, 0.7])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_streamed_path_gap_of_a_zero_block_is_positive_zero(nu1, zero):
+    # -h times a zero sum is -0.0; the integral term, +0.0 also at nu1 = 0,
+    # gives every value the sign of a positive zero
+    gap = StreamedPathGap(4, TimeGrid(0.01, 5), nu1)
+    gap.add(0, np.full((9, 3, 4, 3), zero))
+    gap.add(3, np.full((9, 3, 4, 3), zero))
+    assert gap.values.tolist() == [0.0] * 4
+    assert not np.signbit(gap.values).any()
+
+
 def test_streamed_path_gap_takes_only_blocks():
     # a step's (n, 3, M) differences are a one-step block (n, 3, M, 1)
     gap = StreamedPathGap(2, TimeGrid(0.01, 4), 0.7)

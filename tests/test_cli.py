@@ -424,6 +424,20 @@ def test_run_weak_with_control_file(tmp_path):
     assert summary["control_cost"] == pytest.approx(0.5 * 0.05 * 0.4**2)
 
 
+def test_run_weak_at_zero_noise_writes_positive_zeros(tmp_path):
+    # at epsilon 0 the controlled flow is the skeleton, bitwise: each metric
+    # is the positive zero of a zero deviation, and so are its mean and error
+    cfg = parse_config(
+        "kind = weak-convergence\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 80\n"
+        "noise.modes = 4\nweak.epsilons = 0.1, 0\nweak.samples = 3\n"
+    )
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
+    rows = (tmp_path / "weak_report.csv").read_text().splitlines()
+    assert rows[0] == "epsilon,mean_metric,std_error,n_ok,n_failed"
+    assert float(rows[1].split(",")[1]) > 0.0
+    assert rows[2] == "0.0,0.0,0.0,3,0"
+
+
 def test_run_weak_control_file_step_mismatch(tmp_path, capsys):
     from llblab.noise import single_mode_control, write_control_csv
 
@@ -773,7 +787,7 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [(r["n_ok"], r["n_failed"]) for r in summary["rows"]] == [(2, 1), (3, 0)]
-    assert np.isfinite(summary["rows"][0]["mean_sup_grad_sq"])
+    assert np.isfinite(summary["rows"][0]["mean_metric"])
     (failure,) = summary["failures"]
     assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
     report = (tmp_path / "ensemble_report.csv").read_text().splitlines()
@@ -1142,10 +1156,10 @@ def test_run_ensemble_zero_initial_state_has_no_ratio(tmp_path):
     )
     assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["deterministic_sup_grad_sq"] == 0.0
+    assert summary["deterministic_metric"] == 0.0
     row = summary["rows"][0]
     assert row["ratio_vs_deterministic"] is None
-    assert row["n_ok"] == 2 and row["mean_sup_grad_sq"] == 0.0
+    assert row["n_ok"] == 2 and row["mean_metric"] == 0.0
 
 
 # --- a run-level property over the config space -----------------------------------------
@@ -1256,7 +1270,7 @@ def _documented_nulls(payload, keys):
     for i, row in enumerate(rows):
         if row.get("n_ok") == 0:
             allowed |= {("rows", i, key) for key in row}
-        if payload.get("deterministic_sup_grad_sq") == 0.0:
+        if payload.get("deterministic_metric") == 0.0:
             allowed.add(("rows", i, "ratio_vs_deterministic"))
     positive = [row for row in rows if row.get("n_ok") and (row.get("mean_error") or 0.0) > 0.0]
     if len(positive) < 3:
@@ -1349,7 +1363,7 @@ def test_main_exits_with_a_documented_code_and_finite_results(drawn):
 ZERO_COLUMNS = {
     "trajectory_report.csv": ("l2", "h1_semi", "h2_semi", "linf"),
     "fields.csv": ("ux", "uy", "uz"),
-    "ensemble_report.csv": ("sup_grad_sq",),
+    "ensemble_report.csv": ("metric",),
     "clt_report.csv": ("mean_error", "std_error", "n_failed"),
     "weak_report.csv": ("mean_metric", "std_error", "n_failed"),
     "compactness_report.csv": ("metric",),
@@ -1357,8 +1371,8 @@ ZERO_COLUMNS = {
 }
 # the same in the JSON summaries
 ZERO_KEYS = {
-    "final_l2", "final_h1_semi", "energy_drift", "explicit_cfl", "deterministic_sup_grad_sq",
-    "mean_sup_grad_sq", "mean_error", "std_error", "mean_metric", "metric", "n_failed",
+    "final_l2", "final_h1_semi", "energy_drift", "explicit_cfl", "deterministic_metric",
+    "mean_error", "std_error", "mean_metric", "metric", "n_failed",
     "n_failures", "cost", "misfit", "gradient_norm", "target_h1",
 }
 

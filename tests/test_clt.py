@@ -77,11 +77,11 @@ def test_run_clt_rejects_bad_arguments_before_integrating(monkeypatch, overrides
 @pytest.mark.parametrize(
     "epsilons, samples", [((), 3), ((0.1,), 0)], ids=["no-epsilons", "no-samples"]
 )
-def test_sup_grad_ensemble_rejects_an_empty_ensemble_before_integrating(
+def test_a_priori_ensemble_rejects_an_empty_ensemble_before_integrating(
     monkeypatch, epsilons, samples
 ):
     import llblab.clt as clt_module
-    from llblab.clt import sup_grad_ensemble
+    from llblab.clt import a_priori_ensemble
 
     def no_run(*args, **kwargs):
         raise AssertionError("the ensemble integrated before it checked its arguments")
@@ -89,7 +89,7 @@ def test_sup_grad_ensemble_rejects_an_empty_ensemble_before_integrating(
     monkeypatch.setattr(clt_module, "integrate_batch", no_run)
     config = small_config()
     with pytest.raises(ValueError, match="one epsilon and one sample"):
-        sup_grad_ensemble(
+        a_priori_ensemble(
             epsilons, samples, config.params, config.tgrid, config.spec, config.initial, 4
         )
 
@@ -272,7 +272,7 @@ def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
 
     values, failures, ref_metric = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, config.epsilons, 2,
-        config.base_seed, difference, 0.0, config.params, config.tgrid, config.spec,
+        config.base_seed, difference, config.params, config.tgrid, config.spec,
     )
     assert ref_metric == []
     assert values == [[None, None], [None, None]]
@@ -313,39 +313,42 @@ def test_write_csv_spells_every_float_as_repr(tmp_path):
     assert path.read_bytes() == b"a,b,c\r\n0.1,1,nan\r\n-0.0,2,ok\r\n1e-07,True,-inf\r\n"
 
 
-def test_sup_grad_ensemble_at_zero_noise_is_the_deterministic_sup(monkeypatch):
+def test_a_priori_ensemble_at_zero_noise_is_the_deterministic_metric(monkeypatch):
     import llblab.clt as clt_module
-    from llblab.clt import sup_grad_ensemble
-    from llblab.field import stack_norms
+    from llblab.analysis import path_gap
+    from llblab.clt import a_priori_ensemble
     from llblab.dynamics import SystemKind, integrate
 
     config = small_config(tgrid=TimeGrid(0.05, 50))
     args = ((0.0, 0.1), 3, config.params, config.tgrid, config.spec, config.initial, 4)
-    det_sup, sups, failures = sup_grad_ensemble(*args)
-    # batches of 4 and 2 columns: the first batch's reference gives the same sup
+    det_metric, values, failures = a_priori_ensemble(*args)
+    # batches of 4 and 2 columns: the first batch's reference gives the same metric
     monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 4)
-    assert sup_grad_ensemble(*args) == (det_sup, sups, failures)
+    assert a_priori_ensemble(*args) == (det_metric, values, failures)
     # the noiseless columns run the deterministic flow: the same sums give the same bits
-    assert sups[0] == [det_sup] * 3
+    assert values[0] == [det_metric] * 3
     assert failures == ()
-    assert all(sup > 0.0 for sup in sups[1])
+    assert all(value > 0.0 for value in values[1])
+    # the proof metric of u itself, with the model's nu1
     det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
-    h1_semi = stack_norms(det.snapshots, det.grid.spacing)[:, 1]
-    assert det_sup == pytest.approx(float(np.max(h1_semi)) ** 2, rel=1e-14)
+    expected = path_gap(
+        det.snapshots, 0.0 * det.snapshots, det.grid.spacing, config.tgrid.dt, config.params.nu1
+    )
+    assert det_metric == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
-def test_sup_grad_ensemble_gives_the_same_bits_in_batches_of_one_step_blocks(monkeypatch):
+def test_a_priori_ensemble_gives_the_same_bits_in_batches_of_one_step_blocks(monkeypatch):
     # 6 columns in batches of 6 take blocks of one step, the default batch
-    # blocks of 10: the samples' sups and the reference's, a column of the
+    # blocks of 10: the samples' metrics and the reference's, a column of the
     # same metric, have the same bits
     import llblab.clt as clt_module
-    from llblab.clt import sup_grad_ensemble
+    from llblab.clt import a_priori_ensemble
 
     config = small_config(tgrid=TimeGrid(0.05, 50))
     args = ((0.1, 0.01), 3, config.params, config.tgrid, config.spec, config.initial, 4)
-    wide = sup_grad_ensemble(*args)
+    wide = a_priori_ensemble(*args)
     monkeypatch.setattr(clt_module, "BATCH_COLUMNS", 6)
-    assert sup_grad_ensemble(*args) == wide
+    assert a_priori_ensemble(*args) == wide
 
 
 @pytest.mark.parametrize("samples", [3, 64, 70], ids=["one-batch", "two-batches", "three-batches"])
@@ -360,8 +363,7 @@ def test_run_columns_reference_metric_is_the_deterministic_runs(samples):
     config = small_config(tgrid=TimeGrid(0.02, 20))
     values, failures, reference = run_columns(
         (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, (0.1, 0.01), samples,
-        config.base_seed, lambda n, block, eps: block, config.params.nu1, config.params,
-        config.tgrid, config.spec,
+        config.base_seed, lambda n, block, eps: block, config.params, config.tgrid, config.spec,
     )
     assert failures == () and [len(v) for v in values] == [samples, samples]
     det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)
@@ -371,27 +373,24 @@ def test_run_columns_reference_metric_is_the_deterministic_runs(samples):
     assert np.array(reference).tobytes() == alone.values.tobytes()
 
 
-def test_sup_grad_ensemble_sees_the_noise_lift_a_small_gradient():
-    # weak diffusion and no damping: the noise lifts ||grad u||^2 of a nearly
-    # flat initial state above the deterministic sup, which is its value at
-    # n = 0, so every sample's sup is reached at a step n > 0
-    from llblab.clt import sup_grad_ensemble
-    from llblab.field import stack_norms
+def test_a_priori_ensemble_sees_the_noise_lift_a_small_gradient():
+    # weak diffusion and no damping: the noise lifts the proof metric of a
+    # nearly flat initial state, sup ||grad u||^2 + nu1 int ||Lap u||^2, above
+    # the deterministic run's in every sample
+    from llblab.clt import a_priori_ensemble
 
     config = small_config(
         params=ModelParams(nu1=0.01, nu2=0.0),
         tgrid=TimeGrid(0.05, 50),
         initial=initial_profile(make_grid(31), a=0.01, b=0.0),
     )
-    det_sup, sups, failures = sup_grad_ensemble(
+    det_metric, values, failures = a_priori_ensemble(
         (1.0, 0.3, 0.1), 4, config.params, config.tgrid, config.spec, config.initial, 4
     )
     assert failures == ()
-    h1_semi = stack_norms(config.initial[None], make_grid(31).spacing)[0, 1]
-    assert det_sup == pytest.approx(h1_semi**2, rel=1e-14)
-    for per_epsilon in sups:
+    for per_epsilon in values:
         assert len(per_epsilon) == 4
-        assert all(sup > det_sup for sup in per_epsilon)
+        assert all(value > det_metric for value in per_epsilon)
 
 
 def test_write_json_spells_non_finite_floats_as_null(tmp_path):

@@ -548,10 +548,13 @@ def _stack(layout, n, width, steps):
         return solver_empty((n, 3, 2 * width))[..., ::2]
     if layout == "reversed":
         return solver_empty((n, 3, width))[::-1]
+    if layout == "step":
+        # a step's state seen as a one-step block: a zero stride on its last axis
+        return solver_empty((n, 3, width))[..., None]
     return solver_empty((n, 3, width))
 
 
-STACK_LAYOUTS = ["solver", "block", "moveaxis", "sliced", "reversed"]
+STACK_LAYOUTS = ["solver", "block", "moveaxis", "sliced", "reversed", "step"]
 
 
 @st.composite
@@ -603,6 +606,7 @@ def test_stencils_give_the_row_forms_bits_in_every_layout(case):
         ("reversed", 13, "same", False),  # a negative node stride
         ("C", 13, "like", False),  # node by node: the row form is one pass already
         ("solver", 13, "C", False),  # out has other strides
+        ("step", 65, "block", True),  # strides differ only on the length-1 axis
     ],
 )
 def test_lap_values_takes_the_flat_pass_for_wide_contiguous_stacks(
@@ -613,7 +617,10 @@ def test_lap_values_takes_the_flat_pass_for_wide_contiguous_stacks(
     monkeypatch.setattr(field, "_flat_pass", lambda *args: calls.append(1) or flat_pass(*args))
     v = np.empty((127, 3, width)) if layout == "C" else _stack(layout, 127, width, 10)
     v[...] = np.random.default_rng(width).normal(size=v.shape)
-    outs = {"allocate": None, "like": np.empty_like(v), "C": np.empty(v.shape)}
+    outs = {
+        "allocate": None, "like": np.empty_like(v), "C": np.empty(v.shape),
+        "block": solver_empty(v.shape),
+    }
     # "same": another stack of the layout, with v's strides
     out = outs[out_kind] if out_kind in outs else _stack(layout, 127, width, 10)
     got = lap_values(v, 0.01, out=out)

@@ -139,8 +139,10 @@ def test_no_module_reads_the_environment():
 
 
 def test_only_field_and_analysis_import_the_metric_kernels():
-    # the proof metric is taken by analysis.StreamedPathGap alone: a module
-    # that imports its kernels could grow a second way to take it
+    # the proof metric is taken by analysis.StreamedPathGap alone, from one
+    # Laplacian and column_sq_sums; lap_values is the step's kernel too, so the
+    # check watches the reduction and the gradient, from which a module could
+    # grow a second way to take the metric
     kernels = {"grad_values", "column_sq_sums"}
     root = Path(__file__).resolve().parents[1] / "src" / "llblab"
     uses = []
