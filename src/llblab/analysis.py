@@ -84,13 +84,18 @@ def sample_stats(values) -> SampleStats:
     """Aggregate per-sample values, ``None`` marking a sample that blew up.
 
     Failed samples are counted, never averaged; with no sample left the mean
-    and standard error are NaN, with one the standard error is 0.
+    and standard error are NaN. Samples that all hold one value, a single
+    sample too, have that value as their mean and a standard error of 0:
+    ``np.mean`` sums before it divides, so its mean of equal values can miss
+    them in the last bit.
     """
     ok = np.array([v for v in values if v is not None])
     n_failed = len(values) - len(ok)
     if len(ok) == 0:
         return SampleStats(math.nan, math.nan, 0, n_failed)
-    se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else 0.0
+    if (ok == ok[0]).all():
+        return SampleStats(float(ok[0]), 0.0, len(ok), n_failed)
+    se = float(np.std(ok, ddof=1) / math.sqrt(len(ok)))
     return SampleStats(float(np.mean(ok)), se, len(ok), n_failed)
 
 

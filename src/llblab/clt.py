@@ -15,13 +15,14 @@ as a full batch. A sample whose run blows up is retired at that step,
 counted and listed with its stream key and step, never averaged; the other
 columns go on. The results depend on nothing but the config.
 
-Every batch marches the ensemble's noiseless reference as one shared
-column, and the observer compares each sample with the reference's state of
-the same step: no record of it is stored. The observer buffers the batch's
-whole stacked state, the reference's column included, with one copy a step,
-and a difference that keeps columns past the samples gets their metric too.
-The central limit experiment
-couples the noisy flow u_eps, the reference u0 and the linear deviation
+Every batch marches the ensemble's noiseless reference, which depends on its
+inputs alone, as one shared column, and the observer compares each sample
+with the reference's state of the same step: no record of it is stored. A
+reference that blows up ends the run with its own error, as ``integrate``
+raises it. The observer buffers the batch's whole stacked state, the
+reference's column included, with one copy a step, and a difference that
+keeps columns past the samples gets their metric too. The central limit
+experiment couples the noisy flow u_eps, the reference u0 and the linear deviation
 system V0 about it, which reads the increments of u_eps; the per-sample
 error is the proof metric of V_eps - V0, V_eps = (u_eps - u0)/sqrt(eps).
 ``a_priori_ensemble`` gives the proof metric of u itself,
@@ -132,15 +133,15 @@ def run_columns(
 ) -> tuple[list, tuple, list]:
     """The proof metric of every (epsilon index, sample) column of an ensemble.
 
-    ``kinds`` names the systems of each column, then the reference's kind:
-    the noiseless run the samples are compared with, marched from ``u0`` as
-    one shared column of every batch. Column (i, m) starts every system from
-    the (n, 3) field ``u0``, a linearized one from zero, and runs at
-    ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
+    ``kinds`` names the noisy systems of each column, then the reference's
+    kind: the noiseless run the samples are compared with, marched from
+    ``u0`` as one shared column of every batch. Column (i, m) starts every
+    noisy system from the (n, 3) field ``u0``, a linearized one from zero, and
+    runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
     (``dynamics.integrate_batch``, with ``ctrl`` the control of every system,
     the reference's too). A linearized system is linearized about the
-    reference, and the reference's blow-up is raised as ``integrate`` raises
-    it. ``difference(n, block, eps)`` maps the stacked states of steps n to
+    reference. The reference raises its own blow-up, key None, at its step,
+    the one ``integrate`` of it raises, whichever samples have retired. ``difference(n, block, eps)`` maps the stacked states of steps n to
     n + K - 1 of a batch, a block (n, 3, S*M + 1, K) holding the M columns of
     each of the S systems in turn and then the reference's, and the batch's
     (M,) epsilons to the field d whose metric

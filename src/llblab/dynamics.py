@@ -27,30 +27,35 @@ in the worst case; the integrator tracks the observed ratio and returns it,
 and a BlowUpError carries it, rather than failing eagerly (diffusion
 stabilizes the default parameter regime well past the naive bound).
 
-Every run goes through one step loop, that of ``integrate_batch``, and every
-run is a batch: it marches a node-major batch (n, 3, M) of M sample columns,
-of one system or of several systems in lockstep, each under its own control,
-beside any shared columns, noiseless runs made once for the whole batch such
-as an ensemble's reference, draws each sample column's increments from that
-column's generator on the batch's time grid, and hands the stacked state of
-each step to an observer instead of storing it, so runs are compared while
-they march; ``integrate`` is its width-1 case for the noiseless kinds,
-deterministic and skeleton, and stores the snapshots it is asked for. The
-CLI's deterministic run marches the same width-1 batch and writes each block
-of snapshots as it comes (``write_report_rows``, ``write_field_rows``),
-storing no record; the record writers apply those block writers to a whole
-record. The step kernels treat every column of a batch as they treat that
-column alone, and no step branches on the data of its columns: every system
-adds every forcing it has, a zero one too. So a column's states have the
-same bits at any batch width, a column at eps = 0 or under a zero control
-has the bits of the noiseless run, and a column that blows up is retired at
-the step where it would blow up alone while the others go on.
+Every run goes through one step loop, that of ``integrate_batch``, and the
+kinds settle its layout. A noisy kind (stochastic, controlled-stochastic,
+linearized) is a batch (n, 3, M) of M sample columns, each drawing its
+increments from its own generator on the batch's time grid; a noiseless kind
+(deterministic, skeleton) depends on its inputs alone, so it is one shared
+column of the batch, made once for every sample, such as an ensemble's
+reference or a compactness probe's skeletons. A batch holds its noisy
+systems, in lockstep, then its noiseless ones, each system under its own
+control, and hands the stacked state of each step to an observer instead of
+storing it, so runs are compared while they march. ``integrate`` is the case
+of one noiseless system and no sample column, and stores the snapshots it is
+asked for. The CLI's deterministic run marches the same one-column batch and
+writes each block of snapshots as it comes (``write_report_rows``,
+``write_field_rows``), storing no record; the record writers apply those
+block writers to a whole record. The step kernels treat every column of a
+batch as they treat that column alone, and no step branches on the data of
+its columns: every system adds every forcing it has, a zero one too. So a
+column's states have the same bits at any batch width, a column at eps = 0
+or under a zero control has the bits of the noiseless run, and a sample
+column that blows up is retired at the step where it would blow up alone
+while the others go on. A shared column that blows up raises its own
+BlowUpError at that step, as ``integrate`` of its run raises it: every
+sample depends on it, so there is one error path for every noiseless run.
 
 The loop holds one workspace per batch in the memory order of the
-tridiagonal solve, (3, S*M + R, n) for S systems of M columns and R shared
-columns: every component of every column is one contiguous n-vector, while
-the arrays keep their logical node-major (n, 3, M) indexing. The systems
-share one stacked state, so a step takes one Laplacian, one set of squared
+tridiagonal solve, (3, S*M + R, n) for S noisy systems of M columns and R
+noiseless ones: every component of every column is one contiguous n-vector,
+while the arrays keep their logical node-major (n, 3, M) indexing. The
+systems share one stacked state, so a step takes one Laplacian, one set of squared
 norms, one ceiling check, one right-hand side and one solve for all of them,
 and the observer sees that state and slices what it needs.
 Every system's right-hand side is one template, u + u x Y - C u, with its
@@ -170,8 +175,9 @@ class BlowUpError(RuntimeError):
     """Raised when the state leaves the finite / bounded regime.
 
     ``key`` is the counter-based stream key (seed, epsilon index, sample) of a
-    noisy sample, so the failure can be replayed on its own; None for a run
-    without one. ``linf`` is the |u|_inf of the failing step (inf or nan only
+    noisy sample, so the failure can be replayed on its own; None for a
+    noiseless run, which marches as a shared column and raises its own error,
+    the one ``integrate`` of that run raises. ``linf`` is the |u|_inf of the failing step (inf or nan only
     once the state itself overflows) and ``ratio`` the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 of the steps before it.
     """
@@ -277,10 +283,10 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
     control field dt mode_mat c_n of the step, None without a control.
     ``forcing`` is the step's noise field dB (n, 3, M), None without noise,
     and ``strength`` sqrt(eps) of each sample column, zero for a retired one.
-    ``linear`` is (ref, lins, base): the deterministic system, the linearized
-    ones and None or a buffer (n, 3, M) that takes a shared reference state
-    across the batch, as products of full arrays are cheaper than products that
-    broadcast a column over them.
+    ``linear`` is (ref, lins, base): the deterministic system, a shared
+    column, the linearized ones and None or a buffer (n, 3, M) that takes the
+    reference state across the batch, as products of full arrays are cheaper
+    than products that broadcast a column over them.
 
     Every column takes the template u + u x Y - C u, computed once over the
     whole stack, with Y = dt gamma Lap u + g and C = dt nu2 (1 + mu |u|^2) of
@@ -384,11 +390,11 @@ def integrate(
     """Integrate one of the noiseless systems, deterministic or skeleton, from
     the (n, 3) field ``u0`` and record its snapshots.
 
-    The width-1 case of ``integrate_batch``; the noisy kinds draw increments and
-    run as batch columns there. The state is stored every ``stride`` steps and
-    at the last step. Raises ValueError for a ``u0`` of another shape, and
-    BlowUpError with the offending step when the state leaves the
-    finite/bounded regime.
+    The ``integrate_batch`` of this one shared column and no sample column; the
+    noisy kinds draw increments and run as batch columns there. The state is
+    stored every ``stride`` steps and at the last step. Raises ValueError for a
+    ``u0`` of another shape, and the batch's BlowUpError, key None, with the
+    offending step when the state leaves the finite/bounded regime.
     """
     if kind in _NOISY_KINDS:
         raise ValueError(f"{kind.value} integration draws noise: run it with integrate_batch")
@@ -404,11 +410,7 @@ def integrate(
         if n % stride == 0 or n == n_steps:
             snaps[-(-n // stride)] = u[..., 0]
 
-    failures, _ = integrate_batch(
-        (kind,), (u0[..., None],), params, tgrid, observe, spec=spec, ctrl=(ctrl,)
-    )
-    if failures:
-        raise failures[0]
+    integrate_batch((kind,), (u0,), params, tgrid, observe, spec=spec, ctrl=(ctrl,))
     return TrajectoryRecord(kind.value, params, tgrid, spec, ctrl, snaps, snap_steps)
 
 
@@ -424,75 +426,81 @@ def integrate_batch(
     epsilons=None,
     keys=None,
 ) -> tuple[list[BlowUpError], float]:
-    """March M sample columns of one or more systems in lockstep, storing nothing.
+    """March the sample columns of the noisy systems and the shared columns of
+    the noiseless ones in lockstep, storing nothing.
 
-    ``kinds`` names the systems and ``initial`` gives each, in the same order,
-    its (n, 3, M) initial batch; column j of every such system is sample j, and
-    n fixes the grid (``field.make_grid``). Shared columns come last, each
-    given as an (n, 3) field: a noiseless system that runs once for the whole
-    batch, such as an ensemble's reference. The systems share ``params``;
-    column j of a noisy nonlinear kind runs at noise strength ``epsilons[j]``.
-    Noisy kinds draw the increments of column j on the run's time grid from
-    ``rngs[j]`` (``noise.increments``), and every system of a step sees
-    the same ones, so coupled systems share their noise by construction.
-    ``ctrl`` is None or gives each kind its own
-    entry: a ControlPath for a controlled kind, None for any other. A
-    linearized system is linearized about the first deterministic system, whose
-    step terms it reads in the same step. ``observe(n, u)`` sees every step
-    n = 0..steps in the stacked state u, of shape (n, 3, S*M + R) for S
-    systems of M columns and R shared ones: the M columns of each system in
-    the order of ``kinds``, then one column per shared system. Memory grows
-    with the batch width, not with the number of steps.
+    ``kinds`` names the systems and settles the layout: the noisy kinds
+    (stochastic, controlled-stochastic, linearized) come first, and
+    ``initial`` gives each, in the same order, its (n, 3, M) initial batch,
+    column j of every such system being sample j; then each noiseless kind
+    (deterministic, skeleton) is one shared column, given as an (n, 3) field,
+    a run made once for the whole batch, such as an ensemble's reference. A
+    call of noiseless kinds alone has M = 0. n fixes the grid
+    (``field.make_grid``). The systems share ``params``; column j of a noisy
+    nonlinear kind runs at noise strength ``epsilons[j]``. Noisy kinds draw
+    the increments of column j on the run's time grid from ``rngs[j]``
+    (``noise.increments``), and every system of a step sees the same ones, so
+    coupled systems share their noise by construction. ``ctrl`` is None or
+    gives each kind its own entry: a ControlPath for a controlled kind, None
+    for any other. A linearized system is linearized about the first
+    deterministic system, whose step terms it reads in the same step.
+    ``observe(n, u)`` sees every step n = 0..steps in the stacked state u, of
+    shape (n, 3, S*M + R) for S noisy systems and R noiseless ones: the M
+    columns of each noisy system in the order of ``kinds``, then one column
+    per noiseless system. Memory grows with the batch width, not with the
+    number of steps.
 
     The systems share one state in the solver's memory order, system by
     system, and a second such buffer that the next state is written into
     before the two swap. At each step n every running column is checked
-    first: a sample column whose |u|_inf in any system is not finite or
-    exceeds ``LINF_CEILING`` fails at n and is retired: it keeps its column,
-    zeroed in every system and with noise strength 0, and is stepped on with
-    the others. The check takes one maximum of the step's squared node norms
-    over the whole workspace and one running elementwise maximum of them:
-    only a step whose maximum passes LINF_CEILING^2 (or is NaN) takes the
-    column maxima that find the failing columns and the peaks behind their
-    explicit-term ratios, and the peaks of the others are taken at the end.
-    u = 0 is a fixed point of every nonlinear kind and the linear
-    system stays finite, so no NaN reaches an observer, which drops the
-    column's values through the failure list. A shared column that fails
-    ends the march with its BlowUpError, key None, raised: every sample
-    depends on it. Then ``observe`` sees the step. Its array is the workspace
-    itself, valid only during the call: the loop writes the next states into
-    the same memory, so an observer copies what it keeps. Unless
+    first: a column whose |u|_inf is not finite or exceeds ``LINF_CEILING``
+    fails at n. A sample column fails when it does so in any noisy system,
+    and is retired: it keeps its column, zeroed in every system and with
+    noise strength 0, and is stepped on with the others. A shared column
+    that fails raises its own BlowUpError, key None, with its own |u|_inf
+    and ratio, the first failing one in the order of ``kinds``: every sample
+    depends on it, and ``integrate`` of its run raises the same error. The
+    check takes one maximum of the step's squared node norms over the whole
+    workspace and one running elementwise maximum of them: only a step whose
+    maximum passes LINF_CEILING^2 (or is NaN) takes the column maxima that
+    find the failing columns and the peaks behind their explicit-term
+    ratios, and the peaks of the others are taken at the end. u = 0 is a
+    fixed point of every nonlinear kind and the linear system stays finite,
+    so no NaN reaches an observer, which drops the column's values through
+    the failure list. Then ``observe`` sees the step. Its array is the
+    workspace itself, valid only during the call: the loop writes the next
+    states into the same memory, so an observer copies what it keeps. Unless
     it was the last step, one Laplacian of all systems, one matmul of the
     step's increments and one control term per distinct ControlPath feed one
     right-hand side of all systems (``_batch_rhs``), and one in-place solve of
     (I - dt nu1 Lap) for all systems gives the states of step n + 1. The
-    march stops early only when every sample column has retired and no shared
-    column runs.
+    march stops early only when every sample column has retired and no
+    shared column runs.
 
-    Every running column's states have the bits of its own width-1 run, a
-    shared column's those of ``integrate``. Returns
+    Every running sample column's states have the bits of its own width-1
+    run, a shared column's those of ``integrate``. Returns
     ``(failures, explicit_cfl)``: one BlowUpError per retired sample column,
     with its step and ``keys[j]``, in the order of retirement, and the largest
     explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
-    the end (0.0 when none did). ``keys``, ``epsilons`` and, for noisy kinds,
-    ``rngs`` hold one entry per sample column, or a ValueError is raised; so is
-    it, before step 0, when a scalar of the step leaves the double range
-    (``overflowing_step_scalars``).
+    the end (0.0 when none did). A ValueError is raised, before step 0, for a
+    layout the kinds do not settle, unless ``keys``, ``epsilons`` and, for
+    noisy kinds, ``rngs`` hold one entry per sample column, and when a scalar
+    of the step leaves the double range (``overflowing_step_scalars``).
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
-    shared = [u.ndim == 2 for u in states]
-    nodes, _, width = next((u.shape for u in states if u.ndim == 3), (0, 0, 0))
+    noisy = [kind in _NOISY_KINDS for kind in kinds]
     shapes = [u.shape for u in states]
-    if width < 1 or len(states) != len(kinds) or shared != sorted(shared) or any(
-        shape != ((nodes, 3) if one else (nodes, 3, width)) for shape, one in zip(shapes, shared)
-    ):
+    lead = shapes[0] if shapes else ()
+    nodes = lead[0] if lead else 0
+    width = lead[2] if any(noisy) and len(lead) == 3 else 0
+    if not kinds or len(states) != len(kinds) or noisy != sorted(noisy, reverse=True) or any(
+        shape != ((nodes, 3, width) if one else (nodes, 3)) for shape, one in zip(shapes, noisy)
+    ) or (any(noisy) and width < 1):
         raise ValueError(
-            f"need one initial batch of shape (n_interior, 3, M), M >= 1, per kind, then the "
-            f"shared (n_interior, 3) fields, got {shapes} for {len(kinds)} kinds"
+            f"need one initial batch of shape (n_interior, 3, M), M >= 1, per noisy kind, then "
+            f"one (n_interior, 3) field per noiseless kind, got {shapes} for {len(kinds)} kinds"
         )
-    if any(one and kind in _NOISY_KINDS for one, kind in zip(shared, kinds)):
-        raise ValueError("a shared column runs a noiseless kind, deterministic or skeleton")
     grid = make_grid(nodes)
     n_steps = tgrid.steps
     dt = tgrid.dt
@@ -505,7 +513,6 @@ def integrate_batch(
     for kind, u in zip(kinds, states):
         if kind is SystemKind.LINEARIZED_CLT and np.any(u):
             raise ValueError("linearized deviation system starts from zero initial data")
-    noisy = [kind in _NOISY_KINDS for kind in kinds]
     if any(noisy):
         rngs = list(rngs or ())
         if len(rngs) != width:
@@ -520,13 +527,13 @@ def integrate_batch(
     sqrt_eps = np.sqrt(eps)
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
     cfl_scale = dt * abs(params.gamma) / (h * h)
-    # the columns of every batch system in turn, then one per shared system; the
-    # ceiling check retires sample column j in every batch system, or a shared column
-    bounds = np.cumsum([0] + [1 if one else width for one in shared])
+    # the columns of every noisy system in turn, then one per noiseless system; the
+    # ceiling check retires sample column j in every noisy system, or a shared column
+    bounds = np.cumsum([0] + [width if one else 1 for one in noisy])
     cols = [slice(first, last) for first, last in zip(bounds, bounds[1:])]
-    sample_end = shared.count(False) * width
-    columns = [slice(j, sample_end, width) for j in range(width)] + cols[shared.count(False):]
-    keys += [None] * shared.count(True)
+    sample_end = noisy.count(True) * width
+    columns = [slice(j, sample_end, width) for j in range(width)] + cols[noisy.count(True):]
+    keys += [None] * noisy.count(False)
     shape = (nodes, 3, int(bounds[-1]))
     state, nxt, lap, tmp = (solver_empty(shape) for _ in range(4))
     sq = solver_empty((nodes, shape[2]))
@@ -546,7 +553,7 @@ def integrate_batch(
     # linearized systems read the step terms of the first deterministic one
     ref = kinds.index(SystemKind.DETERMINISTIC) if SystemKind.DETERMINISTIC in kinds else None
     lins = tuple(s for s, kind in enumerate(kinds) if kind is SystemKind.LINEARIZED_CLT)
-    base = solver_empty((nodes, 3, width)) if lins and shared[ref] and width > 1 else None
+    base = solver_empty((nodes, 3, width)) if lins and width > 1 else None
     linear = (ref, lins, base)
     ceiling = LINF_CEILING**2
     # the largest squared node norm seen at each node of each column; its column
@@ -557,7 +564,7 @@ def integrate_batch(
 
     def column_max(a):
         # the largest entry of each column of an (n, S*M + R) array, one per sample
-        # column over every batch system, then one per shared column
+        # column over every noisy system, then one per shared column
         top = a.max(axis=0)
         if sample_end > width:
             top = np.concatenate(

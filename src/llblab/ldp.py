@@ -20,9 +20,9 @@ overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns beside
 the skeleton, a shared column of every batch (``clt.run_columns``), and the
-compactness probe its perturbed skeletons beside the base skeleton, each system
-of the batch under its own control; both take their metric as the runs march,
-so neither stores a trajectory.
+compactness probe its perturbed skeletons beside the base skeleton, each a
+shared column of one batch under its own control; both take their metric as
+the runs march, so neither stores a trajectory.
 """
 
 from __future__ import annotations
@@ -370,13 +370,15 @@ def compactness_probe(
     of dt c^2 equal 1. The synthesized field shrinks like k**(-decay/2), so
     the response metric sup ||grad(u_k - u_h)||^2 decays as the mode index
     grows. The base skeleton under ``ctrl`` and one skeleton per probe march
-    as the width-1 systems of one batch, each under its own control, and the
-    response is the proof metric with nu1 = 0 of their difference, taken step
-    by step, so no trajectory is stored: ``StreamedPathGap`` takes its
-    sup ||grad d||^2 from the one Laplacian of each step by summation by
-    parts, and its integral term, weighted by 0, adds +0.0. A blow-up is
-    raised, key None, at the first step where any skeleton crosses the
-    ceiling. Returns one (mode, response) pair per oscillation mode.
+    as the shared columns of one batch with no sample column, each under its
+    own control, and the response is the proof metric with nu1 = 0 of their
+    difference, taken step by step, so no trajectory is stored:
+    ``StreamedPathGap`` takes its sup ||grad d||^2 from the one Laplacian of
+    each step by summation by parts, and its integral term, weighted by 0,
+    adds +0.0. At the first step where any skeleton crosses the ceiling, the
+    first such skeleton in the order base, probes raises its own BlowUpError,
+    key None, the one ``integrate`` of that skeleton raises. Returns one
+    (mode, response) pair per oscillation mode.
     """
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
@@ -393,10 +395,8 @@ def compactness_probe(
     def observe(n, u):
         gap.add(n, (u[..., 1:] - u[..., :1])[..., None])
 
-    failures, _ = integrate_batch(
-        (SystemKind.SKELETON,) * len(ctrls), [u0[..., None]] * len(ctrls), params, tgrid,
-        observe, spec=spec, ctrl=ctrls,
+    integrate_batch(
+        (SystemKind.SKELETON,) * len(ctrls), [u0] * len(ctrls), params, tgrid, observe,
+        spec=spec, ctrl=ctrls,
     )
-    if failures:
-        raise failures[0]
     return list(zip(modes, gap.values.tolist()))

@@ -46,16 +46,18 @@ class ScaledRng:
 def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
     """``integrate_batch`` with an observer that stores every step of every column.
 
-    Returns ``(columns, failures)``: ``columns[j]`` holds column j's states as
-    one (steps + 1, n, 3) array per kind, cut off at the step where it failed;
-    a shared column, given as an (n, 3) field, is every column's, and runs on
-    to the end. Failures are matched to columns by their keys, the column
-    indices unless ``keys`` is given.
+    Returns ``(columns, failures)``: ``columns[j]`` holds sample column j's
+    states as one (steps + 1, n, 3) array per kind, cut off at the step where
+    it failed; a noiseless kind's shared column, given as an (n, 3) field, is
+    every column's. A batch of noiseless kinds alone has no sample column, and
+    its one entry of ``columns`` holds the shared columns. Failures are
+    matched to columns by their keys, the column indices unless ``keys`` is
+    given.
     """
-    width = next(np.shape(u)[2] for u in initial if np.ndim(u) == 3)
+    width = next((np.shape(u)[2] for u in initial if np.ndim(u) == 3), 0)
     keys = list(range(width)) if keys is None else list(keys)
     steps = [[] for _ in kinds]
-    # the stacked state holds the M columns of each batch system, then one per shared system
+    # the stacked state holds the M columns of each noisy system, then one per noiseless system
     bounds = np.cumsum([0] + [width if np.ndim(u) == 3 else 1 for u in initial])
 
     def observe(n, u):
@@ -67,6 +69,6 @@ def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
     ends = {keys.index(exc.key): exc.step for exc in failures}
     columns = [
         [s[:ends.get(j), ..., j] if np.ndim(u) == 3 else s[..., 0] for s, u in zip(stored, initial)]
-        for j in range(width)
+        for j in range(max(width, 1))
     ]
     return columns, failures

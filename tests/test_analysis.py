@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import llblab.analysis as analysis
@@ -482,6 +482,28 @@ def test_sample_stats_counts_failures_without_averaging_them():
     stats = sample_stats([None, 2.0, None, 4.0])
     assert (stats.mean, stats.n_ok, stats.n_failed) == (3.0, 2, 2)
     assert stats.std_error == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    value=st.floats(allow_nan=False, allow_infinity=False),
+    count=st.integers(1, 70),
+    failed=st.integers(0, 3),
+)
+# np.mean of five copies of this value reads ...772, and np.std 1.99e-15
+@example(value=13.729452805019774, count=5, failed=0)
+def test_sample_stats_of_equal_samples_is_their_value_exactly(value, count, failed):
+    stats = sample_stats([value] * count + [None] * failed)
+    assert stats == SampleStats(value, 0.0, count, failed)
+    assert repr(stats.mean) == repr(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=70).filter(lambda v: len(set(v)) > 1))
+def test_sample_stats_of_unequal_samples_keep_numpy_bits(values):
+    stats = sample_stats(values)
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    assert (repr(stats.mean), repr(stats.std_error)) == (repr(float(np.mean(values))), repr(se))
 
 
 def test_sample_stats_single_and_no_survivor():

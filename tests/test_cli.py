@@ -217,7 +217,7 @@ def _record_path_outputs(config, outdir):
     final = stack_norms(rec.final_values()[None], rec.grid.spacing)[0]
     final_l2, final_h1_semi = final[:2].tolist()
     _, cfl = integrate_batch(
-        (SystemKind.DETERMINISTIC,), (config.initial()[..., None],), config.model_params(),
+        (SystemKind.DETERMINISTIC,), (config.initial(),), config.model_params(),
         config.time_grid(), lambda n, u: None,
     )
     write_json(
@@ -477,36 +477,101 @@ def test_run_compactness_outputs(tmp_path):
     assert len(lines) == 3
 
 
-def test_run_compactness_blow_up_reports_the_first_skeleton_to_cross(tmp_path, capsys, monkeypatch):
-    # the base and the probes march as one batch, so the run stops at the first
-    # step where any skeleton crosses the ceiling: mode 4's, though mode 1,
-    # listed first, crosses later and the base never does
-    import llblab.dynamics as dynamics
+def _first_noiseless_blow_up(config):
+    """The BlowUpError that ``integrate`` raises for the noiseless run of
+    ``config`` that fails first: u_0 of a deterministic or clt run; of a
+    compactness run, the skeleton, base or probe, that fails at the earliest
+    step, the first of them in system order (base, then probes in order) on a
+    tie. None when every such run ends."""
     from llblab.dynamics import BlowUpError, SystemKind, integrate
-    from llblab.noise import single_mode_control
+    from llblab.noise import single_mode_control, zero_control
+
+    u0, params, tgrid, spec = (
+        config.initial(), config.model_params(), config.time_grid(), config.covariance()
+    )
+    if config["kind"] == "compactness":
+        amplitude = math.sqrt(1.0 / tgrid.horizon)
+        runs = [(SystemKind.SKELETON, zero_control(tgrid.steps, spec.mode_count, tgrid.dt))] + [
+            (SystemKind.SKELETON, single_mode_control(
+                tgrid.steps, spec.mode_count, tgrid.dt, mode, config["compact.component"],
+                amplitude,
+            ))
+            for mode in config["compact.modes"]
+        ]
+    else:
+        runs = [(SystemKind.DETERMINISTIC, None)]
+    failures = []
+    for kind, ctrl in runs:
+        try:
+            integrate(kind, u0, params, tgrid, spec=spec, ctrl=ctrl)
+        except BlowUpError as exc:
+            failures.append(exc)
+    return min(failures, key=lambda exc: exc.step, default=None)
+
+
+ONE_ERROR_PATH = {
+    "deterministic": (
+        "kind = deterministic\ngrid.n = 63\ntime.horizon = 1.0\ntime.steps = 100\n"
+        "model.gamma = 500\n"
+    ),
+    # every sample retires before the reference blows up at step 105
+    "clt-reference": (
+        "kind = clt\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 400\nnoise.modes = 8\n"
+        "model.gamma = 4\nclt.epsilons = 1.0, 0.5\nclt.samples = 2\nseed = 5\n"
+    ),
+    # the base and both probes fail at step 5, probe 2 with the largest |u|_inf
+    "compactness": (
+        "kind = compactness\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 40\n"
+        "noise.modes = 8\ncompact.modes = 2,4\nmodel.gamma = 60\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", ONE_ERROR_PATH.values(), ids=ONE_ERROR_PATH)
+def test_exit_3_carries_the_blow_up_of_the_failing_noiseless_run(tmp_path, capfd, text):
+    # a noiseless run is a shared column that raises its own BlowUpError: the
+    # one exit-3 JSON object carries the step, key None, |u|_inf and ratio
+    # that integrate of that run raises, not those of any other column
+    exc = _first_noiseless_blow_up(parse_config(text))
+    assert exc is not None
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+    out, _ = capfd.readouterr()
+    assert code == EXIT_BLOWUP
+    assert json.loads(out) == {
+        "error": {
+            "code": EXIT_BLOWUP, "kind": "blow-up", "message": str(exc), "step": exc.step,
+            "key": None, "linf": exc.linf, "ratio": exc.ratio,
+        }
+    }
+
+
+def test_run_compactness_blow_up_reports_the_first_skeleton_to_cross(tmp_path, capsys, monkeypatch):
+    # the base and the probes march as shared columns of one batch, so the run
+    # stops at the first step where any skeleton crosses the ceiling, with that
+    # skeleton's own error: mode 4's, though mode 1, listed first, crosses
+    # later and the base never does
+    import llblab.dynamics as dynamics
 
     monkeypatch.setattr(dynamics, "LINF_CEILING", 1.01)
-    cfg = parse_config(
+    text = (
         "kind = compactness\ngrid.n = 15\ntime.horizon = 0.05\ntime.steps = 40\n"
         "noise.modes = 4\ncompact.modes = 1, 4\ncompact.component = 1\n"
         "model.nu1 = 0.01\nmodel.nu2 = 0\n"
     )
-    tgrid, spec = cfg.time_grid(), cfg.covariance()
-    steps = {}
-    for mode in (1, 4):
-        probe = single_mode_control(
-            tgrid.steps, 4, tgrid.dt, mode, 1, math.sqrt(1.0 / tgrid.horizon)
-        )
-        with pytest.raises(BlowUpError) as info:
-            integrate(
-                SystemKind.SKELETON, cfg.initial(), cfg.model_params(), tgrid, spec=spec,
-                ctrl=probe,
-            )
-        steps[mode] = info.value.step
-    assert steps[4] < steps[1]
+    cfg = parse_config(text)
+    exc = _first_noiseless_blow_up(cfg)
+    alone = {
+        mode: _first_noiseless_blow_up(parse_config(text.replace("1, 4", str(mode))))
+        for mode in (1, 4)
+    }
+    assert alone[4].step < alone[1].step
+    assert (str(exc), exc.linf, exc.ratio) == (str(alone[4]), alone[4].linf, alone[4].ratio)
     assert run(cfg, out_dir=str(tmp_path)) == EXIT_BLOWUP
     error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
-    assert (error["code"], error["step"], error["key"]) == (EXIT_BLOWUP, steps[4], None)
+    assert (error["code"], error["step"], error["key"]) == (EXIT_BLOWUP, exc.step, None)
+    assert (error["message"], error["linf"], error["ratio"]) == (str(exc), exc.linf, exc.ratio)
 
 
 def test_run_ensemble_outputs(tmp_path):
@@ -518,6 +583,21 @@ def test_run_ensemble_outputs(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["rows"][0]["n_ok"] == 3
     assert 0.0 < summary["rows"][0]["ratio_vs_deterministic"] < 3.0
+
+
+def test_run_ensemble_samples_at_epsilon_zero_average_to_the_deterministic_metric(tmp_path):
+    # each sample at epsilon 0 has the deterministic run's bits, so its row's
+    # mean is exactly the deterministic metric and its ratio exactly 1
+    cfg = parse_config(
+        "kind = stochastic-ensemble\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 80\n"
+        "noise.modes = 4\nensemble.epsilons = 0.1, 0.01, 0\nensemble.samples = 5\nseed = 3\n"
+    )
+    assert run(cfg, out_dir=str(tmp_path)) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    row = summary["rows"][2]
+    assert (row["epsilon"], row["n_ok"]) == (0.0, 5)
+    assert row["mean_metric"] == summary["deterministic_metric"] > 0.0
+    assert row["ratio_vs_deterministic"] == 1.0
 
 
 def test_error_object_spells_non_finite_details_as_null(capsys):
@@ -612,46 +692,27 @@ def test_main_blow_up_writes_no_numpy_warning(tmp_path, capfd, text, finite_linf
     assert "Warning" not in err
 
 
-def test_main_clt_reference_blow_up_after_every_sample_retired(tmp_path, capfd):
+def test_clt_reference_blows_up_after_every_sample_retired():
     # at gamma = 4 the noise drives every sample past the ceiling before the
     # deterministic reference blows up at step 105: the reference marches on
-    # alone, and the run still ends with the error that integrate of the
-    # reference raises, as the one exit-3 JSON object
+    # alone, and its own error ends the run (ONE_ERROR_PATH["clt-reference"])
     from llblab.dynamics import BlowUpError, SystemKind, integrate
     from llblab.noise import stream_rng
 
-    text = (
-        "kind = clt\ngrid.n = 31\ntime.horizon = 0.05\ntime.steps = 400\nnoise.modes = 8\n"
-        "model.gamma = 4\nclt.epsilons = 1.0, 0.5\nclt.samples = 2\nseed = 5\n"
-    )
-    config = parse_config(text)
+    config = parse_config(ONE_ERROR_PATH["clt-reference"])
     u0, params, tgrid = config.initial(), config.model_params(), config.time_grid()
     with pytest.raises(BlowUpError) as reference:
         integrate(SystemKind.DETERMINISTIC, u0, params, tgrid)
-    exc = reference.value
-    assert exc.step == 105
-    # the samples on their streams, the reference beside them as a batch system
+    assert reference.value.step == 105
+    # u_eps of each sample on its stream; with its V0 beside it, it retires no later
     keys = [(5, i, m) for i in range(2) for m in range(2)]
-    start = np.repeat(u0[..., None], 4, axis=2)
     _, failed = record_batch(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
-        (start, np.zeros_like(start), start), params, tgrid, keys=keys,
-        spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
+        (SystemKind.STOCHASTIC,), (np.repeat(u0[..., None], 4, axis=2),), params, tgrid,
+        keys=keys, spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
         rngs=[stream_rng(*key) for key in keys],
     )
     assert sorted(f.key for f in failed) == keys
-    assert all(f.step < exc.step for f in failed)
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text(text)
-    code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
-    out, _ = capfd.readouterr()
-    assert code == EXIT_BLOWUP
-    assert json.loads(out) == {
-        "error": {
-            "code": EXIT_BLOWUP, "kind": "blow-up", "message": str(exc), "step": 105,
-            "key": None, "linf": exc.linf, "ratio": exc.ratio,
-        }
-    }
+    assert all(f.step < reference.value.step for f in failed)
 
 
 def test_main_energy_drift_of_a_huge_coefficient_is_finite(tmp_path, capfd):

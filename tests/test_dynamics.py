@@ -236,9 +236,7 @@ def test_stochastic_eps_zero_degenerates_bitwise(p, field):
     tg = TimeGrid(0.05, 200)
     spec = make_covariance(8, 4.0)
     det = integrate(SystemKind.DETERMINISTIC, u0, p, tg)
-    _, det_cfl = integrate_batch(
-        (SystemKind.DETERMINISTIC,), (u0[..., None],), p, tg, lambda n, u: None
-    )
+    _, det_cfl = integrate_batch((SystemKind.DETERMINISTIC,), (u0,), p, tg, lambda n, u: None)
     for epsilons in [(0.0,), (0.1, 0.0)]:
         width = len(epsilons)
         sto = []
@@ -456,10 +454,14 @@ def test_blow_up_error_carries_the_failing_norm_and_the_explicit_term_ratio():
     g = make_grid(31)
     p = ModelParams()
     tg = TimeGrid(0.25, 64)
-    u0 = initial_profile(g, a=10.0)[..., None]
-    (states,), (exc,) = record_batch((SystemKind.DETERMINISTIC,), (u0,), p, tg)
-    states = states[0]
-    assert exc.step == len(states) > 1
+    seen = []
+    with pytest.raises(BlowUpError) as info:
+        integrate_batch(
+            (SystemKind.DETERMINISTIC,), (initial_profile(g, a=10.0),), p, tg,
+            lambda n, u: seen.append(u[..., 0].copy()),
+        )
+    exc, states = info.value, np.array(seen)
+    assert exc.step == len(states) > 1 and exc.key is None
     linf = np.sqrt((states ** 2).sum(axis=-1).max(axis=-1))
     ratio = tg.dt * abs(p.gamma) / g.spacing ** 2 * linf.max()
     assert exc.ratio == pytest.approx(ratio, rel=1e-12)
@@ -680,14 +682,18 @@ BATCH_TIME = TimeGrid(0.02, 24)
 BATCH_SPEC = make_covariance(16, 4.0)
 
 
+NOISELESS = (SystemKind.DETERMINISTIC, SystemKind.SKELETON)
+
+
 def _batch_setup(kind, seed, width):
-    """Initial states, epsilons, control and reference field of a ``width``-column
-    run of ``kind``."""
+    """Initial state, epsilons, control and reference field of a run of ``kind``:
+    a ``width``-column batch of a noisy kind, one (n, 3) field of a noiseless one."""
     rng = np.random.default_rng(seed)
+    shape = (BATCH_GRID.n_interior, 3) + (() if kind in NOISELESS else (width,))
     if kind is SystemKind.LINEARIZED_CLT:
-        initial = np.zeros((BATCH_GRID.n_interior, 3, width))
+        initial = np.zeros(shape)
     else:
-        initial = rng.normal(size=(BATCH_GRID.n_interior, 3, width))
+        initial = rng.normal(size=shape)
     epsilons = rng.choice([0.0, 1e-3, 0.1, 1.0], size=width)
     ctrl = ControlPath(rng.normal(size=(BATCH_TIME.steps, BATCH_SPEC.mode_count, 3)), BATCH_TIME.dt)
     return initial, epsilons, ctrl, initial_profile(BATCH_GRID)
@@ -702,10 +708,15 @@ def _controls_for(kinds, ctrls):
 
 def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params=ModelParams()):
     """March ``columns`` of the setup as one batch, each system under its own
-    control of ``ctrls``, with the ``base`` field as a shared deterministic
-    column, listed last, when a linearized system needs one; returns each
-    column's ``record_batch`` states, by column, and the failures."""
-    start = [u[..., columns] for u in initial]
+    control of ``ctrls``: the columns of every noisy system, then each
+    noiseless system as one shared column, and the ``base`` field as a shared
+    deterministic column, listed last, when a linearized system needs one.
+    Returns each column's ``record_batch`` states, by column, and the
+    failures; noiseless systems alone have no sample column, and their states
+    are listed under None."""
+    if all(kind in NOISELESS for kind in kinds):
+        columns = []
+    start = [u if kind in NOISELESS else u[..., columns] for kind, u in zip(kinds, initial)]
     ctrls = _controls_for(kinds, ctrls)
     if SystemKind.LINEARIZED_CLT in kinds and SystemKind.DETERMINISTIC not in kinds:
         kinds = (*kinds, SystemKind.DETERMINISTIC)
@@ -717,15 +728,15 @@ def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params=Mode
         rngs=[stream_rng(seed, j) for j in columns],
         epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
     )
-    return dict(zip(columns, states)), failed
+    return dict(zip(columns or [None], states)), failed
 
 
 def _single_run(kind, initial, epsilons, ctrl, base, seed, j, params=ModelParams()):
-    """Column j of ``kind`` run alone: the ``integrate`` record of a noiseless
-    kind, the width-1 batch of a noisy one."""
-    if kind in (SystemKind.DETERMINISTIC, SystemKind.SKELETON):
+    """A system run alone: the ``integrate`` record of a noiseless kind from its
+    field, column j of a noisy kind as its width-1 batch."""
+    if kind in NOISELESS:
         return integrate(
-            kind, initial[..., j], params,
+            kind, initial, params,
             BATCH_TIME, spec=BATCH_SPEC, ctrl=_controls_for((kind,), (ctrl,))[0],
         ).snapshots
     seen, failed = _run_batch((kind,), (initial,), epsilons, (ctrl,), base, seed, [j], params)
@@ -735,28 +746,39 @@ def _single_run(kind, initial, epsilons, ctrl, base, seed, j, params=ModelParams
 
 def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, columns, params):
     """March ``columns`` as one batch and check every column against its own run:
-    a retired column's failure and states up to it are those of its width-1
-    batch, any other column's states those of ``_single_run`` of each kind,
-    and a stochastic column at epsilon 0 has the deterministic run's bits.
-    Returns the batch's failures."""
+    each noiseless system's shared column has the bits of its ``integrate`` run
+    beside every sample column, a retired sample column's failure and states
+    up to it are those of its width-1 batch, any other sample column's states
+    those of ``_single_run`` of each noisy kind, and a stochastic column at
+    epsilon 0 has the deterministic run's bits. A linearized system follows
+    the batch's own deterministic system, if it has one, alone too. Returns
+    the batch's failures."""
+    if SystemKind.DETERMINISTIC in kinds:
+        base = initial[kinds.index(SystemKind.DETERMINISTIC)]
     seen, failed = _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params)
     retired = {exc.key[1]: exc for exc in failed}
-    for j in columns:
+    shared = {
+        k: _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, None, params)
+        for k, kind in enumerate(kinds) if kind in NOISELESS
+    }
+    for j, states in seen.items():
+        for k, alone in shared.items():
+            assert states[k].tobytes() == alone.tobytes(), (kinds[k], j)
         if j in retired:
             alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j], params)
             assert _exactly(retired[j]) == _exactly(exc)
-            for states, states_alone in zip(seen[j], alone[j]):
-                assert states.tobytes() == states_alone.tobytes(), j
+            for column, column_alone in zip(states, alone[j]):
+                assert column.tobytes() == column_alone.tobytes(), j
             continue
         for k, kind in enumerate(kinds):
+            if k in shared:
+                continue
             alone = _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, j, params)
-            assert seen[j][k].tobytes() == alone.tobytes(), (kind, j)
+            assert states[k].tobytes() == alone.tobytes(), (kind, j)
             if kind is SystemKind.STOCHASTIC and epsilons[j] == 0.0:
                 # criterion 4 inside a batch that may hold noisy and retired columns
-                det = _single_run(
-                    SystemKind.DETERMINISTIC, initial[k], epsilons, ctrls[k], base, seed, j, params
-                )
-                assert seen[j][k].tobytes() == det.tobytes(), j
+                det = integrate(SystemKind.DETERMINISTIC, initial[k][..., j], params, BATCH_TIME)
+                assert states[k].tobytes() == det.snapshots.tobytes(), j
     return failed
 
 
@@ -764,9 +786,12 @@ BATCH_CASES = [(kind,) for kind in SystemKind] + [
     (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT),
     # two controlled systems, each under its own control
     (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON),
+    # noiseless systems alone: no sample column, two shared ones
     (SystemKind.SKELETON, SystemKind.SKELETON),
-    # noiseless systems march in lockstep beside a noisy one
-    (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC, SystemKind.SKELETON),
+    # shared noiseless columns, each under its own control, beside noisy columns
+    (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON, SystemKind.SKELETON),
+    (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC,
+     SystemKind.SKELETON, SystemKind.SKELETON),
 ]
 
 
@@ -778,18 +803,19 @@ BATCH_CASES = [(kind,) for kind in SystemKind] + [
     cuts=st.sets(st.integers(1, 7), max_size=3),
     blown=st.sets(st.integers(0, 7), max_size=3),
 )
-# every column with epsilon > 0 retires, and the noiseless ones march on
-@example(width=6, seed=44, cuts=set(), blown={1, 3, 4})
+# every sample column retires, and the shared noiseless ones march on to the end
+@example(width=6, seed=44, cuts=set(), blown={0, 1, 2, 3, 4, 5})
 def test_batch_columns_equal_their_single_runs_bitwise(kinds, width, seed, cuts, blown):
-    # the ``blown`` columns start 100 times larger, where explicit cubic
-    # damping overshoots, u -> (1 - dt (1 + |u|^2)) u grows, and they retire;
-    # system k draws its initial batch and control from seed + k
+    # the ``blown`` sample columns start 100 times larger, where explicit
+    # cubic damping overshoots, u -> (1 - dt (1 + |u|^2)) u grows, and they
+    # retire; system k draws its initial state and control from seed + k
     setups = [_batch_setup(kind, seed + k, width) for k, kind in enumerate(kinds)]
     initial = [s[0] for s in setups]
     ctrls = [s[2] for s in setups]
     _, epsilons, _, base = setups[0]
-    for u in initial:
-        u[..., [j for j in blown if j < width]] *= 100.0
+    for kind, u in zip(kinds, initial):
+        if kind not in NOISELESS:
+            u[..., [j for j in blown if j < width]] *= 100.0
     bounds = [0, *sorted(c for c in cuts if c < width), width]
     for lo, hi in zip(bounds, bounds[1:]):
         _assert_columns_run_as_alone(
@@ -810,7 +836,7 @@ BRANCH_PARAMS = {
 
 
 @pytest.mark.parametrize("params", BRANCH_PARAMS.values(), ids=BRANCH_PARAMS)
-@pytest.mark.parametrize("kinds", BATCH_CASES[-4:], ids=lambda ks: "+".join(k.value for k in ks))
+@pytest.mark.parametrize("kinds", BATCH_CASES[-5:], ids=lambda ks: "+".join(k.value for k in ks))
 @settings(max_examples=4, deadline=None)
 @given(
     width=st.integers(2, 6),
@@ -826,10 +852,11 @@ def test_batch_columns_keep_their_bits_at_every_branch_of_the_step(
     # each branch of the batch right-hand side: no drive at gamma = 0, no
     # damping, no term but the forcing, no linearized damping term, and the
     # two-factor weight; column 0 runs without noise, and a drawn share of
-    # every initial batch is negative zeros. Under the overflowing weights
-    # every nonzero state blows up at the first step, a reference's blow-up
-    # ending the march, so the reference and column 0 start from zero, a fixed
-    # point: there b.v = 0 must stay 0, and column 0 must not retire
+    # every initial state is negative zeros. Under the overflowing weights
+    # every nonzero state blows up at the first step, a shared column's
+    # blow-up ending the march, so the shared columns and column 0 start from
+    # zero, a fixed point: there b.v = 0 must stay 0, and column 0 must not
+    # retire
     setups = [_batch_setup(kind, seed + k, width) for k, kind in enumerate(kinds)]
     initial = [s[0] for s in setups]
     ctrls = [s[2] for s in setups]
@@ -841,8 +868,11 @@ def test_batch_columns_keep_their_bits_at_every_branch_of_the_step(
     overflow = params.mu > 1e100
     if overflow:
         base = np.zeros_like(base)
-        for u in initial:
-            u[..., 0] = 0.0
+        for kind, u in zip(kinds, initial):
+            if kind in NOISELESS:
+                u[...] = 0.0
+            else:
+                u[..., 0] = 0.0
     failed = _assert_columns_run_as_alone(
         kinds, initial, epsilons, ctrls, base, seed, list(range(width)), params
     )
@@ -920,11 +950,6 @@ def test_shared_reference_column_has_the_bits_of_integrate(
 def test_integrate_batch_checks_its_inputs():
     initial, epsilons, ctrl, base = _batch_setup(SystemKind.STOCHASTIC, 1, 2)
     kw = dict(spec=BATCH_SPEC)
-    with pytest.raises(ValueError, match="initial batch"):
-        integrate_batch(
-            (SystemKind.STOCHASTIC,), (initial[..., 0],), ModelParams(),
-            BATCH_TIME, lambda *a: None, **kw,
-        )
     # the batch draws its increments on its own time grid and modes, so only
     # the number of generators can disagree with it: one per sample column
     for rngs in (None, [], [stream_rng(0)], [stream_rng(0), stream_rng(1), stream_rng(2)]):
@@ -939,21 +964,89 @@ def test_integrate_batch_checks_its_inputs():
             (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
             rngs=[stream_rng(0), stream_rng(1)], **kw,
         )
-    # a shared column runs a noiseless kind beside at least one batch system
-    with pytest.raises(ValueError, match="shared column"):
+
+
+STO, DET = SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC
+FIELD = initial_profile(BATCH_GRID)
+BATCH = np.repeat(FIELD[..., None], 2, axis=2)
+# (kinds, initial states): the kinds settle the layout, a noisy kind's
+# (n, 3, M) batch first, then one (n, 3) field per noiseless kind
+BAD_LAYOUTS = {
+    "no-kind": ((), ()),
+    "no-state": ((STO,), ()),
+    "noiseless-batch": ((DET,), (BATCH,)),
+    "noiseless-batch-beside-a-noisy-one": ((STO, DET), (BATCH, BATCH)),
+    "noisy-field": ((STO,), (FIELD,)),
+    "noisy-field-beside-a-noiseless-one": ((STO, DET), (FIELD, FIELD)),
+    "noisy-after-noiseless": ((DET, STO), (FIELD, BATCH)),
+    "noisy-after-noiseless-fields": ((DET, STO), (FIELD, FIELD)),
+    "noisy-of-no-column": ((STO,), (np.zeros((BATCH_GRID.n_interior, 3, 0)),)),
+    "noisy-scalar": ((STO,), (np.float64(1.0),)),
+    "noisy-vector": ((STO,), (FIELD[:, 0],)),
+    "noiseless-scalar": ((DET,), (np.float64(1.0),)),
+    "grids-differ": ((STO, DET), (BATCH, FIELD[1:])),
+    "widths-differ": ((STO, STO), (BATCH, BATCH[..., :1])),
+    "one-state-short": ((STO, DET), (BATCH,)),
+    "one-state-over": ((DET,), (FIELD, FIELD)),
+}
+
+
+@pytest.mark.parametrize("kinds, start", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
+def test_integrate_batch_refuses_a_layout_its_kinds_do_not_settle(kinds, start):
+    # a ValueError before any step, never an IndexError from the layout
+    steps = []
+    with pytest.raises(ValueError, match="per noisy kind, then one"):
         integrate_batch(
-            (SystemKind.DETERMINISTIC, SystemKind.STOCHASTIC),
-            (initial, base), ModelParams(), BATCH_TIME, lambda *a: None,
-            rngs=[stream_rng(0), stream_rng(1)],
-            epsilons=epsilons, **kw,
+            kinds, start, ModelParams(), BATCH_TIME, lambda n, u: steps.append(n),
+            spec=BATCH_SPEC, rngs=[stream_rng(0), stream_rng(1)], epsilons=(0.1, 0.1),
         )
-    # no batch system, or a shared field before one
-    for kinds, start in (
-        ((SystemKind.DETERMINISTIC,), (base,)),
-        ((SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC), (base, initial)),
-    ):
-        with pytest.raises(ValueError, match="initial batch"):
-            integrate_batch(kinds, start, ModelParams(), BATCH_TIME, lambda *a: None)
+    assert steps == []
+
+
+def test_integrate_batch_marches_noiseless_kinds_alone_as_shared_columns():
+    # M = 0: each noiseless system is one shared column with the bits of its
+    # integrate run, and the explicit-term ratio is the largest of theirs
+    ctrls = [
+        single_mode_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt, mode, 1, 2.0)
+        for mode in (1, 3)
+    ]
+    kinds = (SystemKind.DETERMINISTIC, SystemKind.SKELETON, SystemKind.SKELETON)
+    starts = (FIELD, 2.0 * FIELD, -FIELD)
+    seen = []
+    failures, cfl = integrate_batch(
+        kinds, starts, ModelParams(), BATCH_TIME, lambda n, u: seen.append(u.copy()),
+        spec=BATCH_SPEC, ctrl=(None, *ctrls),
+    )
+    assert failures == []
+    seen = np.array(seen)
+    assert seen.shape == (BATCH_TIME.steps + 1, BATCH_GRID.n_interior, 3, 3)
+    ratios = []
+    for k, (kind, u0, ctrl) in enumerate(zip(kinds, starts, (None, *ctrls))):
+        alone = integrate(kind, u0, ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrl)
+        assert seen[..., k].tobytes() == alone.snapshots.tobytes(), k
+        ratios.append(
+            integrate_batch((kind,), (u0,), ModelParams(), BATCH_TIME, lambda *a: None,
+                            spec=BATCH_SPEC, ctrl=(ctrl,))[1]
+        )
+    assert cfl == max(ratios)
+
+
+def test_shared_columns_raise_the_first_failure_in_system_order():
+    # two of three skeletons start above the ceiling: the march raises the
+    # BlowUpError of the first of them in system order, with its own |u|_inf,
+    # not the largest of the batch, and observes no step
+    starts = (FIELD, 2.0 * LINF_CEILING * FIELD, 3.0 * LINF_CEILING * FIELD)
+    ctrl = zero_control(BATCH_TIME.steps, BATCH_SPEC.mode_count, BATCH_TIME.dt)
+    with pytest.raises(BlowUpError) as info:
+        integrate_batch(
+            (SystemKind.SKELETON,) * 3, starts, ModelParams(), BATCH_TIME,
+            lambda n, u: pytest.fail("observed"), spec=BATCH_SPEC, ctrl=(ctrl,) * 3,
+        )
+    with pytest.raises(BlowUpError) as alone:
+        integrate(SystemKind.SKELETON, starts[1], ModelParams(), BATCH_TIME, spec=BATCH_SPEC,
+                  ctrl=ctrl)
+    assert _exactly(info.value) == _exactly(alone.value)
+    assert info.value.step == 0 and info.value.key is None
 
 
 @pytest.mark.parametrize("keys", [[], [(1, 0, 0), (1, 0, 1)]], ids=["no-keys", "two-keys"])
@@ -997,7 +1090,7 @@ def test_integrate_batch_refuses_a_step_scalar_beyond_the_double_range(
     steps = []
     with pytest.raises(ValueError, match=re.escape(f"the step's {', '.join(overflowing)} leave")):
         integrate_batch(
-            (SystemKind.DETERMINISTIC,), (np.zeros((nodes, 3, 1)),), params, tg,
+            (SystemKind.DETERMINISTIC,), (np.zeros((nodes, 3)),), params, tg,
             lambda n, states: steps.append(n),
         )
     assert steps == []
@@ -1046,7 +1139,10 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
 
     def run():
         if batch:
-            kinds, start = ((kind,), (np.repeat(initial[..., None], 2, axis=2),))
+            # two sample columns of a noisy kind, one shared column of a noiseless one
+            noisy = kind not in NOISELESS
+            kinds = (kind,)
+            start = (np.repeat(initial[..., None], 2, axis=2) if noisy else initial,)
             ctrls = (ctrl,)
             if with_reference:
                 kinds += (SystemKind.DETERMINISTIC,)
@@ -1057,7 +1153,7 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
                 kinds, start, ModelParams(), BATCH_TIME, lambda *a: None, spec=spec,
                 ctrl=ctrls[entries],
                 rngs=[stream_rng(0), stream_rng(1)],
-                epsilons=[0.1, 0.1],
+                epsilons=[0.1, 0.1] if noisy else None,
             )
         return integrate(kind, initial, ModelParams(), BATCH_TIME, spec=spec, ctrl=ctrl)
 

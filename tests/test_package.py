@@ -277,10 +277,10 @@ FIELD_CONSUMERS = {
     "integrate": lambda u: integrate(
         SystemKind.DETERMINISTIC, u, ModelParams(), TimeGrid(0.01, 5)
     ),
-    # the initial batch of a second system, beside that of the good field
+    # the shared column of a second noiseless system, beside that of the good field
     "integrate_batch": lambda u: integrate_batch(
         (SystemKind.DETERMINISTIC, SystemKind.DETERMINISTIC),
-        (GOOD_FIELD[..., None], u[..., None]), ModelParams(), TimeGrid(0.01, 5), lambda *a: None,
+        (GOOD_FIELD, u), ModelParams(), TimeGrid(0.01, 5), lambda *a: None,
     ),
     "RateObjective": lambda u: RateObjective(
         RateProblem(target=u), ModelParams(), TimeGrid(0.01, 5), make_covariance(2), GOOD_FIELD
@@ -335,3 +335,23 @@ def test_pytest_settings_report_a_failing_property_and_run_on(tmp_path):
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_code_lines_counts_the_lines_that_hold_a_code_token():
+    # tools/code_lines.py, the count every simplicity change reports: docstrings,
+    # comments and blank lines are left out; a string that is not a docstring
+    # and a statement over several lines count every line they span
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""Module docstring."""\n\n# a comment\nimport math\n\n\n'
+        "class A:\n"
+        '    """Class docstring."""\n\n'
+        "    def f(self, x):\n"
+        '        """Method docstring,\n        over two lines."""\n'
+        '        y = """not a\n        docstring"""\n'
+        "        return (x +\n                1)  # trailing comment\n"
+    )
+    assert tool.code_lines(source) == 7
