@@ -577,6 +577,8 @@ def _run_rate(config: ExperimentConfig, output) -> int:
             "iterations": estimate.iterations,
             "converged": estimate.converged,
             "gradient_norm": estimate.gradient_norm,
+            "skeleton_solves": estimate.skeleton_solves,
+            "adjoint_sweeps": estimate.adjoint_sweeps,
         },
     )
     write_control_csv(estimate.control, output("control.csv"))

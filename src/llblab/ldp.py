@@ -13,10 +13,14 @@ number of unknowns. The sweep takes the base-state terms one chunk of steps at
 a time, so each of its steps does only the work that depends on the adjoint.
 The optimizer is steepest descent with Barzilai-Borwein steps and Armijo
 backtracking, which keeps the penalized objective nonincreasing across
-accepted iterations; the dense record of each accepted point is kept, so its
-one gradient costs only the backward sweep. Only the terminal state is matched
-(a quasipotential-style endpoint rate); matching a whole path is
-overdetermined at desk scale.
+accepted iterations. A rejected trial is followed by the minimizer of the
+quadratic through the objective's value and slope at the current point and
+its value at the trial, kept within a tenth and a half of the rejected step
+(safeguarded quadratic interpolation); a trial that blows up halves the step.
+The dense record of each accepted point is kept, so its one gradient costs
+only the backward sweep, and each run counts its skeleton solves and adjoint
+sweeps. Only the terminal state is matched (a quasipotential-style endpoint
+rate); matching a whole path is overdetermined at desk scale.
 
 The weak-convergence experiment marches its samples as batch columns beside
 the skeleton, a shared column of every batch (``clt.run_columns``), and the
@@ -123,7 +127,9 @@ class RateEstimate:
     """Optimizer output; ``objective_history`` holds one tuple of accepted
     objective values per continuation round (each nonincreasing), and
     ``gradient_norm`` is the exact gradient norm at the returned control under
-    the final penalty, so an unconverged run shows how far it stopped short."""
+    the final penalty, so an unconverged run shows how far it stopped short.
+    ``skeleton_solves`` counts the run's ``RateObjective.evaluate`` calls,
+    blown-up trials included, and ``adjoint_sweeps`` its ``gradient`` calls."""
 
     cost: float
     misfit: float
@@ -132,6 +138,8 @@ class RateEstimate:
     converged: bool
     objective_history: tuple
     gradient_norm: float
+    skeleton_solves: int
+    adjoint_sweeps: int
 
 
 class WeakRow(NamedTuple):
@@ -237,6 +245,21 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
+def _next_step(step: float, current: float, j_try: float, gnorm_sq: float) -> float:
+    """The step to try after the trial at ``step`` was rejected with objective
+    ``j_try``: the minimizer step^2 |g|^2 / (2 (j_try - current + |g|^2 step)) of
+    the quadratic through J(0) = ``current``, J'(0) = -``gnorm_sq`` and J(step),
+    kept within [0.1 step, 0.5 step]. A trial that blows up (j_try not finite),
+    a quadratic that is not convex or a minimizer that is not finite halves."""
+    curvature = j_try - current + gnorm_sq * step
+    if not (math.isfinite(j_try) and curvature > 0.0):
+        return 0.5 * step
+    minimizer = gnorm_sq * step * step / (2.0 * curvature)
+    if not math.isfinite(minimizer):
+        return 0.5 * step
+    return min(max(minimizer, 0.1 * step), 0.5 * step)
+
+
 def estimate_rate(
     problem: RateProblem,
     params: ModelParams,
@@ -249,23 +272,26 @@ def estimate_rate(
 
     Each iteration tries the Barzilai-Borwein step s.s / s.y of the last
     accepted move s and its gradient change y (1.0 at a round's start or when
-    s.y <= 0), halved until the Armijo test holds; ``iterations`` counts the
+    s.y <= 0); while the Armijo test fails, the next trial is the step that
+    ``_next_step`` interpolates from the rejected one. ``iterations`` counts the
     accepted steps. ``converged`` means the exact gradient norm at the returned
     control under the final penalty is within the tolerance; False, after the
     iteration cap or a stalled line search, signals that the infimum may be
     infinite for unreachable targets. A blow-up of the skeleton under the zero
-    control raises BlowUpError; a trial that blows up is rejected like any
-    trial that does not descend.
+    control raises BlowUpError; a trial that blows up is rejected, and the
+    next trial halves its step.
     """
     objective = RateObjective(problem, params, tgrid, spec, u0)
     point = objective.evaluate(np.zeros(objective.dim))
     history: list[tuple] = []
     total_iters = 0
+    solves, sweeps = 1, 0
     rho = problem.penalty
     for round_idx in range(problem.continuation_rounds + 1):
         step = 1.0
         current = point.objective(rho)
         grad = objective.gradient(point, rho)
+        sweeps += 1
         round_history = [current]
         for _ in range(problem.max_iters):
             gnorm = _norm(grad)
@@ -277,6 +303,7 @@ def estimate_rate(
                 # no trial can meet the Armijo test: the round stops, as a stalled search does
                 break
             while step >= MIN_LINE_SEARCH_STEP:
+                solves += 1
                 try:
                     trial = objective.evaluate(point.x - step * grad)
                 except BlowUpError:
@@ -284,11 +311,12 @@ def estimate_rate(
                 j_try = trial.objective(rho) if trial is not None else math.inf
                 if j_try <= current - ARMIJO_SLOPE * step * gnorm_sq:
                     break
-                step *= 0.5
+                step = _next_step(step, current, j_try, gnorm_sq)
             else:
                 logger.debug("line search stalled in round %d", round_idx)
                 break
             trial_grad = objective.gradient(trial, rho)
+            sweeps += 1
             s, y = trial.x - point.x, trial_grad - grad
             sy = float(s @ y)
             step = float(s @ s) / sy if sy > 0.0 else 1.0
@@ -315,6 +343,8 @@ def estimate_rate(
         converged=converged,
         objective_history=tuple(history),
         gradient_norm=gnorm,
+        skeleton_solves=solves,
+        adjoint_sweeps=sweeps,
     )
 
 

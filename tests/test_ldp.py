@@ -1,9 +1,10 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from llblab.dynamics import (
@@ -16,9 +17,11 @@ from llblab.dynamics import (
 )
 from llblab.analysis import StreamedPathGap
 from llblab.field import STACK_CHUNK, h1_norm, make_grid
+from llblab.cli import EXIT_OK, parse_config, run
 from llblab.ldp import (
     RateObjective,
     RateProblem,
+    _next_step,
     compactness_probe,
     estimate_rate,
     final_penalty,
@@ -228,6 +231,140 @@ def test_estimate_rate_rejects_trials_that_blow_up(monkeypatch):
     assert math.isfinite(est.cost)
     for round_history in est.objective_history:
         assert all(b <= a for a, b in zip(round_history, round_history[1:]))
+
+
+# --- line search: the step after a rejected trial ------------------------------------
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    step=positive,
+    current=finite,
+    j_try=st.one_of(
+        st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1.7e308]),
+        st.floats(),
+    ),
+    gnorm_sq=positive,
+)
+@example(step=1.0, current=5.11, j_try=240.7, gnorm_sq=41.0)
+@example(step=1e300, current=0.0, j_try=1e300, gnorm_sq=1e300)
+@example(step=1.0, current=-1.7e308, j_try=1.7e308, gnorm_sq=1.0)
+@example(step=5e-324, current=0.0, j_try=1.0, gnorm_sq=5e-324)
+def test_next_step_is_finite_and_within_a_tenth_and_a_half(step, current, j_try, gnorm_sq):
+    # a step that is not finite would end the round's while/else as a stall
+    nxt = _next_step(step, current, j_try, gnorm_sq)
+    assert math.isfinite(nxt)
+    assert 0.1 * step <= nxt <= 0.5 * step
+    if not math.isfinite(j_try):
+        assert nxt == 0.5 * step
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    step=st.floats(1e-12, 1e3),
+    current=st.floats(-1e6, 1e6),
+    gnorm_sq=st.floats(1e-6, 1e6),
+    drop=st.floats(2.0, 1e3),
+)
+def test_next_step_halves_when_the_fit_is_not_convex(step, current, gnorm_sq, drop):
+    # J(step) at least twice the linear model's drop below J(0): the quadratic
+    # through J(0), J'(0) = -|g|^2 and J(step) opens downward
+    j_try = current - drop * gnorm_sq * step
+    assume(j_try - current < -1.5 * gnorm_sq * step)
+    assert _next_step(step, current, j_try, gnorm_sq) == 0.5 * step
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    step=st.floats(1e-3, 1e3),
+    current=st.floats(-1e3, 1e3),
+    slope=st.floats(1e-2, 1e2),
+    fraction=st.floats(0.1, 0.5),
+)
+def test_next_step_is_the_minimizer_of_a_quadratic_objective(step, current, slope, fraction):
+    # J(t) = J(0) - |g|^2 t + c t^2 with its minimizer at fraction * step, inside the window
+    curvature = slope / (2.0 * fraction * step)
+    j_try = current - slope * step + curvature * step * step
+    nxt = _next_step(step, current, j_try, slope)
+    assert abs(nxt - fraction * step) <= 1e-6 * step
+
+
+def _perfbench_rate_config(tmp_path, max_iters):
+    """The rate config that perfbench's rate-roundtrip workload runs: the skeleton
+    endpoint under h* = 0.5 in mode 1, component 3, as a target CSV."""
+    tg = TimeGrid(0.25, 250)
+    spec = make_covariance(8)
+    h_star = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    target = integrate(
+        SystemKind.SKELETON, initial_profile(GRID), PARAMS, tg, spec=spec, ctrl=h_star,
+        stride=tg.steps,
+    ).final_values()
+    path = tmp_path / "target.csv"
+    rows = [f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in enumerate(target.tolist())]
+    path.write_text("node_index,ux,uy,uz\n" + "".join(rows))
+    text = (
+        f"kind = rate\nseed = 45\nrate.target = {path}\nrate.penalty = 1e4\n"
+        "rate.modes = 1\nrate.slabs = 5\nrate.continuation = 0\ngrid.n = 31\n"
+        f"time.horizon = 0.25\ntime.steps = 250\nnoise.modes = 8\nrate.max_iters = {max_iters}\n"
+    )
+    return parse_config(text), h_star.h0_cost(), h1_norm(target)
+
+
+def test_perfbench_rate_run_makes_six_solves_and_five_sweeps(tmp_path):
+    # halving tried steps 1, 1/2, 1/4 and 1/8 in the first iteration: 8 solves
+    config, h_star_cost, target_h1 = _perfbench_rate_config(tmp_path, 4)
+    assert run(config, out_dir=str(tmp_path / "out")) == EXIT_OK
+    estimate = json.loads((tmp_path / "out" / "rate_estimate.json").read_text())
+    assert estimate["iterations"] == 4
+    assert estimate["skeleton_solves"] == 6
+    assert estimate["adjoint_sweeps"] == 5
+    assert estimate["cost"] <= 1.05 * h_star_cost
+    assert estimate["misfit"] <= 1e-2 * target_h1
+
+
+def test_round_trip_of_the_rate_criterion_makes_seventeen_solves():
+    # the round trip of acceptance criterion 8; halving made 29 solves and 14 sweeps
+    tg = tgrid(250)
+    u0 = initial_profile(GRID)
+    h_star = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    ske = integrate(SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=h_star, stride=tg.steps)
+    target = ske.final_values()
+    problem = RateProblem(
+        target=target, penalty=1e4, control_modes=1, control_steps=5,
+        max_iters=60, continuation_rounds=1,
+    )
+    est = estimate_rate(problem, PARAMS, tg, SPEC, u0)
+    assert est.converged
+    assert est.skeleton_solves == 17
+    assert est.adjoint_sweeps == 12
+    assert est.iterations == 10
+    assert est.cost <= 1.05 * h_star.h0_cost()
+    assert est.misfit <= 1e-2 * h1_norm(target)
+
+
+def test_rate_run_whose_trials_are_all_accepted_never_interpolates(monkeypatch):
+    # at penalty 1e3 the first trial of every iteration is accepted, so no
+    # interpolated step is taken and the iterates are those of halving
+    def refuse(*args):
+        raise AssertionError("a trial was rejected")
+
+    monkeypatch.setattr("llblab.ldp._next_step", refuse)
+    tg = tgrid()
+    u0 = initial_profile(GRID)
+    h_star = single_mode_control(tg.steps, 8, tg.dt, mode=1, component=3, coefficient=0.5)
+    ske = integrate(SystemKind.SKELETON, u0, PARAMS, tg, spec=SPEC, ctrl=h_star, stride=tg.steps)
+    problem = RateProblem(
+        target=ske.final_values(), penalty=1e3, control_modes=1, control_steps=5,
+        max_iters=10, continuation_rounds=0,
+    )
+    est = estimate_rate(problem, PARAMS, tg, SPEC, u0)
+    assert est.converged
+    assert est.iterations == 3
+    assert est.skeleton_solves == est.iterations + 1
+    assert est.adjoint_sweeps == est.iterations + 1
 
 
 def test_estimate_rate_blow_up_under_zero_control_raises():
