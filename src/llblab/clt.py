@@ -1,19 +1,26 @@
 """Stochastic ensembles on counter-based streams, and the central limit
 experiment built on them.
 
-An ensemble runs ``samples`` paths at each noise strength epsilon. Every
-(epsilon index, sample) pair is one column of a batch, driven by its own
-counter-based stream ``stream_rng(seed, epsilon index, sample)``, from which
-the batch draws the column's increments on the run's time grid; at most
-``BATCH_COLUMNS`` columns march together, so memory grows with the batch
-width, never with the number of samples. Each column's proof metric
+An ensemble runs ``samples`` paths at each noise strength epsilon. Each
+column of a batch draws its increments on the run's time grid from its own
+counter-based stream ``stream_rng(*key)``, and every system of the column
+reads them. The central limit experiment gives each sample one stream,
+``stream_rng(seed, sample)``, and one stochastic system per epsilon, so
+every epsilon runs on the same path, as the theorem's u_eps and its limit V
+do on one probability space (common random numbers); the ensembles that have
+no limit to share, ``a_priori_ensemble`` and the weak convergence
+experiment, give every (epsilon index, sample) pair a column of its own, on
+``stream_rng(seed, epsilon index, sample)``. At most ``BATCH_COLUMNS``
+columns march together, so memory grows with the batch width, never with
+the number of samples. Each pair's proof metric
 sup_t ||grad d||^2 + nu1 * int ||Lap d||^2, with the model's nu1, of a field
 d derived from its states is accumulated a block of steps at a time instead
 of from stored trajectories: a narrow batch buffers the states of several
-steps, so the metric's one Laplacian runs once per block, on as many columns
-as a full batch. A sample whose run blows up is retired at that step,
+steps, so the metric's one Laplacian runs once per block, on about as many
+columns as a full batch. A pair whose run blows up is retired at that step,
 counted and listed with its stream key and step, never averaged; the other
-columns go on. The results depend on nothing but the config.
+pairs, those of the same sample at other epsilons too, go on. The results
+depend on nothing but the config.
 
 Every batch marches the ensemble's noiseless reference, which depends on its
 inputs alone, as one shared column, and the observer compares each sample
@@ -22,9 +29,11 @@ reference that blows up ends the run with its own error, as ``integrate``
 raises it. The observer buffers the batch's whole stacked state, the
 reference's column included, with one copy a step, and a difference that
 keeps columns past the samples gets their metric too. The central limit
-experiment couples the noisy flow u_eps, the reference u0 and the linear deviation
-system V0 about it, which reads the increments of u_eps; the per-sample
-error is the proof metric of V_eps - V0, V_eps = (u_eps - u0)/sqrt(eps).
+experiment couples the noisy flows u_eps of every epsilon, the reference u0
+and the linear deviation system V0 about it, which reads the same
+increments, so each sample marches V0 once for all its epsilons; the error
+of a sample at each epsilon is the proof metric of V_eps - V0,
+V_eps = (u_eps - u0)/sqrt(eps).
 ``a_priori_ensemble`` gives the proof metric of u itself,
 sup_t ||grad u||^2 + nu1 * int ||Lap u||^2, the quantity of the a priori
 estimate, for u0 and for every sample of the noisy flow, from one metric of
@@ -84,11 +93,13 @@ class CltRow(NamedTuple):
 
 
 class SampleFailure(NamedTuple):
-    """A retired sample: replay it with ``stream_rng(base_seed, eps_index, sample)``."""
+    """A retired (epsilon index, sample) pair and its step: replay it on
+    ``stream_rng(*key)`` at ``epsilons[eps_index]``."""
 
     eps_index: int
     sample: int
     step: int
+    key: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,56 +134,76 @@ def run_columns(
     kinds,
     u0: np.ndarray,
     epsilons,
-    samples: int,
-    base_seed: int,
+    keys,
     difference,
     params: ModelParams,
     tgrid: TimeGrid,
     spec: CovarianceSpec,
     ctrl=None,
 ) -> tuple[list, tuple, list]:
-    """The proof metric of every (epsilon index, sample) column of an ensemble.
+    """The proof metric of every (epsilon index, sample) pair of an ensemble.
 
     ``kinds`` names the noisy systems of each column, then the reference's
     kind: the noiseless run the samples are compared with, marched from
-    ``u0`` as one shared column of every batch. Column (i, m) starts every
-    noisy system from the (n, 3) field ``u0``, a linearized one from zero, and
-    runs at ``epsilons[i]`` on ``stream_rng(base_seed, i, m)``
-    (``dynamics.integrate_batch``, with ``ctrl`` the control of every system,
-    the reference's too). A linearized system is linearized about the
-    reference. The reference raises its own blow-up, key None, at its step,
-    the one ``integrate`` of it raises, whichever samples have retired. ``difference(n, block, eps)`` maps the stacked states of steps n to
-    n + K - 1 of a batch, a block (n, 3, S*M + 1, K) holding the M columns of
-    each of the S systems in turn and then the reference's, and the batch's
-    (M,) epsilons to the field d whose metric
-    sup ||grad d||^2 + nu1 sum dt ||Lap d||^2, with ``params.nu1``, is
-    accumulated; its first M columns are the samples', any further ones the
-    reference's. K is the number of steps whose states, stacked, fill about
-    ``BATCH_COLUMNS`` columns, so a narrow batch pays the per-call cost of the
-    metric's one Laplacian once per block; the last block of a run may be
-    shorter. A column that blew up stays in its batch, zeroed, to the end,
-    and its metric is dropped. Returns ``(values, failures, reference)``:
-    ``values[i][m]`` is the metric of column (i, m), None where it blew up,
-    ``failures`` its SampleFailures, sorted, and ``reference`` the metric of
-    each column of d past the samples. A column's sums do not depend on its
+    ``u0`` as one shared column of every batch. Column c starts every noisy
+    system from the (n, 3) field ``u0``, a linearized one from zero, and draws
+    its increments from ``stream_rng(*keys[c])``, which every system of the
+    column reads (``dynamics.integrate_batch``, with ``ctrl`` the control of
+    every system, the reference's too). The layout follows from the kinds
+    and the keys: the P stochastic systems of the C columns make P * C pairs,
+    ``samples`` = P * C / E to each of the E epsilons, and pair (i, m), number
+    i * samples + m, is system p of column c, number p * C + c, run at
+    ``epsilons[i]``. So one stochastic system and a key per pair gives every
+    pair its own path, and one stochastic system per epsilon and a key per
+    sample gives a sample one path at every epsilon. A linearized system is
+    linearized about the reference. The reference raises its own blow-up,
+    key None, at its step, the one ``integrate`` of it raises, whichever
+    samples have retired. ``difference(n, block, eps)`` maps the stacked
+    states of steps n to n + K - 1 of a batch of B columns, a block
+    (n, 3, S*B + 1, K) holding the B columns of each of the S noisy systems
+    in turn and then the reference's, and the batch's (P, B) epsilons to the
+    field d whose metric sup ||grad d||^2 + nu1 sum dt ||Lap d||^2, with
+    ``params.nu1``, is accumulated; its first P*B columns are the batch's
+    pairs, system by system, any further ones the reference's. K is the
+    number of steps whose P*B pairs, stacked, fill about ``BATCH_COLUMNS``
+    columns, so a narrow batch pays the per-call cost of the metric's one
+    Laplacian once per block; the last block of a run may be shorter. A
+    column that blows up stays in its batch, zeroed, to the end, and the
+    metric of its pair is dropped, of every pair of its column when it is a
+    linearized system's. Returns ``(values, failures, reference)``:
+    ``values[i][m]`` is the metric of pair (i, m), None where it was dropped,
+    ``failures`` the SampleFailure of each dropped pair, with the step of its
+    first failure and its column's key, sorted, and ``reference`` the metric
+    of each column of d past the pairs. A column's sums do not depend on its
     batch, so every batch gives the reference's the same bits. Raises
     ValueError, before any integration, when there is no epsilon or no
-    sample.
+    sample, or the pairs do not split evenly among the epsilons.
     """
     nodes = len(u0)
     steps = tgrid.steps
-    columns = [(i, m) for i in range(len(epsilons)) for m in range(samples)]
-    if not columns:
+    keys = list(keys)
+    driven = [s for s, kind in enumerate(kinds[:-1]) if kind is not SystemKind.LINEARIZED_CLT]
+    pairs = len(driven) * len(keys)
+    if not epsilons or not pairs:
         raise ValueError(
-            f"need at least one epsilon and one sample, got {len(epsilons)} and {samples}"
+            f"need at least one epsilon and one sample, got {len(epsilons)} epsilons and "
+            f"{len(keys)} stream keys"
         )
-    values = []
+    samples, rest = divmod(pairs, len(epsilons))
+    if rest:
+        raise ValueError(
+            f"{pairs} (system, column) pairs do not split among {len(epsilons)} epsilons"
+        )
+    strengths = np.asarray(epsilons, dtype=float)[
+        np.arange(pairs).reshape(len(driven), len(keys)) // samples
+    ]
+    values = [None] * pairs
     failures = []
-    for first in range(0, len(columns), BATCH_COLUMNS):
-        batch = columns[first:first + BATCH_COLUMNS]
+    for first in range(0, len(keys), BATCH_COLUMNS):
+        batch = keys[first:first + BATCH_COLUMNS]
         width = len(batch)
-        eps = np.array([epsilons[i] for i, _ in batch], dtype=float)
-        block = min(steps + 1, max(1, BATCH_COLUMNS // width))
+        eps = strengths[:, first:first + width]
+        block = min(steps + 1, max(1, BATCH_COLUMNS // eps.size))
         start = [
             np.zeros((nodes, 3, width)) if kind is SystemKind.LINEARIZED_CLT
             else np.repeat(u0[..., None], width, axis=2)
@@ -200,16 +231,21 @@ def run_columns(
         failed, _ = integrate_batch(
             kinds, [*start, u0], params, tgrid, observe,
             spec=spec, ctrl=None if ctrl is None else (ctrl,) * len(kinds),
-            rngs=[stream_rng(base_seed, i, m) for i, m in batch], epsilons=eps,
-            keys=[(base_seed, i, m) for i, m in batch],
+            rngs=[stream_rng(*key) for key in batch], epsilons=eps, keys=batch,
         )
         metrics = [float(v) for v in gap.values]
-        batch_values, reference = metrics[:width], metrics[width:]
+        for p in range(len(driven)):
+            at = p * len(keys) + first
+            values[at:at + width] = metrics[p * width:(p + 1) * width]
+        reference = metrics[eps.size:]
         for exc in failed:
-            _, i, m = exc.key
-            batch_values[batch.index((i, m))] = None
-            failures.append(SampleFailure(i, m, exc.step))
-        values.extend(batch_values)
+            column = first + batch.index(exc.key)
+            rows = [driven.index(exc.system)] if exc.system in driven else range(len(driven))
+            for p in rows:
+                pair = p * len(keys) + column
+                if values[pair] is not None:
+                    values[pair] = None
+                    failures.append(SampleFailure(*divmod(pair, samples), exc.step, exc.key))
     per_epsilon = [values[i * samples:(i + 1) * samples] for i in range(len(epsilons))]
     return per_epsilon, tuple(sorted(failures)), reference
 
@@ -223,13 +259,15 @@ def run_clt(
     initial: np.ndarray,
     base_seed: int,
 ) -> CltReport:
-    """The central limit experiment: ``samples`` coupled (u_eps, V0) columns
-    per epsilon from the (n, 3) field ``initial``, sample m of epsilon index i
-    on ``stream_rng(base_seed, i, m)``, and the slope of the mean error against
-    epsilon when at least three means are positive. The result depends on
-    nothing but the arguments. Raises ValueError, before any integration,
-    unless the epsilons are strictly decreasing in (0, 1] and there are at
-    least 2 samples."""
+    """The central limit experiment: ``samples`` coupled columns from the
+    (n, 3) field ``initial``, sample m on ``stream_rng(base_seed, m)``, each
+    marching u_eps of every epsilon and one V0 on that one path, and the
+    slope of the mean error against epsilon when at least three means are
+    positive. A row depends on its own epsilon alone: run with that epsilon
+    only, it has the same bits. The result depends on nothing but the
+    arguments. Raises ValueError, before any integration, unless the
+    epsilons are strictly decreasing in (0, 1] and there are at least 2
+    samples."""
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
@@ -242,20 +280,25 @@ def run_clt(
     work = {}
 
     def deviation_gap(n, u, eps):
-        # (u_eps - u0) / sqrt(eps) - V0, in place in the buffer of u_eps - u0
-        m = len(eps)
-        d = minus_reference(work, u[:, :, :m], u[:, :, 2 * m:])
+        # (u_eps - u0) / sqrt(eps) - V0 of every epsilon, in place in the buffer of u_eps - u0
+        m, pairs = eps.shape[1], eps.size
+        d = minus_reference(work, u[:, :, :pairs], u[:, :, pairs + m:])
         if n == 0:
             # a new batch: sqrt(eps) across a whole block, which divides faster
-            # than an (M,) array broadcast over the solver's layout
-            np.copyto(scratch(work, "sqrt_eps", d.shape), np.sqrt(eps)[:, None])
+            # than a (P*B,) array broadcast over the solver's layout
+            np.copyto(scratch(work, "sqrt_eps", d.shape), np.sqrt(eps).reshape(-1, 1))
         d /= work["sqrt_eps"][..., :d.shape[3]]
-        d -= u[:, :, m:2 * m]
+        v0 = u[:, :, pairs:pairs + m]
+        for first in range(0, pairs, m):
+            d[:, :, first:first + m] -= v0
         return d
 
+    kinds = (SystemKind.STOCHASTIC,) * len(epsilons) + (
+        SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC
+    )
     errors, failures, _ = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC), initial,
-        epsilons, samples, base_seed, deviation_gap, params, tgrid, spec,
+        kinds, initial, epsilons, [(base_seed, m) for m in range(samples)], deviation_gap,
+        params, tgrid, spec,
     )
     rows = [CltRow(eps, *sample_stats(e)) for eps, e in zip(epsilons, errors)]
     fit = None
@@ -283,8 +326,9 @@ def a_priori_ensemble(
     sample at epsilon 0 gives it bitwise. Raises BlowUpError when the
     deterministic run blows up, and ValueError, before any integration, when
     there is no epsilon or no sample."""
+    keys = [(base_seed, i, m) for i in range(len(epsilons)) for m in range(samples)]
     values, failures, (det,) = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), initial, epsilons, samples, base_seed,
+        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), initial, epsilons, keys,
         lambda n, u, eps: u, params, tgrid, spec,
     )
     return APrioriEnsemble(det, values, failures)

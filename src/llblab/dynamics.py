@@ -34,9 +34,10 @@ increments from its own generator on the batch's time grid; a noiseless kind
 (deterministic, skeleton) depends on its inputs alone, so it is one shared
 column of the batch, made once for every sample, such as an ensemble's
 reference or a compactness probe's skeletons. A batch holds its noisy
-systems, in lockstep, then its noiseless ones, each system under its own
-control, and hands the stacked state of each step to an observer instead of
-storing it, so runs are compared while they march. ``integrate`` is the case
+systems, in lockstep, each stochastic one at its own noise strength per
+column, then its noiseless ones, each system under its own control, and
+hands the stacked state of each step to an observer instead of storing it,
+so runs are compared while they march. ``integrate`` is the case
 of one noiseless system and no sample column, and stores the snapshots it is
 asked for. The CLI's deterministic run marches the same one-column batch and
 writes each block of snapshots as it comes (``write_report_rows``,
@@ -45,9 +46,10 @@ block writers to a whole record. The step kernels treat every column of a
 batch as they treat that column alone, and no step branches on the data of
 its columns: every system adds every forcing it has, a zero one too. So a
 column's states have the same bits at any batch width, a column at eps = 0
-or under a zero control has the bits of the noiseless run, and a sample
-column that blows up is retired at the step where it would blow up alone
-while the others go on. A shared column that blows up raises its own
+or under a zero control has the bits of the noiseless run, and a column
+of a noisy system that blows up is retired at the step where it would blow
+up alone while the others, the same sample's columns of the other systems
+too, go on. A shared column that blows up raises its own
 BlowUpError at that step, as ``integrate`` of its run raises it: every
 sample depends on it, so there is one error path for every noiseless run.
 
@@ -118,8 +120,8 @@ BATCH_COLUMNS = 64
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the model, shared by every system. The noise strength
-    is not one of them: ``integrate_batch`` takes one per column, so one set of
-    coefficients serves the whole family u_eps."""
+    is not one of them: ``integrate_batch`` takes one per stochastic system and
+    column, so one set of coefficients serves the whole family u_eps."""
 
     nu1: float = 1.0
     nu2: float = 1.0
@@ -169,17 +171,21 @@ _NOISY_KINDS = (
     SystemKind.LINEARIZED_CLT,
 )
 _CONTROLLED_KINDS = (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON)
+# the nonlinear noisy kinds, each at its own noise strength per sample column
+_DRIVEN_KINDS = (SystemKind.STOCHASTIC, SystemKind.CONTROLLED_STOCHASTIC)
 
 
 class BlowUpError(RuntimeError):
     """Raised when the state leaves the finite / bounded regime.
 
-    ``key`` is the counter-based stream key (seed, epsilon index, sample) of a
-    noisy sample, so the failure can be replayed on its own; None for a
-    noiseless run, which marches as a shared column and raises its own error,
-    the one ``integrate`` of that run raises. ``linf`` is the |u|_inf of the failing step (inf or nan only
-    once the state itself overflows) and ``ratio`` the largest
-    explicit-term ratio dt |gamma| |u|_inf / h^2 of the steps before it.
+    ``key`` is the counter-based stream key of a noisy sample, so the
+    failure can be replayed on its own; None for a noiseless run, which
+    marches as a shared column and raises its own error, the one
+    ``integrate`` of that run raises. ``system`` is the index, in the kinds
+    of its batch, of the system whose column failed. ``linf`` is the |u|_inf
+    of the failing step (inf or nan only once the state itself overflows)
+    and ``ratio`` the largest explicit-term ratio dt |gamma| |u|_inf / h^2 of
+    the steps before it.
     """
 
     def __init__(
@@ -190,10 +196,12 @@ class BlowUpError(RuntimeError):
         key: tuple | None = None,
         linf: float | None = None,
         ratio: float | None = None,
+        system: int | None = None,
     ):
         self.step = step
         self.time = time
         self.key = key
+        self.system = system
         self.linf = linf
         self.ratio = ratio
         where = f" at step {step}" if step is not None else ""
@@ -279,10 +287,11 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
     ``state``, ``lap``, ``sq``, ``out`` and ``work`` are (array, per-system views)
     pairs: the stacked state (n, 3, C), its Laplacian, its squared norms (n, C),
     and two buffers the shape of the state. ``systems`` gives each system
-    (noisy, field): whether it is a nonlinear kind driven by the noise, and its
-    control field dt mode_mat c_n of the step, None without a control.
-    ``forcing`` is the step's noise field dB (n, 3, M), None without noise,
-    and ``strength`` sqrt(eps) of each sample column, zero for a retired one.
+    (row, field): for a nonlinear kind driven by the noise, its row of
+    ``strength``, else None, and its control field dt mode_mat c_n of the
+    step, None without a control. ``forcing`` is the step's noise field dB
+    (n, 3, M), None without noise, and ``strength`` the (P, M) sqrt(eps) of
+    each driven system's sample columns, zero for a retired one.
     ``linear`` is (ref, lins, base): the deterministic system, a shared
     column, the linearized ones and None or a buffer (n, 3, M) that takes the
     reference state across the batch, as products of full arrays are cheaper
@@ -305,10 +314,10 @@ def _batch_rhs(state, lap, sq, out, work, systems, linear, forcing, strength, pa
     (u, us), (lap, laps), (sq, sqs), (out, outs), (work, works) = state, lap, sq, out, work
     _step_terms(lap, sq, params, dt)
     ref, lins, base = linear
-    for s, (noisy, field) in enumerate(systems):
+    for s, (row, field) in enumerate(systems):
         g = forcing if s in lins else None
-        if noisy:
-            g = np.multiply(strength, forcing, out=outs[s])
+        if row is not None:
+            g = np.multiply(strength[row], forcing, out=outs[s])
         if field is not None:
             g = field if g is None else np.add(g, field, out=g)
         if g is not None:
@@ -436,11 +445,15 @@ def integrate_batch(
     (deterministic, skeleton) is one shared column, given as an (n, 3) field,
     a run made once for the whole batch, such as an ensemble's reference. A
     call of noiseless kinds alone has M = 0. n fixes the grid
-    (``field.make_grid``). The systems share ``params``; column j of a noisy
-    nonlinear kind runs at noise strength ``epsilons[j]``. Noisy kinds draw
+    (``field.make_grid``). The systems share ``params``; ``epsilons`` is
+    None, for no noise, or a (P, M) array of noise strengths, row p for the
+    p-th stochastic or controlled-stochastic kind in the order of ``kinds``,
+    so column j of each runs at its own ``epsilons[p][j]``. Noisy kinds draw
     the increments of column j on the run's time grid from ``rngs[j]``
     (``noise.increments``), and every system of a step sees the same ones, so
-    coupled systems share their noise by construction. ``ctrl`` is None or
+    coupled systems share their noise by construction: a batch of several
+    stochastic systems at different strengths and one linearized system
+    marches the whole family u_eps and its limit on one path per column. ``ctrl`` is None or
     gives each kind its own entry: a ControlPath for a controlled kind, None
     for any other. A linearized system is linearized about the first
     deterministic system, whose step terms it reads in the same step.
@@ -454,12 +467,14 @@ def integrate_batch(
     system, and a second such buffer that the next state is written into
     before the two swap. At each step n every running column is checked
     first: a column whose |u|_inf is not finite or exceeds ``LINF_CEILING``
-    fails at n. A sample column fails when it does so in any noisy system,
-    and is retired: it keeps its column, zeroed in every system and with
-    noise strength 0, and is stepped on with the others. A shared column
-    that fails raises its own BlowUpError, key None, with its own |u|_inf
-    and ratio, the first failing one in the order of ``kinds``: every sample
-    depends on it, and ``integrate`` of its run raises the same error. The
+    fails at n. Each column of the workspace fails on its own: sample column
+    j of a noisy system that fails is retired in that system alone, which
+    keeps its column, zeroed and, for a stochastic kind, with noise strength
+    0, and is stepped on with the others, while column j of every other
+    system runs on. A shared column that fails raises its own BlowUpError,
+    key None, with its own |u|_inf and ratio, the first failing one in the
+    order of ``kinds``: every sample depends on it, and ``integrate`` of its
+    run raises the same error. The
     check takes one maximum of the step's squared node norms over the whole
     workspace and one running elementwise maximum of them: only a step whose
     maximum passes LINF_CEILING^2 (or is NaN) takes the column maxima that
@@ -479,13 +494,15 @@ def integrate_batch(
 
     Every running sample column's states have the bits of its own width-1
     run, a shared column's those of ``integrate``. Returns
-    ``(failures, explicit_cfl)``: one BlowUpError per retired sample column,
-    with its step and ``keys[j]``, in the order of retirement, and the largest
-    explicit-term ratio dt |gamma| |u|_inf / h^2 seen by a column that ran to
-    the end (0.0 when none did). A ValueError is raised, before step 0, for a
-    layout the kinds do not settle, unless ``keys``, ``epsilons`` and, for
-    noisy kinds, ``rngs`` hold one entry per sample column, and when a scalar
-    of the step leaves the double range (``overflowing_step_scalars``).
+    ``(failures, explicit_cfl)``: one BlowUpError per retired column of a
+    noisy system, with its step, its ``system`` and the ``keys[j]`` of its
+    sample column, in the order of retirement (by step, then by column of the
+    workspace), and the largest explicit-term ratio dt |gamma| |u|_inf / h^2
+    seen by a column that ran to the end (0.0 when none did). A ValueError is
+    raised, before step 0, for a layout the kinds do not settle, unless
+    ``keys``, each row of ``epsilons`` and, for noisy kinds, ``rngs`` hold
+    one entry per sample column, and when a scalar of the step leaves the
+    double range (``overflowing_step_scalars``).
     """
     kinds = tuple(kinds)
     states = tuple(np.asarray(u, dtype=float) for u in initial)
@@ -518,9 +535,13 @@ def integrate_batch(
         if len(rngs) != width:
             raise ValueError(f"noisy kinds need one generator per column: {width}, got {len(rngs)}")
         noise = increments(rngs, n_steps, spec.mode_count, dt)
-    eps = np.zeros(width) if epsilons is None else np.asarray(epsilons, dtype=float)
-    if eps.shape != (width,) or not np.all((eps >= 0.0) & (eps <= 1.0)):
-        raise ValueError(f"need {width} epsilons in [0, 1], got {epsilons}")
+    driven = [s for s, kind in enumerate(kinds) if kind in _DRIVEN_KINDS]
+    eps = np.zeros((len(driven), width)) if epsilons is None else np.asarray(epsilons, dtype=float)
+    if eps.shape != (len(driven), width) or not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError(
+            f"need {len(driven)} x {width} epsilons in [0, 1], one per stochastic system and "
+            f"sample column, got {epsilons}"
+        )
     keys = [None] * width if keys is None else list(keys)
     if len(keys) != width:
         raise ValueError(f"need {width} keys, one per sample column, got {len(keys)}")
@@ -528,12 +549,12 @@ def integrate_batch(
     mode_mat = mode_matrix(spec, grid) if spec is not None else None
     cfl_scale = dt * abs(params.gamma) / (h * h)
     # the columns of every noisy system in turn, then one per noiseless system; the
-    # ceiling check retires sample column j in every noisy system, or a shared column
+    # ceiling check retires each column of the workspace on its own
     bounds = np.cumsum([0] + [width if one else 1 for one in noisy])
     cols = [slice(first, last) for first, last in zip(bounds, bounds[1:])]
     sample_end = noisy.count(True) * width
-    columns = [slice(j, sample_end, width) for j in range(width)] + cols[noisy.count(True):]
-    keys += [None] * noisy.count(False)
+    owners = [s for s, col in enumerate(cols) for _ in range(col.stop - col.start)]
+    keys = keys * noisy.count(True) + [None] * noisy.count(False)
     shape = (nodes, 3, int(bounds[-1]))
     state, nxt, lap, tmp = (solver_empty(shape) for _ in range(4))
     sq = solver_empty((nodes, shape[2]))
@@ -543,9 +564,8 @@ def integrate_batch(
     # the solver's order: systems under one control share it
     fields = {path: solver_empty((nodes, 3, 1)) for path in ctrls if path is not None}
     systems = [
-        (noisy[s] and kind is not SystemKind.LINEARIZED_CLT,
-         None if ctrls[s] is None else fields[ctrls[s]])
-        for s, kind in enumerate(kinds)
+        (driven.index(s) if s in driven else None, None if ctrls[s] is None else fields[ctrls[s]])
+        for s in range(len(kinds))
     ]
     # a noisy step's matmul of all columns' increments (M, n, 3), copied into the solver's order
     product = np.empty((width, nodes, 3))
@@ -559,18 +579,8 @@ def integrate_batch(
     # the largest squared node norm seen at each node of each column; its column
     # maxima give a column's largest explicit-term ratio
     high = np.zeros_like(sq)
-    running = np.ones(len(columns), dtype=bool)
+    running = np.ones(shape[2], dtype=bool)
     failures = []
-
-    def column_max(a):
-        # the largest entry of each column of an (n, S*M + R) array, one per sample
-        # column over every noisy system, then one per shared column
-        top = a.max(axis=0)
-        if sample_end > width:
-            top = np.concatenate(
-                (top[:sample_end].reshape(-1, width).max(axis=0), top[sample_end:])
-            )
-        return top
 
     # every buffer with its per-system views
     state, nxt, lap, sq, tmp = (
@@ -584,10 +594,10 @@ def integrate_batch(
             # exactly when its square is at most LINF_CEILING^2; the largest
             # square of all settles a step where no column fails (a NaN fails it)
             if not sq[0].max() <= ceiling:
-                top, peak = column_max(sq[0]), column_max(high)
+                top, peak = sq[0].max(axis=0), high.max(axis=0)
                 failed = running & ~(top <= ceiling)
                 for j in np.flatnonzero(failed):
-                    column = state[0][..., columns[j]]
+                    column = state[0][..., j]
                     # hypot takes each node's |u| without squares, which overflow
                     # for components above about 1.3e154
                     linf = float(np.hypot.reduce(column, axis=1).max())
@@ -599,15 +609,16 @@ def integrate_batch(
                     failure = BlowUpError(
                         f"{what} (explicit-term ratio {ratio:.3g})",
                         step=n, time=n * dt, key=keys[j], linf=linf, ratio=ratio,
+                        system=owners[j],
                     )
-                    if j >= width:
+                    if j >= sample_end:
                         raise failure
                     failures.append(failure)
                     column[...] = 0.0
                 running &= ~failed
                 if not running.any():
                     break
-                sqrt_eps[failed[:width]] = 0.0
+                sqrt_eps[failed[:sample_end].reshape(-1, width)[driven]] = 0.0
             np.maximum(high, sq[0], out=high)
             observe(n, state[0])
             if n == n_steps:
@@ -621,7 +632,7 @@ def integrate_batch(
             _batch_rhs(state, lap, sq, nxt, tmp, systems, linear, forcing, sqrt_eps, params, dt)
             helm_values(nxt[0], h, c, out=nxt[0])
             state, nxt = nxt, state
-    peak = column_max(high)
+    peak = high.max(axis=0)
     return failures, float(np.max(cfl_scale * np.sqrt(peak[running]), initial=0.0))
 
 

@@ -365,7 +365,8 @@ def weak_convergence_experiment(
     the skeleton solution in the proof metric
     sup ||grad diff||^2 + nu1 int ||Lap diff||^2, with ``params.nu1``. Every
     (epsilon index, sample) pair is one column of a batch marched beside the
-    skeleton on its own counter-based stream (``clt.run_columns``), with
+    skeleton on its own counter-based stream ``stream_rng(base_seed, epsilon
+    index, sample)`` (``clt.run_columns``), with
     the metric accumulated a block of steps at a time; blown-up samples are
     retired, counted and never averaged. Returns ``(rows, failures)``: one
     WeakRow per epsilon and the ``clt.SampleFailure`` of every retired sample,
@@ -374,9 +375,10 @@ def weak_convergence_experiment(
     """
     eps_values = [float(e) for e in epsilons]
     work = {}
+    keys = [(base_seed, i, m) for i in range(len(eps_values)) for m in range(samples)]
     metrics, failures, _ = run_columns(
-        (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON), u0, eps_values, samples,
-        base_seed, lambda n, u, eps: minus_reference(work, u[:, :, :len(eps)], u[:, :, len(eps):]),
+        (SystemKind.CONTROLLED_STOCHASTIC, SystemKind.SKELETON), u0, eps_values, keys,
+        lambda n, u, eps: minus_reference(work, u[:, :, :eps.size], u[:, :, eps.size:]),
         params, tgrid, spec, ctrl=ctrl,
     )
     rows = [WeakRow(eps, *sample_stats(m)) for eps, m in zip(eps_values, metrics)]

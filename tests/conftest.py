@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from llblab.dynamics import integrate_batch
+from llblab.dynamics import SystemKind, integrate_batch
 from llblab.field import make_grid
 
 # floats whose repr is easy to get wrong: signed zeros, subnormals, huge, inf and nan
@@ -43,16 +43,23 @@ class ScaledRng:
         return self._gain * self._rng.normal(*args, **kwargs)
 
 
+def strengths(kinds, epsilons):
+    """``integrate_batch``'s (P, M) noise strengths that run every stochastic and
+    controlled-stochastic system of ``kinds`` at the per-column ``epsilons``."""
+    driven = [k for k in kinds if k in (SystemKind.STOCHASTIC, SystemKind.CONTROLLED_STOCHASTIC)]
+    return np.tile(np.asarray(epsilons, dtype=float), (len(driven), 1))
+
+
 def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
     """``integrate_batch`` with an observer that stores every step of every column.
 
     Returns ``(columns, failures)``: ``columns[j]`` holds sample column j's
-    states as one (steps + 1, n, 3) array per kind, cut off at the step where
-    it failed; a noiseless kind's shared column, given as an (n, 3) field, is
-    every column's. A batch of noiseless kinds alone has no sample column, and
-    its one entry of ``columns`` holds the shared columns. Failures are
-    matched to columns by their keys, the column indices unless ``keys`` is
-    given.
+    states as one (steps + 1, n, 3) array per kind, each cut off at the step
+    where that kind's column failed; a noiseless kind's shared column, given
+    as an (n, 3) field, is every column's. A batch of noiseless kinds alone
+    has no sample column, and its one entry of ``columns`` holds the shared
+    columns. Failures are matched to columns by their systems and keys, the
+    column indices unless ``keys`` is given.
     """
     width = next((np.shape(u)[2] for u in initial if np.ndim(u) == 3), 0)
     keys = list(range(width)) if keys is None else list(keys)
@@ -66,9 +73,12 @@ def record_batch(kinds, initial, params, tgrid, keys=None, **inputs):
 
     failures, _ = integrate_batch(kinds, initial, params, tgrid, observe, keys=keys, **inputs)
     stored = [np.array(s) for s in steps]
-    ends = {keys.index(exc.key): exc.step for exc in failures}
+    ends = {(exc.system, keys.index(exc.key)): exc.step for exc in failures}
     columns = [
-        [s[:ends.get(j), ..., j] if np.ndim(u) == 3 else s[..., 0] for s, u in zip(stored, initial)]
+        [
+            s[:ends.get((k, j)), ..., j] if np.ndim(u) == 3 else s[..., 0]
+            for k, (s, u) in enumerate(zip(stored, initial))
+        ]
         for j in range(max(width, 1))
     ]
     return columns, failures

@@ -125,7 +125,7 @@ def test_criterion_04_zero_noise_degeneration():
     ((sto,),), failed = record_batch(
         (SystemKind.STOCHASTIC,), (u0[..., None],), DEFAULT_PARAMS, tgrid,
         spec=spec, rngs=[stream_rng(77)],
-        epsilons=(0.0,),
+        epsilons=[(0.0,)],
     )
     ske = integrate(
         SystemKind.SKELETON, u0, DEFAULT_PARAMS, tgrid,

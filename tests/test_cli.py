@@ -396,14 +396,15 @@ def test_run_weak_counts_failed_samples(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [(r["n_ok"], r["n_failed"]) for r in summary["rows"]] == [(1, 1), (2, 0)]
     (failure,) = summary["failures"]
-    assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
+    assert (failure["eps_index"], failure["sample"], failure["key"]) == (0, 1, [99, 0, 1])
+    assert failure["step"] > 0
     tgrid = cfg.time_grid()
     ctrl = single_mode_control(tgrid.steps, cfg["noise.modes"], tgrid.dt, 1, 3, 0.5)
     _, (exc,) = record_batch(
         (SystemKind.CONTROLLED_STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(), ctrl=(ctrl,),
-        rngs=[loud_stream(99, 0, 1)],
-        epsilons=(0.1,), keys=((99, 0, 1),),
+        rngs=[loud_stream(*failure["key"])],
+        epsilons=[(0.1,)], keys=(tuple(failure["key"]),),
     )
     assert (exc.step, exc.key) == (failure["step"], (99, 0, 1))
 
@@ -704,14 +705,14 @@ def test_clt_reference_blows_up_after_every_sample_retired():
     with pytest.raises(BlowUpError) as reference:
         integrate(SystemKind.DETERMINISTIC, u0, params, tgrid)
     assert reference.value.step == 105
-    # u_eps of each sample on its stream; with its V0 beside it, it retires no later
-    keys = [(5, i, m) for i in range(2) for m in range(2)]
+    # u_eps of each sample at each epsilon on the sample's stream, each retired on its own
+    keys = [(5, m) for m in range(2)]
     _, failed = record_batch(
-        (SystemKind.STOCHASTIC,), (np.repeat(u0[..., None], 4, axis=2),), params, tgrid,
-        keys=keys, spec=config.covariance(), epsilons=(1.0, 1.0, 0.5, 0.5),
+        (SystemKind.STOCHASTIC, SystemKind.STOCHASTIC), (np.repeat(u0[..., None], 2, axis=2),) * 2,
+        params, tgrid, keys=keys, spec=config.covariance(), epsilons=[(1.0, 1.0), (0.5, 0.5)],
         rngs=[stream_rng(*key) for key in keys],
     )
-    assert sorted(f.key for f in failed) == keys
+    assert sorted((f.system, f.key) for f in failed) == [(i, key) for i in range(2) for key in keys]
     assert all(f.step < reference.value.step for f in failed)
 
 
@@ -850,15 +851,16 @@ def test_run_ensemble_counts_failed_samples(tmp_path, monkeypatch):
     assert [(r["n_ok"], r["n_failed"]) for r in summary["rows"]] == [(2, 1), (3, 0)]
     assert np.isfinite(summary["rows"][0]["mean_metric"])
     (failure,) = summary["failures"]
-    assert (failure["eps_index"], failure["sample"]) == (0, 1) and failure["step"] > 0
+    assert (failure["eps_index"], failure["sample"], failure["key"]) == (0, 1, [8, 0, 1])
+    assert failure["step"] > 0
     report = (tmp_path / "ensemble_report.csv").read_text().splitlines()
     assert report[2] == "0.1,1,nan,blow-up"
     tgrid = cfg.time_grid()
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (cfg.initial()[..., None],),
         cfg.model_params(), tgrid, spec=cfg.covariance(),
-        rngs=[loud_stream(8, 0, 1)],
-        epsilons=(0.1,), keys=((8, 0, 1),),
+        rngs=[loud_stream(*failure["key"])],
+        epsilons=[(0.1,)], keys=(tuple(failure["key"]),),
     )
     assert (exc.step, exc.key) == (failure["step"], (8, 0, 1))
 

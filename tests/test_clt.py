@@ -157,8 +157,8 @@ def test_run_clt_epsilon_scaling_of_deviation():
 
 def _path_gap_errors(config):
     """Per-sample errors computed the long way: the (u_eps, V0) pair of each
-    sample stored step by step from one width-1 coupled batch, then path_gap;
-    test oracle only."""
+    sample at each epsilon stored step by step from one width-1 coupled batch
+    on the sample's own stream, then path_gap; test oracle only."""
     from llblab.analysis import path_gap
     from llblab.dynamics import SystemKind, integrate
 
@@ -173,8 +173,8 @@ def _path_gap_errors(config):
             ((u_eps, v0, ref),), failed = record_batch(
                 (SystemKind.STOCHASTIC, SystemKind.LINEARIZED_CLT, SystemKind.DETERMINISTIC),
                 start, config.params, tg, spec=config.spec,
-                rngs=[stream_rng(config.base_seed, i, m)],
-                epsilons=[eps],
+                rngs=[stream_rng(config.base_seed, m)],
+                epsilons=[[eps]],
             )
             assert failed == []
             assert ref.tobytes() == u0.snapshots.tobytes()
@@ -201,12 +201,14 @@ def test_run_clt_streamed_metric_equals_stored_path_gap(monkeypatch):
 
 
 def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
+    # sample 1's path, 30 times louder, blows up u_eps at eps = 0.1 only: the
+    # same path at eps = 0.01 and its V0 stay below the ceiling
     import llblab.clt as clt_module
     from llblab.dynamics import SystemKind
 
     def loud_stream(base_seed, *key):
         rng = stream_rng(base_seed, *key)
-        return ScaledRng(rng, 1.0e4) if key == (0, 1) else rng
+        return ScaledRng(rng, 30.0) if key == (1,) else rng
 
     monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
     config = small_config(samples=3, epsilons=(1e-1, 1e-2))
@@ -215,29 +217,74 @@ def test_run_clt_excludes_and_counts_failed_samples(monkeypatch, tmp_path):
     assert report.rows[0].n_ok == 2
     assert report.rows[1].n_failed == 0
     assert len(report.failures) == 1
-    eps_index, sample, step = report.failures[0]
-    assert (eps_index, sample) == (0, 1) and step > 0
+    eps_index, sample, step, key = report.failures[0]
+    assert (eps_index, sample, key) == (0, 1, (config.base_seed, 1)) and step > 0
     # the failed sample is excluded from the mean, not averaged as NaN
     assert math.isfinite(report.rows[0].mean_error)
-    # the stream key and step replay the failure on its own
-    tgrid, key = config.tgrid, (config.base_seed, 0, 1)
+    # the stream key and step replay the failure on its own, at epsilons[eps_index]
+    tgrid = config.tgrid
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (config.initial[..., None],),
         config.params, tgrid, spec=config.spec,
         rngs=[loud_stream(*key)],
-        epsilons=(1e-1,), keys=(key,),
+        epsilons=[[1e-1]], keys=(key,),
     )
     assert (exc.step, exc.key) == (step, key)
     write_clt_summary(report, tmp_path / "summary.json")
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["n_failures"] == 1
-    assert payload["failures"] == [{"eps_index": 0, "sample": 1, "step": step}]
+    assert payload["failures"] == [
+        {"eps_index": 0, "sample": 1, "step": step, "key": [config.base_seed, 1]}
+    ]
+
+
+def test_run_clt_retires_each_epsilon_of_a_sample_on_its_own(monkeypatch):
+    # one path, epsilons four decades apart: u_eps blows up at eps = 1 only,
+    # while the same path at eps = 1e-4 and the sample's V0 run on, so the
+    # small epsilon keeps every sample; the listed key replays the failure
+    # on a width-1 batch at the same step
+    import llblab.clt as clt_module
+    from llblab.dynamics import SystemKind
+
+    def loud_stream(base_seed, *key):
+        rng = stream_rng(base_seed, *key)
+        return ScaledRng(rng, 100.0) if key == (1,) else rng
+
+    monkeypatch.setattr(clt_module, "stream_rng", loud_stream)
+    config = small_config(samples=3, epsilons=(1.0, 1e-4))
+    report = run_clt(*config)
+    assert [(r.n_ok, r.n_failed) for r in report.rows] == [(2, 1), (3, 0)]
+    ((eps_index, sample, step, key),) = report.failures
+    assert (eps_index, sample, key) == (0, 1, (config.base_seed, 1))
+    _, (exc,) = record_batch(
+        (SystemKind.STOCHASTIC,), (config.initial[..., None],),
+        config.params, config.tgrid, spec=config.spec,
+        rngs=[loud_stream(*key)], epsilons=[[config.epsilons[eps_index]]], keys=(key,),
+    )
+    assert (exc.step, exc.key) == (step, key)
+    # the small epsilon's row is that of its own run, where nothing blows up
+    (alone,) = run_clt(*config._replace(epsilons=(1e-4,))).rows
+    assert alone == report.rows[1]
+
+
+def test_run_clt_rows_do_not_depend_on_the_other_epsilons(monkeypatch):
+    # every epsilon runs on the same path per sample: row i of a run has the
+    # bits of a run of epsilon i alone, in batches of any width
+    import llblab.clt as clt_module
+
+    config = small_config()
+    together = run_clt(*config).rows
+    for columns in (4, 42, 64):
+        monkeypatch.setattr(clt_module, "BATCH_COLUMNS", columns)
+        for eps, row in zip(config.epsilons, together):
+            (alone,) = run_clt(*config._replace(epsilons=(eps,))).rows
+            assert alone == row, (columns, eps)
 
 
 def test_run_clt_blocks_of_any_length_give_the_same_bits(monkeypatch):
-    # 6 columns take blocks of BATCH_COLUMNS // 6 steps: 1, 7 and 10 here. 255
-    # steps (0..254) fill no whole number of blocks of 7 or 10, so the last
-    # block of those runs is short
+    # 2 samples at 3 epsilons, 6 pairs, take blocks of BATCH_COLUMNS // 6
+    # steps: 1, 7 and 10 here. 255 steps (0..254) fill no whole number of
+    # blocks of 7 or 10, so the last block of those runs is short
     import llblab.clt as clt_module
 
     config = small_config(samples=2, tgrid=TimeGrid(0.1, 254))
@@ -267,12 +314,14 @@ def test_run_columns_batch_retired_before_its_first_block_fills(monkeypatch):
 
     def difference(n, block, eps):
         calls.append(n)
-        reference.append(np.moveaxis(block[:, :, len(eps)], -1, 0).copy())
-        return block[:, :, :len(eps)]
+        reference.append(np.moveaxis(block[:, :, eps.size], -1, 0).copy())
+        return block[:, :, :eps.size]
 
+    # one stochastic system per epsilon, each sample on its own path
     values, failures, ref_metric = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, config.epsilons, 2,
-        config.base_seed, difference, config.params, config.tgrid, config.spec,
+        (SystemKind.STOCHASTIC, SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC),
+        config.initial, config.epsilons, [(config.base_seed, m) for m in range(2)],
+        difference, config.params, config.tgrid, config.spec,
     )
     assert ref_metric == []
     assert values == [[None, None], [None, None]]
@@ -361,9 +410,10 @@ def test_run_columns_reference_metric_is_the_deterministic_runs(samples):
     from llblab.dynamics import SystemKind, integrate
 
     config = small_config(tgrid=TimeGrid(0.02, 20))
+    keys = [(config.base_seed, i, m) for i in range(2) for m in range(samples)]
     values, failures, reference = run_columns(
-        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, (0.1, 0.01), samples,
-        config.base_seed, lambda n, block, eps: block, config.params, config.tgrid, config.spec,
+        (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC), config.initial, (0.1, 0.01), keys,
+        lambda n, block, eps: block, config.params, config.tgrid, config.spec,
     )
     assert failures == () and [len(v) for v in values] == [samples, samples]
     det = integrate(SystemKind.DETERMINISTIC, config.initial, config.params, config.tgrid)

@@ -46,7 +46,7 @@ from llblab.noise import (
     stream_rng,
     zero_control,
 )
-from conftest import EDGE_FLOATS, ScaledRng, random_field, record_batch
+from conftest import EDGE_FLOATS, ScaledRng, random_field, record_batch, strengths
 
 HEAT = ModelParams(nu1=1.0, nu2=0.0, gamma=0.0, mu=0.0)
 
@@ -65,7 +65,7 @@ def test_model_params_validation():
         integrate_batch(
             (SystemKind.STOCHASTIC,), (initial_profile(g)[..., None],), ModelParams(),
             TimeGrid(0.01, 2), lambda *a: None, spec=make_covariance(2, 4.0),
-            rngs=[stream_rng(0)], epsilons=(1.5,),
+            rngs=[stream_rng(0)], epsilons=[(1.5,)],
         )
 
 
@@ -87,7 +87,7 @@ def _rhs(v, params, dt):
     u = v[..., None]
     buffers = [u, lap_values(u, make_grid(len(v)).spacing), sq_norm_values(u)]
     buffers += [np.empty_like(u), np.empty_like(u)]
-    _batch_rhs(*[(a, [a]) for a in buffers], [(False, None)], (None, (), None), None, None,
+    _batch_rhs(*[(a, [a]) for a in buffers], [(None, None)], (None, (), None), None, None,
                params, dt)
     return buffers[3][..., 0]
 
@@ -243,7 +243,7 @@ def test_stochastic_eps_zero_degenerates_bitwise(p, field):
         failures, cfl = integrate_batch(
             (SystemKind.STOCHASTIC,), (np.repeat(u0[..., None], width, axis=2),), p, tg,
             lambda n, u: sto.append(u[..., -1].copy()),
-            spec=spec, rngs=[stream_rng(7, 0, j) for j in range(width)], epsilons=epsilons,
+            spec=spec, rngs=[stream_rng(7, 0, j) for j in range(width)], epsilons=[epsilons],
         )
         assert failures == []
         assert det.snapshots.tobytes() == np.array(sto).tobytes(), epsilons
@@ -276,7 +276,7 @@ def _coupled_states(kinds, initial, params, tg, spec, reference, rngs, epsilons)
         start.append(reference)
     columns, failed = record_batch(
         kinds, start, params, tg, spec=spec,
-        rngs=rngs, epsilons=epsilons,
+        rngs=rngs, epsilons=strengths(kinds, epsilons),
     )
     assert failed == []
     return columns
@@ -373,7 +373,7 @@ def test_integrate_missing_inputs():
     with pytest.raises(ValueError, match="covariance"):
         integrate_batch(
             (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, lambda *a: None,
-            rngs=rngs, epsilons=(0.1,),
+            rngs=rngs, epsilons=[(0.1,)],
         )
     with pytest.raises(ValueError, match="control"):
         integrate(SystemKind.SKELETON, u0, p, tg, spec=spec)
@@ -387,7 +387,7 @@ def test_integrate_missing_inputs():
         integrate_batch(
             (SystemKind.LINEARIZED_CLT, SystemKind.STOCHASTIC),
             (np.zeros((g.n_interior, 3, 1)), u0[..., None]), p, tg,
-            lambda *a: None, spec=spec, rngs=rngs, epsilons=(0.1,),
+            lambda *a: None, spec=spec, rngs=rngs, epsilons=[(0.1,)],
         )
 
 
@@ -443,7 +443,7 @@ def test_blow_up_error_carries_the_stream_key_and_step():
     _, (exc,) = record_batch(
         (SystemKind.STOCHASTIC,), (initial_profile(g, a=30.0)[..., None],),
         ModelParams(), tg, spec=make_covariance(8, 4.0),
-        rngs=[stream_rng(7, 2)], epsilons=(0.01,),
+        rngs=[stream_rng(7, 2)], epsilons=[(0.01,)],
         keys=((7, 1, 2),),
     )
     assert (exc.key, exc.step, exc.time) == ((7, 1, 2), 3, 3 * tg.dt)
@@ -478,13 +478,14 @@ def _exactly(exc):
 
 
 def test_partly_blown_up_batch_retires_each_column_as_its_width_1_run():
-    # u_eps and V0 beside a shared reference: columns 2 and 3 start where the
-    # explicit damping overshoots and fail the ceiling at different steps,
-    # column 4's increments are infinite (a non-finite state), column 5's so
-    # large that its squares overflow past 1.3e154 (|u|_inf taken relative to
-    # the largest magnitude) and column 6's loud enough that its V0, not its
-    # u_eps, sets its ratio; columns 0 and 1 run to the end, with larger
-    # explicit-term ratios than the reference's
+    # u_eps and V0 beside a shared reference, each column of each system
+    # retired on its own: columns 2 and 3 start where the explicit damping
+    # overshoots, so their u_eps fail the ceiling at different steps while
+    # their V0 run on, column 4's increments are infinite (a non-finite state
+    # in both systems), column 5's so large that its squares overflow past
+    # 1.3e154 (|u|_inf taken relative to the largest magnitude) and column 6's
+    # loud enough that its u_eps fails first and its V0 later; columns 0 and 1
+    # run to the end, with larger explicit-term ratios than the reference's
     g = make_grid(31)
     p = ModelParams()
     tg = TimeGrid(0.25, 64)
@@ -500,7 +501,7 @@ def test_partly_blown_up_batch_retires_each_column_as_its_width_1_run():
             p, tg, lambda n, u: seen.append(u.copy()),
             spec=make_covariance(8, 4.0),
             rngs=[ScaledRng(stream_rng(3, j), gains[j]) for j in columns],
-            epsilons=[0.01] * len(columns), keys=list(columns),
+            epsilons=[[0.01] * len(columns)], keys=list(columns),
         )
         return failures, cfl, np.array(seen)
 
@@ -512,23 +513,30 @@ def test_partly_blown_up_batch_retires_each_column_as_its_width_1_run():
     cfl_scale = tg.dt * abs(p.gamma) / (g.spacing * g.spacing)
     width = len(amplitudes)
     failures, cfl, seen = run(list(range(width)))
-    assert sorted(exc.key for exc in failures) == [2, 3, 4, 5, 6]
+    by_column = {(exc.system, exc.key): exc for exc in failures}
+    assert len(by_column) == len(failures)
+    assert sorted(by_column) == [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6)]
+    assert [exc.step for exc in failures] == sorted(exc.step for exc in failures)
     assert len({exc.step for exc in failures}) >= 3
-    by_key = {exc.key: exc for exc in failures}
-    assert str(by_key[4]).startswith("non-finite state") and math.isnan(by_key[4].linf)
-    assert 1.3e154 < by_key[5].linf < math.inf
-    # the steps before a failure, u_eps and V0 of the column, give its ratio
-    for j, exc in by_key.items():
-        assert exc.ratio == ratio(seen[:exc.step, ..., [j, width + j]]), j
-    assert ratio(seen[:by_key[6].step, ..., [6]]) < by_key[6].ratio
-    # the survivors and the reference over every step give the batch's ratio
-    assert cfl == ratio(seen[..., [0, 1, width, width + 1, -1]]) > ratio(seen[..., [-1]])
+    assert by_column[0, 6].step < by_column[1, 6].step
+    for s in (0, 1):
+        assert str(by_column[s, 4]).startswith("non-finite state")
+        assert math.isnan(by_column[s, 4].linf)
+        assert 1.3e154 < by_column[s, 5].linf < math.inf
+    # the steps before a failure, of the failing column alone, give its ratio
+    for (s, j), exc in by_column.items():
+        assert exc.ratio == ratio(seen[:exc.step, ..., [s * width + j]]), (s, j)
+    # every column that never failed and the reference over every step give the batch's ratio
+    survivors = [c for c in range(2 * width) if divmod(c, width) not in by_column] + [-1]
+    assert survivors == [0, 1, width, width + 1, width + 2, width + 3, -1]
+    assert cfl == ratio(seen[..., survivors]) > ratio(seen[..., [-1]])
     alone = {j: run([j]) for j in range(width)}
-    for exc in failures:
-        (single,), _, _ = alone[exc.key]
-        assert _exactly(exc) == _exactly(single)
+    for j in range(width):
+        assert [_exactly(exc) + (exc.system,) for exc in alone[j][0]] == [
+            _exactly(exc) + (exc.system,) for exc in failures if exc.key == j
+        ], j
     assert alone[0][0] == alone[1][0] == []
-    assert cfl == max(alone[0][1], alone[1][1])
+    assert cfl == max(result[1] for result in alone.values())
 
 
 # --- record layout ------------------------------------------------------------------
@@ -668,7 +676,7 @@ def test_stochastic_energy_stays_bounded_smoke():
     for m in range(4):
         ((states,),), failed = record_batch(
             (SystemKind.STOCHASTIC,), (u0[..., None],), p, tg, spec=spec,
-            rngs=[stream_rng(17, m)], epsilons=(0.1,),
+            rngs=[stream_rng(17, m)], epsilons=[(0.1,)],
         )
         assert failed == []
         sups.append(np.max(stack_norms(states, g.spacing)[:, 1]) ** 2)
@@ -726,7 +734,7 @@ def _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params=Mode
         kinds, start, params, BATCH_TIME,
         spec=BATCH_SPEC, ctrl=ctrls,
         rngs=[stream_rng(seed, j) for j in columns],
-        epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
+        epsilons=strengths(kinds, epsilons[columns]), keys=[(seed, j) for j in columns],
     )
     return dict(zip(columns or [None], states)), failed
 
@@ -747,8 +755,8 @@ def _single_run(kind, initial, epsilons, ctrl, base, seed, j, params=ModelParams
 def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, columns, params):
     """March ``columns`` as one batch and check every column against its own run:
     each noiseless system's shared column has the bits of its ``integrate`` run
-    beside every sample column, a retired sample column's failure and states
-    up to it are those of its width-1 batch, any other sample column's states
+    beside every sample column, a retired sample column's failures, in each
+    system, and states are those of its width-1 batch, any other sample column's states
     those of ``_single_run`` of each noisy kind, and a stochastic column at
     epsilon 0 has the deterministic run's bits. A linearized system follows
     the batch's own deterministic system, if it has one, alone too. Returns
@@ -756,7 +764,9 @@ def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, co
     if SystemKind.DETERMINISTIC in kinds:
         base = initial[kinds.index(SystemKind.DETERMINISTIC)]
     seen, failed = _run_batch(kinds, initial, epsilons, ctrls, base, seed, columns, params)
-    retired = {exc.key[1]: exc for exc in failed}
+    retired = {}
+    for exc in failed:
+        retired.setdefault(exc.key[1], []).append(_exactly(exc) + (exc.system,))
     shared = {
         k: _single_run(kind, initial[k], epsilons, ctrls[k], base, seed, None, params)
         for k, kind in enumerate(kinds) if kind in NOISELESS
@@ -765,8 +775,10 @@ def _assert_columns_run_as_alone(kinds, initial, epsilons, ctrls, base, seed, co
         for k, alone in shared.items():
             assert states[k].tobytes() == alone.tobytes(), (kinds[k], j)
         if j in retired:
-            alone, (exc,) = _run_batch(kinds, initial, epsilons, ctrls, base, seed, [j], params)
-            assert _exactly(retired[j]) == _exactly(exc)
+            alone, failed_alone = _run_batch(
+                kinds, initial, epsilons, ctrls, base, seed, [j], params
+            )
+            assert retired[j] == [_exactly(exc) + (exc.system,) for exc in failed_alone]
             for column, column_alone in zip(states, alone[j]):
                 assert column.tobytes() == column_alone.tobytes(), j
             continue
@@ -920,7 +932,8 @@ def test_shared_reference_column_has_the_bits_of_integrate(
             (*kinds, ref_kind), [u[..., columns] for u in initial] + [ref],
             ModelParams(), BATCH_TIME, spec=BATCH_SPEC, ctrl=ctrls,
             rngs=[stream_rng(seed, j) for j in columns],
-            epsilons=epsilons[columns], keys=[(seed, j) for j in columns],
+            epsilons=strengths((*kinds, ref_kind), epsilons[columns]),
+            keys=[(seed, j) for j in columns],
         )
 
     try:
@@ -936,13 +949,12 @@ def test_shared_reference_column_has_the_bits_of_integrate(
         )
         return
     seen, failed = run(list(range(width)))
-    retired = {exc.key[1]: exc for exc in failed}
     for j in range(width):
         assert seen[j][-1].tobytes() == alone.snapshots.tobytes(), j
         single, single_failed = run([j])
-        assert list(map(_exactly, single_failed)) == (
-            [_exactly(retired[j])] if j in retired else []
-        )
+        assert [_exactly(exc) + (exc.system,) for exc in single_failed] == [
+            _exactly(exc) + (exc.system,) for exc in failed if exc.key[1] == j
+        ]
         for states, states_alone in zip(seen[j], single[0]):
             assert states.tobytes() == states_alone.tobytes(), j
 
@@ -956,7 +968,7 @@ def test_integrate_batch_checks_its_inputs():
         with pytest.raises(ValueError, match="one generator per column"):
             integrate_batch(
                 (SystemKind.STOCHASTIC,), (initial,), ModelParams(),
-                BATCH_TIME, lambda *a: None, rngs=rngs, epsilons=epsilons, **kw,
+                BATCH_TIME, lambda *a: None, rngs=rngs, epsilons=[epsilons], **kw,
             )
     with pytest.raises(ValueError, match="zero initial"):
         integrate_batch(
@@ -998,7 +1010,7 @@ def test_integrate_batch_refuses_a_layout_its_kinds_do_not_settle(kinds, start):
     with pytest.raises(ValueError, match="per noisy kind, then one"):
         integrate_batch(
             kinds, start, ModelParams(), BATCH_TIME, lambda n, u: steps.append(n),
-            spec=BATCH_SPEC, rngs=[stream_rng(0), stream_rng(1)], epsilons=(0.1, 0.1),
+            spec=BATCH_SPEC, rngs=[stream_rng(0), stream_rng(1)], epsilons=[(0.1, 0.1)],
         )
     assert steps == []
 
@@ -1060,7 +1072,7 @@ def test_integrate_batch_refuses_keys_that_are_not_one_per_sample_column(keys):
             (SystemKind.STOCHASTIC, SystemKind.DETERMINISTIC),
             (u0[..., None], initial_profile(BATCH_GRID, a=2.0 * LINF_CEILING)), ModelParams(),
             BATCH_TIME, lambda *a: None, spec=BATCH_SPEC, rngs=[stream_rng(1, 0, 0)],
-            epsilons=(0.1,), keys=keys,
+            epsilons=[(0.1,)], keys=keys,
         )
 
 
@@ -1153,7 +1165,7 @@ def test_each_kind_takes_exactly_the_inputs_it_uses(
                 kinds, start, ModelParams(), BATCH_TIME, lambda *a: None, spec=spec,
                 ctrl=ctrls[entries],
                 rngs=[stream_rng(0), stream_rng(1)],
-                epsilons=[0.1, 0.1] if noisy else None,
+                epsilons=strengths(kinds, [0.1, 0.1]) if noisy else None,
             )
         return integrate(kind, initial, ModelParams(), BATCH_TIME, spec=spec, ctrl=ctrl)
 

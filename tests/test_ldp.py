@@ -461,7 +461,7 @@ def test_weak_convergence_streamed_metric_equals_stored_path_gap(monkeypatch):
                 (SystemKind.CONTROLLED_STOCHASTIC,), (initial_profile(GRID)[..., None],), PARAMS,
                 tg, spec=SPEC, ctrl=(ctrl,),
                 rngs=[stream_rng(9, i, m)],
-                epsilons=(row.epsilon,),
+                epsilons=[(row.epsilon,)],
             )
             assert failed == []
             metrics.append(path_gap(states, skeleton.snapshots, GRID.spacing, tg.dt, PARAMS.nu1))
